@@ -48,6 +48,7 @@ checkout, then ``$REPRO_SCENARIO_DIR`` ahead of both).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -222,8 +223,7 @@ SCENARIO_SCHEMA = {
         "seed": _Field("int", default=0),
         "num_tiles": _Field("int", default=8, min=1),
         "burst_factor": _Field("float", default=8.0, min=1.0),
-        "burst_len": _Field("float", default=20.0, min=0,
-                            min_exclusive=True),
+        "burst_len": _Field("float", default=20.0, min=1.0),
     },
     "fleet": {
         "chips": _Field("int", default=4, min=1),
@@ -341,6 +341,11 @@ def _check_scalar(value, spec: _Field, path: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         value = float(value)
+        # JSON documents can carry NaN/Infinity, and NaN would slip past
+        # every bound check below.
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be a finite number, "
+                              f"got {value!r}")
     elif spec.kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")

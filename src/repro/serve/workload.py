@@ -30,6 +30,8 @@ seed, in a fixed order (gap, kind, tile per request), so a
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +92,8 @@ class WorkloadConfig:
     num_tiles: int = 8
     #: Bursty-mode rate multiplier inside a hot phase.
     burst_factor: float = 8.0
-    #: Bursty-mode mean requests per phase.
+    #: Bursty-mode mean requests per phase (a geometric phase length
+    #: has mean >= 1).
     burst_len: float = 20.0
     clock_ghz: float = 1.25
 
@@ -116,6 +119,13 @@ class WorkloadConfig:
         if self.arrival not in ARRIVALS:
             raise ConfigError(f"unknown arrival process {self.arrival!r}; "
                               f"choose from {ARRIVALS}")
+        # NaN compares false against every bound below, so it would slip
+        # through them, and an infinite rate puts every arrival at cycle 0.
+        for name in ("rate", "burst_factor", "burst_len"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"workload.{name}: must be a finite number, got {value!r}")
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
         if self.requests <= 0:
@@ -124,8 +134,9 @@ class WorkloadConfig:
             raise ConfigError("num_tiles must be positive")
         if self.burst_factor < 1.0:
             raise ConfigError("burst_factor must be >= 1")
-        if self.burst_len <= 0:
-            raise ConfigError("burst_len must be positive")
+        if self.burst_len < 1.0:
+            raise ConfigError(
+                f"workload.burst_len: must be >= 1, got {self.burst_len!r}")
 
     @property
     def clock_hz(self) -> float:
@@ -144,27 +155,46 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
     kinds = [k for k in KINDS if k in weights]
     probs = np.array([weights[k] for k in kinds], dtype=np.float64)
     probs /= probs.sum()
+    # The kind draw is numpy's own ``Generator.choice(n, p=probs)``
+    # algorithm with the CDF built once instead of on every call: one
+    # ``random()`` double, then a right-bisection into the normalised
+    # CDF.  It consumes the same draw and returns the same index, so the
+    # trace is byte-identical to calling ``choice`` per request.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+
+    exponential = rng.exponential
+    uniform = rng.random
+    integers = rng.integers
+    num_tiles = config.num_tiles
 
     base = config.mean_gap_cycles
     hot_gap = base / config.burst_factor
     # Chosen so equal expected requests per phase keep the mean at ``base``.
     cold_gap = 2.0 * base - hot_gap
 
-    hot = True  # bursty traces open in a burst
-    left = 0.0  # requests left in the current phase
     t = 0.0
     out: list[Request] = []
+    append = out.append
+    # Per request the draw order is fixed: gap (plus a geometric phase
+    # length at each bursty phase start), then kind, then tile.
+    if config.arrival == "poisson":
+        for rid in range(config.requests):
+            t += exponential(base)
+            kind = kinds[bisect_right(cdf, uniform())]
+            append(Request(rid, kind, int(integers(num_tiles)), t))
+        return out
+    geometric = rng.geometric
+    phase_p = 1.0 / config.burst_len
+    hot = True  # bursty traces open in a burst
+    left = 0  # requests left in the current phase
     for rid in range(config.requests):
-        if config.arrival == "poisson":
-            gap = rng.exponential(base)
-        else:
-            if left <= 0:
-                left = rng.geometric(1.0 / config.burst_len)
-                hot = not hot
-            left -= 1
-            gap = rng.exponential(hot_gap if hot else cold_gap)
-        t += gap
-        kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        tile = int(rng.integers(config.num_tiles))
-        out.append(Request(rid=rid, kind=kind, tile=tile, arrival=t))
+        if left <= 0:
+            left = geometric(phase_p)
+            hot = not hot
+        left -= 1
+        t += exponential(hot_gap if hot else cold_gap)
+        kind = kinds[bisect_right(cdf, uniform())]
+        append(Request(rid, kind, int(integers(num_tiles)), t))
     return out

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repro.serve.cli import main
 
 
@@ -85,9 +87,22 @@ def test_resume_without_checkpoint_is_structured_error(capsys):
     assert "Traceback" not in err
 
 
-def test_argparse_bounds_reject_nonsense(capsys):
-    import pytest
+@pytest.mark.parametrize("argv,path", [
+    (["--rate", "nan"], "workload.rate: must be a finite number"),
+    (["--rate", "inf"], "workload.rate: must be a finite number"),
+    (["--arrival", "bursty", "--burst-factor", "nan"],
+     "workload.burst_factor: must be a finite number"),
+    (["--arrival", "bursty", "--burst-len", "0.5"],
+     "workload.burst_len: must be >= 1"),
+])
+def test_bad_workload_numbers_exit_2_before_simulating(argv, path, capsys):
+    assert main(argv + ["--requests", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {path}")
+    assert len(err.strip().splitlines()) == 1
 
+
+def test_argparse_bounds_reject_nonsense(capsys):
     for argv in (["--chips", "0"], ["--rate", "-5"], ["--max-retries", "-1"],
                  ["--requests", "0"]):
         with pytest.raises(SystemExit) as excinfo:

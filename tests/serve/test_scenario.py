@@ -139,6 +139,13 @@ def test_round_trip_compile_maps_fields_and_units():
     ({"resilience": {"health_fp_rate": 1.5},
       "failures": {"fail_stop_chips": 1}},
      "scenario.resilience.health_fp_rate: must be <= 1"),
+    # JSON scenarios can spell NaN/Infinity; geometric phases need >= 1.
+    ({"workload": {"rate": float("nan")}},
+     "scenario.workload.rate: must be a finite number"),
+    ({"workload": {"burst_factor": float("inf")}},
+     "scenario.workload.burst_factor: must be a finite number"),
+    ({"workload": {"burst_len": 0.5}},
+     "scenario.workload.burst_len: must be >= 1"),
 ])
 def test_validation_errors_carry_the_field_path(doc, path):
     with pytest.raises(ConfigError) as exc:
