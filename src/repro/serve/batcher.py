@@ -111,6 +111,8 @@ class DynamicBatcher:
     def due(self, now: float) -> list[Batch]:
         """Close and return every open batch whose deadline has passed,
         in (deadline, kind) order so ties break deterministically."""
+        if not self._open:
+            return []
         ready = sorted(
             (b for b in self._open.values() if b.deadline <= now),
             key=lambda b: (b.deadline, b.kind),

@@ -39,6 +39,7 @@ message on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -94,18 +95,35 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite(text: str, path: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not math.isfinite(value):
+        # NaN slips past every bound check downstream (a NaN gossip
+        # interval hangs the cluster run).  Raised as a config error
+        # rather than an argparse one, so main() reports it with the
+        # dotted field path the config classes and scenarios use.
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
     return value
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _positive_float(path: str):
+    """argparse type: a finite float > 0 for the field at ``path``."""
+    def number(text: str) -> float:
+        value = _finite(text, path)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return value
+    return number
+
+
+def _nonneg_float(path: str):
+    """argparse type: a finite float >= 0 for the field at ``path``."""
+    def number(text: str) -> float:
+        value = _finite(text, path)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+    return number
 
 
 def _ms(value: float) -> float:
@@ -127,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "times from repro.faults")
     batching = parser.add_argument_group("admission and batching")
     batching.add_argument("--max-batch", type=_positive_int, default=8)
-    batching.add_argument("--max-wait", type=_positive_float,
+    batching.add_argument("--max-wait",
+                          type=_positive_float("batching.max_wait_cycles"),
                           default=20_000.0,
                           help="batch close deadline in cycles")
     batching.add_argument("--queue-capacity", type=_positive_int, default=64)
@@ -135,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default="drop-newest")
     workload = parser.add_argument_group("workload")
     workload.add_argument("--arrival", choices=ARRIVALS, default="poisson")
-    workload.add_argument("--rate", type=_positive_float, default=50_000.0,
+    workload.add_argument("--rate",
+                          type=_positive_float("workload.rate"),
+                          default=50_000.0,
                           help="offered load in requests per simulated "
                                "second")
     workload.add_argument("--requests", type=_positive_int, default=200,
@@ -145,8 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload mix (repeatable); default: "
                                "bp and bp+vgg")
     workload.add_argument("--num-tiles", type=_positive_int, default=8)
-    workload.add_argument("--burst-factor", type=_positive_float, default=8.0)
-    workload.add_argument("--burst-len", type=_positive_float, default=20.0)
+    workload.add_argument("--burst-factor",
+                          type=_positive_float("workload.burst_factor"),
+                          default=8.0)
+    workload.add_argument("--burst-len",
+                          type=_positive_float("workload.burst_len"),
+                          default=20.0)
     failures = parser.add_argument_group("failure lifecycle")
     failures.add_argument("--fail-chips", type=_nonneg_int, default=0,
                           help="subject the first N chips to seeded "
@@ -159,19 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
                                "degraded-service windows")
     failures.add_argument("--fail-seed", type=int, default=0,
                           help="base seed of the failure lifecycle streams")
-    failures.add_argument("--mtbf-ms", type=_positive_float, default=2.4,
+    failures.add_argument("--mtbf-ms",
+                          type=_positive_float("failures.mtbf_ms"),
+                          default=2.4,
                           help="mean simulated ms between fail-stop events")
-    failures.add_argument("--repair-ms", type=_positive_float, default=0.64,
+    failures.add_argument("--repair-ms",
+                          type=_positive_float("failures.repair_ms"),
+                          default=0.64,
                           help="mean simulated ms to repair a fail-stop")
     failures.add_argument("--fail-domains", type=_domains, default=(),
                           metavar="SPEC",
                           help="correlated failure domains as semicolon-"
                                "separated chip-id groups, e.g. '0,1;2,3' "
                                "(one seeded outage fails every member)")
-    failures.add_argument("--domain-mtbf-ms", type=_positive_float,
+    failures.add_argument("--domain-mtbf-ms",
+                          type=_positive_float("failures.domain_mtbf_ms"),
                           default=4.0,
                           help="mean simulated ms between domain outages")
-    failures.add_argument("--domain-repair-ms", type=_positive_float,
+    failures.add_argument("--domain-repair-ms",
+                          type=_positive_float("failures.domain_repair_ms"),
                           default=0.48,
                           help="mean simulated ms to repair a domain outage")
     failures.add_argument("--domain-mode",
@@ -179,22 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
                           default="fail-stop",
                           help="what a domain outage does to member chips")
     resilience = parser.add_argument_group("resilience")
-    resilience.add_argument("--health-interval-ms", type=_positive_float,
-                            default=0.02,
-                            help="health-check tick period (simulated ms)")
-    resilience.add_argument("--detect-latency-ms", type=_nonneg_float,
+    resilience.add_argument(
+        "--health-interval-ms", default=0.02,
+        type=_positive_float("resilience.health_interval_ms"),
+        help="health-check tick period (simulated ms)")
+    resilience.add_argument("--detect-latency-ms",
+                            type=_nonneg_float("resilience.detect_latency_ms"),
                             default=0.0,
                             help="extra detection latency after the tick")
-    resilience.add_argument("--health-fp-rate", type=_nonneg_float,
+    resilience.add_argument("--health-fp-rate",
+                            type=_nonneg_float("resilience.health_fp_rate"),
                             default=0.0,
                             help="health-check false-positive probability")
     resilience.add_argument("--max-retries", type=_nonneg_int, default=3,
                             help="re-dispatch budget per killed batch")
-    resilience.add_argument("--retry-deadline-ms", type=_positive_float,
-                            default=1.0,
-                            help="drop requests older than this instead of "
-                                 "retrying")
-    resilience.add_argument("--hedge-delay-ms", type=_nonneg_float,
+    resilience.add_argument(
+        "--retry-deadline-ms", default=1.0,
+        type=_positive_float("resilience.retry_deadline_ms"),
+        help="drop requests older than this instead of retrying")
+    resilience.add_argument("--hedge-delay-ms",
+                            type=_nonneg_float("resilience.hedge_delay_ms"),
                             default=None,
                             help="hedge a launch overrunning its healthy "
                                  "estimate by this much (default: off)")
@@ -216,14 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="active-fleet floor")
     autoscale.add_argument("--autoscale-max", type=_positive_int, default=8,
                            help="active-fleet ceiling")
-    autoscale.add_argument("--autoscale-interval-ms", type=_positive_float,
-                           default=0.04,
-                           help="decision tick period (simulated ms)")
-    autoscale.add_argument("--autoscale-warmup-ms", type=_nonneg_float,
+    autoscale.add_argument(
+        "--autoscale-interval-ms", default=0.04,
+        type=_positive_float("autoscale.evaluate_interval_ms"),
+        help="decision tick period (simulated ms)")
+    autoscale.add_argument("--autoscale-warmup-ms",
+                           type=_nonneg_float("autoscale.warmup_ms"),
                            default=0.04,
                            help="provisioned chips serve nothing for "
                                 "this long")
-    autoscale.add_argument("--autoscale-cooldown-ms", type=_nonneg_float,
+    autoscale.add_argument("--autoscale-cooldown-ms",
+                           type=_nonneg_float("autoscale.cooldown_ms"),
                            default=0.16,
                            help="hold-off between scale decisions")
     cluster = parser.add_argument_group("cluster")
@@ -236,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--cluster-router", choices=ROUTERS,
                          default="least-loaded",
                          help="routing policy over believed-alive shards")
-    cluster.add_argument("--cluster-gossip-ms", type=_positive_float,
+    cluster.add_argument("--cluster-gossip-ms",
+                         type=_positive_float("cluster.gossip_interval_ms"),
                          default=0.04,
                          help="belief-refresh tick period (simulated ms); "
                               "router beliefs are up to one tick stale")
@@ -244,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=1,
                          help="cross-shard re-dispatch budget per request "
                               "(0 disables failover)")
-    cluster.add_argument("--brownout-headroom", type=_positive_float,
+    cluster.add_argument("--brownout-headroom",
+                         type=_positive_float("cluster.brownout_headroom"),
                          default=None,
                          help="shed low-priority kinds cluster-wide when "
                               "believed capacity fraction drops below "
@@ -264,14 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list the named scenarios on the search "
                                "path and exit")
     run = parser.add_argument_group("run")
-    run.add_argument("--slo-ms", type=_positive_float, default=0.25,
+    run.add_argument("--slo-ms",
+                     type=_positive_float("run.slo_ms"), default=0.25,
                      help="latency SLO in simulated milliseconds")
     run.add_argument("--cost-model", choices=COST_MODELS, default="measured",
                      help="how the service-time table is built: 'measured' "
                           "simulates every launch shape; 'surrogate' "
                           "simulates anchors and cross-validates a "
                           "piecewise-linear fit (repro.serve.surrogate)")
-    run.add_argument("--surrogate-tolerance", type=_positive_float,
+    run.add_argument("--surrogate-tolerance",
+                     type=_positive_float("run.surrogate_tolerance"),
                      default=DEFAULT_TOLERANCE,
                      help="relative cycle tolerance of the surrogate's "
                           "held-out validation (fallback to exact "
@@ -471,9 +513,8 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

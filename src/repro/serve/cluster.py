@@ -9,9 +9,10 @@ work per arrival and each shard only ever sees its own slice.
 
 The router has **no oracle**.  Its view of shard health is a *belief*
 learned from bounded-staleness gossip: on a fixed tick grid
-(``gossip_interval_cycles``) it samples every shard's breaker states,
-queue depth, and SLO headroom — read-only, exactly the observables a
-real control plane would scrape — and routes with beliefs that are up
+(``gossip_interval_cycles``) it samples every shard's believed-alive
+chip fraction (breaker states), dispatchable chips, and queue depth —
+read-only, exactly the observables a real control plane would scrape,
+and only those the router reads — and routes with beliefs that are up
 to one gossip interval stale.  Between ticks the world can change (a
 zone can die) and the router keeps routing on yesterday's map, exactly
 like production.
@@ -55,7 +56,8 @@ batches, and cycle counts are byte-identical to the single-fleet path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigError
 from repro.faults.injector import stream_seed
@@ -97,6 +99,14 @@ class ClusterConfig:
         if self.router not in ROUTERS:
             raise ConfigError(f"cluster.router: unknown router "
                               f"{self.router!r}; choose from {ROUTERS}")
+        # NaN compares false against every bound below; a NaN gossip
+        # interval would leave the late-failover drain waiting forever
+        # for a tick at or after NaN.
+        for f in ("gossip_interval_cycles", "brownout_headroom"):
+            value = getattr(self, f)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(
+                    f"cluster.{f}: must be a finite number, got {value!r}")
         if self.gossip_interval_cycles <= 0:
             raise ConfigError("cluster.gossip_interval_cycles must be "
                               "positive")
@@ -125,14 +135,11 @@ class ShardBelief:
     """The router's (possibly stale) picture of one shard."""
 
     shard: int
-    sampled_at: float = 0.0
     #: Believed-alive chip fraction (breaker states, read-only).
     alive_fraction: float = 1.0
     #: Chips currently accepting launches (autoscaler-aware).
     dispatchable: int = 0
     queue_depth: int = 0
-    kind_depth: dict = field(default_factory=dict)
-    slo_headroom: float = 1.0
 
     @property
     def capacity(self) -> float:
@@ -263,17 +270,15 @@ class ClusterSimulator:
 
     # -- beliefs (bounded-staleness gossip) ----------------------------
 
-    def _sample(self, shard: FleetSimulator, i: int, g: float) -> ShardBelief:
-        """Read-only health snapshot of one shard at tick ``g``."""
+    def _sample(self, shard: FleetSimulator, i: int) -> ShardBelief:
+        """Read-only health snapshot of one shard: what the router
+        reads, nothing more."""
         queue = shard._queue
         return ShardBelief(
-            shard=i, sampled_at=g,
+            shard=i,
             alive_fraction=shard._alive_fraction_belief(),
             dispatchable=len(shard._dispatchable()),
             queue_depth=queue.waiting if queue is not None else 0,
-            kind_depth={k: (queue.kind_depth(k) if queue is not None
-                            else 0) for k in KINDS},
-            slo_headroom=shard._slo_headroom(g),
         )
 
     def _refresh(self, g: float) -> None:
@@ -282,7 +287,7 @@ class ClusterSimulator:
         cluster = self.cluster
         for shard in self.shards:
             shard.advance_to(g)
-        self._beliefs = [self._sample(s, i, g)
+        self._beliefs = [self._sample(s, i)
                          for i, s in enumerate(self.shards)]
         self.gossip_ticks += 1
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
@@ -311,6 +316,8 @@ class ClusterSimulator:
                                      {"active": active,
                                       "capacity": capacity_fraction})
             self._brownout = active
+        if not self._handbacks:
+            return
         due = sorted((h for h in self._handbacks if h.expiry <= g),
                      key=lambda h: (h.expiry, h.rid))
         if due:

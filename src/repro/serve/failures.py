@@ -50,6 +50,8 @@ Tests script exact lifecycles by passing explicit windows to
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
@@ -106,6 +108,17 @@ class FailureConfig:
     domain_slow_factor: float = 4.0
 
     def __post_init__(self):
+        # NaN compares false against every bound below, so it would slip
+        # through them and no window would ever fire.
+        for f in ("fail_stop_mtbf_cycles", "repair_mean_cycles",
+                  "fail_slow_mtbf_cycles", "fail_slow_duration_cycles",
+                  "fail_slow_factor", "transient_mtbf_cycles",
+                  "transient_duration_cycles", "domain_mtbf_cycles",
+                  "domain_repair_mean_cycles", "domain_slow_factor"):
+            value = getattr(self, f)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"failures.{f}: must be a finite number, got {value!r}")
         for f in ("fail_stop_mtbf_cycles", "repair_mean_cycles",
                   "fail_slow_mtbf_cycles", "fail_slow_duration_cycles",
                   "transient_mtbf_cycles", "transient_duration_cycles",
@@ -169,6 +182,83 @@ class FailureWindow:
     factor: float = 1.0
 
 
+class _Stream:
+    """One failure stream — a ``(chip, mode)`` pair or a domain — with
+    its windows in start order and a bisect index over them.
+
+    ``starts[i]`` is ``windows[i].start`` and ``reach[i]`` the latest
+    end among ``windows[:i + 1]``; both grow with ``windows``.  Drawn
+    windows never overlap, scripted ones may.  Among the windows
+    starting at or before ``t``, the first one still open at ``t`` is
+    the first whose ``reach`` passes ``t``, so a query costs two
+    bisections however long the stream grows.
+    """
+
+    __slots__ = ("windows", "starts", "reach", "covered", "rng", "seed",
+                 "kind", "mtbf", "mean_duration", "factor")
+
+    def __init__(self, seed: int | None = None, kind: str = "",
+                 mtbf: float = 0.0, mean_duration: float = 0.0,
+                 factor: float = 1.0):
+        self.windows: list[FailureWindow] = []
+        self.starts: list[float] = []
+        self.reach: list[float] = []
+        #: Every window starting at or before this time has been
+        #: generated (a stream without a seed never draws).
+        self.covered = 0.0 if seed is not None else math.inf
+        self.rng = None
+        self.seed = seed
+        self.kind = kind
+        self.mtbf = mtbf
+        self.mean_duration = mean_duration
+        self.factor = factor
+
+    def append(self, w: FailureWindow) -> None:
+        reach = self.reach
+        self.windows.append(w)
+        self.starts.append(w.start)
+        reach.append(max(reach[-1], w.end) if reach else w.end)
+
+    def extend(self, t: float) -> None:
+        """Draw windows in time order until one starts after ``t``."""
+        if self.seed is None:
+            return
+        rng = self.rng
+        if rng is None:
+            import numpy as np
+            rng = self.rng = np.random.default_rng(self.seed)
+        windows = self.windows
+        covered = self.covered
+        while covered <= t:
+            gap = float(rng.exponential(self.mtbf))
+            duration = float(rng.exponential(self.mean_duration))
+            start = (windows[-1].end if windows else 0.0) + gap
+            self.append(FailureWindow(kind=self.kind, start=start,
+                                      end=start + duration,
+                                      factor=self.factor))
+            covered = start
+        self.covered = covered
+
+    def at(self, t: float) -> FailureWindow | None:
+        """The first window in start order with ``start <= t < end``."""
+        hi = bisect_right(self.starts, t)
+        j = bisect_right(self.reach, t, 0, hi)
+        return self.windows[j] if j < hi else None
+
+    def covering(self, t: float) -> list[FailureWindow]:
+        """Every window with ``start <= t < end``, in start order."""
+        hi = bisect_right(self.starts, t)
+        j = bisect_right(self.reach, t, 0, hi)
+        return [w for w in self.windows[j:hi] if t < w.end]
+
+    def first_start_in(self, t0: float, t1: float) -> FailureWindow | None:
+        """The first window starting inside ``(t0, t1)``."""
+        i = bisect_right(self.starts, t0)
+        if i < len(self.starts) and self.starts[i] < t1:
+            return self.windows[i]
+        return None
+
+
 class ChipFailureTimeline:
     """The physical failure schedule of every chip, generated lazily.
 
@@ -183,16 +273,17 @@ class ChipFailureTimeline:
         config.validate_chips(chips)
         self.config = config
         self.chips = chips
-        #: (chip, kind) -> generated windows, in start order.
-        self._windows: dict[tuple[int, str], list[FailureWindow]] = {}
-        #: (chip, kind) -> every window starting at or before this time
-        #: has been generated.
-        self._covered: dict[tuple[int, str], float] = {}
-        self._rngs: dict[tuple[int, str], object] = {}
-        #: domain index -> generated outage windows, in start order.
-        self._domain_windows: dict[int, list[FailureWindow]] = {}
-        self._domain_covered: dict[int, float] = {}
-        self._domain_rngs: dict[int, object] = {}
+        #: (chip, kind) -> that pair's stream, created on first query.
+        self._streams: dict[tuple[int, str], _Stream] = {}
+        factor = (config.domain_slow_factor
+                  if config.domain_mode == "fail-slow" else 1.0)
+        #: domain index -> its outage stream, shared by every member.
+        self._domain_streams = [
+            _Stream(stream_seed(config.seed, "serve-fail", "domain", idx),
+                    config.domain_mode, config.domain_mtbf_cycles,
+                    config.domain_repair_mean_cycles, factor)
+            for idx in range(len(config.domains))
+        ]
         #: chip id -> indices of the domains it belongs to.
         self._chip_domains: dict[int, tuple[int, ...]] = {}
         for i, members in enumerate(config.domains):
@@ -212,76 +303,41 @@ class ChipFailureTimeline:
         return (cfg.transient_chips, cfg.transient_mtbf_cycles,
                 cfg.transient_duration_cycles, 1.0)
 
-    def _ensure(self, chip: int, kind: str, t: float) -> list[FailureWindow]:
-        """Generate windows for ``(chip, kind)`` until coverage passes ``t``."""
-        key = (chip, kind)
-        windows = self._windows.setdefault(key, [])
-        chips, mtbf, mean_dur, factor = self._params(kind)
-        if chip not in chips:
-            return windows
-        covered = self._covered.get(key, 0.0)
-        if covered > t:
-            return windows
-        rng = self._rngs.get(key)
-        if rng is None:
-            import numpy as np
-            rng = np.random.default_rng(
-                stream_seed(self.config.seed, "serve-fail", kind, chip))
-            self._rngs[key] = rng
-        while covered <= t:
-            gap = float(rng.exponential(mtbf))
-            duration = float(rng.exponential(mean_dur))
-            start = (windows[-1].end if windows else 0.0) + gap
-            windows.append(FailureWindow(kind=kind, start=start,
-                                         end=start + duration,
-                                         factor=factor))
-            covered = start
-            self._covered[key] = covered
-        return windows
+    def _ensure(self, chip: int, kind: str, t: float) -> _Stream:
+        """``(chip, kind)``'s stream, generated until coverage passes
+        ``t``."""
+        stream = self._streams.get((chip, kind))
+        if stream is None:
+            chips, mtbf, mean_duration, factor = self._params(kind)
+            if chip in chips:
+                stream = _Stream(
+                    stream_seed(self.config.seed, "serve-fail", kind, chip),
+                    kind, mtbf, mean_duration, factor)
+            else:
+                stream = _Stream()
+            self._streams[(chip, kind)] = stream
+        if stream.covered <= t:
+            stream.extend(t)
+        return stream
 
-    def _ensure_domain(self, idx: int, t: float) -> list[FailureWindow]:
-        """Generate outage windows for domain ``idx`` until coverage
+    def _ensure_domain(self, idx: int, t: float) -> _Stream:
+        """Domain ``idx``'s outage stream, generated until coverage
         passes ``t``.  One stream per domain: members share windows."""
-        windows = self._domain_windows.setdefault(idx, [])
-        covered = self._domain_covered.get(idx, 0.0)
-        if covered > t:
-            return windows
-        rng = self._domain_rngs.get(idx)
-        if rng is None:
-            import numpy as np
-            rng = np.random.default_rng(
-                stream_seed(self.config.seed, "serve-fail", "domain", idx))
-            self._domain_rngs[idx] = rng
-        cfg = self.config
-        factor = (cfg.domain_slow_factor
-                  if cfg.domain_mode == "fail-slow" else 1.0)
-        while covered <= t:
-            gap = float(rng.exponential(cfg.domain_mtbf_cycles))
-            duration = float(rng.exponential(cfg.domain_repair_mean_cycles))
-            start = (windows[-1].end if windows else 0.0) + gap
-            windows.append(FailureWindow(kind=cfg.domain_mode, start=start,
-                                         end=start + duration,
-                                         factor=factor))
-            covered = start
-            self._domain_covered[idx] = covered
-        return windows
+        stream = self._domain_streams[idx]
+        if stream.covered <= t:
+            stream.extend(t)
+        return stream
 
     # -- queries (ground truth) ----------------------------------------
 
     def _window_at(self, chip: int, kind: str, t: float) -> FailureWindow | None:
-        for w in self._ensure(chip, kind, t):
-            if w.start <= t < w.end:
-                return w
-            if w.start > t:
-                break
-        if self.config.domain_mode == kind:
+        w = self._ensure(chip, kind, t).at(t)
+        if w is None and self.config.domain_mode == kind:
             for idx in self._chip_domains.get(chip, ()):
-                for w in self._ensure_domain(idx, t):
-                    if w.start <= t < w.end:
-                        return w
-                    if w.start > t:
-                        break
-        return None
+                w = self._ensure_domain(idx, t).at(t)
+                if w is not None:
+                    break
+        return w
 
     def down_at(self, chip: int, t: float) -> FailureWindow | None:
         """The fail-stop downtime window containing ``t``, if any
@@ -295,24 +351,13 @@ class ChipFailureTimeline:
         down = self.down_at(chip, t0)
         if down is not None:
             return down
-        candidates = []
-        for w in self._ensure(chip, "fail-stop", t1):
-            if t0 < w.start < t1:
-                candidates.append(w)
-                break
-            if w.start >= t1:
-                break
+        first = self._ensure(chip, "fail-stop", t1).first_start_in(t0, t1)
         if self.config.domain_mode == "fail-stop":
             for idx in self._chip_domains.get(chip, ()):
-                for w in self._ensure_domain(idx, t1):
-                    if t0 < w.start < t1:
-                        candidates.append(w)
-                        break
-                    if w.start >= t1:
-                        break
-        if not candidates:
-            return None
-        return min(candidates, key=lambda w: w.start)
+                w = self._ensure_domain(idx, t1).first_start_in(t0, t1)
+                if w is not None and (first is None or w.start < first.start):
+                    first = w
+        return first
 
     def slow_factor_at(self, chip: int, t: float) -> float:
         """Service-time multiplier at ``t`` (1.0 when healthy).  The
@@ -322,11 +367,8 @@ class ChipFailureTimeline:
         factor = w.factor if w is not None else 1.0
         if self.config.domain_mode == "fail-slow":
             for idx in self._chip_domains.get(chip, ()):
-                for dw in self._ensure_domain(idx, t):
-                    if dw.start <= t < dw.end:
-                        factor = max(factor, dw.factor)
-                    if dw.start > t:
-                        break
+                for dw in self._ensure_domain(idx, t).covering(t):
+                    factor = max(factor, dw.factor)
         return factor
 
     # -- domain ground truth (chaos invariants, reporting) -------------
@@ -339,17 +381,16 @@ class ChipFailureTimeline:
         """The domain outage window covering ``chip`` at ``t``, if any
         (regardless of domain mode)."""
         for idx in self._chip_domains.get(chip, ()):
-            for w in self._ensure_domain(idx, t):
-                if w.start <= t < w.end:
-                    return w
-                if w.start > t:
-                    break
+            w = self._ensure_domain(idx, t).at(t)
+            if w is not None:
+                return w
         return None
 
     def domain_windows_until(self, idx: int, t: float) -> list[FailureWindow]:
         """Every outage window of domain ``idx`` starting at or before
         ``t`` (ground truth for invariant sweeps)."""
-        return [w for w in self._ensure_domain(idx, t) if w.start <= t]
+        stream = self._ensure_domain(idx, t)
+        return stream.windows[:bisect_right(stream.starts, t)]
 
     def transient_at(self, chip: int, t: float) -> bool:
         """True when the chip serves from the degraded cost column at ``t``."""
@@ -358,6 +399,21 @@ class ChipFailureTimeline:
     @property
     def uses_degraded_column(self) -> bool:
         return bool(self.config.transient_chips)
+
+
+def _scripted_stream(windows) -> _Stream:
+    """An index over explicit windows, sorted by start (stable, so
+    equal starts keep their given order)."""
+    for w in windows:
+        # NaN compares false against everything, so it would also break
+        # the start order the index bisects on.
+        if math.isnan(w.start) or math.isnan(w.end) or w.end < w.start:
+            raise ConfigError(f"scripted {w.kind} window [{w.start!r}, "
+                              f"{w.end!r}) needs start <= end and no NaN")
+    stream = _Stream()
+    for w in sorted(windows, key=lambda w: w.start):
+        stream.append(w)
+    return stream
 
 
 def scripted_timeline(chips: int,
@@ -370,27 +426,26 @@ def scripted_timeline(chips: int,
     ``windows`` maps chip id -> episodes; each chip's list is sorted and
     coverage is marked complete so no random draws ever happen.  When
     ``domains`` is given, ``domain_windows`` maps domain index ->
-    scripted outage episodes shared by every member chip.
+    scripted outage episodes shared by every member chip.  Windows may
+    overlap or be empty; a NaN bound or an ``end`` before ``start`` is a
+    config error, and an infinite ``end`` (a chip that never returns) is
+    fine.
     """
     config = FailureConfig(domains=domains, domain_mode=domain_mode)
     timeline = ChipFailureTimeline(config, chips)
-    inf = float("inf")
     for chip in range(chips):
         per_kind: dict[str, list[FailureWindow]] = {k: [] for k in FAILURE_KINDS}
-        for w in sorted(windows.get(chip, ()), key=lambda w: w.start):
+        for w in windows.get(chip, ()):
             if w.kind not in FAILURE_KINDS:
                 raise ConfigError(f"unknown failure kind {w.kind!r}")
             per_kind[w.kind].append(w)
         for kind in FAILURE_KINDS:
-            timeline._windows[(chip, kind)] = per_kind[kind]
-            timeline._covered[(chip, kind)] = inf
+            timeline._streams[(chip, kind)] = _scripted_stream(per_kind[kind])
     for idx in range(len(domains)):
-        scripted = sorted((domain_windows or {}).get(idx, ()),
-                          key=lambda w: w.start)
-        for w in scripted:
+        episodes = (domain_windows or {}).get(idx, ())
+        for w in episodes:
             if w.kind != domain_mode:
                 raise ConfigError(
                     f"domain window kind {w.kind!r} != mode {domain_mode!r}")
-        timeline._domain_windows[idx] = scripted
-        timeline._domain_covered[idx] = inf
+        timeline._domain_streams[idx] = _scripted_stream(episodes)
     return timeline

@@ -83,7 +83,16 @@ class ResilienceConfig:
     def __post_init__(self):
         # Dotted resilience.<field> paths, matching the scenario DSL's
         # error convention, so every front end reports
-        # ``error: config: resilience.max_retries: ...``.
+        # ``error: config: resilience.max_retries: ...``.  NaN compares
+        # false against every bound below, so it is rejected first.
+        for f in ("health_check_interval_cycles", "detection_latency_cycles",
+                  "health_false_positive_rate", "breaker_open_cycles",
+                  "retry_backoff_cycles", "retry_deadline_cycles",
+                  "hedge_delay_cycles"):
+            value = getattr(self, f)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(
+                    f"resilience.{f}: must be a finite number, got {value!r}")
         if self.health_check_interval_cycles <= 0:
             raise ConfigError(
                 "resilience.health_check_interval_cycles: must be positive")

@@ -83,6 +83,13 @@ class TestClusterConfig:
         (dict(brownout_headroom=1.5), r"must be in \(0, 1\]"),
         (dict(brownout_headroom=0.0), r"must be in \(0, 1\]"),
         (dict(brownout_kinds=("warp",)), "unknown kind"),
+        # A NaN interval would hang run()'s late-failover drain.
+        (dict(gossip_interval_cycles=float("nan")),
+         "cluster.gossip_interval_cycles: must be a finite number"),
+        (dict(gossip_interval_cycles=float("inf")),
+         "cluster.gossip_interval_cycles: must be a finite number"),
+        (dict(brownout_headroom=float("nan")),
+         "cluster.brownout_headroom: must be a finite number"),
     ])
     def test_validation(self, kw, msg):
         with pytest.raises(ConfigError, match=msg):

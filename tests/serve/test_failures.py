@@ -1,9 +1,16 @@
 """Units for the failure lifecycle, circuit breaker, and health monitor."""
 
+import math
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
+from repro.faults.injector import stream_seed
 from repro.serve.failures import (
+    FAILURE_KINDS,
     ChipFailureTimeline,
     FailureConfig,
     FailureWindow,
@@ -37,6 +44,19 @@ class TestFailureConfig:
             FailureConfig(fail_stop_chips=(-1,))
         with pytest.raises(ConfigError):
             FailureConfig(transient_chips=(4,)).validate_chips(4)
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("field", (
+        "fail_stop_mtbf_cycles", "repair_mean_cycles",
+        "fail_slow_mtbf_cycles", "fail_slow_duration_cycles",
+        "fail_slow_factor", "transient_mtbf_cycles",
+        "transient_duration_cycles", "domain_mtbf_cycles",
+        "domain_repair_mean_cycles", "domain_slow_factor"))
+    def test_non_finite_fields_are_named(self, field, value):
+        # NaN passes every bound check, so failures would never fire.
+        with pytest.raises(ConfigError,
+                           match=rf"failures\.{field}: must be a finite"):
+            FailureConfig(fail_stop_chips=(0,), **{field: value})
 
     def test_as_dict_round_trips_tuples(self):
         d = FailureConfig(fail_stop_chips=(0, 2)).as_dict()
@@ -127,6 +147,17 @@ class TestResilienceConfig:
             ResilienceConfig(shed_tiers=((0.5, 1.0), (0.75, 0.5)))
         with pytest.raises(ConfigError):
             ResilienceConfig(shed_tiers=((0.5, 0.0),))
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf))
+    @pytest.mark.parametrize("field", (
+        "health_check_interval_cycles", "detection_latency_cycles",
+        "health_false_positive_rate", "breaker_open_cycles",
+        "retry_backoff_cycles", "retry_deadline_cycles",
+        "hedge_delay_cycles"))
+    def test_non_finite_fields_are_named(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=rf"resilience\.{field}: must be a finite"):
+            ResilienceConfig(**{field: value})
 
     def test_backoff_is_exponential(self):
         config = ResilienceConfig(retry_backoff_cycles=100.0)
@@ -316,7 +347,354 @@ class TestCorrelatedDomains:
         t1 = ChipFailureTimeline(base, 2)
         t2 = ChipFailureTimeline(with_domains, 2)
         horizon = 300_000.0
-        own1 = t1._ensure(0, "fail-stop", horizon)
-        own2 = t2._ensure(0, "fail-stop", horizon)
+        own1 = t1._ensure(0, "fail-stop", horizon).windows
+        own2 = t2._ensure(0, "fail-stop", horizon).windows
         assert [(w.start, w.end) for w in own1] \
             == [(w.start, w.end) for w in own2]
+
+
+class _LinearTimeline:
+    """The timeline before it was indexed, kept as the reference oracle:
+    the same lazy per-stream draws, and every query a linear scan from
+    t = 0 over the windows in start order."""
+
+    def __init__(self, config: FailureConfig, chips: int):
+        self.config = config
+        self._windows = {}
+        self._covered = {}
+        self._rngs = {}
+        self._domain_windows = {}
+        self._domain_covered = {}
+        self._domain_rngs = {}
+        self._chip_domains = {}
+        for i, members in enumerate(config.domains):
+            for c in members:
+                self._chip_domains[c] = self._chip_domains.get(c, ()) + (i,)
+
+    @classmethod
+    def scripted(cls, chips, windows, domains=(), domain_windows=None,
+                 domain_mode="fail-stop"):
+        timeline = cls(FailureConfig(domains=domains,
+                                     domain_mode=domain_mode), chips)
+        for chip in range(chips):
+            ordered = sorted(windows.get(chip, ()), key=lambda w: w.start)
+            for kind in FAILURE_KINDS:
+                timeline._windows[(chip, kind)] = [
+                    w for w in ordered if w.kind == kind]
+                timeline._covered[(chip, kind)] = math.inf
+        for idx in range(len(domains)):
+            timeline._domain_windows[idx] = sorted(
+                (domain_windows or {}).get(idx, ()), key=lambda w: w.start)
+            timeline._domain_covered[idx] = math.inf
+        return timeline
+
+    def _params(self, kind):
+        cfg = self.config
+        if kind == "fail-stop":
+            return (cfg.fail_stop_chips, cfg.fail_stop_mtbf_cycles,
+                    cfg.repair_mean_cycles, 1.0)
+        if kind == "fail-slow":
+            return (cfg.fail_slow_chips, cfg.fail_slow_mtbf_cycles,
+                    cfg.fail_slow_duration_cycles, cfg.fail_slow_factor)
+        return (cfg.transient_chips, cfg.transient_mtbf_cycles,
+                cfg.transient_duration_cycles, 1.0)
+
+    def _ensure(self, chip, kind, t):
+        key = (chip, kind)
+        windows = self._windows.setdefault(key, [])
+        chips, mtbf, mean_dur, factor = self._params(kind)
+        if chip not in chips:
+            return windows
+        covered = self._covered.get(key, 0.0)
+        if covered > t:
+            return windows
+        rng = self._rngs.get(key)
+        if rng is None:
+            rng = np.random.default_rng(
+                stream_seed(self.config.seed, "serve-fail", kind, chip))
+            self._rngs[key] = rng
+        while covered <= t:
+            gap = float(rng.exponential(mtbf))
+            duration = float(rng.exponential(mean_dur))
+            start = (windows[-1].end if windows else 0.0) + gap
+            windows.append(FailureWindow(kind=kind, start=start,
+                                         end=start + duration,
+                                         factor=factor))
+            covered = start
+            self._covered[key] = covered
+        return windows
+
+    def _ensure_domain(self, idx, t):
+        windows = self._domain_windows.setdefault(idx, [])
+        covered = self._domain_covered.get(idx, 0.0)
+        if covered > t:
+            return windows
+        rng = self._domain_rngs.get(idx)
+        if rng is None:
+            rng = np.random.default_rng(
+                stream_seed(self.config.seed, "serve-fail", "domain", idx))
+            self._domain_rngs[idx] = rng
+        cfg = self.config
+        factor = (cfg.domain_slow_factor
+                  if cfg.domain_mode == "fail-slow" else 1.0)
+        while covered <= t:
+            gap = float(rng.exponential(cfg.domain_mtbf_cycles))
+            duration = float(rng.exponential(cfg.domain_repair_mean_cycles))
+            start = (windows[-1].end if windows else 0.0) + gap
+            windows.append(FailureWindow(kind=cfg.domain_mode, start=start,
+                                         end=start + duration,
+                                         factor=factor))
+            covered = start
+            self._domain_covered[idx] = covered
+        return windows
+
+    def _window_at(self, chip, kind, t):
+        for w in self._ensure(chip, kind, t):
+            if w.start <= t < w.end:
+                return w
+            if w.start > t:
+                break
+        if self.config.domain_mode == kind:
+            for idx in self._chip_domains.get(chip, ()):
+                for w in self._ensure_domain(idx, t):
+                    if w.start <= t < w.end:
+                        return w
+                    if w.start > t:
+                        break
+        return None
+
+    def down_at(self, chip, t):
+        return self._window_at(chip, "fail-stop", t)
+
+    def fail_stop_in(self, chip, t0, t1):
+        down = self.down_at(chip, t0)
+        if down is not None:
+            return down
+        candidates = []
+        for w in self._ensure(chip, "fail-stop", t1):
+            if t0 < w.start < t1:
+                candidates.append(w)
+                break
+            if w.start >= t1:
+                break
+        if self.config.domain_mode == "fail-stop":
+            for idx in self._chip_domains.get(chip, ()):
+                for w in self._ensure_domain(idx, t1):
+                    if t0 < w.start < t1:
+                        candidates.append(w)
+                        break
+                    if w.start >= t1:
+                        break
+        if not candidates:
+            return None
+        return min(candidates, key=lambda w: w.start)
+
+    def slow_factor_at(self, chip, t):
+        w = self._window_at(chip, "fail-slow", t)
+        factor = w.factor if w is not None else 1.0
+        if self.config.domain_mode == "fail-slow":
+            for idx in self._chip_domains.get(chip, ()):
+                for dw in self._ensure_domain(idx, t):
+                    if dw.start <= t < dw.end:
+                        factor = max(factor, dw.factor)
+                    if dw.start > t:
+                        break
+        return factor
+
+    def domain_outage_at(self, chip, t):
+        for idx in self._chip_domains.get(chip, ()):
+            for w in self._ensure_domain(idx, t):
+                if w.start <= t < w.end:
+                    return w
+                if w.start > t:
+                    break
+        return None
+
+    def domain_windows_until(self, idx, t):
+        return [w for w in self._ensure_domain(idx, t) if w.start <= t]
+
+    def transient_at(self, chip, t):
+        return self._window_at(chip, "transient", t) is not None
+
+
+def _boundary_times(windows) -> list[float]:
+    """Every window's start and end, and their float neighbours."""
+    out = set()
+    for w in windows:
+        for t in (w.start, w.end):
+            out.update((t, math.nextafter(t, -math.inf),
+                        math.nextafter(t, math.inf)))
+    return sorted(t for t in out if math.isfinite(t))
+
+
+def _assert_agree(index, oracle, chips, domains, times) -> None:
+    """Both timelines answer every query identically, in ``times`` order
+    (the order also drives lazy generation on drawn timelines)."""
+    spans = (0.0, 1.0, 997.0, 25_000.0)
+    for i, t in enumerate(times):
+        for chip in range(chips):
+            where = (chip, t)
+            assert index.down_at(chip, t) == oracle.down_at(chip, t), where
+            assert index.slow_factor_at(chip, t) \
+                == oracle.slow_factor_at(chip, t), where
+            assert index.transient_at(chip, t) \
+                == oracle.transient_at(chip, t), where
+            assert index.domain_outage_at(chip, t) \
+                == oracle.domain_outage_at(chip, t), where
+            ends = [t + d for d in spans]
+            ends += [math.nextafter(t, math.inf), times[(i + 1) % len(times)]]
+            # Both would draw forever up to t1 = inf on a drawn stream.
+            for t1 in filter(math.isfinite, ends):
+                assert index.fail_stop_in(chip, t, t1) \
+                    == oracle.fail_stop_in(chip, t, t1), (chip, t, t1)
+        for idx in range(len(domains)):
+            assert index.domain_windows_until(idx, t) \
+                == oracle.domain_windows_until(idx, t), (idx, t)
+
+
+def _query_orders(times, seed):
+    shuffled = list(times)
+    random.Random(seed).shuffle(shuffled)
+    return sorted(times), shuffled
+
+
+class TestIndexMatchesLinearScan:
+    """The bisect index answers exactly what the pre-index linear scans
+    answered, on drawn and on scripted timelines."""
+
+    DOMAINS = ((0, 1), (1, 2, 3))
+
+    def _config(self, seed, domain_mode):
+        return FailureConfig(
+            seed=seed, fail_stop_chips=(0, 1), fail_slow_chips=(1, 2),
+            transient_chips=(0, 3), fail_stop_mtbf_cycles=40_000.0,
+            repair_mean_cycles=15_000.0, fail_slow_mtbf_cycles=30_000.0,
+            fail_slow_duration_cycles=20_000.0,
+            transient_mtbf_cycles=30_000.0,
+            transient_duration_cycles=10_000.0, domains=self.DOMAINS,
+            domain_mtbf_cycles=50_000.0, domain_repair_mean_cycles=25_000.0,
+            domain_mode=domain_mode, domain_slow_factor=3.0)
+
+    @pytest.mark.parametrize("domain_mode", ("fail-stop", "fail-slow"))
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    def test_drawn_timelines(self, seed, domain_mode):
+        config = self._config(seed, domain_mode)
+        horizon = 1_500_000.0
+        probe = _LinearTimeline(config, 4)
+        windows = [w for chip in range(4) for kind in FAILURE_KINDS
+                   for w in probe._ensure(chip, kind, horizon)]
+        windows += [w for idx in range(len(self.DOMAINS))
+                    for w in probe._ensure_domain(idx, horizon)]
+        rng = random.Random(seed)
+        times = _boundary_times(windows)
+        times += [rng.uniform(0.0, horizon) for _ in range(50)]
+        for order in _query_orders(times, seed):
+            _assert_agree(ChipFailureTimeline(config, 4),
+                          _LinearTimeline(config, 4), 4, self.DOMAINS, order)
+
+    def test_drawn_windows_match_the_reference_draws(self):
+        config = self._config(3, "fail-stop")
+        index = ChipFailureTimeline(config, 4)
+        oracle = _LinearTimeline(config, 4)
+        for chip in range(4):
+            for kind in FAILURE_KINDS:
+                assert index._ensure(chip, kind, 1e6).windows \
+                    == oracle._ensure(chip, kind, 1e6)
+        for idx in range(len(self.DOMAINS)):
+            assert index._ensure_domain(idx, 1e6).windows \
+                == oracle._ensure_domain(idx, 1e6)
+
+    @pytest.mark.parametrize("domain_mode", ("fail-stop", "fail-slow"))
+    def test_scripted_overlapping_empty_and_back_to_back(self, domain_mode):
+        inf = math.inf
+        windows = {
+            0: [FailureWindow("fail-stop", 100.0, 300.0),
+                FailureWindow("fail-stop", 150.0, 200.0),   # nested
+                FailureWindow("fail-stop", 250.0, 400.0),   # overlapping
+                FailureWindow("fail-stop", 400.0, 400.0),   # empty
+                FailureWindow("fail-stop", 400.0, 500.0),   # back to back
+                FailureWindow("fail-stop", 600.0, 700.0),
+                FailureWindow("fail-stop", 600.0, 610.0),   # same start
+                FailureWindow("fail-stop", 900.0, inf),     # never returns
+                FailureWindow("fail-slow", 50.0, 200.0, factor=2.0),
+                FailureWindow("fail-slow", 100.0, 150.0, factor=8.0),
+                FailureWindow("fail-slow", 150.0, 150.0, factor=16.0),
+                FailureWindow("fail-slow", 200.0, 300.0, factor=3.0)],
+            1: [FailureWindow("transient", 0.0, 0.0),
+                FailureWindow("transient", 0.0, 10.0),
+                FailureWindow("transient", 10.0, 20.0),
+                FailureWindow("transient", 20.0, 20.0),
+                FailureWindow("fail-stop", 10.0, 20.0),
+                FailureWindow("fail-stop", 50.0, 55.0),     # same start,
+                FailureWindow("fail-stop", 50.0, 80.0)],    # given order
+            2: [FailureWindow("fail-stop", 800.0, 800.0),   # empty, alone
+                FailureWindow("fail-stop", 820.0, 830.0),
+                FailureWindow("fail-stop", 1200.0, 1300.0)],
+        }
+        domains = ((0, 1), (1, 2))
+        domain_windows = {
+            0: [FailureWindow(domain_mode, 120.0, 260.0, factor=5.0),
+                FailureWindow(domain_mode, 140.0, 180.0, factor=7.0),
+                FailureWindow(domain_mode, 260.0, 300.0, factor=2.0),
+                FailureWindow(domain_mode, 350.0, 350.0, factor=9.0)],
+            1: [FailureWindow(domain_mode, 5.0, 15.0, factor=6.0),
+                FailureWindow(domain_mode, 15.0, 40.0, factor=1.5),
+                # Starts with chip 2's own window: the own one wins.
+                FailureWindow(domain_mode, 1200.0, 1250.0, factor=2.5),
+                FailureWindow(domain_mode, 2000.0, inf, factor=1.5)],
+        }
+        everything = [w for ws in windows.values() for w in ws]
+        everything += [w for ws in domain_windows.values() for w in ws]
+        times = _boundary_times(everything) + [-1.0, 0.0, 1e9]
+        times += [random.Random(5).uniform(0.0, 2_500.0) for _ in range(50)]
+        index = scripted_timeline(3, windows, domains, domain_windows,
+                                  domain_mode)
+        oracle = _LinearTimeline.scripted(3, windows, domains,
+                                          domain_windows, domain_mode)
+        for order in _query_orders(times, 5):
+            _assert_agree(index, oracle, 3, domains, order)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(),
+           domain_mode=st.sampled_from(("fail-stop", "fail-slow")))
+    def test_scripted_property(self, data, domain_mode):
+        bound = st.integers(0, 60).map(float)
+        episode = st.tuples(bound, st.integers(0, 20).map(float),
+                            st.sampled_from((1.0, 2.0, 4.0)))
+
+        def draw_windows(kinds):
+            return [FailureWindow(data.draw(st.sampled_from(kinds)),
+                                  start, start + length, factor=factor)
+                    for start, length, factor in data.draw(
+                        st.lists(episode, max_size=8))]
+
+        windows = {chip: draw_windows(FAILURE_KINDS) for chip in range(3)}
+        domains = ((0, 1), (1, 2))
+        domain_windows = {idx: draw_windows((domain_mode,))
+                          for idx in range(len(domains))}
+        times = data.draw(st.lists(
+            st.one_of(bound, st.floats(-5.0, 90.0)), min_size=1,
+            max_size=30))
+        index = scripted_timeline(3, windows, domains, domain_windows,
+                                  domain_mode)
+        oracle = _LinearTimeline.scripted(3, windows, domains,
+                                          domain_windows, domain_mode)
+        _assert_agree(index, oracle, 3, domains, times)
+
+    @pytest.mark.parametrize("bad", (
+        FailureWindow("fail-stop", math.nan, 10.0),
+        FailureWindow("fail-stop", 0.0, math.nan),
+        FailureWindow("fail-stop", 20.0, 10.0),
+    ))
+    def test_scripted_rejects_nan_bounds_and_reversed_windows(self, bad):
+        with pytest.raises(ConfigError, match="start <= end and no NaN"):
+            scripted_timeline(1, {0: [bad]})
+        with pytest.raises(ConfigError, match="start <= end and no NaN"):
+            scripted_timeline(1, {}, domains=((0,),),
+                              domain_windows={0: [bad]})
+
+    def test_scripted_allows_a_chip_that_never_returns(self):
+        t = scripted_timeline(1, {0: [
+            FailureWindow("fail-stop", 10.0, math.inf)]})
+        assert t.down_at(0, 1e12).start == 10.0
+        assert t.down_at(0, 5.0) is None
