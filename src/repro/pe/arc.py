@@ -16,6 +16,8 @@ queries against an all-live table skip the list rebuild entirely.  Expired
 entries never change an overlap result (``max(time, clear <= time)`` is
 ``time``), so laziness here is exact; only the capacity math in
 :meth:`earliest_free_time` / :meth:`occupancy` needs a real prune first.
+For the same reason a caller may skip an overlap query at any time at or
+past :attr:`ArrayRangeCheck.latest_clear`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class ArrayRangeCheck:
     """The 20-entry associative range tracker."""
 
     __slots__ = ("capacity", "pe_id", "trace", "_entries", "_min_clear",
-                 "peak_occupancy")
+                 "latest_clear", "peak_occupancy")
 
     def __init__(self, entries: int = 20, pe_id: int = 0,
                  trace: TraceSink = NULL_TRACE):
@@ -47,6 +49,9 @@ class ArrayRangeCheck:
         self.trace = trace
         self._entries: list[ArcEntry] = []
         self._min_clear = _INF
+        #: Latest clear time ever inserted: no query at a time at or past
+        #: it can stall.
+        self.latest_clear = 0.0
         self.peak_occupancy = 0
 
     def _prune(self, time: float) -> None:
@@ -89,6 +94,8 @@ class ArrayRangeCheck:
         self._entries.append(ArcEntry(start, start + nbytes, clear_time))
         if clear_time < self._min_clear:
             self._min_clear = clear_time
+        if clear_time > self.latest_clear:
+            self.latest_clear = clear_time
         if len(self._entries) > self.peak_occupancy:
             self.peak_occupancy = len(self._entries)
         if self.trace.enabled:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +53,11 @@ from repro.pe.counters import PECounters
 from repro.pe.memoryif import FlatMemory, as_bytes, from_bytes
 from repro.pe.scalar_unit import branch_taken, scalar_alu, to_signed
 from repro.pe.vector_unit import (
+    SHORT_VECTOR_ELEMENTS,
     ScratchpadView,
     apply_horizontal,
     apply_vertical,
+    short_vector_op,
     vector_timing,
 )
 
@@ -77,36 +79,39 @@ class _SpanTimes:
     two numpy slice ufunc calls per operand into a short Python scan —
     only the handful of in-flight producers/readers are ever live.
 
-    Intervals whose time is ``<= now`` at record time are pruned: every
-    later query's floor is at least the (monotone) PE clock, which is
-    beyond ``now`` by then, so an expired interval can never raise a
-    result.  Queries return ``floor`` unchanged when nothing overlaps,
-    matching the zero-initialised array (times are nonnegative).
+    Spans are kept as ``(-time, start, end)`` in sorted order, latest
+    first.  A query walks from the latest span and stops at the first
+    overlap (no later span can be larger) or as soon as times fall to the
+    floor (no later span can raise it).  Queries return ``floor``
+    unchanged when nothing overlaps, matching the zero-initialised array
+    (times are nonnegative).
+
+    Spans whose time is ``<= now`` at record time are dropped: every later
+    query's floor is at least the (monotone) PE clock, which is beyond
+    ``now`` by then, so an expired span can never raise a result.  They
+    form the tail of the list, so one bisection finds them.
     """
 
     __slots__ = ("_spans",)
 
-    #: Prune threshold: past this many live spans, expired ones are swept
-    #: before each append (LSU depth bounds live producers at ~64).
-    _SWEEP = 24
-
     def __init__(self):
-        self._spans: list[tuple[int, int, float]] = []
+        self._spans: list[tuple[float, int, int]] = []
 
     def record(self, start: int, end: int, time: float, now: float) -> None:
         if end <= start:
             return
         spans = self._spans
-        if len(spans) >= self._SWEEP:
-            self._spans = spans = [s for s in spans if s[2] > now]
-        spans.append((start, end, time))
+        if spans and -spans[-1][0] <= now:
+            del spans[bisect_left(spans, (-now,)):]
+        insort(spans, (-time, start, end))
 
     def max_over(self, start: int, end: int, floor: float) -> float:
-        t = floor
-        for s, e, tm in self._spans:
-            if tm > t and s < end and start < e:
-                t = tm
-        return t
+        for neg, s, e in self._spans:
+            if -neg <= floor:
+                return floor
+            if s < end and start < e:
+                return -neg
+        return floor
 
 
 @dataclass
@@ -194,6 +199,11 @@ class PE:
         # Bumped whenever PE state may change; lets the chip scheduler cache
         # next_issue_lower_bound (which reads only PE-local state).
         self._version = 0
+        # Operand scan of the last issue bound: per scratchpad range, its
+        # ARC clear time and write-ready time at the clock, valid for the
+        # step that runs at state version _scan_at.
+        self._scan: list[float] = []
+        self._scan_at = -1
 
     def load(self, program: Program) -> None:
         """Load a program, clearing execution state but keeping scratchpad
@@ -225,10 +235,10 @@ class PE:
             raise SimulationError("no program loaded")
         steps = 0
         while self.status is PEStatus.RUNNING:
-            self.step()
-            steps += 1
             if steps >= max_steps:
                 raise SimulationError(f"exceeded {max_steps} simulation steps")
+            self.step()
+            steps += 1
         if self.status is PEStatus.BLOCKED:
             raise SimulationError("PE blocked on full-empty variable at end of run")
         return self.result()
@@ -245,10 +255,12 @@ class PE:
             return self.status
         self._version += 1
         dec = self._dec
-        if dec is not None and 0 <= self.pc < len(dec):
-            d = dec[self.pc]
-            d.handler(self, d.instr)
-            return self.status
+        if dec is not None:
+            pc = self.pc
+            if 0 <= pc < len(dec):
+                d = dec[pc]
+                d.handler(self, d.instr)
+                return self.status
         assert self.program is not None
         if self.pc < 0 or self.pc >= len(self.program):
             raise SimulationError(
@@ -285,15 +297,29 @@ class PE:
         mutate shared state before other PEs catch up.  The bound accounts
         for register valid bits, ARC interlocks, scratchpad data hazards,
         vector-pipe occupancy, and LSU capacity — every stall source that
-        is knowable without executing.
+        is knowable without executing.  It changes no simulated state; on
+        the pre-decoded path it keeps its operand scan for the next step
+        (see :meth:`_lower_bound_fast`).
         """
+        dec = self._dec
+        if dec is not None and self.status is PEStatus.RUNNING:
+            pc = self.pc
+            if not 0 <= pc < len(dec):
+                return self.clock
+            d = dec[pc]
+            t = self.clock
+            reg_time = self.reg_time
+            for r in d.lb_regs:
+                rt = reg_time[r]
+                if rt > t:
+                    t = rt
+            if d.lb_shape == SHAPE_NONE and d.lb_tail == TAIL_NONE:
+                return t
+            return self._lower_bound_fast(d, t)
         if self.status is not PEStatus.RUNNING or self.program is None:
             return self.clock
         if not 0 <= self.pc < len(self.program):
             return self.clock
-        dec = self._dec
-        if dec is not None:
-            return self._lower_bound_fast(dec[self.pc])
         instr = self.program[self.pc]
         t = self.clock
         op = instr.opcode
@@ -360,20 +386,18 @@ class PE:
                 t = max(t, min(self._outstanding))
         return t
 
-    def _lower_bound_fast(self, d: DecodedInstr) -> float:
-        """Pre-decoded twin of :meth:`next_issue_lower_bound`.
+    def _lower_bound_fast(self, d: DecodedInstr, t: float) -> float:
+        """Pre-decoded twin of :meth:`next_issue_lower_bound`, from the
+        register-gated time ``t`` on.
 
-        Same stall sources, same evaluation order; the opcode dispatch and
+        Same stall sources, same result; the opcode dispatch and
         register/range tables are resolved once per program by
         ``repro.pe.decode`` instead of re-branched per call.
-        """
-        t = self.clock
-        reg_time = self.reg_time
-        for r in d.lb_regs:
-            rt = reg_time[r]
-            if rt > t:
-                t = rt
 
+        The operand scan (:meth:`_operand_scan`) is kept in :attr:`_scan`
+        for the step that runs next at this state version, which applies
+        it instead of scanning again.
+        """
         shape = d.lb_shape
         if shape != SHAPE_NONE:
             instr = d.instr
@@ -405,18 +429,11 @@ class PE:
                     ranges = ((regs[instr.rd] if instr.rd else 0, count * esz),)
                 else:
                     ranges = ()
-            size = self.scratchpad.size
-            hazard = self._hazard_on
-            arc_overlap = self.arc.overlap_clear_time
-            wtime = self._sp_wtime
-            for start, nbytes in ranges:
-                if nbytes <= 0 or start < 0 or start + nbytes > size:
-                    continue
-                cleared = arc_overlap(start, nbytes, t)
-                if cleared > t:
-                    t = cleared
-                if hazard:
-                    t = wtime.max_over(start, start + nbytes, t)
+            scan = self._scan = self._operand_scan(ranges)
+            self._scan_at = self._version + 1
+            for value in scan:
+                if value > t:
+                    t = value
 
         tail = d.lb_tail
         if tail != TAIL_NONE:
@@ -453,41 +470,53 @@ class PE:
         self.regs[r] = to_signed(value)
         self.reg_time[r] = ready
 
-    def _arc_stall(self, t: float, ranges: list[tuple[int, int]]) -> float:
-        for start, nbytes in ranges:
-            cleared = self.arc.overlap_clear_time(start, nbytes, t)
-            if cleared > t:
-                self.counters.stall_arc += cleared - t
-                if self._tr is not None:
-                    self._tr.arc_interlock(self.pe_id, t, cleared - t, start, nbytes)
-                t = cleared
-        return t
+    def _operand_scan(self, ranges) -> list[float]:
+        """Each scratchpad range's ARC clear time and write-ready time,
+        read with the clock as floor: ``[cleared, ready]`` per range, the
+        clock for a range that is empty or off the scratchpad.
 
-    def _hazard_stall(self, t: float, ranges: list[tuple[int, int]], war: bool) -> float:
-        """Stall (or raise) on scratchpad data not yet produced.
-
-        ``war`` ranges are destinations: they must additionally wait for
-        in-flight readers (write-after-read).
+        For any ``t >= clock``, ``overlap_clear_time(r, t)`` and
+        ``max_over(r, t)`` equal ``max(t, value)``, so a step applies
+        these values in its own stall order, exactly as if it queried at
+        its running issue time.
         """
-        if not self._hazard_on:
-            return t
-        ready = t
+        clock = self.clock
+        size = self.scratchpad.size
+        arc = self.arc
+        arc_overlap = (arc.overlap_clear_time if arc.latest_clear > clock
+                       else None)
+        max_over = self._sp_wtime.max_over if self._hazard_on else None
+        scan = []
         for start, nbytes in ranges:
-            if nbytes <= 0:
-                continue
-            end = start + nbytes
-            ready = self._sp_wtime.max_over(start, end, ready)
-            if war:
-                ready = self._sp_rtime.max_over(start, end, ready)
-        if ready > t:
-            if self.config.hazard_mode is HazardMode.ERROR:
-                raise TimingHazardError(
-                    f"pc={self.pc}: scratchpad data not ready until cycle "
-                    f"{ready:.1f} but instruction issues at {t:.1f}"
-                )
-            self.counters.stall_hazard += ready - t
-            t = ready
-        return t
+            cleared = ready = clock
+            if 0 < nbytes and 0 <= start and start + nbytes <= size:
+                if arc_overlap is not None:
+                    cleared = arc_overlap(start, nbytes, clock)
+                if max_over is not None:
+                    ready = max_over(start, start + nbytes, clock)
+            scan += (cleared, ready)
+        return scan
+
+    def _arc_wait(self, t: float, cleared: float, start: int,
+                  nbytes: int) -> float:
+        """Stall until the in-flight loads overlapping ``[start,
+        start + nbytes)`` clear at ``cleared > t``."""
+        self.counters.stall_arc += cleared - t
+        if self._tr is not None:
+            self._tr.arc_interlock(self.pe_id, t, cleared - t, start, nbytes)
+        return cleared
+
+    def _hazard_wait(self, t: float, ready: float) -> float:
+        """Stall (or raise) until scratchpad data is ready at ``ready > t``:
+        a source not yet produced, or a destination that in-flight readers
+        still hold (write-after-read)."""
+        if self.config.hazard_mode is HazardMode.ERROR:
+            raise TimingHazardError(
+                f"pc={self.pc}: scratchpad data not ready until cycle "
+                f"{ready:.1f} but instruction issues at {t:.1f}"
+            )
+        self.counters.stall_hazard += ready - t
+        return ready
 
     def _lsu_slot(self, t: float) -> float:
         """Stall until the load-store unit has a free outstanding slot."""
@@ -515,101 +544,120 @@ class PE:
     # -- vector instructions --------------------------------------------
 
     def _exec_vector(self, instr: Instruction) -> None:
-        cfg = self.config
-        esz = instr.width // 8
+        counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         dst = self._read_reg(instr.rd)
         src1 = self._read_reg(instr.rs1)
+        src2 = self._read_reg(instr.rs2)
 
-        if instr.opcode is Opcode.MV:
-            rows, cols = self.mr, self.vl
-            src2 = self._read_reg(instr.rs2)
-            reads = [(src1, rows * cols * esz), (src2, cols * esz)]
-            writes = [(dst, rows * esz)]
-            use_horizontal = True
-            vop = instr.vop
-        elif instr.opcode is Opcode.VV:
-            rows, cols = 1, self.vl
-            src2 = self._read_reg(instr.rs2)
-            reads = [(src1, cols * esz), (src2, cols * esz)]
-            writes = [(dst, cols * esz)]
-            use_horizontal = False
-            vop = instr.vop
-        else:  # VS: rs2 holds the scratchpad address of the scalar operand
-            rows, cols = 1, self.vl
-            src2 = self._read_reg(instr.rs2)
-            reads = [(src1, cols * esz), (src2, esz)]
-            writes = [(dst, cols * esz)]
-            use_horizontal = False
-            vop = instr.vop
-
-        ranges = reads + writes
+        opcode = instr.opcode
+        vop = instr.vop
+        width = instr.width
+        esz = width >> 3
+        cols = self.vl
+        if opcode is Opcode.MV:
+            rows = self.mr
+            n1 = rows * cols * esz
+            n2 = cols * esz
+            nd = rows * esz
+        else:
+            rows = 1
+            n1 = nd = cols * esz
+            n2 = n1 if opcode is Opcode.VV else esz
         size = self.scratchpad.size
-        for start, nbytes in ranges:
+        if (src1 < 0 or src1 + n1 > size or src2 < 0 or src2 + n2 > size
+                or dst < 0 or dst + nd > size):
             # Error text (with the instruction mnemonic) is built only on
             # the failing path; the mnemonic property is an f-string.
-            if start < 0 or nbytes < 0 or start + nbytes > size:
+            for start, nbytes in ((src1, n1), (src2, n2), (dst, nd)):
                 self.sp.check_range(start, nbytes, f"{instr.mnemonic} operand")
 
-        t = self._arc_stall(t, ranges)
-        t = self._hazard_stall(t, reads, war=False)
-        t = self._hazard_stall(t, writes, war=True)
+        # ARC interlock over src1, src2, dst, then data hazards: sources
+        # wait for their producers, the destination also for in-flight
+        # readers.  The issue bound has usually scanned the operands.
+        if self._scan_at == self._version:
+            scan = self._scan
+        else:
+            scan = self._operand_scan(((src1, n1), (src2, n2), (dst, nd)))
+        a1, w1, a2, w2, a3, w3 = scan
+        if a1 > t:
+            t = self._arc_wait(t, a1, src1, n1)
+        if a2 > t:
+            t = self._arc_wait(t, a2, src2, n2)
+        if a3 > t:
+            t = self._arc_wait(t, a3, dst, nd)
+        if self._hazard_on:
+            ready = w1 if w1 > t else t
+            if w2 > ready:
+                ready = w2
+            if ready > t:
+                t = self._hazard_wait(t, ready)
+            ready = self._sp_rtime.max_over(dst, dst + nd,
+                                            w3 if w3 > t else t)
+            if ready > t:
+                t = self._hazard_wait(t, ready)
         if self._vec_pipe_free > t:
-            self.counters.stall_vector_pipe += self._vec_pipe_free - t
+            counters.stall_vector_pipe += self._vec_pipe_free - t
             t = self._vec_pipe_free
 
-        tkey = (vop, use_horizontal, cols, rows, instr.width)
+        is_mv = opcode is Opcode.MV
+        tkey = (vop, is_mv, cols, rows, width)
         timing = self._vec_timing.get(tkey)
         if timing is None:
-            timing = self._vec_timing[tkey] = vector_timing(
-                cfg, vop, use_horizontal, cols, rows, instr.width)
-        self._vec_pipe_free = t + timing.occupancy
-        done = t + timing.done
+            vt = vector_timing(self.config, vop, is_mv, cols, rows, width)
+            timing = self._vec_timing[tkey] = (vt.occupancy, vt.done)
+        occupancy, latency = timing
+        self._vec_pipe_free = t + occupancy
+        done = t + latency
         if done > self._vec_last_done:
             self._vec_last_done = done
 
-        # Functional execution.  The "vector" fast path defers the
-        # scratchpad effect into the batch queue (flushed before anything
-        # can observe the bytes — see repro.pe.batch); timing, stalls and
-        # counters above are always computed eagerly, per instruction.
+        # Functional execution.  The "vector" fast path computes short
+        # vectors at once as Python integers, after flushing the queue so
+        # every earlier op's bytes have landed, and defers long and 64-bit
+        # ones into the batch queue (flushed before anything can observe
+        # the bytes — see repro.pe.batch).  Timing, stalls and counters
+        # above are always computed eagerly, per instruction.
         vq = self._vq
         if vq is not None:
-            vq.push(self, instr.opcode, vop, instr.hop, instr.width,
-                    rows, cols, src1, src2, dst, reads, writes)
-            if instr.opcode is Opcode.MV:
-                self.counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
+            if rows * cols <= SHORT_VECTOR_ELEMENTS and width <= 32:
+                if vq.ops:
+                    vq.flush(self)
+                short_vector_op(self.scratchpad, opcode, vop, instr.hop,
+                                width, rows, cols, self.fx, src1, src2, dst)
             else:
-                self.counters.vector_alu_ops += cols
-        elif instr.opcode is Opcode.MV:
-            matrix = self.sp.read_vector(src1, rows * cols, instr.width).reshape(rows, cols)
-            vector = self.sp.read_vector(src2, cols, instr.width)
-            vert = apply_vertical(vop, matrix, vector[None, :], instr.width, self.fx)
-            out = apply_horizontal(instr.hop, vert, instr.width)
-            self.sp.write_vector(dst, out, instr.width)
-            self.counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
-        elif instr.opcode is Opcode.VV:
-            a = self.sp.read_vector(src1, cols, instr.width)
-            b = self.sp.read_vector(self._read_reg(instr.rs2), cols, instr.width)
-            self.sp.write_vector(dst, apply_vertical(vop, a, b, instr.width, self.fx), instr.width)
-            self.counters.vector_alu_ops += cols
+                vq.push(self, opcode, vop, instr.hop, width, rows, cols,
+                        src1, src2, dst, [(src1, n1), (src2, n2)], [(dst, nd)])
+        elif is_mv:
+            matrix = self.sp.read_vector(src1, rows * cols, width).reshape(rows, cols)
+            vector = self.sp.read_vector(src2, cols, width)
+            vert = apply_vertical(vop, matrix, vector[None, :], width, self.fx)
+            self.sp.write_vector(dst, apply_horizontal(instr.hop, vert, width), width)
+        elif opcode is Opcode.VV:
+            a = self.sp.read_vector(src1, cols, width)
+            b = self.sp.read_vector(src2, cols, width)
+            self.sp.write_vector(dst, apply_vertical(vop, a, b, width, self.fx), width)
         else:
-            a = self.sp.read_vector(src1, cols, instr.width)
-            scalar = self.sp.read_vector(src2, 1, instr.width)[0]
+            a = self.sp.read_vector(src1, cols, width)
+            scalar = self.sp.read_vector(src2, 1, width)[0]
             self.sp.write_vector(
-                dst, apply_vertical(vop, a, np.full(cols, scalar), instr.width, self.fx),
-                instr.width,
+                dst, apply_vertical(vop, a, np.full(cols, scalar), width, self.fx),
+                width,
             )
-            self.counters.vector_alu_ops += cols
+        if is_mv:
+            counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
+        else:
+            counters.vector_alu_ops += cols
 
         if self._fl is not None:
-            self._fl.vector_result(self, writes, instr.width, t)
+            self._fl.vector_result(self, [(dst, nd)], width, t)
 
-        for start, nbytes in writes:
-            self._sp_wtime.record(start, start + nbytes, done, t)
-        read_done = t + timing.occupancy
-        for start, nbytes in reads:
-            self._sp_rtime.record(start, start + nbytes, read_done, t)
-        self.counters.vector_instructions += 1
+        self._sp_wtime.record(dst, dst + nd, done, t)
+        read_done = t + occupancy
+        rtime = self._sp_rtime
+        rtime.record(src1, src1 + n1, read_done, t)
+        rtime.record(src2, src2 + n2, read_done, t)
+        counters.vector_instructions += 1
         self._track_end(done)
         self._retire(t)
 
@@ -693,24 +741,38 @@ class PE:
     # -- load-store instructions -----------------------------------------
 
     def _exec_ld_sram(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
-        esz = instr.width // 8
+        vq = self._vq
+        if vq is not None and vq.ops:
+            vq.flush(self)
+        counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_dst = self._read_reg(instr.rd)
         dram_src = self._read_reg(instr.rs1)
         count = self._read_reg(instr.rs2)
         if count < 0:
             raise SimulationError(f"ld.sram negative element count {count}")
-        nbytes = count * esz
-        self.sp.check_range(sp_dst, nbytes, "ld.sram destination")
+        nbytes = count * (instr.width >> 3)
+        end = sp_dst + nbytes
+        if sp_dst < 0 or end > self.scratchpad.size:
+            self.sp.check_range(sp_dst, nbytes, "ld.sram destination")
 
-        t = self._arc_stall(t, [(sp_dst, nbytes)])
-        t = self._hazard_stall(t, [(sp_dst, nbytes)], war=True)
+        # ARC interlock, then the destination waits for its producers and
+        # in-flight readers (see _exec_vector for the scan).
+        if self._scan_at == self._version:
+            cleared, ready = self._scan
+        else:
+            cleared, ready = self._operand_scan(((sp_dst, nbytes),))
+        if cleared > t:
+            t = self._arc_wait(t, cleared, sp_dst, nbytes)
+        if self._hazard_on and nbytes:
+            ready = self._sp_rtime.max_over(sp_dst, end,
+                                            ready if ready > t else t)
+            if ready > t:
+                t = self._hazard_wait(t, ready)
         t = self._lsu_slot(t)
         free_at = self.arc.earliest_free_time(t)
         if free_at > t:
-            self.counters.stall_arc += free_at - t
+            counters.stall_arc += free_at - t
             if self._tr is not None:
                 self._tr.arc_full(self.pe_id, t, free_at - t, sp_dst, nbytes)
             t = free_at
@@ -722,13 +784,12 @@ class PE:
         self._lsu_port_free = done
 
         if nbytes:
-            self.scratchpad[sp_dst : sp_dst + nbytes] = data
+            self.scratchpad[sp_dst:end] = data
             if self._fl is not None:
                 self._fl.sp_write(self, sp_dst, nbytes, t)
-            self._sp_wtime.record(sp_dst, sp_dst + nbytes, done, t)
+            self._sp_wtime.record(sp_dst, end, done, t)
             self.arc.insert(sp_dst, nbytes, done, t)
         heapq.heappush(self._outstanding, done)
-        counters = self.counters
         counters.loadstore_instructions += 1
         counters.dram_bytes_read += nbytes
         counters.dram_requests += (nbytes + 31) // 32 or 1
@@ -738,20 +799,30 @@ class PE:
         self._retire(t)
 
     def _exec_st_sram(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
-        esz = instr.width // 8
+        vq = self._vq
+        if vq is not None and vq.ops:
+            vq.flush(self)
+        counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_src = self._read_reg(instr.rd)
         dram_dst = self._read_reg(instr.rs1)
         count = self._read_reg(instr.rs2)
         if count < 0:
             raise SimulationError(f"st.sram negative element count {count}")
-        nbytes = count * esz
-        self.sp.check_range(sp_src, nbytes, "st.sram source")
+        nbytes = count * (instr.width >> 3)
+        end = sp_src + nbytes
+        if sp_src < 0 or end > self.scratchpad.size:
+            self.sp.check_range(sp_src, nbytes, "st.sram source")
 
-        t = self._arc_stall(t, [(sp_src, nbytes)])
-        t = self._hazard_stall(t, [(sp_src, nbytes)], war=False)
+        # ARC interlock, then the source waits for its producers.
+        if self._scan_at == self._version:
+            cleared, ready = self._scan
+        else:
+            cleared, ready = self._operand_scan(((sp_src, nbytes),))
+        if cleared > t:
+            t = self._arc_wait(t, cleared, sp_src, nbytes)
+        if self._hazard_on and ready > t:
+            t = self._hazard_wait(t, ready)
         t = self._lsu_slot(t)
 
         dpb = self._dpb
@@ -759,11 +830,10 @@ class PE:
         drained = port_start + (nbytes + dpb - 1) // dpb
         self._lsu_port_free = drained
         if nbytes:
-            self._sp_rtime.record(sp_src, sp_src + nbytes, drained, t)
-        data = self.scratchpad[sp_src : sp_src + nbytes].copy()
+            self._sp_rtime.record(sp_src, end, drained, t)
+        data = self.scratchpad[sp_src:end].copy()
         done, _ = self.memory.access(self.pe_id, drained, dram_dst, nbytes, True, data)
         heapq.heappush(self._outstanding, done)
-        counters = self.counters
         counters.loadstore_instructions += 1
         counters.dram_bytes_written += nbytes
         counters.dram_requests += (nbytes + 31) // 32 or 1

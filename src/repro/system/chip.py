@@ -276,12 +276,16 @@ class Chip:
         # next_issue_lower_bound reads only PE-local state, so a parked
         # PE's bound cannot change until it steps (or is resumed): cache it
         # keyed by the PE's state version instead of recomputing per poll.
+        # Only a bound that parks its PE is cached; one that lets the PE
+        # step is stale after the step.
         bound_cache: list[tuple[int, float]] = [(-1, 0.0)] * len(pes)
         fe_seen = self._fe_version
+        running = PEStatus.RUNNING
+        heappop, heappush = heapq.heappop, heapq.heappush
         while active:
-            key, pe_id = heapq.heappop(active)
+            _, pe_id = heappop(active)
             pe = pes[pe_id]
-            if pe.status is PEStatus.RUNNING:
+            if pe.status is running:
                 # Conservative ordering: execute only when this PE's next
                 # instruction issues no later than every other PE's bound;
                 # otherwise re-queue at the refined time.  This keeps
@@ -293,13 +297,13 @@ class Chip:
                     version, bound = bound_cache[pe_id]
                     if version != pe._version:
                         bound = pe.next_issue_lower_bound()
-                        bound_cache[pe_id] = (pe._version, bound)
                     if bound > active[0][0]:
-                        heapq.heappush(active, (bound, pe_id))
+                        bound_cache[pe_id] = (pe._version, bound)
+                        heappush(active, (bound, pe_id))
                         continue
                 pe.step()
                 steps += 1
-                if run_ahead and pe.status is PEStatus.RUNNING:
+                if run_ahead and pe.status is running:
                     # Span run-ahead: step straight through PE-local
                     # instructions, but only while this PE would provably
                     # be the next heap pop AND pass the conservative bound
@@ -307,19 +311,22 @@ class Chip:
                     # cycle that replays the reference pop sequence
                     # exactly (local instructions touch no shared state,
                     # and no other PE could have run in between).
+                    # The heap does not change during the span, so its
+                    # head is read once.
+                    head = active[0] if active else None
                     flags = local_flags[pe_id]
-                    n = len(flags)
-                    while 0 <= pe.pc < n and flags[pe.pc]:
-                        if active:
-                            if (pe.clock, pe_id) > active[0]:
-                                break
+                    while head is None or (pe.clock, pe_id) < head:
+                        pc = pe.pc
+                        if not (0 <= pc < len(flags) and flags[pc]):
+                            break
+                        if head is not None:
                             bound = pe.next_issue_lower_bound()
-                            bound_cache[pe_id] = (pe._version, bound)
-                            if bound > active[0][0]:
+                            if bound > head[0]:
+                                bound_cache[pe_id] = (pe._version, bound)
                                 break
                         pe.step()
                         steps += 1
-                        if steps > max_steps or pe.status is not PEStatus.RUNNING:
+                        if steps > max_steps or pe.status is not running:
                             break
                 if steps > max_steps:
                     report = self.blocked_report(
@@ -331,8 +338,8 @@ class Chip:
                     )
                     err.report = report
                     raise err
-            if pe.status is PEStatus.RUNNING:
-                heapq.heappush(active, (pe.clock, pe_id))
+            if pe.status is running:
+                heappush(active, (pe.clock, pe_id))
             elif pe.status is PEStatus.BLOCKED:
                 blocked.add(pe_id)
             # A store may have freed blocked PEs; wake the eligible ones.
@@ -349,7 +356,7 @@ class Chip:
                         done = max(waiter.clock, ready) + port._fe_latency(addr)
                         waiter.resume_fe(done, value)
                         blocked.discard(waiting_id)
-                        heapq.heappush(active, (waiter.clock, waiting_id))
+                        heappush(active, (waiter.clock, waiting_id))
             if not active and blocked:
                 report = self.blocked_report(blocked)
                 raise DeadlockError(

@@ -206,6 +206,13 @@ class TestControl:
         with pytest.raises(SimulationError):
             PE().run()
 
+    def test_step_budget_allows_exactly_max_steps(self, pe):
+        program = assemble("mov.imm r1, 7\nhalt")
+        pe.run(program, max_steps=2)
+        assert pe.regs[1] == 7
+        with pytest.raises(SimulationError, match="exceeded 1 simulation steps"):
+            PE(memory=FlatMemory()).run(program, max_steps=1)
+
     def test_strict_hazard_mode_raises(self):
         pe = PE(PEConfig(hazard_mode=HazardMode.ERROR), memory=FlatMemory())
         with pytest.raises(TimingHazardError):
