@@ -1,4 +1,4 @@
-"""Vectorized batch stepping for the ``"vector"`` fast path.
+"""Vectorized batch stepping for the PE interpreter.
 
 Two mechanisms live here, both exact-by-construction (and empirically
 gated by ``repro.perf.bench --compare`` plus
@@ -14,9 +14,10 @@ scratchpad state.  :class:`VectorOpQueue` defers only that functional
 block; issue timing, stall accounting, ARC/hazard interlocks and counters
 stay eager and per-instruction in ``PE._exec_vector``.  The queue is
 flushed before anything else can observe scratchpad bytes (``ld.sram`` /
-``st.sram`` / ``halt`` / program load), so no other component ever sees a
-deferred write.  WAR and WAW need no flush: operands are gathered before
-any queued write lands, and writes land in queue order.
+``st.sram`` / ``halt`` / program load / the fault hook that corrupts a
+vector result), so no other component ever sees a deferred write.  WAR
+and WAW need no flush: operands are gathered before any queued write
+lands, and writes land in queue order.
 
 **PE-local span run-ahead.**  :func:`local_steps` classifies each
 instruction of a program as *PE-local* (touches no shared chip state — no
@@ -24,7 +25,9 @@ DRAM/NoC access, no full-empty variable) or *shared*.  The conservative
 chip scheduler uses it to step a PE straight through a local span without
 cycling the event heap, but only while that PE provably remains the next
 pop and passes the usual bound check — i.e. the shortcut replays exactly
-the pop sequence the reference loop would have produced.
+the pop sequence the reference loop would have produced.  The PE keeps
+its program's flags in ``PE._local``; ``ReferencePE`` keeps none, so a
+chip steps it pop by pop.
 """
 
 from __future__ import annotations

@@ -53,16 +53,6 @@ class PEConfig:
     instruction_buffer_entries: int = 1024
     branch_taken_penalty: int = 1
     hazard_mode: HazardMode = HazardMode.STALL
-    #: Execution strategy for the PE hot loop.  ``False`` is the
-    #: straight-line reference path used for cross-checking; ``True`` adds
-    #: the pre-decoded dispatch loop (``repro.pe.decode``); ``"vector"``
-    #: (the default) further batches runs of same-shaped vector
-    #: instructions through NumPy (``repro.pe.batch``) and lets the chip
-    #: scheduler run ahead through PE-local spans.  Timing, counters and
-    #: scratchpad state are identical in every mode (enforced by
-    #: ``tests/perf/test_fastpath_equiv.py`` and ``repro.perf.bench
-    #: --compare``).
-    fast_path: bool | str = "vector"
     #: Event sink for the tracing subsystem (``repro.trace``); the default
     #: null sink records nothing and adds no per-event work.
     trace: TraceSink = field(default=NULL_TRACE, compare=False)
@@ -78,11 +68,6 @@ class PEConfig:
             raise ConfigError("datapath width must be a whole number of bytes")
         if self.arc_entries <= 0 or self.max_outstanding_mem <= 0:
             raise ConfigError("resource capacities must be positive")
-        if self.fast_path not in (False, True, "vector"):
-            raise ConfigError(
-                f"fast_path must be False, True or 'vector', "
-                f"not {self.fast_path!r}"
-            )
 
     @property
     def datapath_bytes(self) -> int:

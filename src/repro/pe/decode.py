@@ -10,10 +10,11 @@ all of that is decoded once per :class:`~repro.isa.program.Program` into a
 flat list of :class:`DecodedInstr` records (one slot-ed object per
 instruction, indexed by pc) and cached on the program object itself.
 
-The decode tables below are a transcription of the opcode cases in
-``repro.pe.pe`` — the fast path must stall on exactly the same sources, in
-the same order, as the reference path (enforced by
-``tests/perf/test_fastpath_equiv.py``).
+The decode tables below are the PE's one opcode → stall-source table: the
+issue bound and ``PE.describe_stall`` both read them.  The straight-line
+``repro.pe.reference.ReferencePE`` re-derives the same sources from the
+opcode on every call, and the PE must stall on exactly the same sources,
+in the same order (enforced by ``tests/perf/test_fastpath_equiv.py``).
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class DecodedInstr:
 def _lower_bound_regs(instr: Instruction) -> tuple[int, ...]:
     """The registers whose valid bits gate issue of ``instr``.
 
-    Mirrors the opcode table in ``PE.next_issue_lower_bound``, then drops
-    ``r0`` (its ready time is pinned to 0.0, which can never raise a bound)
-    and duplicates (``max`` is idempotent) — both exact simplifications.
+    Mirrors the opcode table in ``ReferencePE.next_issue_lower_bound``,
+    then drops ``r0`` (its ready time is pinned to 0.0, which can never
+    raise a bound) and duplicates (``max`` is idempotent) — both exact
+    simplifications.
     """
     op = instr.opcode
     if op in (Opcode.MV, Opcode.VV, Opcode.VS, Opcode.LD_SRAM, Opcode.ST_SRAM):

@@ -33,10 +33,9 @@ from repro.errors import SimulationError, TimingHazardError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.pe.arc import ArrayRangeCheck
-from repro.pe.batch import VectorOpQueue
+from repro.pe.batch import VectorOpQueue, local_steps
 from repro.pe.config import HazardMode, PEConfig
 from repro.pe.decode import (
-    SHAPE_LDST_SRAM,
     SHAPE_MV,
     SHAPE_NONE,
     SHAPE_VS,
@@ -55,8 +54,6 @@ from repro.pe.scalar_unit import branch_taken, scalar_alu, to_signed
 from repro.pe.vector_unit import (
     SHORT_VECTOR_ELEMENTS,
     ScratchpadView,
-    apply_horizontal,
-    apply_vertical,
     short_vector_op,
     vector_timing,
 )
@@ -182,20 +179,19 @@ class PE:
             self._fl.sp_power_on(self)
         self._hazard_on = cfg.hazard_mode is not HazardMode.IGNORE
         self._dpb = cfg.datapath_bytes
-        # Vector-op batch queue for the "vector" fast path: defers only the
-        # functional scratchpad effect of vector instructions.  Traced or
-        # fault-injected runs keep eager execution so per-instruction event
-        # attribution and fault hooks are unchanged.
-        self._vq = (VectorOpQueue()
-                    if (cfg.fast_path == "vector" and self._tr is None
-                        and self._fl is None)
-                    else None)
+        # Defers the functional scratchpad effect of long vector
+        # instructions (repro.pe.batch); flushed before anything reads
+        # scratchpad bytes, the fault hooks included.
+        self._vq = VectorOpQueue()
         self.arc = ArrayRangeCheck(cfg.arc_entries, pe_id=self.pe_id,
                                    trace=cfg.trace)
         self.counters = PECounters()
         self._blocked_on: tuple[int, float] | None = None  # (addr, issue time)
         self._end_time = 0.0
         self._dec: list[DecodedInstr] | None = None
+        # Per-pc flags of PE-local instructions, which the chip scheduler
+        # may step through without a heap round trip (run-ahead).
+        self._local: list[bool] = []
         # Bumped whenever PE state may change; lets the chip scheduler cache
         # next_issue_lower_bound (which reads only PE-local state).
         self._version = 0
@@ -213,19 +209,15 @@ class PE:
                 f"program of {len(program)} instructions exceeds the "
                 f"{self.config.instruction_buffer_entries}-entry buffer"
             )
-        if self._vq is not None and self._vq.ops:
+        if self._vq.ops:
             self._vq.flush(self)
         self.program = program
         self.pc = 0
         self.status = PEStatus.RUNNING
         self._blocked_on = None
         self._version += 1
-        # Traced runs stay on the reference path so per-instruction event
-        # attribution is unchanged.
-        if self.config.fast_path and self._tr is None:
-            self._dec = predecode(program, PE._DISPATCH)
-        else:
-            self._dec = None
+        self._dec = predecode(program, PE._DISPATCH)
+        self._local = local_steps(program)
 
     def run(self, program: Program | None = None, max_steps: int = 200_000_000) -> PEResult:
         """Run to completion (single-PE convenience wrapper)."""
@@ -254,32 +246,28 @@ class PE:
         if self.status is not PEStatus.RUNNING:
             return self.status
         self._version += 1
+        pc = self.pc
         dec = self._dec
-        if dec is not None:
-            pc = self.pc
-            if 0 <= pc < len(dec):
-                d = dec[pc]
-                d.handler(self, d.instr)
-                return self.status
-        assert self.program is not None
-        if self.pc < 0 or self.pc >= len(self.program):
-            raise SimulationError(
-                f"PE {self.pe_id} ran off the instruction buffer at pc={self.pc}; "
-                "missing 'halt'?"
-            )
-        instr = self.program[self.pc]
+        if not 0 <= pc < len(dec):
+            raise self._ran_off()
+        d = dec[pc]
         if self._tr is not None:
-            return self._step_traced(instr)
-        handler = self._DISPATCH[instr.opcode]
-        handler(self, instr)
+            return self._step_traced(d.handler, d.instr)
+        d.handler(self, d.instr)
         return self.status
 
-    def _step_traced(self, instr: Instruction) -> PEStatus:
-        """Execute one instruction, emitting an ``instr`` event carrying the
-        counter deltas (including per-cause stall attribution)."""
+    def _ran_off(self) -> SimulationError:
+        return SimulationError(
+            f"PE {self.pe_id} ran off the instruction buffer at pc={self.pc}; "
+            "missing 'halt'?"
+        )
+
+    def _step_traced(self, handler, instr: Instruction) -> PEStatus:
+        """Run ``handler`` on ``instr``, emitting an ``instr`` event carrying
+        the counter deltas (including per-cause stall attribution)."""
         before = self.counters.snapshot()
         t0 = self.clock
-        self._DISPATCH[instr.opcode](self, instr)
+        handler(self, instr)
         deltas = self.counters.delta(before)
         # A blocked ld.fe retires nothing; its event is emitted on resume.
         if deltas.get("instructions"):
@@ -297,139 +285,28 @@ class PE:
         mutate shared state before other PEs catch up.  The bound accounts
         for register valid bits, ARC interlocks, scratchpad data hazards,
         vector-pipe occupancy, and LSU capacity — every stall source that
-        is knowable without executing.  It changes no simulated state; on
-        the pre-decoded path it keeps its operand scan for the next step
-        (see :meth:`_lower_bound_fast`).
-        """
-        dec = self._dec
-        if dec is not None and self.status is PEStatus.RUNNING:
-            pc = self.pc
-            if not 0 <= pc < len(dec):
-                return self.clock
-            d = dec[pc]
-            t = self.clock
-            reg_time = self.reg_time
-            for r in d.lb_regs:
-                rt = reg_time[r]
-                if rt > t:
-                    t = rt
-            if d.lb_shape == SHAPE_NONE and d.lb_tail == TAIL_NONE:
-                return t
-            return self._lower_bound_fast(d, t)
-        if self.status is not PEStatus.RUNNING or self.program is None:
-            return self.clock
-        if not 0 <= self.pc < len(self.program):
-            return self.clock
-        instr = self.program[self.pc]
-        t = self.clock
-        op = instr.opcode
-        regs: tuple[int, ...] = ()
-        if op in (Opcode.MV, Opcode.VV, Opcode.VS, Opcode.LD_SRAM, Opcode.ST_SRAM):
-            regs = (instr.rd, instr.rs1, instr.rs2)
-        elif op in (Opcode.ALU, Opcode.BRANCH):
-            regs = (instr.rs1, instr.rs2) if instr.imm is None else (instr.rs1,)
-        elif op in (Opcode.MOV,):
-            regs = (instr.rs1,)
-        elif op in (Opcode.LD_REG, Opcode.LD_FE):
-            regs = (instr.rs1,)
-        elif op in (Opcode.ST_REG, Opcode.ST_FE):
-            regs = (instr.rd, instr.rs1)
-        elif op in (Opcode.SET_VL, Opcode.SET_MR) and instr.imm is None:
-            regs = (instr.rs1,)
-        for r in regs:
-            t = max(t, self.reg_time[r])
-
-        esz = instr.width // 8
-        ranges: list[tuple[int, int]] = []
-        if op is Opcode.MV:
-            ranges = [
-                (self._read_reg(instr.rs1), self.mr * self.vl * esz),
-                (self._read_reg(instr.rs2), self.vl * esz),
-                (self._read_reg(instr.rd), self.mr * esz),
-            ]
-        elif op is Opcode.VV:
-            n = self.vl * esz
-            ranges = [
-                (self._read_reg(instr.rs1), n),
-                (self._read_reg(instr.rs2), n),
-                (self._read_reg(instr.rd), n),
-            ]
-        elif op is Opcode.VS:
-            n = self.vl * esz
-            ranges = [
-                (self._read_reg(instr.rs1), n),
-                (self._read_reg(instr.rs2), esz),
-                (self._read_reg(instr.rd), n),
-            ]
-        elif op in (Opcode.LD_SRAM, Opcode.ST_SRAM):
-            count = self._read_reg(instr.rs2)
-            if count >= 0:
-                ranges = [(self._read_reg(instr.rd), count * esz)]
-        if ranges:
-            size = self.scratchpad.size
-            hazard = self._hazard_on
-            for start, nbytes in ranges:
-                if nbytes <= 0 or start < 0 or start + nbytes > size:
-                    continue
-                t = max(t, self.arc.overlap_clear_time(start, nbytes, t))
-                if hazard:
-                    t = self._sp_wtime.max_over(start, start + nbytes, t)
-        if op in (Opcode.MV, Opcode.VV, Opcode.VS):
-            t = max(t, self._vec_pipe_free)
-        elif op is Opcode.V_DRAIN:
-            t = max(t, self._vec_last_done)
-        elif op is Opcode.MEMFENCE:
-            if self._outstanding:
-                t = max(t, max(self._outstanding))
-        elif op in (Opcode.LD_SRAM, Opcode.ST_SRAM, Opcode.LD_REG, Opcode.ST_REG):
-            if len(self._outstanding) >= self.config.max_outstanding_mem:
-                t = max(t, min(self._outstanding))
-        return t
-
-    def _lower_bound_fast(self, d: DecodedInstr, t: float) -> float:
-        """Pre-decoded twin of :meth:`next_issue_lower_bound`, from the
-        register-gated time ``t`` on.
-
-        Same stall sources, same result; the opcode dispatch and
-        register/range tables are resolved once per program by
-        ``repro.pe.decode`` instead of re-branched per call.
+        is knowable without executing, as ``repro.pe.decode`` resolved it
+        per instruction.  It changes no simulated state.
 
         The operand scan (:meth:`_operand_scan`) is kept in :attr:`_scan`
         for the step that runs next at this state version, which applies
         it instead of scanning again.
         """
-        shape = d.lb_shape
-        if shape != SHAPE_NONE:
-            instr = d.instr
-            esz = d.esz
-            regs = self.regs
-            if shape == SHAPE_MV:
-                ranges = (
-                    (regs[instr.rs1] if instr.rs1 else 0, self.mr * self.vl * esz),
-                    (regs[instr.rs2] if instr.rs2 else 0, self.vl * esz),
-                    (regs[instr.rd] if instr.rd else 0, self.mr * esz),
-                )
-            elif shape == SHAPE_VV:
-                n = self.vl * esz
-                ranges = (
-                    (regs[instr.rs1] if instr.rs1 else 0, n),
-                    (regs[instr.rs2] if instr.rs2 else 0, n),
-                    (regs[instr.rd] if instr.rd else 0, n),
-                )
-            elif shape == SHAPE_VS:
-                n = self.vl * esz
-                ranges = (
-                    (regs[instr.rs1] if instr.rs1 else 0, n),
-                    (regs[instr.rs2] if instr.rs2 else 0, esz),
-                    (regs[instr.rd] if instr.rd else 0, n),
-                )
-            else:  # SHAPE_LDST_SRAM
-                count = regs[instr.rs2] if instr.rs2 else 0
-                if count >= 0:
-                    ranges = ((regs[instr.rd] if instr.rd else 0, count * esz),)
-                else:
-                    ranges = ()
-            scan = self._scan = self._operand_scan(ranges)
+        if self.status is not PEStatus.RUNNING:
+            return self.clock
+        pc = self.pc
+        dec = self._dec
+        if not 0 <= pc < len(dec):
+            return self.clock
+        d = dec[pc]
+        t = self.clock
+        reg_time = self.reg_time
+        for r in d.lb_regs:
+            rt = reg_time[r]
+            if rt > t:
+                t = rt
+        if d.lb_shape != SHAPE_NONE:
+            scan = self._scan = self._operand_scan(self._operand_ranges(d))
             self._scan_at = self._version + 1
             for value in scan:
                 if value > t:
@@ -450,6 +327,42 @@ class PE:
                 if self._outstanding:
                     t = max(t, max(self._outstanding))
         return t
+
+    def _operand_ranges(self, d: DecodedInstr) -> tuple[tuple[int, int], ...]:
+        """The ``(start, nbytes)`` scratchpad ranges the instruction of
+        ``d`` touches at the current ``vl``/``mr`` and register values,
+        in the order its handler checks them."""
+        shape = d.lb_shape
+        if shape == SHAPE_NONE:
+            return ()
+        instr = d.instr
+        esz = d.esz
+        regs = self.regs
+        if shape == SHAPE_MV:
+            return (
+                (regs[instr.rs1] if instr.rs1 else 0, self.mr * self.vl * esz),
+                (regs[instr.rs2] if instr.rs2 else 0, self.vl * esz),
+                (regs[instr.rd] if instr.rd else 0, self.mr * esz),
+            )
+        if shape == SHAPE_VV:
+            n = self.vl * esz
+            return (
+                (regs[instr.rs1] if instr.rs1 else 0, n),
+                (regs[instr.rs2] if instr.rs2 else 0, n),
+                (regs[instr.rd] if instr.rd else 0, n),
+            )
+        if shape == SHAPE_VS:
+            n = self.vl * esz
+            return (
+                (regs[instr.rs1] if instr.rs1 else 0, n),
+                (regs[instr.rs2] if instr.rs2 else 0, esz),
+                (regs[instr.rd] if instr.rd else 0, n),
+            )
+        # SHAPE_LDST_SRAM
+        count = regs[instr.rs2] if instr.rs2 else 0
+        if count < 0:
+            return ()
+        return ((regs[instr.rd] if instr.rd else 0, count * esz),)
 
     # -- helpers --------------------------------------------------------
 
@@ -612,44 +525,19 @@ class PE:
         if done > self._vec_last_done:
             self._vec_last_done = done
 
-        # Functional execution.  The "vector" fast path computes short
-        # vectors at once as Python integers, after flushing the queue so
-        # every earlier op's bytes have landed, and defers long and 64-bit
-        # ones into the batch queue (flushed before anything can observe
-        # the bytes — see repro.pe.batch).  Timing, stalls and counters
-        # above are always computed eagerly, per instruction.
-        vq = self._vq
-        if vq is not None:
-            if rows * cols <= SHORT_VECTOR_ELEMENTS and width <= 32:
-                if vq.ops:
-                    vq.flush(self)
-                short_vector_op(self.scratchpad, opcode, vop, instr.hop,
-                                width, rows, cols, self.fx, src1, src2, dst)
-            else:
-                vq.push(self, opcode, vop, instr.hop, width, rows, cols,
-                        src1, src2, dst, [(src1, n1), (src2, n2)], [(dst, nd)])
-        elif is_mv:
-            matrix = self.sp.read_vector(src1, rows * cols, width).reshape(rows, cols)
-            vector = self.sp.read_vector(src2, cols, width)
-            vert = apply_vertical(vop, matrix, vector[None, :], width, self.fx)
-            self.sp.write_vector(dst, apply_horizontal(instr.hop, vert, width), width)
-        elif opcode is Opcode.VV:
-            a = self.sp.read_vector(src1, cols, width)
-            b = self.sp.read_vector(src2, cols, width)
-            self.sp.write_vector(dst, apply_vertical(vop, a, b, width, self.fx), width)
-        else:
-            a = self.sp.read_vector(src1, cols, width)
-            scalar = self.sp.read_vector(src2, 1, width)[0]
-            self.sp.write_vector(
-                dst, apply_vertical(vop, a, np.full(cols, scalar), width, self.fx),
-                width,
-            )
+        # Timing, stalls and counters are computed eagerly, per
+        # instruction; only the functional effect may be deferred.
+        self._vector_effect(opcode, vop, instr.hop, width, rows, cols,
+                            src1, src2, dst, n1, n2, nd)
         if is_mv:
             counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
         else:
             counters.vector_alu_ops += cols
 
         if self._fl is not None:
+            # The fault hook reads the result, so it must have landed.
+            if self._vq.ops:
+                self._vq.flush(self)
             self._fl.vector_result(self, [(dst, nd)], width, t)
 
         self._sp_wtime.record(dst, dst + nd, done, t)
@@ -660,6 +548,27 @@ class PE:
         counters.vector_instructions += 1
         self._track_end(done)
         self._retire(t)
+
+    def _vector_effect(self, opcode, vop, hop, width, rows, cols,
+                       src1, src2, dst, n1, n2, nd) -> None:
+        """Apply one vector instruction's scratchpad effect.
+
+        Short vectors are computed at once as Python integers, after a
+        flush so every earlier op's bytes have landed; long and 64-bit
+        ones are deferred into the batch queue, which is flushed before
+        anything can observe the bytes (see ``repro.pe.batch``).  Kept
+        apart from :meth:`_exec_vector` so that ``ReferencePE`` can run
+        every op eagerly instead.
+        """
+        vq = self._vq
+        if rows * cols <= SHORT_VECTOR_ELEMENTS and width <= 32:
+            if vq.ops:
+                vq.flush(self)
+            short_vector_op(self.scratchpad, opcode, vop, hop, width,
+                            rows, cols, self.fx, src1, src2, dst)
+        else:
+            vq.push(self, opcode, vop, hop, width, rows, cols,
+                    src1, src2, dst, [(src1, n1), (src2, n2)], [(dst, nd)])
 
     def _exec_v_drain(self, instr: Instruction) -> None:
         t = max(self.clock, self._vec_last_done)
@@ -741,9 +650,8 @@ class PE:
     # -- load-store instructions -----------------------------------------
 
     def _exec_ld_sram(self, instr: Instruction) -> None:
-        vq = self._vq
-        if vq is not None and vq.ops:
-            vq.flush(self)
+        if self._vq.ops:
+            self._vq.flush(self)
         counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_dst = self._read_reg(instr.rd)
@@ -799,9 +707,8 @@ class PE:
         self._retire(t)
 
     def _exec_st_sram(self, instr: Instruction) -> None:
-        vq = self._vq
-        if vq is not None and vq.ops:
-            vq.flush(self)
+        if self._vq.ops:
+            self._vq.flush(self)
         counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_src = self._read_reg(instr.rd)
@@ -936,81 +843,51 @@ class PE:
             return "full-empty", f"addr={addr:#x} (issued at {issued:.1f})"
         if self.status is not PEStatus.RUNNING or self.program is None:
             return self.status.value, ""
-        if not 0 <= self.pc < len(self.program):
+        if not 0 <= self.pc < len(self._dec):
             return "pc-out-of-range", f"pc={self.pc}"
-        instr = self.program[self.pc]
-        op = instr.opcode
+        d = self._dec[self.pc]
         t = self.clock
         cause, detail = "ready", ""
 
-        regs: tuple[int, ...] = ()
-        if op in (Opcode.MV, Opcode.VV, Opcode.VS, Opcode.LD_SRAM, Opcode.ST_SRAM):
-            regs = (instr.rd, instr.rs1, instr.rs2)
-        elif op in (Opcode.ALU, Opcode.BRANCH):
-            regs = (instr.rs1, instr.rs2) if instr.imm is None else (instr.rs1,)
-        elif op in (Opcode.MOV, Opcode.LD_REG, Opcode.LD_FE):
-            regs = (instr.rs1,)
-        elif op in (Opcode.ST_REG, Opcode.ST_FE):
-            regs = (instr.rd, instr.rs1)
-        elif op in (Opcode.SET_VL, Opcode.SET_MR) and instr.imm is None:
-            regs = (instr.rs1,)
-        for r in regs:
+        for r in d.lb_regs:
             if self.reg_time[r] > t:
                 t = self.reg_time[r]
                 cause, detail = "register", f"r{r} ready at {t:.1f}"
 
-        esz = instr.width // 8
-        ranges: list[tuple[int, int]] = []
-        if op is Opcode.MV:
-            ranges = [
-                (self._read_reg(instr.rs1), self.mr * self.vl * esz),
-                (self._read_reg(instr.rs2), self.vl * esz),
-                (self._read_reg(instr.rd), self.mr * esz),
-            ]
-        elif op in (Opcode.VV, Opcode.VS):
-            n = self.vl * esz
-            ranges = [
-                (self._read_reg(instr.rs1), n),
-                (self._read_reg(instr.rs2), n if op is Opcode.VV else esz),
-                (self._read_reg(instr.rd), n),
-            ]
-        elif op in (Opcode.LD_SRAM, Opcode.ST_SRAM):
-            count = self._read_reg(instr.rs2)
-            if count >= 0:
-                ranges = [(self._read_reg(instr.rd), count * esz)]
-        size = self.scratchpad.size
-        for start, nbytes in ranges:
-            if nbytes <= 0 or start < 0 or start + nbytes > size:
-                continue
-            cleared = self.arc.overlap_clear_time(start, nbytes, t)
+        # The scan is floored at the clock: a value raises the running
+        # time exactly when the query at that time would.
+        ranges = self._operand_ranges(d)
+        scan = self._operand_scan(ranges)
+        for i, (start, nbytes) in enumerate(ranges):
+            cleared, ready = scan[2 * i], scan[2 * i + 1]
             if cleared > t:
                 t = cleared
                 cause = "arc"
                 detail = f"sp[{start}:{start + nbytes}] busy until {t:.1f}"
-            if self._hazard_on:
-                ready = self._sp_wtime.max_over(start, start + nbytes, t)
-                if ready > t:
-                    t = ready
-                    cause = "sp-hazard"
-                    detail = f"sp[{start}:{start + nbytes}] written at {t:.1f}"
+            if ready > t:
+                t = ready
+                cause = "sp-hazard"
+                detail = f"sp[{start}:{start + nbytes}] written at {t:.1f}"
 
-        if op in (Opcode.MV, Opcode.VV, Opcode.VS):
+        tail = d.lb_tail
+        outstanding = self._outstanding
+        if tail == TAIL_VEC_PIPE:
             if self._vec_pipe_free > t:
                 t = self._vec_pipe_free
                 cause, detail = "vector-pipe", f"free at {t:.1f}"
-        elif op is Opcode.V_DRAIN:
+        elif tail == TAIL_V_DRAIN:
             if self._vec_last_done > t:
                 t = self._vec_last_done
                 cause, detail = "vector-drain", f"last result at {t:.1f}"
-        elif op is Opcode.MEMFENCE:
-            if self._outstanding and max(self._outstanding) > t:
-                t = max(self._outstanding)
-                cause, detail = "lsu", f"{len(self._outstanding)} outstanding, last at {t:.1f}"
-        elif op in (Opcode.LD_SRAM, Opcode.ST_SRAM, Opcode.LD_REG, Opcode.ST_REG):
-            if (len(self._outstanding) >= self.config.max_outstanding_mem
-                    and min(self._outstanding) > t):
-                t = min(self._outstanding)
-                cause, detail = "lsu", f"all {len(self._outstanding)} slots busy until {t:.1f}"
+        elif tail == TAIL_MEMFENCE:
+            if outstanding and max(outstanding) > t:
+                t = max(outstanding)
+                cause, detail = "lsu", f"{len(outstanding)} outstanding, last at {t:.1f}"
+        elif tail == TAIL_LSU_CAP:
+            if (len(outstanding) >= self.config.max_outstanding_mem
+                    and min(outstanding) > t):
+                t = min(outstanding)
+                cause, detail = "lsu", f"all {len(outstanding)} slots busy until {t:.1f}"
         return cause, detail
 
     def _exec_st_fe(self, instr: Instruction) -> None:
@@ -1037,7 +914,7 @@ class PE:
         self._retire(t)
 
     def _exec_halt(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
+        if self._vq.ops:
             self._vq.flush(self)
         t = max(self.clock, self._vec_last_done, self._lsu_port_free)
         if self._outstanding:

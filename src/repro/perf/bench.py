@@ -42,22 +42,23 @@ Benches:
   batch ceiling, measured twice: the exhaustive builder versus the
   cross-validated surrogate (:mod:`repro.serve.surrogate`); records the
   cold-start speedup and the surrogate's holdout-validation summary.
-* ``vectorized-step`` (macro) — the batched FC kernel under the
-  ``fast_path="vector"`` batch-stepping mode versus the scalar
-  pre-decoded fast path, asserting byte-identical outcomes before
-  timing, and placing the sustained throughput under the single-PE
-  roofline (a point above the roof means dropped cycles, so it gates).
+* ``vectorized-step`` (macro) — the batched FC kernel on the PE
+  interpreter, whose ``VectorOpQueue`` stacks its same-shaped vector
+  ops, versus the eager :class:`~repro.pe.reference.ReferencePE`,
+  asserting byte-identical outcomes before timing, and placing the
+  sustained throughput under the single-PE roofline (a point above the
+  roof means dropped cycles, so it gates).
 
 Candidate-vs-baseline timings (``--compare`` speedups, the cold-start
 pair) interleave their repeats round-robin within one loop, so slow
 host drift (thermal throttling, a neighbor stealing the core) lands on
 both sides equally instead of biasing whichever ran last.
 
-``--compare`` additionally runs every simulator bench with the
-pre-decoded fast path disabled (``PEConfig(fast_path=False)``) and
+``--compare`` additionally runs every simulator bench on the
+straight-line :class:`~repro.pe.reference.ReferencePE` oracle and
 *asserts* that simulated cycles, counters, DRAM contents, and scratchpad
-contents are identical before recording the fast/reference speedup: the
-fast path must be an optimization, never a model change.  The same
+contents are identical before recording the PE/reference speedup: the
+PE's shortcuts must be optimizations, never a model change.  The same
 kernels back ``tests/perf/test_fastpath_equiv.py``.
 """
 
@@ -78,6 +79,7 @@ from repro.isa.program import Program
 from repro.pe.config import PEConfig
 from repro.pe.counters import PECounters
 from repro.perf.roofline import Roofline, point_from_counters, validate_point
+from repro.trace.collector import NULL_TRACE
 
 SCHEMA = "repro.perf.bench/v1"
 
@@ -87,8 +89,8 @@ MACRO_BENCHES = ("vault-bp-tile", "gibbs-sweep", "conv-pass", "fc-chunk",
                  "serve-cluster", "serve-cold-start", "vectorized-step")
 ALL_BENCHES = MICRO_BENCHES + MACRO_BENCHES
 
-#: Single-kernel simulator benches with a reference (fast_path=False)
-#: twin — the registry the fast-path equivalence checks drive.  The
+#: Single-kernel simulator benches with a ``ReferencePE`` twin — the
+#: registry the PE-vs-reference equivalence checks drive.  The
 #: serve-fleet macro is excluded: it layers scheduling on top of these
 #: kernels and has its own serial-vs-parallel equality check instead.
 SIM_BENCHES = ("pe-vector", "vault-bp-tile", "gibbs-sweep", "conv-pass",
@@ -98,7 +100,7 @@ SIM_BENCHES = ("pe-vector", "vault-bp-tile", "gibbs-sweep", "conv-pass",
 @dataclass
 class KernelRun:
     """Full observable state of one simulated kernel, for equivalence
-    checks between the fast and reference execution paths."""
+    checks between the PE and its reference interpreter."""
 
     cycles: float
     counters: PECounters
@@ -120,6 +122,18 @@ class KernelRun:
 
 # ---------------------------------------------------------------------------
 # Simulated kernels
+
+
+def _classes(reference: bool):
+    """``(PE, Chip)``, or the ``ReferencePE`` oracle and its chip."""
+    if reference:
+        from repro.pe.reference import ReferenceChip, ReferencePE
+
+        return ReferencePE, ReferenceChip
+    from repro.pe.pe import PE
+    from repro.system.chip import Chip
+
+    return PE, Chip
 
 
 def _pe_vector_program(iters: int, vl: int) -> Program:
@@ -150,33 +164,35 @@ def _pe_vector_program(iters: int, vl: int) -> Program:
     return b.build()
 
 
-def _run_pe_vector(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_pe_vector(reference: bool, quick: bool, faults=NO_FAULTS,
+                   trace=NULL_TRACE) -> KernelRun:
     from repro.pe.memoryif import FlatMemory
-    from repro.pe.pe import PE
 
+    PE, _ = _classes(reference)
     iters, vl = (64, 16) if quick else (512, 32)
     rng = np.random.default_rng(11)
     mem = FlatMemory(faults=faults)
     mem.store.write_array(0, rng.integers(-500, 500, 2 * vl), dtype=np.int16)
-    pe = PE(PEConfig(fast_path=fast_path, faults=faults), memory=mem)
+    pe = PE(PEConfig(faults=faults, trace=trace), memory=mem)
     result = pe.run(_pe_vector_program(iters, vl))
     return KernelRun(result.cycles, result.counters,
                      mem.store.read(0, 4 * vl), (pe.scratchpad.copy(),))
 
 
-def _run_vault_bp_tile(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_vault_bp_tile(reference: bool, quick: bool, faults=NO_FAULTS,
+                       trace=NULL_TRACE) -> KernelRun:
     from repro.kernels.bp_kernel import (
         BPTileLayout,
         build_vault_sweep_programs,
         cross_extent,
     )
-    from repro.system.chip import Chip
     from repro.system.config import VIPConfig
     from repro.workloads.bp import stereo_mrf
     from repro.workloads.bp.mrf import DIRECTIONS
 
+    _, Chip = _classes(reference)
     rows, cols, labels = (8, 8, 4) if quick else (12, 16, 8)
-    config = VIPConfig(pe=PEConfig(fast_path=fast_path), faults=faults)
+    config = VIPConfig(faults=faults, trace=trace)
     chip = Chip(config, num_pes=config.pes_per_vault)
     mrf, _ = stereo_mrf(rows, cols, labels=labels, seed=7)
     layout = BPTileLayout(base=4096, rows=mrf.rows, cols=mrf.cols,
@@ -193,17 +209,18 @@ def _run_vault_bp_tile(fast_path: bool, quick: bool, faults=NO_FAULTS) -> Kernel
                      tuple(pe.scratchpad.copy() for pe in chip.pes))
 
 
-def _run_gibbs_sweep(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_gibbs_sweep(reference: bool, quick: bool, faults=NO_FAULTS,
+                     trace=NULL_TRACE) -> KernelRun:
     from repro.kernels.gibbs_kernel import (
         GibbsTileLayout,
         build_vault_phase_programs,
     )
-    from repro.system.chip import Chip
     from repro.system.config import VIPConfig
     from repro.workloads.bp import stereo_mrf
 
+    _, Chip = _classes(reference)
     rows, cols, labels, sweeps = (8, 8, 8, 2) if quick else (12, 16, 16, 3)
-    config = VIPConfig(pe=PEConfig(fast_path=fast_path), faults=faults)
+    config = VIPConfig(faults=faults, trace=trace)
     chip = Chip(config, num_pes=config.pes_per_vault)
     mrf, _ = stereo_mrf(rows, cols, labels=labels, seed=7)
     layout = GibbsTileLayout(rows=rows, cols=cols, labels=labels,
@@ -221,12 +238,13 @@ def _run_gibbs_sweep(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
                      tuple(pe.scratchpad.copy() for pe in chip.pes))
 
 
-def _run_conv_pass(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_conv_pass(reference: bool, quick: bool, faults=NO_FAULTS,
+                   trace=NULL_TRACE) -> KernelRun:
     from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
     from repro.memory.hmc import HMC
     from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
 
+    PE, _ = _classes(reference)
     out_h, out_w = (4, 8) if quick else (8, 16)
     z, k, filters = 64, 3, 2
     rng = np.random.default_rng(7)
@@ -237,7 +255,7 @@ def _run_conv_pass(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
                             k=k, num_filters=filters, out_h=out_h, out_w=out_w)
     hmc = HMC(faults=faults)
     layout.stage(hmc.store, inputs, weights, bias)
-    pe = PE(PEConfig(fast_path=fast_path, faults=faults),
+    pe = PE(PEConfig(faults=faults, trace=trace),
             memory=LocalVaultMemory(hmc, vault=0))
     result = pe.run(build_conv_pass_program(layout, 0, filters, 0, out_h,
                                             fx=8, strip_rows=2))
@@ -246,12 +264,13 @@ def _run_conv_pass(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
                      (pe.scratchpad.copy(),))
 
 
-def _run_fc_chunk(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_fc_chunk(reference: bool, quick: bool, faults=NO_FAULTS,
+                  trace=NULL_TRACE) -> KernelRun:
     from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
     from repro.memory.hmc import HMC
     from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
 
+    PE, _ = _classes(reference)
     rows, chunk = (16, 64) if quick else (48, 128)
     rng = np.random.default_rng(7)
     W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
@@ -259,7 +278,7 @@ def _run_fc_chunk(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
     layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=1)
     hmc = HMC(faults=faults)
     layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(fast_path=fast_path, faults=faults),
+    pe = PE(PEConfig(faults=faults, trace=trace),
             memory=LocalVaultMemory(hmc, vault=0))
     result = pe.run(build_fc_partial_program(layout, fx=6))
     return KernelRun(result.cycles, result.counters,
@@ -267,15 +286,16 @@ def _run_fc_chunk(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
                      (pe.scratchpad.copy(),))
 
 
-def _run_fc_batch(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_fc_batch(reference: bool, quick: bool, faults=NO_FAULTS,
+                  trace=NULL_TRACE) -> KernelRun:
     """The batched FC kernel (B resident input chunks) — the shape the
     vectorized stepping mode exists for: B back-to-back same-shape
     ``m.v.mul.add`` ops per weight row batch into one numpy call."""
     from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
     from repro.memory.hmc import HMC
     from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
 
+    PE, _ = _classes(reference)
     rows, chunk, batch = (16, 64, 4) if quick else (48, 128, 8)
     rng = np.random.default_rng(7)
     W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
@@ -283,7 +303,7 @@ def _run_fc_batch(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
     layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=batch)
     hmc = HMC(faults=faults)
     layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(fast_path=fast_path, faults=faults),
+    pe = PE(PEConfig(faults=faults, trace=trace),
             memory=LocalVaultMemory(hmc, vault=0))
     result = pe.run(build_fc_partial_program(layout, fx=6))
     return KernelRun(result.cycles, result.counters,
@@ -301,18 +321,20 @@ _SIM_RUNNERS = {
 }
 
 
-def run_sim_kernel(name: str, fast_path: bool = True,
-                   quick: bool = False, faults=NO_FAULTS) -> KernelRun:
+def run_sim_kernel(name: str, reference: bool = False, quick: bool = False,
+                   faults=NO_FAULTS, trace=NULL_TRACE) -> KernelRun:
     """Run one simulator bench kernel and capture its observable state.
 
-    This is the registry the fast-path equivalence test drives: calling
-    with ``fast_path`` True and False must produce ``KernelRun``s that
-    compare equal.  ``faults`` threads a fresh
-    :class:`~repro.faults.injector.FaultInjector` through the kernel's
-    whole system; the fault-plumbing tests use it to prove an attached
-    all-zero-rate injector leaves every kernel byte-identical.
+    This is the registry the PE-vs-reference equivalence test drives:
+    the run on :class:`~repro.pe.pe.PE` and the one on the
+    ``reference=True`` :class:`~repro.pe.reference.ReferencePE` must
+    produce ``KernelRun``s that compare equal.  ``faults`` threads a
+    fresh :class:`~repro.faults.injector.FaultInjector` through the
+    kernel's whole system; the fault-plumbing tests use it to prove an
+    attached all-zero-rate injector leaves every kernel byte-identical.
+    ``trace`` is the PEs' event sink.
     """
-    return _SIM_RUNNERS[name](fast_path, quick, faults)
+    return _SIM_RUNNERS[name](reference, quick, faults, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +401,22 @@ def _bench_fixedpoint(repeat: int, quick: bool, compare: bool) -> dict:
 def _bench_sim(name: str, repeat: int, quick: bool, compare: bool) -> dict:
     kind = "micro" if name in MICRO_BENCHES else "macro"
     runner = _SIM_RUNNERS[name]
-    fast = runner(True, quick)  # warmup (also builds/caches the programs)
+    run = runner(False, quick)  # warmup (also builds/caches the programs)
     if compare:
-        reference = runner(False, quick)
-        fast.assert_equal(reference, name)
-        walls = _interleaved_best({"fast": lambda: runner(True, quick),
-                                   "ref": lambda: runner(False, quick)},
+        reference = runner(True, quick)
+        run.assert_equal(reference, name)
+        walls = _interleaved_best({"pe": lambda: runner(False, quick),
+                                   "ref": lambda: runner(True, quick)},
                                   repeat)
-        wall = walls["fast"]
+        wall = walls["pe"]
     else:
-        wall = _best_wall(lambda: runner(True, quick), repeat)
+        wall = _best_wall(lambda: runner(False, quick), repeat)
     record = {
         "name": name,
         "kind": kind,
         "wall_s": wall,
-        "sim_cycles": fast.cycles,
-        "cycles_per_wall_second": fast.cycles / wall,
+        "sim_cycles": run.cycles,
+        "cycles_per_wall_second": run.cycles / wall,
     }
     if compare:
         record["reference_wall_s"] = walls["ref"]
@@ -709,11 +731,11 @@ def _bench_serve_cold_start(repeat: int, quick: bool, compare: bool) -> dict:
 
 def _bench_vectorized_step(repeat: int, quick: bool, compare: bool) -> dict:
     runner = _SIM_RUNNERS["fc-batch"]
-    vec = runner("vector", quick)  # warmup both paths, then check first
-    scalar = runner(True, quick)
-    vec.assert_equal(scalar, "vectorized-step (vector vs scalar fast path)")
-    walls = _interleaved_best({"vector": lambda: runner("vector", quick),
-                               "scalar": lambda: runner(True, quick)},
+    vec = runner(False, quick)  # warmup both paths, then check first
+    reference = runner(True, quick)
+    vec.assert_equal(reference, "vectorized-step (PE vs reference)")
+    walls = _interleaved_best({"vector": lambda: runner(False, quick),
+                               "reference": lambda: runner(True, quick)},
                               repeat)
     point = point_from_counters("fc-batch", vec.counters, vec.cycles)
     verdict = validate_point(point, Roofline.for_vip(num_pes=1))
@@ -729,14 +751,10 @@ def _bench_vectorized_step(repeat: int, quick: bool, compare: bool) -> dict:
         "wall_s": walls["vector"],
         "sim_cycles": vec.cycles,
         "cycles_per_wall_second": vec.cycles / walls["vector"],
-        "scalar_wall_s": walls["scalar"],
-        "vectorized_speedup": walls["scalar"] / walls["vector"],
+        "reference_wall_s": walls["reference"],
+        "vectorized_speedup": walls["reference"] / walls["vector"],
         "roofline": verdict,
     }
-    if compare:
-        reference = runner(False, quick)
-        vec.assert_equal(reference, "vectorized-step (vector vs reference)")
-        record["reference_equal"] = True
     return record
 
 
@@ -949,8 +967,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small problem sizes (CI smoke)")
     parser.add_argument("--compare", action="store_true",
-                        help="also run the reference (fast_path=False) "
-                        "simulator path, assert cycle/counter/memory "
+                        help="also run every simulator bench on the "
+                        "ReferencePE oracle, assert cycle/counter/memory "
                         "equality, and record the speedup")
     parser.add_argument("--merge-baseline", default=None,
                         help="JSON of baseline timings (a previous bench "
@@ -1023,7 +1041,7 @@ def main(argv: list[str] | None = None) -> int:
         if "speedup" in r:
             line += f"  {r['speedup']:5.2f}x vs reference"
         if "vectorized_speedup" in r:
-            line += f"  {r['vectorized_speedup']:5.2f}x vs scalar step"
+            line += f"  {r['vectorized_speedup']:5.2f}x vs eager reference"
         if "cold_start_speedup" in r:
             line += f"  {r['cold_start_speedup']:5.2f}x vs measured"
         if "speedup_vs_baseline" in r:

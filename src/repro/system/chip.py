@@ -26,7 +26,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.isa.program import Program
 from repro.memory.hmc import HMC
 from repro.noc.torus import TorusNetwork
-from repro.pe.batch import local_steps
 from repro.pe.counters import PECounters
 from repro.pe.pe import PE, PEStatus
 from repro.system.config import VIPConfig
@@ -266,13 +265,6 @@ class Chip:
         blocked: set[int] = set()
         steps = 0
         pes = self.pes
-        # "vector" fast path: per-program flags marking PE-local
-        # instructions, for the span run-ahead below.
-        run_ahead = self.config.pe.fast_path == "vector"
-        local_flags: dict[int, list[bool]] = {}
-        if run_ahead:
-            for pe_id, program in programs.items():
-                local_flags[pe_id] = local_steps(program)
         # next_issue_lower_bound reads only PE-local state, so a parked
         # PE's bound cannot change until it steps (or is resumed): cache it
         # keyed by the PE's state version instead of recomputing per poll.
@@ -303,18 +295,18 @@ class Chip:
                         continue
                 pe.step()
                 steps += 1
-                if run_ahead and pe.status is running:
+                if pe.status is running:
                     # Span run-ahead: step straight through PE-local
-                    # instructions, but only while this PE would provably
-                    # be the next heap pop AND pass the conservative bound
-                    # check — a mechanical shortcut over the requeue/pop
-                    # cycle that replays the reference pop sequence
-                    # exactly (local instructions touch no shared state,
-                    # and no other PE could have run in between).
-                    # The heap does not change during the span, so its
-                    # head is read once.
+                    # instructions (the PE's ``_local`` flags), but only
+                    # while this PE would provably be the next heap pop AND
+                    # pass the conservative bound check — a mechanical
+                    # shortcut over the requeue/pop cycle that replays the
+                    # pop-by-pop sequence exactly (local instructions touch
+                    # no shared state, and no other PE could have run in
+                    # between).  The heap does not change during the span,
+                    # so its head is read once.
                     head = active[0] if active else None
-                    flags = local_flags[pe_id]
+                    flags = pe._local
                     while head is None or (pe.clock, pe_id) < head:
                         pc = pe.pc
                         if not (0 <= pc < len(flags) and flags[pc]):

@@ -1,9 +1,10 @@
 """The short-vector path must compute exactly what the eager reference does.
 
 ``short_vector_op`` runs MV/VV/VS instructions of at most 32 elements and
-width <= 32 bits on Python integers.  The oracle is the eager path the
-reference interpreter takes: ``ScratchpadView.read_vector`` ->
-``apply_vertical`` (-> ``apply_horizontal``) -> ``write_vector``.
+width <= 32 bits on Python integers.  The oracle is the eager op the
+reference interpreter runs, ``repro.pe.reference.eager_vector_op``:
+``ScratchpadView.read_vector`` -> ``apply_vertical`` (->
+``apply_horizontal``) -> ``write_vector``.
 """
 
 import numpy as np
@@ -14,39 +15,14 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.isa.instructions import Opcode
-from repro.pe import PE, FlatMemory, PEConfig
+from repro.pe import PE, FlatMemory
 from repro.pe.batch import VectorOpQueue
-from repro.pe.vector_unit import (
-    SHORT_VECTOR_ELEMENTS,
-    ScratchpadView,
-    apply_horizontal,
-    apply_vertical,
-    short_vector_op,
-)
+from repro.pe.reference import ReferencePE, eager_vector_op as reference_op
+from repro.pe.vector_unit import SHORT_VECTOR_ELEMENTS, short_vector_op
 
 SP_BYTES = 512
 VOPS = ("add", "sub", "mul", "min", "max", "nop")
 HOPS = ("add", "min", "max")
-
-
-def reference_op(data, opcode, vop, hop, width, rows, cols, fx,
-                 src1, src2, dst):
-    """The eager functional path of ``PE._exec_vector``."""
-    sp = ScratchpadView(data)
-    if opcode is Opcode.MV:
-        matrix = sp.read_vector(src1, rows * cols, width).reshape(rows, cols)
-        vector = sp.read_vector(src2, cols, width)
-        vert = apply_vertical(vop, matrix, vector[None, :], width, fx)
-        sp.write_vector(dst, apply_horizontal(hop, vert, width), width)
-    elif opcode is Opcode.VV:
-        a = sp.read_vector(src1, cols, width)
-        b = sp.read_vector(src2, cols, width)
-        sp.write_vector(dst, apply_vertical(vop, a, b, width, fx), width)
-    else:
-        a = sp.read_vector(src1, cols, width)
-        scalar = sp.read_vector(src2, 1, width)[0]
-        sp.write_vector(dst, apply_vertical(vop, a, np.full(cols, scalar),
-                                            width, fx), width)
 
 
 @st.composite
@@ -117,7 +93,8 @@ def test_unknown_ops_raise_the_reference_error(opcode, vop, hop, message):
 ])
 def test_long_and_64_bit_ops_still_queue(monkeypatch, vl, width, queued):
     """Ops past 32 elements or at 64 bits go through ``VectorOpQueue``;
-    the rest never reach it, and both tiers leave the same bytes."""
+    the rest never reach it, and PE leaves the same bytes as the
+    eager ReferencePE."""
     pushes = []
     original = VectorOpQueue.push
 
@@ -135,11 +112,11 @@ def test_long_and_64_bit_ops_still_queue(monkeypatch, vl, width, queued):
         halt
     """)
     scratchpads = {}
-    for tier in ("vector", False):
-        pe = PE(PEConfig(fast_path=tier), memory=FlatMemory())
+    for pe_class in (PE, ReferencePE):
+        pe = pe_class(memory=FlatMemory())
         pe.scratchpad[:] = np.random.default_rng(7).integers(
             0, 256, pe.scratchpad.size, dtype=np.uint8)
         pe.run(program)
-        scratchpads[tier] = pe.scratchpad.copy()
+        scratchpads[pe_class] = pe.scratchpad.copy()
     assert len(pushes) == (1 if queued else 0)
-    assert np.array_equal(scratchpads["vector"], scratchpads[False])
+    assert np.array_equal(scratchpads[PE], scratchpads[ReferencePE])

@@ -4,7 +4,70 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.isa import assemble
+from repro.pe import PE, PEConfig
 from repro.system import BlockedReport, Chip
+
+#: Programs that park a single PE on one stall cause after ``steps``
+#: steps, with the ``(cause, detail)`` that ``describe_stall`` gave for
+#: them when it re-derived every stall source from the opcode.
+STALLS = {
+    "register": ('''
+        mov.imm r2, 64
+        ld.reg r3, r2
+        add r4, r3, 1
+        halt''', 2, {}, ("register", "r3 ready at 52.0")),
+    "arc": ('''
+        set.vl 16
+        mov.imm r1, 0
+        mov.imm r2, 64
+        mov.imm r3, 16
+        mov.imm r4, 256
+        ld.sram[16] r1, r2, r3
+        v.v.add[16] r4, r1, r1
+        halt''', 6, {}, ("arc", "sp[0:32] busy until 63.0")),
+    "sp-hazard": ('''
+        set.vl 16
+        mov.imm r1, 0
+        mov.imm r2, 64
+        mov.imm r3, 128
+        mov.imm r4, 16
+        mov.imm r5, 4096
+        v.v.mul[16] r3, r1, r2
+        st.sram[16] r3, r5, r4
+        halt''', 7, {}, ("sp-hazard", "sp[128:160] written at 13.0")),
+    "vector-pipe": ('''
+        set.vl 64
+        mov.imm r1, 0
+        mov.imm r2, 256
+        mov.imm r3, 512
+        mov.imm r4, 1024
+        v.v.add[16] r3, r1, r2
+        v.v.add[16] r4, r1, r2
+        halt''', 6, {}, ("vector-pipe", "free at 21.0")),
+    "vector-drain": ('''
+        set.vl 16
+        mov.imm r1, 0
+        mov.imm r2, 64
+        mov.imm r3, 128
+        v.v.mul[16] r3, r1, r2
+        v.drain
+        halt''', 5, {}, ("vector-drain", "last result at 11.0")),
+    "lsu-slots": ('''
+        mov.imm r1, 7
+        mov.imm r2, 64
+        st.reg r1, r2
+        st.reg r1, r2
+        st.reg r1, r2
+        halt''', 4, {"max_outstanding_mem": 2},
+        ("lsu", "all 2 slots busy until 53.0")),
+    "lsu-memfence": ('''
+        mov.imm r1, 7
+        mov.imm r2, 64
+        st.reg r1, r2
+        memfence
+        halt''', 3, {}, ("lsu", "1 outstanding, last at 53.0")),
+    "pc-out-of-range": ("nop", 1, {}, ("pc-out-of-range", "pc=1")),
+}
 
 
 class TestDeadlockReport:
@@ -65,6 +128,15 @@ class TestDescribeStall:
     def test_halted_pe(self):
         chip = Chip(num_pes=1)
         assert chip.pes[0].describe_stall()[0] == "halted"
+
+    @pytest.mark.parametrize("case", sorted(STALLS))
+    def test_stall_cause_and_detail(self, case):
+        source, steps, config, expected = STALLS[case]
+        pe = PE(PEConfig(**config))
+        pe.load(assemble(source))
+        for _ in range(steps):
+            pe.step()
+        assert pe.describe_stall() == expected
 
     def test_blocked_report_render(self):
         report = Chip(num_pes=2).blocked_report()

@@ -1,11 +1,11 @@
 """The operand scan the issue bound keeps for the step.
 
-On the pre-decoded tiers the chip scheduler's bound check reads each
-scratchpad operand's ARC clear time and write-ready time, and the step
-that follows applies them instead of scanning again.  The reference tier
-runs no bound check, so its steps take the scan themselves.  Two PEs
+On :class:`PE` the chip scheduler's bound check reads each scratchpad
+operand's ARC clear time and write-ready time, and the step that follows
+applies them instead of scanning again.  :class:`ReferencePE`'s bound
+keeps no scan, so its steps take the scan themselves.  Two PEs
 contending on one vault — where every step follows a bound check — must
-give all three tiers the same cycles, stall split and bytes, and every
+give both interpreters the same cycles, stall split and bytes, and every
 step must charge the stalls of the per-step rescan the handlers ran
 before the scan was shared.  The program makes every kept value bind:
 vector destinations inside in-flight loads (ARC), destinations still
@@ -13,13 +13,14 @@ read by an in-flight store or vector (write-after-read) and sources not
 yet written (read-after-write), one of them by a single overlapping byte.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.isa import Opcode, assemble
 from repro.pe.pe import PE, PEStatus
+from repro.pe.reference import ReferenceChip, ReferencePE
 from repro.system import Chip, VIPConfig
 
 
@@ -63,10 +64,8 @@ def hazard_program(pe_id):
     """)
 
 
-def run_tier(fast_path):
-    config = VIPConfig()
-    config = replace(config, pe=replace(config.pe, fast_path=fast_path))
-    chip = Chip(config, num_pes=4)
+def run_chip(chip_class):
+    chip = chip_class(VIPConfig(), num_pes=4)
     rng = np.random.default_rng(1)
     for pe in chip.pes[:2]:
         pe.scratchpad[:] = rng.integers(0, 256, pe.scratchpad.size,
@@ -79,20 +78,19 @@ def run_tier(fast_path):
 def test_reference_tier_keeps_its_timing():
     """The cycles and stall split the simulator gave this program before
     the scan was shared."""
-    result, _ = run_tier(False)
+    result, _ = run_chip(ReferenceChip)
     assert result.cycles == 1085.6875
     assert result.counters.stall_arc == 1154.6875
     assert result.counters.stall_hazard == 648.0
 
 
-@pytest.mark.parametrize("fast_path", [True, "vector"])
-def test_kept_scan_matches_reference_tier(fast_path):
-    fast, fast_sp = run_tier(fast_path)
-    reference, reference_sp = run_tier(False)
-    assert fast.cycles == reference.cycles
-    assert fast.pe_cycles == reference.pe_cycles
-    assert asdict(fast.counters) == asdict(reference.counters)
-    for a, b in zip(fast_sp, reference_sp):
+def test_kept_scan_matches_reference_tier():
+    run, run_sp = run_chip(Chip)
+    reference, reference_sp = run_chip(ReferenceChip)
+    assert run.cycles == reference.cycles
+    assert run.pe_cycles == reference.pe_cycles
+    assert asdict(run.counters) == asdict(reference.counters)
+    for a, b in zip(run_sp, reference_sp):
         assert np.array_equal(a, b)
 
 
@@ -138,12 +136,15 @@ def rescan_stalls(pe, instr):
     return stall_arc, stall_hazard
 
 
-@pytest.mark.parametrize("fast_path", [False, True, "vector"])
-def test_every_step_charges_the_rescan_stalls(monkeypatch, fast_path):
-    """Step by step on every tier, whether the scan was kept by the issue
-    bound or taken by the step, the interlock and hazard stalls equal
-    the per-step rescan's."""
-    step = PE.step
+@pytest.mark.parametrize("pe_class,chip_class",
+                         [(ReferencePE, ReferenceChip), (PE, Chip)],
+                         ids=["reference", "vector"])
+def test_every_step_charges_the_rescan_stalls(monkeypatch, pe_class,
+                                              chip_class):
+    """Step by step on both interpreters, whether the scan was kept by
+    the issue bound or taken by the step, the interlock and hazard
+    stalls equal the per-step rescan's."""
+    step = pe_class.step
     checked = {"steps": 0, "stalls": 0, "arc_peak": 0}
 
     def checked_step(pe):
@@ -162,8 +163,8 @@ def test_every_step_charges_the_rescan_stalls(monkeypatch, fast_path):
         checked["arc_peak"] = max(checked["arc_peak"], pe.arc.peak_occupancy)
         return status
 
-    monkeypatch.setattr(PE, "step", checked_step)
-    run_tier(fast_path)
+    monkeypatch.setattr(pe_class, "step", checked_step)
+    run_chip(chip_class)
     # ld.sram adds ARC-capacity stalls to stall_arc too; the program
     # never fills the ARC, so every stall_arc increment is an interlock.
     assert checked["arc_peak"] < VIPConfig().pe.arc_entries
