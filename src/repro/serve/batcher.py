@@ -16,11 +16,19 @@ becomes ready for dispatch — when either
 This is the classic max-batch/max-wait policy of production inference
 servers: the first knob bounds batch-formation latency under load, the
 second bounds it when traffic is sparse.
+
+The batcher is consulted on every arrival, so it keeps a small index
+next to the open batches: the count of waiting requests and the earliest
+open deadline.  Every mutation keeps both equal to what a scan of the
+open batches would give, so :attr:`DynamicBatcher.waiting` never sums and
+:meth:`DynamicBatcher.due` returns at once while no deadline has passed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ConfigError
 from repro.serve.workload import Request
@@ -52,6 +60,10 @@ class _OpenBatch:
     requests: list[Request] = field(default_factory=list)
 
 
+#: Close order of batches due together: deadline, then kind.
+_CLOSE_ORDER = attrgetter("deadline", "kind")
+
+
 class DynamicBatcher:
     """Max-batch-size / max-wait batching over per-kind open batches."""
 
@@ -63,13 +75,17 @@ class DynamicBatcher:
         self.max_batch = max_batch
         self.max_wait_cycles = max_wait_cycles
         self._open: dict[str, _OpenBatch] = {}
+        # The index over ``_open``: its request count and its earliest
+        # deadline (inf while nothing is open).
+        self._waiting = 0
+        self._next_deadline = math.inf
 
     # -- state ---------------------------------------------------------
 
     @property
     def waiting(self) -> int:
         """Requests admitted but not yet dispatched."""
-        return sum(len(b.requests) for b in self._open.values())
+        return self._waiting
 
     def kind_depth(self, kind: str) -> int:
         """Open-batch residents of one kind (the per-kind queue depth
@@ -89,8 +105,20 @@ class DynamicBatcher:
         """Evict one open request (it is being shed)."""
         b = self._open[request.kind]
         b.requests.remove(request)
+        self._waiting -= 1
         if not b.requests:
-            del self._open[request.kind]
+            self._drop(b)
+
+    def _drop(self, b: _OpenBatch) -> None:
+        """Take ``b`` out of the open set, keeping the index exact."""
+        del self._open[b.kind]
+        self._waiting -= len(b.requests)
+        if b.deadline == self._next_deadline:
+            nxt = math.inf
+            for o in self._open.values():
+                if o.deadline < nxt:
+                    nxt = o.deadline
+            self._next_deadline = nxt
 
     # -- batching ------------------------------------------------------
 
@@ -98,12 +126,15 @@ class DynamicBatcher:
         """Admit one request; return the batch it filled, if any."""
         b = self._open.get(request.kind)
         if b is None:
-            b = _OpenBatch(kind=request.kind,
-                           deadline=request.arrival + self.max_wait_cycles)
+            deadline = request.arrival + self.max_wait_cycles
+            b = _OpenBatch(kind=request.kind, deadline=deadline)
             self._open[request.kind] = b
+            if deadline < self._next_deadline:
+                self._next_deadline = deadline
         b.requests.append(request)
+        self._waiting += 1
         if len(b.requests) >= self.max_batch:
-            del self._open[request.kind]
+            self._drop(b)
             return Batch(kind=b.kind, requests=b.requests,
                          close=request.arrival)
         return None
@@ -111,21 +142,21 @@ class DynamicBatcher:
     def due(self, now: float) -> list[Batch]:
         """Close and return every open batch whose deadline has passed,
         in (deadline, kind) order so ties break deterministically."""
-        if not self._open:
+        if now < self._next_deadline:
             return []
-        ready = sorted(
-            (b for b in self._open.values() if b.deadline <= now),
-            key=lambda b: (b.deadline, b.kind),
-        )
-        out = []
+        ready = [b for b in self._open.values() if b.deadline <= now]
+        if len(ready) > 1:
+            ready.sort(key=_CLOSE_ORDER)
         for b in ready:
-            del self._open[b.kind]
-            out.append(Batch(kind=b.kind, requests=b.requests, close=b.deadline))
-        return out
+            self._drop(b)
+        return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
+                for b in ready]
 
     def flush(self) -> list[Batch]:
         """Close every remaining open batch at its deadline (end of trace)."""
-        ready = sorted(self._open.values(), key=lambda b: (b.deadline, b.kind))
+        ready = sorted(self._open.values(), key=_CLOSE_ORDER)
         self._open.clear()
+        self._waiting = 0
+        self._next_deadline = math.inf
         return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
                 for b in ready]

@@ -59,11 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
-from repro.serve.metrics import percentile
+from repro.serve.metrics import percentile_sorted
 from repro.serve.workload import KINDS, Request
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -405,9 +405,8 @@ class ClusterSimulator:
     def _shed_brownout(self, req: Request) -> None:
         self.brownout_shed += 1
         self._records[req.rid] = RequestRecord(
-            rid=req.rid, kind=req.kind, tile=req.tile,
-            arrival=req.arrival, shed=True, dispatch=req.arrival,
-            outcome="shed")
+            req.rid, req.kind, req.tile, req.arrival, True, -1, -1, 0,
+            req.arrival, 0.0, 0.0, "shed")
         if self.trace is not None:
             self.trace.serve("cluster.shed", req.kind, req.arrival,
                              0.0, -1, {"rid": req.rid, "tile": req.tile})
@@ -429,6 +428,7 @@ class ClusterSimulator:
                     expired += 1
         shed += sum(1 for r in self._records.values()
                     if r.outcome == "shed")
+        latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
         return {
@@ -441,9 +441,9 @@ class ClusterSimulator:
             "retries": sum(s.retry_count for s in self.shards),
             "hedges": sum(s.hedge_count for s in self.shards),
             "throughput_rps": (served / elapsed_s) if elapsed_s > 0 else 0.0,
-            "latency_p50": (percentile(latencies, 50.0)
+            "latency_p50": (percentile_sorted(latencies, 50.0)
                             if latencies else None),
-            "latency_p99": (percentile(latencies, 99.0)
+            "latency_p99": (percentile_sorted(latencies, 99.0)
                             if latencies else None),
             "cluster": {
                 "shards": len(self.shards),
@@ -507,7 +507,9 @@ class ClusterSimulator:
             for rec in res.records:
                 merged[rec.rid] = rec
         missing = [r.rid for r in requests if r.rid not in merged]
-        assert not missing, f"requests lost without accounting: {missing}"
+        if missing:
+            raise SimulationError(
+                f"requests lost without accounting: {missing}")
         records = []
         failover_expired = 0
         for rid in sorted(merged):
@@ -516,7 +518,7 @@ class ClusterSimulator:
             if rec.arrival != origin:
                 # Failover re-stamped the arrival; restore the original
                 # so latency covers the lost attempts end-to-end.
-                rec = replace(rec, arrival=origin)
+                rec = rec._replace(arrival=origin)
             if rec.outcome == "expired" \
                     and self._failover_count.get(rid, 0) > 0:
                 failover_expired += 1

@@ -49,7 +49,9 @@ Failure handling (``config.failures`` enabled) — see
 * Every admitted request is **exactly-once accounted** with an
   ``outcome``: ``served``, ``shed`` (admission control), or ``expired``
   (deadline passed while retrying, or the retry budget ran out) —
-  asserted at the end of every run, so nothing is silently lost.
+  checked at the end of every run (a lost request raises
+  :class:`~repro.errors.SimulationError` naming it, even under
+  ``python -O``), so nothing is silently lost.
 * Hedged launches and killed attempts append their own
   :class:`~repro.serve.fleet.records.BatchRecord` rows (``outcome``
   ``hedge-loser`` / ``killed``) with the cycles they burned, so wasted
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.costmodel import ServiceCostTable
@@ -85,7 +87,7 @@ from repro.serve.fleet.records import (
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.metrics import percentile
+from repro.serve.metrics import percentile_sorted
 from repro.serve.policy import PolicyEngine
 from repro.serve.queueing import AdmissionQueue
 from repro.serve.resilience import (
@@ -232,6 +234,7 @@ class FleetSimulator(DispatchMixin):
                 shed += 1
             else:
                 expired += 1
+        latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         snap = {
             "sim_time_cycles": now,
@@ -243,9 +246,9 @@ class FleetSimulator(DispatchMixin):
             "retries": self.retry_count,
             "hedges": self.hedge_count,
             "throughput_rps": (served / elapsed_s) if elapsed_s > 0 else 0.0,
-            "latency_p50": (percentile(latencies, 50.0)
+            "latency_p50": (percentile_sorted(latencies, 50.0)
                             if latencies else None),
-            "latency_p99": (percentile(latencies, 99.0)
+            "latency_p99": (percentile_sorted(latencies, 99.0)
                             if latencies else None),
         }
         if self.monitor is not None:
@@ -332,10 +335,12 @@ class FleetSimulator(DispatchMixin):
 
     def collect(self, requests: list[Request]) -> FleetResult:
         """Assemble the result for ``requests`` after finish()."""
+        missing = [r.rid for r in requests if r.rid not in self._records]
+        if missing:
+            raise SimulationError(
+                f"requests lost without accounting: {missing}")
         records = [self._records[r.rid] for r in
                    sorted(requests, key=lambda r: r.rid)]
-        missing = [r.rid for r in requests if r.rid not in self._records]
-        assert not missing, f"requests lost without accounting: {missing}"
         first = min((r.arrival for r in requests), default=0.0)
         last = max((b.finish for b in self._batches
                     if b.outcome == "served"),

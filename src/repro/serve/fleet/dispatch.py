@@ -18,12 +18,16 @@ added indirection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.serve.batcher import Batch
 from repro.serve.fleet.records import BatchRecord, RequestRecord
 from repro.serve.resilience import OPEN
 from repro.serve.workload import KINDS, Request
+
+#: The least-loaded key: earliest free time, ties to the lower chip id.
+_FREE_AT_CHIP_ID = attrgetter("free_at", "chip_id")
 
 
 @dataclass
@@ -32,7 +36,7 @@ class _Pending:
 
     batch: Batch
     attempt: int = 0
-    excluded: frozenset = field(default_factory=frozenset)
+    excluded: frozenset = frozenset()
 
 
 @dataclass
@@ -68,7 +72,7 @@ class DispatchMixin:
         return chip
 
     def _pick_least_loaded(self, batch: Batch, candidates: list):
-        return min(candidates, key=lambda c: (c.free_at, c.chip_id))
+        return min(candidates, key=_FREE_AT_CHIP_ID)
 
     def _pick_locality(self, batch: Batch, candidates: list):
         # Earliest *finish*, reload penalty included.  The estimate uses
@@ -229,22 +233,20 @@ class DispatchMixin:
         """Commit a successful launch: records, accounting, traces."""
         bid = len(self._batches)
         service = finish - start
+        chip_id, size, close = chip.chip_id, batch.size, batch.close
         chip.busy_cycles += service
         chip.reload_cycles += reload
         chip.batches += 1
-        chip.requests += batch.size
+        chip.requests += size
         self._batches.append(BatchRecord(
-            batch_id=bid, kind=batch.kind, size=batch.size,
-            chip=chip.chip_id, close=batch.close, start=start,
-            finish=finish, reload=reload, attempt=attempt,
-            outcome="served", hedge=hedge))
+            bid, batch.kind, size, chip_id, close, start, finish, reload,
+            attempt, "served", 0.0, hedge))
+        records = self._records
         for req in batch.requests:
-            self._records[req.rid] = RequestRecord(
-                rid=req.rid, kind=req.kind, tile=req.tile,
-                arrival=req.arrival, shed=False, batch_id=bid,
-                chip=chip.chip_id, batch_size=batch.size,
-                dispatch=batch.close, start=start, finish=finish,
-                outcome="served", retries=attempt, hedged=hedged)
+            records[req.rid] = RequestRecord(
+                req.rid, req.kind, req.tile, req.arrival, False, bid,
+                chip_id, size, close, start, finish, "served", attempt,
+                hedged)
         if self.monitor is not None:
             self._push(finish, "breaker-ok", chip.chip_id)
         if self.trace is not None:
@@ -280,10 +282,9 @@ class DispatchMixin:
         else:
             chip.kills += 1
         self._batches.append(BatchRecord(
-            batch_id=len(self._batches), kind=batch.kind, size=batch.size,
-            chip=chip.chip_id, close=batch.close, start=start,
-            finish=cancel, reload=reload, attempt=attempt,
-            outcome=outcome, waste=waste, hedge=hedge))
+            len(self._batches), batch.kind, batch.size, chip.chip_id,
+            batch.close, start, cancel, reload, attempt, outcome, waste,
+            hedge))
         return waste
 
     def _expire(self, requests, close: float, attempt: int,
@@ -294,9 +295,8 @@ class DispatchMixin:
                 return
         for req in requests:
             self._records[req.rid] = RequestRecord(
-                rid=req.rid, kind=req.kind, tile=req.tile,
-                arrival=req.arrival, shed=False, dispatch=close,
-                outcome="expired", retries=attempt)
+                req.rid, req.kind, req.tile, req.arrival, False, -1, -1, 0,
+                close, 0.0, 0.0, "expired", attempt)
             if self.trace is not None:
                 self.trace.serve("serve.expired", req.kind, now, 0.0, -1,
                                  {"rid": req.rid, "tile": req.tile,
@@ -469,9 +469,8 @@ class DispatchMixin:
 
     def _shed(self, request: Request, now: float) -> None:
         self._records[request.rid] = RequestRecord(
-            rid=request.rid, kind=request.kind, tile=request.tile,
-            arrival=request.arrival, shed=True, dispatch=now,
-            outcome="shed")
+            request.rid, request.kind, request.tile, request.arrival, True,
+            -1, -1, 0, now, 0.0, 0.0, "shed")
         if self.trace is not None:
             self.trace.serve("serve.shed", request.kind, now, 0.0, -1,
                              {"rid": request.rid, "tile": request.tile})

@@ -7,7 +7,8 @@ module pulls in no simulation machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 from repro.serve.failures import FailureConfig
@@ -123,9 +124,13 @@ class ChipState:
     retired_at: float | None = None
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Final accounting for one request (served, shed, or expired)."""
+class RequestRecord(NamedTuple):
+    """Final accounting for one request (served, shed, or expired).
+
+    Records are immutable named tuples: the fleet builds one per request
+    positionally, in field order.  Derive a changed copy with
+    ``_replace`` and a field dict with ``_asdict``.
+    """
 
     rid: int
     kind: str
@@ -162,9 +167,9 @@ class RequestRecord:
         return self.finish - self.arrival
 
 
-@dataclass(frozen=True)
-class BatchRecord:
-    """One kernel launch (or launch attempt)."""
+class BatchRecord(NamedTuple):
+    """One kernel launch (or launch attempt); a named tuple like
+    :class:`RequestRecord`."""
 
     batch_id: int
     kind: str

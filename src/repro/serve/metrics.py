@@ -8,7 +8,8 @@ shared by the report builder and the bench:
   p beyond the rank range — are pinned by unit tests rather than
   inherited).  p99.9 interpolates like any other rank: with n < 1001
   samples it leans on the max order statistic, which the unit tests pin
-  explicitly.
+  explicitly.  :func:`percentile_sorted` reads a rank of a list that is
+  already sorted, so a rollup sorts its latencies once.
 * Throughput = served requests / makespan, converted to requests per
   *service second* through the configured clock (cycles / 1.25e9).
   **Goodput** counts only requests served *within the SLO* — the two
@@ -30,6 +31,7 @@ shared by the report builder and the bench:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -45,9 +47,14 @@ def percentile(values, p: float) -> float:
     closest order statistics.  n=1 returns the single value for every
     ``p``; an empty input is a :class:`ConfigError`.
     """
+    return percentile_sorted(sorted(values), p)
+
+
+def percentile_sorted(data: list, p: float) -> float:
+    """:func:`percentile` of ``data``, which is already in ascending
+    order: callers that read several ranks of one set sort it once."""
     if not 0.0 <= p <= 100.0:
         raise ConfigError(f"percentile must be in [0, 100], got {p}")
-    data = sorted(values)
     if not data:
         raise ConfigError("percentile of an empty set")
     rank = p / 100.0 * (len(data) - 1)
@@ -57,15 +64,8 @@ def percentile(values, p: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-def _mean(values) -> float:
-    values = list(values)
+def _mean(values: list) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-def _outcome(record) -> str:
-    if record.shed:
-        return "shed"
-    return getattr(record, "outcome", "served")
 
 
 @dataclass(frozen=True)
@@ -151,37 +151,48 @@ class ServeMetrics:
 
 def compute_metrics(records, batches, makespan_cycles: float,
                     slo_cycles: float, clock_ghz: float = 1.25) -> ServeMetrics:
-    """Roll per-request records and batch records into a ServeMetrics."""
+    """Roll per-request records and batch records into a ServeMetrics.
+
+    One pass classifies the records by outcome and one the batches by
+    fate; the served latencies are sorted once for all four percentiles.
+    Each mean and waste total sums its values in record order.
+    """
     if slo_cycles <= 0:
         raise ConfigError("slo_cycles must be positive")
     records = list(records)
-    batches = list(batches)
-    served = [r for r in records if _outcome(r) == "served"]
-    shed = sum(1 for r in records if _outcome(r) == "shed")
-    expired = sum(1 for r in records if _outcome(r) == "expired")
-    latencies = [r.latency for r in served]
+    served = []
+    shed = expired = 0
+    for r in records:
+        outcome = "shed" if r.shed else r.outcome
+        if outcome == "served":
+            served.append(r)
+        elif outcome == "shed":
+            shed += 1
+        elif outcome == "expired":
+            expired += 1
+    latencies = sorted([r.finish - r.arrival for r in served])
     if served:
-        p50, p95, p99, p999 = (percentile(latencies, p)
+        p50, p95, p99, p999 = (percentile_sorted(latencies, p)
                                for p in REPORT_PERCENTILES)
     else:
         p50 = p95 = p99 = p999 = None
-    violations = sum(1 for lat in latencies if lat > slo_cycles)
+    violations = len(latencies) - bisect_right(latencies, slo_cycles)
     in_slo = len(served) - violations
     seconds = makespan_cycles / (clock_ghz * 1e9)
     throughput = len(served) / seconds if seconds > 0 else 0.0
     goodput = in_slo / seconds if seconds > 0 else 0.0
-    launched = [b for b in batches
-                if getattr(b, "outcome", "served") == "served"]
-    killed = [b for b in batches
-              if getattr(b, "outcome", "served") == "killed"]
-    hedge_launches = [b for b in batches if getattr(b, "hedge", False)]
-    hedge_waste = sum(
-        b.waste for b in batches
-        if getattr(b, "outcome", "served") == "hedge-loser"
-        or (getattr(b, "hedge", False)
-            and getattr(b, "outcome", "served") == "killed"))
-    retry_waste = sum(b.waste for b in killed
-                      if not getattr(b, "hedge", False))
+    sizes, retry_waste, hedge_waste = [], [], []
+    hedges = 0
+    for b in batches:
+        outcome = b.outcome
+        if b.hedge:
+            hedges += 1
+        if outcome == "served":
+            sizes.append(b.size)
+        elif outcome == "hedge-loser" or (outcome == "killed" and b.hedge):
+            hedge_waste.append(b.waste)
+        elif outcome == "killed":
+            retry_waste.append(b.waste)
     return ServeMetrics(
         total=len(records),
         served=len(served),
@@ -196,17 +207,17 @@ def compute_metrics(records, batches, makespan_cycles: float,
         latency_p95=p95,
         latency_p99=p99,
         latency_p999=p999,
-        mean_batch_wait=_mean(r.batch_wait for r in served),
-        mean_queue_wait=_mean(r.queue_wait for r in served),
-        mean_service=_mean(r.service for r in served),
-        mean_batch_size=_mean(b.size for b in launched),
+        mean_batch_wait=_mean([r.dispatch - r.arrival for r in served]),
+        mean_queue_wait=_mean([r.start - r.dispatch for r in served]),
+        mean_service=_mean([r.finish - r.start for r in served]),
+        mean_batch_size=_mean(sizes),
         slo_cycles=slo_cycles,
         slo_violations=violations,
         slo_violation_rate=violations / len(served) if served else 0.0,
-        retries=sum(1 for b in killed if not getattr(b, "hedge", False)),
-        hedges=len(hedge_launches),
-        retry_wasted_cycles=retry_waste,
-        hedge_wasted_cycles=hedge_waste,
+        retries=len(retry_waste),
+        hedges=hedges,
+        retry_wasted_cycles=sum(retry_waste),
+        hedge_wasted_cycles=sum(hedge_waste),
         clock_ghz=clock_ghz,
     )
 

@@ -11,7 +11,7 @@ is the standalone payload with the fleet section re-shaped.
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
 from repro.serve.cluster import (
     ClusterConfig,
@@ -24,7 +24,7 @@ from repro.serve.failures import (
     FailureWindow,
     scripted_timeline,
 )
-from repro.serve.fleet import FleetSimulator, ServeConfig
+from repro.serve.fleet import FleetSimulator, RequestRecord, ServeConfig
 from repro.serve.report import run_report
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.workload import Request, WorkloadConfig
@@ -236,6 +236,14 @@ class TestFailover:
         # The failed-over requests still pay for the dead-shard attempt
         # and the gossip-tick failover delay end to end.
         assert by_rid[0].latency > by_rid[1].latency
+        # Restoring the arrival changes that one field of the record the
+        # surviving shard wrote.
+        survivor = {r.rid: r for r in result.shard_results[1].records}
+        for rid in (0, 2):
+            assert survivor[rid].arrival > float(rid)
+            assert type(by_rid[rid]) is RequestRecord
+            assert by_rid[rid] == survivor[rid]._replace(
+                arrival=float(rid))
 
     def test_zero_budget_lets_work_expire_in_shard(self):
         result = self._run(failover_retries=0)
@@ -248,6 +256,25 @@ class TestFailover:
         a, b = self._run(), self._run()
         assert a.records == b.records
         assert a.rollup() == b.rollup()
+
+
+def test_lost_request_raises_naming_it():
+    config = _config(
+        cluster=ClusterConfig(shards=2, router="round-robin",
+                              gossip_interval_cycles=1_000.0))
+    sim = ClusterSimulator(config, _table())
+    shard = sim.shards[1]
+    collect = shard.collect
+
+    def lossy_collect(requests):
+        result = collect(requests)
+        result.records = [r for r in result.records if r.rid != 3]
+        return result
+
+    shard.collect = lossy_collect
+    with pytest.raises(SimulationError,
+                       match=r"lost without accounting: \[3\]"):
+        sim.run([_req(i, 10.0 * i) for i in range(4)])
 
 
 class TestBrownout:

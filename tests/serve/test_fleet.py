@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.costmodel import ServiceCostTable
-from repro.serve.fleet import FleetSimulator, ServeConfig
+from repro.serve.fleet import (
+    BatchRecord,
+    FleetSimulator,
+    RequestRecord,
+    ServeConfig,
+)
 from repro.serve.workload import Request
 from repro.trace.collector import TraceCollector
 
@@ -173,3 +178,72 @@ def test_max_batch_beyond_table_range_raises():
 def test_degraded_chip_id_out_of_range_raises():
     with pytest.raises(ConfigError):
         _config(degraded_chips=(7,))
+
+
+def test_lost_request_raises_naming_it():
+    sim = FleetSimulator(_config(), _table())
+    reqs = [_req(i, 10.0 * i, kind=("bp", "fc")[i % 2]) for i in range(6)]
+    sim.begin()
+    for req in reqs:
+        sim.step(req)
+    sim.finish()
+    del sim._records[3]
+    with pytest.raises(SimulationError,
+                       match=r"lost without accounting: \[3\]"):
+        sim.collect(reqs)
+
+
+class TestRecordContract:
+    """Records are immutable named tuples built positionally in field
+    order; keyword construction keeps its defaults."""
+
+    def test_fields_are_in_construction_order(self):
+        assert RequestRecord._fields == (
+            "rid", "kind", "tile", "arrival", "shed", "batch_id", "chip",
+            "batch_size", "dispatch", "start", "finish", "outcome",
+            "retries", "hedged")
+        assert BatchRecord._fields == (
+            "batch_id", "kind", "size", "chip", "close", "start", "finish",
+            "reload", "attempt", "outcome", "waste", "hedge")
+
+    def test_keyword_construction_keeps_defaults(self):
+        r = RequestRecord(rid=7, kind="conv", tile=2, arrival=5.0,
+                          shed=False)
+        assert r._asdict() == {
+            "rid": 7, "kind": "conv", "tile": 2, "arrival": 5.0,
+            "shed": False, "batch_id": -1, "chip": -1, "batch_size": 0,
+            "dispatch": 0.0, "start": 0.0, "finish": 0.0,
+            "outcome": "served", "retries": 0, "hedged": False}
+        b = BatchRecord(batch_id=1, kind="fc", size=3, chip=0, close=1.0,
+                        start=2.0, finish=9.0, reload=0.5)
+        assert b._asdict() == {
+            "batch_id": 1, "kind": "fc", "size": 3, "chip": 0,
+            "close": 1.0, "start": 2.0, "finish": 9.0, "reload": 0.5,
+            "attempt": 0, "outcome": "served", "waste": 0.0,
+            "hedge": False}
+
+    @pytest.mark.parametrize("name", ["finish", "outcome", "latency",
+                                      "unknown"])
+    def test_request_record_rejects_assignment(self, name):
+        r = RequestRecord(rid=0, kind="bp", tile=0, arrival=0.0, shed=False)
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1.0)
+
+    @pytest.mark.parametrize("name", ["finish", "outcome", "waste",
+                                      "unknown"])
+    def test_batch_record_rejects_assignment(self, name):
+        b = BatchRecord(batch_id=0, kind="bp", size=1, chip=0, close=0.0,
+                        start=0.0, finish=1.0, reload=0.0)
+        with pytest.raises(AttributeError):
+            setattr(b, name, 1.0)
+
+    def test_fleet_records_match_keyword_construction(self):
+        config = _config(max_batch=2, queue_capacity=2)
+        reqs = [_req(i, float(i), kind=("bp", "fc")[i % 2], tile=i % 2)
+                for i in range(8)]
+        result = FleetSimulator(config, _table()).run(reqs)
+        for r in result.records:
+            assert r == RequestRecord(**r._asdict())
+        for b in result.batches:
+            assert b == BatchRecord(**b._asdict())
+        assert {r.outcome for r in result.records} == {"served", "shed"}

@@ -1,10 +1,20 @@
 """Unit tests for the serving metrics math (percentiles, SLO, shed)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.serve.fleet import BatchRecord, RequestRecord
-from repro.serve.metrics import chip_utilization, compute_metrics, percentile
+from repro.serve.metrics import (
+    REPORT_PERCENTILES,
+    ServeMetrics,
+    chip_utilization,
+    compute_metrics,
+    percentile,
+    percentile_sorted,
+)
 
 
 def _served(rid, arrival, dispatch, start, finish, kind="bp"):
@@ -48,6 +58,15 @@ class TestPercentile:
             percentile([1.0], 101)
         with pytest.raises(ConfigError):
             percentile([1.0], -1)
+
+    def test_sorted_helper_reads_ranks_without_sorting(self):
+        data = [1.0, 2.0, 4.0, 8.0]
+        for p in (0.0, 33.0, 50.0, 99.9, 100.0):
+            assert percentile_sorted(data, p) == percentile(data[::-1], p)
+        with pytest.raises(ConfigError):
+            percentile_sorted([], 50)
+        with pytest.raises(ConfigError):
+            percentile_sorted(data, 100.5)
 
 
 class TestComputeMetrics:
@@ -176,6 +195,150 @@ class TestResilienceMetrics:
         assert m.availability == 0.0
         assert m.latency_p999 is None
         assert m.goodput_rps == 0.0
+
+
+def _multipass_metrics(records, batches, makespan_cycles, slo_cycles,
+                       clock_ghz=1.25):
+    """The rollup before it became one pass, as the oracle: one scan of
+    the records per outcome, a sort of the latencies per percentile and
+    one scan of the batches per fate."""
+    def outcome(r):
+        return "shed" if r.shed else getattr(r, "outcome", "served")
+
+    def mean(values):
+        values = list(values)
+        return sum(values) / len(values) if values else 0.0
+
+    records, batches = list(records), list(batches)
+    served = [r for r in records if outcome(r) == "served"]
+    shed = sum(1 for r in records if outcome(r) == "shed")
+    expired = sum(1 for r in records if outcome(r) == "expired")
+    latencies = [r.latency for r in served]
+    if served:
+        p50, p95, p99, p999 = (percentile(latencies, p)
+                               for p in REPORT_PERCENTILES)
+    else:
+        p50 = p95 = p99 = p999 = None
+    violations = sum(1 for lat in latencies if lat > slo_cycles)
+    in_slo = len(served) - violations
+    seconds = makespan_cycles / (clock_ghz * 1e9)
+    launched = [b for b in batches if b.outcome == "served"]
+    killed = [b for b in batches if b.outcome == "killed"]
+    return ServeMetrics(
+        total=len(records),
+        served=len(served),
+        shed=shed,
+        shed_rate=shed / len(records) if records else 0.0,
+        expired=expired,
+        makespan_cycles=makespan_cycles,
+        throughput_rps=len(served) / seconds if seconds > 0 else 0.0,
+        goodput_rps=in_slo / seconds if seconds > 0 else 0.0,
+        availability=in_slo / len(records) if records else 0.0,
+        latency_p50=p50,
+        latency_p95=p95,
+        latency_p99=p99,
+        latency_p999=p999,
+        mean_batch_wait=mean(r.batch_wait for r in served),
+        mean_queue_wait=mean(r.queue_wait for r in served),
+        mean_service=mean(r.service for r in served),
+        mean_batch_size=mean(b.size for b in launched),
+        slo_cycles=slo_cycles,
+        slo_violations=violations,
+        slo_violation_rate=violations / len(served) if served else 0.0,
+        retries=sum(1 for b in killed if not b.hedge),
+        hedges=sum(1 for b in batches if b.hedge),
+        retry_wasted_cycles=sum(b.waste for b in killed if not b.hedge),
+        hedge_wasted_cycles=sum(
+            b.waste for b in batches
+            if b.outcome == "hedge-loser"
+            or (b.hedge and b.outcome == "killed")),
+        clock_ghz=clock_ghz,
+    )
+
+
+_CYCLES = st.floats(0.0, 1e7, allow_nan=False)
+#: (outcome, arrival, batch wait, queue wait, service); "legacy-shed"
+#: is a shed flag on a record whose outcome field kept its default.
+_RECORD = st.tuples(
+    st.sampled_from(("served", "shed", "legacy-shed", "expired")),
+    _CYCLES, _CYCLES, _CYCLES, _CYCLES)
+#: (outcome, hedge, size, waste)
+_BATCH = st.tuples(st.sampled_from(("served", "killed", "hedge-loser")),
+                   st.booleans(), st.integers(1, 8), _CYCLES)
+
+
+def _record(rid, outcome, arrival, batch_wait, queue_wait, service):
+    if outcome in ("shed", "legacy-shed"):
+        return RequestRecord(rid=rid, kind="bp", tile=0, arrival=arrival,
+                             shed=True, dispatch=arrival,
+                             **({"outcome": "shed"}
+                                if outcome == "shed" else {}))
+    dispatch = arrival + batch_wait
+    if outcome == "expired":
+        return RequestRecord(rid=rid, kind="bp", tile=0, arrival=arrival,
+                             shed=False, dispatch=dispatch,
+                             outcome="expired", retries=1)
+    start = dispatch + queue_wait
+    return RequestRecord(rid=rid, kind="bp", tile=rid % 3, arrival=arrival,
+                         shed=False, batch_id=rid, chip=rid % 2,
+                         batch_size=1, dispatch=dispatch, start=start,
+                         finish=start + service)
+
+
+def _batch(bid, outcome, hedge, size, waste):
+    return BatchRecord(batch_id=bid, kind="bp", size=size, chip=bid % 2,
+                       close=0.0, start=0.0, finish=waste, reload=0.0,
+                       attempt=int(outcome == "killed"), outcome=outcome,
+                       waste=0.0 if outcome == "served" else waste,
+                       hedge=hedge)
+
+
+def _assert_same_rollup(records, batches, makespan, slo, clock_ghz=1.25):
+    got = compute_metrics(records, batches, makespan, slo, clock_ghz)
+    want = _multipass_metrics(records, batches, makespan, slo, clock_ghz)
+    # JSON text, not dict equality: 0 == 0.0 would hide a changed type.
+    assert json.dumps(got.as_dict(), sort_keys=True) \
+        == json.dumps(want.as_dict(), sort_keys=True)
+    assert got == want
+
+
+class TestRollupMatchesMultipass:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(records=st.lists(_RECORD, max_size=60),
+           batches=st.lists(_BATCH, max_size=30),
+           makespan=st.floats(0.0, 1e8, allow_nan=False),
+           slo=st.floats(1.0, 2e7, allow_nan=False),
+           clock_ghz=st.sampled_from([1.25, 2.0]))
+    def test_generated_sets(self, records, batches, makespan, slo,
+                            clock_ghz):
+        _assert_same_rollup(
+            [_record(i, *r) for i, r in enumerate(records)],
+            [_batch(i, *b) for i, b in enumerate(batches)],
+            makespan, slo, clock_ghz)
+
+    def test_one_served_request(self):
+        _assert_same_rollup([_record(0, "served", 3.5, 0.1, 0.2, 7.25)],
+                            [_batch(0, "served", False, 1, 0.0)],
+                            100.0, 5.0)
+
+    def test_nothing_served(self):
+        records = [_record(0, "shed", 1.0, 0, 0, 0),
+                   _record(1, "legacy-shed", 2.0, 0, 0, 0),
+                   _record(2, "expired", 3.0, 4.0, 0, 0)]
+        batches = [_batch(0, "killed", False, 2, 30.0),
+                   _batch(1, "killed", True, 2, 0.1),
+                   _batch(2, "hedge-loser", True, 1, 0.7)]
+        _assert_same_rollup(records, batches, 50.0, 10.0)
+        _assert_same_rollup([], [], 0.0, 1.0)
+
+    def test_hedge_and_kill_mix_with_inexact_floats(self):
+        # Values that round differently when summed in another order.
+        records = [_record(i, "served", 0.1 * i, 0.1, 0.2, 0.3 + 1e-9 * i)
+                   for i in range(50)]
+        batches = [_batch(i, ("served", "killed", "hedge-loser")[i % 3],
+                          i % 2 == 0, 1 + i % 8, 0.1 * i + 1e-7)
+                   for i in range(40)]
+        _assert_same_rollup(records, batches, 1e4, 0.55)
 
 
 def test_chip_utilization_rows():
