@@ -262,6 +262,10 @@ class ClusterSimulator:
         self.brownout_spans = 0
         self.gossip_ticks = 0
         self.min_alive_shard_fraction = 1.0
+        #: The last tick's shard observations (None before the first).
+        self._observed: list | None = None
+        self._alive_fraction = 1.0
+        self._capacity_fraction = 1.0
         #: The pass-through degeneration: one shard and no brown-out
         #: threshold needs no beliefs, no hook, no gossip — the shard
         #: runs the exact standalone operation sequence.
@@ -270,26 +274,19 @@ class ClusterSimulator:
 
     # -- beliefs (bounded-staleness gossip) ----------------------------
 
-    def _sample(self, shard: FleetSimulator, i: int) -> ShardBelief:
-        """Read-only health snapshot of one shard: what the router
-        reads, nothing more."""
-        queue = shard._queue
-        return ShardBelief(
-            shard=i,
-            alive_fraction=shard._alive_fraction_belief(),
-            dispatchable=len(shard._dispatchable()),
-            queue_depth=queue.waiting if queue is not None else 0,
-        )
+    @staticmethod
+    def _observe(shard: FleetSimulator) -> tuple:
+        """Read-only health observation of one shard, exactly what the
+        router reads: (believed-alive fraction, dispatchable chips,
+        queue depth), from the monitor's open count, the chip list and
+        the batcher's running count."""
+        return (shard._alive_fraction_belief(), len(shard._dispatchable()),
+                shard._batcher._waiting)
 
-    def _refresh(self, g: float) -> None:
-        """One gossip tick: advance shards to ``g``, sample beliefs,
-        update brown-out state, re-dispatch due handbacks."""
-        cluster = self.cluster
-        for shard in self.shards:
-            shard.advance_to(g)
-        self._beliefs = [self._sample(s, i)
-                         for i, s in enumerate(self.shards)]
-        self.gossip_ticks += 1
+    def _believe(self, observed: list) -> None:
+        """Rebuild the beliefs and what derives from them."""
+        self._beliefs = [ShardBelief(i, *obs)
+                         for i, obs in enumerate(observed)]
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
         alive_fraction = alive / len(self._beliefs)
         self.min_alive_shard_fraction = min(self.min_alive_shard_fraction,
@@ -300,7 +297,24 @@ class ClusterSimulator:
             }
         capacity = sum(b.capacity for b in self._beliefs)
         total = sum(b.dispatchable for b in self._beliefs)
-        capacity_fraction = capacity / total if total else 0.0
+        self._alive_fraction = alive_fraction
+        self._capacity_fraction = capacity / total if total else 0.0
+
+    def _refresh(self, g: float) -> None:
+        """One gossip tick: advance shards to ``g``, observe them,
+        update beliefs and brown-out state, re-dispatch due handbacks.
+        Beliefs are rebuilt only when an observation changed since the
+        last tick; otherwise the rebuild would reproduce them exactly."""
+        cluster = self.cluster
+        for shard in self.shards:
+            shard.advance_to(g)
+        observed = [self._observe(s) for s in self.shards]
+        self.gossip_ticks += 1
+        if observed != self._observed:
+            self._observed = observed
+            self._believe(observed)
+        alive_fraction = self._alive_fraction
+        capacity_fraction = self._capacity_fraction
         if self.trace is not None:
             self.trace.serve("cluster.gossip", "tick", g, 0.0, -1,
                              {"alive_shard_fraction": alive_fraction,
@@ -417,11 +431,14 @@ class ClusterSimulator:
         """A live cluster progress snapshot (pure observation)."""
         served = shed = expired = 0
         latencies = []
+        origin = self._origin_arrival
         for shard in self.shards:
             for rec in shard._records.values():
                 if rec.outcome == "served":
                     served += 1
-                    latencies.append(rec.finish - rec.arrival)
+                    # A failed-over record carries its re-dispatch time
+                    # as the arrival; latency runs from the original.
+                    latencies.append(rec.finish - origin[rec.rid])
                 elif rec.outcome == "shed":
                     shed += 1
                 else:

@@ -258,6 +258,12 @@ class _Stream:
             return self.windows[i]
         return None
 
+    @property
+    def live(self) -> bool:
+        """Can this stream ever return a window?  A seeded stream draws
+        forever; an unseeded one holds exactly its scripted windows."""
+        return self.seed is not None or bool(self.windows)
+
 
 class ChipFailureTimeline:
     """The physical failure schedule of every chip, generated lazily.
@@ -289,6 +295,8 @@ class ChipFailureTimeline:
         for i, members in enumerate(config.domains):
             for c in members:
                 self._chip_domains[c] = self._chip_domains.get(c, ()) + (i,)
+        #: kind -> the chips a window of that kind can ever cover.
+        self._exposed: dict[str, frozenset] = {}
 
     # -- generation ----------------------------------------------------
 
@@ -359,17 +367,53 @@ class ChipFailureTimeline:
                     first = w
         return first
 
+    def next_fail_stop_start(self, chip: int, t: float) -> float:
+        """The earliest start after ``t`` of a fail-stop window, the
+        chip's own or a fail-stop domain's; ``inf`` when none can come.
+        One bisection per stream.  A chip up at ``t`` stays up until
+        then: a window covering a later time either starts after ``t``
+        or would cover ``t`` too."""
+        streams = [self._ensure(chip, "fail-stop", t)]
+        if self.config.domain_mode == "fail-stop":
+            streams += [self._ensure_domain(idx, t)
+                        for idx in self._chip_domains.get(chip, ())]
+        first = math.inf
+        for stream in streams:
+            w = stream.first_start_in(t, first)
+            if w is not None:
+                first = w.start
+        return first
+
     def slow_factor_at(self, chip: int, t: float) -> float:
         """Service-time multiplier at ``t`` (1.0 when healthy).  The
-        worst of the chip's own straggler window and any fail-slow
-        domain outage applies."""
-        w = self._window_at(chip, "fail-slow", t)
-        factor = w.factor if w is not None else 1.0
+        worst window covering ``t`` applies, among the chip's own
+        straggler windows and any fail-slow domain outage."""
+        covering = self._ensure(chip, "fail-slow", t).covering(t)
         if self.config.domain_mode == "fail-slow":
             for idx in self._chip_domains.get(chip, ()):
-                for dw in self._ensure_domain(idx, t).covering(t):
-                    factor = max(factor, dw.factor)
-        return factor
+                covering += self._ensure_domain(idx, t).covering(t)
+        return max((w.factor for w in covering), default=1.0)
+
+    def exposed(self, kind: str) -> frozenset:
+        """The chips a ``kind`` window can ever cover: those with a
+        seeded or non-empty scripted stream of that kind, or in a domain
+        whose outages are of that kind.  Queries for any other chip
+        answer "healthy" without looking, so callers skip them.  Decided
+        once, on first use (after :func:`scripted_timeline` has
+        installed its windows)."""
+        chips = self._exposed.get(kind)
+        if chips is None:
+            # Ensuring up to -inf creates a missing stream but draws
+            # nothing.
+            reach = {c for c in range(self.chips)
+                     if self._ensure(c, kind, -math.inf).live}
+            if self.config.domain_mode == kind:
+                for stream, members in zip(self._domain_streams,
+                                           self.config.domains):
+                    if stream.live:
+                        reach.update(members)
+            chips = self._exposed[kind] = frozenset(reach)
+        return chips
 
     # -- domain ground truth (chaos invariants, reporting) -------------
 

@@ -178,11 +178,12 @@ class FleetSimulator(DispatchMixin):
         """Execute every queued event at or before ``until`` (all of
         them when ``until`` is None), advancing health and scale state
         first."""
+        monitor = self.monitor
         while self._events and (until is None
                                 or self._events[0][0] <= until):
             time, _, kind, payload = heapq.heappop(self._events)
-            if self.monitor is not None:
-                self.monitor.advance(time)
+            if monitor is not None and time >= monitor.next_tick_at:
+                monitor.advance(time)
             if self.autoscaler is not None:
                 self.autoscaler.advance(time)
             if kind == "dispatch":
@@ -190,9 +191,9 @@ class FleetSimulator(DispatchMixin):
             elif kind == "hedge":
                 self._execute_hedge(payload, time)
             elif kind == "breaker-fail":
-                self.monitor.breakers[payload].record_failure(time)
+                monitor.breakers[payload].record_failure(time)
             else:  # breaker-ok
-                self.monitor.breakers[payload].record_success(time)
+                monitor.breakers[payload].record_success(time)
 
     # -- fleet membership ----------------------------------------------
 
@@ -302,10 +303,12 @@ class FleetSimulator(DispatchMixin):
         for batch in batcher.due(req.arrival):
             self._push(batch.close, "dispatch", _Pending(batch))
         self._drain(until=req.arrival)
-        if self.monitor is not None:
-            self.monitor.advance(req.arrival)
+        monitor = self.monitor
+        if monitor is not None:
+            if req.arrival >= monitor.next_tick_at:
+                monitor.advance(req.arrival)
             multiplier = self.resilience.tier_multiplier(
-                self.monitor.alive_fraction(req.arrival))
+                monitor.alive_fraction(req.arrival))
             queue.capacity = max(
                 1, int(self.config.queue_capacity * multiplier))
         if self.autoscaler is not None:
@@ -322,10 +325,14 @@ class FleetSimulator(DispatchMixin):
         """Release due batches and run queued events through ``t``
         without admitting anything — the cluster's gossip grid drives
         shards between their own arrivals so batch release latency stays
-        bounded by the gossip interval, not by the shard's arrival gaps."""
-        for batch in self._batcher.due(t):
-            self._push(batch.close, "dispatch", _Pending(batch))
-        self._drain(until=t)
+        bounded by the gossip interval, not by the shard's arrival gaps.
+        With no batch deadline and no event at or before ``t`` there is
+        nothing to do, and a gossip tick returns at once."""
+        if t >= self._batcher._next_deadline:
+            for batch in self._batcher.due(t):
+                self._push(batch.close, "dispatch", _Pending(batch))
+        if self._events and self._events[0][0] <= t:
+            self._drain(until=t)
 
     def finish(self) -> None:
         """Close remaining batches and run the event queue dry."""

@@ -23,7 +23,6 @@ from operator import attrgetter
 
 from repro.serve.batcher import Batch
 from repro.serve.fleet.records import BatchRecord, RequestRecord
-from repro.serve.resilience import OPEN
 from repro.serve.workload import KINDS, Request
 
 #: The least-loaded key: earliest free time, ties to the lower chip id.
@@ -95,13 +94,14 @@ class DispatchMixin:
     # -- decision-tree contexts ----------------------------------------
 
     def _alive_fraction_belief(self) -> float:
-        """Believed-alive fleet fraction from breaker state, read-only
-        (``allow`` would advance expired open breakers)."""
-        if self.monitor is None:
+        """Believed-alive fleet fraction from the monitor's exact open
+        count, read-only (``allow`` would advance expired open
+        breakers)."""
+        monitor = self.monitor
+        if monitor is None:
             return 1.0
-        breakers = self.monitor.breakers
-        alive = sum(1 for b in breakers if b.state != OPEN)
-        return alive / len(breakers) if breakers else 1.0
+        chips = len(monitor.breakers)
+        return (chips - monitor.open_count) / chips if chips else 1.0
 
     def _slo_headroom(self, now: float) -> float:
         """Fraction of the SLO budget the oldest waiting request still
@@ -215,14 +215,19 @@ class DispatchMixin:
         reload = self._reload_cycles(chip, batch)
         degraded = chip.degraded
         service = self._healthy_estimate(chip, batch, reload)
-        if self.timeline is not None:
-            if not degraded and self.timeline.transient_at(chip.chip_id,
-                                                           start):
+        timeline = self.timeline
+        if timeline is not None:
+            # Chips no window of a kind can reach answer "healthy"
+            # without a query (a factor of 1.0 leaves service as is).
+            chip_id = chip.chip_id
+            if (not degraded and chip_id in timeline.exposed("transient")
+                    and timeline.transient_at(chip_id, start)):
                 degraded = True
                 service = (reload + self.config.dispatch_overhead_cycles
                            + self.costs.launch_cycles(batch.kind, batch.size,
                                                       True))
-            service *= self.timeline.slow_factor_at(chip.chip_id, start)
+            if chip_id in timeline.exposed("fail-slow"):
+                service *= timeline.slow_factor_at(chip_id, start)
         return start, start + service, reload, degraded
 
     # -- resolution ----------------------------------------------------

@@ -180,14 +180,20 @@ class CircuitBreaker:
     breaker reports ``half-open`` from :meth:`allow`, admitting exactly
     the probe traffic that decides it: a success closes it, a failure
     re-opens it.  Transitions are traced as ``serve.breaker`` events.
+
+    A breaker owned by a :class:`HealthMonitor` keeps the monitor's
+    tallies exact on every change: ``open_count`` (breakers open) and
+    ``unsettled`` (breakers not closed, plus breakers with a failure
+    streak).
     """
 
     def __init__(self, chip_id: int, threshold: int, open_cycles: float,
-                 trace: TraceSink = NULL_TRACE):
+                 trace: TraceSink = NULL_TRACE, monitor=None):
         self.chip_id = chip_id
         self.threshold = threshold
         self.open_cycles = open_cycles
         self.trace = trace if trace.enabled else None
+        self.monitor = monitor
         self.state = CLOSED
         self.failures = 0
         self.open_until = 0.0
@@ -199,7 +205,16 @@ class CircuitBreaker:
         if self.trace is not None:
             self.trace.serve("serve.breaker", state, now, 0.0, self.chip_id,
                              {"from": self.state, "to": state})
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.open_count += (state == OPEN) - (self.state == OPEN)
+            monitor.unsettled += (state != CLOSED) - (self.state != CLOSED)
         self.state = state
+
+    def _set_failures(self, failures: int) -> None:
+        if self.monitor is not None:
+            self.monitor.unsettled += (failures > 0) - (self.failures > 0)
+        self.failures = failures
 
     def allow(self, now: float) -> bool:
         """May traffic be routed to this chip at ``now``?"""
@@ -211,18 +226,20 @@ class CircuitBreaker:
         """One bad observation (failed health check or killed launch)."""
         if self.state == OPEN and now >= self.open_until:
             self._transition(HALF_OPEN, now)
-        self.failures += 1
-        if self.state == HALF_OPEN or self.failures >= self.threshold:
-            self.failures = 0
+        failures = self.failures + 1
+        if self.state == HALF_OPEN or failures >= self.threshold:
+            failures = 0
             self.open_until = now + self.open_cycles
             self.opened_count += 1
             self._transition(OPEN, now)
+        self._set_failures(failures)
 
     def record_success(self, now: float) -> None:
         """One good observation (healthy check or completed launch)."""
         if self.state == OPEN and now >= self.open_until:
             self._transition(HALF_OPEN, now)
-        self.failures = 0
+        if self.failures:
+            self._set_failures(0)
         if self.state == HALF_OPEN:
             self._transition(CLOSED, now)
 
@@ -233,6 +250,17 @@ class HealthMonitor:
     :meth:`advance` lazily processes every tick up to the queried time,
     so belief state is always current when a scheduling decision is
     made, and tick processing order is a pure function of event order.
+
+    Most ticks change nothing: every chip is up, every breaker closed
+    with no failure streak, so each check's ``record_success`` is a
+    no-op.  While that holds, and checks cannot lie
+    (``health_false_positive_rate`` 0), :meth:`advance` covers the
+    whole run of such ticks in one step, up to the first tick at or
+    after the earliest fail-stop window start any chip can see next.
+    Each chip's next start is cached from the last tick that found it
+    up, so a quiet run costs O(1) and a monitor over an empty timeline
+    queries it O(chips) times in all.  Any other tick runs the per-chip
+    loop.
     """
 
     def __init__(self, config: ResilienceConfig, timeline, chips: int,
@@ -242,14 +270,27 @@ class HealthMonitor:
         self.chips = chips
         self.seed = seed
         self._trace = trace
-        self.breakers = [
-            CircuitBreaker(c, config.breaker_failure_threshold,
-                           config.breaker_open_cycles, trace)
-            for c in range(chips)
-        ]
+        #: Breakers open now; kept exact by the breakers themselves.
+        self.open_count = 0
+        #: Breakers not closed, plus breakers with a failure streak.
+        self.unsettled = 0
+        self.breakers = [self._breaker(c) for c in range(chips)]
         self._next_tick = 1  # tick 0 is at t=0: nothing has run yet
+        #: When the next health-check tick is due: :meth:`advance` does
+        #: nothing before it.
+        self.next_tick_at = config.health_check_interval_cycles
         self.checks = 0
         self.false_positives = 0
+        #: chip -> its next fail-stop start, taken at the last tick that
+        #: found it up (the chip is up until then); -inf until known.
+        self._up_until = [-math.inf] * chips
+        #: min(_up_until): no chip can be down at a tick before it.
+        self._horizon = -math.inf
+
+    def _breaker(self, chip: int) -> CircuitBreaker:
+        return CircuitBreaker(chip, self.config.breaker_failure_threshold,
+                              self.config.breaker_open_cycles, self._trace,
+                              monitor=self)
 
     def add_chip(self) -> int:
         """Extend monitoring to a newly provisioned chip (autoscaler
@@ -257,9 +298,9 @@ class HealthMonitor:
         tick from the next one on."""
         chip = self.chips
         self.chips += 1
-        self.breakers.append(
-            CircuitBreaker(chip, self.config.breaker_failure_threshold,
-                           self.config.breaker_open_cycles, self._trace))
+        self.breakers.append(self._breaker(chip))
+        self._up_until.append(-math.inf)
+        self._horizon = -math.inf
         return chip
 
     def _false_positive(self, chip: int, tick: int) -> bool:
@@ -272,21 +313,52 @@ class HealthMonitor:
 
     def advance(self, t: float) -> None:
         """Process every health-check tick at or before ``t``."""
+        quiet_checks = self.config.health_false_positive_rate <= 0.0
+        while self.next_tick_at <= t:
+            if (quiet_checks and not self.unsettled
+                    and self.next_tick_at < self._horizon):
+                self._skip(t)
+            else:
+                self._tick()
+
+    def _skip(self, t: float) -> None:
+        """Count the run of quiet ticks at or before ``t`` and before
+        ``_horizon`` as checked.  The edges use the tick loop's own
+        ``tick * interval`` comparisons, so float rounding cannot move
+        a tick across either bound."""
+        interval = self.config.health_check_interval_cycles
+        horizon = self._horizon
+        last = int(min(t, horizon) // interval)
+        while (last + 1) * interval <= t and (last + 1) * interval < horizon:
+            last += 1
+        while last * interval > t or last * interval >= horizon:
+            last -= 1
+        self.checks += (last + 1 - self._next_tick) * self.chips
+        self._next_tick = last + 1
+        self.next_tick_at = self._next_tick * interval
+
+    def _tick(self) -> None:
+        """Check every chip once at the next tick."""
         interval = self.config.health_check_interval_cycles
         latency = self.config.detection_latency_cycles
-        while self._next_tick * interval <= t:
-            tick = self._next_tick
-            self._next_tick += 1
-            at = tick * interval
-            for chip in range(self.chips):
-                self.checks += 1
-                if self.timeline.down_at(chip, at) is not None:
-                    self.breakers[chip].record_failure(at + latency)
-                elif self._false_positive(chip, tick):
-                    self.false_positives += 1
-                    self.breakers[chip].record_failure(at + latency)
-                else:
-                    self.breakers[chip].record_success(at + latency)
+        tick = self._next_tick
+        self._next_tick += 1
+        self.next_tick_at = self._next_tick * interval
+        at = tick * interval
+        up_until = self._up_until
+        for chip in range(self.chips):
+            self.checks += 1
+            if self.timeline.down_at(chip, at) is not None:
+                self.breakers[chip].record_failure(at + latency)
+                continue
+            if up_until[chip] <= at:
+                up_until[chip] = self.timeline.next_fail_stop_start(chip, at)
+            if self._false_positive(chip, tick):
+                self.false_positives += 1
+                self.breakers[chip].record_failure(at + latency)
+            else:
+                self.breakers[chip].record_success(at + latency)
+        self._horizon = min(up_until, default=math.inf)
 
     def detect_time(self, fail_t: float) -> float:
         """When the scheduler learns about a failure at ``fail_t``: the
@@ -299,5 +371,8 @@ class HealthMonitor:
         return self.breakers[chip].allow(now)
 
     def alive_fraction(self, now: float) -> float:
+        if not self.open_count:
+            # Nothing is open, so allow() would change no breaker.
+            return 1.0
         alive = sum(1 for b in self.breakers if b.allow(now))
-        return alive / len(self.breakers) if self.breakers else 1.0
+        return alive / len(self.breakers)

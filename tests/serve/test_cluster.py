@@ -13,21 +13,26 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
+from repro.serve.chaos import _cluster_cell_config
 from repro.serve.cluster import (
     ClusterConfig,
     ClusterSimulator,
+    ShardBelief,
     _shard_failures,
 )
-from repro.serve.costmodel import ServiceCostTable
+from repro.serve.costmodel import ServiceCostTable, build_cost_table
 from repro.serve.failures import (
     FailureConfig,
     FailureWindow,
     scripted_timeline,
 )
 from repro.serve.fleet import FleetSimulator, RequestRecord, ServeConfig
+from repro.serve.fleet.dispatch import _Pending
+from repro.serve.metrics import compute_metrics
 from repro.serve.report import run_report
-from repro.serve.resilience import ResilienceConfig
-from repro.serve.workload import Request, WorkloadConfig
+from repro.serve.resilience import OPEN, ResilienceConfig
+from repro.serve.workload import Request, WorkloadConfig, generate_requests
+from repro.trace.collector import TraceCollector
 
 
 def _table(max_batch=4):
@@ -277,25 +282,35 @@ def test_lost_request_raises_naming_it():
         sim.run([_req(i, 10.0 * i) for i in range(4)])
 
 
+def _brownout_config():
+    return _config(
+        resilience=_resilience(max_retries=0),
+        cluster=ClusterConfig(shards=1,
+                              gossip_interval_cycles=200.0,
+                              failover_retries=0,
+                              brownout_headroom=0.5,
+                              brownout_kinds=("fc",)))
+
+
+def _brownout_timelines():
+    return [scripted_timeline(2, {
+        0: [FailureWindow("fail-stop", 600.0, 1e9)],
+        1: [FailureWindow("fail-stop", 600.0, 1e9)],
+    })]
+
+
+def _brownout_requests():
+    return [_req(0, 0.0), _req(1, 1.0),
+            _req(2, 3_000.0, kind="fc"),
+            _req(3, 3_100.0, kind="fc"),
+            _req(4, 3_200.0)]  # bp is never a brown-out kind
+
+
 class TestBrownout:
     def _run(self):
-        config = _config(
-            resilience=_resilience(max_retries=0),
-            cluster=ClusterConfig(shards=1,
-                                  gossip_interval_cycles=200.0,
-                                  failover_retries=0,
-                                  brownout_headroom=0.5,
-                                  brownout_kinds=("fc",)))
-        timelines = [scripted_timeline(2, {
-            0: [FailureWindow("fail-stop", 600.0, 1e9)],
-            1: [FailureWindow("fail-stop", 600.0, 1e9)],
-        })]
-        sim = ClusterSimulator(config, _table(), timelines=timelines)
-        requests = [_req(0, 0.0), _req(1, 1.0),
-                    _req(2, 3_000.0, kind="fc"),
-                    _req(3, 3_100.0, kind="fc"),
-                    _req(4, 3_200.0)]  # bp is never a brown-out kind
-        return sim.run(requests)
+        sim = ClusterSimulator(_brownout_config(), _table(),
+                               timelines=_brownout_timelines())
+        return sim.run(_brownout_requests())
 
     def test_low_priority_kinds_shed_at_the_router_door(self):
         result = self._run()
@@ -351,3 +366,168 @@ class TestReportSchema:
         assert cluster["brownout_shed"] == 0
         assert cluster["shard_requests"] == [20]
         assert mix == ref_mix
+
+
+# -- change-driven gossip against per-tick sampling ----------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_outage():
+    """The tiny ``serve-cluster-outage`` benchmark config: two 2-chip
+    shards, each one correlated zone, 2,000 bursty bp+gibbs requests."""
+    costs = build_cost_table(4, quick=True, kinds=("bp", "gibbs"),
+                             max_workers=1)
+    requests = generate_requests(WorkloadConfig(
+        mix="bp+gibbs", arrival="bursty", rate=20_000.0, requests=2_000,
+        seed=0))
+    config = ServeConfig(
+        chips=2, max_batch=4, queue_capacity=16,
+        failures=FailureConfig(seed=0, domains=((0, 1),),
+                               domain_mtbf_cycles=3_000_000.0,
+                               domain_repair_mean_cycles=400_000.0),
+        resilience=ResilienceConfig(max_retries=1,
+                                    retry_deadline_cycles=600_000.0),
+        cluster=ClusterConfig(shards=2, router="least-loaded",
+                              gossip_interval_cycles=20_000.0,
+                              failover_retries=1))
+    return config, costs, requests
+
+
+def _sample(shard, i):
+    """One shard sampled in full: breaker states recounted, the queue
+    read through the admission queue."""
+    breakers = shard.monitor.breakers if shard.monitor is not None else []
+    alive = sum(1 for b in breakers if b.state != OPEN)
+    queue = shard._queue
+    return ShardBelief(
+        shard=i,
+        alive_fraction=alive / len(breakers) if breakers else 1.0,
+        dispatchable=len(shard._dispatchable()),
+        queue_depth=queue.waiting if queue is not None else 0)
+
+
+class _PerTickCluster(ClusterSimulator):
+    """Gossip before change-driven beliefs, kept as the reference
+    oracle: every tick releases and drains every shard, samples it in
+    full and rebuilds every belief."""
+
+    def _refresh(self, g):
+        cluster = self.cluster
+        for shard in self.shards:
+            for batch in shard._batcher.due(g):
+                shard._push(batch.close, "dispatch", _Pending(batch))
+            shard._drain(until=g)
+        self._beliefs = [_sample(s, i) for i, s in enumerate(self.shards)]
+        self.gossip_ticks += 1
+        alive = sum(1 for b in self._beliefs if b.capacity > 0)
+        alive_fraction = alive / len(self._beliefs)
+        self.min_alive_shard_fraction = min(self.min_alive_shard_fraction,
+                                            alive_fraction)
+        for shard in self.shards:
+            shard._cluster_ctx = {
+                "cluster.alive_shard_fraction": alive_fraction,
+            }
+        capacity = sum(b.capacity for b in self._beliefs)
+        total = sum(b.dispatchable for b in self._beliefs)
+        capacity_fraction = capacity / total if total else 0.0
+        if self.trace is not None:
+            self.trace.serve("cluster.gossip", "tick", g, 0.0, -1,
+                             {"alive_shard_fraction": alive_fraction,
+                              "capacity_fraction": capacity_fraction})
+        if cluster.brownout_headroom is not None:
+            active = capacity_fraction < cluster.brownout_headroom
+            if active != self._brownout:
+                if active:
+                    self.brownout_spans += 1
+                if self.trace is not None:
+                    self.trace.serve("cluster.brownout", "transition",
+                                     g, 0.0, -1,
+                                     {"active": active,
+                                      "capacity": capacity_fraction})
+            self._brownout = active
+        if not self._handbacks:
+            return
+        due = sorted((h for h in self._handbacks if h.expiry <= g),
+                     key=lambda h: (h.expiry, h.rid))
+        if due:
+            self._handbacks = [h for h in self._handbacks if h.expiry > g]
+            for h in due:
+                self._redispatch(h, g)
+
+
+class _CheckedCluster(ClusterSimulator):
+    """The change-driven router, checking every tick's cheap observation
+    against a full sample and counting belief rebuilds."""
+
+    rebuilds = 0
+
+    def _observe(self, shard):
+        full = _sample(shard, self.shards.index(shard))
+        cheap = ClusterSimulator._observe(shard)
+        assert cheap == (full.alive_fraction, full.dispatchable,
+                         full.queue_depth)
+        return cheap
+
+    def _believe(self, observed):
+        self.rebuilds += 1
+        super()._believe(observed)
+
+
+def _assert_same_runs(config, costs, requests, timelines=lambda: None):
+    """Both routers, each traced, give identical records, batches,
+    rollups and trace events; returns the change-driven run."""
+    runs = []
+    for cls in (_PerTickCluster, _CheckedCluster):
+        trace = TraceCollector()
+        sim = cls(config, costs, trace=trace, timelines=timelines())
+        runs.append((sim, sim.run(list(requests)), trace.events))
+    (_, want, want_events), (sim, got, got_events) = runs
+    assert got.records == want.records
+    assert got.batches == want.batches
+    assert got.rollup() == want.rollup()
+    assert got_events == want_events
+    assert any(e.kind == "cluster.gossip" for e in got_events)
+    return sim, got
+
+
+class TestChangeDrivenGossip:
+    @pytest.fixture(scope="class")
+    def chaos_costs(self):
+        return build_cost_table(4, quick=True, degraded=True, kinds=("bp",))
+
+    @pytest.mark.parametrize("policy", ("builtin", "pressure-shed"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_chaos_cluster_cells(self, seed, policy, chaos_costs):
+        requests = generate_requests(WorkloadConfig(
+            mix="bp", arrival="bursty", rate=250_000.0, requests=80,
+            seed=seed))
+        _assert_same_runs(_cluster_cell_config(policy, seed), chaos_costs,
+                          requests)
+
+    def test_brownout_config(self):
+        sim, result = _assert_same_runs(
+            _brownout_config(), _table(), _brownout_requests(),
+            _brownout_timelines)
+        assert result.brownout_spans == 1
+
+    def test_tiny_cluster_outage(self, tiny_outage):
+        sim, result = _assert_same_runs(*tiny_outage)
+        assert result.failovers >= 1
+        # Most ticks observe nothing new and rebuild nothing.
+        assert sim.rebuilds < result.gossip_ticks / 2
+
+
+def test_final_snapshot_matches_the_report_through_failover(tiny_outage):
+    """Failed-over requests count their lost attempts and the failover
+    delay in the progress stream too, as in the merged records."""
+    config, costs, requests = tiny_outage
+    snapshots = []
+    result = ClusterSimulator(config, costs).run(
+        list(requests), on_progress=snapshots.append)
+    assert result.failovers >= 1
+    m = compute_metrics(result.records, result.batches, result.makespan,
+                        config.slo_cycles, config.clock_ghz)
+    final = snapshots[-1]
+    assert final["served"] == m.served
+    assert final["latency_p50"] == m.latency_p50
+    assert final["latency_p99"] == m.latency_p99

@@ -24,6 +24,7 @@ from repro.serve.resilience import (
     HealthMonitor,
     ResilienceConfig,
 )
+from repro.trace.collector import TraceCollector
 
 
 class TestFailureConfig:
@@ -490,16 +491,20 @@ class _LinearTimeline:
         return min(candidates, key=lambda w: w.start)
 
     def slow_factor_at(self, chip, t):
-        w = self._window_at(chip, "fail-slow", t)
-        factor = w.factor if w is not None else 1.0
+        # The worst covering window, own or domain (the own-window part
+        # once took only the first covering window by start).
+        streams = [self._ensure(chip, "fail-slow", t)]
         if self.config.domain_mode == "fail-slow":
-            for idx in self._chip_domains.get(chip, ()):
-                for dw in self._ensure_domain(idx, t):
-                    if dw.start <= t < dw.end:
-                        factor = max(factor, dw.factor)
-                    if dw.start > t:
-                        break
-        return factor
+            streams += [self._ensure_domain(idx, t)
+                        for idx in self._chip_domains.get(chip, ())]
+        factors = []
+        for windows in streams:
+            for w in windows:
+                if w.start > t:
+                    break
+                if t < w.end:
+                    factors.append(w.factor)
+        return max(factors, default=1.0)
 
     def domain_outage_at(self, chip, t):
         for idx in self._chip_domains.get(chip, ()):
@@ -693,8 +698,264 @@ class TestIndexMatchesLinearScan:
             scripted_timeline(1, {}, domains=((0,),),
                               domain_windows={0: [bad]})
 
+    def test_overlapping_own_slow_windows_apply_the_worst(self):
+        """The chip's own straggler windows combine like domain ones:
+        the worst covering factor applies, not the first by start."""
+        windows = [FailureWindow("fail-slow", 0.0, 100.0, factor=2.0),
+                   FailureWindow("fail-slow", 10.0, 50.0, factor=8.0)]
+        own = scripted_timeline(1, {0: windows})
+        zone = scripted_timeline(1, {}, domains=((0,),),
+                                 domain_windows={0: windows},
+                                 domain_mode="fail-slow")
+        for t, factor in ((5.0, 2.0), (20.0, 8.0), (50.0, 2.0),
+                          (100.0, 1.0)):
+            assert own.slow_factor_at(0, t) == factor, t
+            assert zone.slow_factor_at(0, t) == factor, t
+
+    def test_exposed_chips_are_those_a_window_can_reach(self):
+        scripted = scripted_timeline(
+            3, {0: [FailureWindow("transient", 5.0, 9.0)],
+                1: [FailureWindow("fail-slow", 0.0, 0.0, factor=2.0)]},
+            domains=((1, 2), (0,)),
+            domain_windows={0: [FailureWindow("fail-slow", 10.0, 20.0,
+                                              factor=3.0)]},
+            domain_mode="fail-slow")
+        assert scripted.exposed("transient") == {0}
+        assert scripted.exposed("fail-slow") == {1, 2}  # domain 1: empty
+        assert scripted.exposed("fail-stop") == frozenset()
+        drawn = ChipFailureTimeline(FailureConfig(
+            transient_chips=(1,), domains=((0, 2),),
+            domain_mode="fail-slow"), 3)
+        assert drawn.exposed("transient") == {1}
+        assert drawn.exposed("fail-slow") == {0, 2}
+        assert drawn.exposed("fail-stop") == frozenset()
+        assert all(s.windows == [] for s in drawn._streams.values())
+
+    def test_next_fail_stop_start_is_the_earliest_own_or_domain(self):
+        t = scripted_timeline(
+            2, {0: [FailureWindow("fail-stop", 100.0, 200.0),
+                    FailureWindow("fail-stop", 300.0, math.inf)]},
+            domains=((0, 1),),
+            domain_windows={0: [FailureWindow("fail-stop", 250.0, 260.0)]})
+        assert t.next_fail_stop_start(0, 0.0) == 100.0
+        assert t.next_fail_stop_start(0, 100.0) == 250.0
+        assert t.next_fail_stop_start(0, 250.0) == 300.0
+        assert t.next_fail_stop_start(0, 300.0) == math.inf
+        assert t.next_fail_stop_start(1, 0.0) == 250.0
+        assert scripted_timeline(1, {}).next_fail_stop_start(0, 0.0) \
+            == math.inf
+
     def test_scripted_allows_a_chip_that_never_returns(self):
         t = scripted_timeline(1, {0: [
             FailureWindow("fail-stop", 10.0, math.inf)]})
         assert t.down_at(0, 1e12).start == 10.0
         assert t.down_at(0, 5.0) is None
+
+
+class _TickByTickMonitor(HealthMonitor):
+    """The monitor before skip-ahead, kept as the reference oracle:
+    every due tick checks every chip, and the alive fraction asks every
+    breaker."""
+
+    def alive_fraction(self, now):
+        alive = sum(1 for b in self.breakers if b.allow(now))
+        return alive / len(self.breakers) if self.breakers else 1.0
+
+    def advance(self, t):
+        interval = self.config.health_check_interval_cycles
+        latency = self.config.detection_latency_cycles
+        while self._next_tick * interval <= t:
+            tick = self._next_tick
+            self._next_tick += 1
+            at = tick * interval
+            for chip in range(self.chips):
+                self.checks += 1
+                if self.timeline.down_at(chip, at) is not None:
+                    self.breakers[chip].record_failure(at + latency)
+                elif self._false_positive(chip, tick):
+                    self.false_positives += 1
+                    self.breakers[chip].record_failure(at + latency)
+                else:
+                    self.breakers[chip].record_success(at + latency)
+
+
+class _CountingTimeline:
+    """A timeline wrapper that counts every query made through it."""
+
+    def __init__(self, timeline):
+        self._timeline = timeline
+        self.queries = 0
+
+    def __getattr__(self, name):
+        query = getattr(self._timeline, name)
+
+        def counted(*args):
+            self.queries += 1
+            return query(*args)
+
+        return counted
+
+
+def _monitor_state(m) -> tuple:
+    return (m._next_tick, m.checks, m.false_positives, m.chips,
+            [(b.state, b.failures, b.open_until, b.opened_count)
+             for b in m.breakers])
+
+
+def _assert_tallies(m) -> None:
+    assert m.open_count == sum(b.state == OPEN for b in m.breakers)
+    assert m.unsettled == sum((b.state != CLOSED) + (b.failures > 0)
+                              for b in m.breakers)
+
+
+class TestSkipAheadMatchesTickByTick:
+    """A monitor that skips quiet runs of ticks ends every call in the
+    state the tick-by-tick monitor reaches, and emits the same breaker
+    transitions."""
+
+    #: Tick intervals: exact, and ones whose multiples round.
+    INTERVALS = (100.0, 0.1, 25_000.0 / 3)
+    #: Window starts far enough out that only a long jump reaches them.
+    FAR = 10_000
+
+    def _windows(self, data, kind, interval):
+        """Episodes on the tick grid: exact multiples, their float
+        neighbours and off-grid starts; empty, infinite, overlapping
+        and back-to-back ones."""
+        out, end = [], 0.0
+        for _ in range(data.draw(st.integers(0, 4))):
+            if out and data.draw(st.booleans()):
+                start = end  # back to back with the previous one
+            else:
+                tick = data.draw(st.one_of(
+                    st.integers(0, 30), st.integers(self.FAR,
+                                                    self.FAR + 30)))
+                start = tick * interval
+                nudge = data.draw(st.sampled_from(
+                    ("on", "below", "above", "third")))
+                if nudge == "below":
+                    start = math.nextafter(start, -math.inf)
+                elif nudge == "above":
+                    start = math.nextafter(start, math.inf)
+                elif nudge == "third":
+                    start += interval / 3
+            length = data.draw(st.sampled_from(
+                (0.0, interval / 2, interval, 3 * interval, 12 * interval,
+                 math.inf)))
+            end = start + length
+            out.append(FailureWindow(kind, start, end))
+        return out
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_property(self, data):
+        interval = data.draw(st.sampled_from(self.INTERVALS))
+        chips = data.draw(st.integers(1, 3))
+        lies = data.draw(st.sampled_from((0.0, 0.0, 0.3)))
+        domain_mode = data.draw(st.sampled_from(("fail-stop", "fail-slow")))
+        config = ResilienceConfig(
+            health_check_interval_cycles=interval,
+            detection_latency_cycles=data.draw(
+                st.sampled_from((0.0, interval / 2))),
+            health_false_positive_rate=lies,
+            breaker_failure_threshold=data.draw(st.integers(1, 3)),
+            breaker_open_cycles=data.draw(st.sampled_from(
+                (interval / 2, 3 * interval, 40 * interval))))
+        windows = {c: self._windows(data, "fail-stop", interval)
+                   for c in range(chips)}
+        domains = ((0,), tuple(range(chips)))
+        domain_windows = {i: self._windows(data, domain_mode, interval)
+                          for i in range(len(domains))}
+        monitors, traces = [], []
+        for cls in (HealthMonitor, _TickByTickMonitor):
+            trace = TraceCollector()
+            timeline = scripted_timeline(chips, windows, domains,
+                                         domain_windows, domain_mode)
+            monitors.append(cls(config, timeline, chips, seed=3,
+                                trace=trace))
+            traces.append(trace)
+        fast, oracle = monitors
+
+        t = 0.0
+        jumped = False
+        ops = data.draw(st.lists(st.sampled_from(
+            ("tick", "below", "above", "small", "jump", "fail", "ok",
+             "allow", "alive", "add")), max_size=20))
+        for op in ops:
+            chip = data.draw(st.integers(0, 99)) % fast.chips
+            if op == "jump" and (lies or jumped):
+                # One long jump per example keeps the oracle's tick-by-
+                # tick walk affordable (lying checks draw an rng each).
+                op = "small"
+            if op in ("tick", "below", "above"):
+                at = (math.floor(t / interval)
+                      + data.draw(st.integers(0, 4))) * interval
+                if op != "tick":
+                    at = math.nextafter(
+                        at, -math.inf if op == "below" else math.inf)
+                t = max(t, at)
+            elif op == "small":
+                t += data.draw(st.floats(0.0, 3.0)) * interval
+            elif op == "jump":
+                jumped = True
+                t += self.FAR * interval * data.draw(st.sampled_from(
+                    (1.0, 1.002)))
+            results = []
+            for m in monitors:
+                if op in ("tick", "below", "above", "small", "jump"):
+                    m.advance(t)
+                elif op == "fail":
+                    m.breakers[chip].record_failure(t)
+                elif op == "ok":
+                    m.breakers[chip].record_success(t)
+                elif op == "allow":
+                    results.append(m.allow(chip, t))
+                elif op == "alive":
+                    results.append(m.alive_fraction(t))
+                else:
+                    results.append(m.add_chip())
+            assert len(set(results)) <= 1, (op, results)
+            assert _monitor_state(fast) == _monitor_state(oracle), (op, t)
+            assert fast.next_tick_at == fast._next_tick * interval
+            _assert_tallies(fast)
+        fast.advance(t + 50 * interval)
+        oracle.advance(t + 50 * interval)
+        assert _monitor_state(fast) == _monitor_state(oracle)
+        assert traces[0].events == traces[1].events
+
+    def test_quiet_run_skips_up_to_a_window_start_on_a_tick(self):
+        """A fail-stop starting exactly on tick 7 is seen at tick 7."""
+        windows = {0: [FailureWindow("fail-stop", 700.0, 750.0)]}
+        config = ResilienceConfig(health_check_interval_cycles=100.0,
+                                  breaker_open_cycles=50.0)
+        fast = HealthMonitor(config, scripted_timeline(2, windows), 2)
+        oracle = _TickByTickMonitor(config, scripted_timeline(2, windows), 2)
+        for m in (fast, oracle):
+            m.advance(699.0)
+            assert m.breakers[0].state == CLOSED
+            m.advance(700.0)
+            assert m.breakers[0].state == OPEN
+            m.advance(10_000.0)
+        assert _monitor_state(fast) == _monitor_state(oracle)
+
+    def test_empty_timeline_costs_o_chips_queries(self):
+        """A monitor over a timeline with no windows queries it
+        O(chips) times however far it advances, so "failures off" can
+        run as an empty timeline plus a monitor that never fires."""
+        chips, interval = 4, 100.0
+        timeline = _CountingTimeline(scripted_timeline(chips, {}))
+        m = HealthMonitor(
+            ResilienceConfig(health_check_interval_cycles=interval),
+            timeline, chips)
+        m.advance(1e6 * interval)
+        assert m.checks == 10**6 * chips
+        assert timeline.queries == 2 * chips
+        for k in range(1, 1_001):  # one call per 1,000 ticks
+            m.advance((1e6 + 1_000 * k) * interval)
+        assert m.checks == 2 * 10**6 * chips
+        assert timeline.queries == 2 * chips
+        m.add_chip()  # only the new chip's next fail-stop is unknown
+        m.advance(3e6 * interval)
+        assert m.checks == 2 * 10**6 * chips + 10**6 * (chips + 1)
+        assert timeline.queries == 2 * chips + (chips + 1) + 1
+        assert all(b.state == CLOSED for b in m.breakers)
