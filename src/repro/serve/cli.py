@@ -32,8 +32,10 @@ exactly; CI asserts both.  ``--checkpoint PATH`` journals cost-table
 measurements; ``--resume`` picks a killed run's journal back up and
 reproduces the uninterrupted artifact bit for bit.
 
-Invalid configurations exit with status 2 and a one-line ``error:``
-message on stderr, never a traceback.
+Invalid configurations and unwritable output paths (``--out``,
+``--csv``, ``--checkpoint``) exit with status 2 and a one-line
+``error:`` message on stderr, never a traceback, before anything is
+simulated.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import math
 import sys
 from dataclasses import replace
 
+from repro.cli import check_output_paths
 from repro.errors import ConfigError
 from repro.perf.checkpoint import TaskCheckpoint
 from repro.serve.autoscale import AutoscaleConfig
@@ -418,6 +421,8 @@ def _run(args) -> int:
         return 0
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume requires --checkpoint PATH")
+    check_output_paths({"--out": args.out, "--csv": args.csv,
+                        "--checkpoint": args.checkpoint})
     if args.scenario:
         scenario = load_scenario(args.scenario)
         mixes, quick = scenario.mixes, scenario.quick

@@ -59,10 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.faults.injector import stream_seed
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
+from repro.serve.fleet.records import sort_exactly_once, sorted_rids
 from repro.serve.metrics import percentile_sorted
 from repro.serve.workload import KINDS, Request
 from repro.trace.collector import NULL_TRACE, TraceSink
@@ -251,7 +252,7 @@ class ClusterSimulator:
         #: rid -> Request per shard: what each shard currently owns.
         self._assigned: list[dict[int, Request]] = [{} for _ in range(n)]
         #: Cluster-level terminal records (brown-out sheds).
-        self._records: dict[int, RequestRecord] = {}
+        self._records: list[RequestRecord] = []
         self._origin_arrival: dict[int, float] = {}
         self._failover_count: dict[int, int] = {}
         self._handbacks: list[_Handback] = []
@@ -418,9 +419,9 @@ class ClusterSimulator:
 
     def _shed_brownout(self, req: Request) -> None:
         self.brownout_shed += 1
-        self._records[req.rid] = RequestRecord(
+        self._records.append(RequestRecord(
             req.rid, req.kind, req.tile, req.arrival, True, -1, -1, 0,
-            req.arrival, 0.0, 0.0, "shed")
+            req.arrival, 0.0, 0.0, "shed"))
         if self.trace is not None:
             self.trace.serve("cluster.shed", req.kind, req.arrival,
                              0.0, -1, {"rid": req.rid, "tile": req.tile})
@@ -433,7 +434,7 @@ class ClusterSimulator:
         latencies = []
         origin = self._origin_arrival
         for shard in self.shards:
-            for rec in shard._records.values():
+            for rec in shard._records:
                 if rec.outcome == "served":
                     served += 1
                     # A failed-over record carries its re-dispatch time
@@ -443,8 +444,7 @@ class ClusterSimulator:
                     shed += 1
                 else:
                     expired += 1
-        shed += sum(1 for r in self._records.values()
-                    if r.outcome == "shed")
+        shed += sum(1 for r in self._records if r.outcome == "shed")
         latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
@@ -478,6 +478,7 @@ class ClusterSimulator:
             ) -> ClusterResult:
         cluster = self.cluster
         requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
+        rids = sorted_rids(requests)  # a repeated rid fails up front
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
@@ -519,27 +520,22 @@ class ClusterSimulator:
             shard.collect(list(self._assigned[i].values()))
             for i, shard in enumerate(self.shards)
         ]
-        merged: dict[int, RequestRecord] = dict(self._records)
+        # Every request ends in exactly one record, in a shard or at the
+        # router door: a rid in two places raises, as does one in none.
+        records = list(self._records)
         for res in shard_results:
-            for rec in res.records:
-                merged[rec.rid] = rec
-        missing = [r.rid for r in requests if r.rid not in merged]
-        if missing:
-            raise SimulationError(
-                f"requests lost without accounting: {missing}")
-        records = []
+            records += res.records
+        sort_exactly_once(records, rids)
         failover_expired = 0
-        for rid in sorted(merged):
-            rec = merged[rid]
-            origin = self._origin_arrival[rid]
+        for i, rec in enumerate(records):
+            origin = self._origin_arrival[rec.rid]
             if rec.arrival != origin:
                 # Failover re-stamped the arrival; restore the original
                 # so latency covers the lost attempts end-to-end.
-                rec = rec._replace(arrival=origin)
+                rec = records[i] = rec._replace(arrival=origin)
             if rec.outcome == "expired" \
-                    and self._failover_count.get(rid, 0) > 0:
+                    and self._failover_count.get(rec.rid, 0) > 0:
                 failover_expired += 1
-            records.append(rec)
         first = min((r.arrival for r in requests), default=0.0)
         last = max((b.finish for res in shard_results
                     for b in res.batches if b.outcome == "served"),

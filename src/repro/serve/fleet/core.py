@@ -49,9 +49,11 @@ Failure handling (``config.failures`` enabled) — see
 * Every admitted request is **exactly-once accounted** with an
   ``outcome``: ``served``, ``shed`` (admission control), or ``expired``
   (deadline passed while retrying, or the retry budget ran out) —
-  checked at the end of every run (a lost request raises
-  :class:`~repro.errors.SimulationError` naming it, even under
-  ``python -O``), so nothing is silently lost.
+  checked at the end of every run (a lost request, or one recorded
+  twice, raises :class:`~repro.errors.SimulationError` naming it, even
+  under ``python -O``), so nothing is silently lost or double-counted.
+  Request ids must be distinct; a repeated rid is a
+  :class:`~repro.errors.ConfigError` before anything is simulated.
 * Hedged launches and killed attempts append their own
   :class:`~repro.serve.fleet.records.BatchRecord` rows (``outcome``
   ``hedge-loser`` / ``killed``) with the cycles they burned, so wasted
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.costmodel import ServiceCostTable
@@ -86,6 +88,8 @@ from repro.serve.fleet.records import (
     FleetResult,
     RequestRecord,
     ServeConfig,
+    sort_exactly_once,
+    sorted_rids,
 )
 from repro.serve.metrics import percentile_sorted
 from repro.serve.policy import PolicyEngine
@@ -164,7 +168,9 @@ class FleetSimulator(DispatchMixin):
         self._seq = 0
         self._events: list = []  # (time, seq, kind, payload) min-heap
         self._batches: list[BatchRecord] = []
-        self._records: dict[int, RequestRecord] = {}
+        #: One terminal record per request, in resolution order;
+        #: collect() sorts it by rid in place.
+        self._records: list[RequestRecord] = []
         self.retry_count = 0
         self.hedge_count = 0
 
@@ -227,7 +233,7 @@ class FleetSimulator(DispatchMixin):
         """
         served = shed = expired = 0
         latencies = []
-        for rec in self._records.values():
+        for rec in self._records:
             if rec.outcome == "served":
                 served += 1
                 latencies.append(rec.finish - rec.arrival)
@@ -341,13 +347,15 @@ class FleetSimulator(DispatchMixin):
         self._drain(until=None)
 
     def collect(self, requests: list[Request]) -> FleetResult:
-        """Assemble the result for ``requests`` after finish()."""
-        missing = [r.rid for r in requests if r.rid not in self._records]
-        if missing:
-            raise SimulationError(
-                f"requests lost without accounting: {missing}")
-        records = [self._records[r.rid] for r in
-                   sorted(requests, key=lambda r: r.rid)]
+        """Assemble the result for ``requests`` after finish().
+
+        The record list is sorted by rid in place and returned without a
+        copy; a request with no record or with two, or a record of no
+        request in ``requests``, raises
+        :class:`~repro.errors.SimulationError` naming the rid.
+        """
+        records = self._records
+        sort_exactly_once(records, sorted_rids(requests))
         first = min((r.arrival for r in requests), default=0.0)
         last = max((b.finish for b in self._batches
                     if b.outcome == "served"),
@@ -364,6 +372,7 @@ class FleetSimulator(DispatchMixin):
             on_progress=None, progress_every: int | None = None
             ) -> FleetResult:
         requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
+        sorted_rids(requests)  # a repeated rid fails before simulating
         self.begin()
         total = len(requests)
         if on_progress is not None and progress_every is None:

@@ -246,12 +246,12 @@ class DispatchMixin:
         self._batches.append(BatchRecord(
             bid, batch.kind, size, chip_id, close, start, finish, reload,
             attempt, "served", 0.0, hedge))
-        records = self._records
+        append = self._records.append
         for req in batch.requests:
-            records[req.rid] = RequestRecord(
+            append(RequestRecord(
                 req.rid, req.kind, req.tile, req.arrival, False, bid,
                 chip_id, size, close, start, finish, "served", attempt,
-                hedged)
+                hedged))
         if self.monitor is not None:
             self._push(finish, "breaker-ok", chip.chip_id)
         if self.trace is not None:
@@ -299,9 +299,9 @@ class DispatchMixin:
             if not requests:
                 return
         for req in requests:
-            self._records[req.rid] = RequestRecord(
+            self._records.append(RequestRecord(
                 req.rid, req.kind, req.tile, req.arrival, False, -1, -1, 0,
-                close, 0.0, 0.0, "expired", attempt)
+                close, 0.0, 0.0, "expired", attempt))
             if self.trace is not None:
                 self.trace.serve("serve.expired", req.kind, now, 0.0, -1,
                                  {"rid": req.rid, "tile": req.tile,
@@ -473,9 +473,9 @@ class DispatchMixin:
                            flight.finish, flight.reload, hedged=True)
 
     def _shed(self, request: Request, now: float) -> None:
-        self._records[request.rid] = RequestRecord(
+        self._records.append(RequestRecord(
             request.rid, request.kind, request.tile, request.arrival, True,
-            -1, -1, 0, now, 0.0, 0.0, "shed")
+            -1, -1, 0, now, 0.0, 0.0, "shed"))
         if self.trace is not None:
             self.trace.serve("serve.shed", request.kind, now, 0.0, -1,
                              {"rid": request.rid, "tile": request.tile})

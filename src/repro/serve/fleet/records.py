@@ -2,15 +2,20 @@
 
 Shared by the event-loop core (:mod:`repro.serve.fleet.core`) and the
 dispatch/policy half (:mod:`repro.serve.fleet.dispatch`); importing this
-module pulls in no simulation machinery.
+module pulls in no simulation machinery.  The exactly-once checks on
+record lists (:func:`sorted_rids`, :func:`sort_exactly_once`) live here
+too, so the fleet and the cluster router share them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter, eq
 from typing import NamedTuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.failures import FailureConfig
 from repro.serve.policy import SCHEDULE_PRIMITIVES, PolicySet
 from repro.serve.queueing import SHED_POLICIES
@@ -21,6 +26,9 @@ POLICIES = SCHEDULE_PRIMITIVES
 
 #: Request outcomes (the conservation invariant's exhaustive set).
 OUTCOMES = ("served", "shed", "expired")
+
+#: The ``rid`` of a request or of a record.
+_RID = attrgetter("rid")
 
 
 @dataclass(frozen=True)
@@ -200,3 +208,47 @@ class FleetResult:
     #: Autoscaler rollup (events, chip-cycles, SLO-during-scale); None
     #: for a static fleet.
     autoscale: dict | None = None
+
+
+def sorted_rids(requests) -> list:
+    """The ids of ``requests`` in ascending order.
+
+    Records are accounted per rid, so two requests sharing one would
+    leave one unaccounted and the other counted twice: a duplicate is a
+    :class:`ConfigError` naming every repeated rid.
+    """
+    rids = sorted(map(_RID, requests))
+    if any(map(eq, rids, islice(rids, 1, None))):
+        repeated = sorted({rid for rid, after
+                           in zip(rids, islice(rids, 1, None))
+                           if rid == after})
+        raise ConfigError(f"duplicate request ids: {repeated}")
+    return rids
+
+
+def sort_exactly_once(records: list, rids: list) -> None:
+    """Sort ``records`` in place by rid and check that they account for
+    every rid of ``rids`` (ascending, distinct) exactly once.
+
+    The sorted record rids are walked against ``rids``; on a mismatch a
+    :class:`SimulationError` names each rid with no record, each rid
+    recorded more than once and each record of a rid not in ``rids``.
+    The check raises under ``python -O`` too.
+    """
+    records.sort(key=_RID)
+    if len(records) == len(rids) \
+            and all(map(eq, map(_RID, records), rids)):
+        return
+    counts = Counter(map(_RID, records))
+    wanted = set(rids)
+    problems = []
+    lost = [rid for rid in rids if rid not in counts]
+    if lost:
+        problems.append(f"requests lost without accounting: {lost}")
+    twice = sorted(rid for rid, n in counts.items() if n > 1)
+    if twice:
+        problems.append(f"requests recorded more than once: {twice}")
+    unknown = sorted(rid for rid in counts if rid not in wanted)
+    if unknown:
+        problems.append(f"records of unknown requests: {unknown}")
+    raise SimulationError("; ".join(problems))

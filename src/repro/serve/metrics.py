@@ -64,10 +64,6 @@ def percentile_sorted(data: list, p: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-def _mean(values: list) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
 @dataclass(frozen=True)
 class ServeMetrics:
     """The serving rollup for one simulated run."""
@@ -154,15 +150,18 @@ def compute_metrics(records, batches, makespan_cycles: float,
     """Roll per-request records and batch records into a ServeMetrics.
 
     One pass classifies the records by outcome and one the batches by
-    fate; the served latencies are sorted once for all four percentiles.
-    Each mean and waste total sums its values in record order.
+    fate; ``records`` and ``batches`` may be any iterables, read once and
+    never copied.  Beyond the served records, the rollup allocates only
+    their latencies, sorted in place once for all four percentiles.
+    Each mean and waste total is ``sum`` over its values in record order
+    (a generator over the served records for the three means), the same
+    sequence a per-metric list would hold, so every float is unchanged.
     """
     if slo_cycles <= 0:
         raise ConfigError("slo_cycles must be positive")
-    records = list(records)
     served = []
-    shed = expired = 0
-    for r in records:
+    total = shed = expired = 0
+    for total, r in enumerate(records, 1):
         outcome = "shed" if r.shed else r.outcome
         if outcome == "served":
             served.append(r)
@@ -170,50 +169,58 @@ def compute_metrics(records, batches, makespan_cycles: float,
             shed += 1
         elif outcome == "expired":
             expired += 1
-    latencies = sorted([r.finish - r.arrival for r in served])
+    n = len(served)
+    latencies = [r.finish - r.arrival for r in served]
+    latencies.sort()
     if served:
         p50, p95, p99, p999 = (percentile_sorted(latencies, p)
                                for p in REPORT_PERCENTILES)
     else:
         p50 = p95 = p99 = p999 = None
-    violations = len(latencies) - bisect_right(latencies, slo_cycles)
-    in_slo = len(served) - violations
+    violations = n - bisect_right(latencies, slo_cycles)
+    in_slo = n - violations
     seconds = makespan_cycles / (clock_ghz * 1e9)
-    throughput = len(served) / seconds if seconds > 0 else 0.0
+    throughput = n / seconds if seconds > 0 else 0.0
     goodput = in_slo / seconds if seconds > 0 else 0.0
-    sizes, retry_waste, hedge_waste = [], [], []
-    hedges = 0
+    # Batch sizes are ints, so a running total is their exact sum; the
+    # float wastes keep their lists for ``sum``.
+    launched = size_total = hedges = 0
+    retry_waste, hedge_waste = [], []
     for b in batches:
         outcome = b.outcome
         if b.hedge:
             hedges += 1
         if outcome == "served":
-            sizes.append(b.size)
+            launched += 1
+            size_total += b.size
         elif outcome == "hedge-loser" or (outcome == "killed" and b.hedge):
             hedge_waste.append(b.waste)
         elif outcome == "killed":
             retry_waste.append(b.waste)
     return ServeMetrics(
-        total=len(records),
-        served=len(served),
+        total=total,
+        served=n,
         shed=shed,
-        shed_rate=shed / len(records) if records else 0.0,
+        shed_rate=shed / total if total else 0.0,
         expired=expired,
         makespan_cycles=makespan_cycles,
         throughput_rps=throughput,
         goodput_rps=goodput,
-        availability=in_slo / len(records) if records else 0.0,
+        availability=in_slo / total if total else 0.0,
         latency_p50=p50,
         latency_p95=p95,
         latency_p99=p99,
         latency_p999=p999,
-        mean_batch_wait=_mean([r.dispatch - r.arrival for r in served]),
-        mean_queue_wait=_mean([r.start - r.dispatch for r in served]),
-        mean_service=_mean([r.finish - r.start for r in served]),
-        mean_batch_size=_mean(sizes),
+        mean_batch_wait=(sum(r.dispatch - r.arrival for r in served) / n
+                         if n else 0.0),
+        mean_queue_wait=(sum(r.start - r.dispatch for r in served) / n
+                         if n else 0.0),
+        mean_service=(sum(r.finish - r.start for r in served) / n
+                      if n else 0.0),
+        mean_batch_size=size_total / launched if launched else 0.0,
         slo_cycles=slo_cycles,
         slo_violations=violations,
-        slo_violation_rate=violations / len(served) if served else 0.0,
+        slo_violation_rate=violations / n if n else 0.0,
         retries=len(retry_waste),
         hedges=hedges,
         retry_wasted_cycles=sum(retry_waste),

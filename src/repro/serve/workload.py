@@ -64,9 +64,13 @@ MIXES = {
 ARRIVALS = ("poisson", "bursty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
-    """One inference request in the arrival trace."""
+    """One inference request in the arrival trace.
+
+    Slotted: a trace holds one per arrival, and an instance ``__dict__``
+    would roughly double each request's footprint.
+    """
 
     rid: int
     kind: str

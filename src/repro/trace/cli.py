@@ -5,6 +5,9 @@ VGG-shaped conv pass, or an FC tile) with a :class:`TraceCollector`
 attached, cross-validates the simulator's counters against the event
 stream, and writes the requested artifacts (Chrome trace JSON for
 Perfetto, CSV, text profile report).
+
+Invalid sizes and unwritable output paths exit with status 2 and a
+one-line ``error: config:`` message on stderr before any kernel runs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import sys
 
 import numpy as np
 
+from repro.cli import check_output_paths
+from repro.errors import ConfigError
 from repro.pe.counters import PECounters
 from repro.trace.collector import TraceCollector
 from repro.trace.crosscheck import assert_counters_match
@@ -21,6 +26,9 @@ from repro.trace.export import write_chrome_trace, write_csv
 from repro.trace.report import profile_report
 
 KERNELS = ("bp-tile", "conv", "fc")
+
+#: The smallest bp-tile geometry: one pixel, two disparity labels.
+_BP_TILE_MINIMUMS = (("rows", 1), ("cols", 1), ("labels", 2))
 
 
 def _run_bp_tile(tc: TraceCollector, rows: int, cols: int, labels: int) -> PECounters:
@@ -91,7 +99,7 @@ def _run_fc(tc: TraceCollector) -> PECounters:
     return result.counters
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
         description="Run a named kernel with event tracing and write "
@@ -110,7 +118,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="top-N slowest LSU requests in the report")
     parser.add_argument("--no-check", action="store_true",
                         help="skip the counters-from-events cross-validation")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _run(args) -> int:
+    if args.kernel == "bp-tile":
+        for name, least in _BP_TILE_MINIMUMS:
+            value = getattr(args, name)
+            if value < least:
+                raise ConfigError(
+                    f"--{name}: must be >= {least}, got {value}")
+    check_output_paths({
+        "--out": args.out, "--csv": args.csv,
+        "--report": None if args.report == "-" else args.report})
 
     tc = TraceCollector()
     if args.kernel == "bp-tile":
@@ -137,6 +157,14 @@ def main(argv: list[str] | None = None) -> int:
             f.write(profile_report(tc.events, top_n=args.top))
         print(f"wrote {args.report}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(build_parser().parse_args(argv))
+    except ConfigError as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -116,6 +116,33 @@ def test_bad_workload_numbers_exit_2_before_simulating(argv, path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def run_report(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr("repro.serve.cli.run_report", run_report)
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv", "--checkpoint"])
+def test_output_in_a_missing_directory_exits_2_before_simulating(
+        option, tmp_path, no_simulation, capsys):
+    path = tmp_path / "missing" / "artifact"
+    assert main(["--requests", "5", option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: config: {option}: cannot write {path}: "
+                            f"no directory {path.parent}\n")
+    assert captured.out == ""
+
+
+def test_output_that_is_a_directory_exits_2_before_simulating(
+        tmp_path, no_simulation, capsys):
+    assert main(["--requests", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: --out: cannot write {tmp_path}: "
+        "it is a directory\n")
+
+
 def test_nan_gossip_interval_fails_fast_instead_of_hanging():
     # Frequent zone outages force failover during the final drain, which
     # steps the gossip grid until it passes the next handback; a NaN

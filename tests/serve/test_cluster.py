@@ -263,11 +263,17 @@ class TestFailover:
         assert a.rollup() == b.rollup()
 
 
-def test_lost_request_raises_naming_it():
+def _round_robin_pair():
+    """Two shards, round-robin: rids 0 and 2 land on shard 0, 1 and 3 on
+    shard 1 (no gossip tick falls before the last arrival)."""
     config = _config(
         cluster=ClusterConfig(shards=2, router="round-robin",
                               gossip_interval_cycles=1_000.0))
-    sim = ClusterSimulator(config, _table())
+    return ClusterSimulator(config, _table())
+
+
+def test_lost_request_raises_naming_it():
+    sim = _round_robin_pair()
     shard = sim.shards[1]
     collect = shard.collect
 
@@ -280,6 +286,33 @@ def test_lost_request_raises_naming_it():
     with pytest.raises(SimulationError,
                        match=r"lost without accounting: \[3\]"):
         sim.run([_req(i, 10.0 * i) for i in range(4)])
+
+
+def test_request_recorded_twice_raises_naming_it():
+    # Shard 1 also reports shard 0's record of rid 2: the merged record
+    # lists used to keep one of the two and raise nothing.
+    sim = _round_robin_pair()
+    first, second = sim.shards
+    collect = second.collect
+
+    def doubling_collect(requests):
+        result = collect(requests)
+        result.records = result.records + [r for r in first._records
+                                           if r.rid == 2]
+        return result
+
+    second.collect = doubling_collect
+    with pytest.raises(SimulationError,
+                       match=r"recorded more than once: \[2\]"):
+        sim.run([_req(i, 10.0 * i) for i in range(4)])
+
+
+def test_duplicate_request_ids_are_rejected_before_simulating():
+    sim = _round_robin_pair()
+    reqs = [_req(0, 0.0, tile=0), _req(0, 5.0, tile=1), _req(1, 7.0)]
+    with pytest.raises(ConfigError, match=r"duplicate request ids: \[0\]"):
+        sim.run(reqs)
+    assert all(s._batcher is None for s in sim.shards)
 
 
 def _brownout_config():

@@ -180,17 +180,65 @@ def test_degraded_chip_id_out_of_range_raises():
         _config(degraded_chips=(7,))
 
 
-def test_lost_request_raises_naming_it():
+def _finished(reqs):
+    """A simulator that has run ``reqs`` to the end, before collect()."""
     sim = FleetSimulator(_config(), _table())
-    reqs = [_req(i, 10.0 * i, kind=("bp", "fc")[i % 2]) for i in range(6)]
     sim.begin()
     for req in reqs:
         sim.step(req)
     sim.finish()
-    del sim._records[3]
+    return sim
+
+
+def _six_requests():
+    return [_req(i, 10.0 * i, kind=("bp", "fc")[i % 2]) for i in range(6)]
+
+
+def test_lost_request_raises_naming_it():
+    reqs = _six_requests()
+    sim = _finished(reqs)
+    sim._records[:] = [r for r in sim._records if r.rid != 3]
     with pytest.raises(SimulationError,
                        match=r"lost without accounting: \[3\]"):
         sim.collect(reqs)
+
+
+def test_request_recorded_twice_raises_naming_it():
+    reqs = _six_requests()
+    sim = _finished(reqs)
+    sim._records.append(next(r for r in sim._records if r.rid == 3))
+    with pytest.raises(SimulationError,
+                       match=r"recorded more than once: \[3\]"):
+        sim.collect(reqs)
+
+
+def test_record_of_an_unknown_request_raises_naming_it():
+    reqs = _six_requests()
+    sim = _finished(reqs)
+    with pytest.raises(SimulationError,
+                       match=r"records of unknown requests: \[5\]"):
+        sim.collect(reqs[:5])
+
+
+def test_collect_returns_the_record_list_sorted_in_place():
+    reqs = _six_requests()
+    sim = _finished(reqs)
+    result = sim.collect(reqs)
+    assert result.records is sim._records
+    assert [r.rid for r in result.records] == list(range(6))
+
+
+def test_duplicate_request_ids_are_rejected_before_simulating():
+    # Two requests with rid 0 used to come back as one record counted
+    # twice, the other request lost.
+    reqs = [_req(0, 0.0, tile=0), _req(0, 5.0, tile=1), _req(1, 7.0),
+            _req(4, 8.0), _req(4, 9.0), _req(4, 11.0)]
+    trace = TraceCollector()
+    sim = FleetSimulator(_config(), _table(), trace=trace)
+    with pytest.raises(ConfigError, match=r"duplicate request ids: \[0, 4\]"):
+        sim.run(reqs)
+    assert sim._batcher is None and not sim._records
+    assert not trace.events
 
 
 class TestRecordContract:

@@ -1,0 +1,134 @@
+"""Memory per request on the serving path.
+
+A trace holds one :class:`Request` per arrival and a run one record per
+request, so their bytes set how long a trace fits in memory.  These
+tests pin the slotted ``Request``, a traced bytes-per-request budget of
+a fleet run plus its rollup, and the rollup's own peak.
+"""
+
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+
+import pytest
+
+from repro.serve.costmodel import ServiceCostTable
+from repro.serve.fleet import FleetSimulator, ServeConfig
+from repro.serve.metrics import compute_metrics
+from repro.serve.workload import Request, WorkloadConfig, generate_requests
+
+#: Traced peak of FleetSimulator.run plus compute_metrics per request,
+#: on the 20k-request trace below.  The run keeps one record per request
+#: and one per launch (about 345 B a request together); the rollup adds
+#: its served list and sorted latencies, and the peak reads about
+#: 390 B/request on Python 3.11.  A rid-keyed record dict beside the
+#: record list, or per-metric value lists in the rollup, push it past
+#: 450.
+RUN_BYTES_PER_REQUEST = 440
+
+
+def _table():
+    """Service cycles of a quick-geometry bp/conv/fc table, hand-built so
+    the test runs no kernel simulation."""
+    cycles = {("bp", 1, False): 23_325.0, ("conv", 1, False): 4_382.0}
+    fc = (1_020.0, 1_146.0, 1_272.0, 1_508.0, 1_782.0, 2_063.0, 2_334.0,
+          2_670.0)
+    for batch, c in enumerate(fc, 1):
+        cycles[("fc", batch, False)] = c
+    return ServiceCostTable(
+        cycles=cycles,
+        model_bytes={"bp": 2_912, "conv": 580, "fc": 2_048},
+        tile_bytes={"bp": 2_912, "conv": 0, "fc": 0},
+        quick=True, max_batch=8, fc_cap=8)
+
+
+def _traced_peak(fn):
+    """(fn(), bytes of the traced peak while fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+@pytest.fixture(scope="module")
+def steady_trace():
+    """20k bp+vgg Poisson arrivals below saturation on 4 chips."""
+    return generate_requests(WorkloadConfig(
+        mix="bp+vgg", arrival="poisson", rate=80_000.0, requests=20_000,
+        seed=0))
+
+
+class TestSlottedRequest:
+    def test_has_no_instance_dict(self):
+        req = Request(rid=3, kind="bp", tile=1, arrival=2.5)
+        assert not hasattr(req, "__dict__")
+        assert Request.__slots__ == ("rid", "kind", "tile", "arrival")
+
+    def test_is_frozen(self):
+        req = Request(rid=3, kind="bp", tile=1, arrival=2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            req.arrival = 9.0
+
+    def test_survives_pickle_deepcopy_and_replace(self):
+        req = Request(rid=3, kind="conv", tile=1, arrival=2.5)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(req, protocol)) == req
+        assert copy.deepcopy(req) == req
+        moved = dataclasses.replace(req, arrival=7.0)
+        assert moved == Request(rid=3, kind="conv", tile=1, arrival=7.0)
+        assert req.arrival == 2.5
+
+    def test_generated_trace_round_trips(self):
+        trace = generate_requests(WorkloadConfig(mix="bp+vgg",
+                                                 requests=50))
+        assert pickle.loads(pickle.dumps(trace)) == trace
+
+
+def test_run_and_rollup_bytes_per_request(steady_trace):
+    config = ServeConfig()
+    costs = _table()
+
+    def run():
+        result = FleetSimulator(config, costs).run(steady_trace)
+        return compute_metrics(result.records, result.batches,
+                               result.makespan, config.slo_cycles,
+                               config.clock_ghz)
+
+    metrics, peak = _traced_peak(run)
+    assert metrics.served == len(steady_trace)  # below saturation
+    per_request = peak / len(steady_trace)
+    assert per_request <= RUN_BYTES_PER_REQUEST, (
+        f"{per_request:.1f} B/request traced, budget "
+        f"{RUN_BYTES_PER_REQUEST}")
+
+
+def test_rollup_peak_is_the_served_list_plus_latencies(steady_trace):
+    config = ServeConfig()
+    result = FleetSimulator(config, _table()).run(steady_trace)
+    records, batches = result.records, result.batches
+
+    def served_and_latencies():
+        """What any rollup must hold at once: the served records and
+        their latencies, sorted (with the sort's merge buffer)."""
+        served = []
+        for r in records:
+            if r.outcome == "served":
+                served.append(r)
+        latencies = [r.finish - r.arrival for r in served]
+        latencies.sort()
+        return served, latencies
+
+    _, floor = _traced_peak(served_and_latencies)
+    metrics, peak = _traced_peak(lambda: compute_metrics(
+        records, batches, result.makespan, config.slo_cycles,
+        config.clock_ghz))
+    assert metrics.total == len(records)
+    # Slack for the metrics object and loop frames, not for a list.
+    assert peak <= floor + 16 * 1024, (
+        f"rollup peak {peak} B, served list plus latencies {floor} B")
