@@ -1,8 +1,8 @@
 """Vectorized batch stepping for the PE interpreter.
 
 Two mechanisms live here, both exact-by-construction (and empirically
-gated by ``repro.perf.bench --compare`` plus
-``tests/perf/test_fastpath_equiv.py``):
+gated by ``tests/perf/test_fastpath_equiv.py`` on every kernel of
+:mod:`repro.kernels.harness`):
 
 **Vector-op batch queue.**  The PE timing model is inherently sequential
 — every instruction's issue time feeds the next — but the *functional*

@@ -16,7 +16,8 @@ takes none of ``PE``'s shortcuts:
 * it has no PE-local steps, so a chip schedules it pop by pop, with no
   run-ahead.
 
-Only tests and ``repro.perf.bench`` select it, by class;
+Only tests select it, by class, directly or through the
+``reference=True`` runs of :mod:`repro.kernels.harness`;
 :class:`ReferenceChip` is a :class:`~repro.system.chip.Chip` whose PEs
 are ``ReferencePE``.  No simulator module imports this one.
 """

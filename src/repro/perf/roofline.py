@@ -32,13 +32,19 @@ class Roofline:
     @classmethod
     def for_vip(cls, config: VIPConfig | None = None, width_bits: int = 16,
                 num_pes: int | None = None) -> "Roofline":
+        """The chip's roof, or the roof of ``num_pes`` PEs.
+
+        Compute scales with the PEs.  Bandwidth scales with the vaults
+        they occupy: each vault's data bus is shared by its PEs, so a
+        lone PE can stream its whole vault's peak bandwidth.
+        """
         config = config or VIPConfig()
         peak = config.peak_gops(width_bits)
         bw = config.peak_bandwidth_gbps
         if num_pes is not None:
-            scale = num_pes / config.num_pes
-            peak *= scale
-            bw *= scale
+            peak *= num_pes / config.num_pes
+            vaults = -(-num_pes // config.pes_per_vault)
+            bw = vaults * config.memory.peak_vault_bandwidth_gbps
         return cls(peak_gops=peak, peak_bandwidth_gbps=bw)
 
 
@@ -54,10 +60,6 @@ class RooflinePoint:
         """Fraction of the attainable roof actually achieved."""
         roof = roofline.attainable_gops(self.arithmetic_intensity)
         return self.gops / roof if roof > 0 else 0.0
-
-    @property
-    def is_memory_bound(self) -> bool:
-        return False  # resolved against a roofline via `bound`
 
     def bound(self, roofline: Roofline) -> str:
         return "memory" if self.arithmetic_intensity < roofline.knee else "compute"

@@ -1,13 +1,15 @@
 """``python -m repro.trace`` — run a named kernel with tracing on.
 
-Runs one of the reference kernels (a BP-M tile sweep on a four-PE vault, a
-VGG-shaped conv pass, or an FC tile) with a :class:`TraceCollector`
-attached, cross-validates the simulator's counters against the event
-stream, and writes the requested artifacts (Chrome trace JSON for
-Perfetto, CSV, text profile report).
+Runs one of the harness kernels (:mod:`repro.kernels.harness`: a BP-M
+tile sweep on a four-PE vault, a VGG-shaped conv pass, or an FC tile,
+each at its quick geometry and seed) with a :class:`TraceCollector`
+attached to the PEs and the memory system, cross-validates the
+simulator's counters against the event stream, and writes the requested
+artifacts (Chrome trace JSON for Perfetto, CSV, text profile report).
 
-Invalid sizes and unwritable output paths exit with status 2 and a
-one-line ``error: config:`` message on stderr before any kernel runs.
+Invalid sizes, a negative ``--top`` and unwritable output paths exit
+with status 2 and a one-line ``error: config:`` message on stderr before
+any kernel runs.
 """
 
 from __future__ import annotations
@@ -15,88 +17,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.cli import check_output_paths
 from repro.errors import ConfigError
-from repro.pe.counters import PECounters
+from repro.kernels.harness import run_sim_kernel, run_vault_bp_tile
 from repro.trace.collector import TraceCollector
 from repro.trace.crosscheck import assert_counters_match
 from repro.trace.export import write_chrome_trace, write_csv
 from repro.trace.report import profile_report
 
-KERNELS = ("bp-tile", "conv", "fc")
+#: The single-PE CLI kernels and the harness kernels they run.
+_SINGLE_PE = {"conv": "conv-pass", "fc": "fc-chunk"}
+KERNELS = ("bp-tile", *_SINGLE_PE)
 
 #: The smallest bp-tile geometry: one pixel, two disparity labels.
 _BP_TILE_MINIMUMS = (("rows", 1), ("cols", 1), ("labels", 2))
-
-
-def _run_bp_tile(tc: TraceCollector, rows: int, cols: int, labels: int) -> PECounters:
-    """One full BP-M iteration (all four sweep directions) on one vault."""
-    from repro.kernels.bp_kernel import (
-        BPTileLayout,
-        build_vault_sweep_programs,
-        cross_extent,
-    )
-    from repro.system.chip import Chip
-    from repro.system.config import VIPConfig
-    from repro.workloads.bp import stereo_mrf
-    from repro.workloads.bp.mrf import DIRECTIONS
-
-    config = VIPConfig(trace=tc)
-    chip = Chip(config, num_pes=config.pes_per_vault)
-    mrf, _ = stereo_mrf(rows, cols, labels=labels, seed=7)
-    layout = BPTileLayout(base=4096, rows=mrf.rows, cols=mrf.cols, labels=mrf.labels)
-    layout.stage(chip.hmc.store, mrf, mrf.zero_messages())
-    counters = PECounters()
-    for direction in DIRECTIONS:
-        pes = min(config.pes_per_vault, cross_extent(layout, direction))
-        chip.run(build_vault_sweep_programs(layout, direction, pes))
-    # Counters accumulate in the PEs across the four sweeps.
-    return PECounters.sum(pe.counters for pe in chip.pes)
-
-
-def _run_conv(tc: TraceCollector) -> PECounters:
-    """A VGG-geometry conv pass (z=64, k=3, two filters) on one PE."""
-    from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
-    from repro.memory.hmc import HMC
-    from repro.pe.config import PEConfig
-    from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
-
-    rng = np.random.default_rng(7)
-    out_h, out_w, z, k, filters = 4, 8, 64, 3, 2
-    inputs = rng.integers(-30, 30, (out_h, out_w, z)).astype(np.int16)
-    weights = rng.integers(-20, 20, (filters, k, k, z)).astype(np.int16)
-    bias = rng.integers(-10, 10, filters).astype(np.int16)
-    layout = ConvTileLayout(base=4096, in_h=out_h + 2, in_w=out_w + 2, z=z, k=k,
-                            num_filters=filters, out_h=out_h, out_w=out_w)
-    hmc = HMC(trace=tc)
-    layout.stage(hmc.store, inputs, weights, bias)
-    pe = PE(PEConfig(trace=tc), memory=LocalVaultMemory(hmc, vault=0, trace=tc))
-    result = pe.run(build_conv_pass_program(layout, 0, filters, 0, out_h, fx=8,
-                                            strip_rows=2))
-    return result.counters
-
-
-def _run_fc(tc: TraceCollector) -> PECounters:
-    """One FC partial-product tile on one PE."""
-    from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
-    from repro.memory.hmc import HMC
-    from repro.pe.config import PEConfig
-    from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
-
-    rng = np.random.default_rng(7)
-    rows, chunk = 16, 64
-    W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
-    X = rng.integers(-40, 40, (1, chunk)).astype(np.int16)
-    layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=1)
-    hmc = HMC(trace=tc)
-    layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(trace=tc), memory=LocalVaultMemory(hmc, vault=0, trace=tc))
-    result = pe.run(build_fc_partial_program(layout, fx=6))
-    return result.counters
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,23 +56,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    if args.kernel == "bp-tile":
-        for name, least in _BP_TILE_MINIMUMS:
-            value = getattr(args, name)
-            if value < least:
-                raise ConfigError(
-                    f"--{name}: must be >= {least}, got {value}")
+    minimums = _BP_TILE_MINIMUMS if args.kernel == "bp-tile" else ()
+    for name, least in minimums + (("top", 0),):
+        value = getattr(args, name)
+        if value < least:
+            raise ConfigError(f"--{name}: must be >= {least}, got {value}")
     check_output_paths({
         "--out": args.out, "--csv": args.csv,
         "--report": None if args.report == "-" else args.report})
 
     tc = TraceCollector()
     if args.kernel == "bp-tile":
-        counters = _run_bp_tile(tc, args.rows, args.cols, args.labels)
-    elif args.kernel == "conv":
-        counters = _run_conv(tc)
+        run = run_vault_bp_tile(trace=tc,
+                                size=(args.rows, args.cols, args.labels))
     else:
-        counters = _run_fc(tc)
+        run = run_sim_kernel(_SINGLE_PE[args.kernel], quick=True, trace=tc)
+    counters = run.counters
 
     if not args.no_check:
         assert_counters_match(counters, tc.events)

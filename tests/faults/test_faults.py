@@ -8,9 +8,7 @@ import pytest
 from repro.errors import ConfigError, UncorrectableEccError
 from repro.faults import NO_FAULTS, FaultConfig, FaultInjector, stream_seed
 from repro.memory.store import DramStore
-from repro.perf.bench import run_sim_kernel
-
-SIM_KERNELS = ("pe-vector", "vault-bp-tile", "conv-pass", "fc-chunk")
+from repro.kernels.harness import SIM_BENCHES, run_sim_kernel
 
 
 class TestConfig:
@@ -37,7 +35,7 @@ class TestConfig:
 class TestZeroCostOff:
     """An attached all-zero-rate injector must not perturb anything."""
 
-    @pytest.mark.parametrize("name", SIM_KERNELS)
+    @pytest.mark.parametrize("name", SIM_BENCHES)
     def test_kernels_byte_identical(self, name):
         baseline = run_sim_kernel(name, quick=True)
         injected = run_sim_kernel(name, quick=True,

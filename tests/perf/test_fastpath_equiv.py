@@ -1,14 +1,16 @@
 """The PE's shortcuts must be optimizations, never a model change.
 
-Every simulator bench kernel is run on :class:`~repro.pe.pe.PE` and on
-the straight-line :class:`~repro.pe.reference.ReferencePE`, and the runs
+Every kernel of :mod:`repro.kernels.harness` is run on
+:class:`~repro.pe.pe.PE` and on the straight-line
+:class:`~repro.pe.reference.ReferencePE`, and the runs
 must agree on *everything observable*: simulated cycles, the PE
 counters, DRAM contents, and scratchpad contents.  This is the
 correctness gate for the pre-decoded hot loop, the cached issue lower
 bound and its kept operand scan, the interval-list scratchpad timing
 tracker, the short-vector path, the batched vector-op queue and the chip
-run-ahead.  A traced run takes the same interpreter: it must also equal
-the untraced one, and its events must rebuild its counters.  A run with
+run-ahead.  A traced run, with the PEs and the memory system traced,
+takes the same interpreter: it must also equal the untraced one, and its
+events must rebuild its counters.  A run with
 scratchpad and compute faults injected must equal the reference run
 with the same faults, fault counts included: the PE flushes its queue
 before the fault hook reads a vector result.
@@ -17,7 +19,7 @@ before the fault hook reads a vector result.
 import pytest
 
 from repro.faults import FaultConfig, FaultInjector
-from repro.perf.bench import SIM_BENCHES, run_sim_kernel
+from repro.kernels.harness import SIM_BENCHES, run_sim_kernel
 from repro.trace import TraceCollector
 from repro.trace.crosscheck import assert_counters_match
 

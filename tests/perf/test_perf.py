@@ -46,6 +46,17 @@ class TestRoofline:
         assert roof.attainable_gops(1.0) == pytest.approx(320)
         assert roof.attainable_gops(100.0) == pytest.approx(1280)
 
+    @pytest.mark.parametrize("num_pes,gops,gbps", [
+        (1, 10, 10),       # a lone PE owns its vault's whole data bus
+        (4, 40, 10),       # one full vault
+        (5, 50, 20),       # a fifth PE spills into a second vault
+        (128, 1280, 320),  # the whole chip
+    ])
+    def test_pe_subset_scales_bandwidth_by_vaults(self, num_pes, gops, gbps):
+        roof = Roofline.for_vip(num_pes=num_pes)
+        assert roof.peak_gops == pytest.approx(gops)
+        assert roof.peak_bandwidth_gbps == pytest.approx(gbps)
+
     def test_bound_classification(self):
         roof = Roofline.for_vip()
         assert RooflinePoint("a", 0.5, 100).bound(roof) == "memory"

@@ -1,11 +1,9 @@
 """The parallel experiment runner: ordering, seeding, degradation."""
 
-import json
 import os
 
 import pytest
 
-from repro.perf.bench import main as _bench_cli_main
 from repro.perf.runner import Task, default_workers, derive_seed, map_tasks, run_tasks
 
 
@@ -64,16 +62,3 @@ def test_parallel_equals_serial_bp_measure():
     assert a.sweep_counters == b.sweep_counters
     assert a.iteration_cycles == b.iteration_cycles
 
-
-def test_bench_cli_smoke(tmp_path):
-    out = tmp_path / "bench.json"
-    rc = _bench_cli_main(["--quick", "--repeat", "1", "--bench", "fixedpoint-sat",
-                     "--bench", "fc-chunk", "--compare", "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.perf.bench/v1"
-    names = [b["name"] for b in payload["benches"]]
-    assert names == ["fixedpoint-sat", "fc-chunk"]
-    fc = payload["benches"][1]
-    assert fc["sim_cycles"] > 0 and fc["wall_s"] > 0
-    assert "speedup" in fc  # --compare ran the reference path too

@@ -1,10 +1,11 @@
 """Unit tests for the vectorized-stepping machinery (repro.pe.batch).
 
 The end-to-end exactness gate lives in ``test_fastpath_equiv.py`` (the
-``"vector"`` mode must be byte-identical to the reference interpreter on
-every bench kernel); these tests pin the queue mechanics that make that
-hold — flush-on-key-change, flush-on-RAW, the capacity bound — and that
-a batched flush scatters exactly what per-instruction execution would.
+PE, which batches through ``VectorOpQueue``, must be byte-identical to
+the eager reference interpreter on every harness kernel); these tests
+pin the queue mechanics that make that hold — flush-on-key-change,
+flush-on-RAW, the capacity bound — and that a batched flush scatters
+exactly what per-instruction execution would.
 """
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""CLI smoke: ``python -m repro.serve`` and the ``repro.perf`` alias."""
+"""CLI smoke: ``python -m repro.serve``."""
 
 import json
 import subprocess
@@ -39,15 +39,6 @@ def test_cli_single_mix_and_policy(tmp_path):
     assert payload["config"]["degraded_chips"] == [1]
     chips = payload["mixes"]["bp"]["chips"]
     assert chips[1]["degraded"] is True
-
-
-def test_python_m_repro_perf_dispatches_to_bench():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.perf", "--help"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert "benchmark suite" in proc.stdout
 
 
 def test_resilience_smoke_conserves_every_request(tmp_path):

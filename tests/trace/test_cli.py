@@ -41,11 +41,26 @@ def test_cli_bp_tile_artifacts(tmp_path, capsys):
 ])
 def test_bad_bp_tile_size_exits_2_before_running(argv, message, tmp_path,
                                                  monkeypatch, capsys):
-    monkeypatch.setattr("repro.trace.cli._run_bp_tile", _no_kernel)
+    monkeypatch.setattr("repro.trace.cli.run_vault_bp_tile", _no_kernel)
     out = tmp_path / "trace.json"
     assert main(["--kernel", "bp-tile", *argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: config: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", ["bp-tile", "fc"])
+def test_negative_top_exits_2_before_running(kernel, tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr("repro.trace.cli.run_vault_bp_tile", _no_kernel)
+    monkeypatch.setattr("repro.trace.cli.run_sim_kernel", _no_kernel)
+    out = tmp_path / "trace.json"
+    argv = ["--kernel", kernel, "--top", "-2", "--report", "-",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: config: --top: must be >= 0, got -2\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -59,7 +74,7 @@ def test_sizes_of_other_kernels_are_not_checked(tmp_path):
 @pytest.mark.parametrize("option", ["--out", "--csv", "--report"])
 def test_unwritable_output_exits_2_before_running(option, tmp_path,
                                                   monkeypatch, capsys):
-    monkeypatch.setattr("repro.trace.cli._run_fc", _no_kernel)
+    monkeypatch.setattr("repro.trace.cli.run_sim_kernel", _no_kernel)
     path = tmp_path / "missing" / "artifact"
     argv = ["--kernel", "fc", "--out", str(tmp_path / "trace.json"),
             option, str(path)]
