@@ -8,8 +8,8 @@ and whose leaves name a primitive action — compiled **once** at config
 time into a plain Python callable.  New degradation behaviors are then
 policy files, not code changes.
 
-A policy document (YAML/JSON, same stdlib parsing as the scenario DSL)
-has up to four decision slots::
+A policy document (YAML/JSON, parsed by :mod:`repro.serve.documents`
+like a scenario) has up to four decision slots::
 
     name: shed-fc-under-pressure
     description: drop batch-insensitive FC first when the queue fills
@@ -50,11 +50,10 @@ ran — so policy-driven runs remain bit-reproducible.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.serve.documents import DocumentLibrary
 from repro.serve.workload import KINDS
 
 #: Leaf primitives of the ``schedule`` slot (the classic fleet policies).
@@ -126,8 +125,6 @@ OBSERVABLES.update({
 
 #: Documents deeper than this are rejected (runaway nesting, not policy).
 MAX_TREE_DEPTH = 16
-
-POLICY_EXTS = (".yaml", ".yml", ".json")
 
 
 # ---------------------------------------------------------------------------
@@ -433,97 +430,20 @@ class PolicyEngine:
 
 
 # ---------------------------------------------------------------------------
-# File loading and the named-policy library
+# The named-policy library
 
 
-def policy_dirs() -> list:
-    """Search path for named policies, highest priority first."""
-    dirs = []
-    env = os.environ.get("REPRO_POLICY_DIR")
-    if env:
-        dirs.append(env)
-    dirs.append(os.path.join(os.getcwd(), "examples", "policies"))
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    dirs.append(os.path.join(repo_root, "examples", "policies"))
-    seen, out = set(), []
-    for d in dirs:
-        real = os.path.realpath(d)
-        if real not in seen:
-            seen.add(real)
-            out.append(d)
-    return out
-
-
-def _parse_policy_text(text: str, source: str) -> dict:
-    # Deferred import: scenario.py imports the fleet, which imports this
-    # module — by load time everything is resolved.
-    from repro.serve.scenario import parse_simple_yaml
-    if source.endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"policy parse: {source}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"policy parse: {source}: top level must "
-                              f"be a mapping")
-        return doc
-    return parse_simple_yaml(text)
+#: Named policies: ``$REPRO_POLICY_DIR``, then ``examples/policies``.
+POLICY_LIBRARY = DocumentLibrary(
+    kind="policy", env_var="REPRO_POLICY_DIR", subdir="policies")
 
 
 def list_policies() -> list:
     """Every named policy on the search path: name/path/description."""
-    out, seen = [], set()
-    for d in policy_dirs():
-        try:
-            entries = sorted(os.listdir(d))
-        except OSError:
-            continue
-        for entry in entries:
-            base, ext = os.path.splitext(entry)
-            if ext not in POLICY_EXTS or base in seen:
-                continue
-            seen.add(base)
-            path = os.path.join(d, entry)
-            description = ""
-            try:
-                doc = _parse_policy_text(
-                    open(path, encoding="utf-8").read(), path)
-                description = str(doc.get("description", ""))
-            except (ConfigError, OSError):
-                description = "(unparseable)"
-            out.append({"name": base, "path": path,
-                        "description": description})
-    return sorted(out, key=lambda s: s["name"])
+    return POLICY_LIBRARY.entries()
 
 
 def load_policy(ref: str) -> PolicySet:
     """Load a policy set by file path or library name."""
-    path = None
-    if os.path.sep in ref or ref.endswith(POLICY_EXTS) \
-            or os.path.exists(ref):
-        if not os.path.exists(ref):
-            raise ConfigError(f"policy: no such file: {ref}")
-        path = ref
-    else:
-        for d in policy_dirs():
-            for ext in POLICY_EXTS:
-                candidate = os.path.join(d, ref + ext)
-                if os.path.exists(candidate):
-                    path = candidate
-                    break
-            if path is not None:
-                break
-        if path is None:
-            known = sorted(p["name"] for p in list_policies())
-            raise ConfigError(
-                f"policy: no policy named {ref!r}; known policies: "
-                f"{', '.join(known) if known else '(none found)'}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"policy: unreadable {path}: {exc}") from exc
-    doc = _parse_policy_text(text, path)
-    name = os.path.splitext(os.path.basename(path))[0]
+    doc, name, path = POLICY_LIBRARY.read(ref)
     return policy_from_document(doc, name=name, source=path)

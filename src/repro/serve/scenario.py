@@ -3,12 +3,13 @@
 A *scenario* is a YAML/JSON document describing one end-to-end serving
 experiment — workload mix, fleet size and scheduler policy, batching and
 admission knobs, failure timeline, resilience defenses, and SLO target —
-that compiles to the exact :class:`~repro.serve.workload.WorkloadConfig`
-and :class:`~repro.serve.fleet.ServeConfig` the batch CLI builds from
-argparse flags.  Batch runs (``python -m repro.serve --scenario``) and
-the online control plane (:mod:`repro.serve.control`) load the same
-files through the same loader, so a named experiment means one thing
-everywhere and produces byte-identical reports over either path.
+that compiles to a :class:`~repro.serve.workload.WorkloadConfig` and a
+:class:`~repro.serve.fleet.ServeConfig`.  It is the one description of
+a run: each simulation flag of ``python -m repro.serve`` writes one key
+of a scenario document (on top of the ``--scenario`` file, if any), and
+the online control plane (:mod:`repro.serve.control`) takes the same
+documents, so a named experiment means one thing everywhere and
+produces byte-identical reports over either path.
 
 The document is validated against a typed schema before compiling:
 unknown keys, type errors, and out-of-range values raise
@@ -16,15 +17,13 @@ unknown keys, type errors, and out-of-range values raise
 (``scenario.workload.rate: must be > 0``), which both CLIs surface as
 the structured one-line ``error: config:`` exit-2 convention.
 
-Time-valued knobs use the units the batch CLI uses: ``*_ms`` fields are
-simulated milliseconds (converted at the 1.25 GHz PE clock), and
-``max_wait_cycles`` is PE cycles, mirroring ``--max-wait``.  Chip sets
-(``fail_stop_chips`` etc.) accept either a count N (the first N chips,
-like ``--fail-chips N``) or an explicit id list (richer than the CLI).
+``*_ms`` fields are simulated milliseconds (converted at the 1.25 GHz
+PE clock), and ``max_wait_cycles`` is PE cycles.  Chip sets
+(``fail_stop_chips`` etc.) accept either a count N (the first N chips;
+``--fail-chips N`` writes a count) or an explicit id list.
 
-Three optional sections extend a scenario beyond the flag surface: an
-``autoscale`` section (knobs for :class:`~repro.serve.autoscale.
-AutoscaleConfig`, ``*_ms`` fields converted like everything else —
+Three optional sections are off unless present: an ``autoscale``
+section (knobs for :class:`~repro.serve.autoscale.AutoscaleConfig` —
 presence of the section enables the autoscaler), a ``cluster`` section
 (knobs for :class:`~repro.serve.cluster.ClusterConfig` — presence of
 the section shards the fleet behind the cluster router, with ``fleet.
@@ -36,26 +35,22 @@ Correlated failure domains live in the ``failures`` section
 (``domains: [[0, 1], [2, 3]]`` plus ``domain_*`` knobs) and work with
 or without a cluster.
 
-YAML support is a deliberately small built-in subset — nested mappings
-by indentation, ``- item`` lists, inline ``[a, b]`` lists, scalars
-(int/float/bool/null/strings), ``#`` comments — so scenario files need
-no third-party parser.  JSON documents (``.json`` or a leading ``{``)
-are parsed with the stdlib.  Named scenarios are looked up in
-``examples/scenarios/`` (working directory first, then the repo
-checkout, then ``$REPRO_SCENARIO_DIR`` ahead of both).
+Files are parsed by :mod:`repro.serve.documents` (a built-in YAML
+subset, or JSON), which policy files share.  Named scenarios are looked
+up in ``$REPRO_SCENARIO_DIR``, then ``examples/scenarios/`` under the
+working directory, then under the repo checkout.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import re
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.serve.autoscale import AutoscaleConfig
 from repro.serve.cluster import ROUTERS, ClusterConfig
+# parse_simple_yaml is re-exported: callers import it from here.
+from repro.serve.documents import DocumentLibrary, parse_simple_yaml
 from repro.serve.failures import FailureConfig
 from repro.serve.fleet import POLICIES, ServeConfig
 from repro.serve.policy import load_policy, policy_from_document
@@ -66,132 +61,10 @@ from repro.serve.workload import ARRIVALS, KINDS, MIXES, WorkloadConfig
 #: The simulated PE clock every ``*_ms`` field is converted at.
 CLOCK_GHZ = 1.25
 
-SCENARIO_EXTS = (".yaml", ".yml", ".json")
-
 
 def ms_to_cycles(ms: float) -> float:
     """Simulated milliseconds -> PE clock cycles at :data:`CLOCK_GHZ`."""
     return ms * CLOCK_GHZ * 1e6
-
-
-# ---------------------------------------------------------------------------
-# Minimal YAML subset parser
-
-
-_SCALAR_INT = re.compile(r"^[+-]?\d+$")
-_SCALAR_FLOAT = re.compile(
-    r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-
-
-def _strip_comment(text: str) -> str:
-    """Drop a ``#`` comment outside quotes."""
-    quote = None
-    for i, ch in enumerate(text):
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "#" and (i == 0 or text[i - 1] in " \t"):
-            return text[:i]
-    return text
-
-
-def _parse_scalar(text: str, lineno: int):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, lineno) for part in inner.split(",")]
-    if (len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'"):
-        return text[1:-1]
-    if text in ("null", "~", "None"):
-        return None
-    if text in ("true", "True"):
-        return True
-    if text in ("false", "False"):
-        return False
-    if _SCALAR_INT.match(text):
-        return int(text)
-    if _SCALAR_FLOAT.match(text):
-        return float(text)
-    if not text:
-        raise ConfigError(f"scenario parse: line {lineno}: empty value")
-    return text
-
-
-def _parse_block(lines: list, start: int, indent: int):
-    """Parse the block of ``lines`` at exactly ``indent``; returns
-    ``(value, next_index)``.  ``lines`` rows are (indent, text, lineno)."""
-    is_list = lines[start][1].startswith("- ") or lines[start][1] == "-"
-    out: dict | list = [] if is_list else {}
-    i = start
-    while i < len(lines):
-        ind, text, lineno = lines[i]
-        if ind < indent:
-            break
-        if ind > indent:
-            raise ConfigError(
-                f"scenario parse: line {lineno}: unexpected indent")
-        if is_list:
-            if not (text.startswith("- ") or text == "-"):
-                raise ConfigError(
-                    f"scenario parse: line {lineno}: expected '- item' "
-                    f"in list block")
-            out.append(_parse_scalar(text[1:], lineno))
-            i += 1
-            continue
-        if ":" not in text:
-            raise ConfigError(
-                f"scenario parse: line {lineno}: expected 'key: value'")
-        key, _, rest = text.partition(":")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"scenario parse: line {lineno}: empty key")
-        if key in out:
-            raise ConfigError(
-                f"scenario parse: line {lineno}: duplicate key {key!r}")
-        rest = rest.strip()
-        if rest:
-            out[key] = _parse_scalar(rest, lineno)
-            i += 1
-        else:
-            # A nested block (deeper indent) or an empty mapping.
-            if i + 1 < len(lines) and lines[i + 1][0] > indent:
-                out[key], i = _parse_block(lines, i + 1, lines[i + 1][0])
-            else:
-                out[key] = {}
-                i += 1
-    return out, i
-
-
-def parse_simple_yaml(text: str) -> dict:
-    """Parse the scenario-file YAML subset into plain Python data."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "\t" in raw[:len(raw) - len(raw.lstrip())]:
-            raise ConfigError(
-                f"scenario parse: line {lineno}: tabs in indentation")
-        stripped = _strip_comment(raw).rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
-        rows.append((indent, stripped.strip(), lineno))
-    if not rows:
-        raise ConfigError("scenario parse: empty document")
-    if rows[0][0] != 0:
-        raise ConfigError(
-            f"scenario parse: line {rows[0][2]}: top level must not be "
-            f"indented")
-    doc, consumed = _parse_block(rows, 0, 0)
-    if consumed != len(rows):
-        raise ConfigError(
-            f"scenario parse: line {rows[consumed][2]}: unreachable "
-            f"content (bad indentation?)")
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario parse: top level must be a mapping")
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +84,9 @@ class _Field:
     nullable: bool = False
 
 
-#: section -> field -> spec.  Defaults mirror the batch CLI exactly, so
-#: an empty document compiles to the same run as flag-less ``repro.serve``.
+#: section -> field -> spec.  The only source of defaults, bounds and
+#: units: every ``python -m repro.serve`` flag writes one of these keys,
+#: so an empty document is the flag-less run.
 SCENARIO_SCHEMA = {
     "workload": {
         "mix": _Field("mixes", default=("bp", "bp+vgg")),
@@ -220,7 +94,7 @@ SCENARIO_SCHEMA = {
         "rate": _Field("float", default=50_000.0, min=0,
                        min_exclusive=True),
         "requests": _Field("int", default=200, min=1),
-        "seed": _Field("int", default=0),
+        "seed": _Field("int", default=0, min=0),
         "num_tiles": _Field("int", default=8, min=1),
         "burst_factor": _Field("float", default=8.0, min=1.0),
         "burst_len": _Field("float", default=20.0, min=1.0),
@@ -684,72 +558,17 @@ def scenario_from_document(doc: dict, name: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# File loading and the named-scenario library
+# The named-scenario library
 
 
-def _parse_text(text: str, source: str) -> dict:
-    if source.endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"scenario parse: {source}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"scenario parse: {source}: top level must "
-                              f"be a mapping")
-        return doc
-    return parse_simple_yaml(text)
-
-
-def scenario_dirs() -> list:
-    """Search path for named scenarios, highest priority first."""
-    dirs = []
-    env = os.environ.get("REPRO_SCENARIO_DIR")
-    if env:
-        dirs.append(env)
-    dirs.append(os.path.join(os.getcwd(), "examples", "scenarios"))
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    dirs.append(os.path.join(repo_root, "examples", "scenarios"))
-    seen, out = set(), []
-    for d in dirs:
-        real = os.path.realpath(d)
-        if real not in seen:
-            seen.add(real)
-            out.append(d)
-    return out
-
-
-def _candidates(ref: str):
-    for d in scenario_dirs():
-        for ext in SCENARIO_EXTS:
-            yield os.path.join(d, ref + ext)
+#: Named scenarios: ``$REPRO_SCENARIO_DIR``, then ``examples/scenarios``.
+SCENARIO_LIBRARY = DocumentLibrary(
+    kind="scenario", env_var="REPRO_SCENARIO_DIR", subdir="scenarios")
 
 
 def load_scenario(ref: str) -> Scenario:
-    """Load a scenario by file path or library name."""
-    path = None
-    if os.path.sep in ref or ref.endswith(SCENARIO_EXTS) \
-            or os.path.exists(ref):
-        if not os.path.exists(ref):
-            raise ConfigError(f"scenario: no such file: {ref}")
-        path = ref
-    else:
-        for candidate in _candidates(ref):
-            if os.path.exists(candidate):
-                path = candidate
-                break
-        if path is None:
-            known = sorted(s["name"] for s in list_scenarios())
-            raise ConfigError(
-                f"scenario: no scenario named {ref!r}; known scenarios: "
-                f"{', '.join(known) if known else '(none found)'}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"scenario: unreadable {path}: {exc}") from exc
-    doc = _parse_text(text, path)
-    name = os.path.splitext(os.path.basename(path))[0]
+    """Load and compile a scenario by file path or library name."""
+    doc, name, path = SCENARIO_LIBRARY.read(ref)
     return scenario_from_document(doc, name=name, source=path)
 
 
@@ -758,24 +577,4 @@ def list_scenarios() -> list:
 
     Earlier search-path directories shadow later ones, like ``$PATH``.
     """
-    out, seen = [], set()
-    for d in scenario_dirs():
-        try:
-            entries = sorted(os.listdir(d))
-        except OSError:
-            continue
-        for entry in entries:
-            base, ext = os.path.splitext(entry)
-            if ext not in SCENARIO_EXTS or base in seen:
-                continue
-            seen.add(base)
-            path = os.path.join(d, entry)
-            description = ""
-            try:
-                doc = _parse_text(open(path, encoding="utf-8").read(), path)
-                description = str(doc.get("description", ""))
-            except (ConfigError, OSError):
-                description = "(unparseable)"
-            out.append({"name": base, "path": path,
-                        "description": description})
-    return sorted(out, key=lambda s: s["name"])
+    return SCENARIO_LIBRARY.entries()

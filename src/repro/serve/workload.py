@@ -134,6 +134,10 @@ class WorkloadConfig:
             raise ConfigError("rate must be positive")
         if self.requests <= 0:
             raise ConfigError("requests must be positive")
+        # numpy's default_rng rejects a negative seed, but only once the
+        # trace is drawn, after the cost table has been built.
+        if self.seed < 0:
+            raise ConfigError(f"workload.seed: must be >= 0, got {self.seed}")
         if self.num_tiles <= 0:
             raise ConfigError("num_tiles must be positive")
         if self.burst_factor < 1.0:

@@ -1,12 +1,19 @@
 """CLI smoke: ``python -m repro.serve``."""
 
+import copy
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.serve.cli import main
+from repro.serve.cli import build_parser, main
+from repro.serve.scenario import (
+    load_scenario,
+    ms_to_cycles,
+    scenario_from_document,
+)
 
 
 def test_cli_writes_report_and_csv(tmp_path, capsys):
@@ -103,7 +110,7 @@ def test_resume_without_checkpoint_is_structured_error(capsys):
 def test_bad_workload_numbers_exit_2_before_simulating(argv, path, capsys):
     assert main(argv + ["--requests", "5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config: {path}")
+    assert err.startswith(f"error: config: scenario.{path}")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -147,16 +154,17 @@ def test_nan_gossip_interval_fails_fast_instead_of_hanging():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith(
-        "error: config: cluster.gossip_interval_ms: must be a finite number")
+        "error: config: scenario.cluster.gossip_interval_ms: "
+        "must be a finite number")
 
 
 def test_argparse_bounds_reject_nonsense(capsys):
     for argv in (["--chips", "0"], ["--rate", "-5"], ["--max-retries", "-1"],
                  ["--requests", "0"]):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-    capsys.readouterr()  # swallow argparse usage noise
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: scenario.")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_checkpoint_resume_report_is_byte_identical(tmp_path):
@@ -190,3 +198,189 @@ def test_list_policies_prints_cluster_observables(capsys):
     for name in ("fleet.slo_headroom", "shard.slo_headroom",
                  "cluster.alive_shard_fraction", "queue.kind_depth.fc"):
         assert name in printed
+
+
+# ---------------------------------------------------------------------------
+# Flags are scenario keys: each compiles through the scenario schema.
+
+
+#: Every document flag, written by hand: (flag, "section.key", the flag's
+#: text, the same value as a document holds it).  Each value differs from
+#: the schema default, so a flag mapped to the wrong key fails.
+DOCUMENT_FLAG_SPEC = [
+    ("--chips", "fleet.chips", "6", 6),
+    ("--policy", "fleet.policy", "locality", "locality"),
+    ("--degraded", "fleet.degraded_chips", "1,3", [1, 3]),
+    ("--max-batch", "batching.max_batch", "3", 3),
+    ("--max-wait", "batching.max_wait_cycles", "5000", 5000.0),
+    ("--queue-capacity", "batching.queue_capacity", "16", 16),
+    ("--shed-policy", "batching.shed_policy", "drop-oldest", "drop-oldest"),
+    ("--arrival", "workload.arrival", "bursty", "bursty"),
+    ("--rate", "workload.rate", "150000", 150000.0),
+    ("--requests", "workload.requests", "25", 25),
+    ("--seed", "workload.seed", "9", 9),
+    ("--num-tiles", "workload.num_tiles", "4", 4),
+    ("--burst-factor", "workload.burst_factor", "4", 4.0),
+    ("--burst-len", "workload.burst_len", "10", 10.0),
+    ("--fail-chips", "failures.fail_stop_chips", "2", 2),
+    ("--fail-slow-chips", "failures.fail_slow_chips", "2", 2),
+    ("--transient-chips", "failures.transient_chips", "3", 3),
+    ("--fail-seed", "failures.seed", "5", 5),
+    ("--mtbf-ms", "failures.mtbf_ms", "1.5", 1.5),
+    ("--repair-ms", "failures.repair_ms", "0.3", 0.3),
+    ("--fail-domains", "failures.domains", "0,1;2,3", [[0, 1], [2, 3]]),
+    ("--domain-mtbf-ms", "failures.domain_mtbf_ms", "2", 2.0),
+    ("--domain-repair-ms", "failures.domain_repair_ms", "0.2", 0.2),
+    ("--domain-mode", "failures.domain_mode", "fail-slow", "fail-slow"),
+    ("--health-interval-ms", "resilience.health_interval_ms", "0.03", 0.03),
+    ("--detect-latency-ms", "resilience.detect_latency_ms", "0.01", 0.01),
+    ("--health-fp-rate", "resilience.health_fp_rate", "0.1", 0.1),
+    ("--max-retries", "resilience.max_retries", "5", 5),
+    ("--retry-deadline-ms", "resilience.retry_deadline_ms", "0.5", 0.5),
+    ("--hedge-delay-ms", "resilience.hedge_delay_ms", "0.02", 0.02),
+    ("--autoscale-min", "autoscale.min_chips", "2", 2),
+    ("--autoscale-max", "autoscale.max_chips", "6", 6),
+    ("--autoscale-interval-ms", "autoscale.evaluate_interval_ms", "0.05",
+     0.05),
+    ("--autoscale-warmup-ms", "autoscale.warmup_ms", "0.02", 0.02),
+    ("--autoscale-cooldown-ms", "autoscale.cooldown_ms", "0.1", 0.1),
+    ("--cluster-shards", "cluster.shards", "3", 3),
+    ("--cluster-router", "cluster.router", "round-robin", "round-robin"),
+    ("--cluster-gossip-ms", "cluster.gossip_interval_ms", "0.02", 0.02),
+    ("--cluster-failover-retries", "cluster.failover_retries", "2", 2),
+    ("--brownout-headroom", "cluster.brownout_headroom", "0.5", 0.5),
+    ("--brownout-kinds", "cluster.brownout_kinds", "fc,conv", ["fc", "conv"]),
+    ("--slo-ms", "run.slo_ms", "0.5", 0.5),
+    ("--cost-model", "run.cost_model", "surrogate", "surrogate"),
+    ("--surrogate-tolerance", "run.surrogate_tolerance", "0.05", 0.05),
+]
+
+#: Flags that write a document but not one scalar key.
+SPECIAL_FLAGS = {"--mix", "--full", "--autoscale", "--policy-file"}
+#: Flags that never reach the document.
+INFRA_FLAGS = {"--scenario", "--list-scenarios", "--list-policies", "--out",
+               "--csv", "--checkpoint", "--resume", "--workers"}
+
+#: Enables the failures section, so resilience and failure keys compile.
+BASE_ARGV = ["--fail-chips", "1"]
+BASE_DOC = {"failures": {"fail_stop_chips": 1}}
+
+
+def _configs(scenario):
+    return (scenario.workload, scenario.serve, scenario.mixes,
+            scenario.quick, scenario.cost_model,
+            scenario.surrogate_tolerance)
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """``compiled(argv)``: the configs ``main`` hands to ``run_report``,
+    without simulating."""
+    calls = []
+
+    def run_report(workload, config, *, mixes, quick, max_workers,
+                   checkpoint, cost_model, surrogate_tolerance):
+        calls.append((workload, config, mixes, quick, cost_model,
+                      surrogate_tolerance))
+        return {}, []
+
+    monkeypatch.setattr("repro.serve.cli.run_report", run_report)
+
+    def compile_argv(argv):
+        calls.clear()
+        assert main(argv) == 0
+        (call,) = calls
+        return call
+    return compile_argv
+
+
+def test_spec_table_covers_all_56_flags():
+    options = {option for action in build_parser()._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert len(DOCUMENT_FLAG_SPEC) == 44
+    assert len(options) == 56
+    assert options == ({row[0] for row in DOCUMENT_FLAG_SPEC}
+                       | SPECIAL_FLAGS | INFRA_FLAGS)
+
+
+@pytest.mark.parametrize("flag,path,text,value", DOCUMENT_FLAG_SPEC,
+                         ids=[row[0] for row in DOCUMENT_FLAG_SPEC])
+def test_flag_compiles_like_its_document_key(flag, path, text, value,
+                                             compiled):
+    section, key = path.split(".")
+    doc = copy.deepcopy(BASE_DOC)
+    doc.setdefault(section, {})[key] = value
+    expected = _configs(scenario_from_document(doc))
+    assert compiled(BASE_ARGV + [flag, text]) == expected
+    assert expected != _configs(scenario_from_document(BASE_DOC))
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["--mix", "vgg", "--mix", "bp"], {"workload": {"mix": ["vgg", "bp"]}}),
+    (["--full"], {"run": {"quick": False}}),
+    (["--autoscale"], {"autoscale": {}}),
+    (["--policy-file", "pressure-shed"],
+     {"policy": {"file": "pressure-shed"}}),
+], ids=["--mix", "--full", "--autoscale", "--policy-file"])
+def test_special_flags_compile_like_their_document(argv, doc, compiled):
+    assert compiled(argv) == _configs(scenario_from_document(doc))
+
+
+def test_flags_override_the_scenario_file_key_by_key(compiled):
+    workload, config, *_ = compiled(["--scenario", "steady-bp",
+                                     "--chips", "7", "--rate", "1",
+                                     "--requests", "3"])
+    base = load_scenario("steady-bp")
+    assert config == replace(base.serve, chips=7)
+    assert workload == replace(base.workload, rate=1.0, requests=3)
+
+
+def test_autoscale_flag_keeps_the_scenario_autoscale_section(compiled):
+    config = compiled(["--scenario", "autoscale-flash-crowd",
+                       "--autoscale"])[1]
+    autoscale = config.autoscale
+    assert autoscale == load_scenario("autoscale-flash-crowd").serve.autoscale
+    assert (autoscale.min_chips, autoscale.max_chips,
+            autoscale.up_queue_per_chip) == (2, 6, 6.0)
+
+
+def test_cluster_flag_keeps_the_scenario_cluster_keys(compiled):
+    config = compiled(["--scenario", "cluster-zone-outage",
+                       "--cluster-shards", "3"])[1]
+    base = load_scenario("cluster-zone-outage").serve.cluster
+    assert config.cluster == replace(base, shards=3)
+    assert config.cluster.router == "round-robin"
+    assert config.cluster.gossip_interval_cycles == ms_to_cycles(0.016)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-retries", "5"],
+     "scenario.resilience: requires an enabled failures section"),
+    (["--brownout-kinds", "fc,warp"],
+     "scenario.cluster.brownout_kinds: unknown kind 'warp'"),
+    (["--fail-chips", "0"],
+     "scenario.failures: section present but no chips listed"),
+    (["--mix", "bp", "--mix", "bp"],
+     "scenario.workload.mix: duplicate mix names"),
+    (["--policy", "magic"], "scenario.fleet.policy: unknown value 'magic'"),
+    (["--seed", "-1"], "scenario.workload.seed: must be >= 0, got -1"),
+])
+def test_flag_errors_are_the_schema_errors(argv, message, no_simulation,
+                                           capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--autoscale-min", "2"],
+                                  ["--autoscale-cooldown-ms", "0.1"]])
+def test_an_autoscale_flag_turns_the_autoscaler_on(argv, compiled):
+    assert compiled(argv)[1].autoscale is not None
+
+
+@pytest.mark.parametrize("argv", [["--cluster-router", "hash"],
+                                  ["--brownout-headroom", "0.5"]])
+def test_a_cluster_flag_turns_on_the_schema_default_cluster(argv, compiled):
+    assert compiled(argv)[1].cluster.shards == 2

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.serve.cli import main as cli_main
 from repro.serve.control import (
     ControlClient,
@@ -84,6 +85,14 @@ def test_malformed_scenario_rejected_with_field_path(client):
         client.submit({"workload": {"rate": -5}})
     assert exc.value.status == 400
     assert "config: scenario.workload.rate" in exc.value.message
+
+
+def test_negative_workload_seed_rejected_at_submit(tmp_path):
+    manager = JobManager(str(tmp_path / "state"))
+    with pytest.raises(ConfigError,
+                       match=r"^scenario\.workload\.seed: must be >= 0"):
+        manager.submit({"workload": {"seed": -3}})
+    assert manager.list() == []
 
 
 def test_unknown_job_and_route_are_404(client):

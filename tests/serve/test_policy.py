@@ -264,6 +264,14 @@ shed:
         path.write_text('{"retry": {"do": "expire"}}')
         assert load_policy(str(path)).retry == {"do": "expire"}
 
+    def test_yaml_errors_name_the_policy_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("schedule:\n  pick: locality\n   stray: 2\n")
+        with pytest.raises(ConfigError) as exc:
+            load_policy(str(path))
+        assert str(exc.value) == (
+            f"policy parse: {path}: line 3: unexpected indent")
+
     def test_scenario_inline_policy(self):
         scenario = scenario_from_document({
             "policy": {"schedule": {"pick": "round-robin"}}})

@@ -1,6 +1,8 @@
 """The scenario DSL: parser, schema validation, compilation, CLI."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -263,6 +265,18 @@ def test_scenario_dir_env_var_takes_priority(tmp_path, monkeypatch):
 def test_unknown_name_lists_known_scenarios():
     with pytest.raises(ConfigError, match="known scenarios"):
         load_scenario("no-such-scenario")
+
+
+def test_listing_both_libraries_closes_every_file():
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         "from repro.serve.policy import list_policies\n"
+         "from repro.serve.scenario import list_scenarios\n"
+         "assert list_scenarios() and list_policies()\n"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_json_scenario_files_load(tmp_path):

@@ -175,6 +175,13 @@ def test_config_rejects_out_of_range_and_non_finite(field, value, message):
         WorkloadConfig(arrival="bursty", **{field: value})
 
 
+def test_negative_seed_is_a_config_error():
+    # numpy's default_rng would reject it only after the cost table.
+    with pytest.raises(ConfigError,
+                       match=r"^workload\.seed: must be >= 0, got -1$"):
+        WorkloadConfig(seed=-1)
+
+
 def test_unit_burst_len_is_accepted_and_matches_the_reference():
     # burst_len == 1 is the smallest valid mean phase: geometric(p=1)
     # always draws 1, so hot and cold phases alternate every request.
