@@ -160,13 +160,10 @@ class Autoscaler:
                 if c.retired_at is None and not c.draining]
 
     def _believed_alive(self, chips: list) -> int:
-        monitor = self.fleet.monitor
-        if monitor is None:
-            return len(chips)
         # Read breaker state directly: allow() would advance an expired
         # open breaker as a side effect.
-        return sum(1 for c in chips
-                   if monitor.breakers[c.chip_id].state != "open")
+        breakers = self.fleet.monitor.breakers
+        return sum(1 for c in chips if breakers[c.chip_id].state != "open")
 
     def _queue_depth(self) -> int:
         queue = self.fleet._queue
@@ -187,8 +184,12 @@ class Autoscaler:
     # -- the decision loop ---------------------------------------------
 
     def advance(self, t: float) -> None:
-        """Process every evaluation tick at or before ``t``, in order."""
+        """Process every evaluation tick at or before ``t``, in order.
+        Health ticks through ``t`` come first, as in the fleet's event
+        order, so a chip added here joins the monitor at ``t``."""
         interval = self.config.evaluate_interval_cycles
+        if self._next_tick * interval <= t:
+            self.fleet.monitor.advance(t)
         while self._next_tick * interval <= t:
             at = self._next_tick * interval
             self._next_tick += 1

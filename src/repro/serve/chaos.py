@@ -58,14 +58,13 @@ import sys
 import tempfile
 
 from repro.errors import ConfigError
-from repro.perf.checkpoint import TaskCheckpoint
 from repro.serve.autoscale import SCALE_ACTIONS, AutoscaleConfig
 from repro.serve.cluster import ClusterConfig, ClusterSimulator
 from repro.serve.costmodel import build_cost_table
 from repro.serve.failures import FailureConfig
 from repro.serve.fleet import OUTCOMES, FleetSimulator, ServeConfig
 from repro.serve.policy import PolicySet, policy_from_document
-from repro.serve.report import checkpoint_meta, run_report
+from repro.serve.report import open_checkpoint, run_report
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.workload import WorkloadConfig, generate_requests
 
@@ -144,8 +143,6 @@ def check_conservation(records, requests) -> None:
 
 def check_post_failstop(batches, timeline) -> None:
     """No served launch overlaps a fail-stop window on its chip."""
-    if timeline is None:
-        return
     for b in batches:
         if b.outcome != "served":
             continue
@@ -203,9 +200,8 @@ def check_post_domain_outage(batches, timeline) -> None:
     ``domain_windows_until``), so a scheduler that mishandled the
     correlated-outage merge could not also hide the evidence.
     """
-    if timeline is None or not timeline.config.domains:
-        return
-    if timeline.config.domain_mode != "fail-stop":
+    if (not timeline.config.domains
+            or timeline.config.domain_mode != "fail-stop"):
         return
     for b in batches:
         if b.outcome != "served":
@@ -446,74 +442,44 @@ def run_cell(seed: int, mode: str, policy: str, autoscale: bool,
     return cell
 
 
-def check_checkpoint_resume(seed: int = 0) -> None:
-    """A journal truncated mid-stream resumes to an identical payload.
-
-    Runs one failure-mode report twice: once journaling every
-    cost-table measurement, then again resuming from that journal with
-    its tail cut off — the resumed payload must match byte for byte.
-    """
-    config = _cell_config("fail-stop", "builtin", seed, autoscale=False)
+def _check_resume(config: ServeConfig, seed: int, what: str) -> None:
+    """Serve ``config`` twice: once journaling every cost-table
+    measurement, then resuming from that journal with its tail cut off.
+    The resumed payload must match the first byte for byte."""
     workload = WorkloadConfig(mix="bp", arrival="bursty", rate=250_000.0,
                               requests=40, seed=seed)
-    meta = checkpoint_meta(config, ("bp",), True)
+    payloads = []
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         journal = os.path.join(tmp, "chaos.jsonl")
-        checkpoint = TaskCheckpoint(journal, meta=meta)
-        try:
-            baseline, _ = run_report(workload, config, mixes=("bp",),
-                                     checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-        with open(journal, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        keep = max(2, len(lines) // 2)
-        with open(journal, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:keep])
-        checkpoint = TaskCheckpoint(journal, meta=meta, resume=True)
-        try:
-            resumed, _ = run_report(workload, config, mixes=("bp",),
-                                    checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-    a = json.dumps(baseline, sort_keys=True)
-    b = json.dumps(resumed, sort_keys=True)
-    if a != b:
+        for resume in (False, True):
+            if resume:
+                with open(journal, encoding="utf-8") as fh:
+                    lines = fh.readlines()
+                with open(journal, "w", encoding="utf-8") as fh:
+                    fh.writelines(lines[:max(2, len(lines) // 2)])
+            checkpoint = open_checkpoint(journal, config, ("bp",), True,
+                                         resume=resume)
+            try:
+                payload, _ = run_report(workload, config, mixes=("bp",),
+                                        checkpoint=checkpoint)
+            finally:
+                checkpoint.close()
+            payloads.append(json.dumps(payload, sort_keys=True))
+    if payloads[0] != payloads[1]:
         _fail("checkpoint-resume",
-              "resumed payload differs from the uninterrupted one")
+              f"resumed {what}payload differs from the uninterrupted one")
+
+
+def check_checkpoint_resume(seed: int = 0) -> None:
+    """A journal truncated mid-stream resumes to an identical payload
+    (one failure-mode report)."""
+    _check_resume(_cell_config("fail-stop", "builtin", seed,
+                               autoscale=False), seed, "")
 
 
 def check_cluster_checkpoint_resume(seed: int = 0) -> None:
     """The checkpoint/resume byte-identity contract under a cluster."""
-    config = _cluster_cell_config("builtin", seed)
-    workload = WorkloadConfig(mix="bp", arrival="bursty", rate=250_000.0,
-                              requests=40, seed=seed)
-    meta = checkpoint_meta(config, ("bp",), True)
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        journal = os.path.join(tmp, "cluster.jsonl")
-        checkpoint = TaskCheckpoint(journal, meta=meta)
-        try:
-            baseline, _ = run_report(workload, config, mixes=("bp",),
-                                     checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-        with open(journal, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        keep = max(2, len(lines) // 2)
-        with open(journal, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:keep])
-        checkpoint = TaskCheckpoint(journal, meta=meta, resume=True)
-        try:
-            resumed, _ = run_report(workload, config, mixes=("bp",),
-                                    checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
-    a = json.dumps(baseline, sort_keys=True)
-    b = json.dumps(resumed, sort_keys=True)
-    if a != b:
-        _fail("checkpoint-resume",
-              "resumed cluster payload differs from the uninterrupted "
-              "one")
+    _check_resume(_cluster_cell_config("builtin", seed), seed, "cluster ")
 
 
 def run_matrix(seeds, modes, policies, autoscale_states,

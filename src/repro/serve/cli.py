@@ -51,15 +51,15 @@ import sys
 
 from repro.cli import check_output_paths
 from repro.errors import ConfigError
-from repro.perf.checkpoint import TaskCheckpoint
 from repro.serve.policy import OBSERVABLES, list_policies
 from repro.serve.report import (
-    checkpoint_meta,
+    open_checkpoint,
     run_report,
     write_csv,
     write_json,
 )
 from repro.serve.scenario import (
+    REMOVED_KEYS,
     SCENARIO_LIBRARY,
     SCENARIO_SCHEMA,
     list_scenarios,
@@ -161,14 +161,11 @@ DOCUMENT_FLAGS = (
      "comma-separated kinds shed during a brown-out (default: fc)"),
     ("--slo-ms", "run.slo_ms", float,
      "latency SLO in simulated milliseconds"),
-    ("--cost-model", "run.cost_model", str,
-     "how the service-time table is built: 'measured' simulates every "
-     "launch shape; 'surrogate' simulates anchors and cross-validates a "
-     "piecewise-linear fit (repro.serve.surrogate)"),
-    ("--surrogate-tolerance", "run.surrogate_tolerance", float,
-     "relative cycle tolerance of the surrogate's held-out validation "
-     "(fallback to exact measurement beyond it)"),
 )
+
+#: The flag each removed key had: ``--`` and the key, dashed.
+REMOVED_FLAGS = {"--" + key.split(".")[1].replace("_", "-"): key
+                 for key in REMOVED_KEYS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,17 +285,12 @@ def _run(args) -> int:
     config, mixes = scenario.serve, scenario.mixes
     checkpoint = None
     if args.checkpoint:
-        checkpoint = TaskCheckpoint(
-            args.checkpoint,
-            meta=checkpoint_meta(config, mixes, scenario.quick,
-                                 scenario.cost_model),
-            resume=args.resume)
+        checkpoint = open_checkpoint(args.checkpoint, config, mixes,
+                                     scenario.quick, resume=args.resume)
     try:
         payload, runs = run_report(
             scenario.workload, config, mixes=mixes, quick=scenario.quick,
-            max_workers=args.workers, checkpoint=checkpoint,
-            cost_model=scenario.cost_model,
-            surrogate_tolerance=scenario.surrogate_tolerance)
+            max_workers=args.workers, checkpoint=checkpoint)
     finally:
         if checkpoint is not None:
             checkpoint.close()
@@ -331,9 +323,22 @@ def _run(args) -> int:
     return 0
 
 
+def _parse(argv: list[str] | None):
+    """Parse ``argv``; a removed flag fails as its removed key does."""
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    for word in unknown:
+        key = REMOVED_FLAGS.get(word.split("=", 1)[0])
+        if key is not None:
+            raise ConfigError(f"scenario.{key}: {REMOVED_KEYS[key]}")
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(_parse(argv))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.perf.checkpoint import TaskCheckpoint
-from repro.serve.report import checkpoint_meta, run_report, write_json
+from repro.serve.report import open_checkpoint, run_report, write_json
 from repro.serve.scenario import Scenario, scenario_from_document
 
 #: Job lifecycle states.
@@ -299,10 +299,10 @@ class JobManager:
             fh.write("\n")
 
     def _execute(self, job: Job, scenario: Scenario) -> dict:
-        meta = checkpoint_meta(scenario.serve, scenario.mixes,
-                               scenario.quick, scenario.cost_model)
         journal = os.path.join(job.directory, "checkpoint.jsonl")
-        checkpoint = TaskCheckpoint(journal, meta=meta, resume=True)
+        checkpoint = open_checkpoint(journal, scenario.serve,
+                                     scenario.mixes, scenario.quick,
+                                     resume=True)
 
         def on_progress(snapshot: dict) -> None:
             if job.cancel_event.is_set():
@@ -315,9 +315,7 @@ class JobManager:
                 scenario.workload, scenario.serve, mixes=scenario.mixes,
                 quick=scenario.quick, max_workers=self.max_workers,
                 checkpoint=_ObservedCheckpoint(checkpoint, job),
-                on_progress=on_progress,
-                cost_model=scenario.cost_model,
-                surrogate_tolerance=scenario.surrogate_tolerance)
+                on_progress=on_progress)
         finally:
             checkpoint.close()
         return payload

@@ -239,8 +239,8 @@ def _measure_conv(g: dict, faults) -> tuple[float, int, int]:
 #: Deterministic FC test tensors by shape.  ``(W, X)`` is a pure function
 #: of ``(rows, chunk, batch)`` (fixed seed, fixed draw order) and is only
 #: ever read by ``FCTileLayout.stage``, so repeated measurements of the
-#: same shape — table rebuilds, interleaved benchmarks, surrogate
-#: cross-validation — share one generation instead of re-rolling the rng.
+#: same shape — table rebuilds, interleaved benchmarks — share one
+#: generation instead of re-rolling the rng.
 _FC_DATA: dict = {}
 
 #: Assembled FC programs by shape, for the same reason: the program (and
@@ -307,7 +307,7 @@ class ServiceCostTable:
     #: measurement scores output quality (currently ``gibbs``: posterior
     #: entropy/confidence plus agreement against the reference sampler).
     #: Empty for tables without such kinds; feeds the serve report's
-    #: per-kind quality rollups (schema v5).
+    #: per-kind quality rollups.
     quality: dict = field(default_factory=dict)
 
     def launch_cycles(self, kind: str, batch: int,

@@ -66,8 +66,8 @@ class FailureConfig:
 
     All times are PE clock cycles.  A mode is active on the chips listed
     in its ``*_chips`` tuple; with every tuple empty the config is
-    disabled and the fleet runs the exact pre-failure code path
-    (byte-identical reports, null-object style).
+    disabled, and the fleet runs over an empty timeline that never
+    fails a chip.
     """
 
     #: Base seed; every per-chip per-mode stream derives from it.

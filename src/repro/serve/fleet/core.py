@@ -58,27 +58,31 @@ Failure handling (``config.failures`` enabled) — see
   :class:`~repro.serve.fleet.records.BatchRecord` rows (``outcome``
   ``hedge-loser`` / ``killed``) with the cycles they burned, so wasted
   work is first-class.
-* With ``config.failures`` ``None`` (or disabled) the simulator runs
-  the exact pre-failure code path: reports are byte-identical to a
-  build without the failure plumbing.
+
+Failures off (``config.failures`` ``None`` or disabled, and no injected
+timeline) is the degenerate case of the same path, not a second one:
+the fleet holds an empty failure timeline, a health monitor with the
+default (never lying) checks, and no retry deadline, since with nothing
+to retry no request may expire while it waits for its batch.  Every
+launch then runs where and when it would on a fleet that never fails.
 
 Autoscaling (``config.autoscale`` set — see
 :mod:`repro.serve.autoscale`): the chip list grows and shrinks at
 evaluation ticks; draining/retired chips take no new launches, and
 provisioned chips serve nothing until warm.  With ``config.autoscale``
-``None`` the simulator never consults the autoscaler and the static
-fleet runs the exact legacy path.
+``None`` the simulator never consults the autoscaler.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from repro.errors import ConfigError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.costmodel import ServiceCostTable
-from repro.serve.failures import ChipFailureTimeline
+from repro.serve.failures import ChipFailureTimeline, FailureConfig
 from repro.serve.fleet.dispatch import DispatchMixin, _Pending
 from repro.serve.fleet.records import (
     OUTCOMES,
@@ -94,11 +98,7 @@ from repro.serve.fleet.records import (
 from repro.serve.metrics import percentile_sorted
 from repro.serve.policy import PolicyEngine
 from repro.serve.queueing import AdmissionQueue
-from repro.serve.resilience import (
-    DEFAULT_RESILIENCE,
-    HealthMonitor,
-    ResilienceConfig,
-)
+from repro.serve.resilience import DEFAULT_RESILIENCE, HealthMonitor
 from repro.serve.workload import Request
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -112,14 +112,13 @@ class FleetSimulator(DispatchMixin):
     """Deterministic serving simulation over ``config.chips`` chips.
 
     ``timeline`` injects an explicit (e.g. scripted) failure timeline;
-    by default one is drawn from ``config.failures`` when enabled.
+    by default one is drawn from ``config.failures`` when enabled, and
+    an empty one stands in when failures are off.
 
     Every service time comes from ``costs.launch_cycles``, so the table
     covers batches up to ``config.max_batch`` by construction: FC
     batches above the table's resident cap (``costs.fc_cap``) price as
-    back-to-back waves, and the table may itself be surrogate-built
-    (anchors + cross-validated interpolation) — the simulator is
-    agnostic to how a cycle count was obtained.
+    back-to-back waves.
     """
 
     def __init__(self, config: ServeConfig, costs: ServiceCostTable,
@@ -136,24 +135,52 @@ class FleetSimulator(DispatchMixin):
             ChipState(chip_id=i, degraded=(i in config.degraded_chips))
             for i in range(config.chips)
         ]
-        if timeline is None and config.failures_enabled:
-            timeline = ChipFailureTimeline(config.failures, config.chips)
-        self.timeline = timeline
-        self.resilience = config.resilience or DEFAULT_RESILIENCE
-        if timeline is not None:
-            seed = config.failures.seed if config.failures is not None else 0
-            self.monitor: HealthMonitor | None = HealthMonitor(
-                self.resilience, timeline, config.chips, seed=seed,
-                trace=trace)
+        if timeline is None and not config.failures_enabled:
+            # Failures off: an empty timeline kills nothing, default
+            # checks never lie, and nothing expires waiting to retry.
+            timeline = ChipFailureTimeline(FailureConfig(), config.chips)
+            resilience, deadline = DEFAULT_RESILIENCE, math.inf
+            paced = False
         else:
-            self.monitor = None
+            timeline = timeline or ChipFailureTimeline(config.failures,
+                                                       config.chips)
+            resilience = config.resilience or DEFAULT_RESILIENCE
+            deadline = resilience.retry_deadline_cycles
+            # A breaker-ok event also advances the autoscaler, whose
+            # state a cluster router's gossip reads between events.
+            paced = config.autoscale is not None
+        self.timeline = timeline
+        self.resilience = resilience
+        #: A request this many cycles old at (re-)dispatch expires.
+        self.retry_deadline = deadline
+        seed = config.failures.seed if config.failures is not None else 0
+        self.monitor = HealthMonitor(resilience, timeline, config.chips,
+                                     seed=seed, trace=trace)
+        #: Chips a window of each kind can reach, and of any kind;
+        #: queries for any other chip would answer "healthy".
+        self._fail_stop_chips = timeline.exposed("fail-stop")
+        self._fail_slow_chips = timeline.exposed("fail-slow")
+        self._transient_chips = timeline.exposed("transient")
+        self._windowed_chips = (self._fail_stop_chips | self._fail_slow_chips
+                                | self._transient_chips)
+        #: A breaker moves only on a failed check or a killed launch, so
+        #: with no fail-stop to see and checks that cannot lie none ever
+        #: leaves ``closed``: a completed launch need not report to it
+        #: unless the report paces the autoscaler.
+        self._breakers_fixed = (not self._fail_stop_chips and not paced
+                                and resilience.health_false_positive_rate
+                                <= 0.0)
+        #: Admission capacity while no breaker is open (believed-alive
+        #: fraction 1); shed tiers tighten it only while one is.
+        self._capacity_all_alive = max(1, int(
+            config.queue_capacity * resilience.tier_multiplier(1.0)))
         # Every decision slot compiles once here; a built-in (leaf)
         # schedule binds its primitive directly — the "callable resolved
         # at config time" default path.
         self.engine = PolicyEngine(
             policy=config.policy, shed_policy=config.shed_policy,
-            max_retries=self.resilience.max_retries,
-            hedge_enabled=self.resilience.hedge_delay_cycles is not None,
+            max_retries=resilience.max_retries,
+            hedge_enabled=resilience.hedge_delay_cycles is not None,
             policy_set=config.policy_set)
         if self.engine.schedule.leaf is not None:
             self._schedule_fn = self._schedule_primitive(
@@ -184,14 +211,14 @@ class FleetSimulator(DispatchMixin):
         """Execute every queued event at or before ``until`` (all of
         them when ``until`` is None), advancing health and scale state
         first."""
-        monitor = self.monitor
-        while self._events and (until is None
-                                or self._events[0][0] <= until):
-            time, _, kind, payload = heapq.heappop(self._events)
-            if monitor is not None and time >= monitor.next_tick_at:
+        monitor, autoscaler, events = (self.monitor, self.autoscaler,
+                                       self._events)
+        while events and (until is None or events[0][0] <= until):
+            time, _, kind, payload = heapq.heappop(events)
+            if time >= monitor.due_at:
                 monitor.advance(time)
-            if self.autoscaler is not None:
-                self.autoscaler.advance(time)
+            if autoscaler is not None:
+                autoscaler.advance(time)
             if kind == "dispatch":
                 self._execute_dispatch(payload, time)
             elif kind == "hedge":
@@ -217,8 +244,7 @@ class FleetSimulator(DispatchMixin):
         chip = ChipState(chip_id=len(self.chips), added_at=now,
                          warm_at=warm_at, free_at=warm_at)
         self.chips.append(chip)
-        if self.monitor is not None:
-            self.monitor.add_chip()
+        self.monitor.add_chip()
         return chip
 
     # -- observation ---------------------------------------------------
@@ -258,12 +284,11 @@ class FleetSimulator(DispatchMixin):
             "latency_p99": (percentile_sorted(latencies, 99.0)
                             if latencies else None),
         }
-        if self.monitor is not None:
-            # Read breaker states directly; allow() would advance an
-            # expired open breaker to half-open as a side effect.
-            snap["breakers"] = {
-                str(b.chip_id): b.state for b in self.monitor.breakers
-            }
+        # Read breaker states directly; allow() would advance an
+        # expired open breaker to half-open as a side effect.
+        snap["breakers"] = {
+            str(b.chip_id): b.state for b in self.monitor.breakers
+        }
         if self.autoscaler is not None:
             events = self.autoscaler.events
             snap["autoscale"] = {
@@ -281,9 +306,7 @@ class FleetSimulator(DispatchMixin):
     # run() is begin() + step() per arrival + finish() + collect(): the
     # incremental pieces exist so the cluster router
     # (:mod:`repro.serve.cluster`) can drive one shard per arrival while
-    # interleaving gossip ticks.  A plain run() executes the exact same
-    # operation sequence as the pre-cluster monolithic loop, so reports
-    # stay byte-identical.
+    # interleaving gossip ticks.
 
     def begin(self) -> None:
         """Set up admission state; arrivals may then be fed via step()."""
@@ -305,18 +328,22 @@ class FleetSimulator(DispatchMixin):
     def step(self, req: Request) -> None:
         """Admit one request at its arrival instant: release due
         batches, run queued events, advance health/scale state, offer."""
-        batcher, queue = self._batcher, self._queue
-        for batch in batcher.due(req.arrival):
-            self._push(batch.close, "dispatch", _Pending(batch))
-        self._drain(until=req.arrival)
+        batcher, queue, events = self._batcher, self._queue, self._events
+        if req.arrival >= batcher._next_deadline:
+            for batch in batcher.due(req.arrival):
+                self._push(batch.close, "dispatch", _Pending(batch))
+        if events and events[0][0] <= req.arrival:
+            self._drain(until=req.arrival)
         monitor = self.monitor
-        if monitor is not None:
-            if req.arrival >= monitor.next_tick_at:
-                monitor.advance(req.arrival)
+        if req.arrival >= monitor.due_at:
+            monitor.advance(req.arrival)
+        if monitor.open_count:
             multiplier = self.resilience.tier_multiplier(
                 monitor.alive_fraction(req.arrival))
             queue.capacity = max(
                 1, int(self.config.queue_capacity * multiplier))
+        else:
+            queue.capacity = self._capacity_all_alive
         if self.autoscaler is not None:
             self.autoscaler.advance(req.arrival)
         admission = queue.offer(req)

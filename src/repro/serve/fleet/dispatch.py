@@ -2,9 +2,10 @@
 
 Everything that decides *where work goes and what happens to a launch* —
 scheduling-policy primitives and their decision-tree contexts, chip
-picking, launch math, kill/retry/hedge resolution, and the exact legacy
-dispatch path used when failures are disabled.  The event loop that
-drives these methods lives in :mod:`repro.serve.fleet.core`;
+picking, launch math, and kill/retry/hedge resolution.  One dispatch
+path serves every fleet: with failures off its failure checks find
+nothing to act on.  The event loop that drives these methods lives in
+:mod:`repro.serve.fleet.core`;
 :class:`DispatchMixin` is mixed into
 :class:`~repro.serve.fleet.core.FleetSimulator`.
 
@@ -48,7 +49,6 @@ class _InFlight:
     start: float
     finish: float
     reload: float
-    degraded: bool
 
 
 class DispatchMixin:
@@ -57,7 +57,7 @@ class DispatchMixin:
     #: Cluster failover hook: called with (requests, attempt, now) when
     #: work is about to expire; returns the subset that still expires
     #: locally (the cluster takes the rest for cross-shard re-dispatch).
-    #: None — the default — runs the exact standalone path.
+    #: None — the default — expires it all locally.
     on_expire = None
     #: Cluster-scope observables injected by the cluster router at each
     #: gossip refresh (None when running standalone).
@@ -98,8 +98,6 @@ class DispatchMixin:
         count, read-only (``allow`` would advance expired open
         breakers)."""
         monitor = self.monitor
-        if monitor is None:
-            return 1.0
         chips = len(monitor.breakers)
         return (chips - monitor.open_count) / chips if chips else 1.0
 
@@ -172,32 +170,31 @@ class DispatchMixin:
             return 0.0
         return bytes_ / self.config.reload_bytes_per_cycle
 
-    def _policy_pick(self, batch: Batch, candidates: list,
-                     now: float | None = None, attempt: int = 0):
-        """Route ``batch`` to one of ``candidates``.
+    def _pick_chip(self, batch: Batch, now: float,
+                   excluded: frozenset = frozenset(), attempt: int = 0):
+        """Route ``batch`` to a dispatchable chip that its breaker admits
+        and ``excluded`` does not name; None when there is none.
 
         ``self._schedule_fn`` was resolved once at construction: bound
         primitive for a leaf policy, None for a decision tree (which is
         evaluated here against the observable context).
         """
+        monitor = self.monitor
+        if monitor.unsettled or excluded:
+            candidates = [c for c in self._dispatchable()
+                          if c.chip_id not in excluded
+                          and monitor.allow(c.chip_id, now)]
+            if not candidates:
+                return None
+        else:
+            # Every breaker is closed with no failure streak, so allow()
+            # would admit every chip and change nothing.
+            candidates = self._dispatchable()
         fn = self._schedule_fn
         if fn is None:
-            ctx = self._decision_ctx(
-                batch, now if now is not None else batch.close, attempt)
-            fn = self._schedule_primitive(self.engine.schedule.fn(ctx))
+            fn = self._schedule_primitive(self.engine.schedule.fn(
+                self._decision_ctx(batch, now, attempt)))
         return fn(batch, candidates)
-
-    def _pick_chip(self, batch: Batch, now: float,
-                   excluded: frozenset = frozenset(), attempt: int = 0):
-        if self.monitor is None:
-            return self._policy_pick(batch, self._dispatchable(),
-                                     now, attempt)
-        candidates = [c for c in self._dispatchable()
-                      if c.chip_id not in excluded
-                      and self.monitor.allow(c.chip_id, now)]
-        if not candidates:
-            return None
-        return self._policy_pick(batch, candidates, now, attempt)
 
     # -- launch math ---------------------------------------------------
 
@@ -207,28 +204,31 @@ class DispatchMixin:
                 + self.costs.launch_cycles(batch.kind, batch.size,
                                            chip.degraded))
 
-    def _launch(self, chip, batch: Batch,
-                t: float) -> tuple[float, float, float, bool]:
+    def _launch(self, chip, batch: Batch, t: float) -> tuple:
         """Compute one launch on ``chip`` starting no earlier than ``t``:
-        returns (start, finish, reload, effective_degraded)."""
+        returns (start, finish, reload, kill).  A transient window serves
+        it from the degraded column, a fail-slow one stretches it, and
+        ``kill`` is the fail-stop window that kills it (or None)."""
         start = max(batch.close, chip.free_at, t)
         reload = self._reload_cycles(chip, batch)
-        degraded = chip.degraded
-        service = self._healthy_estimate(chip, batch, reload)
-        timeline = self.timeline
-        if timeline is not None:
-            # Chips no window of a kind can reach answer "healthy"
-            # without a query (a factor of 1.0 leaves service as is).
-            chip_id = chip.chip_id
-            if (not degraded and chip_id in timeline.exposed("transient")
-                    and timeline.transient_at(chip_id, start)):
-                degraded = True
-                service = (reload + self.config.dispatch_overhead_cycles
-                           + self.costs.launch_cycles(batch.kind, batch.size,
-                                                      True))
-            if chip_id in timeline.exposed("fail-slow"):
-                service *= timeline.slow_factor_at(chip_id, start)
-        return start, start + service, reload, degraded
+        # Chips no window of a kind can reach answer "healthy" without a
+        # query (a factor of 1.0 leaves service as is).
+        chip_id = chip.chip_id
+        windowed = chip_id in self._windowed_chips
+        degraded = chip.degraded or (
+            windowed and chip_id in self._transient_chips
+            and self.timeline.transient_at(chip_id, start))
+        service = (reload + self.config.dispatch_overhead_cycles
+                   + self.costs.launch_cycles(batch.kind, batch.size,
+                                              degraded))
+        if not windowed:
+            return start, start + service, reload, None
+        if chip_id in self._fail_slow_chips:
+            service *= self.timeline.slow_factor_at(chip_id, start)
+        finish = start + service
+        kill = (self.timeline.fail_stop_in(chip_id, start, finish)
+                if chip_id in self._fail_stop_chips else None)
+        return start, finish, reload, kill
 
     # -- resolution ----------------------------------------------------
 
@@ -252,8 +252,8 @@ class DispatchMixin:
                 req.rid, req.kind, req.tile, req.arrival, False, bid,
                 chip_id, size, close, start, finish, "served", attempt,
                 hedged))
-        if self.monitor is not None:
-            self._push(finish, "breaker-ok", chip.chip_id)
+        if not self._breakers_fixed:
+            self._push(finish, "breaker-ok", chip_id)
         if self.trace is not None:
             self.trace.serve("serve.batch", f"{batch.kind}x{batch.size}",
                              start, service, chip.chip_id,
@@ -309,69 +309,54 @@ class DispatchMixin:
 
     # -- dispatch ------------------------------------------------------
 
-    def _dispatch_plain(self, pending: _Pending) -> None:
-        """The exact pre-failure dispatch path (failures disabled)."""
-        batch = pending.batch
-        chip = self._policy_pick(batch, self._dispatchable(), batch.close)
-        start = max(batch.close, chip.free_at)
-        reload = self._reload_cycles(chip, batch)
-        finish = start + (reload + self.config.dispatch_overhead_cycles
-                          + self.costs.launch_cycles(batch.kind, batch.size,
-                                                     chip.degraded))
-        chip.free_at = finish
-        chip.resident_kind = batch.kind
-        chip.resident_tile = batch.tile
-        self._finalize(batch, 0, chip, start, finish, reload)
-
     def _execute_dispatch(self, pending: _Pending, t: float) -> None:
-        if self.monitor is None:
-            self._dispatch_plain(pending)
-            return
-        res = self.resilience
-        batch = pending.batch
+        batch, attempt = pending.batch, pending.attempt
         # Deadline-aware: drop requests too old to be worth retrying.
-        alive = [r for r in batch.requests
-                 if r.arrival + res.retry_deadline_cycles > t]
-        if len(alive) < len(batch.requests):
+        # The first request is the batch's oldest, so when it may still
+        # launch, every request may.
+        if batch.requests[0].arrival + self.retry_deadline <= t:
+            deadline = self.retry_deadline
+            alive = [r for r in batch.requests if r.arrival + deadline > t]
             gone = [r for r in batch.requests if r not in alive]
-            self._expire(gone, batch.close, pending.attempt, t)
+            self._expire(gone, batch.close, attempt, t)
             if not alive:
                 return
             batch = Batch(kind=batch.kind, requests=alive, close=batch.close)
-        if pending.attempt > 0 and self.trace is not None:
+        if attempt and self.trace is not None:
             self.trace.serve("serve.retry", batch.kind, t, 0.0, -1,
                              {"kind": batch.kind, "size": batch.size,
-                              "attempt": pending.attempt})
-        chip = self._pick_chip(batch, t, pending.excluded, pending.attempt)
-        if chip is None and pending.excluded:
-            # Every non-excluded chip is breaker-blocked; retrying the
-            # observed-failing chip beats waiting out the whole fleet.
-            chip = self._pick_chip(batch, t, attempt=pending.attempt)
+                              "attempt": attempt})
+        chip = self._pick_chip(batch, t, pending.excluded, attempt)
         if chip is None:
-            # Whole fleet believed down: wait one health interval and
-            # re-check (requests age out via the deadline above).
-            self._push(t + res.health_check_interval_cycles, "dispatch",
-                       _Pending(batch, pending.attempt, frozenset()))
-            return
-        start, finish, reload, _ = self._launch(chip, batch, t)
+            if pending.excluded:
+                # Every non-excluded chip is breaker-blocked; retrying
+                # the observed-failing chip beats waiting out the fleet.
+                chip = self._pick_chip(batch, t, attempt=attempt)
+            if chip is None:
+                # Whole fleet believed down: wait one health interval
+                # and re-check (requests age out via the deadline).
+                self._push(
+                    t + self.resilience.health_check_interval_cycles,
+                    "dispatch", _Pending(batch, attempt, frozenset()))
+                return
+        start, finish, reload, kill = self._launch(chip, batch, t)
         chip.free_at = finish
         chip.resident_kind = batch.kind
         chip.resident_tile = batch.tile
-        kill = self.timeline.fail_stop_in(chip.chip_id, start, finish)
         if kill is not None:
             self._kill(batch, pending, chip, start, finish, reload, kill)
             return
-        if res.hedge_delay_cycles is not None \
-                and self._hedge_wanted(batch, t, pending.attempt):
-            expected = self._healthy_estimate(chip, batch, reload)
-            hedge_at = start + expected + res.hedge_delay_cycles
+        delay = self.resilience.hedge_delay_cycles
+        if delay is not None and self._hedge_wanted(batch, t, attempt):
+            hedge_at = (start + self._healthy_estimate(chip, batch, reload)
+                        + delay)
             if hedge_at < finish:
                 self._push(hedge_at, "hedge",
-                           _InFlight(batch=batch, attempt=pending.attempt,
+                           _InFlight(batch=batch, attempt=attempt,
                                      chip=chip, start=start, finish=finish,
-                                     reload=reload, degraded=chip.degraded))
+                                     reload=reload))
                 return
-        self._finalize(batch, pending.attempt, chip, start, finish, reload)
+        self._finalize(batch, attempt, chip, start, finish, reload)
 
     def _hedge_wanted(self, batch: Batch, now: float, attempt: int) -> bool:
         """The hedge slot's decision (built-in: always hedge when the
@@ -427,7 +412,7 @@ class DispatchMixin:
             self._finalize(batch, flight.attempt, primary, flight.start,
                            flight.finish, flight.reload)
             return
-        h_start, h_finish, h_reload, _ = self._launch(hchip, batch, t)
+        h_start, h_finish, h_reload, h_kill = self._launch(hchip, batch, t)
         if h_start >= flight.finish:
             # The hedge could not even start before the primary finishes.
             self._finalize(batch, flight.attempt, primary, flight.start,
@@ -442,7 +427,6 @@ class DispatchMixin:
                              hchip.chip_id,
                              {"kind": batch.kind, "size": batch.size,
                               "primary": primary.chip_id})
-        h_kill = self.timeline.fail_stop_in(hchip.chip_id, h_start, h_finish)
         if h_kill is not None:
             # The hedge died; the primary (which we know completes)
             # carries the batch.  The dead hedge chip is detected as any

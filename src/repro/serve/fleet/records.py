@@ -54,22 +54,23 @@ class ServeConfig:
     #: this.  Default 0.25 ms at 1.25 GHz.
     slo_cycles: float = 312_500.0
     clock_ghz: float = 1.25
-    #: The chip failure lifecycle (None or disabled = the exact
-    #: pre-failure code path; see repro.serve.failures).
+    #: The chip failure lifecycle (None or disabled = no chip ever
+    #: fails; see repro.serve.failures).
     failures: FailureConfig | None = None
-    #: Scheduler-side resilience knobs; None uses DEFAULT_RESILIENCE
-    #: when failures are enabled.
+    #: Scheduler-side resilience knobs when failures are enabled (None
+    #: = DEFAULT_RESILIENCE).  With failures off they are ignored: the
+    #: fleet runs the defaults with no retry deadline.
     resilience: ResilienceConfig | None = None
     #: Decision-tree overrides for the schedule/shed/retry/hedge slots
     #: (see repro.serve.policy).  None runs the built-in trees, which
     #: reproduce the string knobs above exactly.
     policy_set: PolicySet | None = None
     #: Simulated autoscaling (see repro.serve.autoscale).  None keeps
-    #: the fleet static — the exact pre-autoscaler code path.
+    #: the fleet static.
     autoscale: "AutoscaleConfig | None" = None
     #: Cluster-of-fleets sharding (see repro.serve.cluster).  None runs
-    #: one standalone fleet — the exact pre-cluster code path.  With a
-    #: cluster, ``chips`` is the per-shard fleet size.
+    #: one standalone fleet.  With a cluster, ``chips`` is the per-shard
+    #: fleet size.
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self):

@@ -419,15 +419,6 @@ class PolicyEngine:
         self.retry = compile_tree(trees["retry"], "retry")
         self.hedge = compile_tree(trees["hedge"], "hedge")
 
-    def as_dict(self) -> dict:
-        """The engine's effective trees (reported under schema v4)."""
-        out = {slot: self.trees[slot] for slot in SLOTS}
-        if self.policy_set is not None:
-            out["name"] = self.policy_set.name
-            if self.policy_set.description:
-                out["description"] = self.policy_set.description
-        return out
-
 
 # ---------------------------------------------------------------------------
 # The named-policy library

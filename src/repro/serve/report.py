@@ -12,31 +12,21 @@ lifecycle is drawn from seeded streams, never from wall-clock state.
 
 Schema history: ``repro.serve/v1`` (PR 4) → ``repro.serve/v2`` adds the
 resilience metrics (availability, goodput, expired, retry/hedge waste,
-p999) and the ``failures``/``resilience`` config sections.  With
-failures disabled the *simulation outcomes* — every record, batch, and
-cycle count — are identical to v1; only the new metric keys differ.
-``repro.serve/v3`` adds the ``cost_model`` section (the selected mode
-plus the surrogate's cross-validation report).  With ``--cost-model
-measured`` every simulation outcome and metric is byte-identical to v2.
-``repro.serve/v4`` is emitted **only** when a policy set or autoscaler
-is configured: it adds ``config.policy_tree`` / ``config.autoscale``
-and a per-mix ``autoscale`` rollup (scale events, chip-cycles,
-SLO-during-scale).  A run without either stays on v3 and is
-byte-identical to pre-v4 builds — the version bump itself is
-conditional so default artifacts never change.  ``repro.serve/v5``
-follows the same rule for quality-carrying kinds (``gibbs``): when the
-cost table holds per-kind quality metrics the payload adds
-``cost_table.quality`` plus a per-mix ``quality`` rollup (mean
-posterior entropy, agreement-vs-reference, blended over the healthy /
-static-degraded columns by where requests were actually served) and
-bumps the version; mixes without such kinds stay on v3/v4 untouched.
-``repro.serve/v6`` is emitted **only** when ``config.cluster`` is set
-(cluster-of-fleets sharding, :mod:`repro.serve.cluster`): the payload
-adds ``config.cluster``, a per-mix ``cluster`` rollup (failovers,
-brown-out sheds, gossip ticks, believed alive-shard minima) and
-replaces the flat per-mix ``chips`` utilization with a per-shard
-``shards`` list.  A run without ``cluster:`` never touches the cluster
-code path, so v3/v4/v5 artifacts stay byte-identical.
+p999) and the ``failures``/``resilience`` config sections.  v3 added a
+``cost_model`` section, and v4, v5 and v6 were each emitted only when a
+feature was on: a policy set or autoscaler (v4), a kind with quality
+metrics (v5), a cluster (v6).  ``repro.serve/v7`` is the one schema:
+every section is always present, null when its feature is off (the
+``config`` sections ``failures``, ``resilience``, ``policy_tree``,
+``autoscale`` and ``cluster``; a mix's ``autoscale`` and ``cluster``
+rollups) or empty when it is a per-kind map (``cost_table.quality``
+and a mix's ``quality``).  A standalone fleet reports its chips under a
+mix's ``chips`` with ``shards`` null, a cluster the other way round,
+each shard with its own ``chips`` and ``autoscale``.  The ``cost_model``
+section is gone: every cost table is measured.
+A v3–v6 payload maps onto v7 by renaming the schema, dropping
+``cost_model`` and adding each missing section as null or empty; the
+records, cycles and metrics are the same.
 """
 
 from __future__ import annotations
@@ -45,23 +35,15 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
+from repro.perf.checkpoint import TaskCheckpoint
 from repro.serve.costmodel import ServiceCostTable, build_cost_table
-from repro.serve.surrogate import DEFAULT_TOLERANCE, build_surrogate_cost_table
 from repro.serve.fleet import FleetResult, FleetSimulator, ServeConfig
 from repro.serve.metrics import ServeMetrics, chip_utilization, compute_metrics
 from repro.serve.resilience import DEFAULT_RESILIENCE
 from repro.serve.workload import KINDS, MIXES, WorkloadConfig, generate_requests
 from repro.trace.collector import NULL_TRACE, TraceSink
 
-SCHEMA = "repro.serve/v3"
-#: Emitted only when a policy set or autoscaler is configured.
-SCHEMA_V4 = "repro.serve/v4"
-#: Emitted only when the cost table carries per-kind quality metrics.
-SCHEMA_V5 = "repro.serve/v5"
-#: Emitted only when a cluster is configured (``cluster:`` section).
-SCHEMA_V6 = "repro.serve/v6"
-
-COST_MODELS = ("measured", "surrogate")
+SCHEMA = "repro.serve/v7"
 
 CSV_COLUMNS = (
     "mix", "rid", "kind", "tile", "arrival", "shed", "outcome", "retries",
@@ -88,19 +70,43 @@ def _needs_degraded(config: ServeConfig) -> bool:
             and bool(config.failures.transient_chips))
 
 
-def checkpoint_meta(config: ServeConfig, mixes, quick: bool,
-                    cost_model: str = "measured") -> dict:
+def checkpoint_meta(config: ServeConfig, mixes, quick: bool) -> dict:
     """The identity stamped on a run's JSONL checkpoint journal.
 
     The CLI and the control plane both stamp exactly this, so a journal
     written by one is resumable by the other: resume compatibility is
     decided by what the cost table depends on (batch range, kernel
-    geometry, degraded column, mixes, cost model), not by which front
-    end ran it.
+    geometry, degraded column, mixes), not by which front end ran it.
     """
     return {"tool": "repro.serve", "max_batch": config.max_batch,
             "quick": quick, "degraded": _needs_degraded(config),
-            "mixes": sorted(mixes), "cost_model": cost_model}
+            "mixes": sorted(mixes)}
+
+
+def open_checkpoint(path: str, config: ServeConfig, mixes, quick: bool,
+                    resume: bool = False) -> TaskCheckpoint:
+    """The run's cost-table journal at ``path``, stamped with
+    :func:`checkpoint_meta`.
+
+    Resuming a journal whose meta carries ``cost_model`` is refused with
+    a :class:`ConfigError`: an older build, which could interpolate the
+    table, wrote it, and starting it over would silently discard what
+    it holds.
+    """
+    if resume:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                meta = json.loads(fh.readline()).get("meta")
+        except (OSError, ValueError, AttributeError):
+            meta = None  # no journal, or one the checkpoint rejects
+        if isinstance(meta, dict) and "cost_model" in meta:
+            raise ConfigError(
+                f"checkpoint.meta.cost_model: {path} was stamped "
+                f"cost_model={meta['cost_model']!r} by an older build; "
+                f"every cost table is measured now, so delete the "
+                f"journal to start afresh")
+    return TaskCheckpoint(path, meta=checkpoint_meta(config, mixes, quick),
+                          resume=resume)
 
 
 def run_serve(workload: WorkloadConfig, config: ServeConfig,
@@ -135,16 +141,15 @@ def run_serve(workload: WorkloadConfig, config: ServeConfig,
 
 
 def _quality_rollup(run: ServeRun, costs: ServiceCostTable,
-                    config: ServeConfig) -> dict | None:
-    """Per-kind delivered-quality rollup for one mix.
+                    config: ServeConfig) -> dict:
+    """Per-kind delivered-quality rollup for one mix (empty when no
+    served kind carries quality metrics).
 
     Blends the cost table's healthy/degraded quality columns by where
     each served request actually ran, attributed by the chip's *static*
     degraded column — the same scheduler-visible health the cost
     estimate uses (there is no oracle for transient fault windows).
     """
-    if not costs.quality:
-        return None
     degraded_ids = set(config.degraded_chips)
     rollup = {}
     for kind, columns in sorted(costs.quality.items()):
@@ -161,27 +166,30 @@ def _quality_rollup(run: ServeRun, costs: ServiceCostTable,
             for key in sorted(healthy)
         }
         rollup[kind] = {"served": n, "served_degraded": n_deg, **metrics}
-    return rollup or None
+    return rollup
 
 
 def _mix_fleet_section(run: ServeRun, config: ServeConfig) -> dict:
     """The per-mix fleet keys: flat ``chips`` utilization standalone,
-    per-shard ``shards`` list plus the ``cluster`` rollup under v6."""
+    a per-shard ``shards`` list plus the ``cluster`` rollup for a
+    cluster; whichever does not apply is null."""
+    res = run.fleet
     if config.cluster is not None:
-        res = run.fleet
         return {
+            "autoscale": None,
+            "chips": None,
             "cluster": res.rollup(),
             "shards": [
-                {"chips": chip_utilization(fr.chips, res.makespan),
-                 **({"autoscale": fr.autoscale}
-                    if fr.autoscale is not None else {})}
+                {"autoscale": fr.autoscale,
+                 "chips": chip_utilization(fr.chips, res.makespan)}
                 for fr in res.shard_results
             ],
         }
     return {
-        "chips": chip_utilization(run.fleet.chips, run.fleet.makespan),
-        **({"autoscale": run.fleet.autoscale}
-           if run.fleet.autoscale is not None else {}),
+        "autoscale": res.autoscale,
+        "chips": chip_utilization(res.chips, res.makespan),
+        "cluster": None,
+        "shards": None,
     }
 
 
@@ -191,34 +199,17 @@ def run_report(workload: WorkloadConfig, config: ServeConfig,
                trace: TraceSink = NULL_TRACE,
                checkpoint=None,
                on_progress=None,
-               cost_model: str = "measured",
-               surrogate_tolerance: float = DEFAULT_TOLERANCE,
                ) -> tuple[dict, list[ServeRun]]:
-    """Serve every mix (shared cost table) and build the JSON payload.
+    """Serve every mix (shared cost table) and build the v7 payload.
 
     ``on_progress`` receives each mix's live snapshots with a ``"mix"``
     key added, so a multi-mix report streams one interleaved sequence.
-    ``cost_model`` selects how the cost table is built: ``"measured"``
-    simulates every shape; ``"surrogate"`` simulates anchors and
-    cross-validates interpolation (``repro.serve.surrogate``), recording
-    its validation report under the payload's ``cost_model`` section.
     """
-    if cost_model not in COST_MODELS:
-        raise ConfigError(
-            f"cost_model must be one of {COST_MODELS}, not {cost_model!r}")
     kinds = tuple(k for k in KINDS if any(k in MIXES[m] for m in mixes))
-    if cost_model == "surrogate":
-        costs, validation = build_surrogate_cost_table(
-            config.max_batch, quick=quick,
-            degraded=_needs_degraded(config), kinds=kinds,
-            max_workers=max_workers, checkpoint=checkpoint,
-            tolerance=surrogate_tolerance)
-    else:
-        costs = build_cost_table(config.max_batch, quick=quick,
-                                 degraded=_needs_degraded(config),
-                                 kinds=kinds, max_workers=max_workers,
-                                 checkpoint=checkpoint)
-        validation = None
+    costs = build_cost_table(config.max_batch, quick=quick,
+                             degraded=_needs_degraded(config),
+                             kinds=kinds, max_workers=max_workers,
+                             checkpoint=checkpoint)
     runs = []
     for mix in mixes:
         mix_progress = None
@@ -232,23 +223,20 @@ def run_report(workload: WorkloadConfig, config: ServeConfig,
         resilience = (config.resilience or DEFAULT_RESILIENCE).as_dict()
     else:
         resilience = None
-    extended = (config.policy_set is not None
-                or config.autoscale is not None)
-    if config.cluster is not None:
-        schema = SCHEMA_V6
-    elif costs.quality:
-        schema = SCHEMA_V5
-    elif extended:
-        schema = SCHEMA_V4
-    else:
-        schema = SCHEMA
-    payload = {
-        "schema": schema,
+    policy_tree = None
+    if config.policy_set is not None:
+        ps = config.policy_set
+        policy_tree = {
+            "name": ps.name,
+            "description": ps.description,
+            "source": ps.source,
+            "slots": {slot: getattr(ps, slot)
+                      for slot in ("schedule", "shed", "retry", "hedge")
+                      if getattr(ps, slot) is not None},
+        }
+    return {
+        "schema": SCHEMA,
         "quick": quick,
-        "cost_model": {
-            "mode": cost_model,
-            "validation": validation,
-        },
         "config": {
             "chips": config.chips,
             "policy": config.policy,
@@ -264,6 +252,11 @@ def run_report(workload: WorkloadConfig, config: ServeConfig,
             "failures": (config.failures.as_dict()
                          if config.failures is not None else None),
             "resilience": resilience,
+            "policy_tree": policy_tree,
+            "autoscale": (config.autoscale.as_dict()
+                          if config.autoscale is not None else None),
+            "cluster": (config.cluster.as_dict()
+                        if config.cluster is not None else None),
         },
         "workload": {
             "arrival": workload.arrival,
@@ -282,37 +275,18 @@ def run_report(workload: WorkloadConfig, config: ServeConfig,
             },
             "model_bytes": dict(sorted(costs.model_bytes.items())),
             "tile_bytes": dict(sorted(costs.tile_bytes.items())),
-            # Conditional key: absent pre-v5 so v3/v4 artifacts never
-            # change a byte.
-            **({"quality": {k: dict(sorted(v.items()))
-                            for k, v in sorted(costs.quality.items())}}
-               if costs.quality else {}),
+            "quality": {k: dict(sorted(v.items()))
+                        for k, v in sorted(costs.quality.items())},
         },
         "mixes": {
             run.workload.mix: {
                 **run.metrics.as_dict(),
                 **_mix_fleet_section(run, config),
-                **({"quality": q} if (q := _quality_rollup(
-                    run, costs, config)) is not None else {}),
+                "quality": _quality_rollup(run, costs, config),
             }
             for run in runs
         },
-    }
-    if config.policy_set is not None:
-        ps = config.policy_set
-        payload["config"]["policy_tree"] = {
-            "name": ps.name,
-            "description": ps.description,
-            "source": ps.source,
-            "slots": {slot: getattr(ps, slot)
-                      for slot in ("schedule", "shed", "retry", "hedge")
-                      if getattr(ps, slot) is not None},
-        }
-    if config.autoscale is not None:
-        payload["config"]["autoscale"] = config.autoscale.as_dict()
-    if config.cluster is not None:
-        payload["config"]["cluster"] = config.cluster.as_dict()
-    return payload, runs
+    }, runs
 
 
 def write_json(payload: dict, path: str) -> None:

@@ -208,12 +208,12 @@ class CircuitBreaker:
         monitor = self.monitor
         if monitor is not None:
             monitor.open_count += (state == OPEN) - (self.state == OPEN)
-            monitor.unsettled += (state != CLOSED) - (self.state != CLOSED)
+            monitor.unsettle((state != CLOSED) - (self.state != CLOSED))
         self.state = state
 
     def _set_failures(self, failures: int) -> None:
         if self.monitor is not None:
-            self.monitor.unsettled += (failures > 0) - (self.failures > 0)
+            self.monitor.unsettle((failures > 0) - (self.failures > 0))
         self.failures = failures
 
     def allow(self, now: float) -> bool:
@@ -261,6 +261,15 @@ class HealthMonitor:
     up, so a quiet run costs O(1) and a monitor over an empty timeline
     queries it O(chips) times in all.  Any other tick runs the per-chip
     loop.
+
+    :attr:`due_at` tells a caller when advancing can next move a
+    breaker: the fleet advances its monitor only from then on, so with
+    failures off it never does, and its ``checks`` count trails the
+    clock by the quiet run it has not counted yet.  A caller that moves
+    a breaker itself (a killed launch's detection) must have advanced
+    the monitor to that time first; a detection never comes before
+    :attr:`due_at`, since the fail-stop behind it starts at or after
+    the horizon.
     """
 
     def __init__(self, config: ResilienceConfig, timeline, chips: int,
@@ -279,6 +288,11 @@ class HealthMonitor:
         #: When the next health-check tick is due: :meth:`advance` does
         #: nothing before it.
         self.next_tick_at = config.health_check_interval_cycles
+        #: When a tick can next move a breaker: ``next_tick_at``, or the
+        #: horizon while every breaker is settled and checks cannot lie
+        #: (the ticks before it are quiet).
+        self.due_at = self.next_tick_at
+        self._quiet_checks = config.health_false_positive_rate <= 0.0
         self.checks = 0
         self.false_positives = 0
         #: chip -> its next fail-stop start, taken at the last tick that
@@ -301,7 +315,15 @@ class HealthMonitor:
         self.breakers.append(self._breaker(chip))
         self._up_until.append(-math.inf)
         self._horizon = -math.inf
+        self.due_at = self.next_tick_at
         return chip
+
+    def unsettle(self, delta: int) -> None:
+        """Add ``delta`` to ``unsettled`` (breakers report here); while
+        a breaker is unsettled every tick is due."""
+        self.unsettled += delta
+        if self.unsettled:
+            self.due_at = self.next_tick_at
 
     def _false_positive(self, chip: int, tick: int) -> bool:
         rate = self.config.health_false_positive_rate
@@ -313,13 +335,16 @@ class HealthMonitor:
 
     def advance(self, t: float) -> None:
         """Process every health-check tick at or before ``t``."""
-        quiet_checks = self.config.health_false_positive_rate <= 0.0
+        quiet_checks = self._quiet_checks
         while self.next_tick_at <= t:
             if (quiet_checks and not self.unsettled
                     and self.next_tick_at < self._horizon):
                 self._skip(t)
             else:
                 self._tick()
+        self.due_at = (max(self.next_tick_at, self._horizon)
+                       if quiet_checks and not self.unsettled
+                       else self.next_tick_at)
 
     def _skip(self, t: float) -> None:
         """Count the run of quiet ticks at or before ``t`` and before

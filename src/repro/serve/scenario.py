@@ -56,7 +56,13 @@ from repro.serve.fleet import POLICIES, ServeConfig
 from repro.serve.policy import load_policy, policy_from_document
 from repro.serve.queueing import SHED_POLICIES
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.workload import ARRIVALS, KINDS, MIXES, WorkloadConfig
+from repro.serve.workload import (
+    ARRIVALS,
+    KINDS,
+    MAX_TILES,
+    MIXES,
+    WorkloadConfig,
+)
 
 #: The simulated PE clock every ``*_ms`` field is converted at.
 CLOCK_GHZ = 1.25
@@ -95,7 +101,7 @@ SCENARIO_SCHEMA = {
                        min_exclusive=True),
         "requests": _Field("int", default=200, min=1),
         "seed": _Field("int", default=0, min=0),
-        "num_tiles": _Field("int", default=8, min=1),
+        "num_tiles": _Field("int", default=8, min=1, max=MAX_TILES),
         "burst_factor": _Field("float", default=8.0, min=1.0),
         "burst_len": _Field("float", default=20.0, min=1.0),
     },
@@ -184,12 +190,14 @@ SCENARIO_SCHEMA = {
     "run": {
         "slo_ms": _Field("float", default=0.25, min=0, min_exclusive=True),
         "quick": _Field("bool", default=True),
-        "cost_model": _Field("str", default="measured",
-                             choices=("measured", "surrogate")),
-        "surrogate_tolerance": _Field("float", default=0.01, min=0,
-                                      min_exclusive=True),
     },
 }
+
+#: "section.key" -> why an earlier schema's key is gone: a document
+#: that still sets one fails naming it, not as an unknown key.
+REMOVED_KEYS = dict.fromkeys(
+    ("run.cost_model", "run.surrogate_tolerance"),
+    "removed: every cost table is measured now (drop the key)")
 
 #: Top-level scalar keys outside the config sections.
 _TOP_FIELDS = {
@@ -235,7 +243,7 @@ def _check_scalar(value, spec: _Field, path: str):
                               f"got {value!r}")
     if spec.max is not None and isinstance(value, (int, float)) \
             and value > spec.max:
-        raise ConfigError(f"{path}: must be <= {spec.max:g}, got {value!r}")
+        raise ConfigError(f"{path}: must be <= {spec.max!r}, got {value!r}")
     return value
 
 
@@ -327,6 +335,9 @@ def validate_document(doc: dict) -> dict:
             raise ConfigError(f"scenario.{section}: expected a mapping, "
                               f"got {given!r}")
         for key in given:
+            removed = REMOVED_KEYS.get(f"{section}.{key}")
+            if removed is not None:
+                raise ConfigError(f"scenario.{section}.{key}: {removed}")
             if key not in fields_:
                 raise ConfigError(
                     f"scenario.{section}.{key}: unknown key; known keys: "
@@ -393,11 +404,6 @@ class Scenario:
     serve: ServeConfig
     mixes: tuple
     quick: bool
-    #: How the service-time table is built (``run.cost_model``):
-    #: ``"measured"`` simulates every shape, ``"surrogate"`` simulates
-    #: anchors and cross-validates interpolation (repro.serve.surrogate).
-    cost_model: str = "measured"
-    surrogate_tolerance: float = 0.01
     #: The validated document this scenario compiled from (used to
     #: persist and re-compile jobs across control-plane restarts).
     document: dict = field(default_factory=dict, compare=False)
@@ -550,8 +556,6 @@ def scenario_from_document(doc: dict, name: str | None = None,
         serve=serve,
         mixes=mixes,
         quick=run["quick"],
-        cost_model=run["cost_model"],
-        surrogate_tolerance=run["surrogate_tolerance"],
         document=doc,
         source=source,
     )

@@ -49,9 +49,8 @@ MIXES = {
     "bp": {"bp": 1.0},
     "bp+vgg": {"bp": 0.5, "conv": 0.3, "fc": 0.2},
     "vgg": {"conv": 0.6, "fc": 0.4},
-    # Pure FC traffic: the batch-sensitive kind whose cost curve the
-    # surrogate cost model calibrates; also the worst cold-start case
-    # (one kernel simulation per batch size under --cost-model measured).
+    # Pure FC traffic: the batch-sensitive kind, and the worst
+    # cold-start case (one kernel simulation per batch size).
     "fc": {"fc": 1.0},
     # Gibbs sampling over the same MRF substrate as bp: tile-stateful
     # like bp, but its report rollup carries quality metrics (posterior
@@ -62,6 +61,10 @@ MIXES = {
 }
 
 ARRIVALS = ("poisson", "bursty")
+
+#: The most locality keys a trace may rotate through: tiles are drawn
+#: with numpy's 32-bit bounded-integer method (see :func:`_tile_draws`).
+MAX_TILES = 2**32
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +143,9 @@ class WorkloadConfig:
             raise ConfigError(f"workload.seed: must be >= 0, got {self.seed}")
         if self.num_tiles <= 0:
             raise ConfigError("num_tiles must be positive")
+        if self.num_tiles > MAX_TILES:
+            raise ConfigError(f"workload.num_tiles: must be <= {MAX_TILES}, "
+                              f"got {self.num_tiles}")
         if self.burst_factor < 1.0:
             raise ConfigError("burst_factor must be >= 1")
         if self.burst_len < 1.0:
@@ -156,6 +162,31 @@ class WorkloadConfig:
         return self.clock_hz / self.rate
 
 
+def _tile_draws(raw, num_tiles: int):
+    """numpy's ``Generator.integers(num_tiles)`` on PCG64, one tile per
+    ``next``, from the 64-bit words ``raw`` returns.
+
+    For ``num_tiles`` up to :data:`MAX_TILES` numpy takes Lemire's
+    method on 32-bit draws: it multiplies a draw by ``num_tiles``,
+    rejects the product while its low word is below ``2**32 %
+    num_tiles``, and returns the high word.  PCG64 serves 32-bit draws
+    from a word's low half first and keeps the high half for the next
+    draw, so each word is walked low half, high half.  One tile draws
+    nothing.  Nothing else draws 32 bits from the generator, so the
+    held half is the one PCG64 would hold.
+    """
+    if num_tiles == 1:
+        while True:
+            yield 0
+    reject_below = MAX_TILES % num_tiles
+    while True:
+        word = raw()
+        for half in (word & 0xFFFFFFFF, word >> 32):
+            m = half * num_tiles
+            if m & 0xFFFFFFFF >= reject_below:
+                yield m >> 32
+
+
 def generate_requests(config: WorkloadConfig) -> list[Request]:
     """Draw the full arrival trace for ``config`` (deterministic)."""
     rng = np.random.default_rng(config.seed)
@@ -167,15 +198,15 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
     # algorithm with the CDF built once instead of on every call: one
     # ``random()`` double, then a right-bisection into the normalised
     # CDF.  It consumes the same draw and returns the same index, so the
-    # trace is byte-identical to calling ``choice`` per request.
+    # trace is byte-identical to calling ``choice`` per request.  The
+    # double is PCG64's: a word's top 53 bits times 2**-53.
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf = cdf.tolist()
 
     exponential = rng.exponential
-    uniform = rng.random
-    integers = rng.integers
-    num_tiles = config.num_tiles
+    raw = rng.bit_generator.random_raw
+    tiles = _tile_draws(raw, config.num_tiles)
 
     base = config.mean_gap_cycles
     hot_gap = base / config.burst_factor
@@ -190,8 +221,8 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
     if config.arrival == "poisson":
         for rid in range(config.requests):
             t += exponential(base)
-            kind = kinds[bisect_right(cdf, uniform())]
-            append(Request(rid, kind, int(integers(num_tiles)), t))
+            kind = kinds[bisect_right(cdf, (raw() >> 11) * 2**-53)]
+            append(Request(rid, kind, next(tiles), t))
         return out
     geometric = rng.geometric
     phase_p = 1.0 / config.burst_len
@@ -203,6 +234,6 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
             hot = not hot
         left -= 1
         t += exponential(hot_gap if hot else cold_gap)
-        kind = kinds[bisect_right(cdf, uniform())]
-        append(Request(rid, kind, int(integers(num_tiles)), t))
+        kind = kinds[bisect_right(cdf, (raw() >> 11) * 2**-53)]
+        append(Request(rid, kind, next(tiles), t))
     return out

@@ -14,7 +14,7 @@ from repro.serve.autoscale import SCALE_ACTIONS, AutoscaleConfig
 from repro.serve.costmodel import ServiceCostTable
 from repro.serve.failures import FailureWindow, scripted_timeline
 from repro.serve.fleet import FleetSimulator, ServeConfig
-from repro.serve.resilience import ResilienceConfig
+from repro.serve.resilience import HealthMonitor, ResilienceConfig
 from repro.serve.scenario import scenario_from_document
 from repro.serve.workload import Request
 
@@ -225,6 +225,35 @@ class TestDeterminismAndInertness:
                      r.outcome) for r in result.records]
         pinned = _autoscale(min_chips=2, max_chips=2)
         assert records(pinned) == records(None)
+
+    def test_a_chip_added_late_joins_the_health_checks_on_time(
+            self, monkeypatch):
+        """The fleet advances its health monitor only when a tick can
+        move a breaker; an autoscaler tick brings it current before
+        adding a chip, so the count of checks matches a monitor
+        advanced at every event, chip by chip."""
+        class Eager(HealthMonitor):
+            def advance(self, t):
+                super().advance(t)
+                self.due_at = self.next_tick_at
+
+        # Two bursts: the second comes after quiet health ticks.
+        reqs = [_req(i, float(i) * 10.0) for i in range(30)]
+        reqs += [_req(30 + i, 60_000.0 + i * 10_000.0) for i in range(10)]
+        reqs += [_req(40 + i, 300_000.0 + i * 100.0) for i in range(60)]
+
+        def checks(monitor):
+            monkeypatch.setattr("repro.serve.fleet.core.HealthMonitor",
+                                monitor)
+            sim = FleetSimulator(_config(), _table(max_batch=2))
+            result = sim.run(reqs)
+            late = [e for e in result.autoscale["events"]
+                    if e["action"] == "add" and e["time"] > 300_000.0]
+            assert late, "the second burst must add a chip"
+            sim.monitor.advance(1e6)
+            return sim.monitor.checks
+
+        assert checks(HealthMonitor) == checks(Eager)
 
     def test_rollup_shape(self):
         sim = FleetSimulator(_config(), _table(max_batch=2))

@@ -104,8 +104,9 @@ class TestPostFailstop:
             _batch(2, start=50.0, finish=150.0, outcome="killed"),
         ], timeline)
 
-    def test_no_timeline_is_vacuous(self):
-        check_post_failstop([_batch(0)], None)
+    def test_empty_timeline_is_vacuous(self):
+        # A fleet with failures off holds an empty timeline.
+        check_post_failstop([_batch(0)], scripted_timeline(1, {}))
 
 
 class TestQueueBound:

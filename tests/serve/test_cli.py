@@ -26,7 +26,7 @@ def test_cli_writes_report_and_csv(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "bp+vgg" in printed
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.serve/v3"
+    assert payload["schema"] == "repro.serve/v7"
     assert set(payload["mixes"]) == {"bp", "bp+vgg"}
     for mix in payload["mixes"].values():
         assert mix["latency_cycles"]["p99"] >= mix["latency_cycles"]["p50"] > 0
@@ -251,8 +251,6 @@ DOCUMENT_FLAG_SPEC = [
     ("--brownout-headroom", "cluster.brownout_headroom", "0.5", 0.5),
     ("--brownout-kinds", "cluster.brownout_kinds", "fc,conv", ["fc", "conv"]),
     ("--slo-ms", "run.slo_ms", "0.5", 0.5),
-    ("--cost-model", "run.cost_model", "surrogate", "surrogate"),
-    ("--surrogate-tolerance", "run.surrogate_tolerance", "0.05", 0.05),
 ]
 
 #: Flags that write a document but not one scalar key.
@@ -268,8 +266,7 @@ BASE_DOC = {"failures": {"fail_stop_chips": 1}}
 
 def _configs(scenario):
     return (scenario.workload, scenario.serve, scenario.mixes,
-            scenario.quick, scenario.cost_model,
-            scenario.surrogate_tolerance)
+            scenario.quick)
 
 
 @pytest.fixture
@@ -279,9 +276,8 @@ def compiled(monkeypatch):
     calls = []
 
     def run_report(workload, config, *, mixes, quick, max_workers,
-                   checkpoint, cost_model, surrogate_tolerance):
-        calls.append((workload, config, mixes, quick, cost_model,
-                      surrogate_tolerance))
+                   checkpoint):
+        calls.append((workload, config, mixes, quick))
         return {}, []
 
     monkeypatch.setattr("repro.serve.cli.run_report", run_report)
@@ -294,12 +290,12 @@ def compiled(monkeypatch):
     return compile_argv
 
 
-def test_spec_table_covers_all_56_flags():
+def test_spec_table_covers_all_54_flags():
     options = {option for action in build_parser()._actions
                for option in action.option_strings
                if option.startswith("--") and option != "--help"}
-    assert len(DOCUMENT_FLAG_SPEC) == 44
-    assert len(options) == 56
+    assert len(DOCUMENT_FLAG_SPEC) == 42
+    assert len(options) == 54
     assert options == ({row[0] for row in DOCUMENT_FLAG_SPEC}
                        | SPECIAL_FLAGS | INFRA_FLAGS)
 
@@ -374,6 +370,28 @@ def test_flag_errors_are_the_schema_errors(argv, message, no_simulation,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["--cost-model", "measured"], "run.cost_model"),
+    (["--cost-model=surrogate"], "run.cost_model"),
+    (["--surrogate-tolerance", "0.05"], "run.surrogate_tolerance"),
+    (["--scenario", "steady-bp", "--surrogate-tolerance=0.1"],
+     "run.surrogate_tolerance"),
+])
+def test_a_removed_flag_fails_naming_its_removed_key(argv, key,
+                                                     no_simulation, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: scenario.{key}: removed: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_an_unknown_flag_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--chips", "2", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--autoscale-min", "2"],
                                   ["--autoscale-cooldown-ms", "0.1"]])
 def test_an_autoscale_flag_turns_the_autoscaler_on(argv, compiled):
@@ -384,3 +402,25 @@ def test_an_autoscale_flag_turns_the_autoscaler_on(argv, compiled):
                                   ["--brownout-headroom", "0.5"]])
 def test_a_cluster_flag_turns_on_the_schema_default_cluster(argv, compiled):
     assert compiled(argv)[1].cluster.shards == 2
+
+
+def _old_journal(path, mixes=("bp", "bp+vgg")):
+    """A journal header as a build with ``cost_model`` stamped it."""
+    meta = {"tool": "repro.serve", "max_batch": 8, "quick": True,
+            "degraded": False, "mixes": sorted(mixes),
+            "cost_model": "measured"}
+    path.write_text(json.dumps({"schema": "repro.perf.checkpoint/v1",
+                                "meta": meta}, sort_keys=True) + "\n")
+    return path.read_bytes()
+
+
+def test_resuming_an_old_cost_model_journal_is_refused(tmp_path,
+                                                      no_simulation,
+                                                      capsys):
+    journal = tmp_path / "old.jsonl"
+    before = _old_journal(journal)
+    assert main(["--checkpoint", str(journal), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: checkpoint.meta.cost_model: ")
+    assert len(err.strip().splitlines()) == 1
+    assert journal.read_bytes() == before  # refused, not started over

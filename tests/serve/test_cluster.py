@@ -364,9 +364,9 @@ class TestBrownout:
 
 
 class TestReportSchema:
-    """The byte-identity guard at the artifact level: v6 only when
-    ``cluster:`` is configured, and a 1-shard cluster re-shapes — but
-    does not change — the standalone per-mix payload."""
+    """The cluster sections at the artifact level: null without
+    ``cluster:``, and a 1-shard cluster re-shapes — but does not change
+    — the standalone per-mix payload."""
 
     def _payload(self, cluster):
         workload = WorkloadConfig(mix="bp", arrival="poisson",
@@ -376,24 +376,27 @@ class TestReportSchema:
                                 quick=True, max_workers=1)
         return payload
 
-    def test_no_cluster_stays_v3_with_no_cluster_keys(self):
+    def test_no_cluster_has_null_cluster_sections(self):
         payload = self._payload(None)
-        assert payload["schema"] == "repro.serve/v3"
-        assert "cluster" not in payload["config"]
+        assert payload["schema"] == "repro.serve/v7"
+        assert payload["config"]["cluster"] is None
         mix = payload["mixes"]["bp"]
-        assert "cluster" not in mix and "shards" not in mix
-        assert "chips" in mix
+        assert mix["cluster"] is None and mix["shards"] is None
+        assert len(mix["chips"]) == 2
 
-    def test_single_shard_cluster_is_v6_with_identical_content(self):
+    def test_single_shard_cluster_has_identical_content(self):
         ref = self._payload(None)
         payload = self._payload(ClusterConfig(shards=1))
-        assert payload["schema"] == "repro.serve/v6"
+        assert payload["schema"] == "repro.serve/v7"
         assert payload["config"]["cluster"]["shards"] == 1
         mix = dict(payload["mixes"]["bp"])
         ref_mix = dict(ref["mixes"]["bp"])
         # The fleet section is re-shaped (chips moves under shards[0]),
         # everything else is byte-identical to the standalone report.
-        assert mix.pop("shards") == [{"chips": ref_mix.pop("chips")}]
+        assert mix.pop("chips") is None and ref_mix.pop("shards") is None
+        assert mix.pop("shards") == [{"autoscale": None,
+                                      "chips": ref_mix.pop("chips")}]
+        assert ref_mix.pop("cluster") is None
         cluster = mix.pop("cluster")
         assert cluster["failovers"] == 0
         assert cluster["brownout_shed"] == 0
@@ -429,7 +432,7 @@ def tiny_outage():
 def _sample(shard, i):
     """One shard sampled in full: breaker states recounted, the queue
     read through the admission queue."""
-    breakers = shard.monitor.breakers if shard.monitor is not None else []
+    breakers = shard.monitor.breakers
     alive = sum(1 for b in breakers if b.state != OPEN)
     queue = shard._queue
     return ShardBelief(

@@ -76,7 +76,7 @@ def test_submit_poll_complete_matches_cli_bytes(client, server, tmp_path):
     assert final["progress"]["served"] + final["progress"]["shed"] > 0
     code, payload = client.metrics(job["job_id"])
     assert code == 200
-    assert payload["schema"] == "repro.serve/v3"
+    assert payload["schema"] == "repro.serve/v7"
     assert client.metrics_bytes(job["job_id"]) == _cli_reference(tmp_path)
 
 
@@ -160,3 +160,20 @@ def test_failed_jobs_stay_failed_after_recovery(tmp_path):
     assert fresh.recover() == []
     assert fresh.get(job.job_id).status == "failed"
     assert fresh.get(job.job_id).error == "config: synthetic"
+
+
+def test_an_old_cost_model_journal_fails_the_job(tmp_path):
+    """A job whose journal an older build stamped with ``cost_model``
+    fails with the structured error instead of re-measuring."""
+    manager = JobManager(str(tmp_path / "state"))
+    job = manager.submit(SMALL_DOC, name="small")
+    journal = os.path.join(job.directory, "checkpoint.jsonl")
+    header = {"schema": "repro.perf.checkpoint/v1",
+              "meta": {"tool": "repro.serve", "cost_model": "surrogate"}}
+    with open(journal, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+    manager.start()
+    done = _wait_done(manager, job.job_id)
+    manager.stop()
+    assert done.status == "failed"
+    assert done.error.startswith("config: checkpoint.meta.cost_model: ")

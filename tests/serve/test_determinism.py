@@ -87,9 +87,9 @@ def test_report_has_both_mixes_with_required_metrics():
     payload, runs = run_report(_workload(requests=30), _config(),
                                mixes=("bp", "bp+vgg"), quick=True,
                                max_workers=1)
-    assert payload["schema"] == "repro.serve/v3"
-    # Default cost model: exhaustively measured, no validation section.
-    assert payload["cost_model"] == {"mode": "measured", "validation": None}
+    assert payload["schema"] == "repro.serve/v7"
+    # Every cost table is measured: there is no cost-model section.
+    assert "cost_model" not in payload
     assert set(payload["mixes"]) == {"bp", "bp+vgg"}
     for mix in ("bp", "bp+vgg"):
         m = payload["mixes"][mix]

@@ -9,7 +9,7 @@ policies, and seeds.
 
 import pytest
 
-from repro.serve.costmodel import ServiceCostTable
+from repro.serve.costmodel import ServiceCostTable, build_cost_table
 from repro.serve.failures import (
     FailureConfig,
     FailureWindow,
@@ -17,8 +17,8 @@ from repro.serve.failures import (
 )
 from repro.serve.fleet import OUTCOMES, FleetSimulator, ServeConfig
 from repro.serve.metrics import compute_metrics
-from repro.serve.resilience import ResilienceConfig
-from repro.serve.workload import Request
+from repro.serve.resilience import DEFAULT_RESILIENCE, ResilienceConfig
+from repro.serve.workload import Request, WorkloadConfig, generate_requests
 
 
 def _table(max_batch=4):
@@ -271,8 +271,9 @@ class TestBreakerRouting:
 
 
 class TestDisabledPathIdentity:
-    """Zero cost when off: a disabled FailureConfig runs the exact
-    pre-failure code path (null-object), byte-identical outcomes."""
+    """Failures off is the degenerate resilient path: a disabled
+    FailureConfig, or resilience knobs without failures, change no
+    outcome, and nothing expires."""
 
     REQS = [(i, 7.0 * (3 ** 0.5) * i, ("bp", "fc", "conv")[i % 3], i % 2)
             for i in range(24)]
@@ -300,6 +301,26 @@ class TestDisabledPathIdentity:
             hedge_delay_cycles=1.0, max_retries=0))
         assert tuned.records == base.records
         assert tuned.batches == base.batches
+
+    def test_no_retry_deadline_with_failures_off(self):
+        """A batch may wait past any retry deadline for its max-wait
+        close and still launch, as on a fleet that never fails.  The
+        same empty timeline injected (so failures count as on) keeps the
+        default deadline, which expires 109 of the 200 requests."""
+        config = ServeConfig(max_wait_cycles=2_000_000.0)
+        assert (config.max_wait_cycles
+                > DEFAULT_RESILIENCE.retry_deadline_cycles)
+        costs = build_cost_table(8, quick=True, kinds=("bp",),
+                                 max_workers=1)
+        requests = generate_requests(WorkloadConfig(
+            mix="bp", rate=2_000.0, requests=200))
+        off = FleetSimulator(config, costs).run(requests)
+        assert [r.outcome for r in off.records] == ["served"] * 200
+        injected = FleetSimulator(
+            config, costs,
+            timeline=scripted_timeline(config.chips, {})).run(requests)
+        assert sum(r.outcome == "expired"
+                   for r in injected.records) == 109
 
 
 MODES = {

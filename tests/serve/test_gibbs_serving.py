@@ -74,20 +74,20 @@ class TestQualityColumns:
         assert gibbs_costs.tile_bytes["gibbs"] > 0
 
 
-class TestSchemaV5:
-    def test_quality_bumps_schema_and_rolls_up(self, gibbs_costs):
+class TestQualityRollup:
+    def test_quality_rolls_up_per_mix(self, gibbs_costs):
         config = ServeConfig(chips=2, max_batch=MAX_BATCH,
                              max_wait_cycles=10_000.0,
                              degraded_chips=(1,))
         serial, _ = run_report(_workload(), config,
                                mixes=("bp", "bp+gibbs"), quick=True,
                                max_workers=1)
-        assert serial["schema"] == "repro.serve/v5"
+        assert serial["schema"] == "repro.serve/v7"
         assert "gibbs" in serial["cost_table"]["quality"]
         for mix in ("bp", "bp+gibbs"):
-            rollup = serial["mixes"][mix].get("quality")
+            rollup = serial["mixes"][mix]["quality"]
             if mix == "bp":
-                assert rollup is None
+                assert rollup == {}
                 continue
             assert rollup["gibbs"]["served"] > 0
             assert 0.0 <= rollup["gibbs"]["agreement_vs_reference"] <= 1.0
@@ -101,15 +101,15 @@ class TestSchemaV5:
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(parallel, sort_keys=True))
 
-    def test_default_mixes_stay_v3(self):
+    def test_mixes_without_quality_kinds_have_empty_quality(self):
         payload, _ = run_report(
             WorkloadConfig(mix="bp+vgg", rate=150_000.0, requests=20),
             ServeConfig(chips=2, max_batch=MAX_BATCH,
                         max_wait_cycles=10_000.0),
             mixes=("bp",), quick=True, max_workers=1)
-        assert payload["schema"] == "repro.serve/v3"
-        assert "quality" not in payload["cost_table"]
-        assert "quality" not in payload["mixes"]["bp"]
+        assert payload["schema"] == "repro.serve/v7"
+        assert payload["cost_table"]["quality"] == {}
+        assert payload["mixes"]["bp"]["quality"] == {}
 
 
 class TestKindDepthObservable:

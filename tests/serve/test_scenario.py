@@ -148,6 +148,8 @@ def test_round_trip_compile_maps_fields_and_units():
      "scenario.workload.burst_factor: must be a finite number"),
     ({"workload": {"burst_len": 0.5}},
      "scenario.workload.burst_len: must be >= 1"),
+    ({"workload": {"num_tiles": 2**32 + 1}},
+     "scenario.workload.num_tiles: must be <= 4294967296"),
 ])
 def test_validation_errors_carry_the_field_path(doc, path):
     with pytest.raises(ConfigError) as exc:
@@ -332,3 +334,21 @@ def test_cli_list_scenarios(capsys):
     assert main(["--list-scenarios"]) == 0
     out = capsys.readouterr().out
     assert "steady-bp" in out and "chaos-failover" in out
+
+
+@pytest.mark.parametrize("key,value", [("cost_model", "surrogate"),
+                                       ("cost_model", "measured"),
+                                       ("surrogate_tolerance", 0.01)])
+def test_a_removed_run_key_fails_naming_it(key, value):
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_document({"run": {key: value}})
+    assert str(exc.value).startswith(f"scenario.run.{key}: removed: ")
+
+
+def test_cli_rejects_a_scenario_file_with_a_removed_key(tmp_path, capsys):
+    path = tmp_path / "old.yaml"
+    path.write_text("run:\n  slo_ms: 0.3\n  cost_model: surrogate\n")
+    assert main(["--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: scenario.run.cost_model: removed")
+    assert len(err.strip().splitlines()) == 1

@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.serve.workload import (
     ARRIVALS,
     KINDS,
+    MAX_TILES,
     MIXES,
     Request,
     WorkloadConfig,
@@ -60,8 +61,10 @@ def _trace_sha256(reqs) -> str:
 @pytest.mark.parametrize("arrival", ARRIVALS)
 @pytest.mark.parametrize("mix", sorted(MIXES))
 def test_stream_matches_the_reference_loop(mix, arrival):
-    for seed in (0, 1, 7):
-        for num_tiles in (1, 8, 13):
+    # One tile draws nothing; 2**31 + 5 tiles rejects about half the
+    # 32-bit draws, so the held half-word carries across requests.
+    for seed in (0, 1, 7, 13):
+        for num_tiles in (1, 2, 3, 8, 13, 64, 2**31 + 5):
             cfg = WorkloadConfig(mix=mix, arrival=arrival, requests=400,
                                  seed=seed, num_tiles=num_tiles)
             assert generate_requests(cfg) == _reference_requests(cfg), cfg
@@ -173,6 +176,16 @@ def test_config_validation():
 def test_config_rejects_out_of_range_and_non_finite(field, value, message):
     with pytest.raises(ConfigError, match=message):
         WorkloadConfig(arrival="bursty", **{field: value})
+
+
+def test_tile_count_is_bounded_by_the_32_bit_draw():
+    cfg = WorkloadConfig(mix="bp", requests=300, seed=2,
+                         num_tiles=MAX_TILES)
+    assert generate_requests(cfg) == _reference_requests(cfg)
+    with pytest.raises(ConfigError, match=(
+            r"^workload\.num_tiles: must be <= 4294967296, "
+            r"got 4294967297$")):
+        WorkloadConfig(num_tiles=MAX_TILES + 1)
 
 
 def test_negative_seed_is_a_config_error():
