@@ -45,6 +45,7 @@ from repro.serve.fleet import (
     ChipState,
     FleetResult,
     FleetSimulator,
+    RecordTable,
     RequestRecord,
     ServeConfig,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "POLICIES",
     "PolicyEngine",
     "PolicySet",
+    "RecordTable",
     "Request",
     "RequestRecord",
     "ResilienceConfig",

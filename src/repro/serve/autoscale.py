@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 #: Scale-event actions, in lifecycle order.
@@ -255,8 +257,9 @@ class Autoscaler:
 
     # -- rollup --------------------------------------------------------
 
-    def result(self, records: list, end: float) -> dict:
-        """The run's autoscale rollup for reports and metrics."""
+    def result(self, records, end: float) -> dict:
+        """The run's autoscale rollup for reports and metrics, from the
+        columns of the fleet's record table ``records``."""
         cfg = self.config
         chips = self.fleet.chips
         chip_cycles = sum(
@@ -265,12 +268,15 @@ class Autoscaler:
             for c in chips)
         scale_times = [e.time for e in self.events
                        if e.action in ("add", "drain")]
-        during = [r for r in records
-                  if r.outcome == "served" and any(
-                      t <= r.finish <= t + cfg.cooldown_cycles
-                      for t in scale_times)]
-        violations = sum(1 for r in during
-                         if r.latency > self.fleet.config.slo_cycles)
+        served = records.matches("outcome", "served")
+        columns = records.columns()
+        finish = columns["finish"][served]
+        in_window = np.zeros(len(finish), dtype=bool)
+        for t in scale_times:
+            in_window |= (t <= finish) & (finish <= t + cfg.cooldown_cycles)
+        latency = finish[in_window] - columns["arrival"][served][in_window]
+        during = len(latency)
+        violations = int((latency > self.fleet.config.slo_cycles).sum())
         return {
             "config": cfg.as_dict(),
             "events": [e.as_dict() for e in self.events],
@@ -285,9 +291,9 @@ class Autoscaler:
             "total_chips": len(chips),
             "chip_cycles_active": chip_cycles,
             "slo_during_scale": {
-                "served": len(during),
+                "served": during,
                 "violations": violations,
-                "violation_rate": (violations / len(during)
+                "violation_rate": (violations / during
                                    if during else 0.0),
             },
         }

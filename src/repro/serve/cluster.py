@@ -59,11 +59,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.faults.injector import stream_seed
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
-from repro.serve.fleet.records import sort_exactly_once, sorted_rids
+from repro.serve.fleet.records import (
+    BatchRecord,
+    RecordTable,
+    served_finish,
+    sort_exactly_once,
+    sorted_rids,
+)
 from repro.serve.metrics import percentile_sorted
 from repro.serve.workload import KINDS, Request
 from repro.trace.collector import NULL_TRACE, TraceSink
@@ -164,7 +172,7 @@ class ClusterResult:
     where it matters: ``records``, ``batches``, ``makespan``)."""
 
     #: Merged terminal records, rid order, original arrivals restored.
-    records: list
+    records: RecordTable
     #: Per-shard FleetResult (shard-local chip ids).
     shard_results: list
     makespan: float
@@ -181,9 +189,13 @@ class ClusterResult:
     min_alive_shard_fraction: float
 
     @property
-    def batches(self) -> list:
-        """All shards' launch records (shard order; ids shard-local)."""
-        return [b for res in self.shard_results for b in res.batches]
+    def batches(self) -> RecordTable:
+        """All shards' launch records (shard order; ids shard-local),
+        merged into a new table."""
+        batches = RecordTable(BatchRecord)
+        for res in self.shard_results:
+            batches.extend(res.batches)
+        return batches
 
     @property
     def autoscale(self):
@@ -252,7 +264,7 @@ class ClusterSimulator:
         #: rid -> Request per shard: what each shard currently owns.
         self._assigned: list[dict[int, Request]] = [{} for _ in range(n)]
         #: Cluster-level terminal records (brown-out sheds).
-        self._records: list[RequestRecord] = []
+        self._records = RecordTable(RequestRecord)
         self._origin_arrival: dict[int, float] = {}
         self._failover_count: dict[int, int] = {}
         self._handbacks: list[_Handback] = []
@@ -419,9 +431,8 @@ class ClusterSimulator:
 
     def _shed_brownout(self, req: Request) -> None:
         self.brownout_shed += 1
-        self._records.append(RequestRecord(
-            req.rid, req.kind, req.tile, req.arrival, True, -1, -1, 0,
-            req.arrival, 0.0, 0.0, "shed"))
+        self._records.add(req.rid, req.kind, req.tile, req.arrival, True, -1,
+                          -1, 0, req.arrival, 0.0, 0.0, "shed", 0, False)
         if self.trace is not None:
             self.trace.serve("cluster.shed", req.kind, req.arrival,
                              0.0, -1, {"rid": req.rid, "tile": req.tile})
@@ -429,22 +440,25 @@ class ClusterSimulator:
     # -- observation ---------------------------------------------------
 
     def snapshot(self, now: float, arrived: int, total: int) -> dict:
-        """A live cluster progress snapshot (pure observation)."""
+        """A live cluster progress snapshot (pure observation of the
+        shards' record columns)."""
         served = shed = expired = 0
         latencies = []
         origin = self._origin_arrival
         for shard in self.shards:
-            for rec in shard._records:
-                if rec.outcome == "served":
-                    served += 1
-                    # A failed-over record carries its re-dispatch time
-                    # as the arrival; latency runs from the original.
-                    latencies.append(rec.finish - origin[rec.rid])
-                elif rec.outcome == "shed":
-                    shed += 1
-                else:
-                    expired += 1
-        shed += sum(1 for r in self._records if r.outcome == "shed")
+            records = shard._records
+            mask = records.matches("outcome", "served")
+            columns = records.columns()
+            rids = columns["rid"][mask].tolist()
+            n_shed = int(records.matches("outcome", "shed").sum())
+            served += len(rids)
+            shed += n_shed
+            expired += len(records) - len(rids) - n_shed
+            # A failed-over record carries its re-dispatch time as the
+            # arrival; latency runs from the original.
+            latencies += [finish - origin[rid] for rid, finish
+                          in zip(rids, columns["finish"][mask].tolist())]
+        shed += int(self._records.matches("outcome", "shed").sum())
         latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
@@ -471,6 +485,22 @@ class ClusterSimulator:
             },
         }
 
+    def _restore_arrivals(self, records: RecordTable) -> int:
+        """Give each failed-over request's record (``records`` is in rid
+        order) its original arrival, so latency covers the lost attempts
+        end to end; returns how many of them still expired.  Only a
+        failover re-stamps an arrival, so only those rows are read."""
+        failed = sorted(self._failover_count)
+        if not failed:
+            return 0
+        columns = records.columns()
+        rows = np.searchsorted(columns["rid"], failed)
+        origin = np.array([self._origin_arrival[rid] for rid in failed])
+        arrival = columns["arrival"]
+        stamped = arrival[rows] != origin
+        arrival[rows[stamped]] = origin[stamped]
+        return int(records.matches("outcome", "expired")[rows].sum())
+
     # -- the router loop -----------------------------------------------
 
     def run(self, requests: list[Request],
@@ -478,7 +508,7 @@ class ClusterSimulator:
             ) -> ClusterResult:
         cluster = self.cluster
         requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
-        rids = sorted_rids(requests)  # a repeated rid fails up front
+        rids = sorted_rids(requests)  # a bad or repeated rid fails here
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
@@ -522,25 +552,15 @@ class ClusterSimulator:
         ]
         # Every request ends in exactly one record, in a shard or at the
         # router door: a rid in two places raises, as does one in none.
-        records = list(self._records)
+        records = RecordTable(RequestRecord, self._records)
         for res in shard_results:
-            records += res.records
+            records.extend(res.records)
         sort_exactly_once(records, rids)
-        failover_expired = 0
-        for i, rec in enumerate(records):
-            origin = self._origin_arrival[rec.rid]
-            if rec.arrival != origin:
-                # Failover re-stamped the arrival; restore the original
-                # so latency covers the lost attempts end-to-end.
-                rec = records[i] = rec._replace(arrival=origin)
-            if rec.outcome == "expired" \
-                    and self._failover_count.get(rec.rid, 0) > 0:
-                failover_expired += 1
+        failover_expired = self._restore_arrivals(records)
         first = min((r.arrival for r in requests), default=0.0)
-        last = max((b.finish for res in shard_results
-                    for b in res.batches if b.outcome == "served"),
-                   default=max((r.arrival for r in requests),
-                               default=0.0))
+        last = served_finish(
+            (res.batches for res in shard_results),
+            default=max((r.arrival for r in requests), default=0.0))
         if on_progress is not None:
             on_progress(self.snapshot(last, total, total))
         return ClusterResult(

@@ -3,7 +3,8 @@ halves:
 
 * :mod:`repro.serve.fleet.records` — config and run records
   (:class:`ServeConfig`, :class:`ChipState`, :class:`RequestRecord`,
-  :class:`BatchRecord`, :class:`FleetResult`).
+  :class:`BatchRecord`, the :class:`RecordTable` a run packs them into,
+  :class:`FleetResult`).
 * :mod:`repro.serve.fleet.dispatch` — scheduling primitives,
   decision-tree contexts, launch math, and kill/retry/hedge resolution.
 * :mod:`repro.serve.fleet.core` — :class:`FleetSimulator`, the
@@ -20,11 +21,12 @@ from repro.serve.fleet.core import (
     ChipState,
     FleetResult,
     FleetSimulator,
+    RecordTable,
     RequestRecord,
     ServeConfig,
 )
 
 __all__ = [
     "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "FleetResult",
-    "FleetSimulator", "RequestRecord", "ServeConfig",
+    "FleetSimulator", "RecordTable", "RequestRecord", "ServeConfig",
 ]

@@ -52,8 +52,9 @@ Failure handling (``config.failures`` enabled) — see
   checked at the end of every run (a lost request, or one recorded
   twice, raises :class:`~repro.errors.SimulationError` naming it, even
   under ``python -O``), so nothing is silently lost or double-counted.
-  Request ids must be distinct; a repeated rid is a
-  :class:`~repro.errors.ConfigError` before anything is simulated.
+  Request ids must be distinct int64s; a repeated rid, or one outside
+  int64, is a :class:`~repro.errors.ConfigError` before anything is
+  simulated.
 * Hedged launches and killed attempts append their own
   :class:`~repro.serve.fleet.records.BatchRecord` rows (``outcome``
   ``hedge-loser`` / ``killed``) with the cycles they burned, so wasted
@@ -90,8 +91,10 @@ from repro.serve.fleet.records import (
     BatchRecord,
     ChipState,
     FleetResult,
+    RecordTable,
     RequestRecord,
     ServeConfig,
+    served_finish,
     sort_exactly_once,
     sorted_rids,
 )
@@ -104,7 +107,7 @@ from repro.trace.collector import NULL_TRACE, TraceSink
 
 __all__ = [
     "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "FleetResult",
-    "FleetSimulator", "RequestRecord", "ServeConfig",
+    "FleetSimulator", "RecordTable", "RequestRecord", "ServeConfig",
 ]
 
 
@@ -194,10 +197,10 @@ class FleetSimulator(DispatchMixin):
         self._rr = 0
         self._seq = 0
         self._events: list = []  # (time, seq, kind, payload) min-heap
-        self._batches: list[BatchRecord] = []
+        self._batches = RecordTable(BatchRecord)
         #: One terminal record per request, in resolution order;
         #: collect() sorts it by rid in place.
-        self._records: list[RequestRecord] = []
+        self._records = RecordTable(RequestRecord)
         self.retry_count = 0
         self.hedge_count = 0
 
@@ -252,22 +255,19 @@ class FleetSimulator(DispatchMixin):
     def snapshot(self, now: float, arrived: int, total: int) -> dict:
         """A live progress snapshot: pure observation of simulator state.
 
-        Reads records, counters, and breaker states without touching
-        them — callers (the control plane's progress stream) can take
-        snapshots at any cadence without perturbing the simulation, so
-        observed runs stay byte-identical to unobserved ones.
+        Reads record columns, counters, and breaker states without
+        touching them — callers (the control plane's progress stream) can
+        take snapshots at any cadence without perturbing the simulation,
+        so observed runs stay byte-identical to unobserved ones.
         """
-        served = shed = expired = 0
-        latencies = []
-        for rec in self._records:
-            if rec.outcome == "served":
-                served += 1
-                latencies.append(rec.finish - rec.arrival)
-            elif rec.outcome == "shed":
-                shed += 1
-            else:
-                expired += 1
-        latencies.sort()
+        records = self._records
+        mask = records.matches("outcome", "served")
+        columns = records.columns()
+        latencies = columns["finish"][mask] - columns["arrival"][mask]
+        latencies.sort(kind="stable")
+        served = len(latencies)
+        shed = int(records.matches("outcome", "shed").sum())
+        expired = len(records) - served - shed
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         snap = {
             "sim_time_cycles": now,
@@ -280,9 +280,9 @@ class FleetSimulator(DispatchMixin):
             "hedges": self.hedge_count,
             "throughput_rps": (served / elapsed_s) if elapsed_s > 0 else 0.0,
             "latency_p50": (percentile_sorted(latencies, 50.0)
-                            if latencies else None),
+                            if served else None),
             "latency_p99": (percentile_sorted(latencies, 99.0)
-                            if latencies else None),
+                            if served else None),
         }
         # Read breaker states directly; allow() would advance an
         # expired open breaker to half-open as a side effect.
@@ -376,17 +376,17 @@ class FleetSimulator(DispatchMixin):
     def collect(self, requests: list[Request]) -> FleetResult:
         """Assemble the result for ``requests`` after finish().
 
-        The record list is sorted by rid in place and returned without a
-        copy; a request with no record or with two, or a record of no
+        The record table is sorted by rid in place and returned without
+        a copy; a request with no record or with two, or a record of no
         request in ``requests``, raises
         :class:`~repro.errors.SimulationError` naming the rid.
         """
         records = self._records
         sort_exactly_once(records, sorted_rids(requests))
         first = min((r.arrival for r in requests), default=0.0)
-        last = max((b.finish for b in self._batches
-                    if b.outcome == "served"),
-                   default=max((r.arrival for r in requests), default=0.0))
+        last = served_finish(
+            (self._batches,),
+            default=max((r.arrival for r in requests), default=0.0))
         autoscale = None
         if self.autoscaler is not None:
             autoscale = self.autoscaler.result(records, last)
@@ -399,7 +399,8 @@ class FleetSimulator(DispatchMixin):
             on_progress=None, progress_every: int | None = None
             ) -> FleetResult:
         requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
-        sorted_rids(requests)  # a repeated rid fails before simulating
+        # A repeated rid, or one outside int64, fails before simulating.
+        sorted_rids(requests)
         self.begin()
         total = len(requests)
         if on_progress is not None and progress_every is None:
@@ -412,8 +413,8 @@ class FleetSimulator(DispatchMixin):
                 on_progress(self.snapshot(req.arrival, arrived, total))
         self.finish()
         if on_progress is not None:
-            end = max((b.finish for b in self._batches
-                       if b.outcome == "served"),
-                      default=requests[-1].arrival if requests else 0.0)
+            end = served_finish(
+                (self._batches,),
+                default=requests[-1].arrival if requests else 0.0)
             on_progress(self.snapshot(end, total, total))
         return self.collect(requests)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.serve.batcher import Batch
-from repro.serve.fleet.records import BatchRecord, RequestRecord
 from repro.serve.workload import KINDS, Request
 
 #: The least-loaded key: earliest free time, ties to the lower chip id.
@@ -243,15 +242,12 @@ class DispatchMixin:
         chip.reload_cycles += reload
         chip.batches += 1
         chip.requests += size
-        self._batches.append(BatchRecord(
-            bid, batch.kind, size, chip_id, close, start, finish, reload,
-            attempt, "served", 0.0, hedge))
-        append = self._records.append
+        self._batches.add(bid, batch.kind, size, chip_id, close, start,
+                          finish, reload, attempt, "served", 0.0, hedge)
+        add = self._records.add
         for req in batch.requests:
-            append(RequestRecord(
-                req.rid, req.kind, req.tile, req.arrival, False, bid,
-                chip_id, size, close, start, finish, "served", attempt,
-                hedged))
+            add(req.rid, req.kind, req.tile, req.arrival, False, bid, chip_id,
+                size, close, start, finish, "served", attempt, hedged)
         if not self._breakers_fixed:
             self._push(finish, "breaker-ok", chip_id)
         if self.trace is not None:
@@ -286,10 +282,9 @@ class DispatchMixin:
             chip.reload_cycles += reload
         else:
             chip.kills += 1
-        self._batches.append(BatchRecord(
-            len(self._batches), batch.kind, batch.size, chip.chip_id,
-            batch.close, start, cancel, reload, attempt, outcome, waste,
-            hedge))
+        self._batches.add(len(self._batches), batch.kind, batch.size,
+                          chip.chip_id, batch.close, start, cancel, reload,
+                          attempt, outcome, waste, hedge)
         return waste
 
     def _expire(self, requests, close: float, attempt: int,
@@ -299,9 +294,9 @@ class DispatchMixin:
             if not requests:
                 return
         for req in requests:
-            self._records.append(RequestRecord(
-                req.rid, req.kind, req.tile, req.arrival, False, -1, -1, 0,
-                close, 0.0, 0.0, "expired", attempt))
+            self._records.add(req.rid, req.kind, req.tile, req.arrival, False,
+                              -1, -1, 0, close, 0.0, 0.0, "expired", attempt,
+                              False)
             if self.trace is not None:
                 self.trace.serve("serve.expired", req.kind, now, 0.0, -1,
                                  {"rid": req.rid, "tile": req.tile,
@@ -457,9 +452,9 @@ class DispatchMixin:
                            flight.finish, flight.reload, hedged=True)
 
     def _shed(self, request: Request, now: float) -> None:
-        self._records.append(RequestRecord(
-            request.rid, request.kind, request.tile, request.arrival, True,
-            -1, -1, 0, now, 0.0, 0.0, "shed"))
+        self._records.add(request.rid, request.kind, request.tile,
+                          request.arrival, True, -1, -1, 0, now, 0.0, 0.0,
+                          "shed", 0, False)
         if self.trace is not None:
             self.trace.serve("serve.shed", request.kind, now, 0.0, -1,
                              {"rid": request.rid, "tile": request.tile})

@@ -31,10 +31,13 @@ shared by the report builder and the bench:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.errors import ConfigError
+from repro.serve.fleet.records import BatchRecord, RecordTable, RequestRecord
 
 #: Percentiles every report carries.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
@@ -50,18 +53,32 @@ def percentile(values, p: float) -> float:
     return percentile_sorted(sorted(values), p)
 
 
-def percentile_sorted(data: list, p: float) -> float:
-    """:func:`percentile` of ``data``, which is already in ascending
-    order: callers that read several ranks of one set sort it once."""
+def percentile_sorted(data, p: float) -> float:
+    """:func:`percentile` of ``data``, a list or 1-D array already in
+    ascending order: callers that read several ranks of one set sort it
+    once.  The ranks are read as builtin floats."""
     if not 0.0 <= p <= 100.0:
         raise ConfigError(f"percentile must be in [0, 100], got {p}")
-    if not data:
+    if not len(data):
         raise ConfigError("percentile of an empty set")
     rank = p / 100.0 * (len(data) - 1)
     lo = int(rank)
     hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
-    return data[lo] * (1.0 - frac) + data[hi] * frac
+    return float(data[lo]) * (1.0 - frac) + float(data[hi]) * frac
+
+
+#: Values :func:`_ordered_sum` turns into builtin floats at a time.
+_SUM_CHUNK = 4096
+
+
+def _ordered_sum(values: np.ndarray):
+    """``sum`` over ``values`` as builtin floats, in order: the sequence
+    a list of them would give, so Python 3.12's compensated ``sum``
+    rounds the same way; converted a chunk at a time."""
+    return sum(chain.from_iterable(
+        values[i:i + _SUM_CHUNK].tolist()
+        for i in range(0, len(values), _SUM_CHUNK)))
 
 
 @dataclass(frozen=True)
@@ -149,54 +166,62 @@ def compute_metrics(records, batches, makespan_cycles: float,
                     slo_cycles: float, clock_ghz: float = 1.25) -> ServeMetrics:
     """Roll per-request records and batch records into a ServeMetrics.
 
-    One pass classifies the records by outcome and one the batches by
-    fate; ``records`` and ``batches`` may be any iterables, read once and
-    never copied.  Beyond the served records, the rollup allocates only
-    their latencies, sorted in place once for all four percentiles.
-    Each mean and waste total is ``sum`` over its values in record order
-    (a generator over the served records for the three means), the same
-    sequence a per-metric list would hold, so every float is unchanged.
+    ``records`` and ``batches`` are record tables (a list or any iterable
+    of records is packed into one first) and the rollup reads their
+    columns: it never copies a table, and holds at most a few columns of
+    the served records at once.  A request's outcome is ``shed`` when
+    its shed flag is set, else its outcome field.  Each mean and waste
+    total is Python's ``sum`` over builtin floats in record order, the
+    values a per-record loop would add, so every float is unchanged;
+    every field is a builtin ``int``, ``float`` or None.
     """
     if slo_cycles <= 0:
         raise ConfigError("slo_cycles must be positive")
-    served = []
-    total = shed = expired = 0
-    for total, r in enumerate(records, 1):
-        outcome = "shed" if r.shed else r.outcome
-        if outcome == "served":
-            served.append(r)
-        elif outcome == "shed":
-            shed += 1
-        elif outcome == "expired":
-            expired += 1
-    n = len(served)
-    latencies = [r.finish - r.arrival for r in served]
-    latencies.sort()
-    if served:
+    if not isinstance(records, RecordTable):
+        records = RecordTable(RequestRecord, records)
+    if not isinstance(batches, RecordTable):
+        batches = RecordTable(BatchRecord, batches)
+    total = len(records)
+    columns = records.columns()
+    shed_flag = columns["shed"]
+    served = records.matches("outcome", "served") & ~shed_flag
+    shed = int((records.matches("outcome", "shed") | shed_flag).sum())
+    expired = int((records.matches("outcome", "expired") & ~shed_flag).sum())
+    # Each served column is dropped once its last use is past, so the
+    # rollup holds at most four at a time.
+    arrival = columns["arrival"][served]
+    dispatch = columns["dispatch"][served]
+    n = len(arrival)
+    mean_batch_wait = _ordered_sum(dispatch - arrival) / n if n else 0.0
+    start = columns["start"][served]
+    mean_queue_wait = _ordered_sum(start - dispatch) / n if n else 0.0
+    del dispatch
+    finish = columns["finish"][served]
+    mean_service = _ordered_sum(finish - start) / n if n else 0.0
+    del start
+    latencies = finish - arrival
+    del finish, arrival
+    latencies.sort(kind="stable")
+    if n:
         p50, p95, p99, p999 = (percentile_sorted(latencies, p)
                                for p in REPORT_PERCENTILES)
     else:
         p50 = p95 = p99 = p999 = None
-    violations = n - bisect_right(latencies, slo_cycles)
+    violations = n - int(np.searchsorted(latencies, slo_cycles,
+                                         side="right"))
     in_slo = n - violations
     seconds = makespan_cycles / (clock_ghz * 1e9)
     throughput = n / seconds if seconds > 0 else 0.0
     goodput = in_slo / seconds if seconds > 0 else 0.0
-    # Batch sizes are ints, so a running total is their exact sum; the
-    # float wastes keep their lists for ``sum``.
-    launched = size_total = hedges = 0
-    retry_waste, hedge_waste = [], []
-    for b in batches:
-        outcome = b.outcome
-        if b.hedge:
-            hedges += 1
-        if outcome == "served":
-            launched += 1
-            size_total += b.size
-        elif outcome == "hedge-loser" or (outcome == "killed" and b.hedge):
-            hedge_waste.append(b.waste)
-        elif outcome == "killed":
-            retry_waste.append(b.waste)
+    launch = batches.columns()
+    hedge = launch["hedge"]
+    launched = batches.matches("outcome", "served")
+    killed = batches.matches("outcome", "killed")
+    retry_kills = killed & ~hedge
+    hedge_losses = batches.matches("outcome", "hedge-loser") | (killed & hedge)
+    n_launched = int(launched.sum())
+    # Batch sizes are ints, so their sum is exact in any order.
+    size_total = int(launch["size"][launched].sum())
     return ServeMetrics(
         total=total,
         served=n,
@@ -211,20 +236,17 @@ def compute_metrics(records, batches, makespan_cycles: float,
         latency_p95=p95,
         latency_p99=p99,
         latency_p999=p999,
-        mean_batch_wait=(sum(r.dispatch - r.arrival for r in served) / n
-                         if n else 0.0),
-        mean_queue_wait=(sum(r.start - r.dispatch for r in served) / n
-                         if n else 0.0),
-        mean_service=(sum(r.finish - r.start for r in served) / n
-                      if n else 0.0),
-        mean_batch_size=size_total / launched if launched else 0.0,
+        mean_batch_wait=mean_batch_wait,
+        mean_queue_wait=mean_queue_wait,
+        mean_service=mean_service,
+        mean_batch_size=size_total / n_launched if n_launched else 0.0,
         slo_cycles=slo_cycles,
         slo_violations=violations,
         slo_violation_rate=violations / n if n else 0.0,
-        retries=len(retry_waste),
-        hedges=hedges,
-        retry_wasted_cycles=sum(retry_waste),
-        hedge_wasted_cycles=sum(hedge_waste),
+        retries=int(retry_kills.sum()),
+        hedges=int(hedge.sum()),
+        retry_wasted_cycles=_ordered_sum(launch["waste"][retry_kills]),
+        hedge_wasted_cycles=_ordered_sum(launch["waste"][hedge_losses]),
         clock_ghz=clock_ghz,
     )
 

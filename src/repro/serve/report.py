@@ -34,6 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.perf.checkpoint import TaskCheckpoint
 from repro.serve.costmodel import ServiceCostTable, build_cost_table
@@ -150,15 +152,17 @@ def _quality_rollup(run: ServeRun, costs: ServiceCostTable,
     degraded column — the same scheduler-visible health the cost
     estimate uses (there is no oracle for transient fault windows).
     """
-    degraded_ids = set(config.degraded_chips)
+    records = run.fleet.records
+    served = records.matches("outcome", "served")
+    on_degraded = np.isin(records.columns()["chip"],
+                          sorted(config.degraded_chips))
     rollup = {}
     for kind, columns in sorted(costs.quality.items()):
-        served = [r for r in run.fleet.records
-                  if r.kind == kind and r.outcome == "served"]
-        if not served:
+        mine = served & records.matches("kind", kind)
+        n = int(mine.sum())
+        if not n:
             continue
-        n = len(served)
-        n_deg = sum(1 for r in served if r.chip in degraded_ids)
+        n_deg = int((mine & on_degraded).sum())
         healthy = columns.get("healthy") or columns["degraded"]
         degraded = columns.get("degraded") or healthy
         metrics = {

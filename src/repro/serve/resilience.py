@@ -136,12 +136,12 @@ class ResilienceConfig:
                 f"retry_deadline_cycles ({self.retry_deadline_cycles:g}); "
                 f"got {self.hedge_delay_cycles:g} — the hedge timer could "
                 f"never fire before the request expires")
-        last = 1.1
+        last = math.inf
         for threshold, multiplier in self.shed_tiers:
-            if not 0.0 <= threshold < last:
+            if not (0.0 <= threshold <= 1.0 and threshold < last):
                 raise ConfigError(
-                    "resilience.shed_tiers: thresholds must be descending "
-                    "and in [0, 1]")
+                    f"resilience.shed_tiers: thresholds must be strictly "
+                    f"descending and in [0, 1], got {threshold!r}")
             if not 0.0 < multiplier <= 1.0:
                 raise ConfigError(
                     "resilience.shed_tiers: multipliers must be in (0, 1]")

@@ -297,8 +297,7 @@ def test_request_recorded_twice_raises_naming_it():
 
     def doubling_collect(requests):
         result = collect(requests)
-        result.records = result.records + [r for r in first._records
-                                           if r.rid == 2]
+        result.records.extend(r for r in first._records if r.rid == 2)
         return result
 
     second.collect = doubling_collect
@@ -311,6 +310,15 @@ def test_duplicate_request_ids_are_rejected_before_simulating():
     sim = _round_robin_pair()
     reqs = [_req(0, 0.0, tile=0), _req(0, 5.0, tile=1), _req(1, 7.0)]
     with pytest.raises(ConfigError, match=r"duplicate request ids: \[0\]"):
+        sim.run(reqs)
+    assert all(s._batcher is None for s in sim.shards)
+
+
+def test_request_ids_outside_int64_are_rejected_before_simulating():
+    sim = _round_robin_pair()
+    reqs = [_req(0, 0.0), _req(2**63, 5.0), _req(1, 7.0)]
+    with pytest.raises(ConfigError, match=r"request ids outside int64: "
+                                          r"\[9223372036854775808\]"):
         sim.run(reqs)
     assert all(s._batcher is None for s in sim.shards)
 

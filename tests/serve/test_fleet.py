@@ -7,6 +7,7 @@ from repro.serve.costmodel import ServiceCostTable
 from repro.serve.fleet import (
     BatchRecord,
     FleetSimulator,
+    RecordTable,
     RequestRecord,
     ServeConfig,
 )
@@ -197,7 +198,8 @@ def _six_requests():
 def test_lost_request_raises_naming_it():
     reqs = _six_requests()
     sim = _finished(reqs)
-    sim._records[:] = [r for r in sim._records if r.rid != 3]
+    sim._records = RecordTable(RequestRecord,
+                               (r for r in sim._records if r.rid != 3))
     with pytest.raises(SimulationError,
                        match=r"lost without accounting: \[3\]"):
         sim.collect(reqs)
@@ -239,6 +241,26 @@ def test_duplicate_request_ids_are_rejected_before_simulating():
         sim.run(reqs)
     assert sim._batcher is None and not sim._records
     assert not trace.events
+
+
+def test_request_ids_outside_int64_are_rejected_before_simulating():
+    # A request row stores its rid as an int64.
+    reqs = [_req(2**63, 0.0), _req(1, 5.0), _req(-2**63 - 1, 7.0)]
+    trace = TraceCollector()
+    sim = FleetSimulator(_config(), _table(), trace=trace)
+    with pytest.raises(ConfigError, match=r"request ids outside int64: "
+                                          r"\[-9223372036854775809, "
+                                          r"9223372036854775808\]"):
+        sim.run(reqs)
+    assert sim._batcher is None and not sim._records
+    assert not trace.events
+
+
+def test_int64_extreme_rids_run_end_to_end():
+    reqs = [_req(2**63 - 1, 0.0), _req(-2**63, 5.0, kind="fc")]
+    result = FleetSimulator(_config(), _table()).run(reqs)
+    assert [r.rid for r in result.records] == [-2**63, 2**63 - 1]
+    assert all(r.outcome == "served" for r in result.records)
 
 
 class TestRecordContract:

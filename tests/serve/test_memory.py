@@ -3,29 +3,48 @@
 A trace holds one :class:`Request` per arrival and a run one record per
 request, so their bytes set how long a trace fits in memory.  These
 tests pin the slotted ``Request``, a traced bytes-per-request budget of
-a fleet run plus its rollup, and the rollup's own peak.
+a fleet run plus its rollup, and the peaks of the rollup and of the
+exactly-once sort, which read record tables a few columns at a time.
 """
 
 import copy
 import dataclasses
 import pickle
+import random
 import tracemalloc
 
 import pytest
 
 from repro.serve.costmodel import ServiceCostTable
-from repro.serve.fleet import FleetSimulator, ServeConfig
+from repro.serve.fleet import (
+    FleetSimulator,
+    RecordTable,
+    RequestRecord,
+    ServeConfig,
+)
+from repro.serve.fleet.records import sort_exactly_once, sorted_rids
 from repro.serve.metrics import compute_metrics
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 
 #: Traced peak of FleetSimulator.run plus compute_metrics per request,
-#: on the 20k-request trace below.  The run keeps one record per request
-#: and one per launch (about 345 B a request together); the rollup adds
-#: its served list and sorted latencies, and the peak reads about
-#: 390 B/request on Python 3.11.  A rid-keyed record dict beside the
-#: record list, or per-metric value lists in the rollup, push it past
-#: 450.
-RUN_BYTES_PER_REQUEST = 440
+#: on the 20k-request trace below.  The run keeps one packed 72 B row
+#: per request and one 63 B row per launch (about 125 B a request
+#: together); the sort and the rollup each add a few columns, and the
+#: peak reads about 170 B/request on Python 3.11.  A named tuple per
+#: record (about 150 B each), or a copy of the whole request table in
+#: the sort or the rollup (72 B a request), pushes it past the bound.
+RUN_BYTES_PER_REQUEST = 195
+
+#: Traced peak of compute_metrics alone per request: a few 8-byte
+#: columns of the served records at once (about 40 B/request on Python
+#: 3.11).  A list of latencies beside them, or a copy of the table,
+#: pushes it past the bound.
+ROLLUP_BYTES_PER_REQUEST = 48
+
+#: Traced peak of sort_exactly_once per record: the sort order and one
+#: 8-byte column of the rows in flight (about 16 B/record).  A copy of
+#: the table pushes it past the bound.
+SORT_BYTES_PER_RECORD = 24
 
 
 def _table():
@@ -108,27 +127,29 @@ def test_run_and_rollup_bytes_per_request(steady_trace):
         f"{RUN_BYTES_PER_REQUEST}")
 
 
-def test_rollup_peak_is_the_served_list_plus_latencies(steady_trace):
+def test_rollup_holds_a_few_columns(steady_trace):
     config = ServeConfig()
     result = FleetSimulator(config, _table()).run(steady_trace)
-    records, batches = result.records, result.batches
-
-    def served_and_latencies():
-        """What any rollup must hold at once: the served records and
-        their latencies, sorted (with the sort's merge buffer)."""
-        served = []
-        for r in records:
-            if r.outcome == "served":
-                served.append(r)
-        latencies = [r.finish - r.arrival for r in served]
-        latencies.sort()
-        return served, latencies
-
-    _, floor = _traced_peak(served_and_latencies)
     metrics, peak = _traced_peak(lambda: compute_metrics(
-        records, batches, result.makespan, config.slo_cycles,
+        result.records, result.batches, result.makespan, config.slo_cycles,
         config.clock_ghz))
-    assert metrics.total == len(records)
-    # Slack for the metrics object and loop frames, not for a list.
-    assert peak <= floor + 16 * 1024, (
-        f"rollup peak {peak} B, served list plus latencies {floor} B")
+    assert metrics.total == len(result.records)
+    per_request = peak / len(steady_trace)
+    assert per_request <= ROLLUP_BYTES_PER_REQUEST, (
+        f"rollup peak {per_request:.1f} B/request, budget "
+        f"{ROLLUP_BYTES_PER_REQUEST}")
+
+
+def test_sort_holds_a_few_columns(steady_trace):
+    result = FleetSimulator(ServeConfig(), _table()).run(steady_trace)
+    rows = list(result.records)
+    random.Random(0).shuffle(rows)
+    records = RecordTable(RequestRecord, rows)
+    del rows
+    rids = sorted_rids(steady_trace)
+    _, peak = _traced_peak(lambda: sort_exactly_once(records, rids))
+    assert records == result.records
+    per_record = peak / len(records)
+    assert per_record <= SORT_BYTES_PER_RECORD, (
+        f"sort peak {per_record:.1f} B/record, budget "
+        f"{SORT_BYTES_PER_RECORD}")

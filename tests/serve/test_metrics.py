@@ -1,12 +1,14 @@
 """Unit tests for the serving metrics math (percentiles, SLO, shed)."""
 
+import dataclasses
 import json
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.serve.fleet import BatchRecord, RequestRecord
+from repro.serve.fleet import BatchRecord, RecordTable, RequestRecord
 from repro.serve.metrics import (
     REPORT_PERCENTILES,
     ServeMetrics,
@@ -256,6 +258,78 @@ def _multipass_metrics(records, batches, makespan_cycles, slo_cycles,
     )
 
 
+def _rowwise_metrics(records, batches, makespan_cycles: float,
+                     slo_cycles: float, clock_ghz: float = 1.25):
+    """The rollup before it read columns, as the oracle: one pass over
+    the records as named tuples, builtin floats summed in record order."""
+    served = []
+    total = shed = expired = 0
+    for total, r in enumerate(records, 1):
+        outcome = "shed" if r.shed else r.outcome
+        if outcome == "served":
+            served.append(r)
+        elif outcome == "shed":
+            shed += 1
+        elif outcome == "expired":
+            expired += 1
+    n = len(served)
+    latencies = [r.finish - r.arrival for r in served]
+    latencies.sort()
+    if served:
+        p50, p95, p99, p999 = (percentile_sorted(latencies, p)
+                               for p in REPORT_PERCENTILES)
+    else:
+        p50 = p95 = p99 = p999 = None
+    violations = n - bisect_right(latencies, slo_cycles)
+    in_slo = n - violations
+    seconds = makespan_cycles / (clock_ghz * 1e9)
+    throughput = n / seconds if seconds > 0 else 0.0
+    goodput = in_slo / seconds if seconds > 0 else 0.0
+    launched = size_total = hedges = 0
+    retry_waste, hedge_waste = [], []
+    for b in batches:
+        outcome = b.outcome
+        if b.hedge:
+            hedges += 1
+        if outcome == "served":
+            launched += 1
+            size_total += b.size
+        elif outcome == "hedge-loser" or (outcome == "killed" and b.hedge):
+            hedge_waste.append(b.waste)
+        elif outcome == "killed":
+            retry_waste.append(b.waste)
+    return ServeMetrics(
+        total=total,
+        served=n,
+        shed=shed,
+        shed_rate=shed / total if total else 0.0,
+        expired=expired,
+        makespan_cycles=makespan_cycles,
+        throughput_rps=throughput,
+        goodput_rps=goodput,
+        availability=in_slo / total if total else 0.0,
+        latency_p50=p50,
+        latency_p95=p95,
+        latency_p99=p99,
+        latency_p999=p999,
+        mean_batch_wait=(sum(r.dispatch - r.arrival for r in served) / n
+                         if n else 0.0),
+        mean_queue_wait=(sum(r.start - r.dispatch for r in served) / n
+                         if n else 0.0),
+        mean_service=(sum(r.finish - r.start for r in served) / n
+                      if n else 0.0),
+        mean_batch_size=size_total / launched if launched else 0.0,
+        slo_cycles=slo_cycles,
+        slo_violations=violations,
+        slo_violation_rate=violations / n if n else 0.0,
+        retries=len(retry_waste),
+        hedges=hedges,
+        retry_wasted_cycles=sum(retry_waste),
+        hedge_wasted_cycles=sum(hedge_waste),
+        clock_ghz=clock_ghz,
+    )
+
+
 _CYCLES = st.floats(0.0, 1e7, allow_nan=False)
 #: Tenths plus a nanocycle dither: few are binary fractions, so their
 #: sums round differently in another order (and Python 3.12's
@@ -303,15 +377,27 @@ def _batch(bid, outcome, hedge, size, waste):
 
 def _assert_same_rollup(records, batches, makespan, slo, clock_ghz=1.25):
     want = _multipass_metrics(records, batches, makespan, slo, clock_ghz)
-    # The rollup reads each argument once: a list, or a generator that
-    # cannot be rewound, counted or indexed, must give the same floats.
-    for arg in (records, (r for r in records)):
-        got = compute_metrics(arg, batches, makespan, slo, clock_ghz)
+    rowwise = _rowwise_metrics(records, batches, makespan, slo, clock_ghz)
+    # A table, a list, or a generator that cannot be rewound, counted or
+    # indexed (packed first) must give the same floats.
+    for rows, launches in ((RecordTable(RequestRecord, records),
+                            RecordTable(BatchRecord, batches)),
+                           (records, batches),
+                           ((r for r in records), (b for b in batches))):
+        got = compute_metrics(rows, launches, makespan, slo, clock_ghz)
         # JSON text, not dict equality: 0 == 0.0 would hide a changed
         # type.
-        assert json.dumps(got.as_dict(), sort_keys=True) \
-            == json.dumps(want.as_dict(), sort_keys=True)
-        assert got == want
+        for oracle in (want, rowwise):
+            assert json.dumps(got.as_dict(), sort_keys=True) \
+                == json.dumps(oracle.as_dict(), sort_keys=True)
+            assert got == oracle
+        # Builtin types, the oracle's field by field: no NumPy scalar
+        # reaches a report.
+        for field in dataclasses.fields(got):
+            value = getattr(got, field.name)
+            assert type(value) in (int, float, type(None)), field.name
+            assert type(value) is type(getattr(rowwise, field.name)), \
+                field.name
 
 
 class TestRollupMatchesMultipass:

@@ -166,6 +166,25 @@ class TestResilienceConfigValidation:
         with pytest.raises(ConfigError, match=r"resilience\.shed_tiers"):
             ResilienceConfig(shed_tiers=((0.5, 1.0), (0.75, 0.5)))
 
+    @pytest.mark.parametrize("tiers, bad", [
+        (((1.05, 0.5), (0.5, 0.25)), 1.05),
+        (((0.5, 1.0), (0.5, 0.5)), 0.5),
+        (((0.5, 1.0), (-0.1, 0.5)), -0.1),
+    ])
+    def test_shed_tier_thresholds_in_unit_interval_strictly_descending(
+            self, tiers, bad):
+        # A threshold above 1 used to pass, so a fleet with every chip
+        # up (alive fraction 1.0) skipped it and admitted a quarter of
+        # its queue.
+        with pytest.raises(ConfigError,
+                           match=rf"resilience\.shed_tiers: .*got {bad}"):
+            ResilienceConfig(shed_tiers=tiers)
+
+    def test_shed_tier_threshold_of_exactly_one_is_legal(self):
+        config = ResilienceConfig(shed_tiers=((1.0, 1.0), (0.5, 0.25)))
+        assert config.tier_multiplier(1.0) == 1.0
+        assert config.tier_multiplier(0.99) == 0.25
+
     def test_backoff_is_exponential(self):
         config = ResilienceConfig(retry_backoff_cycles=100.0)
         assert [config.backoff_cycles(n) for n in (1, 2, 3, 4)] == \
