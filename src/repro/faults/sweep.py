@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
+from repro.kernels.harness import run_conv_pass
 from repro.perf.runner import Task, run_tasks
 
 SCHEMA = "repro.faults.sweep/v1"
@@ -87,28 +88,16 @@ def _bp_run(faults: FaultInjector | None, quick: bool):
     return mrf, result
 
 
-def _conv_run(faults: FaultInjector | None, quick: bool):
-    from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
-    from repro.memory.hmc import HMC
-    from repro.pe.config import PEConfig
-    from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
+#: ``(out_h, out_w, z)`` of the conv pass, quick and full.
+_CONV_SIZE = {True: (4, 8, 16), False: (8, 16, 64)}
 
-    out_h, out_w, z = (4, 8, 16) if quick else (8, 16, 64)
-    k, filters = 3, 2
-    rng = np.random.default_rng(7)
-    inputs = rng.integers(-30, 30, (out_h, out_w, z)).astype(np.int16)
-    weights = rng.integers(-20, 20, (filters, k, k, z)).astype(np.int16)
-    bias = rng.integers(-10, 10, filters).astype(np.int16)
-    layout = ConvTileLayout(base=4096, in_h=out_h + 2, in_w=out_w + 2, z=z,
-                            k=k, num_filters=filters, out_h=out_h, out_w=out_w)
-    hmc = HMC() if faults is None else HMC(faults=faults)
-    layout.stage(hmc.store, inputs, weights, bias)
-    pe_config = PEConfig() if faults is None else PEConfig(faults=faults)
-    pe = PE(pe_config, memory=LocalVaultMemory(hmc, vault=0))
-    result = pe.run(build_conv_pass_program(layout, 0, filters, 0, out_h,
-                                            fx=8, strip_rows=2))
-    return layout.read_output(hmc.store), result.cycles
+
+def _conv_output(run) -> np.ndarray:
+    """The output feature map of a conv pass, read from its DRAM image."""
+    layout = run.layout
+    start = layout.output_base - layout.base
+    flat = run.dram[start:start + layout.output_bytes].view(np.int16)
+    return flat.reshape(layout.out_h, layout.out_w, layout.num_filters)
 
 
 def bp_point(*, mechanism: str, rate: float, seed: int, ecc: bool,
@@ -139,18 +128,19 @@ def conv_point(*, mechanism: str, rate: float, seed: int, ecc: bool,
                golden_cycles: float) -> dict[str, Any]:
     """One conv-pass resilience point (runs in a pool worker)."""
     injector = FaultInjector(fault_config(mechanism, rate, seed, ecc))
-    output, cycles = _conv_run(injector, quick)
-    err = output.astype(np.float64) - golden_output.astype(np.float64)
+    run = run_conv_pass(faults=injector, size=_CONV_SIZE[quick])
+    err = (_conv_output(run).astype(np.float64)
+           - golden_output.astype(np.float64))
     return {
         "workload": "conv",
         "mechanism": mechanism,
         "rate": rate,
         "seed": seed,
         "ok": True,
-        "cycles": cycles,
+        "cycles": run.cycles,
         "mse": float(np.mean(err * err)),
         "max_abs_err": float(np.max(np.abs(err))) if err.size else 0.0,
-        "cycles_delta": cycles - golden_cycles,
+        "cycles_delta": run.cycles - golden_cycles,
         "faults_injected": injector.stats.total_injected,
         "fault_stats": injector.stats.as_dict(),
     }
@@ -176,9 +166,9 @@ def run_sweep(
 
     Golden runs (no injector attached at all) execute once up front in
     the parent; each grid point then rebuilds its injector from
-    ``(mechanism, rate, seed)`` in its worker.  ``reseed_kwarg`` is
-    disabled for retries: a point's seed *is* its identity, so a retry
-    (useful against timeouts) must replay the same experiment.
+    ``(mechanism, rate, seed)`` in its worker.  A retry (useful against
+    timeouts) replays the same experiment: a point's seed *is* its
+    identity.
     ``checkpoint`` journals completed points so a killed sweep resumes
     without recomputing them (failed points are retried on resume).
     """
@@ -207,8 +197,9 @@ def run_sweep(
                                 golden_cycles=result.cycles),
                 ))
     if "conv" in workloads:
-        output, cycles = _conv_run(None, quick)
-        golden["conv"] = {"cycles": cycles}
+        run = run_conv_pass(size=_CONV_SIZE[quick])
+        output = _conv_output(run)
+        golden["conv"] = {"cycles": run.cycles}
         for rate in rates:
             for seed in seeds:
                 tasks.append(Task(
@@ -217,12 +208,12 @@ def run_sweep(
                     kwargs=dict(mechanism=mechanism, rate=rate, seed=seed,
                                 ecc=ecc, quick=quick,
                                 golden_output=output,
-                                golden_cycles=cycles),
+                                golden_cycles=run.cycles),
                 ))
 
     outcomes = run_tasks(tasks, max_workers=max_workers, timeout=timeout,
                          retries=retries, return_errors=True,
-                         reseed_kwarg=None, checkpoint=checkpoint)
+                         checkpoint=checkpoint)
     points: list[dict[str, Any]] = []
     for task, outcome in zip(tasks, outcomes):
         if outcome.ok:

@@ -1,8 +1,13 @@
 """Six simulated kernels with their full observable state captured.
 
-Each runner stages one kernel at a fixed geometry and seed, runs it,
-and returns a :class:`KernelRun`: simulated cycles, PE counters, DRAM
-and scratchpad contents.
+Each runner stages one kernel at a fixed seed, runs it, and returns a
+:class:`KernelRun`: simulated cycles, PE counters, DRAM and scratchpad
+contents, and the DRAM layout it was staged through.  The vault kernels
+run through :func:`~repro.workloads.bp.run_bpm_on_chip` and
+:func:`~repro.workloads.gibbs.run_gibbs_on_chip` on a chip the harness
+builds; :func:`run_conv_pass` and :func:`run_fc_stream` are the one
+place a conv pass and an FC stream are staged, and take their geometry,
+so the serving cost model and the fault sweep run them too.
 
 * ``pe-vector`` — a single PE running a tight vector-ALU loop against
   an idealized :class:`~repro.pe.memoryif.FlatMemory`.
@@ -26,6 +31,7 @@ caller asks for it, so no production path loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -46,6 +52,9 @@ class KernelRun:
     counters: PECounters
     dram: np.ndarray
     scratchpads: tuple[np.ndarray, ...]
+    #: The tile layout the kernel was staged through (its byte sizes are
+    #: what a chip keeps resident); None for ``pe-vector``.
+    layout: Any = None
 
     def assert_equal(self, other: "KernelRun", what: str) -> None:
         if self.cycles != other.cycles:
@@ -115,153 +124,134 @@ def _run_pe_vector(reference: bool, quick: bool, faults=NO_FAULTS,
                      mem.store.read(0, 4 * vl), (pe.scratchpad.copy(),))
 
 
+def _vault_run(chip, cycles: float, layout, nbytes: int) -> KernelRun:
+    """A vault kernel's state: counters summed over the PEs (they
+    accumulate across ``chip.run`` calls) and ``nbytes`` of DRAM."""
+    return KernelRun(cycles, PECounters.sum(pe.counters for pe in chip.pes),
+                     chip.hmc.store.read(layout.base, nbytes),
+                     tuple(pe.scratchpad.copy() for pe in chip.pes), layout)
+
+
+def _vault_chip(reference: bool, faults, trace):
+    from repro.system.config import VIPConfig
+
+    _, Chip = _classes(reference)
+    config = VIPConfig(faults=faults, trace=trace)
+    return Chip(config, num_pes=config.pes_per_vault)
+
+
 def run_vault_bp_tile(reference: bool = False, quick: bool = False,
                       faults=NO_FAULTS, trace=NULL_TRACE,
                       size: tuple[int, int, int] | None = None) -> KernelRun:
-    """One full BP-M iteration (all four sweep directions) on one vault.
+    """One full BP-M iteration (all four sweep directions) on one vault,
+    run by :func:`~repro.workloads.bp.run_bpm_on_chip`.
 
     ``size`` is ``(rows, cols, labels)``; without it the quick tile is
     8×8×4 and the full one 12×16×8.
     """
-    from repro.kernels.bp_kernel import (
-        BPTileLayout,
-        build_vault_sweep_programs,
-        cross_extent,
-    )
-    from repro.system.config import VIPConfig
-    from repro.workloads.bp import stereo_mrf
-    from repro.workloads.bp.mrf import DIRECTIONS
+    from repro.workloads.bp import run_bpm_on_chip, stereo_mrf
 
-    _, Chip = _classes(reference)
     rows, cols, labels = size or ((8, 8, 4) if quick else (12, 16, 8))
-    config = VIPConfig(faults=faults, trace=trace)
-    chip = Chip(config, num_pes=config.pes_per_vault)
+    chip = _vault_chip(reference, faults, trace)
     mrf, _ = stereo_mrf(rows, cols, labels=labels, seed=7)
-    layout = BPTileLayout(base=4096, rows=mrf.rows, cols=mrf.cols,
-                          labels=mrf.labels)
-    layout.stage(chip.hmc.store, mrf, mrf.zero_messages())
-    cycles = 0.0
-    for direction in DIRECTIONS:
-        pes = min(config.pes_per_vault, cross_extent(layout, direction))
-        cycles += chip.run(
-            build_vault_sweep_programs(layout, direction, pes)).cycles
-    # Counters accumulate in the PEs across the four sweeps.
-    counters = PECounters.sum(pe.counters for pe in chip.pes)
-    return KernelRun(cycles, counters,
-                     chip.hmc.store.read(layout.base, layout.total_bytes),
-                     tuple(pe.scratchpad.copy() for pe in chip.pes))
+    run = run_bpm_on_chip(mrf, iterations=1, chip=chip)
+    return _vault_run(chip, run.cycles, run.layout, run.layout.total_bytes)
 
 
 def _run_gibbs_sweep(reference: bool, quick: bool, faults=NO_FAULTS,
                      trace=NULL_TRACE) -> KernelRun:
-    from repro.kernels.gibbs_kernel import (
-        GibbsTileLayout,
-        build_vault_phase_programs,
-    )
-    from repro.system.config import VIPConfig
+    """Checkerboard Gibbs sweeps on one vault, run by
+    :func:`~repro.workloads.gibbs.run_gibbs_on_chip`."""
     from repro.workloads.bp import stereo_mrf
+    from repro.workloads.gibbs import run_gibbs_on_chip
 
-    _, Chip = _classes(reference)
     rows, cols, labels, sweeps = (8, 8, 8, 2) if quick else (12, 16, 16, 3)
-    config = VIPConfig(faults=faults, trace=trace)
-    chip = Chip(config, num_pes=config.pes_per_vault)
+    chip = _vault_chip(reference, faults, trace)
     mrf, _ = stereo_mrf(rows, cols, labels=labels, seed=7)
-    layout = GibbsTileLayout(rows=rows, cols=cols, labels=labels,
-                             num_pes=config.pes_per_vault, base=4096)
-    layout.stage(chip.hmc.store, mrf, seed=0)
-    result = None
-    for _ in range(sweeps):
-        for parity in (0, 1):
-            result = chip.run(build_vault_phase_programs(layout, parity))
-    counters = PECounters.sum(pe.counters for pe in chip.pes)
-    # PE clocks accumulate across chip.run barriers, so the final
-    # result's cycle count is the whole run's.
-    return KernelRun(result.cycles, counters,
-                     chip.hmc.store.read(layout.base, layout.end - layout.base),
-                     tuple(pe.scratchpad.copy() for pe in chip.pes))
+    run = run_gibbs_on_chip(mrf, burn_in=0, samples=sweeps, seed=0,
+                            chip=chip)
+    layout = run.layout
+    return _vault_run(chip, run.cycles, layout, layout.end - layout.base)
 
 
-def _run_conv_pass(reference: bool, quick: bool, faults=NO_FAULTS,
-                   trace=NULL_TRACE) -> KernelRun:
-    """A VGG-geometry conv pass (z=64, k=3, two filters) on one PE."""
-    from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
+def _run_on_pe(reference: bool, faults, trace, program: Program, layout,
+               *data) -> KernelRun:
+    """Stage ``data`` through ``layout`` into vault 0 and run ``program``
+    on one PE with faithful DRAM timing."""
     from repro.memory.hmc import HMC
     from repro.pe.memoryif import LocalVaultMemory
 
     PE, _ = _classes(reference)
-    out_h, out_w = (4, 8) if quick else (8, 16)
-    z, k, filters = 64, 3, 2
+    hmc = HMC(faults=faults, trace=trace)
+    layout.stage(hmc.store, *data)
+    pe = PE(PEConfig(faults=faults, trace=trace),
+            memory=LocalVaultMemory(hmc, vault=0, trace=trace))
+    result = pe.run(program)
+    return KernelRun(result.cycles, result.counters,
+                     hmc.store.read(layout.base, layout.total_bytes),
+                     (pe.scratchpad.copy(),), layout)
+
+
+def run_conv_pass(reference: bool = False, quick: bool = False,
+                  faults=NO_FAULTS, trace=NULL_TRACE,
+                  size: tuple[int, int, int] | None = None) -> KernelRun:
+    """A VGG-geometry conv pass (k=3, two filters) on one PE.
+
+    ``size`` is ``(out_h, out_w, z)``; without it the quick pass is
+    4×8×64 and the full one 8×16×64.
+    """
+    from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
+
+    out_h, out_w, z = size or ((4, 8, 64) if quick else (8, 16, 64))
+    k, filters = 3, 2
     rng = np.random.default_rng(7)
     inputs = rng.integers(-30, 30, (out_h, out_w, z)).astype(np.int16)
     weights = rng.integers(-20, 20, (filters, k, k, z)).astype(np.int16)
     bias = rng.integers(-10, 10, filters).astype(np.int16)
     layout = ConvTileLayout(base=4096, in_h=out_h + 2, in_w=out_w + 2, z=z,
                             k=k, num_filters=filters, out_h=out_h, out_w=out_w)
-    hmc = HMC(faults=faults, trace=trace)
-    layout.stage(hmc.store, inputs, weights, bias)
-    pe = PE(PEConfig(faults=faults, trace=trace),
-            memory=LocalVaultMemory(hmc, vault=0, trace=trace))
-    result = pe.run(build_conv_pass_program(layout, 0, filters, 0, out_h,
-                                            fx=8, strip_rows=2))
-    return KernelRun(result.cycles, result.counters,
-                     hmc.store.read(layout.base, layout.total_bytes),
-                     (pe.scratchpad.copy(),))
+    program = build_conv_pass_program(layout, 0, filters, 0, out_h, fx=8,
+                                      strip_rows=2)
+    return _run_on_pe(reference, faults, trace, program, layout,
+                      inputs, weights, bias)
 
 
-def _run_fc_chunk(reference: bool, quick: bool, faults=NO_FAULTS,
-                  trace=NULL_TRACE) -> KernelRun:
-    """One FC partial-product tile on one PE."""
-    from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
-    from repro.memory.hmc import HMC
-    from repro.pe.memoryif import LocalVaultMemory
-
-    PE, _ = _classes(reference)
-    rows, chunk = (16, 64) if quick else (48, 128)
-    rng = np.random.default_rng(7)
-    W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
-    X = rng.integers(-40, 40, (1, chunk)).astype(np.int16)
-    layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=1)
-    hmc = HMC(faults=faults, trace=trace)
-    layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(faults=faults, trace=trace),
-            memory=LocalVaultMemory(hmc, vault=0, trace=trace))
-    result = pe.run(build_fc_partial_program(layout, fx=6))
-    return KernelRun(result.cycles, result.counters,
-                     hmc.store.read(layout.base, layout.total_bytes),
-                     (pe.scratchpad.copy(),))
+def fc_tile(quick: bool) -> tuple[int, int]:
+    """``(rows, chunk)`` of the FC weight tile :func:`run_fc_stream`
+    streams."""
+    return (16, 64) if quick else (48, 128)
 
 
-def _run_fc_batch(reference: bool, quick: bool, faults=NO_FAULTS,
-                  trace=NULL_TRACE) -> KernelRun:
-    """The batched FC kernel (B resident input chunks): B back-to-back
-    same-shape ``m.v.mul.add`` ops per weight row, the shape the PE's
+def run_fc_stream(reference: bool = False, quick: bool = False,
+                  faults=NO_FAULTS, trace=NULL_TRACE,
+                  batch: int = 1) -> KernelRun:
+    """An FC weight-tile partial-product stream on one PE over ``batch``
+    resident input chunks: ``batch`` back-to-back same-shape
+    ``m.v.mul.add`` ops per weight row, the shape the PE's
     ``VectorOpQueue`` stacks into one numpy call."""
     from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
-    from repro.memory.hmc import HMC
-    from repro.pe.memoryif import LocalVaultMemory
 
-    PE, _ = _classes(reference)
-    rows, chunk, batch = (16, 64, 4) if quick else (48, 128, 8)
+    rows, chunk = fc_tile(quick)
     rng = np.random.default_rng(7)
     W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
     X = rng.integers(-40, 40, (batch, chunk)).astype(np.int16)
     layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=batch)
-    hmc = HMC(faults=faults, trace=trace)
-    layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(faults=faults, trace=trace),
-            memory=LocalVaultMemory(hmc, vault=0, trace=trace))
-    result = pe.run(build_fc_partial_program(layout, fx=6))
-    return KernelRun(result.cycles, result.counters,
-                     hmc.store.read(layout.base, layout.total_bytes),
-                     (pe.scratchpad.copy(),))
+    return _run_on_pe(reference, faults, trace,
+                      build_fc_partial_program(layout, fx=6), layout, W, X)
+
+
+def _run_fc_batch(reference: bool, quick: bool, faults=NO_FAULTS,
+                  trace=NULL_TRACE) -> KernelRun:
+    return run_fc_stream(reference, quick, faults, trace,
+                         batch=4 if quick else 8)
 
 
 _SIM_RUNNERS = {
     "pe-vector": _run_pe_vector,
     "vault-bp-tile": run_vault_bp_tile,
     "gibbs-sweep": _run_gibbs_sweep,
-    "conv-pass": _run_conv_pass,
-    "fc-chunk": _run_fc_chunk,
+    "conv-pass": run_conv_pass,
+    "fc-chunk": run_fc_stream,
     "fc-batch": _run_fc_batch,
 }
 

@@ -19,8 +19,6 @@ from repro.perf.runner import (
     TaskResult,
     TaskTimeoutError,
     default_workers,
-    derive_seed,
-    map_tasks,
     run_tasks,
 )
 
@@ -44,9 +42,7 @@ __all__ = [
     "bp_sweep_point",
     "cnn_sweep_point",
     "default_workers",
-    "derive_seed",
     "fc6_weight_bytes",
-    "map_tasks",
     "point_from_counters",
     "prewarm_cnn_models",
     "run_figure5",

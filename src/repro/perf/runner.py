@@ -9,9 +9,8 @@ place that owns the fork/submit/collect mechanics, with three guarantees:
 * **Deterministic ordering** — results come back in task-submission order
   (never completion order), so parallel and serial runs produce the same
   tables byte for byte.
-* **Deterministic seeding** — :func:`derive_seed` hashes a task key with
-  :func:`zlib.crc32` (the builtin ``hash`` is randomized per process, which
-  would make worker seeds differ run to run).
+* **Replayable retries** — a retried task runs with the same arguments,
+  so a retry replays the same experiment; any seed is the caller's.
 * **Graceful degradation** — with one worker, one task, or when already
   inside a worker process (no nested pools), tasks run inline in the
   calling process, which is also the code path a debugger sees.
@@ -23,10 +22,7 @@ pickle — dataclasses of numbers, numpy arrays, and configs all do.
 
 Long campaigns (e.g. the ``repro.faults`` resilience sweeps) additionally
 get *hardening* knobs on :func:`run_tasks`: per-attempt wall-clock
-``timeout``, bounded ``retries`` with exponential ``backoff`` (retry
-attempts deterministically reseed an integer ``seed`` kwarg through
-:func:`derive_seed`, so a retry is a *different but reproducible*
-experiment rather than a replay of the same failure), and a
+``timeout``, bounded ``retries`` with exponential ``backoff``, and a
 ``return_errors`` mode that salvages partial campaigns as
 :class:`TaskResult` records instead of aborting on the first failure.
 All attempts run in the worker that owns the task, so retry/backoff
@@ -40,11 +36,10 @@ import os
 import signal
 import threading
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -57,17 +52,6 @@ class Task:
     kwargs: dict = field(default_factory=dict)
 
 
-def derive_seed(base: int, *parts: Any) -> int:
-    """A stable per-task seed from a base seed and identifying parts.
-
-    Stable across processes and interpreter runs (unlike ``hash``), cheap,
-    and well-spread: tasks that share ``base`` but differ in any part get
-    unrelated streams.
-    """
-    text = ":".join(str(p) for p in parts)
-    return (base * 1_000_003 + zlib.crc32(text.encode("utf-8"))) % (1 << 31)
-
-
 def default_workers() -> int:
     """Worker count: ``REPRO_MAX_WORKERS`` when set, else the CPU count."""
     env = os.environ.get("REPRO_MAX_WORKERS")
@@ -77,10 +61,6 @@ def default_workers() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
-
-
-def _call(task: Task) -> Any:
-    return task.fn(*task.args, **task.kwargs)
 
 
 class TaskTimeoutError(TimeoutError):
@@ -112,7 +92,6 @@ class _Policy:
     retries: int = 0
     backoff: float = 0.5
     return_errors: bool = False
-    reseed_kwarg: str | None = "seed"
 
 
 @contextmanager
@@ -145,23 +124,6 @@ def _alarm(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _attempt_kwargs(task: Task, policy: _Policy, attempt: int) -> dict:
-    """Kwargs for one attempt: retries reseed the ``seed``-style kwarg.
-
-    The replacement comes from :func:`derive_seed` over the original
-    seed, the task key, and the attempt number — deterministic across
-    runs and processes, but a fresh stream per retry so a seed-dependent
-    failure is not blindly replayed.
-    """
-    name = policy.reseed_kwarg
-    if attempt == 1 or not name or name not in task.kwargs:
-        return task.kwargs
-    original = task.kwargs[name]
-    if not isinstance(original, int) or isinstance(original, bool):
-        return task.kwargs
-    return {**task.kwargs, name: derive_seed(original, task.key, attempt)}
-
-
 def _call_policy(task: Task, policy: _Policy) -> Any:
     """Run one task under ``policy`` (retries, timeout, salvage).
 
@@ -178,7 +140,7 @@ def _call_policy(task: Task, policy: _Policy) -> Any:
             time.sleep(policy.backoff * 2 ** (attempt - 2))
         try:
             with _alarm(policy.timeout):
-                value = task.fn(*task.args, **_attempt_kwargs(task, policy, attempt))
+                value = task.fn(*task.args, **task.kwargs)
         except Exception as exc:  # noqa: BLE001 - retried / reported below
             last_error = exc
             continue
@@ -240,7 +202,6 @@ def run_tasks(
     retries: int = 0,
     backoff: float = 0.5,
     return_errors: bool = False,
-    reseed_kwarg: str | None = "seed",
     checkpoint=None,
 ) -> list[Any]:
     """Run ``tasks``, returning their results in submission order.
@@ -255,10 +216,8 @@ def run_tasks(
     * ``timeout`` — per-attempt wall-clock seconds; an overrunning
       attempt raises :class:`TaskTimeoutError` and counts as a failure.
     * ``retries``/``backoff`` — a failed attempt is retried up to
-      ``retries`` times, sleeping ``backoff * 2**(attempt-1)`` seconds
-      first.  Retries of tasks with an integer ``reseed_kwarg`` kwarg
-      (default ``"seed"``) get a deterministic fresh seed via
-      :func:`derive_seed`.
+      ``retries`` times with the same arguments, sleeping
+      ``backoff * 2**(attempt-1)`` seconds first.
     * ``return_errors`` — instead of raising, every task yields a
       :class:`TaskResult`; failures carry their error text so a long
       campaign salvages completed points.
@@ -270,7 +229,7 @@ def run_tasks(
     """
     tasks = list(tasks)
     policy = _Policy(timeout=timeout, retries=retries, backoff=backoff,
-                     return_errors=return_errors, reseed_kwarg=reseed_kwarg)
+                     return_errors=return_errors)
     if checkpoint is None:
         return _execute(tasks, policy, max_workers)
     results: list[Any] = [None] * len(tasks)
@@ -288,11 +247,3 @@ def run_tasks(
             results[i] = value
     return results
 
-
-def map_tasks(fn: Callable[..., Any], argsets: Sequence[tuple],
-              key: str = "task", max_workers: int | None = None) -> list[Any]:
-    """Convenience wrapper: ``[fn(*args) for args in argsets]`` in parallel."""
-    return run_tasks(
-        [Task(key=f"{key}:{i}", fn=fn, args=tuple(a)) for i, a in enumerate(argsets)],
-        max_workers=max_workers,
-    )

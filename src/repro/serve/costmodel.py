@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.isa.instructions import SCRATCHPAD_BYTES
 from repro.perf.runner import Task, run_tasks
@@ -73,11 +71,9 @@ def _geometry(kind: str, quick: bool) -> dict:
         rows, cols, labels = (8, 8, 4) if quick else (12, 16, 8)
         return {"rows": rows, "cols": cols, "labels": labels}
     if kind == "conv":
-        out_h, out_w, z = (4, 8, 16) if quick else (8, 16, 64)
-        return {"out_h": out_h, "out_w": out_w, "z": z, "k": 3, "filters": 2}
+        return {"size": (4, 8, 16) if quick else (8, 16, 64)}
     if kind == "fc":
-        rows, chunk = (16, 64) if quick else (48, 128)
-        return {"rows": rows, "chunk": chunk}
+        return {}  # the harness's fc_tile(quick), at the launch's batch
     if kind == "gibbs":
         rows, cols, samples = (8, 8, 2) if quick else (10, 12, 3)
         return {"rows": rows, "cols": cols, "labels": 8,
@@ -88,7 +84,9 @@ def _geometry(kind: str, quick: bool) -> dict:
 def fc_max_batch(quick: bool) -> int:
     """Largest FC batch whose resident inputs fit the 4 KiB scratchpad
     (B input chunks + 2 double-buffered weight rows + B partial scalars)."""
-    chunk = _geometry("fc", quick)["chunk"]
+    from repro.kernels.harness import fc_tile
+
+    _, chunk = fc_tile(quick)
     eb = 2
     b = 1
     while ((b + 1) * chunk * eb + 2 * chunk * eb + (b + 1) * eb
@@ -105,101 +103,62 @@ def measure_shape(kind: str, batch: int, quick: bool,
                   degraded: bool, seed: int = 0) -> dict:
     """Simulate one launch shape; returns cycles and resident-state sizes.
 
+    Each kind runs through its one runner: a BP-M iteration through
+    :func:`~repro.workloads.bp.run_bpm_on_chip`, a Gibbs request through
+    :func:`~repro.workloads.gibbs.run_gibbs_on_chip`, and conv and FC
+    through the kernel harness's :func:`~repro.kernels.harness.run_conv_pass`
+    and :func:`~repro.kernels.harness.run_fc_stream`.
+
     ``model_bytes`` is what a chip must stage to start serving this kind
     at all (weights / smoothness + tile state); ``tile_bytes`` is what a
     same-kind tile switch costs (BP message state; zero for conv/fc,
     whose weights are tile-independent and whose inputs stream per
     request regardless).
     """
+    from repro.faults.config import NO_FAULTS
+    from repro.kernels.harness import run_conv_pass, run_fc_stream
+    from repro.system.config import VIPConfig
+    from repro.workloads.bp import run_bpm_on_chip, stereo_mrf
+    from repro.workloads.gibbs import run_gibbs_on_chip
+
     g = _geometry(kind, quick)
-    faults = _fault_injector(seed) if degraded else None
+    faults = _fault_injector(seed) if degraded else NO_FAULTS
     quality = None
+    if kind in ("bp", "gibbs"):
+        mrf, _ = stereo_mrf(g["rows"], g["cols"], labels=g["labels"], seed=7)
+        config = VIPConfig(faults=faults)
     if kind == "bp":
-        cycles, model, tile = _measure_bp(g, faults)
-    elif kind == "conv":
-        cycles, model, tile = _measure_conv(g, faults)
+        run = run_bpm_on_chip(mrf, iterations=1, config=config)
+        model = tile = run.layout.total_bytes
     elif kind == "gibbs":
-        cycles, model, tile, quality = _measure_gibbs(g, faults)
+        run = run_gibbs_on_chip(mrf, burn_in=g["burn_in"],
+                                samples=g["samples"], seed=0, config=config)
+        model = tile = run.layout.end - run.layout.base
+        quality = _gibbs_quality(mrf, run.result, g)
+    elif kind == "conv":
+        run = run_conv_pass(faults=faults, size=g["size"])
+        model, tile = run.layout.weights_bytes + run.layout.bias_bytes, 0
     else:
-        cycles, model, tile = _measure_fc(g, batch, faults)
+        run = run_fc_stream(quick=quick, faults=faults, batch=batch)
+        model, tile = run.layout.weights_bytes, 0
     row = {"kind": kind, "batch": batch, "degraded": degraded,
-           "cycles": cycles, "model_bytes": model, "tile_bytes": tile}
+           "cycles": run.cycles, "model_bytes": model, "tile_bytes": tile}
     if quality is not None:
         row["quality"] = quality
     return row
 
 
-def _measure_bp(g: dict, faults) -> tuple[float, int, int]:
-    from repro.faults.config import NO_FAULTS
-    from repro.kernels.bp_kernel import (
-        BPTileLayout,
-        build_vault_sweep_programs,
-        cross_extent,
-    )
-    from repro.system.chip import Chip
-    from repro.system.config import VIPConfig
-    from repro.workloads.bp import stereo_mrf
-    from repro.workloads.bp.mrf import DIRECTIONS
+def _gibbs_quality(mrf, measured, g: dict) -> dict:
+    """Score a Gibbs request's marginals against the fault-free reference
+    sampler, so a *degraded* chip's row records not just longer service
+    times but the quality its corrupted draws actually produce (the
+    uncertainty-quantification angle: entropy, confidence, agreement are
+    servable metrics)."""
+    from repro.workloads.gibbs import label_agreement, marginal_l1, run_gibbs
 
-    config = VIPConfig(faults=faults if faults is not None else NO_FAULTS)
-    chip = Chip(config, num_pes=config.pes_per_vault)
-    mrf, _ = stereo_mrf(g["rows"], g["cols"], labels=g["labels"], seed=7)
-    layout = BPTileLayout(base=4096, rows=mrf.rows, cols=mrf.cols,
-                          labels=mrf.labels)
-    layout.stage(chip.hmc.store, mrf, mrf.zero_messages())
-    cycles = 0.0
-    for direction in DIRECTIONS:
-        pes = min(config.pes_per_vault, cross_extent(layout, direction))
-        cycles += chip.run(
-            build_vault_sweep_programs(layout, direction, pes)).cycles
-    return cycles, layout.total_bytes, layout.total_bytes
-
-
-def _measure_gibbs(g: dict, faults) -> tuple[float, int, int, dict]:
-    """Simulate one Gibbs service unit and score its output quality.
-
-    A ``gibbs`` request is a full ``burn_in + samples`` checkerboard run
-    on one MRF tile.  Alongside the cycles, the measured marginals are
-    scored against the fault-free reference sampler — so a *degraded*
-    chip's row records not just longer service times but the quality its
-    corrupted draws actually produce (the uncertainty-quantification
-    angle: entropy, confidence, agreement are servable metrics).
-    """
-    from repro.faults.config import NO_FAULTS
-    from repro.kernels.gibbs_kernel import (
-        GibbsTileLayout,
-        build_vault_phase_programs,
-    )
-    from repro.system.chip import Chip
-    from repro.system.config import VIPConfig
-    from repro.workloads.bp import stereo_mrf
-    from repro.workloads.gibbs import (
-        label_agreement,
-        marginal_l1,
-        run_gibbs,
-        summarize_histogram,
-    )
-
-    config = VIPConfig(faults=faults if faults is not None else NO_FAULTS)
-    chip = Chip(config, num_pes=config.pes_per_vault)
-    mrf, _ = stereo_mrf(g["rows"], g["cols"], labels=g["labels"], seed=7)
-    layout = GibbsTileLayout(rows=mrf.rows, cols=mrf.cols, labels=mrf.labels,
-                             num_pes=config.pes_per_vault, base=4096)
-    layout.stage(chip.hmc.store, mrf, seed=0)
-
-    burn_in, samples = g["burn_in"], g["samples"]
-    histogram = np.zeros((mrf.rows, mrf.cols, mrf.labels), dtype=np.int64)
-    ii, jj = np.indices((mrf.rows, mrf.cols))
-    cycles = 0.0
-    for sweep in range(burn_in + samples):
-        for parity in (0, 1):
-            cycles = chip.run(build_vault_phase_programs(layout, parity)).cycles
-        if sweep >= burn_in:
-            histogram[ii, jj, layout.read_labels(chip.hmc.store)] += 1
-
-    measured = summarize_histogram(histogram, samples, burn_in)
-    reference = run_gibbs(mrf, burn_in=burn_in, samples=samples, seed=0)
-    quality = {
+    reference = run_gibbs(mrf, burn_in=g["burn_in"], samples=g["samples"],
+                          seed=0)
+    return {
         "mean_entropy": measured.mean_entropy,
         "mean_confidence": measured.mean_confidence,
         "agreement_vs_reference": label_agreement(reference.labels,
@@ -207,80 +166,6 @@ def _measure_gibbs(g: dict, faults) -> tuple[float, int, int, dict]:
         "marginal_l1_vs_reference": marginal_l1(reference.marginals,
                                                 measured.marginals),
     }
-    footprint = layout.end - layout.base
-    return cycles, footprint, footprint, quality
-
-
-def _measure_conv(g: dict, faults) -> tuple[float, int, int]:
-    from repro.faults.config import NO_FAULTS
-    from repro.kernels.conv_kernel import ConvTileLayout, build_conv_pass_program
-    from repro.memory.hmc import HMC
-    from repro.pe.config import PEConfig
-    from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
-
-    out_h, out_w, z = g["out_h"], g["out_w"], g["z"]
-    k, filters = g["k"], g["filters"]
-    rng = np.random.default_rng(7)
-    inputs = rng.integers(-30, 30, (out_h, out_w, z)).astype(np.int16)
-    weights = rng.integers(-20, 20, (filters, k, k, z)).astype(np.int16)
-    bias = rng.integers(-10, 10, filters).astype(np.int16)
-    layout = ConvTileLayout(base=4096, in_h=out_h + 2, in_w=out_w + 2, z=z,
-                            k=k, num_filters=filters, out_h=out_h, out_w=out_w)
-    hmc = HMC(faults=faults if faults is not None else NO_FAULTS)
-    layout.stage(hmc.store, inputs, weights, bias)
-    pe = PE(PEConfig(faults=faults if faults is not None else NO_FAULTS),
-            memory=LocalVaultMemory(hmc, vault=0))
-    result = pe.run(build_conv_pass_program(layout, 0, filters, 0, out_h,
-                                            fx=8, strip_rows=2))
-    return result.cycles, layout.weights_bytes + layout.bias_bytes, 0
-
-
-#: Deterministic FC test tensors by shape.  ``(W, X)`` is a pure function
-#: of ``(rows, chunk, batch)`` (fixed seed, fixed draw order) and is only
-#: ever read by ``FCTileLayout.stage``, so repeated measurements of the
-#: same shape — table rebuilds, interleaved benchmarks — share one
-#: generation instead of re-rolling the rng.
-_FC_DATA: dict = {}
-
-#: Assembled FC programs by shape, for the same reason: the program (and
-#: the predecoded dispatch table cached on it) is a pure function of the
-#: tile layout and fx, and programs are immutable after assembly.
-_FC_PROGRAMS: dict = {}
-
-
-def _fc_test_data(rows: int, chunk: int, batch: int):
-    key = (rows, chunk, batch)
-    data = _FC_DATA.get(key)
-    if data is None:
-        rng = np.random.default_rng(7)
-        W = rng.integers(-40, 40, (rows, chunk)).astype(np.int16)
-        X = rng.integers(-40, 40, (batch, chunk)).astype(np.int16)
-        data = _FC_DATA[key] = (W, X)
-    return data
-
-
-def _measure_fc(g: dict, batch: int, faults) -> tuple[float, int, int]:
-    from repro.faults.config import NO_FAULTS
-    from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
-    from repro.memory.hmc import HMC
-    from repro.pe.config import PEConfig
-    from repro.pe.memoryif import LocalVaultMemory
-    from repro.pe.pe import PE
-
-    rows, chunk = g["rows"], g["chunk"]
-    W, X = _fc_test_data(rows, chunk, batch)
-    layout = FCTileLayout(base=8192, rows=rows, chunk=chunk, batch=batch)
-    hmc = HMC(faults=faults if faults is not None else NO_FAULTS)
-    layout.stage(hmc.store, W, X)
-    pe = PE(PEConfig(faults=faults if faults is not None else NO_FAULTS),
-            memory=LocalVaultMemory(hmc, vault=0))
-    key = (rows, chunk, batch)
-    program = _FC_PROGRAMS.get(key)
-    if program is None:
-        program = _FC_PROGRAMS[key] = build_fc_partial_program(layout, fx=6)
-    result = pe.run(program)
-    return result.cycles, layout.weights_bytes, 0
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +268,7 @@ def build_cost_table(max_batch: int, quick: bool = True,
         for d in health
         for kind, batch in shapes
     ]
-    rows = run_tasks(tasks, max_workers=max_workers, reseed_kwarg=None,
-                     checkpoint=checkpoint)
+    rows = run_tasks(tasks, max_workers=max_workers, checkpoint=checkpoint)
     cycles = {(r["kind"], r["batch"], r["degraded"]): r["cycles"]
               for r in rows}
     model = {r["kind"]: r["model_bytes"] for r in rows}

@@ -373,20 +373,27 @@ class FleetSimulator(DispatchMixin):
             self._push(batch.close, "dispatch", _Pending(batch))
         self._drain(until=None)
 
-    def collect(self, requests: list[Request]) -> FleetResult:
+    def collect(self, requests: list[Request], *, rids=None,
+                span: tuple[float, float] | None = None) -> FleetResult:
         """Assemble the result for ``requests`` after finish().
 
         The record table is sorted by rid in place and returned without
         a copy; a request with no record or with two, or a record of no
         request in ``requests``, raises
-        :class:`~repro.errors.SimulationError` naming the rid.
+        :class:`~repro.errors.SimulationError` naming the rid.  A caller
+        that already holds the requests' :func:`sorted_rids` and their
+        ``(first, last)`` arrival passes them as ``rids`` and ``span``;
+        otherwise both are computed from ``requests``.
         """
         records = self._records
-        sort_exactly_once(records, sorted_rids(requests))
-        first = min((r.arrival for r in requests), default=0.0)
-        last = served_finish(
-            (self._batches,),
-            default=max((r.arrival for r in requests), default=0.0))
+        if rids is None:
+            rids = sorted_rids(requests)
+        if span is None:
+            span = (min((r.arrival for r in requests), default=0.0),
+                    max((r.arrival for r in requests), default=0.0))
+        first, last_arrival = span
+        sort_exactly_once(records, rids)
+        last = served_finish((self._batches,), default=last_arrival)
         autoscale = None
         if self.autoscaler is not None:
             autoscale = self.autoscaler.result(records, last)
@@ -400,7 +407,9 @@ class FleetSimulator(DispatchMixin):
             ) -> FleetResult:
         requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
         # A repeated rid, or one outside int64, fails before simulating.
-        sorted_rids(requests)
+        rids = sorted_rids(requests)
+        span = ((requests[0].arrival, requests[-1].arrival) if requests
+                else (0.0, 0.0))
         self.begin()
         total = len(requests)
         if on_progress is not None and progress_every is None:
@@ -413,8 +422,6 @@ class FleetSimulator(DispatchMixin):
                 on_progress(self.snapshot(req.arrival, arrived, total))
         self.finish()
         if on_progress is not None:
-            end = served_finish(
-                (self._batches,),
-                default=requests[-1].arrival if requests else 0.0)
+            end = served_finish((self._batches,), default=span[1])
             on_progress(self.snapshot(end, total, total))
-        return self.collect(requests)
+        return self.collect(requests, rids=rids, span=span)

@@ -38,6 +38,10 @@ _HEADER_BYTES = 16
 class ChipResult:
     """Outcome of a full-system run."""
 
+    #: The chip clock when the run ended, not the run's length: a chip's
+    #: PE clocks start from wherever its last run left them (``PE.load``
+    #: does not reset them), so back-to-back runs on one chip report
+    #: cumulative times.  A sequence of runs lasts its last ``cycles``.
     cycles: float
     counters: PECounters
     pe_cycles: list[float]

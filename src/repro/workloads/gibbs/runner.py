@@ -4,12 +4,15 @@ chip, plus the reference-vs-kernel quality gate.
 Mirrors :mod:`repro.workloads.bp.runner`: stage once, then alternate the
 two checkerboard phase programs with ``chip.run`` boundaries acting as
 the cross-PE barrier, reading the labeling back after every post-burn-in
-sweep to accumulate the marginal histogram host-side.
+sweep to accumulate the marginal histogram host-side.  This is the one
+place Gibbs sweeps run on a vault: the kernel harness and the serving
+cost model call it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +26,10 @@ from repro.workloads.gibbs.reference import (
     summarize_histogram,
 )
 
+if TYPE_CHECKING:
+    from repro.kernels.gibbs_kernel import GibbsTileLayout
+    from repro.system.chip import Chip
+
 
 @dataclass
 class ChipGibbsResult:
@@ -31,6 +38,8 @@ class ChipGibbsResult:
     result: GibbsResult
     cycles: float
     sweeps: int
+    #: Where the tile was staged in DRAM.
+    layout: GibbsTileLayout
 
     @property
     def milliseconds(self) -> float:
@@ -44,24 +53,33 @@ def run_gibbs_on_chip(
     seed: int = 0,
     config: VIPConfig | None = None,
     base: int = 4096,
+    chip: Chip | None = None,
 ) -> ChipGibbsResult:
     """Run ``burn_in + samples`` checkerboard sweeps on one simulated
     vault.  Labels, marginals, and entropy are bit-identical to
     :func:`repro.workloads.gibbs.run_gibbs` on the same inputs — the two
     implementations share the seeded per-pixel draw stream.
+
+    ``chip`` is a prebuilt one-vault chip to run on instead of a fresh
+    ``Chip(config)``, as in :func:`repro.workloads.bp.run_bpm_on_chip`.
+    ``cycles`` is the chip clock when the last phase ends: PE clocks
+    accumulate across ``chip.run`` barriers, so on a fresh chip that is
+    the whole run's length.
     """
     # Imported here: the kernel generators import this package's data
     # structures, so a module-level import would be circular.
     from repro.kernels.gibbs_kernel import GibbsTileLayout, build_vault_phase_programs
-    from repro.system.chip import Chip
 
-    config = config or VIPConfig()
-    chip = Chip(config, num_pes=config.pes_per_vault)
+    if chip is None:
+        from repro.system.chip import Chip
+
+        config = config or VIPConfig()
+        chip = Chip(config, num_pes=config.pes_per_vault)
     layout = GibbsTileLayout(
         rows=mrf.rows,
         cols=mrf.cols,
         labels=mrf.labels,
-        num_pes=config.pes_per_vault,
+        num_pes=chip.config.pes_per_vault,
         base=base,
     )
     layout.stage(chip.hmc.store, mrf, seed=seed)
@@ -80,7 +98,8 @@ def run_gibbs_on_chip(
 
     summary = summarize_histogram(histogram, samples, burn_in)
     summary.last_sample = labels
-    return ChipGibbsResult(result=summary, cycles=cycles, sweeps=burn_in + samples)
+    return ChipGibbsResult(result=summary, cycles=cycles,
+                           sweeps=burn_in + samples, layout=layout)
 
 
 def quality_gate(

@@ -187,18 +187,23 @@ class TestSweep:
 
         out = tmp_path / "sweep.json"
         csv = tmp_path / "sweep.csv"
-        rc = main(["--workloads", "bp", "--rates", "0,1e-4", "--seeds", "0",
-                   "--max-workers", "1", "--out", str(out), "--csv", str(csv)])
+        rc = main(["--workloads", "bp,conv", "--rates", "0,1e-4",
+                   "--seeds", "0", "--max-workers", "1", "--out", str(out),
+                   "--csv", str(csv)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro.faults.sweep/v1"
         zero = [p for p in payload["points"] if p["rate"] == 0.0]
-        assert zero and all(p["ok"] for p in zero)
+        assert sorted(p["workload"] for p in zero) == ["bp", "conv"]
+        assert all(p["ok"] for p in zero)
         for point in zero:
-            assert point["agreement"] == 1.0
-            assert point["energy_ratio"] == 1.0
             assert point["cycles_delta"] == 0.0
             assert point["faults_injected"] == 0
+            if point["workload"] == "bp":
+                assert point["agreement"] == 1.0
+                assert point["energy_ratio"] == 1.0
+            else:
+                assert point["mse"] == 0.0
         header = csv.read_text().splitlines()[0]
         assert header.startswith("workload,mechanism,rate,seed,ok")
 

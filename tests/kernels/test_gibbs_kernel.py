@@ -89,15 +89,15 @@ class TestBitExactness:
         assert chip.cycles > 0
         assert chip.milliseconds > 0
 
-    def test_matches_reference_interpreter(self, monkeypatch):
-        import repro.system.chip
+    def test_matches_reference_interpreter(self):
         from repro.pe.reference import ReferenceChip
 
         mrf, _ = stereo_mrf(6, 6, labels=4, seed=1)
         run = run_gibbs_on_chip(mrf, burn_in=1, samples=2, seed=0)
-        # run_gibbs_on_chip looks its Chip class up in repro.system.chip.
-        monkeypatch.setattr(repro.system.chip, "Chip", ReferenceChip)
-        reference = run_gibbs_on_chip(mrf, burn_in=1, samples=2, seed=0)
+        config = VIPConfig()
+        reference = run_gibbs_on_chip(
+            mrf, burn_in=1, samples=2, seed=0,
+            chip=ReferenceChip(config, num_pes=config.pes_per_vault))
         assert np.array_equal(run.result.last_sample,
                               reference.result.last_sample)
         assert np.array_equal(run.result.marginals, reference.result.marginals)

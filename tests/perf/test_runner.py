@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.perf.runner import Task, default_workers, derive_seed, map_tasks, run_tasks
+from repro.perf.runner import Task, default_workers, run_tasks
 
 
 def _square(x):
@@ -22,10 +22,6 @@ def test_results_in_submission_order():
     assert run_tasks(tasks, max_workers=4) == [i * i for i in range(20)]
 
 
-def test_map_tasks():
-    assert map_tasks(_square, [(3,), (4,)]) == [9, 16]
-
-
 def test_failing_task_raises():
     tasks = [Task(key="ok", fn=_square, args=(2,)),
              Task(key="bad", fn=_fail, args=(1,))]
@@ -33,13 +29,6 @@ def test_failing_task_raises():
         run_tasks(tasks, max_workers=1)
     with pytest.raises(ValueError, match="boom"):
         run_tasks(tasks, max_workers=2)
-
-
-def test_derive_seed_stable_and_spread():
-    assert derive_seed(0, "bp", "down") == derive_seed(0, "bp", "down")
-    assert derive_seed(0, "bp", "down") != derive_seed(0, "bp", "up")
-    assert derive_seed(0, "bp", "down") != derive_seed(1, "bp", "down")
-    assert 0 <= derive_seed(12345, "x") < (1 << 31)
 
 
 def test_default_workers_env(monkeypatch):

@@ -8,7 +8,6 @@ from repro.perf.runner import (
     Task,
     TaskResult,
     TaskTimeoutError,
-    derive_seed,
     run_tasks,
 )
 
@@ -71,23 +70,12 @@ class TestTimeout:
 
 
 class TestRetries:
-    def test_retry_reseeds_deterministically(self):
-        # Attempt 1 runs seed=5 and fails; attempt 2 must run the
-        # derive_seed(5, key, 2) reseed, which succeeds and is returned.
-        expected = derive_seed(5, "reseed", 2)
-        tasks = [Task(key="reseed", fn=_fail_on_seed, args=(5,),
-                      kwargs={"seed": 5})]
-        for workers in (1, 2):
-            results = run_tasks(tasks, max_workers=workers, retries=1,
-                                backoff=0.0, return_errors=True)
-            assert results[0].ok
-            assert results[0].value == expected
-            assert results[0].attempts == 2
-
     def test_no_reseed_when_disabled(self):
+        # A retry replays the same kwargs, so a seed that fails once
+        # fails on every attempt.
         tasks = [Task(key="k", fn=_fail_on_seed, args=(5,), kwargs={"seed": 5})]
         results = run_tasks(tasks, max_workers=1, retries=2, backoff=0.0,
-                            return_errors=True, reseed_kwarg=None)
+                            return_errors=True)
         assert not results[0].ok
         assert results[0].attempts == 3
 

@@ -1,17 +1,23 @@
-"""One dispatch path and one report schema reproduce the forked code.
+"""One dispatch path and one report schema, pinned by digest.
 
 The fleet used to run a separate dispatch path while failures were off,
 and ``run_report`` chose one of four schemas (``repro.serve/v3`` to
 ``v6``) by which features were on.  Now a failures-off fleet is the
 resilient path over an empty failure timeline with no retry deadline,
-and every report is ``repro.serve/v7``.  The digests below were
-computed on the forked code (run ``python tests/serve/test_v7_equivalence.py``
-with that code on ``PYTHONPATH`` to print them) and pin what the one
-path must reproduce:
+and every report is ``repro.serve/v7``.  The one path reproduced the
+forked code's digests exactly.  The digests below were taken once more
+when the ``bp`` cost column became the length of one BP-M iteration
+(the chip clock at the end of its last sweep) instead of the sum of
+the four sweeps' end times: every run that serves ``bp`` moved, and
+``fc-deep-batch`` (``fc``) and ``slo-probe`` (``vgg``) did not.  With
+the summed column put back into ``measure_shape`` all 72 equal the
+forked code's.  ``python tests/serve/test_v7_equivalence.py`` prints
+them for the code on ``PYTHONPATH``.  They pin:
 
-* every bundled scenario: its payload under :func:`legacy_to_v7`, the
-  one projection from a v3–v6 payload to v7, and each mix's request
-  records, launch records, chip accounting and metrics;
+* every bundled scenario: its v7 payload (the forked code's ran through
+  :func:`legacy_to_v7`, the one projection from a v3–v6 payload to v7)
+  and each mix's request records, launch records, chip accounting and
+  metrics;
 * every cell of the default chaos matrix (54 single-fleet cells plus
   the ``bp+gibbs`` cell) and every cluster cell CI runs
   (``--seeds 2 --cluster``): the same run digest;
@@ -183,99 +189,99 @@ PACED_CELLS = [(seed, mode) for seed in range(2)
 
 #: autoscaled cluster cell -> run digest.
 PACED_DIGESTS = {
-    (0, 'fail-slow'): 'eab200c22e96aeb9',
-    (0, 'transient'): '4fbe19e607d5c805',
-    (1, 'fail-slow'): 'e43e93dcaeed3a1b',
-    (1, 'transient'): '6983017c8a6539a7',
+    (0, 'fail-slow'): '32b98268b4e2f9c5',
+    (0, 'transient'): 'e76f1dac002868bc',
+    (1, 'fail-slow'): '1db76f69bfc3edc7',
+    (1, 'transient'): '9b8647ab2f66a8bc',
 }
 
 #: scenario file -> (v7 payload digest, per-mix run digests).
 SCENARIO_DIGESTS = {
     'autoscale-flash-crowd.yaml': (
-        'abfdf979a5ab8124', ['9bb9578cc20cfe3c', '68084def048b80e5']),
+        'e606ce902f7ac595', ['44c7565327c63bf2', '68084def048b80e5']),
     'chaos-failover.yaml': (
-        '6e0b5361d005c784', ['2142635355dab33b', '730d22878e427f0a']),
+        '8a86dbe08b214933', ['491f345b6d1a98db', 'bf92e3ce6960f39a']),
     'cluster-zone-outage.yaml': (
-        '8ca8258022efbdff', ['ed56a1ee583ba1f7']),
+        'a71af6dce7260f52', ['a1384c2561aff578']),
     'degraded-fleet.yaml': (
-        'd6316ab41aa9ad73', ['8bc108e0d34ce27f']),
+        '286d132dcdc77707', ['671276318cc25bdf']),
     'fc-deep-batch.yaml': (
         'd6869170bd27b5af', ['fc1939985a64ea9b']),
     'flash-crowd.yaml': (
-        '120cc0b8c494b7da', ['5c7300c3315d0d29', 'ff3815866083e553']),
+        '760a884506cf0079', ['c38384e90d7f4fb1', 'ff3815866083e553']),
     'gibbs-uq.yaml': (
-        '33517e8d655478dc', ['cf71448823421d4c', 'c76f32c95c730864']),
+        'd42c06db629c1756', ['cf71448823421d4c', '446a51e67a5e9a72']),
     'slo-probe.json': (
         '3a3b6364018cf58f', ['559d25a1329f6933']),
     'steady-bp.yaml': (
-        'dafe65e61727ed02', ['89212b49b9008c51', 'd2c9538b729bf211']),
+        '532eeb6487063e9b', ['089ad89a842cc97c', '0c82f9ebb8d4b7ae']),
 }
 
 #: chaos cell -> run digest.
 CHAOS_DIGESTS = {
-    (0, 'fail-stop', 'builtin', False, 'bp'): 'ea4e03ddf461e69a',
-    (0, 'fail-stop', 'builtin', True, 'bp'): '92843d26483a10c0',
-    (0, 'fail-stop', 'pressure-shed', False, 'bp'): '218d9089b7b9c814',
-    (0, 'fail-stop', 'pressure-shed', True, 'bp'): '92843d26483a10c0',
-    (0, 'fail-stop', 'conservative-retry', False, 'bp'): 'ea4e03ddf461e69a',
-    (0, 'fail-stop', 'conservative-retry', True, 'bp'): 'cef7d2e537e89ea4',
-    (0, 'fail-slow', 'builtin', False, 'bp'): 'bd590e569152d448',
-    (0, 'fail-slow', 'builtin', True, 'bp'): 'c99346c575f8edbe',
-    (0, 'fail-slow', 'pressure-shed', False, 'bp'): '15a49d733cc94280',
-    (0, 'fail-slow', 'pressure-shed', True, 'bp'): 'c99346c575f8edbe',
-    (0, 'fail-slow', 'conservative-retry', False, 'bp'): '8b2bb52f9aef005d',
-    (0, 'fail-slow', 'conservative-retry', True, 'bp'): 'b9f2fb4649b465d8',
-    (0, 'compound', 'builtin', False, 'bp'): '3e5d78e8756df415',
-    (0, 'compound', 'builtin', True, 'bp'): '40f1ef268bed7e06',
-    (0, 'compound', 'pressure-shed', False, 'bp'): '1aae2cc61d6e8e45',
-    (0, 'compound', 'pressure-shed', True, 'bp'): '40f1ef268bed7e06',
-    (0, 'compound', 'conservative-retry', False, 'bp'): 'c932ce9aa5383190',
-    (0, 'compound', 'conservative-retry', True, 'bp'): 'ed143c98183ed214',
-    (1, 'fail-stop', 'builtin', False, 'bp'): '4b2c5d4b68e0617f',
-    (1, 'fail-stop', 'builtin', True, 'bp'): 'c213764e4131d9d9',
-    (1, 'fail-stop', 'pressure-shed', False, 'bp'): '4b2c5d4b68e0617f',
-    (1, 'fail-stop', 'pressure-shed', True, 'bp'): 'c213764e4131d9d9',
-    (1, 'fail-stop', 'conservative-retry', False, 'bp'): '7be2c2fae0e2bbf9',
-    (1, 'fail-stop', 'conservative-retry', True, 'bp'): 'c213764e4131d9d9',
-    (1, 'fail-slow', 'builtin', False, 'bp'): 'c3b3e0b7be5f1fad',
-    (1, 'fail-slow', 'builtin', True, 'bp'): '6d8e4412e7eef642',
-    (1, 'fail-slow', 'pressure-shed', False, 'bp'): 'c3b3e0b7be5f1fad',
-    (1, 'fail-slow', 'pressure-shed', True, 'bp'): '6d8e4412e7eef642',
-    (1, 'fail-slow', 'conservative-retry', False, 'bp'): '2a97c66661a64089',
-    (1, 'fail-slow', 'conservative-retry', True, 'bp'): '0a78ac89913e6017',
-    (1, 'compound', 'builtin', False, 'bp'): '836c67ae85ae5ce1',
-    (1, 'compound', 'builtin', True, 'bp'): '6e4f98ffeae25f98',
-    (1, 'compound', 'pressure-shed', False, 'bp'): '836c67ae85ae5ce1',
-    (1, 'compound', 'pressure-shed', True, 'bp'): '6e4f98ffeae25f98',
-    (1, 'compound', 'conservative-retry', False, 'bp'): '836c67ae85ae5ce1',
-    (1, 'compound', 'conservative-retry', True, 'bp'): '6e4f98ffeae25f98',
-    (2, 'fail-stop', 'builtin', False, 'bp'): '984193e3808acb08',
-    (2, 'fail-stop', 'builtin', True, 'bp'): '1500332facf34c7f',
-    (2, 'fail-stop', 'pressure-shed', False, 'bp'): '984193e3808acb08',
-    (2, 'fail-stop', 'pressure-shed', True, 'bp'): '1500332facf34c7f',
-    (2, 'fail-stop', 'conservative-retry', False, 'bp'): '644225fda5ceea13',
-    (2, 'fail-stop', 'conservative-retry', True, 'bp'): '1500332facf34c7f',
-    (2, 'fail-slow', 'builtin', False, 'bp'): 'b341833b655402af',
-    (2, 'fail-slow', 'builtin', True, 'bp'): 'd740047f4092da4f',
-    (2, 'fail-slow', 'pressure-shed', False, 'bp'): 'b341833b655402af',
-    (2, 'fail-slow', 'pressure-shed', True, 'bp'): 'd740047f4092da4f',
-    (2, 'fail-slow', 'conservative-retry', False, 'bp'): 'eb398062af9a1ff1',
-    (2, 'fail-slow', 'conservative-retry', True, 'bp'): '2166a4b7d966c60d',
-    (2, 'compound', 'builtin', False, 'bp'): '97e511ec6efd767e',
-    (2, 'compound', 'builtin', True, 'bp'): '2f5fbb8b8ec95957',
-    (2, 'compound', 'pressure-shed', False, 'bp'): '97e511ec6efd767e',
-    (2, 'compound', 'pressure-shed', True, 'bp'): '2f5fbb8b8ec95957',
-    (2, 'compound', 'conservative-retry', False, 'bp'): '97e511ec6efd767e',
-    (2, 'compound', 'conservative-retry', True, 'bp'): '2f5fbb8b8ec95957',
-    (0, 'compound', 'builtin', False, 'bp+gibbs'): 'b5ff97edc0640c38',
+    (0, 'fail-stop', 'builtin', False, 'bp'): '90496732dfccd7d5',
+    (0, 'fail-stop', 'builtin', True, 'bp'): 'a54a011e6882fd0d',
+    (0, 'fail-stop', 'pressure-shed', False, 'bp'): '1dd890f45a4074bd',
+    (0, 'fail-stop', 'pressure-shed', True, 'bp'): 'a54a011e6882fd0d',
+    (0, 'fail-stop', 'conservative-retry', False, 'bp'): '90496732dfccd7d5',
+    (0, 'fail-stop', 'conservative-retry', True, 'bp'): 'a54a011e6882fd0d',
+    (0, 'fail-slow', 'builtin', False, 'bp'): 'aaa8720373481ee5',
+    (0, 'fail-slow', 'builtin', True, 'bp'): 'eac3ce5537799314',
+    (0, 'fail-slow', 'pressure-shed', False, 'bp'): 'e614a0954698bad1',
+    (0, 'fail-slow', 'pressure-shed', True, 'bp'): 'eac3ce5537799314',
+    (0, 'fail-slow', 'conservative-retry', False, 'bp'): '069a0bcb8b9f60e0',
+    (0, 'fail-slow', 'conservative-retry', True, 'bp'): 'a587b9c23df812f7',
+    (0, 'compound', 'builtin', False, 'bp'): '5ff2ea3a54736cdc',
+    (0, 'compound', 'builtin', True, 'bp'): 'a3d9b4c7f442a6b3',
+    (0, 'compound', 'pressure-shed', False, 'bp'): '7046f58b5ae96d75',
+    (0, 'compound', 'pressure-shed', True, 'bp'): 'a3d9b4c7f442a6b3',
+    (0, 'compound', 'conservative-retry', False, 'bp'): '7a5b50a2c179b0c8',
+    (0, 'compound', 'conservative-retry', True, 'bp'): 'e0bb94acbed85875',
+    (1, 'fail-stop', 'builtin', False, 'bp'): '3cd0b24e9b5271c6',
+    (1, 'fail-stop', 'builtin', True, 'bp'): '9450eb12e2a25a9b',
+    (1, 'fail-stop', 'pressure-shed', False, 'bp'): '208c92b13ab1ef6e',
+    (1, 'fail-stop', 'pressure-shed', True, 'bp'): '82470a4dfacd105f',
+    (1, 'fail-stop', 'conservative-retry', False, 'bp'): '3cd0b24e9b5271c6',
+    (1, 'fail-stop', 'conservative-retry', True, 'bp'): '9450eb12e2a25a9b',
+    (1, 'fail-slow', 'builtin', False, 'bp'): '6df75445e67efea9',
+    (1, 'fail-slow', 'builtin', True, 'bp'): '1fa94ea4bf2d09a1',
+    (1, 'fail-slow', 'pressure-shed', False, 'bp'): 'e83d983b6b33ae10',
+    (1, 'fail-slow', 'pressure-shed', True, 'bp'): '5cd6c7e9738f7000',
+    (1, 'fail-slow', 'conservative-retry', False, 'bp'): 'a451c61a95d5d622',
+    (1, 'fail-slow', 'conservative-retry', True, 'bp'): '9405dab3730bb4bb',
+    (1, 'compound', 'builtin', False, 'bp'): 'aac7ac94f5485e0c',
+    (1, 'compound', 'builtin', True, 'bp'): '7766750106ed05dc',
+    (1, 'compound', 'pressure-shed', False, 'bp'): '6fe82ae9799dd4ec',
+    (1, 'compound', 'pressure-shed', True, 'bp'): 'f292e58a92bac422',
+    (1, 'compound', 'conservative-retry', False, 'bp'): 'aac7ac94f5485e0c',
+    (1, 'compound', 'conservative-retry', True, 'bp'): '7766750106ed05dc',
+    (2, 'fail-stop', 'builtin', False, 'bp'): '3b0d9a56fcd67b27',
+    (2, 'fail-stop', 'builtin', True, 'bp'): 'a1dd47282f3a6204',
+    (2, 'fail-stop', 'pressure-shed', False, 'bp'): '29740103c367cd06',
+    (2, 'fail-stop', 'pressure-shed', True, 'bp'): 'a815da8add2957af',
+    (2, 'fail-stop', 'conservative-retry', False, 'bp'): '3b0d9a56fcd67b27',
+    (2, 'fail-stop', 'conservative-retry', True, 'bp'): 'a1dd47282f3a6204',
+    (2, 'fail-slow', 'builtin', False, 'bp'): 'db4547202bbda67b',
+    (2, 'fail-slow', 'builtin', True, 'bp'): 'ccb0c14d6351d2cf',
+    (2, 'fail-slow', 'pressure-shed', False, 'bp'): '61ac11a63d24525d',
+    (2, 'fail-slow', 'pressure-shed', True, 'bp'): 'f2aebba0792ff5dd',
+    (2, 'fail-slow', 'conservative-retry', False, 'bp'): '336262e6c713175f',
+    (2, 'fail-slow', 'conservative-retry', True, 'bp'): '351b40c2ea251c3b',
+    (2, 'compound', 'builtin', False, 'bp'): 'f367d63c2b882482',
+    (2, 'compound', 'builtin', True, 'bp'): '4d9b1a5035a7048e',
+    (2, 'compound', 'pressure-shed', False, 'bp'): 'e3a220ab33076a5d',
+    (2, 'compound', 'pressure-shed', True, 'bp'): '319385290c645554',
+    (2, 'compound', 'conservative-retry', False, 'bp'): 'f367d63c2b882482',
+    (2, 'compound', 'conservative-retry', True, 'bp'): '4d9b1a5035a7048e',
+    (0, 'compound', 'builtin', False, 'bp+gibbs'): 'ac0eea3a5c3ff6a2',
 }
 
 #: cluster cell -> run digest.
 CLUSTER_DIGESTS = {
-    (0, 'builtin'): '428677147f62a72b',
-    (0, 'pressure-shed'): '428677147f62a72b',
-    (1, 'builtin'): '96d7934a9e22cb83',
-    (1, 'pressure-shed'): 'cb6261fc4efa8eb4',
+    (0, 'builtin'): '9013ba560840a6cc',
+    (0, 'pressure-shed'): '9013ba560840a6cc',
+    (1, 'builtin'): '9d1e45c72e55aaee',
+    (1, 'pressure-shed'): 'e074f70b5537a3d2',
 }
 
 
