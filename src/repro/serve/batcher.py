@@ -124,11 +124,12 @@ class DynamicBatcher:
 
     def add(self, request: Request) -> Batch | None:
         """Admit one request; return the batch it filled, if any."""
-        b = self._open.get(request.kind)
+        kind = request.kind
+        b = self._open.get(kind)
         if b is None:
             deadline = request.arrival + self.max_wait_cycles
-            b = _OpenBatch(kind=request.kind, deadline=deadline)
-            self._open[request.kind] = b
+            b = _OpenBatch(kind=kind, deadline=deadline)
+            self._open[kind] = b
             if deadline < self._next_deadline:
                 self._next_deadline = deadline
         b.requests.append(request)

@@ -182,7 +182,7 @@ def check_queue_bound(records, capacity: int) -> None:
 
 def check_replay_identity(result, config, costs, requests) -> None:
     """A fresh simulator over the same inputs reproduces the run."""
-    replay = FleetSimulator(config, costs).run(list(requests))
+    replay = FleetSimulator(config, costs).run(requests)
     a = _canonical(result)
     b = _canonical(replay)
     if a != b:
@@ -238,7 +238,7 @@ def check_failover_bound(result, config, requests) -> None:
 
 def check_cluster_replay(result, config, costs, requests) -> None:
     """A fresh cluster over the same inputs reproduces the run."""
-    replay = ClusterSimulator(config, costs).run(list(requests))
+    replay = ClusterSimulator(config, costs).run(requests)
     a = _canonical_cluster(result)
     b = _canonical_cluster(replay)
     if a != b:
@@ -382,7 +382,7 @@ def run_cluster_cell(seed: int, policy: str, costs,
                               requests=requests_per_cell, seed=seed)
     requests = generate_requests(workload)
     sim = ClusterSimulator(config, costs)
-    result = sim.run(list(requests))
+    result = sim.run(requests)
 
     check_conservation(result.records, requests)
     for shard_sim, res in zip(sim.shards, result.shard_results):
@@ -418,7 +418,7 @@ def run_cell(seed: int, mode: str, policy: str, autoscale: bool,
                               requests=requests_per_cell, seed=seed)
     requests = generate_requests(workload)
     sim = FleetSimulator(config, costs)
-    result = sim.run(list(requests))
+    result = sim.run(requests)
 
     check_conservation(result.records, requests)
     check_post_failstop(result.batches, sim.timeline)

@@ -68,6 +68,8 @@ from repro.serve.fleet import FleetSimulator, RequestRecord
 from repro.serve.fleet.records import (
     BatchRecord,
     RecordTable,
+    arrival_order,
+    as_trace,
     served_finish,
     sort_exactly_once,
     sorted_rids,
@@ -173,6 +175,9 @@ class ClusterResult:
 
     #: Merged terminal records, rid order, original arrivals restored.
     records: RecordTable
+    #: All shards' launch records, merged once (shard order; ids
+    #: shard-local).
+    batches: RecordTable
     #: Per-shard FleetResult (shard-local chip ids).
     shard_results: list
     makespan: float
@@ -187,15 +192,6 @@ class ClusterResult:
     gossip_ticks: int
     #: Minimum believed alive-shard fraction seen at any gossip tick.
     min_alive_shard_fraction: float
-
-    @property
-    def batches(self) -> RecordTable:
-        """All shards' launch records (shard order; ids shard-local),
-        merged into a new table."""
-        batches = RecordTable(BatchRecord)
-        for res in self.shard_results:
-            batches.extend(res.batches)
-        return batches
 
     @property
     def autoscale(self):
@@ -261,11 +257,14 @@ class ClusterSimulator:
             ShardBelief(shard=i, dispatchable=len(s.chips))
             for i, s in enumerate(self.shards)
         ]
-        #: rid -> Request per shard: what each shard currently owns.
-        self._assigned: list[dict[int, Request]] = [{} for _ in range(n)]
+        #: rid -> arrival per shard: what each shard currently owns
+        #: (a failed-over request at its re-dispatch time).
+        self._assigned: list[dict[int, float]] = [{} for _ in range(n)]
         #: Cluster-level terminal records (brown-out sheds).
         self._records = RecordTable(RequestRecord)
-        self._origin_arrival: dict[int, float] = {}
+        #: The trace's sorted rids and each one's original arrival, set
+        #: by run().
+        self._rids = self._origin = np.empty(0)
         self._failover_count: dict[int, int] = {}
         self._handbacks: list[_Handback] = []
         self._rr = 0
@@ -422,10 +421,8 @@ class ClusterSimulator:
                              {"rid": rid, "from": h.from_shard,
                               "to": target,
                               "failover": self._failover_count[rid]})
-        req = Request(rid=rid, kind=h.request.kind, tile=h.request.tile,
-                      arrival=now)
-        self._assigned[target][rid] = req
-        self.shards[target].step(req)
+        self._assigned[target][rid] = now
+        self.shards[target].step(h.request._replace(arrival=now))
 
     # -- brown-out -----------------------------------------------------
 
@@ -444,20 +441,19 @@ class ClusterSimulator:
         shards' record columns)."""
         served = shed = expired = 0
         latencies = []
-        origin = self._origin_arrival
         for shard in self.shards:
             records = shard._records
             mask = records.matches("outcome", "served")
             columns = records.columns()
-            rids = columns["rid"][mask].tolist()
+            rids = columns["rid"][mask]
             n_shed = int(records.matches("outcome", "shed").sum())
             served += len(rids)
             shed += n_shed
             expired += len(records) - len(rids) - n_shed
             # A failed-over record carries its re-dispatch time as the
             # arrival; latency runs from the original.
-            latencies += [finish - origin[rid] for rid, finish
-                          in zip(rids, columns["finish"][mask].tolist())]
+            origin = self._origin[np.searchsorted(self._rids, rids)]
+            latencies += (columns["finish"][mask] - origin).tolist()
         shed += int(self._records.matches("outcome", "shed").sum())
         latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
@@ -495,7 +491,9 @@ class ClusterSimulator:
             return 0
         columns = records.columns()
         rows = np.searchsorted(columns["rid"], failed)
-        origin = np.array([self._origin_arrival[rid] for rid in failed])
+        # The table holds one row per trace rid, so its rows line up
+        # with the trace's sorted rids and their original arrivals.
+        origin = self._origin[rows]
         arrival = columns["arrival"]
         stamped = arrival[rows] != origin
         arrival[rows[stamped]] = origin[stamped]
@@ -503,24 +501,33 @@ class ClusterSimulator:
 
     # -- the router loop -----------------------------------------------
 
-    def run(self, requests: list[Request],
-            on_progress=None, progress_every: int | None = None
-            ) -> ClusterResult:
+    def run(self, requests, on_progress=None,
+            progress_every: int | None = None) -> ClusterResult:
+        """Route ``requests`` (a trace, or any iterable of
+        :class:`~repro.serve.workload.Request`\\ s, packed into one
+        first) in (arrival, rid) order; as
+        :meth:`FleetSimulator.run <repro.serve.fleet.FleetSimulator.run>`,
+        the order, rid checks and original arrivals read the trace's
+        columns and rows are decoded a chunk at a time."""
         cluster = self.cluster
-        requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
-        rids = sorted_rids(requests)  # a bad or repeated rid fails here
+        trace = as_trace(requests)
+        rids = sorted_rids(trace)  # a bad or repeated rid fails here
+        order, (first, last_arrival) = arrival_order(trace)
+        columns = trace.columns()
+        self._rids = rids
+        self._origin = columns["arrival"][
+            np.argsort(columns["rid"], kind="stable")]
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
             for i, shard in enumerate(self.shards):
                 shard.on_expire = self._make_handback(i)
-        total = len(requests)
+        total = len(order)
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
         next_tick = cluster.gossip_interval_cycles
         arrived = 0
-        for req in requests:
-            self._origin_arrival[req.rid] = req.arrival
+        for req in trace.take(order):
             if self._active:
                 next_tick = self._gossip_until(req.arrival, next_tick)
                 if self._brownout and req.kind in cluster.brownout_kinds:
@@ -528,7 +535,7 @@ class ClusterSimulator:
                     arrived += 1
                     continue
             shard = self._route(req)
-            self._assigned[shard][req.rid] = req
+            self._assigned[shard][req.rid] = req.arrival
             self.shards[shard].step(req)
             arrived += 1
             if on_progress is not None and arrived % progress_every == 0:
@@ -539,32 +546,34 @@ class ClusterSimulator:
         # re-dispatched on the continuing gossip grid until the cluster
         # runs dry (the per-rid budget bounds this loop).
         while self._handbacks:
-            first = min(h.expiry for h in self._handbacks)
-            while next_tick <= first:
+            first_expiry = min(h.expiry for h in self._handbacks)
+            while next_tick <= first_expiry:
                 next_tick += cluster.gossip_interval_cycles
             self._refresh(next_tick)
             next_tick += cluster.gossip_interval_cycles
             for shard in self.shards:
                 shard.finish()
-        shard_results = [
-            shard.collect(list(self._assigned[i].values()))
-            for i, shard in enumerate(self.shards)
-        ]
+        shard_results = []
+        for shard, owned in zip(self.shards, self._assigned):
+            arrivals = owned.values()
+            shard_results.append(shard.collect(
+                np.array(sorted(owned), dtype=np.int64),
+                (min(arrivals, default=0.0), max(arrivals, default=0.0))))
         # Every request ends in exactly one record, in a shard or at the
         # router door: a rid in two places raises, as does one in none.
         records = RecordTable(RequestRecord, self._records)
+        batches = RecordTable(BatchRecord)
         for res in shard_results:
             records.extend(res.records)
+            batches.extend(res.batches)
         sort_exactly_once(records, rids)
         failover_expired = self._restore_arrivals(records)
-        first = min((r.arrival for r in requests), default=0.0)
-        last = served_finish(
-            (res.batches for res in shard_results),
-            default=max((r.arrival for r in requests), default=0.0))
+        last = served_finish((res.batches for res in shard_results),
+                             default=last_arrival)
         if on_progress is not None:
             on_progress(self.snapshot(last, total, total))
         return ClusterResult(
-            records=records, shard_results=shard_results,
+            records=records, batches=batches, shard_results=shard_results,
             makespan=max(last - first, 0.0),
             failovers=self.failovers,
             failover_expired=failover_expired,

@@ -52,6 +52,13 @@ from repro.serve.workload import KINDS
 DEGRADED_DRAM_FLIP_RATE = 2e-3
 DEGRADED_ECC_CORRECTION_CYCLES = 25.0
 
+#: The version of how :func:`measure_shape` measures a shape.  Cost-table
+#: checkpoint journals are stamped with it, so a journal of an older
+#: measurement starts clean instead of replaying stale cycles.  Bump it
+#: whenever a shape's measured value changes.  Version 2: ``bp`` is one
+#: BP-M iteration's length (version 1 summed its sweeps' end times).
+MEASUREMENT_VERSION = 2
+
 
 def _fault_injector(seed: int):
     from repro.faults.config import FaultConfig

@@ -3,8 +3,9 @@ halves:
 
 * :mod:`repro.serve.fleet.records` — config and run records
   (:class:`ServeConfig`, :class:`ChipState`, :class:`RequestRecord`,
-  :class:`BatchRecord`, the :class:`RecordTable` a run packs them into,
-  :class:`FleetResult`).
+  :class:`BatchRecord`, :class:`FleetResult`) and the checks on a trace
+  and its records; the :class:`RecordTable` a run packs them into is
+  :mod:`repro.serve.rows`'.
 * :mod:`repro.serve.fleet.dispatch` — scheduling primitives,
   decision-tree contexts, launch math, and kill/retry/hedge resolution.
 * :mod:`repro.serve.fleet.core` — :class:`FleetSimulator`, the

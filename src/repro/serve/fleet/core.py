@@ -79,6 +79,8 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
@@ -94,6 +96,8 @@ from repro.serve.fleet.records import (
     RecordTable,
     RequestRecord,
     ServeConfig,
+    arrival_order,
+    as_trace,
     served_finish,
     sort_exactly_once,
     sorted_rids,
@@ -329,30 +333,33 @@ class FleetSimulator(DispatchMixin):
         """Admit one request at its arrival instant: release due
         batches, run queued events, advance health/scale state, offer."""
         batcher, queue, events = self._batcher, self._queue, self._events
-        if req.arrival >= batcher._next_deadline:
-            for batch in batcher.due(req.arrival):
+        # A request is a named tuple, whose field reads cost more than a
+        # local's: read the arrival once.
+        now = req.arrival
+        if now >= batcher._next_deadline:
+            for batch in batcher.due(now):
                 self._push(batch.close, "dispatch", _Pending(batch))
-        if events and events[0][0] <= req.arrival:
-            self._drain(until=req.arrival)
+        if events and events[0][0] <= now:
+            self._drain(until=now)
         monitor = self.monitor
-        if req.arrival >= monitor.due_at:
-            monitor.advance(req.arrival)
+        if now >= monitor.due_at:
+            monitor.advance(now)
         if monitor.open_count:
             multiplier = self.resilience.tier_multiplier(
-                monitor.alive_fraction(req.arrival))
+                monitor.alive_fraction(now))
             queue.capacity = max(
                 1, int(self.config.queue_capacity * multiplier))
         else:
             queue.capacity = self._capacity_all_alive
         if self.autoscaler is not None:
-            self.autoscaler.advance(req.arrival)
+            self.autoscaler.advance(now)
         admission = queue.offer(req)
         if admission.shed is not None:
-            self._shed(admission.shed, req.arrival)
+            self._shed(admission.shed, now)
         if admission.filled is not None:
             self._push(admission.filled.close, "dispatch",
                        _Pending(admission.filled))
-            self._drain(until=req.arrival)
+            self._drain(until=now)
 
     def advance_to(self, t: float) -> None:
         """Release due batches and run queued events through ``t``
@@ -373,24 +380,17 @@ class FleetSimulator(DispatchMixin):
             self._push(batch.close, "dispatch", _Pending(batch))
         self._drain(until=None)
 
-    def collect(self, requests: list[Request], *, rids=None,
-                span: tuple[float, float] | None = None) -> FleetResult:
-        """Assemble the result for ``requests`` after finish().
+    def collect(self, rids: np.ndarray, span: tuple) -> FleetResult:
+        """Assemble the result after finish() for the requests whose
+        :func:`~repro.serve.fleet.records.sorted_rids` are ``rids`` and
+        whose ``(first, last)`` arrival is ``span``.
 
         The record table is sorted by rid in place and returned without
-        a copy; a request with no record or with two, or a record of no
-        request in ``requests``, raises
-        :class:`~repro.errors.SimulationError` naming the rid.  A caller
-        that already holds the requests' :func:`sorted_rids` and their
-        ``(first, last)`` arrival passes them as ``rids`` and ``span``;
-        otherwise both are computed from ``requests``.
+        a copy; a rid of ``rids`` with no record or with two, or a
+        record of no rid in ``rids``, raises
+        :class:`~repro.errors.SimulationError` naming the rid.
         """
         records = self._records
-        if rids is None:
-            rids = sorted_rids(requests)
-        if span is None:
-            span = (min((r.arrival for r in requests), default=0.0),
-                    max((r.arrival for r in requests), default=0.0))
         first, last_arrival = span
         sort_exactly_once(records, rids)
         last = served_finish((self._batches,), default=last_arrival)
@@ -402,20 +402,27 @@ class FleetSimulator(DispatchMixin):
                            makespan=max(last - first, 0.0),
                            autoscale=autoscale)
 
-    def run(self, requests: list[Request],
-            on_progress=None, progress_every: int | None = None
-            ) -> FleetResult:
-        requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
-        # A repeated rid, or one outside int64, fails before simulating.
-        rids = sorted_rids(requests)
-        span = ((requests[0].arrival, requests[-1].arrival) if requests
-                else (0.0, 0.0))
+    def run(self, requests, on_progress=None,
+            progress_every: int | None = None) -> FleetResult:
+        """Serve ``requests`` (a trace from
+        :func:`~repro.serve.workload.generate_requests`, or any iterable
+        of :class:`~repro.serve.workload.Request`\\ s, which is packed
+        into one first) in (arrival, rid) order.
+
+        The order, the rid checks and the arrival span read the trace's
+        columns; rows are decoded one chunk at a time as they are
+        stepped, so the trace never exists as a list of objects.
+        """
+        # A rid outside int64, or a repeated one, fails before simulating.
+        trace = as_trace(requests)
+        rids = sorted_rids(trace)
+        order, span = arrival_order(trace)
         self.begin()
-        total = len(requests)
+        total = len(order)
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
         arrived = 0
-        for req in requests:
+        for req in trace.take(order):
             self.step(req)
             arrived += 1
             if on_progress is not None and arrived % progress_every == 0:
@@ -424,4 +431,4 @@ class FleetSimulator(DispatchMixin):
         if on_progress is not None:
             end = served_finish((self._batches,), default=span[1])
             on_progress(self.snapshot(end, total, total))
-        return self.collect(requests, rids=rids, span=span)
+        return self.collect(rids, span)

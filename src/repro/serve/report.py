@@ -38,7 +38,11 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.perf.checkpoint import TaskCheckpoint
-from repro.serve.costmodel import ServiceCostTable, build_cost_table
+from repro.serve.costmodel import (
+    MEASUREMENT_VERSION,
+    ServiceCostTable,
+    build_cost_table,
+)
 from repro.serve.fleet import FleetResult, FleetSimulator, ServeConfig
 from repro.serve.metrics import ServeMetrics, chip_utilization, compute_metrics
 from repro.serve.resilience import DEFAULT_RESILIENCE
@@ -78,11 +82,14 @@ def checkpoint_meta(config: ServeConfig, mixes, quick: bool) -> dict:
     The CLI and the control plane both stamp exactly this, so a journal
     written by one is resumable by the other: resume compatibility is
     decided by what the cost table depends on (batch range, kernel
-    geometry, degraded column, mixes), not by which front end ran it.
+    geometry, degraded column, mixes, and how a shape is measured), not
+    by which front end ran it.  A journal whose meta differs, such as
+    one from before :data:`~repro.serve.costmodel.MEASUREMENT_VERSION`,
+    starts clean with a :class:`~repro.perf.checkpoint.CheckpointWarning`.
     """
     return {"tool": "repro.serve", "max_batch": config.max_batch,
             "quick": quick, "degraded": _needs_degraded(config),
-            "mixes": sorted(mixes)}
+            "mixes": sorted(mixes), "measurement": MEASUREMENT_VERSION}
 
 
 def open_checkpoint(path: str, config: ServeConfig, mixes, quick: bool,

@@ -8,7 +8,9 @@ arrival process over
 a named *mix* of kinds and returns the complete arrival trace up front —
 the serving simulation is open-loop (arrivals do not react to service
 times), which is the regime where queueing and batching dominate tail
-latency.
+latency.  The trace is a :class:`~repro.serve.rows.RecordTable` of
+:class:`Request` rows, one packed 25 B row per arrival, that reads like
+a list of requests.
 
 Arrival processes (times are PE clock cycles at ``clock_ghz``):
 
@@ -33,10 +35,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.serve import rows
+from repro.serve.rows import RecordTable
 
 #: Request kinds understood by the cost model and batcher.
 KINDS = ("bp", "conv", "fc", "gibbs")
@@ -67,12 +72,12 @@ ARRIVALS = ("poisson", "bursty")
 MAX_TILES = 2**32
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class Request(NamedTuple):
     """One inference request in the arrival trace.
 
-    Slotted: a trace holds one per arrival, and an instance ``__dict__``
-    would roughly double each request's footprint.
+    An immutable named tuple, like the run records: a trace packs each
+    into one row and rebuilds it on read.  Derive a changed copy with
+    ``_replace``.
     """
 
     rid: int
@@ -80,9 +85,13 @@ class Request:
     #: Locality key: which model tile / weight shard the request touches.
     #: The locality-aware fleet policy routes same-tile BP requests to
     #: the chip that already holds that tile's message state.
-    tile: int
+    tile: int | None
     #: Arrival time in PE clock cycles.
     arrival: float
+
+
+#: 25 B per request: rid ``q``, kind ``B``, tile ``q``, arrival ``d``.
+rows.register(Request, "qBqd", rows.trace_writer, optional="tile")
 
 
 @dataclass(frozen=True)
@@ -187,8 +196,9 @@ def _tile_draws(raw, num_tiles: int):
                 yield m >> 32
 
 
-def generate_requests(config: WorkloadConfig) -> list[Request]:
-    """Draw the full arrival trace for ``config`` (deterministic)."""
+def generate_requests(config: WorkloadConfig) -> RecordTable:
+    """Draw the full arrival trace for ``config`` (deterministic), as a
+    table of :class:`Request` rows in rid order."""
     rng = np.random.default_rng(config.seed)
     weights = MIXES[config.mix]
     kinds = [k for k in KINDS if k in weights]
@@ -214,15 +224,15 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
     cold_gap = 2.0 * base - hot_gap
 
     t = 0.0
-    out: list[Request] = []
-    append = out.append
+    out = RecordTable(Request)
+    add = out.add
     # Per request the draw order is fixed: gap (plus a geometric phase
     # length at each bursty phase start), then kind, then tile.
     if config.arrival == "poisson":
         for rid in range(config.requests):
             t += exponential(base)
             kind = kinds[bisect_right(cdf, (raw() >> 11) * 2**-53)]
-            append(Request(rid, kind, next(tiles), t))
+            add(rid, kind, next(tiles), t)
         return out
     geometric = rng.geometric
     phase_p = 1.0 / config.burst_len
@@ -235,5 +245,5 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
         left -= 1
         t += exponential(hot_gap if hot else cold_gap)
         kind = kinds[bisect_right(cdf, (raw() >> 11) * 2**-53)]
-        append(Request(rid, kind, next(tiles), t))
+        add(rid, kind, next(tiles), t)
     return out

@@ -290,7 +290,7 @@ class TestClusterInvariants:
         requests = [Request(rid=i, kind="bp", tile=0, arrival=float(i))
                     for i in range(4)]
         blown = ClusterResult(
-            records=[], shard_results=[], makespan=0.0,
+            records=[], batches=[], shard_results=[], makespan=0.0,
             failovers=99, failover_expired=0, brownout_shed=0,
             brownout_spans=0, gossip_ticks=0,
             min_alive_shard_fraction=1.0)

@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.perf.checkpoint import CheckpointWarning, TaskCheckpoint
 from repro.serve.cli import build_parser, main
+from repro.serve.costmodel import MEASUREMENT_VERSION
 from repro.serve.scenario import (
     load_scenario,
     ms_to_cycles,
@@ -190,6 +192,41 @@ def test_checkpoint_resume_report_is_byte_identical(tmp_path):
     assert main(args + ["--checkpoint", str(ck), "--resume",
                         "--out", str(resumed)]) == 0
     assert resumed.read_bytes() == base.read_bytes()
+
+
+def _journal(path, meta, bp_cycles):
+    """A cost-table journal stamped ``meta`` holding one healthy ``bp``
+    measurement of ``bp_cycles``."""
+    with TaskCheckpoint(str(path), meta=meta) as checkpoint:
+        checkpoint.put("measure:bp:1:ok", {
+            "kind": "bp", "batch": 1, "degraded": False,
+            "cycles": bp_cycles, "model_bytes": 2_912, "tile_bytes": 2_912})
+
+
+def test_a_journal_of_an_older_measurement_starts_clean(tmp_path):
+    # A journal written before the bp column became one iteration's
+    # length holds the summed sweep end times (23,324.9375 quick).
+    args = ["--chips", "2", "--mix", "bp", "--requests", "20",
+            "--max-batch", "2", "--checkpoint", str(tmp_path / "ck.jsonl"),
+            "--resume"]
+    journal = tmp_path / "ck.jsonl"
+    old_meta = {"tool": "repro.serve", "max_batch": 2, "quick": True,
+                "degraded": False, "mixes": ["bp"]}
+    _journal(journal, old_meta, 23_324.9375)
+    out = tmp_path / "resumed.json"
+    with pytest.warns(CheckpointWarning, match="different campaign config"):
+        assert main(args + ["--out", str(out)]) == 0
+    shapes = json.loads(out.read_text())["cost_table"]["shapes"]
+    assert shapes == {"bp/b1": 9_284.375}
+    meta = json.loads(journal.read_text().splitlines()[0])["meta"]
+    assert meta == {**old_meta, "measurement": MEASUREMENT_VERSION}
+
+    # Under today's meta the same entry would be replayed: the
+    # measurement version is what keeps it out.
+    _journal(journal, meta, 23_324.9375)
+    assert main(args + ["--out", str(out)]) == 0
+    shapes = json.loads(out.read_text())["cost_table"]["shapes"]
+    assert shapes == {"bp/b1": 23_324.9375}
 
 
 def test_list_policies_prints_cluster_observables(capsys):

@@ -9,6 +9,8 @@ when ``config.cluster`` is set, and a 1-shard cluster's per-mix payload
 is the standalone payload with the fleet section re-shaped.
 """
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError, SimulationError
@@ -26,7 +28,13 @@ from repro.serve.failures import (
     FailureWindow,
     scripted_timeline,
 )
-from repro.serve.fleet import FleetSimulator, RequestRecord, ServeConfig
+from repro.serve.fleet import (
+    BatchRecord,
+    FleetSimulator,
+    RecordTable,
+    RequestRecord,
+    ServeConfig,
+)
 from repro.serve.fleet.dispatch import _Pending
 from repro.serve.metrics import compute_metrics
 from repro.serve.report import run_report
@@ -263,6 +271,90 @@ class TestFailover:
         assert a.rollup() == b.rollup()
 
 
+class TestTrace:
+    """The router serves a packed trace: a list of requests is packed
+    into one first, the order and rid checks read its columns, and the
+    original arrivals of failed-over requests come from it."""
+
+    @staticmethod
+    def _sim():
+        # Shard 0's zone dies for good a seventh of the way in.
+        config = _config(
+            resilience=_resilience(max_retries=0),
+            cluster=ClusterConfig(shards=2, router="least-loaded",
+                                  gossip_interval_cycles=5_000.0))
+        timelines = [
+            scripted_timeline(2, {
+                0: [FailureWindow("fail-stop", 2e6, 1e12)],
+                1: [FailureWindow("fail-stop", 2e6, 1e12)],
+            }),
+            scripted_timeline(2, {}),
+        ]
+        return ClusterSimulator(config, _table(), timelines=timelines)
+
+    @staticmethod
+    def _tied_trace(grid=10_000.0):
+        """A generated 5,000-request trace with arrivals floored to a
+        grid, so many requests share an arrival."""
+        trace = generate_requests(WorkloadConfig(
+            mix="bp+vgg", rate=400_000.0, requests=5_000, seed=3))
+        return RecordTable(Request, (
+            r._replace(arrival=r.arrival // grid * grid) for r in trace))
+
+    def test_a_trace_and_a_shuffled_list_serve_alike(self):
+        trace = self._tied_trace()
+        assert len({r.arrival for r in trace}) < len(trace) // 2
+        shuffled = list(trace)
+        random.Random(1).shuffle(shuffled)
+        want = self._sim().run(trace)
+        assert want.failovers > 0
+        got = self._sim().run(shuffled)
+        assert got.records == want.records
+        assert got.batches == want.batches
+        for a, b in zip(got.shard_results, want.shard_results):
+            assert a.records == b.records
+            assert a.chips == b.chips
+            assert a.makespan == b.makespan
+        assert got.rollup() == want.rollup()
+        assert got.makespan == want.makespan
+        arrivals = {r.rid: r.arrival for r in trace}
+        assert all(r.arrival == arrivals[r.rid] for r in got.records)
+
+    def test_equal_arrivals_route_in_rid_order(self):
+        result = _round_robin_pair().run(
+            [_req(rid, 0.0) for rid in (3, 1, 2, 0)])
+        assert [r.rid for r in result.shard_results[0].records] == [0, 2]
+        assert [r.rid for r in result.shard_results[1].records] == [1, 3]
+
+    def test_duplicate_rids_in_a_trace_are_rejected_before_simulating(self):
+        sim = _round_robin_pair()
+        reqs = RecordTable(Request, [_req(0, 0.0), _req(0, 5.0),
+                                     _req(1, 7.0)])
+        with pytest.raises(ConfigError,
+                           match=r"^duplicate request ids: \[0\]$"):
+            sim.run(reqs)
+        assert all(s._batcher is None for s in sim.shards)
+
+    @pytest.mark.parametrize("requests", [[], RecordTable(Request)],
+                             ids=["list", "trace"])
+    def test_an_empty_trace_serves_nothing(self, requests):
+        snapshots = []
+        result = self._sim().run(requests, on_progress=snapshots.append)
+        assert result.records == [] and result.batches == []
+        assert result.makespan == 0.0 and result.gossip_ticks == 0
+        assert [(s["requests_total"], s["served"]) for s in snapshots] \
+            == [(0, 0)]
+
+    def test_the_launch_table_is_merged_once(self):
+        result = TestFailover()._run()
+        assert result.batches is result.batches
+        merged = RecordTable(BatchRecord)
+        for res in result.shard_results:
+            merged.extend(res.batches)
+        assert result.batches == merged
+        assert len(merged) > len(result.shard_results[0].batches) > 0
+
+
 def _round_robin_pair():
     """Two shards, round-robin: rids 0 and 2 land on shard 0, 1 and 3 on
     shard 1 (no gossip tick falls before the last arrival)."""
@@ -277,8 +369,8 @@ def test_lost_request_raises_naming_it():
     shard = sim.shards[1]
     collect = shard.collect
 
-    def lossy_collect(requests):
-        result = collect(requests)
+    def lossy_collect(rids, span):
+        result = collect(rids, span)
         result.records = [r for r in result.records if r.rid != 3]
         return result
 
@@ -295,8 +387,8 @@ def test_request_recorded_twice_raises_naming_it():
     first, second = sim.shards
     collect = second.collect
 
-    def doubling_collect(requests):
-        result = collect(requests)
+    def doubling_collect(rids, span):
+        result = collect(rids, span)
         result.records.extend(r for r in first._records if r.rid == 2)
         return result
 

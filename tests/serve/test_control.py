@@ -2,11 +2,14 @@
 
 import json
 import os
+import shutil
 import time
+import warnings
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.perf.checkpoint import CheckpointWarning
 from repro.serve.cli import main as cli_main
 from repro.serve.control import (
     ControlClient,
@@ -137,6 +140,38 @@ def test_kill_and_restart_resumes_byte_identically(tmp_path):
     assert done.status == "done"
     second.stop()
     assert open(result_path, "rb").read() == original
+
+
+def test_cli_and_control_plane_journals_resume_each_other(tmp_path):
+    """Both front ends stamp the same meta, so each replays the other's
+    journal without re-measuring: the journal comes back unchanged."""
+    scenario = tmp_path / "small.json"
+    scenario.write_text(json.dumps(SMALL_DOC))
+    cli_journal = tmp_path / "cli.jsonl"
+    out = tmp_path / "cli.json"
+    assert cli_main(["--scenario", str(scenario), "--checkpoint",
+                     str(cli_journal), "--out", str(out)]) == 0
+    written = cli_journal.read_bytes()
+
+    manager = JobManager(str(tmp_path / "state"))
+    job = manager.submit(SMALL_DOC, name="small")
+    journal = os.path.join(job.directory, "checkpoint.jsonl")
+    shutil.copyfile(cli_journal, journal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CheckpointWarning)
+        manager.start()
+        done = _wait_done(manager, job.job_id)
+        manager.stop()
+        assert done.status == "done", done.error
+        assert open(journal, "rb").read() == written
+        assert open(manager.result_path(job.job_id), "rb").read() \
+            == out.read_bytes()
+
+        resumed = tmp_path / "resumed.json"
+        assert cli_main(["--scenario", str(scenario), "--checkpoint",
+                         journal, "--resume", "--out", str(resumed)]) == 0
+    assert open(journal, "rb").read() == written
+    assert resumed.read_bytes() == out.read_bytes()
 
 
 def test_cancel_queued_job(tmp_path):

@@ -1,5 +1,7 @@
 """Fleet scheduling on a hand-built cost table (no simulator runs)."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError, SimulationError
@@ -11,7 +13,8 @@ from repro.serve.fleet import (
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.workload import Request
+from repro.serve.fleet.records import arrival_order, as_trace, sorted_rids
+from repro.serve.workload import Request, WorkloadConfig, generate_requests
 from repro.trace.collector import TraceCollector
 
 
@@ -191,6 +194,12 @@ def _finished(reqs):
     return sim
 
 
+def _collect(sim, reqs):
+    """collect() for the requests ``reqs``, as run() calls it."""
+    trace = as_trace(reqs)
+    return sim.collect(sorted_rids(trace), arrival_order(trace)[1])
+
+
 def _six_requests():
     return [_req(i, 10.0 * i, kind=("bp", "fc")[i % 2]) for i in range(6)]
 
@@ -202,7 +211,7 @@ def test_lost_request_raises_naming_it():
                                (r for r in sim._records if r.rid != 3))
     with pytest.raises(SimulationError,
                        match=r"lost without accounting: \[3\]"):
-        sim.collect(reqs)
+        _collect(sim, reqs)
 
 
 def test_request_recorded_twice_raises_naming_it():
@@ -211,7 +220,7 @@ def test_request_recorded_twice_raises_naming_it():
     sim._records.append(next(r for r in sim._records if r.rid == 3))
     with pytest.raises(SimulationError,
                        match=r"recorded more than once: \[3\]"):
-        sim.collect(reqs)
+        _collect(sim, reqs)
 
 
 def test_record_of_an_unknown_request_raises_naming_it():
@@ -219,13 +228,13 @@ def test_record_of_an_unknown_request_raises_naming_it():
     sim = _finished(reqs)
     with pytest.raises(SimulationError,
                        match=r"records of unknown requests: \[5\]"):
-        sim.collect(reqs[:5])
+        _collect(sim, reqs[:5])
 
 
 def test_collect_returns_the_record_list_sorted_in_place():
     reqs = _six_requests()
     sim = _finished(reqs)
-    result = sim.collect(reqs)
+    result = _collect(sim, reqs)
     assert result.records is sim._records
     assert [r.rid for r in result.records] == list(range(6))
 
@@ -254,6 +263,68 @@ def test_request_ids_outside_int64_are_rejected_before_simulating():
         sim.run(reqs)
     assert sim._batcher is None and not sim._records
     assert not trace.events
+
+
+def _tied_trace(requests=5_000, seed=3, grid=10_000.0):
+    """A generated bp+vgg trace (more rows than one decoded chunk) with
+    arrivals floored to a ``grid``-cycle grid, so many requests share an
+    arrival."""
+    trace = generate_requests(WorkloadConfig(
+        mix="bp+vgg", rate=400_000.0, requests=requests, seed=seed))
+    return RecordTable(Request, (r._replace(arrival=r.arrival // grid * grid)
+                                 for r in trace))
+
+
+def _stepped(config, reqs, key):
+    """``reqs`` stepped through the simulator by hand in ``key`` order."""
+    sim = FleetSimulator(config, _table())
+    sim.begin()
+    for req in sorted(reqs, key=key):
+        sim.step(req)
+    sim.finish()
+    return _collect(sim, reqs)
+
+
+def test_a_trace_and_a_shuffled_list_serve_alike():
+    trace = _tied_trace()
+    assert len({r.arrival for r in trace}) < len(trace) // 2
+    shuffled = list(trace)
+    random.Random(0).shuffle(shuffled)
+    config = _config()
+    # Equal arrivals are served in rid order; the reverse order serves
+    # differently, so the comparison sees the tie-break.
+    want = _stepped(config, shuffled, key=lambda r: (r.arrival, r.rid))
+    assert _stepped(config, shuffled,
+                    key=lambda r: (r.arrival, -r.rid)).records \
+        != want.records
+    for requests in (trace, shuffled):
+        got = FleetSimulator(config, _table()).run(requests)
+        assert got.records == want.records
+        assert got.batches == want.batches
+        assert got.chips == want.chips
+        assert got.makespan == want.makespan
+
+
+def test_duplicate_rids_in_a_trace_are_rejected_before_simulating():
+    reqs = RecordTable(Request, [_req(4, 0.0), _req(1, 5.0), _req(4, 7.0)])
+    trace = TraceCollector()
+    sim = FleetSimulator(_config(), _table(), trace=trace)
+    with pytest.raises(ConfigError, match=r"^duplicate request ids: \[4\]$"):
+        sim.run(reqs)
+    assert sim._batcher is None and not sim._records
+    assert not trace.events
+
+
+@pytest.mark.parametrize("requests", [[], RecordTable(Request)],
+                         ids=["list", "trace"])
+def test_an_empty_trace_serves_nothing(requests):
+    snapshots = []
+    result = FleetSimulator(_config(), _table()).run(
+        requests, on_progress=snapshots.append)
+    assert result.records == [] and result.batches == []
+    assert result.makespan == 0.0
+    assert [(s["requests_total"], s["served"]) for s in snapshots] \
+        == [(0, 0)]
 
 
 def test_int64_extreme_rids_run_end_to_end():

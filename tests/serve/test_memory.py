@@ -1,14 +1,14 @@
 """Memory per request on the serving path.
 
-A trace holds one :class:`Request` per arrival and a run one record per
-request, so their bytes set how long a trace fits in memory.  These
-tests pin the slotted ``Request``, a traced bytes-per-request budget of
-a fleet run plus its rollup, and the peaks of the rollup and of the
-exactly-once sort, which read record tables a few columns at a time.
+A trace holds one packed :class:`Request` row per arrival and a run one
+record per request, so their bytes set how long a trace fits in memory.
+These tests pin the named-tuple ``Request``, a traced bytes-per-request
+budget of a generated trace and of a fleet run plus its rollup, and the
+peaks of the rollup and of the exactly-once sort, which read record
+tables a few columns at a time.
 """
 
 import copy
-import dataclasses
 import pickle
 import random
 import tracemalloc
@@ -26,14 +26,23 @@ from repro.serve.fleet.records import sort_exactly_once, sorted_rids
 from repro.serve.metrics import compute_metrics
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 
+#: Traced peak of generate_requests per request on the 20k-request trace
+#: below: one packed 25 B row each in a ``bytearray``, which grows by
+#: about 1/8 at a time (about 28 B/request).  A ``Request`` object per
+#: arrival (126 B with its list slot, id and float) pushes it past the
+#: bound.
+TRACE_BYTES_PER_REQUEST = 32
+
 #: Traced peak of FleetSimulator.run plus compute_metrics per request,
 #: on the 20k-request trace below.  The run keeps one packed 72 B row
 #: per request and one 63 B row per launch (about 125 B a request
-#: together); the sort and the rollup each add a few columns, and the
-#: peak reads about 170 B/request on Python 3.11.  A named tuple per
-#: record (about 150 B each), or a copy of the whole request table in
-#: the sort or the rollup (72 B a request), pushes it past the bound.
-RUN_BYTES_PER_REQUEST = 195
+#: together); the arrival order, the sorted rids, the sort and the
+#: rollup each add a few columns, and the peak reads about 165 B/request
+#: on Python 3.11.  A named tuple per record (about 150 B each), a list
+#: of the decoded trace (about 100 B a request), or a copy of the whole
+#: request table in the sort or the rollup (72 B a request), pushes it
+#: past the bound.
+RUN_BYTES_PER_REQUEST = 188
 
 #: Traced peak of compute_metrics alone per request: a few 8-byte
 #: columns of the served records at once (about 40 B/request on Python
@@ -84,29 +93,50 @@ def steady_trace():
 
 
 class TestSlottedRequest:
+    """``Request`` is a named tuple: no instance ``__dict__``, frozen
+    fields, and ``_replace`` for a changed copy."""
+
     def test_has_no_instance_dict(self):
         req = Request(rid=3, kind="bp", tile=1, arrival=2.5)
         assert not hasattr(req, "__dict__")
-        assert Request.__slots__ == ("rid", "kind", "tile", "arrival")
+        assert Request.__slots__ == ()
+        assert Request._fields == ("rid", "kind", "tile", "arrival")
 
     def test_is_frozen(self):
         req = Request(rid=3, kind="bp", tile=1, arrival=2.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             req.arrival = 9.0
+        with pytest.raises(AttributeError):
+            req.priority = 1
+        assert req == (3, "bp", 1, 2.5)
 
     def test_survives_pickle_deepcopy_and_replace(self):
-        req = Request(rid=3, kind="conv", tile=1, arrival=2.5)
+        req = Request(rid=3, kind="conv", tile=None, arrival=2.5)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(req, protocol)) == req
+            clone = pickle.loads(pickle.dumps(req, protocol))
+            assert clone == req and type(clone) is Request
         assert copy.deepcopy(req) == req
-        moved = dataclasses.replace(req, arrival=7.0)
-        assert moved == Request(rid=3, kind="conv", tile=1, arrival=7.0)
+        moved = req._replace(arrival=7.0)
+        assert moved == Request(rid=3, kind="conv", tile=None, arrival=7.0)
         assert req.arrival == 2.5
 
     def test_generated_trace_round_trips(self):
         trace = generate_requests(WorkloadConfig(mix="bp+vgg",
                                                  requests=50))
+        assert isinstance(trace, RecordTable) and trace.row is Request
         assert pickle.loads(pickle.dumps(trace)) == trace
+        assert copy.deepcopy(trace) == list(trace)
+
+
+def test_trace_bytes_per_request(steady_trace):
+    config = WorkloadConfig(mix="bp+vgg", arrival="poisson",
+                            rate=80_000.0, requests=20_000, seed=0)
+    trace, peak = _traced_peak(lambda: generate_requests(config))
+    assert trace == steady_trace
+    per_request = peak / len(trace)
+    assert per_request <= TRACE_BYTES_PER_REQUEST, (
+        f"{per_request:.1f} B/request traced, budget "
+        f"{TRACE_BYTES_PER_REQUEST}")
 
 
 def test_run_and_rollup_bytes_per_request(steady_trace):

@@ -1,11 +1,12 @@
-"""Record tables: packed rows that read back as the records appended.
+"""Record tables: packed rows that read back as the rows appended.
 
-A run keeps one packed row per request and per launch.  These tests
-generate rows over each field's whole range (int64 rids, tiles past
-2**32 and None, signed zeros, infinities and subnormals, every kind and
-outcome string) and require every way of reading them back -- indexing,
-iteration, ``==``, pickle, deepcopy and the column view -- to give the
-rows appended, with builtin field types.
+A trace keeps one packed row per request, and a run one per request and
+per launch.  These tests generate rows over each field's whole range
+(int64 rids, tiles past 2**32 and None, signed zeros, infinities and
+subnormals, every kind and outcome string) and require every way of
+reading them back -- indexing, slicing, iteration, ``take``, ``==``,
+pickle, deepcopy and the column view -- to give the rows appended, with
+builtin field types.
 """
 
 import copy
@@ -22,8 +23,14 @@ from repro.serve.fleet import (
     RecordTable,
     RequestRecord,
 )
-from repro.serve.fleet.records import sort_exactly_once, sorted_rids
-from repro.serve.workload import KINDS
+from repro.serve.fleet.records import (
+    arrival_order,
+    as_trace,
+    sort_exactly_once,
+    sorted_rids,
+)
+from repro.serve.rows import CHUNK_ROWS
+from repro.serve.workload import KINDS, Request
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
 _INT32 = st.integers(-2**31, 2**31 - 1)
@@ -43,6 +50,11 @@ _REQUEST_ROWS = st.builds(
     dispatch=_FLOATS, start=_FLOATS, finish=_FLOATS,
     outcome=st.sampled_from(OUTCOMES), retries=_INT32,
     hedged=st.booleans())
+_TRACE_ROWS = st.builds(
+    Request,
+    rid=st.one_of(st.sampled_from([-2**63, 2**63 - 1]), _INT64),
+    kind=_KINDS, tile=st.one_of(st.none(), st.integers(0, 2**32)),
+    arrival=_FLOATS)
 _BATCH_ROWS = st.builds(
     BatchRecord,
     batch_id=_INT64, kind=_KINDS, size=_INT32, chip=_INT32, close=_FLOATS,
@@ -112,6 +124,18 @@ class TestRoundTrip:
     def test_batch_rows(self, rows):
         _assert_round_trip(BatchRecord, rows)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(rows=st.lists(_TRACE_ROWS, min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trace_rows(self, rows, seed):
+        table = _assert_round_trip(Request, rows)
+        assert table.columns().dtype.itemsize == 25
+        order = np.random.default_rng(seed).permutation(len(rows))
+        for got, i in zip(table.take(order), order.tolist()):
+            _same(got, rows[i])
+        for got, want in zip(table[::-2], rows[::-2]):
+            _same(got, want)
+
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(first=st.lists(_REQUEST_ROWS, max_size=20),
            second=st.lists(_REQUEST_ROWS, max_size=20))
@@ -175,6 +199,16 @@ class TestTable:
                 table.append(record._replace(rid=record.rid + 1))
         assert seen == [1, 2, 3]
 
+    def test_take_and_iteration_cross_chunks(self):
+        rows = [Request(rid=i, kind=KINDS[i % len(KINDS)],
+                        tile=None if i % 3 else i, arrival=i / 7)
+                for i in range(2 * CHUNK_ROWS + 5)]
+        table = RecordTable(Request, rows)
+        assert list(table) == rows
+        order = np.arange(len(rows))[::-1]
+        assert list(table.take(order)) == rows[::-1]
+        assert list(table.take(order[:0])) == []
+
     def test_sort_by_is_stable_and_exact(self):
         rows = [RequestRecord(rid=rid, kind=kind, tile=None, arrival=-0.0,
                               shed=False, finish=float(i))
@@ -186,11 +220,35 @@ class TestTable:
         assert repr(list(table)) == repr(sorted(rows, key=lambda r: r.rid))
 
 
+class TestArrivalOrder:
+    def test_orders_by_arrival_then_rid(self):
+        rows = [Request(rid=rid, kind="bp", tile=0, arrival=arrival)
+                for rid, arrival in [(5, 1.0), (2, 0.0), (9, -0.0),
+                                     (3, 1.0), (-4, 2.5), (7, 0.0)]]
+        order, span = arrival_order(RecordTable(Request, rows))
+        assert [rows[i].rid for i in order.tolist()] == [
+            r.rid for r in sorted(rows, key=lambda r: (r.arrival, r.rid))]
+        assert [rows[i].rid for i in order.tolist()] == [2, 7, 9, 3, 5, -4]
+        assert span == (0.0, 2.5) and type(span[0]) is float
+
+    def test_an_empty_trace_spans_nothing(self):
+        order, span = arrival_order(RecordTable(Request))
+        assert len(order) == 0 and span == (0.0, 0.0)
+
+    def test_as_trace_keeps_a_trace_and_packs_a_list(self):
+        rows = [Request(rid=1, kind="fc", tile=None, arrival=3.0)]
+        trace = RecordTable(Request, rows)
+        assert as_trace(trace) is trace
+        assert as_trace(iter(rows)) == rows
+        with pytest.raises(ConfigError, match="RequestRecord rows"):
+            as_trace(RecordTable(RequestRecord))
+
+
 class TestRidRange:
     def test_int64_extremes_are_kept(self):
-        rids = sorted_rids([RequestRecord(rid=r, kind="bp", tile=0,
-                                          arrival=0.0, shed=False)
-                            for r in (2**63 - 1, -2**63, 0)])
+        rids = sorted_rids(as_trace([Request(rid=r, kind="bp", tile=0,
+                                             arrival=0.0)
+                                     for r in (2**63 - 1, -2**63, 0)]))
         assert rids.tolist() == [-2**63, 0, 2**63 - 1]
 
     def test_a_rid_outside_int64_is_named(self):
@@ -198,9 +256,8 @@ class TestRidRange:
                            match=r"request ids outside int64: "
                                  r"\[-9223372036854775809, "
                                  r"9223372036854775808\]"):
-            sorted_rids([RequestRecord(rid=r, kind="bp", tile=0,
-                                       arrival=0.0, shed=False)
-                         for r in (2**63, 3, -2**63 - 1)])
+            as_trace([Request(rid=r, kind="bp", tile=0, arrival=0.0)
+                      for r in (2**63, 3, -2**63 - 1)])
 
     def test_exactly_once_check_names_rids_as_ints(self):
         table = RecordTable(RequestRecord, [
