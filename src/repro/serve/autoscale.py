@@ -33,6 +33,7 @@ triggers a replacement add outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -78,6 +79,15 @@ class AutoscaleConfig:
     max_step: int = 1
 
     def __post_init__(self):
+        # NaN compares false against every bound below, so it would slip
+        # through them.
+        for name in ("evaluate_interval_cycles", "up_queue_per_chip",
+                     "up_backlog_cycles", "down_queue_max", "idle_cycles",
+                     "warmup_cycles", "cooldown_cycles"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"autoscale.{name}: must be a finite "
+                                  f"number, got {value!r}")
         if self.min_chips < 1:
             raise ConfigError("autoscale.min_chips: must be >= 1")
         if self.max_chips < self.min_chips:

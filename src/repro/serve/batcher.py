@@ -17,6 +17,11 @@ This is the classic max-batch/max-wait policy of production inference
 servers: the first knob bounds batch-formation latency under load, the
 second bounds it when traffic is sparse.
 
+A batch is one object from its first request to its launch: the batcher
+opens it with its kind's first request, closes it in place, and the
+fleet dispatches that same object, so batching allocates one object per
+kernel launch and none per request.
+
 The batcher is consulted on every arrival, so it keeps a small index
 next to the open batches: the count of waiting requests and the earliest
 open deadline.  Every mutation keeps both equal to what a scan of the
@@ -27,41 +32,36 @@ open batches would give, so :attr:`DynamicBatcher.waiting` never sums and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.errors import ConfigError
 from repro.serve.workload import Request
 
 
-@dataclass
 class Batch:
-    """A closed batch: one kernel launch worth of requests."""
+    """One kernel launch worth of requests of one kind.
 
-    kind: str
-    requests: list[Request]
-    #: Cycle at which the batch closed (max-batch fill or deadline).
-    close: float
+    A batch built from a list of requests is closed at ``close``.  The
+    batcher instead opens one with its kind's first request and closes
+    it in place: while it is open, ``close`` holds its deadline (the
+    first request's arrival plus the max wait).  Closing fixes
+    ``close`` (the filling request's arrival, or the deadline), ``size``
+    and ``tile``, the locality key of the oldest request still aboard
+    (a drop-oldest eviction of the first request moves it).
+    """
 
-    @property
-    def size(self) -> int:
-        return len(self.requests)
+    __slots__ = ("kind", "requests", "close", "size", "tile")
 
-    @property
-    def tile(self) -> int:
-        """Locality key of the batch: its oldest request's tile."""
-        return self.requests[0].tile
-
-
-@dataclass
-class _OpenBatch:
-    kind: str
-    deadline: float
-    requests: list[Request] = field(default_factory=list)
+    def __init__(self, kind: str, requests: list[Request], close: float):
+        self.kind = kind
+        self.requests = requests
+        self.close = close
+        self.size = len(requests)
+        self.tile = requests[0].tile
 
 
 #: Close order of batches due together: deadline, then kind.
-_CLOSE_ORDER = attrgetter("deadline", "kind")
+_CLOSE_ORDER = attrgetter("close", "kind")
 
 
 class DynamicBatcher:
@@ -74,7 +74,8 @@ class DynamicBatcher:
             raise ConfigError("max_wait_cycles must be nonnegative")
         self.max_batch = max_batch
         self.max_wait_cycles = max_wait_cycles
-        self._open: dict[str, _OpenBatch] = {}
+        #: kind -> its open batch, whose ``close`` is its deadline.
+        self._open: dict[str, Batch] = {}
         # The index over ``_open``: its request count and its earliest
         # deadline (inf while nothing is open).
         self._waiting = 0
@@ -97,8 +98,9 @@ class DynamicBatcher:
         """The longest-waiting open request (for drop-oldest shedding)."""
         best: Request | None = None
         for b in self._open.values():
-            if b.requests and (best is None or b.requests[0].arrival < best.arrival):
-                best = b.requests[0]
+            head = b.requests[0]
+            if best is None or head.arrival < best.arrival:
+                best = head
         return best
 
     def remove(self, request: Request) -> None:
@@ -107,18 +109,17 @@ class DynamicBatcher:
         b.requests.remove(request)
         self._waiting -= 1
         if not b.requests:
-            self._drop(b)
+            del self._open[b.kind]
+            if b.close == self._next_deadline:
+                self._next_deadline = self._earliest()
 
-    def _drop(self, b: _OpenBatch) -> None:
-        """Take ``b`` out of the open set, keeping the index exact."""
-        del self._open[b.kind]
-        self._waiting -= len(b.requests)
-        if b.deadline == self._next_deadline:
-            nxt = math.inf
-            for o in self._open.values():
-                if o.deadline < nxt:
-                    nxt = o.deadline
-            self._next_deadline = nxt
+    def _earliest(self) -> float:
+        """The earliest open deadline (inf while nothing is open)."""
+        earliest = math.inf
+        for b in self._open.values():
+            if b.close < earliest:
+                earliest = b.close
+        return earliest
 
     # -- batching ------------------------------------------------------
 
@@ -128,30 +129,50 @@ class DynamicBatcher:
         b = self._open.get(kind)
         if b is None:
             deadline = request.arrival + self.max_wait_cycles
-            b = _OpenBatch(kind=kind, deadline=deadline)
-            self._open[kind] = b
+            b = self._open[kind] = Batch(kind, [request], deadline)
             if deadline < self._next_deadline:
                 self._next_deadline = deadline
-        b.requests.append(request)
-        self._waiting += 1
-        if len(b.requests) >= self.max_batch:
-            self._drop(b)
-            return Batch(kind=b.kind, requests=b.requests,
-                         close=request.arrival)
-        return None
+        else:
+            b.requests.append(request)
+        requests = b.requests
+        size = len(requests)
+        if size < self.max_batch:
+            self._waiting += 1
+            return None
+        # Filled: it closes at this arrival.
+        del self._open[kind]
+        self._waiting -= size - 1
+        if b.close == self._next_deadline:
+            self._next_deadline = self._earliest()
+        b.close = request.arrival
+        b.size = size
+        b.tile = requests[0].tile
+        return b
 
     def due(self, now: float) -> list[Batch]:
         """Close and return every open batch whose deadline has passed,
         in (deadline, kind) order so ties break deterministically."""
         if now < self._next_deadline:
             return []
-        ready = [b for b in self._open.values() if b.deadline <= now]
+        open_ = self._open
+        ready = []
+        earliest = math.inf
+        for b in open_.values():
+            deadline = b.close
+            if deadline <= now:
+                ready.append(b)
+            elif deadline < earliest:
+                earliest = deadline
+        self._next_deadline = earliest
         if len(ready) > 1:
             ready.sort(key=_CLOSE_ORDER)
         for b in ready:
-            self._drop(b)
-        return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
-                for b in ready]
+            del open_[b.kind]
+            requests = b.requests
+            b.size = size = len(requests)
+            b.tile = requests[0].tile
+            self._waiting -= size
+        return ready
 
     def flush(self) -> list[Batch]:
         """Close every remaining open batch at its deadline (end of trace)."""
@@ -159,5 +180,7 @@ class DynamicBatcher:
         self._open.clear()
         self._waiting = 0
         self._next_deadline = math.inf
-        return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
-                for b in ready]
+        for b in ready:
+            b.size = len(b.requests)
+            b.tile = b.requests[0].tile
+        return ready

@@ -253,18 +253,24 @@ class ClusterSimulator:
             self.shards.append(
                 FleetSimulator(shard_cfg, costs, trace=trace,
                                timeline=timeline))
+        #: One belief per shard, updated in place by each gossip tick
+        #: that observes a change.
         self._beliefs = [
             ShardBelief(shard=i, dispatchable=len(s.chips))
             for i, s in enumerate(self.shards)
         ]
-        #: rid -> arrival per shard: what each shard currently owns
-        #: (a failed-over request at its re-dispatch time).
-        self._assigned: list[dict[int, float]] = [{} for _ in range(n)]
         #: Cluster-level terminal records (brown-out sheds).
         self._records = RecordTable(RequestRecord)
         #: The trace's sorted rids and each one's original arrival, set
         #: by run().
         self._rids = self._origin = np.empty(0)
+        #: The shard that owns each rid of ``_rids`` (-1: none, as for a
+        #: brown-out shed or a request handed back for failover), set by
+        #: run().
+        self._owner = np.empty(0, dtype=np.int32)
+        #: rid -> re-dispatch time of each failed-over request: the
+        #: arrival its owning shard saw.
+        self._redispatched: dict[int, float] = {}
         self._failover_count: dict[int, int] = {}
         self._handbacks: list[_Handback] = []
         self._rr = 0
@@ -283,6 +289,12 @@ class ClusterSimulator:
         #: runs the exact standalone operation sequence.
         self._active = (n > 1
                         or self.cluster.brownout_headroom is not None)
+        if self._active:
+            # One context for every shard, updated in place; before the
+            # first tick it reads as a standalone fleet's would.
+            self._cluster_ctx = {"cluster.alive_shard_fraction": 1.0}
+            for shard in self.shards:
+                shard._cluster_ctx = self._cluster_ctx
 
     # -- beliefs (bounded-staleness gossip) ----------------------------
 
@@ -296,27 +308,33 @@ class ClusterSimulator:
                 shard._batcher._waiting)
 
     def _believe(self, observed: list) -> None:
-        """Rebuild the beliefs and what derives from them."""
-        self._beliefs = [ShardBelief(i, *obs)
-                         for i, obs in enumerate(observed)]
-        alive = sum(1 for b in self._beliefs if b.capacity > 0)
-        alive_fraction = alive / len(self._beliefs)
+        """Update the beliefs in place, and what derives from them."""
+        beliefs = self._beliefs
+        capacities = []
+        alive = total = 0
+        for belief, (fraction, dispatchable, depth) in zip(beliefs, observed):
+            belief.alive_fraction = fraction
+            belief.dispatchable = dispatchable
+            belief.queue_depth = depth
+            capacity = belief.capacity
+            capacities.append(capacity)
+            alive += capacity > 0
+            total += dispatchable
+        alive_fraction = alive / len(beliefs)
         self.min_alive_shard_fraction = min(self.min_alive_shard_fraction,
                                             alive_fraction)
-        for shard in self.shards:
-            shard._cluster_ctx = {
-                "cluster.alive_shard_fraction": alive_fraction,
-            }
-        capacity = sum(b.capacity for b in self._beliefs)
-        total = sum(b.dispatchable for b in self._beliefs)
+        self._cluster_ctx["cluster.alive_shard_fraction"] = alive_fraction
         self._alive_fraction = alive_fraction
-        self._capacity_fraction = capacity / total if total else 0.0
+        # ``sum`` over the capacities in shard order, as it always was:
+        # Python 3.12's ``sum`` compensates, so a running total could
+        # round differently.
+        self._capacity_fraction = sum(capacities) / total if total else 0.0
 
     def _refresh(self, g: float) -> None:
         """One gossip tick: advance shards to ``g``, observe them,
         update beliefs and brown-out state, re-dispatch due handbacks.
-        Beliefs are rebuilt only when an observation changed since the
-        last tick; otherwise the rebuild would reproduce them exactly."""
+        Beliefs are updated only when an observation changed since the
+        last tick; otherwise the update would reproduce them exactly."""
         cluster = self.cluster
         for shard in self.shards:
             shard.advance_to(g)
@@ -372,9 +390,14 @@ class ClusterSimulator:
         return pool
 
     def _least_loaded(self, pool: list[ShardBelief]) -> int:
-        return min(pool, key=lambda b: (b.queue_depth
-                                        / max(b.capacity, 1e-9),
-                                        b.shard)).shard
+        # The pool is in shard order and only a lower load displaces the
+        # pick, so ties go to the lower shard.
+        best, low = None, math.inf
+        for belief in pool:
+            load = belief.queue_depth / max(belief.capacity, 1e-9)
+            if best is None or load < low:
+                best, low = belief, load
+        return best.shard
 
     def _route(self, req: Request) -> int:
         if len(self.shards) == 1:
@@ -402,7 +425,7 @@ class ClusterSimulator:
                     self._handbacks.append(
                         _Handback(expiry=now, rid=req.rid, request=req,
                                   from_shard=shard_idx))
-                    del self._assigned[shard_idx][req.rid]
+                    self._own(req.rid, -1)
                 else:
                     keep.append(req)
             return keep
@@ -421,8 +444,13 @@ class ClusterSimulator:
                              {"rid": rid, "from": h.from_shard,
                               "to": target,
                               "failover": self._failover_count[rid]})
-        self._assigned[target][rid] = now
+        self._own(rid, target)
+        self._redispatched[rid] = now
         self.shards[target].step(h.request._replace(arrival=now))
+
+    def _own(self, rid: int, shard: int) -> None:
+        """Give ``rid`` to ``shard`` (-1: to none) in the owner column."""
+        self._owner[np.searchsorted(self._rids, rid)] = shard
 
     # -- brown-out -----------------------------------------------------
 
@@ -514,9 +542,15 @@ class ClusterSimulator:
         rids = sorted_rids(trace)  # a bad or repeated rid fails here
         order, (first, last_arrival) = arrival_order(trace)
         columns = trace.columns()
+        by_rid = np.argsort(columns["rid"], kind="stable")
         self._rids = rids
-        self._origin = columns["arrival"][
-            np.argsort(columns["rid"], kind="stable")]
+        self._origin = columns["arrival"][by_rid]
+        self._owner = owner = np.full(len(rids), -1, dtype=np.int32)
+        # The position in ``rids`` of each arrival, in arrival order.
+        rank = np.empty_like(by_rid)
+        rank[by_rid] = np.arange(len(by_rid))
+        positions = rank[order]
+        del rank, by_rid
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
@@ -526,18 +560,16 @@ class ClusterSimulator:
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
         next_tick = cluster.gossip_interval_cycles
-        arrived = 0
-        for req in trace.take(order):
+        for arrived, (req, at) in enumerate(zip(trace.take(order),
+                                                positions), 1):
             if self._active:
                 next_tick = self._gossip_until(req.arrival, next_tick)
                 if self._brownout and req.kind in cluster.brownout_kinds:
                     self._shed_brownout(req)
-                    arrived += 1
                     continue
             shard = self._route(req)
-            self._assigned[shard][req.rid] = req.arrival
+            owner[at] = shard
             self.shards[shard].step(req)
-            arrived += 1
             if on_progress is not None and arrived % progress_every == 0:
                 on_progress(self.snapshot(req.arrival, arrived, total))
         for shard in self.shards:
@@ -553,12 +585,22 @@ class ClusterSimulator:
             next_tick += cluster.gossip_interval_cycles
             for shard in self.shards:
                 shard.finish()
+        # What each shard saw as an arrival: the original one, or the
+        # re-dispatch time of a failed-over request.
+        seen = self._origin
+        if self._redispatched:
+            seen = seen.copy()
+            moved = np.fromiter(self._redispatched, dtype=np.int64,
+                                count=len(self._redispatched))
+            seen[np.searchsorted(rids, moved)] = list(
+                self._redispatched.values())
         shard_results = []
-        for shard, owned in zip(self.shards, self._assigned):
-            arrivals = owned.values()
-            shard_results.append(shard.collect(
-                np.array(sorted(owned), dtype=np.int64),
-                (min(arrivals, default=0.0), max(arrivals, default=0.0))))
+        for i, shard in enumerate(self.shards):
+            mine = owner == i
+            arrivals = seen[mine]
+            span = ((arrivals.min().item(), arrivals.max().item())
+                    if len(arrivals) else (0.0, 0.0))
+            shard_results.append(shard.collect(rids[mine], span))
         # Every request ends in exactly one record, in a shard or at the
         # router door: a rid in two places raises, as does one in none.
         records = RecordTable(RequestRecord, self._records)

@@ -76,8 +76,8 @@ provisioned chips serve nothing until warm.  With ``config.autoscale``
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -86,7 +86,7 @@ from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.costmodel import ServiceCostTable
 from repro.serve.failures import ChipFailureTimeline, FailureConfig
-from repro.serve.fleet.dispatch import DispatchMixin, _Pending
+from repro.serve.fleet.dispatch import DispatchMixin
 from repro.serve.fleet.records import (
     OUTCOMES,
     POLICIES,
@@ -104,7 +104,7 @@ from repro.serve.fleet.records import (
 )
 from repro.serve.metrics import percentile_sorted
 from repro.serve.policy import PolicyEngine
-from repro.serve.queueing import AdmissionQueue
+from repro.serve.queueing import ADMITTED, AdmissionQueue
 from repro.serve.resilience import DEFAULT_RESILIENCE, HealthMonitor
 from repro.serve.workload import Request
 from repro.trace.collector import NULL_TRACE, TraceSink
@@ -200,8 +200,14 @@ class FleetSimulator(DispatchMixin):
         self._batcher: DynamicBatcher | None = None
         self._rr = 0
         self._seq = 0
-        self._events: list = []  # (time, seq, kind, payload) min-heap
+        #: (time, seq, kind, payload) min-heap.  A "dispatch" carries a
+        #: closed batch, a "redispatch" a _Pending retry of one.
+        self._events: list = []
+        #: (kind, size, degraded) -> launch cycles, priced once each.
+        self._cycles: dict = {}
         self._batches = RecordTable(BatchRecord)
+        #: Rows of ``_batches``: the next launch's batch id.
+        self._launches = 0
         #: One terminal record per request, in resolution order;
         #: collect() sorts it by rid in place.
         self._records = RecordTable(RequestRecord)
@@ -211,23 +217,27 @@ class FleetSimulator(DispatchMixin):
     # -- event plumbing ------------------------------------------------
 
     def _push(self, time: float, kind: str, payload) -> None:
-        heapq.heappush(self._events, (time, self._seq, kind, payload))
-        self._seq += 1
+        seq = self._seq
+        heappush(self._events, (time, seq, kind, payload))
+        self._seq = seq + 1
 
-    def _drain(self, until: float | None) -> None:
-        """Execute every queued event at or before ``until`` (all of
-        them when ``until`` is None), advancing health and scale state
-        first."""
+    def _drain(self, until: float) -> None:
+        """Execute every queued event at or before ``until`` (``inf``
+        runs the queue dry), advancing health and scale state first."""
         monitor, autoscaler, events = (self.monitor, self.autoscaler,
                                        self._events)
-        while events and (until is None or events[0][0] <= until):
-            time, _, kind, payload = heapq.heappop(events)
+        dispatch = self._execute_dispatch
+        while events and events[0][0] <= until:
+            time, _, kind, payload = heappop(events)
             if time >= monitor.due_at:
                 monitor.advance(time)
             if autoscaler is not None:
                 autoscaler.advance(time)
             if kind == "dispatch":
-                self._execute_dispatch(payload, time)
+                dispatch(payload, time)
+            elif kind == "redispatch":
+                dispatch(payload.batch, time, payload.attempt,
+                         payload.excluded)
             elif kind == "hedge":
                 self._execute_hedge(payload, time)
             elif kind == "breaker-fail":
@@ -332,16 +342,17 @@ class FleetSimulator(DispatchMixin):
     def step(self, req: Request) -> None:
         """Admit one request at its arrival instant: release due
         batches, run queued events, advance health/scale state, offer."""
-        batcher, queue, events = self._batcher, self._queue, self._events
         # A request is a named tuple, whose field reads cost more than a
         # local's: read the arrival once.
         now = req.arrival
+        batcher = self._batcher
         if now >= batcher._next_deadline:
             for batch in batcher.due(now):
-                self._push(batch.close, "dispatch", _Pending(batch))
+                self._push(batch.close, "dispatch", batch)
+        events = self._events
         if events and events[0][0] <= now:
-            self._drain(until=now)
-        monitor = self.monitor
+            self._drain(now)
+        monitor, queue = self.monitor, self._queue
         if now >= monitor.due_at:
             monitor.advance(now)
         if monitor.open_count:
@@ -354,12 +365,14 @@ class FleetSimulator(DispatchMixin):
         if self.autoscaler is not None:
             self.autoscaler.advance(now)
         admission = queue.offer(req)
+        if admission is ADMITTED:
+            return
         if admission.shed is not None:
             self._shed(admission.shed, now)
-        if admission.filled is not None:
-            self._push(admission.filled.close, "dispatch",
-                       _Pending(admission.filled))
-            self._drain(until=now)
+        filled = admission.filled
+        if filled is not None:
+            self._push(filled.close, "dispatch", filled)
+            self._drain(now)
 
     def advance_to(self, t: float) -> None:
         """Release due batches and run queued events through ``t``
@@ -368,17 +381,19 @@ class FleetSimulator(DispatchMixin):
         bounded by the gossip interval, not by the shard's arrival gaps.
         With no batch deadline and no event at or before ``t`` there is
         nothing to do, and a gossip tick returns at once."""
-        if t >= self._batcher._next_deadline:
-            for batch in self._batcher.due(t):
-                self._push(batch.close, "dispatch", _Pending(batch))
-        if self._events and self._events[0][0] <= t:
-            self._drain(until=t)
+        batcher = self._batcher
+        if t >= batcher._next_deadline:
+            for batch in batcher.due(t):
+                self._push(batch.close, "dispatch", batch)
+        events = self._events
+        if events and events[0][0] <= t:
+            self._drain(t)
 
     def finish(self) -> None:
         """Close remaining batches and run the event queue dry."""
         for batch in self._batcher.flush():
-            self._push(batch.close, "dispatch", _Pending(batch))
-        self._drain(until=None)
+            self._push(batch.close, "dispatch", batch)
+        self._drain(math.inf)
 
     def collect(self, rids: np.ndarray, span: tuple) -> FleetResult:
         """Assemble the result after finish() for the requests whose
@@ -421,10 +436,9 @@ class FleetSimulator(DispatchMixin):
         total = len(order)
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
-        arrived = 0
-        for req in trace.take(order):
-            self.step(req)
-            arrived += 1
+        step = self.step
+        for arrived, req in enumerate(trace.take(order), 1):
+            step(req)
             if on_progress is not None and arrived % progress_every == 0:
                 on_progress(self.snapshot(req.arrival, arrived, total))
         self.finish()

@@ -20,22 +20,19 @@ added indirection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.serve.batcher import Batch
 from repro.serve.workload import KINDS, Request
 
-#: The least-loaded key: earliest free time, ties to the lower chip id.
-_FREE_AT_CHIP_ID = attrgetter("free_at", "chip_id")
-
 
 @dataclass
 class _Pending:
-    """A batch awaiting (re-)dispatch."""
+    """A batch awaiting re-dispatch: the attempt it is on and the chips
+    it must avoid.  A first dispatch carries the bare batch."""
 
     batch: Batch
-    attempt: int = 0
-    excluded: frozenset = frozenset()
+    attempt: int
+    excluded: frozenset
 
 
 @dataclass
@@ -70,7 +67,14 @@ class DispatchMixin:
         return chip
 
     def _pick_least_loaded(self, batch: Batch, candidates: list):
-        return min(candidates, key=_FREE_AT_CHIP_ID)
+        # Candidates are in chip-id order and only an earlier free time
+        # displaces the pick, so ties go to the lower chip id.
+        best = candidates[0]
+        free_at = best.free_at
+        for chip in candidates:
+            if chip.free_at < free_at:
+                best, free_at = chip, chip.free_at
+        return best
 
     def _pick_locality(self, batch: Batch, candidates: list):
         # Earliest *finish*, reload penalty included.  The estimate uses
@@ -80,8 +84,8 @@ class DispatchMixin:
             start = max(batch.close, c.free_at)
             service = (self._reload_cycles(c, batch)
                        + self.config.dispatch_overhead_cycles
-                       + self.costs.launch_cycles(batch.kind, batch.size,
-                                                  c.degraded))
+                       + self._launch_cycles(batch.kind, batch.size,
+                                             c.degraded))
             return (start + service, c.free_at, c.chip_id)
         return min(candidates, key=finish_key)
 
@@ -197,11 +201,20 @@ class DispatchMixin:
 
     # -- launch math ---------------------------------------------------
 
+    def _launch_cycles(self, kind: str, size: int, degraded: bool) -> float:
+        """``costs.launch_cycles``, memoized per (kind, size, degraded):
+        the cost table is frozen, so each shape is priced once."""
+        key = (kind, size, degraded)
+        cycles = self._cycles.get(key)
+        if cycles is None:
+            cycles = self._cycles[key] = self.costs.launch_cycles(
+                kind, size, degraded)
+        return cycles
+
     def _healthy_estimate(self, chip, batch: Batch, reload: float) -> float:
         """The scheduler's service expectation (its hedging baseline)."""
         return (reload + self.config.dispatch_overhead_cycles
-                + self.costs.launch_cycles(batch.kind, batch.size,
-                                           chip.degraded))
+                + self._launch_cycles(batch.kind, batch.size, chip.degraded))
 
     def _launch(self, chip, batch: Batch, t: float) -> tuple:
         """Compute one launch on ``chip`` starting no earlier than ``t``:
@@ -218,8 +231,7 @@ class DispatchMixin:
             windowed and chip_id in self._transient_chips
             and self.timeline.transient_at(chip_id, start))
         service = (reload + self.config.dispatch_overhead_cycles
-                   + self.costs.launch_cycles(batch.kind, batch.size,
-                                              degraded))
+                   + self._launch_cycles(batch.kind, batch.size, degraded))
         if not windowed:
             return start, start + service, reload, None
         if chip_id in self._fail_slow_chips:
@@ -235,7 +247,8 @@ class DispatchMixin:
                   start: float, finish: float, reload: float,
                   hedge: bool = False, hedged: bool = False) -> None:
         """Commit a successful launch: records, accounting, traces."""
-        bid = len(self._batches)
+        bid = self._launches
+        self._launches = bid + 1
         service = finish - start
         chip_id, size, close = chip.chip_id, batch.size, batch.close
         chip.busy_cycles += service
@@ -244,10 +257,9 @@ class DispatchMixin:
         chip.requests += size
         self._batches.add(bid, batch.kind, size, chip_id, close, start,
                           finish, reload, attempt, "served", 0.0, hedge)
-        add = self._records.add
-        for req in batch.requests:
-            add(req.rid, req.kind, req.tile, req.arrival, False, bid, chip_id,
-                size, close, start, finish, "served", attempt, hedged)
+        self._records.add_each(batch.requests, False, bid, chip_id, size,
+                               close, start, finish, "served", attempt,
+                               hedged)
         if not self._breakers_fixed:
             self._push(finish, "breaker-ok", chip_id)
         if self.trace is not None:
@@ -282,30 +294,33 @@ class DispatchMixin:
             chip.reload_cycles += reload
         else:
             chip.kills += 1
-        self._batches.add(len(self._batches), batch.kind, batch.size,
+        self._batches.add(self._launches, batch.kind, batch.size,
                           chip.chip_id, batch.close, start, cancel, reload,
                           attempt, outcome, waste, hedge)
+        self._launches += 1
         return waste
 
     def _expire(self, requests, close: float, attempt: int,
                 now: float) -> None:
+        """Record ``requests`` (some of one batch) as expired."""
         if self.on_expire is not None:
             requests = self.on_expire(requests, attempt, now)
             if not requests:
                 return
-        for req in requests:
-            self._records.add(req.rid, req.kind, req.tile, req.arrival, False,
-                              -1, -1, 0, close, 0.0, 0.0, "expired", attempt,
-                              False)
-            if self.trace is not None:
+        self._records.add_each(requests, False, -1, -1, 0, close, 0.0, 0.0,
+                               "expired", attempt, False)
+        if self.trace is not None:
+            for req in requests:
                 self.trace.serve("serve.expired", req.kind, now, 0.0, -1,
                                  {"rid": req.rid, "tile": req.tile,
                                   "attempt": attempt})
 
     # -- dispatch ------------------------------------------------------
 
-    def _execute_dispatch(self, pending: _Pending, t: float) -> None:
-        batch, attempt = pending.batch, pending.attempt
+    def _execute_dispatch(self, batch: Batch, t: float, attempt: int = 0,
+                          excluded: frozenset = frozenset()) -> None:
+        """Launch ``batch`` at ``t``: a first dispatch, or re-dispatch
+        ``attempt`` avoiding the chips ``excluded``."""
         # Deadline-aware: drop requests too old to be worth retrying.
         # The first request is the batch's oldest, so when it may still
         # launch, every request may.
@@ -316,14 +331,14 @@ class DispatchMixin:
             self._expire(gone, batch.close, attempt, t)
             if not alive:
                 return
-            batch = Batch(kind=batch.kind, requests=alive, close=batch.close)
+            batch = Batch(batch.kind, alive, batch.close)
         if attempt and self.trace is not None:
             self.trace.serve("serve.retry", batch.kind, t, 0.0, -1,
                              {"kind": batch.kind, "size": batch.size,
                               "attempt": attempt})
-        chip = self._pick_chip(batch, t, pending.excluded, attempt)
+        chip = self._pick_chip(batch, t, excluded, attempt)
         if chip is None:
-            if pending.excluded:
+            if excluded:
                 # Every non-excluded chip is breaker-blocked; retrying
                 # the observed-failing chip beats waiting out the fleet.
                 chip = self._pick_chip(batch, t, attempt=attempt)
@@ -332,14 +347,15 @@ class DispatchMixin:
                 # and re-check (requests age out via the deadline).
                 self._push(
                     t + self.resilience.health_check_interval_cycles,
-                    "dispatch", _Pending(batch, attempt, frozenset()))
+                    "redispatch", _Pending(batch, attempt, frozenset()))
                 return
         start, finish, reload, kill = self._launch(chip, batch, t)
         chip.free_at = finish
         chip.resident_kind = batch.kind
         chip.resident_tile = batch.tile
         if kill is not None:
-            self._kill(batch, pending, chip, start, finish, reload, kill)
+            self._kill(batch, attempt, excluded, chip, start, finish, reload,
+                       kill)
             return
         delay = self.resilience.hedge_delay_cycles
         if delay is not None and self._hedge_wanted(batch, t, attempt):
@@ -371,12 +387,13 @@ class DispatchMixin:
         ctx = self._decision_ctx(batch, now, attempt)
         return decision.fn(ctx) == "retry"
 
-    def _kill(self, batch: Batch, pending: _Pending, chip,
+    def _kill(self, batch: Batch, attempt: int, excluded: frozenset, chip,
               start: float, finish: float, reload: float, kill) -> None:
-        """A fail-stop caught this launch: account, detect, retry."""
+        """A fail-stop caught launch ``attempt`` of ``batch``: account,
+        detect, retry."""
         res = self.resilience
         kill_t = max(start, kill.start)
-        waste = self._record_waste(batch, pending.attempt, chip, start,
+        waste = self._record_waste(batch, attempt, chip, start,
                                    kill_t, reload, "killed", hedge=False,
                                    finish=finish)
         detect = self.monitor.detect_time(kill_t)
@@ -385,18 +402,15 @@ class DispatchMixin:
             self.trace.serve("serve.failure", batch.kind, kill_t, 0.0,
                              chip.chip_id,
                              {"kind": batch.kind, "size": batch.size,
-                              "attempt": pending.attempt, "waste": waste,
+                              "attempt": attempt, "waste": waste,
                               "detect": detect})
-        attempt = pending.attempt + 1
-        if not self._retry_wanted(batch, kill_t, attempt):
-            self._expire(batch.requests, batch.close, pending.attempt,
-                         kill_t)
+        if not self._retry_wanted(batch, kill_t, attempt + 1):
+            self._expire(batch.requests, batch.close, attempt, kill_t)
             return
         self.retry_count += 1
-        retry_t = detect + res.backoff_cycles(attempt)
-        self._push(retry_t, "dispatch",
-                   _Pending(batch, attempt,
-                            pending.excluded | {chip.chip_id}))
+        retry_t = detect + res.backoff_cycles(attempt + 1)
+        self._push(retry_t, "redispatch",
+                   _Pending(batch, attempt + 1, excluded | {chip.chip_id}))
 
     def _execute_hedge(self, flight: _InFlight, t: float) -> None:
         """The hedge timer fired: race a duplicate launch if one helps."""

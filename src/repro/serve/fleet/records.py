@@ -12,6 +12,7 @@ live here, so the fleet and the cluster router share them.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,6 +78,16 @@ class ServeConfig:
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self):
+        # NaN compares false against every bound below, so it would slip
+        # through them: a NaN overhead serves every request at a NaN
+        # time, a NaN SLO is never violated and a NaN max wait never
+        # closes a batch.
+        for name in ("max_wait_cycles", "dispatch_overhead_cycles",
+                     "reload_bytes_per_cycle", "slo_cycles", "clock_ghz"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"config.{name}: must be a finite number, got {value!r}")
         if self.chips <= 0:
             raise ConfigError("chips must be positive")
         if self.policy not in POLICIES:
@@ -206,7 +217,7 @@ class BatchRecord(NamedTuple):
 #: 72 B per request, 63 B per launch.  Chip ids, batch sizes and attempt
 #: counts are int32; rids, tiles and batch ids int64.
 rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writer,
-              optional="tile")
+              optional="tile", each=rows.launch_records_writer)
 rows.register(BatchRecord, "qBiiddddiBd?", rows.launch_writer)
 
 

@@ -20,7 +20,7 @@ so they are bit-reproducible along with everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 from repro.serve.batcher import Batch, DynamicBatcher
@@ -29,15 +29,22 @@ from repro.serve.workload import Request
 SHED_POLICIES = ("drop-newest", "drop-oldest")
 
 
-@dataclass
-class Admission:
-    """Outcome of offering one request to the admission queue."""
+class Admission(NamedTuple):
+    """Outcome of offering one request to the admission queue.
+
+    Immutable, so every offer that neither sheds nor fills returns the
+    one shared :data:`ADMITTED`.
+    """
 
     #: The request that was shed, if any (the newcomer under
     #: ``drop-newest``, the evicted oldest under ``drop-oldest``).
     shed: Request | None = None
     #: A batch the admitted request filled to ``max_batch``, if any.
     filled: Batch | None = None
+
+
+#: The outcome of an offer that admitted the request into an open batch.
+ADMITTED = Admission()
 
 
 class AdmissionQueue:
@@ -72,14 +79,15 @@ class AdmissionQueue:
 
     def offer(self, request: Request) -> Admission:
         """Admit ``request`` if there is room, shedding per policy if not."""
-        if self.batcher.waiting >= self.capacity:
+        batcher = self.batcher
+        if batcher._waiting >= self.capacity:
             policy = (self.decider(request) if self.decider is not None
                       else self.shed_policy)
             if policy == "drop-newest":
-                return Admission(shed=request)
-            evicted = self.batcher.oldest()
+                return Admission(request)
+            evicted = batcher.oldest()
             assert evicted is not None  # capacity > 0 => someone is waiting
-            self.batcher.remove(evicted)
-            return Admission(shed=evicted,
-                             filled=self.batcher.add(request))
-        return Admission(filled=self.batcher.add(request))
+            batcher.remove(evicted)
+            return Admission(evicted, batcher.add(request))
+        filled = batcher.add(request)
+        return ADMITTED if filled is None else Admission(None, filled)

@@ -44,7 +44,8 @@ _NUMPY_CODES = {"q": "<i8", "i": "<i4", "d": "<f8", "?": "?", "B": "u1"}
 # -- writers ---------------------------------------------------------------
 #
 # One per row type: ``add`` takes the row's fields positionally, in
-# field order, and appends them with one ``struct`` call.
+# field order, and appends them with one ``struct`` call.  A request
+# record table also has an ``add_each`` writer for a launch's rows.
 
 
 def trace_writer(pack, rows: bytearray, codes: "_Codes"):
@@ -69,6 +70,30 @@ def record_writer(pack, rows: bytearray, codes: "_Codes"):
     return add
 
 
+def launch_records_writer(layout: str, rows: bytearray, codes: "_Codes"):
+    """``add_each`` for a table of
+    :class:`~repro.serve.fleet.records.RequestRecord` rows, whose
+    ``struct`` codes are ``layout``: one row per request of a launch,
+    each request's own four fields (25 B, a trace row's ``qBqd``)
+    followed by the rest every row of the launch shares (47 B), which
+    is packed once.  The requests are of one kind, so strings get their
+    codes in the order :func:`record_writer` would give them."""
+    rest = struct.Struct("<" + layout[4:])
+    row = struct.Struct(f"<{layout[:4]}{rest.size}s").pack
+    pack_rest = rest.pack
+
+    def add_each(requests, shed, batch_id, chip, batch_size, dispatch,
+                 start, finish, outcome, retries, hedged):
+        nonlocal rows
+        codes[requests[0][1]]  # the kind before the outcome
+        tail = pack_rest(shed, batch_id, chip, batch_size, dispatch, start,
+                         finish, codes[outcome], retries, hedged)
+        for rid, kind, tile, arrival in requests:
+            rows += row(rid, codes[kind], NO_TILE if tile is None else tile,
+                        arrival, tail)
+    return add_each
+
+
 def launch_writer(pack, rows: bytearray, codes: "_Codes"):
     """``add`` for a table of
     :class:`~repro.serve.fleet.records.BatchRecord` rows."""
@@ -84,12 +109,15 @@ class _Layout:
     """How one row type packs: its struct, its NumPy row dtype, the
     fields that hold string codes and the one that may hold None."""
 
-    def __init__(self, row, codes: str, writer, optional: str | None):
+    def __init__(self, row, codes: str, writer, optional: str | None,
+                 each):
         if len(codes) != len(row._fields):
             raise ValueError(f"{row.__name__} has {len(row._fields)} "
                              f"fields, layout {codes!r} packs {len(codes)}")
+        self.codes = codes
         self.struct = struct.Struct("<" + codes)
         self.writer = writer
+        self.each = each
         offsets, offset = [], 0
         for code in codes:
             offsets.append(offset)
@@ -106,12 +134,14 @@ class _Layout:
 _LAYOUTS: dict = {}
 
 
-def register(row, codes: str, writer, optional: str | None = None) -> None:
+def register(row, codes: str, writer, optional: str | None = None,
+             each=None) -> None:
     """Pack rows of the named tuple ``row`` with one ``struct`` code per
     field (``codes``) through ``writer``, one of this module's writers;
     ``optional`` names the int field whose None is stored as
-    :data:`NO_TILE`."""
-    _LAYOUTS[row] = _Layout(row, codes, writer, optional)
+    :data:`NO_TILE`, and ``each`` is the writer of a table's
+    ``add_each``, if the row type has one."""
+    _LAYOUTS[row] = _Layout(row, codes, writer, optional, each)
 
 
 class _Codes(dict):
@@ -145,9 +175,10 @@ class RecordTable:
     new table), iteration and ``==`` (against a table or any list or
     tuple of rows) see named tuples whose fields are builtin
     ``int``/``float``/``bool``/``str`` (or None), equal to the rows
-    appended.  :meth:`add` appends one row
-    from its fields in order, :meth:`append` one row and :meth:`extend`
-    many, or a whole table.  :meth:`take` decodes the rows in a given
+    appended.  :meth:`add` appends one row from its fields in order,
+    :meth:`append` one row and :meth:`extend` many, or a whole table; a
+    table of request records also has ``add_each``, which appends a
+    launch's rows at once.  :meth:`take` decodes the rows in a given
     order.  :meth:`columns` reads the rows as a zero-copy NumPy
     structured array, string fields as this table's codes
     (:meth:`matches` compares one to a string); while such a view is
@@ -155,16 +186,19 @@ class RecordTable:
     append.
     """
 
-    __slots__ = ("row", "add", "_layout", "_rows", "_codes")
+    __slots__ = ("row", "add", "add_each", "_layout", "_rows", "_codes")
 
     def __init__(self, row, rows=()):
         self.row = row
-        self._layout = _LAYOUTS[row]
+        layout = self._layout = _LAYOUTS[row]
         self._rows = bytearray()
         self._codes = _Codes()
         #: Append one row from its fields, in the row's field order.
-        self.add = self._layout.writer(self._layout.struct.pack, self._rows,
-                                       self._codes)
+        self.add = layout.writer(layout.struct.pack, self._rows, self._codes)
+        #: Append rows that share all fields after their first few (see
+        #: the row type's ``each`` writer); None when it has none.
+        self.add_each = (layout.each(layout.codes, self._rows, self._codes)
+                         if layout.each is not None else None)
         self.extend(rows)
 
     # -- writing -------------------------------------------------------

@@ -137,7 +137,7 @@ class WorkloadConfig:
                               f"choose from {ARRIVALS}")
         # NaN compares false against every bound below, so it would slip
         # through them, and an infinite rate puts every arrival at cycle 0.
-        for name in ("rate", "burst_factor", "burst_len"):
+        for name in ("rate", "burst_factor", "burst_len", "clock_ghz"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(

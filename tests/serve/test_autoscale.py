@@ -7,6 +7,7 @@ byte-identity guarantees: an autoscaler that never fires changes
 nothing, and identical configs scale at identical instants.
 """
 
+import math
 import pytest
 
 from repro.errors import ConfigError
@@ -81,6 +82,17 @@ class TestConfigValidation:
             AutoscaleConfig(up_backlog_cycles=-1.0)
         with pytest.raises(ConfigError, match=r"autoscale\.max_step"):
             AutoscaleConfig(max_step=0)
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf))
+    @pytest.mark.parametrize("field", (
+        "evaluate_interval_cycles", "up_queue_per_chip", "up_backlog_cycles",
+        "down_queue_max", "idle_cycles", "warmup_cycles", "cooldown_cycles"))
+    def test_non_finite_knobs_are_rejected_naming_the_field(self, field,
+                                                            value):
+        with pytest.raises(ConfigError, match=(
+                rf"^autoscale\.{field}: must be a finite number, "
+                rf"got {value!r}$")):
+            AutoscaleConfig(**{field: value})
 
     def test_validate_fleet_bounds(self):
         cfg = AutoscaleConfig(min_chips=2, max_chips=4)

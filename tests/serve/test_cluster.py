@@ -9,13 +9,17 @@ when ``config.cluster`` is set, and a 1-shard cluster's per-mix payload
 is the standalone payload with the fleet section re-shaped.
 """
 
+import gc
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
 from repro.serve.chaos import _cluster_cell_config
+from repro.serve import cluster
 from repro.serve.cluster import (
     ClusterConfig,
     ClusterSimulator,
@@ -35,7 +39,7 @@ from repro.serve.fleet import (
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.fleet.dispatch import _Pending
+from repro.serve.fleet.records import sorted_rids
 from repro.serve.metrics import compute_metrics
 from repro.serve.report import run_report
 from repro.serve.resilience import OPEN, ResilienceConfig
@@ -345,6 +349,45 @@ class TestTrace:
         assert [(s["requests_total"], s["served"]) for s in snapshots] \
             == [(0, 0)]
 
+    def test_each_rid_is_owned_by_one_shard_in_a_column(self):
+        trace = self._tied_trace()
+        sim = self._sim()
+        result = sim.run(trace)
+        assert result.failovers > 0
+        owner = sim._owner
+        assert owner.dtype == np.int32 and len(owner) == len(trace)
+        rids = sorted_rids(trace)
+        for i, res in enumerate(result.shard_results):
+            assert [r.rid for r in res.records] == rids[owner == i].tolist()
+        # A failed-over request belongs to the shard it was re-dispatched
+        # to, which saw the re-dispatch time as its arrival.
+        assert sim._redispatched.keys() == sim._failover_count.keys()
+        seen = {r.rid: r.arrival for res in result.shard_results
+                for r in res.records}
+        assert all(seen[rid] == at for rid, at in sim._redispatched.items())
+
+    def test_the_router_keeps_a_few_bytes_per_request(self):
+        """What the router allocates and keeps after a run: the original
+        arrivals (8 B a request) and the owner column (4 B).  A dict
+        entry per routed request (about 32 B, beside the int and float
+        it keeps alive) pushes it past the bound."""
+        trace = self._tied_trace()
+        sim = self._sim()
+        tracemalloc.start(2)
+        try:
+            result = sim.run(trace)
+            assert result.failovers > 0
+            del result
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(
+            True, cluster.__file__, all_frames=True)])
+        per_request = sum(s.size for s in held.statistics("filename")) \
+            / len(trace)
+        assert per_request <= 16, per_request
+
     def test_the_launch_table_is_merged_once(self):
         result = TestFailover()._run()
         assert result.batches is result.batches
@@ -551,7 +594,7 @@ class _PerTickCluster(ClusterSimulator):
         cluster = self.cluster
         for shard in self.shards:
             for batch in shard._batcher.due(g):
-                shard._push(batch.close, "dispatch", _Pending(batch))
+                shard._push(batch.close, "dispatch", batch)
             shard._drain(until=g)
         self._beliefs = [_sample(s, i) for i, s in enumerate(self.shards)]
         self.gossip_ticks += 1

@@ -1,5 +1,6 @@
 """Fleet scheduling on a hand-built cost table (no simulator runs)."""
 
+import math
 import random
 
 import pytest
@@ -177,6 +178,17 @@ def test_records_come_back_in_rid_order_with_invariants():
 def test_max_batch_beyond_table_range_raises():
     with pytest.raises(ConfigError):
         FleetSimulator(_config(max_batch=5), _table(max_batch=4))
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("max_wait_cycles",
+                                   "dispatch_overhead_cycles",
+                                   "reload_bytes_per_cycle", "slo_cycles",
+                                   "clock_ghz"))
+def test_non_finite_knobs_are_rejected_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=(
+            rf"^config\.{field}: must be a finite number, got {value!r}$")):
+        _config(**{field: value})
 
 
 def test_degraded_chip_id_out_of_range_raises():

@@ -136,6 +136,26 @@ class TestRoundTrip:
         for got, want in zip(table[::-2], rows[::-2]):
             _same(got, want)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(launches=st.lists(st.tuples(
+        _KINDS, st.lists(_TRACE_ROWS, min_size=1, max_size=5),
+        _REQUEST_ROWS), min_size=1, max_size=10))
+    def test_a_launch_packs_the_bytes_a_row_at_a_time_write_does(
+            self, launches):
+        """``add_each`` packs a launch's shared fields once, yet writes
+        the row bytes and string codes that ``add`` per request does."""
+        each, one = RecordTable(RequestRecord), RecordTable(RequestRecord)
+        for kind, requests, record in launches:
+            requests = [r._replace(kind=kind) for r in requests]
+            rest = record[4:]
+            each.add_each(requests, *rest)
+            for req in requests:
+                one.add(*req, *rest)
+        assert each.columns().tobytes() == one.columns().tobytes()
+        assert each.strings == one.strings
+        assert each == one
+        assert RecordTable(BatchRecord).add_each is None
+
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(first=st.lists(_REQUEST_ROWS, max_size=20),
            second=st.lists(_REQUEST_ROWS, max_size=20))

@@ -172,6 +172,10 @@ def test_config_validation():
      "workload.burst_factor: must be a finite number"),
     ("burst_len", float("inf"),
      "workload.burst_len: must be a finite number"),
+    ("clock_ghz", float("nan"),
+     "workload.clock_ghz: must be a finite number, got nan"),
+    ("clock_ghz", float("-inf"),
+     "workload.clock_ghz: must be a finite number, got -inf"),
 ])
 def test_config_rejects_out_of_range_and_non_finite(field, value, message):
     with pytest.raises(ConfigError, match=message):
