@@ -9,8 +9,8 @@ toward the knee at batch 16.
 from repro.experiments import figure3a, figure3b, figure3c
 
 
-def bench_figure3a(benchmark, bp_model, hier_model):
-    fig = benchmark(figure3a, bp_model, hier_model)
+def bench_figure3a(bp_model, hier_model):
+    fig = figure3a(bp_model, hier_model)
     print("\n" + fig.render())
     by_name = {p.name: p for p in fig.points}
     # BP iterations near the knee; construct memory-bound with low AI.
@@ -19,8 +19,8 @@ def bench_figure3a(benchmark, bp_model, hier_model):
     assert by_name["fhd cons"].bound(fig.roofline) == "memory"
 
 
-def bench_figure3b(benchmark, cnn_models):
-    fig = benchmark(figure3b, cnn_models.vgg16(1))
+def bench_figure3b(cnn_models):
+    fig = figure3b(cnn_models.vgg16(1))
     print("\n" + fig.render())
     by_name = {p.name: p for p in fig.points}
     # Pool layers memory-bound; the big ones near the roof (p5's 14x14
@@ -36,8 +36,8 @@ def bench_figure3b(benchmark, cnn_models):
     assert by_name["fc8"].gops <= by_name["fc6"].gops * 1.2
 
 
-def bench_figure3c(benchmark, cnn_models):
-    fig = benchmark(figure3c, cnn_models.vgg16(16))
+def bench_figure3c(cnn_models):
+    fig = figure3c(cnn_models.vgg16(16))
     print("\n" + fig.render())
     by_name_16 = {p.name: p for p in fig.points}
     by_name_1 = {p.name: p for p in figure3b(cnn_models.vgg16(1)).points}

@@ -10,8 +10,8 @@ from repro.baselines import run_figure4
 from repro.experiments import render_figure4
 
 
-def bench_figure4(benchmark):
-    results = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+def bench_figure4():
+    results = run_figure4()
     print("\n" + render_figure4(results))
     t = {r.variant: r.time_ms for r in results}
     assert t["SP+R"] < t["SP-R"], "reduction unit must help the scratchpad machine"

@@ -13,9 +13,9 @@ from repro.experiments import figure5, render_figure5
 FULL = os.environ.get("REPRO_BENCH_FULL", "1") != "0"
 
 
-def bench_figure5(benchmark):
+def bench_figure5():
     workloads = ("bp", "cnn") if FULL else ("bp",)
-    points = benchmark.pedantic(figure5, args=(workloads,), rounds=1, iterations=1)
+    points = figure5(workloads)
     print("\n" + render_figure5(points))
 
     bp = {p.config_name: p.time_ms for p in points if p.workload.startswith("bp")}

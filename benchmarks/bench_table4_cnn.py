@@ -12,14 +12,14 @@ from repro.experiments import render_table4, table4_cnn
 from repro.workloads.cnn.vgg import vgg16, vgg19
 
 
-def bench_table4_cnn(benchmark, cnn_models):
+def bench_table4_cnn(cnn_models):
     models = {
         ("VGG-16", 1): cnn_models.vgg16(1),
         ("VGG-16", 3): cnn_models.vgg16(3),
         ("VGG-16", 16): cnn_models.vgg16(16),
         ("VGG-19", 1): cnn_models.vgg19(1),
     }
-    rows = benchmark(table4_cnn, models)
+    rows = table4_cnn(models)
     print("\n" + render_table4(rows, "Table IV: convolutional neural networks"))
     print(f"Volta normalized-area ratio: {volta_area_ratio():.0f}x "
           "(paper: ~250x)\n")

@@ -11,8 +11,8 @@ from repro.experiments import render_table4, table4_mrf
 from repro.reporting import render_series
 
 
-def bench_table4_mrf(benchmark, bp_model, hier_model):
-    rows = benchmark(table4_mrf, bp_model, hier_model)
+def bench_table4_mrf(bp_model, hier_model):
+    rows = table4_mrf(bp_model, hier_model)
     print("\n" + render_table4(rows, "Table IV: Markov random fields"))
 
     result = bp_model.measure()

@@ -5,19 +5,19 @@ the memory configuration)."""
 from repro.experiments import table1, table2, table3
 
 
-def bench_table1(benchmark):
-    text = benchmark(table1)
+def bench_table1():
+    text = table1()
     print("\n" + text)
     assert "VIP" in text
 
 
-def bench_table2(benchmark):
-    text = benchmark(table2)
+def bench_table2():
+    text = table2()
     print("\n" + text)
     assert "m.v.{mul,add,sub,min,max,nop}.{add,min,max}" in text
 
 
-def bench_table3(benchmark):
-    text = benchmark(table3)
+def bench_table3():
+    text = table3()
     print("\n" + text)
     assert "320 GB/s" in text

@@ -1,9 +1,10 @@
 """Shared state for the benchmark harness.
 
 The expensive extrapolation models are built once per session and shared
-across benches; pytest-benchmark then times the (cheap, deterministic)
-table/figure assembly around them while each bench *prints* the
-reproduced rows/series, which is the deliverable.
+across benches; each bench assembles its table or figure from them,
+*prints* the reproduced rows/series, which is the deliverable, and
+asserts the paper's shape targets.  Nothing here is timed: the speed
+gate is ``benchmarks/e2e/run.py``.
 
 Environment knobs:
 

@@ -90,37 +90,33 @@ def build_variant_program(
     cross_start: int,
     cross_count: int,
 ) -> Program:
-    """Vertical-sweep message-update program for one PE under ``variant``."""
+    """Vertical-sweep message-update program for one PE under the
+    register-file ``variant`` ``"RF-R"`` or ``"RF+R"``.  The scratchpad
+    variants run the VIP kernel itself,
+    :func:`~repro.kernels.bp_kernel.build_sweep_program`."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    use_rf = variant.startswith("RF")
+    if not variant.startswith("RF"):
+        raise ConfigError(f"{variant} runs the VIP kernel "
+                          "(repro.kernels.bp_kernel.build_sweep_program)")
     use_reduction = variant.endswith("+R")
     L = layout.labels
     vb = layout.vec_bytes
-    group = 8 if use_rf else 1
+    group = 8  # vectors per 256 B register
     if cross_count % group:
         raise ConfigError("RF variants need a multiple of 8 columns per PE")
 
     b = ProgramBuilder()
     sp = ScratchpadAllocator()
     s_addr = sp.alloc(L * L * EB, "S")
-    if use_rf:
-        # Double-buffered packed input registers (the RF machine has
-        # sixteen 256 B registers; we use 2x4 inputs + 1 output) so the
-        # next group's loads overlap the current group's compute.
-        packed = {name: [sp.alloc(8 * vb, f"P_{name}{i}", align=256) for i in (0, 1)]
-                  for name in ("theta", "down", "right", "left")}
-        packed_out = sp.alloc(8 * vb, "P_out", align=256)
-        work = {name: sp.alloc(vb, f"w_{name}") for name in
-                ("theta", "down", "right", "left")}
-    else:
-        # Four-deep working-vector slots: loads run three updates ahead of
-        # their consumers (the software pipelining of the real VIP kernel,
-        # Section IV-A).
-        packed = {}
-        packed_out = None
-        work = {name: [sp.alloc(vb, f"w_{name}{i}") for i in range(4)] for name in
-                ("theta", "down", "right", "left")}
+    # Double-buffered packed input registers (the RF machine has sixteen
+    # 256 B registers; we use 2x4 inputs + 1 output) so the next group's
+    # loads overlap the current group's compute.
+    packed = {name: [sp.alloc(8 * vb, f"P_{name}{i}", align=256) for i in (0, 1)]
+              for name in ("theta", "down", "right", "left")}
+    packed_out = sp.alloc(8 * vb, "P_out", align=256)
+    work = {name: sp.alloc(vb, f"w_{name}") for name in
+            ("theta", "down", "right", "left")}
     acc = sp.alloc(vb, "acc")
     out = sp.alloc(vb, "out")
     tmp = sp.alloc(vb, "tmp")
@@ -177,13 +173,6 @@ def build_variant_program(
     r_umax = b.alloc_reg("umax")
     b.movi(r_umax, group)
     r_off = b.alloc_reg("off")  # byte offset of the update inside a group
-
-    def emit_copy(dst_reg_value: int, src_reg: int, length_elems: int) -> None:
-        """Vector copy: dst = src + 0 (the zero vector)."""
-        b.set_vl(length_elems)
-        b.movi(r_a, dst_reg_value)
-        b.movi(r_y, zero_sc)
-        b.vs("add", r_a, src_reg, r_y)
 
     def emit_dnc_min(vec_addr_reg: int, result_addr: int) -> None:
         """Divide-and-conquer min of an L-vector into ``result_addr``
@@ -272,86 +261,58 @@ def build_variant_program(
         b.mov(src[name], src_base[name])
     b.mov(r_dst, r_dst_base)
 
-    if use_rf:
-        groups = cross_count // group
+    groups = cross_count // group
 
-        def rf_group_loads(pset: int) -> None:
-            """One contiguous 256 B load per operand array (eight vectors)."""
-            for name in arrays:
-                b.movi(r_a, packed[name][pset])
-                b.ld_sram(r_a, src[name], r_vl8)
-                b.add(src[name], src[name], imm=8 * vb)
+    def rf_group_loads(pset: int) -> None:
+        """One contiguous 256 B load per operand array (eight vectors)."""
+        for name in arrays:
+            b.movi(r_a, packed[name][pset])
+            b.ld_sram(r_a, src[name], r_vl8)
+            b.add(src[name], src[name], imm=8 * vb)
 
-        def rf_body(pset: int, prefetch: bool) -> None:
-            """Load the next group into the other register set, then run
-            this group's eight updates from set ``pset``."""
-            if prefetch:
-                rf_group_loads(1 - pset)
-            b.movi(r_u, 0)
-            b.movi(r_off, 0)
-            update_loop = b.label(f"upd_{pset}_{len(b._instructions)}")
-            # Unpack the four operands (N/w cycles each on the RF machine).
-            for name in arrays:
-                b.set_vl(L)
-                b.movi(r_a, work[name])
-                b.movi(r_x, packed[name][pset])
-                b.add(r_x, r_x, r_off)
-                b.movi(r_y, zero_sc)
-                b.vs("add", r_a, r_x, r_y)
-            emit_compute({name: work[name] for name in arrays})
-            # Repack the result into the packed output register.
+    def rf_body(pset: int, prefetch: bool) -> None:
+        """Load the next group into the other register set, then run
+        this group's eight updates from set ``pset``."""
+        if prefetch:
+            rf_group_loads(1 - pset)
+        b.movi(r_u, 0)
+        b.movi(r_off, 0)
+        update_loop = b.label(f"upd_{pset}_{len(b._instructions)}")
+        # Unpack the four operands (N/w cycles each on the RF machine).
+        for name in arrays:
             b.set_vl(L)
-            b.movi(r_a, packed_out)
-            b.add(r_a, r_a, r_off)
-            b.movi(r_x, out)
+            b.movi(r_a, work[name])
+            b.movi(r_x, packed[name][pset])
+            b.add(r_x, r_x, r_off)
             b.movi(r_y, zero_sc)
             b.vs("add", r_a, r_x, r_y)
-            b.add(r_off, r_off, imm=vb)
-            b.add(r_u, r_u, imm=1)
-            b.blt(r_u, r_umax, update_loop)
-            b.movi(r_a, packed_out)
-            b.st_sram(r_a, r_dst, r_vl8)
-            b.add(r_dst, r_dst, imm=8 * vb)
+        emit_compute({name: work[name] for name in arrays})
+        # Repack the result into the packed output register.
+        b.set_vl(L)
+        b.movi(r_a, packed_out)
+        b.add(r_a, r_a, r_off)
+        b.movi(r_x, out)
+        b.movi(r_y, zero_sc)
+        b.vs("add", r_a, r_x, r_y)
+        b.add(r_off, r_off, imm=vb)
+        b.add(r_u, r_u, imm=1)
+        b.blt(r_u, r_umax, update_loop)
+        b.movi(r_a, packed_out)
+        b.st_sram(r_a, r_dst, r_vl8)
+        b.add(r_dst, r_dst, imm=8 * vb)
 
-        rf_group_loads(0)
-        pairs, rem = divmod(groups, 2)
-        if pairs:
-            b.movi(r_g, 0)
-            b.movi(r_gmax, pairs)
-            group_loop = b.label("group_loop")
-            rf_body(0, prefetch=True)
-            rf_body(1, prefetch=True)
-            b.add(r_g, r_g, imm=1)
-            b.blt(r_g, r_gmax, group_loop)
-        if rem:
-            rf_body(0, prefetch=False)
-    else:
-        def sp_loads(slot: int) -> None:
-            for name in arrays:
-                b.movi(r_a, work[name][slot])
-                b.ld_sram(r_a, src[name], r_vl)
-                b.add(src[name], src[name], imm=vb)
-
-        def sp_body(slot: int) -> None:
-            """Prefetch three updates ahead, compute this one (the real
-            kernel's software pipelining)."""
-            sp_loads((slot + 3) % 4)
-            emit_compute({name: work[name][slot] for name in arrays})
-            b.movi(r_a, out)
-            b.st_sram(r_a, r_dst, r_vl)
-            b.add(r_dst, r_dst, imm=vb)
-
-        if cross_count % 4:
-            raise ConfigError("SP variants expect a multiple of four columns per PE")
-        for s in range(3):
-            sp_loads(s)
+    rf_group_loads(0)
+    pairs, rem = divmod(groups, 2)
+    if pairs:
         b.movi(r_g, 0)
-        b.movi(r_gmax, cross_count // 4)
-        quad_loop = b.label("quad_loop")
-        for s in range(4):
-            sp_body(s)
+        b.movi(r_gmax, pairs)
+        group_loop = b.label("group_loop")
+        rf_body(0, prefetch=True)
+        rf_body(1, prefetch=True)
         b.add(r_g, r_g, imm=1)
-        b.blt(r_g, r_gmax, quad_loop)
+        b.blt(r_g, r_gmax, group_loop)
+    if rem:
+        rf_body(0, prefetch=False)
 
     for name in arrays:
         b.add(src_base[name], src_base[name], imm=layout.row_stride)

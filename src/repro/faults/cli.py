@@ -7,7 +7,9 @@ grid and reports output quality against the fault-free golden run::
         --mechanism dram --out sweep.json --csv sweep.csv
 
 The zero-rate point runs with the injector attached and must match the
-golden run exactly (byte-identical simulation); CI asserts this.
+golden run exactly (byte-identical simulation); CI asserts this.  Output
+paths and the rate grid are checked before any simulation: a bad one is
+one ``error: config:`` line naming its flag, and exit 2.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli import check_output_paths
 from repro.errors import ConfigError
 from repro.faults.sweep import (
     DEFAULT_RATES,
     MECHANISMS,
     WORKLOADS,
+    check_grid,
     run_sweep,
     write_csv,
     write_json,
@@ -99,6 +103,9 @@ def _run(args) -> dict:
 
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume requires --checkpoint PATH")
+    check_output_paths({"--out": args.out, "--csv": args.csv,
+                        "--checkpoint": args.checkpoint})
+    check_grid(args.workloads, args.rates, args.seeds, args.mechanism)
     checkpoint = None
     if args.checkpoint:
         meta = {"tool": "repro.faults", "mechanism": args.mechanism,

@@ -71,6 +71,30 @@ def fault_config(mechanism: str, rate: float, seed: int,
     return FaultConfig(seed=seed, ecc=ecc, **{MECHANISMS[mechanism]: rate})
 
 
+def check_grid(workloads: Sequence[str], rates: Sequence[float],
+               seeds: Sequence[int], mechanism: str) -> None:
+    """Raise :class:`ConfigError`, naming the ``python -m repro.faults``
+    flag that sets it, for an empty workload, rate or seed list, an
+    unknown workload or mechanism, or a rate outside ``[0, 1]``."""
+    for flag, values in (("--workloads", workloads), ("--rates", rates),
+                         ("--seeds", seeds)):
+        if not values:
+            raise ConfigError(f"{flag}: needs at least one value")
+    for workload in workloads:
+        if workload not in WORKLOADS:
+            raise ConfigError(f"--workloads: unknown workload {workload!r}; "
+                              f"choose from {', '.join(WORKLOADS)}")
+    try:
+        fault_config(mechanism, 0.0, 0)
+    except ConfigError as exc:
+        raise ConfigError(f"--mechanism: {exc}") from None
+    for rate in rates:
+        try:
+            fault_config(mechanism, rate, 0)
+        except ConfigError as exc:
+            raise ConfigError(f"--rates: {exc}") from None
+
+
 # ----------------------------------------------------------------------
 # workload runs (module-level: task functions must pickle)
 
@@ -174,10 +198,7 @@ def run_sweep(
     """
     rates = [float(r) for r in rates]
     seeds = [int(s) for s in seeds]
-    for workload in workloads:
-        if workload not in WORKLOADS:
-            raise ConfigError(f"unknown workload {workload!r}")
-    fault_config(mechanism, 0.0, 0)  # validate the mechanism name early
+    check_grid(workloads, rates, seeds, mechanism)
 
     tasks: list[Task] = []
     golden: dict[str, Any] = {}

@@ -38,7 +38,12 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
-from repro.kernels.common import ScratchpadAllocator, memoize_programs, split_evenly
+from repro.kernels.common import (
+    ScratchpadAllocator,
+    emit_mul_const,
+    memoize_programs,
+    split_evenly,
+)
 from repro.memory.store import DramStore
 from repro.workloads.bp.mrf import DIRECTIONS, OPPOSITE, GridMRF
 
@@ -87,9 +92,6 @@ class BPTileLayout:
 
     def block_addr(self, y: int, x: int) -> int:
         return self.base + (y * self.cols + x) * self.block_bytes
-
-    def vertex_addr(self, field: str, y: int, x: int) -> int:
-        return self.block_addr(y, x) + self.field_offset(field)
 
     def smoothness_base(self) -> int:
         return self.base + self.grid_bytes
@@ -485,7 +487,7 @@ def build_construct_program(
     r_rowoff = b.alloc_reg()
     b.mov(r_rowoff, r_y)
     b.add(r_rowoff, r_rowoff, imm=row_start)
-    _emit_mul_const(b, r_rowoff, 2 * fine.row_stride)
+    emit_mul_const(b, r_rowoff, 2 * fine.row_stride)
     b.movi(r_src[0], fine.base + theta_off)
     b.add(r_src[0], r_src[0], r_rowoff)
     b.add(r_src[1], r_src[0], imm=fine.block_bytes)  # (2y, 2x+1)
@@ -493,7 +495,7 @@ def build_construct_program(
     b.add(r_src[3], r_src[2], imm=fine.block_bytes)
     b.mov(r_dst, r_y)
     b.add(r_dst, r_dst, imm=row_start)
-    _emit_mul_const(b, r_dst, coarse.row_stride)
+    emit_mul_const(b, r_dst, coarse.row_stride)
     b.add(r_dst, r_dst, imm=coarse.base + coarse.field_offset("theta"))
 
     b.movi(r_x, 0)
@@ -550,11 +552,11 @@ def build_copy_program(
     r_rowoff = b.alloc_reg()
     b.mov(r_src, r_y)
     b.add(r_src, r_src, imm=row_start)
-    _emit_mul_const(b, r_src, coarse.row_stride)
+    emit_mul_const(b, r_src, coarse.row_stride)
     b.add(r_src, r_src, imm=coarse.base + field)
     b.mov(r_rowoff, r_y)
     b.add(r_rowoff, r_rowoff, imm=row_start)
-    _emit_mul_const(b, r_rowoff, 2 * fine.row_stride)
+    emit_mul_const(b, r_rowoff, 2 * fine.row_stride)
     b.movi(r_dst[0], fine.base + field)
     b.add(r_dst[0], r_dst[0], r_rowoff)
     b.add(r_dst[1], r_dst[0], imm=fine.block_bytes)
@@ -577,25 +579,3 @@ def build_copy_program(
     b.memfence()
     b.halt()
     return b.build()
-
-
-def _emit_mul_const(b: ProgramBuilder, reg: int, constant: int) -> None:
-    """Multiply ``reg`` by a non-negative compile-time constant in place
-    using shift-adds (the scalar ISA has no multiplier)."""
-    if constant < 0:
-        raise ConfigError("negative constants unsupported")
-    if constant == 0:
-        b.movi(reg, 0)
-        return
-    if constant == 1:
-        return
-    tmp = b.alloc_reg()
-    b.mov(tmp, reg)
-    bits = [i for i in range(constant.bit_length()) if constant >> i & 1]
-    first = bits[0]
-    b.alu("sll", reg, reg, imm=first)
-    scratch = b.alloc_reg()
-    for shift in bits[1:]:
-        b.mov(scratch, tmp)
-        b.alu("sll", scratch, scratch, imm=shift)
-        b.add(reg, reg, scratch)

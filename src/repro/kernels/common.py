@@ -6,6 +6,7 @@ import functools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import SCRATCHPAD_BYTES
 
 
@@ -85,3 +86,31 @@ def split_evenly(total: int, parts: int) -> list[tuple[int, int]]:
         slices.append((start, count))
         start += count
     return slices
+
+
+def emit_mul_const(b: ProgramBuilder, reg: int, constant: int,
+                   tmp: int | None = None, scratch: int | None = None) -> None:
+    """Multiply ``reg`` by a non-negative compile-time constant in place
+    with shift-adds (the scalar ISA has no multiplier).
+
+    ``tmp`` and ``scratch`` are the two working registers; a constant
+    above 1 allocates each one not given from ``b``.
+    """
+    if constant < 0:
+        raise ConfigError("negative constants unsupported")
+    if constant == 0:
+        b.movi(reg, 0)
+        return
+    if constant == 1:
+        return
+    if tmp is None:
+        tmp = b.alloc_reg()
+    if scratch is None:
+        scratch = b.alloc_reg()
+    b.mov(tmp, reg)
+    bits = [i for i in range(constant.bit_length()) if constant >> i & 1]
+    b.alu("sll", reg, reg, imm=bits[0])
+    for shift in bits[1:]:
+        b.mov(scratch, tmp)
+        b.alu("sll", scratch, scratch, imm=shift)
+        b.add(reg, reg, scratch)

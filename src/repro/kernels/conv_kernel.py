@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
-from repro.kernels.common import ScratchpadAllocator, memoize_programs
+from repro.kernels.common import ScratchpadAllocator, emit_mul_const, memoize_programs
 from repro.memory.store import DramStore
 
 EB = 2  # bytes per element
@@ -267,12 +267,13 @@ def build_conv_pass_program(
         in r_strip)."""
         # Input pointer: padded row (row_start + strip*strip_rows), col 0.
         b.mov(r_colptr, r_strip)
-        _mul_const(b, r_colptr, strip_rows * layout.in_w * z * EB, r_a, r_x)
+        emit_mul_const(b, r_colptr, strip_rows * layout.in_w * z * EB, r_a, r_x)
         b.add(r_colptr, r_colptr, imm=layout.input_addr(row_start, 0))
         # Output pointer base for the strip (channel offset per pass).
         b.mov(r_out_base, r_strip)
-        _mul_const(b, r_out_base, strip_rows * layout.out_w * layout.num_filters * EB,
-                   r_a, r_x)
+        emit_mul_const(b, r_out_base,
+                       strip_rows * layout.out_w * layout.num_filters * EB,
+                       r_a, r_x)
         b.add(r_out_base, r_out_base,
               imm=layout.output_addr(row_start, 0, filter_start))
         b.add(r_out_base, r_out_base, r_foff)
@@ -440,22 +441,3 @@ def build_accumulate_program(
     b.memfence()
     b.halt()
     return b.build()
-
-
-def _mul_const(b: ProgramBuilder, reg: int, constant: int, tmp: int, scratch: int) -> None:
-    """Multiply ``reg`` by a constant in place with shift-adds, using the
-    two provided scratch registers."""
-    if constant < 0:
-        raise ConfigError("negative constants unsupported")
-    if constant == 0:
-        b.movi(reg, 0)
-        return
-    if constant == 1:
-        return
-    b.mov(tmp, reg)
-    bits = [i for i in range(constant.bit_length()) if constant >> i & 1]
-    b.alu("sll", reg, reg, imm=bits[0])
-    for shift in bits[1:]:
-        b.mov(scratch, tmp)
-        b.alu("sll", scratch, scratch, imm=shift)
-        b.add(reg, reg, scratch)

@@ -39,8 +39,12 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
-from repro.kernels.bp_kernel import _emit_mul_const
-from repro.kernels.common import ScratchpadAllocator, memoize_programs, split_evenly
+from repro.kernels.common import (
+    ScratchpadAllocator,
+    emit_mul_const,
+    memoize_programs,
+    split_evenly,
+)
 from repro.workloads.bp.mrf import GridMRF
 from repro.workloads.gibbs.reference import (
     BETA_SHIFT,
@@ -288,7 +292,7 @@ def build_phase_program(layout: GibbsTileLayout, pe_index: int, parity: int) -> 
 
     # Advance this pixel's LCG: s = (A*s + C) & 0xFFFFFFFF.
     b.ld_reg(r_lcg, r_state)
-    _emit_mul_const(b, r_lcg, LCG_A)
+    emit_mul_const(b, r_lcg, LCG_A)
     b.add(r_lcg, r_lcg, r_lcg_c)
     b.alu("and", r_lcg, r_lcg, r_mask32)
     b.st_reg(r_lcg, r_state)

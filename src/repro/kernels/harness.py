@@ -18,7 +18,8 @@ so the serving cost model and the fault sweep run them too.
 * ``conv-pass`` — a VGG-geometry convolution pass on one PE with
   faithful DRAM timing.
 * ``fc-chunk`` — an FC weight-tile partial-product stream on one PE.
-* ``fc-batch`` — the same stream over B resident input chunks.
+* ``fc-batch`` — the same stream over B resident input chunks: B
+  back-to-back same-shape long vector ops per weight row.
 
 The tests drive this registry: PE against the ``reference=True``
 :class:`~repro.pe.reference.ReferencePE` oracle, zero-rate fault
@@ -226,9 +227,9 @@ def run_fc_stream(reference: bool = False, quick: bool = False,
                   faults=NO_FAULTS, trace=NULL_TRACE,
                   batch: int = 1) -> KernelRun:
     """An FC weight-tile partial-product stream on one PE over ``batch``
-    resident input chunks: ``batch`` back-to-back same-shape
-    ``m.v.mul.add`` ops per weight row, the shape the PE's
-    ``VectorOpQueue`` stacks into one numpy call."""
+    resident input chunks: ``batch`` back-to-back same-shape long
+    ``m.v.mul.add`` ops per weight row, the serving cost model's
+    batched-FC shape."""
     from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
 
     rows, chunk = fc_tile(quick)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
-from repro.kernels.common import ScratchpadAllocator, memoize_programs
+from repro.kernels.common import ScratchpadAllocator, emit_mul_const, memoize_programs
 from repro.memory.store import DramStore
 
 EB = 2
@@ -109,14 +109,14 @@ def build_pool_program(layout: PoolTileLayout, row_start: int, row_count: int) -
     row_loop = b.label("row_loop")
     b.mov(r_src[0], r_y)
     b.add(r_src[0], r_src[0], imm=row_start)
-    _mul_const(b, r_src[0], 2 * row_bytes, r_t1, r_t2)
+    emit_mul_const(b, r_src[0], 2 * row_bytes, r_t1, r_t2)
     b.add(r_src[0], r_src[0], imm=layout.input_base)
     b.add(r_src[1], r_src[0], imm=z * EB)
     b.add(r_src[2], r_src[0], imm=row_bytes)
     b.add(r_src[3], r_src[2], imm=z * EB)
     b.mov(r_dst, r_y)
     b.add(r_dst, r_dst, imm=row_start)
-    _mul_const(b, r_dst, layout.out_w * z * EB, r_t1, r_t2)
+    emit_mul_const(b, r_dst, layout.out_w * z * EB, r_t1, r_t2)
     b.add(r_dst, r_dst, imm=layout.output_base)
 
     b.movi(r_x, 0)
@@ -138,17 +138,3 @@ def build_pool_program(layout: PoolTileLayout, row_start: int, row_count: int) -
     b.memfence()
     b.halt()
     return b.build()
-
-
-def _mul_const(b: ProgramBuilder, reg: int, constant: int, tmp: int, scratch: int) -> None:
-    if constant <= 0:
-        raise ConfigError("constant must be positive")
-    if constant == 1:
-        return
-    b.mov(tmp, reg)
-    bits = [i for i in range(constant.bit_length()) if constant >> i & 1]
-    b.alu("sll", reg, reg, imm=bits[0])
-    for shift in bits[1:]:
-        b.mov(scratch, tmp)
-        b.alu("sll", scratch, scratch, imm=shift)
-        b.add(reg, reg, scratch)

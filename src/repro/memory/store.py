@@ -80,21 +80,3 @@ class DramStore:
     def touched_bytes(self) -> int:
         """Bytes of backing storage actually allocated."""
         return len(self._pages) * PAGE_BYTES
-
-    def content_hash(self) -> str:
-        """Hex digest of every touched, nonzero page (order-independent).
-
-        Used by the resilience sweep and the fault-plumbing equivalence
-        tests to compare full DRAM images cheaply: two stores with the
-        same logical contents hash equal even if they allocated different
-        all-zero pages along the way.
-        """
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        for index in sorted(self._pages):
-            page = self._pages[index]
-            if page.any():
-                digest.update(index.to_bytes(8, "little"))
-                digest.update(page.tobytes())
-        return digest.hexdigest()

@@ -45,10 +45,6 @@ class NoCStats:
     total_bytes: int = 0
     total_hops: int = 0
 
-    @property
-    def mean_hops(self) -> float:
-        return self.total_hops / self.messages if self.messages else 0.0
-
 
 class TorusNetwork:
     """Timing model of the vault-to-vault torus."""

@@ -73,13 +73,6 @@ class PEConfig:
     def datapath_bytes(self) -> int:
         return self.datapath_bits // 8
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.clock_ghz
-
     def lanes(self, width_bits: int) -> int:
         """Elements processed per cycle at the given element width."""
         return max(1, self.datapath_bits // width_bits)
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles * 1e-9 / self.clock_ghz

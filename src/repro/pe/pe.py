@@ -179,9 +179,7 @@ class PE:
             self._fl.sp_power_on(self)
         self._hazard_on = cfg.hazard_mode is not HazardMode.IGNORE
         self._dpb = cfg.datapath_bytes
-        # Defers the functional scratchpad effect of long vector
-        # instructions (repro.pe.batch); flushed before anything reads
-        # scratchpad bytes, the fault hooks included.
+        # Applies long and 64-bit vector instructions (repro.pe.batch).
         self._vq = VectorOpQueue()
         self.arc = ArrayRangeCheck(cfg.arc_entries, pe_id=self.pe_id,
                                    trace=cfg.trace)
@@ -209,8 +207,6 @@ class PE:
                 f"program of {len(program)} instructions exceeds the "
                 f"{self.config.instruction_buffer_entries}-entry buffer"
             )
-        if self._vq.ops:
-            self._vq.flush(self)
         self.program = program
         self.pc = 0
         self.status = PEStatus.RUNNING
@@ -525,19 +521,14 @@ class PE:
         if done > self._vec_last_done:
             self._vec_last_done = done
 
-        # Timing, stalls and counters are computed eagerly, per
-        # instruction; only the functional effect may be deferred.
         self._vector_effect(opcode, vop, instr.hop, width, rows, cols,
-                            src1, src2, dst, n1, n2, nd)
+                            src1, src2, dst)
         if is_mv:
             counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
         else:
             counters.vector_alu_ops += cols
 
         if self._fl is not None:
-            # The fault hook reads the result, so it must have landed.
-            if self._vq.ops:
-                self._vq.flush(self)
             self._fl.vector_result(self, [(dst, nd)], width, t)
 
         self._sp_wtime.record(dst, dst + nd, done, t)
@@ -550,25 +541,24 @@ class PE:
         self._retire(t)
 
     def _vector_effect(self, opcode, vop, hop, width, rows, cols,
-                       src1, src2, dst, n1, n2, nd) -> None:
-        """Apply one vector instruction's scratchpad effect.
+                       src1, src2, dst) -> None:
+        """Apply one vector instruction's scratchpad effect, in the step
+        that issues it.
 
-        Short vectors are computed at once as Python integers, after a
-        flush so every earlier op's bytes have landed; long and 64-bit
-        ones are deferred into the batch queue, which is flushed before
-        anything can observe the bytes (see ``repro.pe.batch``).  Kept
+        Short vectors are computed as Python integers; long and 64-bit
+        ones as one NumPy computation, pushed through the one-op
+        :class:`~repro.pe.batch.VectorOpQueue` and flushed at once.  Kept
         apart from :meth:`_exec_vector` so that ``ReferencePE`` can run
-        every op eagerly instead.
+        every op through ``ScratchpadView`` instead.
         """
-        vq = self._vq
         if rows * cols <= SHORT_VECTOR_ELEMENTS and width <= 32:
-            if vq.ops:
-                vq.flush(self)
             short_vector_op(self.scratchpad, opcode, vop, hop, width,
                             rows, cols, self.fx, src1, src2, dst)
         else:
+            vq = self._vq
             vq.push(self, opcode, vop, hop, width, rows, cols,
-                    src1, src2, dst, [(src1, n1), (src2, n2)], [(dst, nd)])
+                    src1, src2, dst)
+            vq.flush(self)
 
     def _exec_v_drain(self, instr: Instruction) -> None:
         t = max(self.clock, self._vec_last_done)
@@ -650,8 +640,6 @@ class PE:
     # -- load-store instructions -----------------------------------------
 
     def _exec_ld_sram(self, instr: Instruction) -> None:
-        if self._vq.ops:
-            self._vq.flush(self)
         counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_dst = self._read_reg(instr.rd)
@@ -707,8 +695,6 @@ class PE:
         self._retire(t)
 
     def _exec_st_sram(self, instr: Instruction) -> None:
-        if self._vq.ops:
-            self._vq.flush(self)
         counters = self.counters
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_src = self._read_reg(instr.rd)
@@ -914,8 +900,6 @@ class PE:
         self._retire(t)
 
     def _exec_halt(self, instr: Instruction) -> None:
-        if self._vq.ops:
-            self._vq.flush(self)
         t = max(self.clock, self._vec_last_done, self._lsu_port_free)
         if self._outstanding:
             t = max(t, max(self._outstanding))

@@ -10,9 +10,9 @@ takes none of ``PE``'s shortcuts:
 * the issue bound re-derives every stall source from the opcode on each
   call, and keeps no operand scan for the step, so every step scans its
   operands itself;
-* every vector instruction reads, computes and writes its operands at
-  once through :class:`~repro.pe.vector_unit.ScratchpadView`, at every
-  size: no Python-integer short path and no ``VectorOpQueue``;
+* every vector instruction reads, computes and writes its operands
+  through :class:`~repro.pe.vector_unit.ScratchpadView`, at every size:
+  no Python-integer short path and no raw-view NumPy long path;
 * it has no PE-local steps, so a chip schedules it pop by pop, with no
   run-ahead.
 
@@ -158,7 +158,7 @@ class ReferencePE(PE):
         return t
 
     def _vector_effect(self, opcode, vop, hop, width, rows, cols,
-                       src1, src2, dst, n1, n2, nd) -> None:
+                       src1, src2, dst) -> None:
         eager_vector_op(self.scratchpad, opcode, vop, hop, width, rows, cols,
                         self.fx, src1, src2, dst)
 

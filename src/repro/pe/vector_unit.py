@@ -38,6 +38,7 @@ from repro.fixedpoint import (
     sat_reduce_add,
     sat_sub,
     saturate_cast,
+    saturate_inplace,
 )
 from repro.isa.instructions import Opcode
 from repro.pe.config import PEConfig
@@ -73,7 +74,7 @@ def apply_horizontal(op: str, rows: np.ndarray, bits: int) -> np.ndarray:
 
 #: Largest vector instruction (``rows * cols`` elements) that
 #: :func:`short_vector_op` executes.  Per 16-bit ``v.v.add`` on a 2-core
-#: Xeon VM, Python integers against one queued NumPy op: 2.5 vs 13.0 us
+#: Xeon VM, Python integers against one NumPy op: 2.5 vs 13.0 us
 #: at 2 elements, 5.7 vs 13.9 at 16, 10.8 vs 16.4 at 32, and 16.7 vs 14.1
 #: at 64, where NumPy wins.  32 keeps every short op on Python's side.
 SHORT_VECTOR_ELEMENTS = 32
@@ -164,6 +165,72 @@ def short_vector_op(buf, opcode: Opcode, vop: str, hop: str | None,
     else:
         out = _vertical_ints(vop, a, b, lo, hi, fx)
     structs[len(out)].pack_into(buf, dst, *out)
+
+
+def long_vector_op(data: np.ndarray, opcode: Opcode, vop: str,
+                   hop: str | None, width: int, rows: int, cols: int,
+                   fx: int, src1: int, src2: int, dst: int) -> None:
+    """Execute one MV/VV/VS instruction that :func:`short_vector_op` does
+    not take (more than :data:`SHORT_VECTOR_ELEMENTS` elements, or 64
+    bits) in place, as one NumPy computation.
+
+    ``data`` is the scratchpad's ``uint8`` array; the other arguments and
+    the results are :func:`short_vector_op`'s.  The caller has
+    range-checked every operand, so raw views replace the checked
+    ``ScratchpadView`` round trips; the fixed-point helpers and
+    saturation order are the reference's, and every operand is copied
+    out before the result is written.
+    """
+    dtype = DTYPES[width]
+    esz = width // 8
+    if opcode is Opcode.MV:
+        if vop == "mul" and hop == "add":
+            # The matrix-multiply-accumulate every inference kernel issues
+            # per weight row: one widening ufunc replaces the two int64
+            # staging copies, then the shift / per-element clamp / row-sum
+            # / clamp chain runs on that product in place — the exact
+            # ``sat_mul`` + horizontal-add reference sequence.
+            prod = np.multiply(
+                data[src1:src1 + rows * cols * esz].view(dtype)
+                .reshape(rows, cols) if rows > 1
+                else data[src1:src1 + cols * esz].view(dtype),
+                data[src2:src2 + cols * esz].view(dtype),
+                dtype=np.int64)
+            if fx:
+                np.right_shift(prod, fx, out=prod)
+            saturate_inplace(prod, width)
+            if rows == 1:
+                # One-row reduction (mr=1, the kernel's partial dot
+                # product): the int64 accumulate and clamp collapse to
+                # scalar arithmetic.  ``ndarray.sum`` wraps on int64
+                # overflow exactly like the reference's axis reduction.
+                total = int(prod.sum())
+                lo, hi = int_bounds(width)
+                if total > hi:
+                    total = hi
+                elif total < lo:
+                    total = lo
+                data[dst:dst + esz] = \
+                    np.array([total], dtype=dtype).view(np.uint8)
+            else:
+                out = sat_reduce_add(prod, width)
+                data[dst:dst + rows * esz] = out.astype(dtype).view(np.uint8)
+        else:
+            matrix = data[src1:src1 + rows * cols * esz].view(dtype) \
+                .astype(np.int64).reshape(rows, cols)
+            vector = data[src2:src2 + cols * esz].view(dtype).astype(np.int64)
+            vert = apply_vertical(vop, matrix, vector[None, :], width, fx)
+            out = saturate_cast(apply_horizontal(hop, vert, width), width)
+            data[dst:dst + rows * esz] = out.view(np.uint8)
+    else:
+        a = data[src1:src1 + cols * esz].view(dtype).astype(np.int64)
+        if opcode is Opcode.VV:
+            b = data[src2:src2 + cols * esz].view(dtype).astype(np.int64)
+        else:
+            b = np.full(cols, data[src2:src2 + esz].view(dtype)[0],
+                        dtype=np.int64)
+        out = saturate_cast(apply_vertical(vop, a, b, width, fx), width)
+        data[dst:dst + cols * esz] = out.view(np.uint8)
 
 
 @dataclass(frozen=True)

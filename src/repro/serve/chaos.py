@@ -39,7 +39,8 @@ within the per-request budget), and cluster replay identity; one
 cluster checkpoint/resume check rides along.
 
 The harness writes a ``repro.serve.chaos/v1`` JSON report; an invalid
-command line exits 2, and a violated invariant exits 3 (the regression
+command line, an unwritable ``--out`` included, exits 2 before any cell
+runs, and a violated invariant exits 3 (the regression
 exit code the bench gate uses), naming the offending (seed, mode,
 policy, autoscale) cell so CI failures point at a reproducible command
 line, not a flake.
@@ -57,6 +58,7 @@ import os
 import sys
 import tempfile
 
+from repro.cli import check_output_paths
 from repro.errors import ConfigError
 from repro.serve.autoscale import SCALE_ACTIONS, AutoscaleConfig
 from repro.serve.cluster import ClusterConfig, ClusterSimulator
@@ -611,6 +613,7 @@ def main(argv=None) -> int:
     states = {"off": (False,), "on": (True,),
               "both": (False, True)}[args.autoscale]
     try:
+        check_output_paths({"--out": args.out})
         report = run_matrix(tuple(range(args.seeds)), tuple(args.modes),
                             tuple(args.policies), states,
                             requests_per_cell=args.requests,

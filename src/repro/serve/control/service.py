@@ -250,13 +250,3 @@ class ControlServer:
         await self._server.wait_closed()
         for task in asyncio.all_tasks():
             task.cancel()
-
-    def run_forever(self) -> None:
-        """Serve on the calling thread (the ``__main__`` entry point)."""
-        self.manager.start()
-        try:
-            asyncio.run(self._serve())
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.manager.stop()

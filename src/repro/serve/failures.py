@@ -440,10 +440,6 @@ class ChipFailureTimeline:
         """True when the chip serves from the degraded cost column at ``t``."""
         return self._window_at(chip, "transient", t) is not None
 
-    @property
-    def uses_degraded_column(self) -> bool:
-        return bool(self.config.transient_chips)
-
 
 def _scripted_stream(windows) -> _Stream:
     """An index over explicit windows, sorted by start (stable, so

@@ -136,10 +136,6 @@ class FCPlacement:
     rows_per_vault: int
     cols_per_vault: int
 
-    @property
-    def partial_sum_bytes(self) -> int:
-        return self.rows_per_vault * ELEMENT_BYTES
-
 
 def plan_fc(out_features: int, in_features: int, name: str,
             noc: NoCConfig | None = None) -> FCPlacement:

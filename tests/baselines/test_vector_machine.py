@@ -55,6 +55,15 @@ def test_unknown_variant_rejected():
         build_variant_program(layout, "SP++", 0, 8)
 
 
+@pytest.mark.parametrize("variant", ["SP-R", "SP+R"])
+def test_scratchpad_variants_run_the_vip_kernel(variant):
+    """Only the RF variants are restricted code; SP-R and SP+R run
+    ``build_sweep_program`` in ``run_figure4``."""
+    layout = SeparateArrayLayout(base=4096, rows=8, cols=8, labels=8)
+    with pytest.raises(ConfigError, match="build_sweep_program"):
+        build_variant_program(layout, variant, 0, 8)
+
+
 def test_figure4_ordering_small_tile():
     """The reduction-unit claim on a fast, reduced-size run; at this tiny
     scale SP and RF are within startup noise of each other, so the

@@ -216,6 +216,63 @@ class TestSweep:
         assert err.startswith("error: config:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv", "--checkpoint"])
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys,
+                                                       monkeypatch, flag):
+        from repro.faults import cli
+
+        def no_sweep(**kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        path = tmp_path / "missing" / "x.out"
+        assert cli.main(["--workloads", "conv", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: config: {flag}: cannot write {path}")
+        assert captured.out == ""
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["--rates=-1"], "--rates"),
+        (["--rates", "2"], "--rates"),
+        (["--rates", "nan"], "--rates"),
+        (["--rates", ","], "--rates"),
+        (["--workloads", ","], "--workloads"),
+        (["--workloads", "mlp"], "--workloads"),
+        (["--seeds", ","], "--seeds"),
+    ])
+    def test_bad_grid_fails_before_the_golden_runs(self, tmp_path, capsys,
+                                                   monkeypatch, args, flag):
+        from repro.faults import cli, sweep
+
+        def no_run(*a, **kw):
+            raise AssertionError("a golden run started")
+
+        monkeypatch.setattr(sweep, "_bp_run", no_run)
+        monkeypatch.setattr(sweep, "run_conv_pass", no_run)
+        ck = tmp_path / "ck.jsonl"
+        assert cli.main(args + ["--checkpoint", str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: {flag}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not ck.exists()
+
+    def test_run_sweep_refuses_bad_grid(self, monkeypatch):
+        from repro.faults import sweep
+
+        def no_run(*a, **kw):
+            raise AssertionError("a golden run started")
+
+        monkeypatch.setattr(sweep, "_bp_run", no_run)
+        for kwargs, flag in [(dict(rates=(-1.0,)), "--rates"),
+                             (dict(rates=()), "--rates"),
+                             (dict(workloads=()), "--workloads"),
+                             (dict(seeds=()), "--seeds")]:
+            with pytest.raises(ConfigError, match=f"^{flag}: "):
+                sweep.run_sweep(**{"workloads": ("bp",), **kwargs})
+
     def test_checkpoint_resume_sweep_is_byte_identical(self, tmp_path):
         from repro.faults.cli import main
 

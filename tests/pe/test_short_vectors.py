@@ -1,8 +1,9 @@
-"""The short-vector path must compute exactly what the eager reference does.
+"""Each vector path must compute exactly what the eager reference does.
 
 ``short_vector_op`` runs MV/VV/VS instructions of at most 32 elements and
-width <= 32 bits on Python integers.  The oracle is the eager op the
-reference interpreter runs, ``repro.pe.reference.eager_vector_op``:
+width <= 32 bits on Python integers; ``long_vector_op`` runs the longer
+and 64-bit ones as one NumPy computation.  The oracle is the eager op
+the reference interpreter runs, ``repro.pe.reference.eager_vector_op``:
 ``ScratchpadView.read_vector`` -> ``apply_vertical`` (->
 ``apply_horizontal``) -> ``write_vector``.
 """
@@ -18,24 +19,49 @@ from repro.isa.instructions import Opcode
 from repro.pe import PE, FlatMemory
 from repro.pe.batch import VectorOpQueue
 from repro.pe.reference import ReferencePE, eager_vector_op as reference_op
-from repro.pe.vector_unit import SHORT_VECTOR_ELEMENTS, short_vector_op
+from repro.pe.vector_unit import (
+    SHORT_VECTOR_ELEMENTS,
+    long_vector_op,
+    short_vector_op,
+)
 
-SP_BYTES = 512
+SP_BYTES = 4096
 VOPS = ("add", "sub", "mul", "min", "max", "nop")
 HOPS = ("add", "min", "max")
+#: Largest long op drawn, in elements.
+LONG_ELEMENTS = 256
+
+
+def _shape(draw, opcode, least, most):
+    """``(rows, cols)`` of an ``opcode`` op of ``least``..``most``
+    elements."""
+    if opcode is not Opcode.MV:
+        return 1, draw(st.integers(least, most))
+    rows = draw(st.integers(1, most))
+    cols = draw(st.integers(-(-least // rows), most // rows))
+    return rows, cols
 
 
 @st.composite
-def short_ops(draw):
+def vector_ops(draw):
+    """Short ops, long ops (33-256 elements at 8-32 bits) and 64-bit ops
+    of 1-256 elements."""
     opcode = draw(st.sampled_from((Opcode.MV, Opcode.VV, Opcode.VS)))
-    width = draw(st.sampled_from((8, 16, 32)))
+    kind = draw(st.sampled_from(("short", "long", "64-bit")))
+    if kind == "short":
+        width = draw(st.sampled_from((8, 16, 32)))
+        rows, cols = _shape(draw, opcode, 1, SHORT_VECTOR_ELEMENTS)
+    elif kind == "long":
+        width = draw(st.sampled_from((8, 16, 32)))
+        rows, cols = _shape(draw, opcode, SHORT_VECTOR_ELEMENTS + 1,
+                            LONG_ELEMENTS)
+    else:
+        width = 64
+        rows, cols = _shape(draw, opcode, 1, LONG_ELEMENTS)
     esz = width // 8
     if opcode is Opcode.MV:
-        rows = draw(st.integers(1, SHORT_VECTOR_ELEMENTS))
-        cols = draw(st.integers(1, SHORT_VECTOR_ELEMENTS // rows))
         n1, n2, nd = rows * cols * esz, cols * esz, rows * esz
     else:
-        rows, cols = 1, draw(st.integers(1, SHORT_VECTOR_ELEMENTS))
         n1 = nd = cols * esz
         n2 = n1 if opcode is Opcode.VV else esz
 
@@ -58,14 +84,20 @@ def short_ops(draw):
                 src1=src1, src2=src2, dst=dst)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
-@given(op=short_ops(), seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=1800, deadline=None)
+@given(op=vector_ops(), seed=st.integers(0, 2**32 - 1))
 def test_short_path_matches_eager_reference(op, seed):
+    """``PE._vector_effect`` (the short path up to 32 elements at <= 32
+    bits, the long path beyond) leaves the reference's bytes."""
     data = np.random.default_rng(seed).integers(0, 256, SP_BYTES,
                                                 dtype=np.uint8)
     expected = data.copy()
     reference_op(expected, **op)
-    short_vector_op(data, **op)
+    pe = PE()
+    pe.scratchpad = data
+    pe.fx = op.pop("fx")
+    pe._vector_effect(**op)
+    assert pe._vq.op is None
     assert np.array_equal(data, expected), op
 
 
@@ -80,10 +112,9 @@ def test_unknown_ops_raise_the_reference_error(opcode, vop, hop, message):
     if opcode is not Opcode.MV:
         op["rows"] = 1
     data = np.zeros(SP_BYTES, dtype=np.uint8)
-    with pytest.raises(SimulationError, match=message):
-        reference_op(data, **op)
-    with pytest.raises(SimulationError, match=message):
-        short_vector_op(data, **op)
+    for vector_op in (reference_op, short_vector_op, long_vector_op):
+        with pytest.raises(SimulationError, match=message):
+            vector_op(data, **op)
 
 
 @pytest.mark.parametrize("vl,width,queued", [

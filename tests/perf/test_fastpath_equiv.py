@@ -7,13 +7,13 @@ must agree on *everything observable*: simulated cycles, the PE
 counters, DRAM contents, and scratchpad contents.  This is the
 correctness gate for the pre-decoded hot loop, the cached issue lower
 bound and its kept operand scan, the interval-list scratchpad timing
-tracker, the short-vector path, the batched vector-op queue and the chip
-run-ahead.  A traced run, with the PEs and the memory system traced,
-takes the same interpreter: it must also equal the untraced one, and its
-events must rebuild its counters.  A run with
-scratchpad and compute faults injected must equal the reference run
-with the same faults, fault counts included: the PE flushes its queue
-before the fault hook reads a vector result.
+tracker, the short- and long-vector paths and the chip run-ahead.  A
+traced run, with the PEs and the memory system traced, takes the same
+interpreter: it must also equal the untraced one, and its events must
+rebuild its counters.  A run with scratchpad and compute faults injected
+must equal the reference run with the same faults, fault counts
+included: the fault hook reads each vector result in the step that
+wrote it.
 """
 
 import pytest

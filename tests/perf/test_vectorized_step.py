@@ -1,123 +1,98 @@
-"""Unit tests for the vectorized-stepping machinery (repro.pe.batch).
+"""Unit tests for the stepping machinery of :mod:`repro.pe.batch`.
 
 The end-to-end exactness gate lives in ``test_fastpath_equiv.py`` (the
-PE, which batches through ``VectorOpQueue``, must be byte-identical to
-the eager reference interpreter on every harness kernel); these tests
-pin the queue mechanics that make that hold — flush-on-key-change,
-flush-on-RAW, the capacity bound — and that a batched flush scatters
-exactly what per-instruction execution would.
+PE must be byte-identical to the straight-line reference interpreter on
+every harness kernel); these tests pin that every vector result lands in
+the scratchpad in the step that issues it, and the PE-local step flags
+the chip's run-ahead uses.
 """
 
 import numpy as np
-import pytest
 
-from repro.isa.instructions import Opcode
+from repro.isa import assemble
+from repro.pe import PE, FlatMemory
 from repro.pe.batch import VectorOpQueue, local_steps
-from repro.pe.vector_unit import ScratchpadView, apply_vertical
+from repro.pe.pe import PEStatus
+from repro.pe.reference import ReferencePE
+from repro.pe.vector_unit import ScratchpadView
+
+#: Back-to-back long (40 elements at 16 bits) and 64-bit vector ops.  Each
+#: reads the previous op's destination (read-after-write), and the
+#: destinations overlap earlier sources (write-after-read) and earlier
+#: destinations (write-after-write).
+_LONG_OPS = """
+    set.vl 40
+    set.fx 3
+    mov.imm r1, 0
+    mov.imm r2, 100
+    mov.imm r3, 200
+    mov.imm r4, 261
+    v.v.add[16] r3, r1, r2
+    v.v.add[16] r4, r3, r2
+    v.v.add[16] r1, r4, r3
+    v.v.add[16] r3, r1, r4
+    v.v.mul[16] r2, r3, r1
+    v.s.sub[16] r1, r2, r4
+    set.mr 2
+    mov.imm r5, 400
+    m.v.mul.add[16] r5, r1, r2
+    m.v.mul.add[16] r1, r1, r5
+    set.mr 1
+    m.v.mul.add[16] r4, r4, r1
+    m.v.nop.max[16] r3, r4, r4
+    set.vl 4
+    set.mr 3
+    mov.imm r6, 601
+    v.v.mul[64] r6, r1, r2
+    v.s.add[64] r2, r6, r6
+    m.v.mul.add[64] r6, r2, r6
+    m.v.nop.min[64] r1, r6, r2
+    halt
+"""
+
+#: The instructions of ``_LONG_OPS`` that take the long path.
+_LONG_COUNT = 14
 
 
-class _FakePE:
-    """The slice of PE state the queue touches: scratchpad bytes + fx."""
+def test_vector_results_land_at_issue(monkeypatch):
+    pushes = []
+    original = VectorOpQueue.push
 
-    def __init__(self, nbytes=1024, fx=0):
-        self.scratchpad = np.zeros(nbytes, dtype=np.uint8)
-        self.sp = ScratchpadView(self.scratchpad)
-        self.fx = fx
+    def counting_push(self, pe, *args):
+        pushes.append(args)
+        return original(self, pe, *args)
 
-
-def _fill(pe, seed=3):
-    rng = np.random.default_rng(seed)
-    pe.scratchpad[:] = rng.integers(0, 256, pe.scratchpad.size, dtype=np.uint8)
-
-
-def _push_vv(q, pe, vop, src1, src2, dst, cols=8, width=16):
-    n = cols * width // 8
-    q.push(pe, Opcode.VV, vop, None, width, 1, cols, src1, src2, dst,
-           reads=[(src1, n), (src2, n)], writes=[(dst, n)])
-
-
-def test_same_shape_ops_accumulate():
-    pe = _FakePE()
-    q = VectorOpQueue()
-    _push_vv(q, pe, "add", 0, 16, 32)
-    _push_vv(q, pe, "add", 48, 64, 80)
-    assert len(q.ops) == 2
-
-
-def test_key_change_flushes_previous_ops():
-    pe = _FakePE()
-    _fill(pe)
-    before = pe.scratchpad.copy()
-    q = VectorOpQueue()
-    _push_vv(q, pe, "add", 0, 16, 32)
-    assert np.array_equal(pe.scratchpad, before)  # still deferred
-    _push_vv(q, pe, "mul", 48, 64, 80)  # different vop -> new shape key
-    assert len(q.ops) == 1  # the add was flushed out
-    a = before[0:16].view(np.int16).astype(np.int64)
-    b = before[16:32].view(np.int16).astype(np.int64)
-    expected = apply_vertical("add", a, b, 16, 0).astype(np.int16)
-    assert np.array_equal(pe.scratchpad[32:48].view(np.int16), expected)
-
-
-def test_raw_overlap_flushes():
-    pe = _FakePE()
-    _fill(pe)
-    q = VectorOpQueue()
-    _push_vv(q, pe, "add", 0, 16, 32)
-    # Reads the bytes the queued op writes: must flush before queuing.
-    _push_vv(q, pe, "add", 32, 64, 96)
-    assert len(q.ops) == 1
-    # ...and the flushed result is what the second op then read.
-    a = pe.scratchpad[0:16].view(np.int16).astype(np.int64)
-    assert a.size == 8
-
-
-def test_war_and_waw_do_not_flush():
-    pe = _FakePE()
-    q = VectorOpQueue()
-    _push_vv(q, pe, "add", 0, 16, 32)
-    # WAR: writes bytes the queued op reads.  WAW: writes the same dst.
-    _push_vv(q, pe, "add", 48, 64, 16)
-    _push_vv(q, pe, "add", 48, 64, 32)
-    assert len(q.ops) == 3
-
-
-def test_capacity_bound_flushes():
-    pe = _FakePE(nbytes=8192)
-    _fill(pe)
-    q = VectorOpQueue()
-    stride = 48
-    for i in range(q.CAP + 1):
-        base = i * stride
-        _push_vv(q, pe, "add", base, base + 16, base + 32)
-    assert len(q.ops) == 1  # CAP ops flushed, the overflow op queued
-
-
-@pytest.mark.parametrize("vop", ["add", "mul", "max"])
-def test_batched_flush_matches_sequential(vop):
-    pe = _FakePE()
-    _fill(pe, seed=11)
-    reference = pe.scratchpad.copy()
-    q = VectorOpQueue()
-    layout = [(0, 16, 32), (48, 64, 80), (96, 112, 128), (144, 160, 176)]
-    for src1, src2, dst in layout:
-        _push_vv(q, pe, vop, src1, src2, dst)
-    q.flush(pe)
-    # Sequential reference: one apply_vertical per op, in order.
-    for src1, src2, dst in layout:
-        a = reference[src1:src1 + 16].view(np.int16).astype(np.int64)
-        b = reference[src2:src2 + 16].view(np.int16).astype(np.int64)
-        out = apply_vertical(vop, a, b, 16, 0).astype(np.int16)
-        reference[dst:dst + 16] = out.view(np.uint8)
-    assert np.array_equal(pe.scratchpad, reference)
-    assert not q.ops  # flush leaves the queue empty
+    monkeypatch.setattr(VectorOpQueue, "push", counting_push)
+    program = assemble(_LONG_OPS)
+    pes = []
+    for pe_class in (PE, ReferencePE):
+        pe = pe_class(memory=FlatMemory())
+        pe.scratchpad[:] = np.random.default_rng(5).integers(
+            0, 256, pe.scratchpad.size, dtype=np.uint8)
+        pe.load(program)
+        pes.append(pe)
+    pe, reference = pes
+    while reference.status is PEStatus.RUNNING:
+        instr = program[reference.pc]
+        pe.step()
+        reference.step()
+        assert pe.pc == reference.pc
+        assert pe._vq.op is None, instr
+        assert np.array_equal(pe.scratchpad, reference.scratchpad), instr
+    assert pe.status is PEStatus.HALTED
+    assert pe.clock == reference.clock
+    assert len(pushes) == _LONG_COUNT
 
 
 def test_flush_on_empty_queue_is_noop():
-    pe = _FakePE()
-    before = pe.scratchpad.copy()
-    VectorOpQueue().flush(pe)
-    assert np.array_equal(pe.scratchpad, before)
+    class _FakePE:
+        fx = 0
+        scratchpad = np.arange(64, dtype=np.uint8)
+        sp = ScratchpadView(scratchpad)
+
+    before = _FakePE.scratchpad.copy()
+    VectorOpQueue().flush(_FakePE())
+    assert np.array_equal(_FakePE.scratchpad, before)
 
 
 def test_local_steps_classifies_shared_opcodes():

@@ -262,6 +262,21 @@ class TestCLI:
         assert main(["--seeds", "0"]) == 2
         assert "error: config:" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_the_matrix(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import repro.serve.chaos as chaos
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the matrix ran")
+
+        monkeypatch.setattr(chaos, "run_matrix", no_matrix)
+        path = tmp_path / "missing" / "c.json"
+        assert main(["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: config: --out: cannot write {path}")
+        assert captured.out == ""
+
 
 class TestClusterInvariants:
     """The --cluster matrix extension and its dedicated checkers."""
