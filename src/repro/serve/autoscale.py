@@ -279,12 +279,12 @@ class Autoscaler:
         scale_times = [e.time for e in self.events
                        if e.action in ("add", "drain")]
         served = records.matches("outcome", "served")
-        columns = records.columns()
-        finish = columns["finish"][served]
+        finish = records.column("finish", served)
         in_window = np.zeros(len(finish), dtype=bool)
         for t in scale_times:
             in_window |= (t <= finish) & (finish <= t + cfg.cooldown_cycles)
-        latency = finish[in_window] - columns["arrival"][served][in_window]
+        latency = (finish[in_window]
+                   - records.column("arrival", served)[in_window])
         during = len(latency)
         violations = int((latency > self.fleet.config.slo_cycles).sum())
         return {

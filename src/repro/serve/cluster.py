@@ -70,6 +70,7 @@ from repro.serve.fleet.records import (
     RecordTable,
     arrival_order,
     as_trace,
+    check_kinds,
     served_finish,
     sort_exactly_once,
     sorted_rids,
@@ -173,7 +174,8 @@ class ClusterResult:
     """Everything the cluster run observed (FleetResult-compatible
     where it matters: ``records``, ``batches``, ``makespan``)."""
 
-    #: Merged terminal records, rid order, original arrivals restored.
+    #: Merged terminal records, rid order, original arrivals restored;
+    #: a served one references its launch's row of ``batches``.
     records: RecordTable
     #: All shards' launch records, merged once (shard order; ids
     #: shard-local).
@@ -472,8 +474,7 @@ class ClusterSimulator:
         for shard in self.shards:
             records = shard._records
             mask = records.matches("outcome", "served")
-            columns = records.columns()
-            rids = columns["rid"][mask]
+            rids = records.column("rid", mask)
             n_shed = int(records.matches("outcome", "shed").sum())
             served += len(rids)
             shed += n_shed
@@ -481,7 +482,7 @@ class ClusterSimulator:
             # A failed-over record carries its re-dispatch time as the
             # arrival; latency runs from the original.
             origin = self._origin[np.searchsorted(self._rids, rids)]
-            latencies += (columns["finish"][mask] - origin).tolist()
+            latencies += (records.column("finish", mask) - origin).tolist()
         shed += int(self._records.matches("outcome", "shed").sum())
         latencies.sort()
         elapsed_s = now / (self.config.clock_ghz * 1e9)
@@ -517,15 +518,14 @@ class ClusterSimulator:
         failed = sorted(self._failover_count)
         if not failed:
             return 0
-        columns = records.columns()
-        rows = np.searchsorted(columns["rid"], failed)
+        rows = np.searchsorted(records.column("rid"), failed)
         # The table holds one row per trace rid, so its rows line up
         # with the trace's sorted rids and their original arrivals.
         origin = self._origin[rows]
-        arrival = columns["arrival"]
+        arrival = records.column("arrival")  # a view: written in place
         stamped = arrival[rows] != origin
         arrival[rows[stamped]] = origin[stamped]
-        return int(records.matches("outcome", "expired")[rows].sum())
+        return int(records.matches("outcome", "expired", rows).sum())
 
     # -- the router loop -----------------------------------------------
 
@@ -539,8 +539,11 @@ class ClusterSimulator:
         columns and rows are decoded a chunk at a time."""
         cluster = self.cluster
         trace = as_trace(requests)
-        rids = sorted_rids(trace)  # a bad or repeated rid fails here
+        # A rid or tile a row cannot hold, a repeated rid, a non-finite
+        # arrival or an unpriced kind fails before simulating.
+        rids = sorted_rids(trace)
         order, (first, last_arrival) = arrival_order(trace)
+        check_kinds(trace, self.costs.model_bytes)
         columns = trace.columns()
         by_rid = np.argsort(columns["rid"], kind="stable")
         self._rids = rids
@@ -603,10 +606,12 @@ class ClusterSimulator:
             shard_results.append(shard.collect(rids[mine], span))
         # Every request ends in exactly one record, in a shard or at the
         # router door: a rid in two places raises, as does one in none.
-        records = RecordTable(RequestRecord, self._records)
+        # A shard's served records reference its launches' rows in the
+        # merged launch table, which start where the shard's rows begin.
         batches = RecordTable(BatchRecord)
+        records = RecordTable(RequestRecord, self._records, launches=batches)
         for res in shard_results:
-            records.extend(res.records)
+            records.extend(res.records, launches_at=len(batches))
             batches.extend(res.batches)
         sort_exactly_once(records, rids)
         failover_expired = self._restore_arrivals(records)

@@ -52,9 +52,10 @@ Failure handling (``config.failures`` enabled) — see
   checked at the end of every run (a lost request, or one recorded
   twice, raises :class:`~repro.errors.SimulationError` naming it, even
   under ``python -O``), so nothing is silently lost or double-counted.
-  Request ids must be distinct int64s; a repeated rid, or one outside
-  int64, is a :class:`~repro.errors.ConfigError` before anything is
-  simulated.
+  Request ids must be distinct int64s, tiles None or int64s above the
+  int64 minimum, arrivals finite, and kinds priced by the cost table;
+  any other request is a :class:`~repro.errors.ConfigError` naming it
+  (its rid, or its kind) before anything is simulated.
 * Hedged launches and killed attempts append their own
   :class:`~repro.serve.fleet.records.BatchRecord` rows (``outcome``
   ``hedge-loser`` / ``killed``) with the cycles they burned, so wasted
@@ -98,6 +99,7 @@ from repro.serve.fleet.records import (
     ServeConfig,
     arrival_order,
     as_trace,
+    check_kinds,
     served_finish,
     sort_exactly_once,
     sorted_rids,
@@ -208,9 +210,10 @@ class FleetSimulator(DispatchMixin):
         self._batches = RecordTable(BatchRecord)
         #: Rows of ``_batches``: the next launch's batch id.
         self._launches = 0
-        #: One terminal record per request, in resolution order;
+        #: One terminal record per request, in resolution order, a
+        #: served one referencing its launch's row of ``_batches``;
         #: collect() sorts it by rid in place.
-        self._records = RecordTable(RequestRecord)
+        self._records = RecordTable(RequestRecord, launches=self._batches)
         self.retry_count = 0
         self.hedge_count = 0
 
@@ -276,8 +279,8 @@ class FleetSimulator(DispatchMixin):
         """
         records = self._records
         mask = records.matches("outcome", "served")
-        columns = records.columns()
-        latencies = columns["finish"][mask] - columns["arrival"][mask]
+        latencies = (records.column("finish", mask)
+                     - records.column("arrival", mask))
         latencies.sort(kind="stable")
         served = len(latencies)
         shed = int(records.matches("outcome", "shed").sum())
@@ -428,10 +431,12 @@ class FleetSimulator(DispatchMixin):
         columns; rows are decoded one chunk at a time as they are
         stepped, so the trace never exists as a list of objects.
         """
-        # A rid outside int64, or a repeated one, fails before simulating.
+        # A rid or tile a row cannot hold, a repeated rid, a non-finite
+        # arrival or an unpriced kind fails before simulating.
         trace = as_trace(requests)
         rids = sorted_rids(trace)
         order, span = arrival_order(trace)
+        check_kinds(trace, self.costs.model_bytes)
         self.begin()
         total = len(order)
         if on_progress is not None and progress_every is None:

@@ -257,9 +257,9 @@ class DispatchMixin:
         chip.requests += size
         self._batches.add(bid, batch.kind, size, chip_id, close, start,
                           finish, reload, attempt, "served", 0.0, hedge)
-        self._records.add_each(batch.requests, False, bid, chip_id, size,
-                               close, start, finish, "served", attempt,
-                               hedged)
+        # Launch ids number the launch table's rows, so each request's
+        # record references row ``bid`` for its launch fields.
+        self._records.add_each(batch.requests, bid, hedged)
         if not self._breakers_fixed:
             self._push(finish, "breaker-ok", chip_id)
         if self.trace is not None:
@@ -307,7 +307,7 @@ class DispatchMixin:
             requests = self.on_expire(requests, attempt, now)
             if not requests:
                 return
-        self._records.add_each(requests, False, -1, -1, 0, close, 0.0, 0.0,
+        self._records.add_rest(requests, False, -1, -1, 0, close, 0.0, 0.0,
                                "expired", attempt, False)
         if self.trace is not None:
             for req in requests:

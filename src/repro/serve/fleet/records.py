@@ -4,15 +4,17 @@ Shared by the event-loop core (:mod:`repro.serve.fleet.core`) and the
 dispatch/policy half (:mod:`repro.serve.fleet.dispatch`); importing this
 module pulls in no simulation machinery.  A run keeps its records in
 :class:`~repro.serve.rows.RecordTable`\\ s, one packed fixed-width row
-per request and per launch, and reads its arrival trace from one too.
-The trace and exactly-once checks (:func:`as_trace`,
-:func:`arrival_order`, :func:`sorted_rids`, :func:`sort_exactly_once`)
+per launch and one per request, which points at the row of the launch
+that served it, and reads its arrival trace from one too.  The trace
+and exactly-once checks (:func:`as_trace`, :func:`arrival_order`,
+:func:`check_kinds`, :func:`sorted_rids`, :func:`sort_exactly_once`)
 live here, so the fleet and the cluster router share them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -214,10 +216,22 @@ class BatchRecord(NamedTuple):
     hedge: bool = False
 
 
-#: 72 B per request, 63 B per launch.  Chip ids, batch sizes and attempt
-#: counts are int32; rids, tiles and batch ids int64.
-rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writer,
-              optional="tile", each=rows.launch_records_writer)
+#: 30 B per request, 63 B per launch.  A request record stores its own
+#: fields (rid, kind, tile, arrival, hedged) and an int32 reference: the
+#: launch-table row of the launch that served it, or a 46 B rest row of
+#: its table's own (a shed, an expiry, or a record appended field by
+#: field).  A served record reads shed as False and the rest from the
+#: launch row, ``batch_size``, ``dispatch`` and ``retries`` from its
+#: ``size``, ``close`` and ``attempt``.  Chip ids, batch sizes and
+#: attempt counts are int32; rids, tiles and batch ids int64.
+rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writers,
+              optional="tile", own=("rid", "kind", "tile", "arrival",
+                                    "hedged"),
+              through={"shed": None, "batch_id": "batch_id",
+                       "chip": "chip", "batch_size": "size",
+                       "dispatch": "close", "start": "start",
+                       "finish": "finish", "outcome": "outcome",
+                       "retries": "attempt"})
 rows.register(BatchRecord, "qBiiddddiBd?", rows.launch_writer)
 
 
@@ -227,8 +241,8 @@ def served_finish(tables, default: float) -> float:
     would give it: the first of equal maxima."""
     last = None
     for batches in tables:
-        finish = batches.columns()["finish"][batches.matches("outcome",
-                                                             "served")]
+        finish = batches.column("finish", batches.matches("outcome",
+                                                          "served"))
         if len(finish):
             top = float(finish[np.argmax(finish)])
             if last is None or top > last:
@@ -240,7 +254,9 @@ def served_finish(tables, default: float) -> float:
 class FleetResult:
     """Everything the serving simulation observed."""
 
-    records: RecordTable  # RequestRecord rows, rid order
+    #: RequestRecord rows, rid order; a served one references its
+    #: launch's row of ``batches``.
+    records: RecordTable
     batches: RecordTable  # BatchRecord rows, resolution order
     chips: list    # final ChipState per chip
     makespan: float  # first arrival -> last finish (or last arrival)
@@ -249,12 +265,26 @@ class FleetResult:
     autoscale: dict | None = None
 
 
+def _holds_tile(tile) -> bool:
+    """Whether a request row reads ``tile`` back as written: None, or an
+    int above the int64 minimum (which stores None) and within int64."""
+    if tile is None:
+        return True
+    try:
+        tile = operator.index(tile)
+    except TypeError:
+        return False
+    return INT64_MIN < tile <= INT64_MAX
+
+
 def as_trace(requests) -> RecordTable:
     """``requests`` as a table of :class:`Request` rows: such a table as
     it is, any other iterable of requests packed into a new one.
 
-    A request row stores its rid as an int64, so a rid outside that
-    range is a :class:`ConfigError` naming every such rid.
+    A request row stores its rid and its tile as int64s, and None as the
+    int64 minimum, so a rid outside int64, or a tile that is not None
+    nor an int above that minimum within int64, is a
+    :class:`ConfigError` naming every such rid.
     """
     if isinstance(requests, RecordTable):
         if requests.row is not Request:
@@ -262,26 +292,56 @@ def as_trace(requests) -> RecordTable:
                               f"{requests.row.__name__} rows")
         return requests
     trace = RecordTable(Request)
-    add, wide = trace.add, []
+    add, wide, tiles = trace.add, [], []
     for req in requests:
-        if INT64_MIN <= req.rid <= INT64_MAX:
-            add(*req)
-        else:
+        if not INT64_MIN <= req.rid <= INT64_MAX:
             wide.append(req.rid)
+        elif not _holds_tile(req.tile):
+            tiles.append(req.rid)
+        else:
+            add(*req)
     if wide:
         raise ConfigError(f"request ids outside int64: {sorted(wide)}")
+    if tiles:
+        raise ConfigError(f"request ids with a tile a row cannot hold "
+                          f"(None or an int64 above {INT64_MIN}): "
+                          f"{sorted(tiles)}")
     return trace
 
 
 def arrival_order(trace: RecordTable) -> tuple[np.ndarray, tuple]:
     """The row positions of ``trace`` in (arrival, rid) order, and the
-    first and last arrival in that order (``(0.0, 0.0)`` when empty)."""
+    first and last arrival in that order (``(0.0, 0.0)`` when empty).
+
+    An arrival must be a finite number of cycles: a NaN one would be
+    served at a NaN time and an infinite one never reached, so either
+    is a :class:`ConfigError` naming every such rid.
+    """
     columns = trace.columns()
     arrival = columns["arrival"]
+    bad = ~np.isfinite(arrival)
+    if bad.any():
+        raise ConfigError(f"request ids with a non-finite arrival: "
+                          f"{sorted(columns['rid'][bad].tolist())}")
     order = np.lexsort((columns["rid"], arrival))
     if not len(order):
         return order, (0.0, 0.0)
     return order, (arrival[order[0]].item(), arrival[order[-1]].item())
+
+
+def check_kinds(trace: RecordTable, priced) -> None:
+    """Raise a :class:`ConfigError` naming every request kind of
+    ``trace`` that ``priced`` (a cost table's ``model_bytes``) has no
+    column for, before anything is simulated: such a request could
+    never launch."""
+    strings = trace.strings
+    present = np.flatnonzero(np.bincount(trace.column("kind"),
+                                         minlength=len(strings)))
+    missing = sorted(strings[code] for code in present.tolist()
+                     if strings[code] not in priced)
+    if missing:
+        raise ConfigError(f"request kinds the cost table has no column "
+                          f"for: {missing} (it prices {sorted(priced)})")
 
 
 def sorted_rids(table: RecordTable) -> np.ndarray:
@@ -292,7 +352,7 @@ def sorted_rids(table: RecordTable) -> np.ndarray:
     leave one unaccounted and the other counted twice: a duplicate is a
     :class:`ConfigError` naming every repeated rid.
     """
-    rids = np.sort(table.columns()["rid"])
+    rids = np.sort(table.column("rid"))
     repeated = rids[1:][rids[1:] == rids[:-1]]
     if len(repeated):
         raise ConfigError(f"duplicate request ids: "
@@ -310,7 +370,7 @@ def sort_exactly_once(records: RecordTable, rids: np.ndarray) -> None:
     The check raises under ``python -O`` too.
     """
     records.sort_by("rid")
-    got = records.columns()["rid"]
+    got = records.column("rid")
     if np.array_equal(got, rids):
         return
     counts = Counter(got.tolist())

@@ -168,8 +168,9 @@ def compute_metrics(records, batches, makespan_cycles: float,
 
     ``records`` and ``batches`` are record tables (a list or any iterable
     of records is packed into one first) and the rollup reads their
-    columns: it never copies a table, and holds at most a few columns of
-    the served records at once.  A request's outcome is ``shed`` when
+    fields one at a time, a served record's launch fields through its
+    launch row: it never copies a table, and holds at most a few columns
+    of the served records at once.  A request's outcome is ``shed`` when
     its shed flag is set, else its outcome field.  Each mean and waste
     total is Python's ``sum`` over builtin floats in record order, the
     values a per-record loop would add, so every float is unchanged;
@@ -182,21 +183,21 @@ def compute_metrics(records, batches, makespan_cycles: float,
     if not isinstance(batches, RecordTable):
         batches = RecordTable(BatchRecord, batches)
     total = len(records)
-    columns = records.columns()
-    shed_flag = columns["shed"]
+    shed_flag = records.column("shed")
     served = records.matches("outcome", "served") & ~shed_flag
     shed = int((records.matches("outcome", "shed") | shed_flag).sum())
     expired = int((records.matches("outcome", "expired") & ~shed_flag).sum())
+    del shed_flag
     # Each served column is dropped once its last use is past, so the
     # rollup holds at most four at a time.
-    arrival = columns["arrival"][served]
-    dispatch = columns["dispatch"][served]
+    arrival = records.column("arrival", served)
+    dispatch = records.column("dispatch", served)
     n = len(arrival)
     mean_batch_wait = _ordered_sum(dispatch - arrival) / n if n else 0.0
-    start = columns["start"][served]
+    start = records.column("start", served)
     mean_queue_wait = _ordered_sum(start - dispatch) / n if n else 0.0
     del dispatch
-    finish = columns["finish"][served]
+    finish = records.column("finish", served)
     mean_service = _ordered_sum(finish - start) / n if n else 0.0
     del start
     latencies = finish - arrival
@@ -213,15 +214,14 @@ def compute_metrics(records, batches, makespan_cycles: float,
     seconds = makespan_cycles / (clock_ghz * 1e9)
     throughput = n / seconds if seconds > 0 else 0.0
     goodput = in_slo / seconds if seconds > 0 else 0.0
-    launch = batches.columns()
-    hedge = launch["hedge"]
+    hedge = batches.column("hedge")
     launched = batches.matches("outcome", "served")
     killed = batches.matches("outcome", "killed")
     retry_kills = killed & ~hedge
     hedge_losses = batches.matches("outcome", "hedge-loser") | (killed & hedge)
     n_launched = int(launched.sum())
     # Batch sizes are ints, so their sum is exact in any order.
-    size_total = int(launch["size"][launched].sum())
+    size_total = int(batches.column("size", launched).sum())
     return ServeMetrics(
         total=total,
         served=n,
@@ -245,8 +245,10 @@ def compute_metrics(records, batches, makespan_cycles: float,
         slo_violation_rate=violations / n if n else 0.0,
         retries=int(retry_kills.sum()),
         hedges=int(hedge.sum()),
-        retry_wasted_cycles=_ordered_sum(launch["waste"][retry_kills]),
-        hedge_wasted_cycles=_ordered_sum(launch["waste"][hedge_losses]),
+        retry_wasted_cycles=_ordered_sum(batches.column("waste",
+                                                        retry_kills)),
+        hedge_wasted_cycles=_ordered_sum(batches.column("waste",
+                                                        hedge_losses)),
         clock_ghz=clock_ghz,
     )
 

@@ -161,11 +161,11 @@ def _quality_rollup(run: ServeRun, costs: ServiceCostTable,
     """
     records = run.fleet.records
     served = records.matches("outcome", "served")
-    on_degraded = np.isin(records.columns()["chip"],
+    on_degraded = np.isin(records.column("chip", served),
                           sorted(config.degraded_chips))
     rollup = {}
     for kind, columns in sorted(costs.quality.items()):
-        mine = served & records.matches("kind", kind)
+        mine = records.matches("kind", kind, served)
         n = int(mine.sum())
         if not n:
             continue

@@ -10,6 +10,14 @@ for bools, and ``B`` for strings, which a table stores as a one-byte
 code into its own string list.  An optional int field (a ``tile``)
 stores None as the int64 minimum.
 
+A *joined* row type stores only its own fields per row, beside an
+int32 reference, and reads the rest through that reference: from a row
+of another table, its *launch table*, when the reference is
+nonnegative, and from a *rest row* of the table's own when it is
+negative (``~k`` names rest row ``k``).  A run's request records are
+joined: the requests a kernel launch served share the launch's row of
+the fleet's launch table, so each launch fact is held once.
+
 This module is a leaf: it imports nothing else of :mod:`repro.serve`,
 so the modules that define row types (:mod:`repro.serve.workload` for
 :class:`~repro.serve.workload.Request`, :mod:`repro.serve.fleet.records`
@@ -19,7 +27,6 @@ for the run records) import it and name their layouts with
 
 from __future__ import annotations
 
-import math
 import operator
 import struct
 from itertools import chain, repeat
@@ -45,7 +52,8 @@ _NUMPY_CODES = {"q": "<i8", "i": "<i4", "d": "<f8", "?": "?", "B": "u1"}
 #
 # One per row type: ``add`` takes the row's fields positionally, in
 # field order, and appends them with one ``struct`` call.  A request
-# record table also has an ``add_each`` writer for a launch's rows.
+# record table also has ``add_each`` and ``add_rest``, which append a
+# launch's or an expiry's rows at once.
 
 
 def trace_writer(pack, rows: bytearray, codes: "_Codes"):
@@ -58,40 +66,58 @@ def trace_writer(pack, rows: bytearray, codes: "_Codes"):
     return add
 
 
-def record_writer(pack, rows: bytearray, codes: "_Codes"):
-    """``add`` for a table of
-    :class:`~repro.serve.fleet.records.RequestRecord` rows."""
+def record_writers(join: "_Join", heads: bytearray, rests: bytearray,
+                   codes: "_Codes"):
+    """``add``, ``add_each`` and ``add_rest`` for a table of
+    :class:`~repro.serve.fleet.records.RequestRecord` rows.
+
+    Each request gets a head row: its own fields (rid, kind, tile,
+    arrival, hedged) and a reference.  ``add`` takes a record's fields
+    in order and writes the fields after the request's own into a rest
+    row of the table's own, which the head references.
+    ``add_each(requests, launch, hedged)`` writes one head per request
+    of a launch, each referencing row ``launch`` of the table's launch
+    table, which holds the rest.  ``add_rest(requests, shed, batch_id,
+    ..., retries, hedged)`` writes one rest row that every request's
+    head references.  Strings get their codes in the order a
+    row-at-a-time write of every field would give them: kind, then
+    outcome.
+    """
+    head = join.head.struct.pack
+    rest = join.rest.struct.pack
+    rest_size = join.rest.struct.size
+
     def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
             dispatch, start, finish, outcome, retries, hedged):
-        nonlocal rows
-        rows += pack(rid, codes[kind], NO_TILE if tile is None else tile,
-                     arrival, shed, batch_id, chip, batch_size, dispatch,
-                     start, finish, codes[outcome], retries, hedged)
-    return add
+        nonlocal heads, rests
+        # Both rows pack before either is appended, so a field a row
+        # cannot hold leaves the table as it was.
+        row = head(rid, codes[kind], NO_TILE if tile is None else tile,
+                   arrival, hedged, ~(len(rests) // rest_size))
+        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
+                      finish, codes[outcome], retries)
+        heads += row
 
-
-def launch_records_writer(layout: str, rows: bytearray, codes: "_Codes"):
-    """``add_each`` for a table of
-    :class:`~repro.serve.fleet.records.RequestRecord` rows, whose
-    ``struct`` codes are ``layout``: one row per request of a launch,
-    each request's own four fields (25 B, a trace row's ``qBqd``)
-    followed by the rest every row of the launch shares (47 B), which
-    is packed once.  The requests are of one kind, so strings get their
-    codes in the order :func:`record_writer` would give them."""
-    rest = struct.Struct("<" + layout[4:])
-    row = struct.Struct(f"<{layout[:4]}{rest.size}s").pack
-    pack_rest = rest.pack
-
-    def add_each(requests, shed, batch_id, chip, batch_size, dispatch,
-                 start, finish, outcome, retries, hedged):
-        nonlocal rows
-        codes[requests[0][1]]  # the kind before the outcome
-        tail = pack_rest(shed, batch_id, chip, batch_size, dispatch, start,
-                         finish, codes[outcome], retries, hedged)
+    def add_each(requests, launch, hedged):
+        nonlocal heads
         for rid, kind, tile, arrival in requests:
-            rows += row(rid, codes[kind], NO_TILE if tile is None else tile,
-                        arrival, tail)
-    return add_each
+            heads += head(rid, codes[kind],
+                          NO_TILE if tile is None else tile, arrival, hedged,
+                          launch)
+
+    def add_rest(requests, shed, batch_id, chip, batch_size, dispatch,
+                 start, finish, outcome, retries, hedged):
+        nonlocal heads, rests
+        ref = ~(len(rests) // rest_size)
+        rows = b"".join([
+            head(rid, codes[kind], NO_TILE if tile is None else tile,
+                 arrival, hedged, ref)
+            for rid, kind, tile, arrival in requests])
+        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
+                      finish, codes[outcome], retries)
+        heads += rows
+
+    return add, add_each, add_rest
 
 
 def launch_writer(pack, rows: bytearray, codes: "_Codes"):
@@ -106,42 +132,67 @@ def launch_writer(pack, rows: bytearray, codes: "_Codes"):
 
 
 class _Layout:
-    """How one row type packs: its struct, its NumPy row dtype, the
-    fields that hold string codes and the one that may hold None."""
+    """How rows of the named ``fields`` pack: their struct, their NumPy
+    row dtype, the fields that hold string codes and the one that may
+    hold None; ``writer`` makes a table's ``add``."""
 
-    def __init__(self, row, codes: str, writer, optional: str | None,
-                 each):
-        if len(codes) != len(row._fields):
-            raise ValueError(f"{row.__name__} has {len(row._fields)} "
-                             f"fields, layout {codes!r} packs {len(codes)}")
-        self.codes = codes
+    def __init__(self, fields, codes: str, optional: str | None = None,
+                 writer=None):
+        self.fields = tuple(fields)
+        if len(codes) != len(self.fields):
+            raise ValueError(f"{len(self.fields)} fields, layout {codes!r} "
+                             f"packs {len(codes)}")
         self.struct = struct.Struct("<" + codes)
         self.writer = writer
-        self.each = each
         offsets, offset = [], 0
         for code in codes:
             offsets.append(offset)
             offset += struct.calcsize("<" + code)
         self.dtype = np.dtype({
-            "names": list(row._fields),
+            "names": list(self.fields),
             "formats": [_NUMPY_CODES[c] for c in codes],
             "offsets": offsets, "itemsize": self.struct.size})
-        self.strings = tuple(i for i, c in enumerate(codes) if c == "B")
-        self.optional = (row._fields.index(optional)
-                         if optional is not None else None)
+        self.strings = tuple(f for f, c in zip(self.fields, codes)
+                             if c == "B")
+        self.optional = optional if optional in self.fields else None
+
+
+class _Join:
+    """How a joined row type stores a row: a head of its ``own`` fields
+    plus an int32 ``ref``, and the rest either in the launch table row
+    ``ref`` or in rest row ``~ref`` of the table's own.  ``through``
+    maps each rest field to the launch-table field a launch row gives it
+    (None: a launch row gives it zero, or False)."""
+
+    def __init__(self, row, codes: str, writer, optional, own, through):
+        code = dict(zip(row._fields, codes))
+        rest = tuple(f for f in row._fields if f not in own)
+        if len(codes) != len(row._fields) or set(rest) != set(through):
+            raise ValueError(f"{row.__name__}: {codes!r} must pack every "
+                             f"field, and the fields not in {own} must be "
+                             f"those {through} reads")
+        self.head = _Layout(own + ("ref",),
+                            "".join(code[f] for f in own) + "i", optional)
+        self.rest = _Layout(rest, "".join(code[f] for f in rest))
+        self.through = through
+        self.writer = writer
 
 
 _LAYOUTS: dict = {}
 
 
 def register(row, codes: str, writer, optional: str | None = None,
-             each=None) -> None:
+             own: tuple | None = None, through: dict | None = None) -> None:
     """Pack rows of the named tuple ``row`` with one ``struct`` code per
     field (``codes``) through ``writer``, one of this module's writers;
     ``optional`` names the int field whose None is stored as
-    :data:`NO_TILE`, and ``each`` is the writer of a table's
-    ``add_each``, if the row type has one."""
-    _LAYOUTS[row] = _Layout(row, codes, writer, optional, each)
+    :data:`NO_TILE`.  With ``own``, the row type is joined: a row stores
+    the ``own`` fields and reads the others through its reference, each
+    from the launch-table field ``through`` maps it to."""
+    if own is None:
+        _LAYOUTS[row] = _Layout(row._fields, codes, optional, writer)
+    else:
+        _LAYOUTS[row] = _Join(row, codes, writer, optional, own, through)
 
 
 class _Codes(dict):
@@ -164,6 +215,23 @@ class _Codes(dict):
         return code
 
 
+def _as_is(column, codes):
+    return column
+
+
+def _texts(column, codes):
+    """String codes as the texts they stand for."""
+    return np.array(codes.strings, dtype=object)[column]
+
+
+def _equal(column, code):
+    """Mask of ``column`` equal to ``code`` (a code the table never gave,
+    None, matches nothing)."""
+    if code is None:
+        return np.zeros(len(column), dtype=bool)
+    return column == code
+
+
 class RecordTable:
     """An append-only table of rows of one registered named tuple type
     (a :class:`~repro.serve.workload.Request`,
@@ -176,29 +244,35 @@ class RecordTable:
     tuple of rows) see named tuples whose fields are builtin
     ``int``/``float``/``bool``/``str`` (or None), equal to the rows
     appended.  :meth:`add` appends one row from its fields in order,
-    :meth:`append` one row and :meth:`extend` many, or a whole table; a
-    table of request records also has ``add_each``, which appends a
-    launch's rows at once.  :meth:`take` decodes the rows in a given
-    order.  :meth:`columns` reads the rows as a zero-copy NumPy
-    structured array, string fields as this table's codes
-    (:meth:`matches` compares one to a string); while such a view is
-    alive the table cannot grow, so readers drop theirs before the next
-    append.
+    :meth:`append` one row and :meth:`extend` many, or a whole table.
+    :meth:`take` decodes the rows in a given order.  :meth:`column`
+    reads one field, :meth:`matches` compares a string field with a
+    text, and :meth:`columns` gives the stored rows as a zero-copy NumPy
+    structured array, string fields as this table's codes; while such a
+    view is alive the table cannot grow, so readers drop theirs before
+    the next append.
+
+    A table of a joined row type (request records) is a
+    :class:`JoinedTable`, which ``RecordTable(row, ...)`` builds.
     """
 
-    __slots__ = ("row", "add", "add_each", "_layout", "_rows", "_codes")
+    __slots__ = ("row", "add", "_layout", "_rows", "_codes")
 
-    def __init__(self, row, rows=()):
+    def __new__(cls, row, rows=(), launches=None):
+        if cls is RecordTable and isinstance(_LAYOUTS[row], _Join):
+            cls = JoinedTable
+        return object.__new__(cls)
+
+    def __init__(self, row, rows=(), launches=None):
+        if launches is not None:
+            raise ConfigError(f"{row.__name__} rows reference no launch "
+                              f"table")
         self.row = row
         layout = self._layout = _LAYOUTS[row]
         self._rows = bytearray()
         self._codes = _Codes()
         #: Append one row from its fields, in the row's field order.
         self.add = layout.writer(layout.struct.pack, self._rows, self._codes)
-        #: Append rows that share all fields after their first few (see
-        #: the row type's ``each`` writer); None when it has none.
-        self.add_each = (layout.each(layout.codes, self._rows, self._codes)
-                         if layout.each is not None else None)
         self.extend(rows)
 
     # -- writing -------------------------------------------------------
@@ -212,21 +286,31 @@ class RecordTable:
         (copied row for row, string codes translated) or any iterable of
         rows."""
         if not isinstance(records, RecordTable):
-            add = self.add
-            for record in records:
-                add(*record)
+            self._add_all(records)
             return
+        self._check_row(records)
+        start = len(self)
+        self._rows += records._rows
+        self._translate(self.columns()[start:], self._layout, records)
+
+    def _add_all(self, records) -> None:
+        add = self.add
+        for record in records:
+            add(*record)
+
+    def _check_row(self, records: "RecordTable") -> None:
         if records.row is not self.row:
             raise ConfigError(f"cannot extend a {self.row.__name__} table "
                               f"with {records.row.__name__} rows")
-        start = len(self)
-        self._rows += records._rows
+
+    def _translate(self, view, layout: _Layout, records) -> None:
+        """Rewrite the string codes of ``view`` (rows of ``layout`` copied
+        from ``records``) as this table's codes."""
         codes = self._codes
         translate = np.array([codes[text] for text in records.strings],
                              dtype=np.uint8)
-        view = self.columns()[start:]
-        for i in self._layout.strings:
-            column = view[self.row._fields[i]]
+        for name in layout.strings:
+            column = view[name]
             column[:] = translate[column]
 
     def sort_by(self, name: str) -> None:
@@ -234,14 +318,14 @@ class RecordTable:
         ``name``.  The row bytes move one column of up to 8 bytes at a
         time, so the sort holds the order and one such column, never a
         copy of the table."""
-        order = np.argsort(self.columns()[name], kind="stable")
-        size = self._layout.struct.size
-        width = math.gcd(size, 8)
-        lanes = np.frombuffer(self._rows, dtype=f"u{width}").reshape(
-            len(order), size // width)
-        for k in range(size // width):
-            lane = lanes[:, k]
+        order = np.argsort(self.column(name), kind="stable")
+        size, offset = self._layout.struct.size, 0
+        while offset < size and len(order):
+            width = next(w for w in (8, 4, 2, 1) if w <= size - offset)
+            lane = np.ndarray(len(order), f"<u{width}", self._rows, offset,
+                              (size,))
             lane[:] = lane[order]
+            offset += width
 
     # -- reading -------------------------------------------------------
 
@@ -251,18 +335,20 @@ class RecordTable:
         return tuple(self._codes.strings)
 
     def columns(self) -> np.ndarray:
-        """A zero-copy structured view of the rows, one field per row
-        field (string fields as codes, a None tile as :data:`NO_TILE`).
-        """
+        """A zero-copy structured view of the stored rows, one field per
+        stored field (string fields as codes, a None tile as
+        :data:`NO_TILE`)."""
         return np.frombuffer(self._rows, dtype=self._layout.dtype)
 
-    def matches(self, name: str, text: str) -> np.ndarray:
-        """Boolean mask of the rows whose string field ``name`` is
-        ``text``."""
-        code = self._codes.get(text)
-        if code is None:
-            return np.zeros(len(self), dtype=bool)
-        return self.columns()[name] == code
+    def column(self, name: str, index=slice(None)) -> np.ndarray:
+        """The numeric field ``name`` of the rows at ``index`` (a slice,
+        mask or integer array): a view for a slice of a stored field."""
+        return self.columns()[name][index]
+
+    def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
+        """Boolean mask of the rows at ``index`` whose string field
+        ``name`` is ``text``."""
+        return _equal(self.columns()[name][index], self._codes.get(text))
 
     def take(self, order: np.ndarray):
         """An iterator over the rows at the positions ``order`` (an
@@ -278,21 +364,23 @@ class RecordTable:
         and turned into a list with one ``tolist``, string codes and
         None mapped on the column, then one tuple per row.  It holds
         the lists, not a view of the rows."""
-        layout, columns = self._layout, self.columns()
-        values = []
-        for i, name in enumerate(self.row._fields):
-            column = columns[name][index]
-            if i in layout.strings:
-                strings = np.array(self._codes.strings, dtype=object)
-                values.append(strings[column].tolist())
-            elif i == layout.optional and (column == NO_TILE).any():
-                values.append([None if v == NO_TILE else v
-                               for v in column.tolist()])
-            else:
-                values.append(column.tolist())
+        columns = self.columns()
+        return self._tuples([self._stored(name, columns[name][index])
+                             for name in self.row._fields])
+
+    def _tuples(self, values):
         # What the row's ``_make`` calls, less its Python-level length
         # check: ``zip`` hands each row all of its fields.
         return map(tuple.__new__, repeat(self.row), zip(*values))
+
+    def _stored(self, name: str, column: np.ndarray) -> list:
+        """The values of the stored field ``name`` read as ``column``."""
+        layout = self._layout
+        if name in layout.strings:
+            return _texts(column, self._codes).tolist()
+        if name == layout.optional and (column == NO_TILE).any():
+            return [None if v == NO_TILE else v for v in column.tolist()]
+        return column.tolist()
 
     def __len__(self) -> int:
         return len(self._rows) // self._layout.struct.size
@@ -339,10 +427,146 @@ class RecordTable:
         return _packed_table, (self.row, bytes(self._rows), self.strings)
 
 
-def _packed_table(row, rows: bytes, strings: tuple) -> RecordTable:
-    """Rebuild a pickled or copied table from its rows and strings."""
-    table = RecordTable(row)
+class JoinedTable(RecordTable):
+    """A :class:`RecordTable` of a joined row type: one head row per
+    record (its own fields and a reference, :meth:`columns`' fields),
+    rest rows of its own, and the launch table ``launches`` that
+    nonnegative references index (None: no record may reference one).
+    A table built from another joined table references that table's
+    launch table unless given one.
+
+    ``add`` and ``append`` write a record's rest fields into a rest row;
+    ``add_each`` and ``add_rest`` (see :func:`record_writers`) write a
+    launch's or an expiry's records.  The launch table is read, never
+    written: a launch row must not move while records reference it.
+    :meth:`column` and :meth:`matches` read a rest field through the
+    references, one field at a time, and :meth:`extend` merges another
+    table's records, its launch references offset by ``launches_at``.
+    """
+
+    __slots__ = ("add_each", "add_rest", "_join", "_rest", "_launches")
+
+    def __init__(self, row, rows=(), launches=None):
+        join = self._join = _LAYOUTS[row]
+        if launches is None and isinstance(rows, JoinedTable):
+            launches = rows._launches
+        self.row = row
+        self._layout = join.head
+        self._rows, self._rest = bytearray(), bytearray()
+        self._codes = _Codes()
+        self._launches = launches
+        self.add, add_each, self.add_rest = join.writer(
+            join, self._rows, self._rest, self._codes)
+        #: Append a launch's records, each referencing the launch's row
+        #: of the launch table; None without a launch table.
+        self.add_each = add_each if launches is not None else None
+        self.extend(rows)
+
+    def extend(self, records, launches_at: int | None = None) -> None:
+        """Append every record of ``records``, as
+        :meth:`RecordTable.extend`.  A joined table's launch references
+        keep pointing at its launch table's rows when that is this
+        table's launch table too, or point ``launches_at`` rows further
+        on when given (where its launch rows begin in this table's);
+        otherwise its records are appended field by field."""
+        if not isinstance(records, RecordTable):
+            self._add_all(records)
+            return
+        self._check_row(records)
+        if (records._launches is not self._launches and launches_at is None
+                and (records.column("ref") >= 0).any()):
+            self._add_all(records)
+            return
+        start = len(self)
+        rest_start = len(self._rest) // self._join.rest.struct.size
+        self._rows += records._rows
+        self._rest += records._rest
+        heads = self.columns()[start:]
+        self._translate(heads, self._layout, records)
+        self._translate(self._rests()[rest_start:], self._join.rest, records)
+        ref = heads["ref"]
+        ref[ref < 0] -= rest_start
+        if launches_at:
+            ref[ref >= 0] += launches_at
+
+    def _rests(self) -> np.ndarray:
+        return np.frombuffer(self._rest, dtype=self._join.rest.dtype)
+
+    def _through(self, name: str, index, read) -> np.ndarray:
+        """Rest field ``name`` of the records at ``index``: ``read(column,
+        codes)`` of the launch rows the records reference and of their
+        own rest rows, merged in record order."""
+        ref = self.columns()["ref"][index]
+        launched = ref >= 0
+        own = read(self._rests()[name][~ref[~launched]], self._codes)
+        if not launched.any():
+            return own
+        rows = ref if not len(own) else ref[launched]
+        source = self._join.through[name]
+        if source is None:
+            theirs = np.zeros(len(rows), dtype=own.dtype)
+        else:
+            launches = self._launches
+            theirs = read(launches.columns()[source][rows], launches._codes)
+        if not len(own):
+            return theirs
+        out = np.empty(len(ref), dtype=own.dtype)
+        out[launched] = theirs
+        out[~launched] = own
+        return out
+
+    def column(self, name: str, index=slice(None)) -> np.ndarray:
+        """As :meth:`RecordTable.column`; a field read through the
+        references is gathered into a new array."""
+        if name in self._layout.fields:
+            return super().column(name, index)
+        if name in self._join.rest.strings:
+            raise ConfigError(f"read the string field {name!r} with "
+                              f"matches()")
+        return self._through(name, index, _as_is)
+
+    def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
+        if name in self._layout.fields:
+            return super().matches(name, text, index)
+        return self._through(name, index,
+                             lambda column, codes: _equal(column,
+                                                          codes.get(text)))
+
+    def _decoded(self, index):
+        heads, rest = self.columns(), self._join.rest
+        return self._tuples([
+            self._stored(name, heads[name][index])
+            if name in self._layout.fields
+            else self._through(name, index, _texts if name in rest.strings
+                               else _as_is).tolist()
+            for name in self.row._fields])
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return super().__getitem__(index)
+        # The sliced heads, and the rest rows they reference renumbered
+        # in order; launch references are kept.
+        heads = self.columns()[index].copy()
+        ref = heads["ref"]
+        mine = ref < 0
+        used, renumbered = np.unique(~ref[mine], return_inverse=True)
+        ref[mine] = ~renumbered
+        return _packed_table(self.row, heads.tobytes(), self.strings,
+                             self._rests()[used].tobytes(), self._launches)
+
+    def __reduce__(self):
+        return _packed_table, (self.row, bytes(self._rows), self.strings,
+                               bytes(self._rest), self._launches)
+
+
+def _packed_table(row, rows: bytes, strings: tuple, rest: bytes = b"",
+                  launches: RecordTable | None = None) -> RecordTable:
+    """Rebuild a pickled, copied or sliced table from its rows and
+    strings (and a joined table's rest rows and launch table)."""
+    table = RecordTable(row, launches=launches)
     for text in strings:
         table._codes[text]  # registers it at its code
     table._rows += rows
+    if rest:
+        table._rest += rest
     return table

@@ -10,8 +10,11 @@ is the standalone payload with the fleet section re-shaped.
 """
 
 import gc
+import math
 import random
+import signal
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -456,6 +459,42 @@ def test_request_ids_outside_int64_are_rejected_before_simulating():
                                           r"\[9223372036854775808\]"):
         sim.run(reqs)
     assert all(s._batcher is None for s in sim.shards)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body once ``seconds`` have passed, so a
+    run that would never return fails instead."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("requests, message", [
+    # An infinite arrival used to leave the gossip loop ticking toward
+    # it forever.
+    ([_req(0, 0.0), _req(1, math.inf), _req(2, 7.0)],
+     r"^request ids with a non-finite arrival: \[1\]$"),
+    ([_req(0, math.nan), _req(1, 5.0)],
+     r"^request ids with a non-finite arrival: \[0\]$"),
+    ([_req(0, 0.0, tile=-2**63), _req(1, 5.0, tile="t")],
+     r"tile a row cannot hold .*: \[0, 1\]$"),
+    ([_req(0, 0.0), _req(1, 5.0, kind="gibbs")],
+     r"^request kinds the cost table has no column for: \['gibbs'\]"),
+])
+def test_requests_a_cluster_cannot_serve_are_rejected_before_routing(
+        requests, message):
+    sim = _round_robin_pair()
+    with _deadline(30), pytest.raises(ConfigError, match=message):
+        sim.run(requests)
+    assert all(s._batcher is None for s in sim.shards)
+    assert sim.gossip_ticks == 0
 
 
 def _brownout_config():

@@ -277,6 +277,32 @@ def test_request_ids_outside_int64_are_rejected_before_simulating():
     assert not trace.events
 
 
+@pytest.mark.parametrize("requests, message", [
+    # A NaN arrival used to be served at a NaN time, or lost.
+    ([_req(0, 0.0), _req(1, math.nan), _req(2, 5.0)],
+     r"^request ids with a non-finite arrival: \[1\]$"),
+    ([_req(0, math.inf), _req(1, 0.0), _req(2, -math.inf)],
+     r"^request ids with a non-finite arrival: \[0, 2\]$"),
+    # The int64 minimum stores None; the others used to raise a raw
+    # struct.error.
+    ([_req(0, 0.0, tile=-2**63), _req(1, 1.0, tile=2**63),
+      _req(2, 2.0, tile=1.5), _req(3, 3.0, tile=None)],
+     r"tile a row cannot hold .*: \[0, 1, 2\]$"),
+    # A raw KeyError at the first launch, before.
+    ([_req(0, 0.0, kind="gibbs"), _req(1, 1.0), _req(2, 2.0, kind="warp")],
+     r"^request kinds the cost table has no column for: "
+     r"\['gibbs', 'warp'\]"),
+])
+def test_requests_a_run_cannot_serve_are_rejected_before_simulating(
+        requests, message):
+    trace = TraceCollector()
+    sim = FleetSimulator(_config(), _table(), trace=trace)
+    with pytest.raises(ConfigError, match=message):
+        sim.run(requests)
+    assert sim._batcher is None and not sim._records
+    assert not trace.events
+
+
 def _tied_trace(requests=5_000, seed=3, grid=10_000.0):
     """A generated bp+vgg trace (more rows than one decoded chunk) with
     arrivals floored to a ``grid``-cycle grid, so many requests share an

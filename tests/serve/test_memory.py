@@ -1,7 +1,8 @@
 """Memory per request on the serving path.
 
 A trace holds one packed :class:`Request` row per arrival and a run one
-record per request, so their bytes set how long a trace fits in memory.
+record per request, which references its launch's row, so their bytes
+set how long a trace fits in memory.
 These tests pin the named-tuple ``Request``, a traced bytes-per-request
 budget of a generated trace and of a fleet run plus its rollup, and the
 peaks of the rollup and of the exactly-once sort, which read record
@@ -34,15 +35,17 @@ from repro.serve.workload import Request, WorkloadConfig, generate_requests
 TRACE_BYTES_PER_REQUEST = 32
 
 #: Traced peak of FleetSimulator.run plus compute_metrics per request,
-#: on the 20k-request trace below.  The run keeps one packed 72 B row
-#: per request and one 63 B row per launch (about 125 B a request
-#: together); the arrival order, the sorted rids, the sort and the
-#: rollup each add a few columns, and the peak reads about 165 B/request
-#: on Python 3.11.  A named tuple per record (about 150 B each), a list
-#: of the decoded trace (about 100 B a request), or a copy of the whole
-#: request table in the sort or the rollup (72 B a request), pushes it
-#: past the bound.
-RUN_BYTES_PER_REQUEST = 188
+#: on the 20k-request trace below.  The run keeps one packed 30 B row
+#: per request, which references its launch's row, and one 63 B row per
+#: launch (about 43 B a request at this trace's mean batch of 1.47, so
+#: about 73 B together); the arrival order, the sorted rids, the sort and
+#: the rollup each add a few columns, and the peak reads about
+#: 118 B/request on Python 3.11.  A named tuple per record (about 150 B
+#: each), a list of the decoded trace (about 100 B a request), the 72 B
+#: rows that copied every launch field into each record, or a copy of
+#: the whole request table in the sort or the rollup (30 B a request),
+#: pushes it past the bound.
+RUN_BYTES_PER_REQUEST = 130
 
 #: Traced peak of compute_metrics alone per request: a few 8-byte
 #: columns of the served records at once (about 40 B/request on Python

@@ -1,22 +1,27 @@
 """Record tables: packed rows that read back as the rows appended.
 
-A trace keeps one packed row per request, and a run one per request and
-per launch.  These tests generate rows over each field's whole range
-(int64 rids, tiles past 2**32 and None, signed zeros, infinities and
-subnormals, every kind and outcome string) and require every way of
-reading them back -- indexing, slicing, iteration, ``take``, ``==``,
-pickle, deepcopy and the column view -- to give the rows appended, with
-builtin field types.
+A trace keeps one packed row per request, and a run one per launch and
+one per request, which references the row of the launch that served it.
+These tests generate rows over each field's whole range (int64 rids,
+tiles past 2**32 and None, signed zeros, infinities and subnormals,
+every kind and outcome string) and require every way of reading them
+back -- indexing, slicing, iteration, ``take``, ``==``, pickle, deepcopy
+and the field readers -- to give the rows appended, with builtin field
+types.  Request-record tables are also held against the 72 B row every
+field of a record used to be packed into, kept here as the oracle.
 """
 
 import copy
+import math
 import pickle
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, SimulationError
+from repro.serve import rows as packed
 from repro.serve.fleet import (
     OUTCOMES,
     BatchRecord,
@@ -26,10 +31,11 @@ from repro.serve.fleet import (
 from repro.serve.fleet.records import (
     arrival_order,
     as_trace,
+    check_kinds,
     sort_exactly_once,
     sorted_rids,
 )
-from repro.serve.rows import CHUNK_ROWS
+from repro.serve.rows import CHUNK_ROWS, NO_TILE
 from repro.serve.workload import KINDS, Request
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
@@ -61,6 +67,115 @@ _BATCH_ROWS = st.builds(
     start=_FLOATS, finish=_FLOATS, reload=_FLOATS, attempt=_INT32,
     outcome=st.sampled_from(("served", "killed", "hedge-loser")),
     waste=_FLOATS, hedge=st.booleans())
+
+
+# -- the 72 B oracle ---------------------------------------------------------
+#
+# Every field of a request record used to be packed into one 72 B row.
+# That writer survives here, on a row type of the record's fields, as
+# the oracle a request-record table is held against.
+
+_OldRecord = namedtuple("_OldRecord", RequestRecord._fields)
+
+
+def _old_record_writer(pack, rows, codes):
+    def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
+            dispatch, start, finish, outcome, retries, hedged):
+        nonlocal rows
+        rows += pack(rid, codes[kind], NO_TILE if tile is None else tile,
+                     arrival, shed, batch_id, chip, batch_size, dispatch,
+                     start, finish, codes[outcome], retries, hedged)
+    return add
+
+
+packed.register(_OldRecord, "qBqd?qiidddBi?", _old_record_writer,
+                optional="tile")
+
+_REQUESTS = st.lists(_TRACE_ROWS, min_size=1, max_size=4)
+#: A launch: served ones write their requests' records, killed and
+#: hedge-loser ones only the launch row.
+_LAUNCH = st.tuples(st.just("launch"), _BATCH_ROWS, _REQUESTS,
+                    st.booleans())
+_SERVED = st.tuples(st.just("launch"),
+                    _BATCH_ROWS.map(lambda b: b._replace(outcome="served")),
+                    _REQUESTS, st.booleans())
+#: One write to a request-record table: a launch, an expiry, requests
+#: sharing arbitrary rest fields, or one record field by field.
+_STEPS = st.one_of(
+    _SERVED, _LAUNCH,
+    st.tuples(st.just("expire"), _REQUESTS, _FLOATS, _INT32),
+    st.tuples(st.just("rest"), _REQUESTS, _REQUEST_ROWS),
+    st.tuples(st.sampled_from(["add", "append"]), _REQUEST_ROWS))
+#: The writes of one table: any mix, or served launches alone, as a
+#: fleet that sheds and expires nothing writes.
+_PART = st.one_of(st.lists(_STEPS, max_size=12),
+                  st.lists(_SERVED, max_size=6))
+
+
+def _write(steps):
+    """A launch table, a request-record table referencing it, and the
+    72 B oracle of that table, written by ``steps``."""
+    launches = RecordTable(BatchRecord)
+    table = RecordTable(RequestRecord, launches=launches)
+    oracle = RecordTable(_OldRecord)
+    for op, *args in steps:
+        if op == "launch":
+            launch, requests, hedged = args
+            row = len(launches)
+            launches.append(launch)
+            if launch.outcome == "served":
+                table.add_each(requests, row, hedged)
+                for req in requests:
+                    oracle.add(*req, False, launch.batch_id, launch.chip,
+                               launch.size, launch.close, launch.start,
+                               launch.finish, "served", launch.attempt,
+                               hedged)
+            continue
+        if op == "expire":
+            requests, close, attempt = args
+            rest = (False, -1, -1, 0, close, 0.0, 0.0, "expired", attempt,
+                    False)
+        elif op == "rest":
+            requests, record = args
+            rest = record[4:]
+        else:
+            (record,) = args
+            table.add(*record) if op == "add" else table.append(record)
+            oracle.add(*record)
+            continue
+        table.add_rest(requests, *rest)
+        for req in requests:
+            oracle.add(*req, *rest)
+    return launches, table, oracle
+
+
+def _assert_like_oracle(table, oracle, seed):
+    """Every record and every field read of the request-record table
+    ``table`` equals those of ``oracle``, a table of 72 B rows."""
+    want = [RequestRecord(*row) for row in oracle]
+    assert len(table) == len(want)
+    assert table == want and want == table
+    for got, row in zip(table, want):
+        _same(got, row)
+    for i in {0, len(want) // 2, -1} if want else ():
+        _same(table[i], want[i])
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(want))
+    for got, i in zip(table.take(order), order.tolist()):
+        _same(got, want[i])
+    mask = rng.random(len(want)) < 0.5
+    texts = set(oracle.strings) | {"killed", "hedge-loser", "never"}
+    columns = oracle.columns()
+    for name in RequestRecord._fields:
+        for index in (slice(None), mask, order, slice(None, None, -2)):
+            if name in ("kind", "outcome"):
+                for text in texts:
+                    assert table.matches(name, text, index).tolist() == \
+                        oracle.matches(name, text, index).tolist(), name
+                continue
+            got, row = table.column(name, index), columns[name][index]
+            assert got.dtype == row.dtype, name
+            assert got.tobytes() == row.tobytes(), name
 
 
 def _same(got, want):
@@ -97,14 +212,13 @@ def _assert_round_trip(row, rows):
     assert clone == table and clone is not table
     for got, want in zip(clone, rows):
         _same(got, want)
-    columns = table.columns()
     for i, name in enumerate(row._fields):
         if name in ("kind", "outcome"):
             for text in {getattr(r, name) for r in rows}:
                 assert table.matches(name, text).tolist() == \
                     [getattr(r, name) == text for r in rows]
             continue
-        got = columns[name].tolist()
+        got = table.column(name).tolist()
         want = [getattr(r, name) for r in rows]
         if name == "tile":
             got = [v for v, w in zip(got, want) if w is not None]
@@ -136,26 +250,6 @@ class TestRoundTrip:
         for got, want in zip(table[::-2], rows[::-2]):
             _same(got, want)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(launches=st.lists(st.tuples(
-        _KINDS, st.lists(_TRACE_ROWS, min_size=1, max_size=5),
-        _REQUEST_ROWS), min_size=1, max_size=10))
-    def test_a_launch_packs_the_bytes_a_row_at_a_time_write_does(
-            self, launches):
-        """``add_each`` packs a launch's shared fields once, yet writes
-        the row bytes and string codes that ``add`` per request does."""
-        each, one = RecordTable(RequestRecord), RecordTable(RequestRecord)
-        for kind, requests, record in launches:
-            requests = [r._replace(kind=kind) for r in requests]
-            rest = record[4:]
-            each.add_each(requests, *rest)
-            for req in requests:
-                one.add(*req, *rest)
-        assert each.columns().tobytes() == one.columns().tobytes()
-        assert each.strings == one.strings
-        assert each == one
-        assert RecordTable(BatchRecord).add_each is None
-
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(first=st.lists(_REQUEST_ROWS, max_size=20),
            second=st.lists(_REQUEST_ROWS, max_size=20))
@@ -166,6 +260,88 @@ class TestRoundTrip:
         table.extend(RecordTable(RequestRecord, second))
         assert table == first + second
 
+
+class TestJoinedRecords:
+    """A request-record table holds each served record as a 30 B head
+    referencing its launch's row, and reads as the 72 B rows every
+    field used to be packed into."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(parts=st.lists(_PART, min_size=1, max_size=3),
+           router=st.lists(_REQUEST_ROWS, max_size=3),
+           cut=st.tuples(st.integers(-20, 20), st.integers(-20, 20),
+                         st.sampled_from([None, 1, 2, -1, -3])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reads_as_the_72_byte_oracle(self, parts, router, cut, seed):
+        written = [_write(steps) for steps in parts]
+        for launches, table, oracle in written:
+            assert table.columns().dtype.itemsize == 30
+            _assert_like_oracle(table, oracle, seed)
+            _assert_like_oracle(table[slice(*cut)], oracle[slice(*cut)],
+                                seed)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                _assert_like_oracle(
+                    pickle.loads(pickle.dumps(table, protocol)), oracle,
+                    seed)
+            _assert_like_oracle(copy.deepcopy(table), oracle, seed)
+        # The cluster's merge: the router's records field by field, then
+        # each shard's, its launch references offset to where its launch
+        # rows begin in the merged launch table.
+        merged_launches = RecordTable(BatchRecord)
+        merged = RecordTable(RequestRecord, router, launches=merged_launches)
+        want = RecordTable(_OldRecord, router)
+        for launches, table, oracle in written:
+            merged.extend(table, launches_at=len(merged_launches))
+            merged_launches.extend(launches)
+            want.extend(oracle)
+        _assert_like_oracle(merged, want, seed)
+        merged.sort_by("rid")
+        want.sort_by("rid")
+        _assert_like_oracle(merged, want, seed)
+        if len(want):
+            # The arrival column is the table's own: written in place.
+            for column in (merged.column("arrival"),
+                           want.columns()["arrival"]):
+                column[0] = -1.5
+            _assert_like_oracle(merged, want, seed)
+        copied, launches = pickle.loads(pickle.dumps((merged,
+                                                      merged_launches)))
+        assert copied._launches is launches
+        _assert_like_oracle(copied, want, seed)
+        # Without an offset, a table sharing the launch table keeps its
+        # references, and one of another launch table is written field
+        # by field.
+        launches, table, oracle = written[-1]
+        twice, doubled = (RecordTable(RequestRecord, table),
+                          RecordTable(_OldRecord, oracle))
+        twice.extend(table)
+        doubled.extend(oracle)
+        _assert_like_oracle(twice, doubled, seed)
+        other = RecordTable(RequestRecord,
+                            launches=RecordTable(BatchRecord))
+        other.extend(table)
+        _assert_like_oracle(other, oracle, seed)
+
+    def test_a_served_record_reads_its_launch_row(self):
+        launches = RecordTable(BatchRecord, [
+            BatchRecord(7, "fc", 2, 1, 10.0, 12.0, 20.0, 1.0, attempt=1,
+                        outcome="killed", waste=8.0),
+            BatchRecord(9, "fc", 2, 3, 10.0, 30.0, 40.0, 0.0, attempt=2)])
+        table = RecordTable(RequestRecord, launches=launches)
+        table.add_each([Request(5, "fc", None, 4.0),
+                        Request(6, "fc", 2, 8.0)], 1, True)
+        assert list(table) == [
+            RequestRecord(rid, "fc", tile, arrival, False, batch_id=9,
+                          chip=3, batch_size=2, dispatch=10.0, start=30.0,
+                          finish=40.0, outcome="served", retries=2,
+                          hedged=True)
+            for rid, tile, arrival in ((5, None, 4.0), (6, 2, 8.0))]
+        assert table.columns()["ref"].tolist() == [1, 1]
+        assert RecordTable(RequestRecord).add_each is None
+        with pytest.raises(ConfigError, match="matches"):
+            table.column("outcome")
+        with pytest.raises(ConfigError, match="no launch table"):
+            RecordTable(BatchRecord, launches=launches)
 
 class TestTable:
     def test_reads_an_empty_table(self):
@@ -288,3 +464,43 @@ class TestRidRange:
         assert str(info.value) == (
             "requests lost without accounting: [2]; "
             "requests recorded more than once: [1]")
+
+
+class TestTraceChecks:
+    def test_a_tile_a_row_cannot_hold_is_named(self):
+        # The int64 minimum stores None, so it would read back as None.
+        tiles = {0: -2**63, 1: None, 2: 2**63, 3: 1.5, 4: -2**63 + 1,
+                 5: 2**63 - 1, 6: np.int64(7), 7: "3", 8: -2**64}
+        with pytest.raises(ConfigError,
+                           match=r"tile a row cannot hold .*: "
+                                 r"\[0, 2, 3, 7, 8\]$"):
+            as_trace([Request(rid=rid, kind="bp", tile=tile, arrival=0.0)
+                      for rid, tile in tiles.items()])
+        kept = as_trace([Request(rid=rid, kind="bp", tile=tiles[rid],
+                                 arrival=0.0) for rid in (1, 4, 5, 6)])
+        assert [r.tile for r in kept] == [None, -2**63 + 1, 2**63 - 1, 7]
+
+    def test_a_non_finite_arrival_is_named(self):
+        trace = as_trace([
+            Request(rid=rid, kind="bp", tile=0, arrival=arrival)
+            for rid, arrival in [(4, 1.0), (9, math.nan), (2, math.inf),
+                                 (7, -math.inf), (1, 1e308)]])
+        with pytest.raises(ConfigError,
+                           match=r"^request ids with a non-finite arrival: "
+                                 r"\[2, 7, 9\]$"):
+            arrival_order(trace)
+
+    def test_an_unpriced_kind_is_named(self):
+        rows = [Request(rid=i, kind=kind, tile=0, arrival=float(i))
+                for i, kind in enumerate(["bp", "gibbs", "warp", "bp"])]
+        priced = {"bp": 1, "conv": 1, "fc": 1}
+        with pytest.raises(ConfigError,
+                           match=r"^request kinds the cost table has no "
+                                 r"column for: \['gibbs', 'warp'\]"):
+            check_kinds(as_trace(rows), priced)
+        # Only kinds a row holds count, not every string the table knows.
+        trace = as_trace(rows)
+        assert "gibbs" in trace[:1].strings
+        check_kinds(trace[:1], priced)
+        check_kinds(RecordTable(Request), priced)
+
