@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -75,7 +76,11 @@ from repro.serve.fleet.records import (
     sort_exactly_once,
     sorted_rids,
 )
-from repro.serve.metrics import percentile_sorted
+from repro.serve.metrics import (
+    latency_column,
+    percentile_sorted,
+    served_chunks,
+)
 from repro.serve.workload import KINDS, Request
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -263,9 +268,13 @@ class ClusterSimulator:
         ]
         #: Cluster-level terminal records (brown-out sheds).
         self._records = RecordTable(RequestRecord)
-        #: The trace's sorted rids and each one's original arrival, set
-        #: by run().
-        self._rids = self._origin = np.empty(0)
+        #: The trace's sorted rids, set by run().
+        self._rids = np.empty(0, dtype=np.int64)
+        #: The trace run() serves, and the original arrival of each rid
+        #: of ``_rids``: None when the trace is in rid order, whose own
+        #: arrival column then is that (see :meth:`_original_arrivals`).
+        self._trace: RecordTable | None = None
+        self._origin: np.ndarray | None = None
         #: The shard that owns each rid of ``_rids`` (-1: none, as for a
         #: brown-out shed or a request handed back for failover), set by
         #: run().
@@ -470,21 +479,22 @@ class ClusterSimulator:
         """A live cluster progress snapshot (pure observation of the
         shards' record columns)."""
         served = shed = expired = 0
-        latencies = []
+        masks = []
         for shard in self.shards:
             records = shard._records
             mask = records.matches("outcome", "served")
-            rids = records.column("rid", mask)
+            n_served = int(mask.sum())
             n_shed = int(records.matches("outcome", "shed").sum())
-            served += len(rids)
+            served += n_served
             shed += n_shed
-            expired += len(records) - len(rids) - n_shed
-            # A failed-over record carries its re-dispatch time as the
-            # arrival; latency runs from the original.
-            origin = self._origin[np.searchsorted(self._rids, rids)]
-            latencies += (records.column("finish", mask) - origin).tolist()
+            expired += len(records) - n_served - n_shed
+            masks.append(mask)
         shed += int(self._records.matches("outcome", "shed").sum())
-        latencies.sort()
+        latencies = latency_column(chain.from_iterable(
+            self._latencies(shard._records, mask)
+            for shard, mask in zip(self.shards, masks)), served)
+        del masks
+        latencies.sort(kind="stable")
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
         return {
@@ -498,9 +508,9 @@ class ClusterSimulator:
             "hedges": sum(s.hedge_count for s in self.shards),
             "throughput_rps": (served / elapsed_s) if elapsed_s > 0 else 0.0,
             "latency_p50": (percentile_sorted(latencies, 50.0)
-                            if latencies else None),
+                            if served else None),
             "latency_p99": (percentile_sorted(latencies, 99.0)
-                            if latencies else None),
+                            if served else None),
             "cluster": {
                 "shards": len(self.shards),
                 "alive_shard_fraction": alive / len(self.shards),
@@ -509,6 +519,25 @@ class ClusterSimulator:
                 "brownout_shed": self.brownout_shed,
             },
         }
+
+    def _latencies(self, records: RecordTable, served: np.ndarray):
+        """``finish`` less the original arrival of the records of a
+        shard's ``records`` that ``served`` marks, one array per chunk.
+        A failed-over record carries its re-dispatch time as the
+        arrival; latency runs from the original."""
+        for rows in served_chunks(served):
+            origin = self._original_arrivals(np.searchsorted(
+                self._rids, records.column("rid", rows)))
+            yield records.column("finish", rows) - origin
+
+    def _original_arrivals(self, positions=slice(None)) -> np.ndarray:
+        """The original arrivals of the rids at ``positions`` of
+        ``_rids``.  A trace in rid order gives them from its own arrival
+        column, read on each call so that no view of the trace outlives
+        it (a table cannot grow while one is alive)."""
+        if self._origin is None:
+            return self._trace.column("arrival", positions)
+        return self._origin[positions]
 
     def _restore_arrivals(self, records: RecordTable) -> int:
         """Give each failed-over request's record (``records`` is in rid
@@ -521,7 +550,7 @@ class ClusterSimulator:
         rows = np.searchsorted(records.column("rid"), failed)
         # The table holds one row per trace rid, so its rows line up
         # with the trace's sorted rids and their original arrivals.
-        origin = self._origin[rows]
+        origin = self._original_arrivals(rows)
         arrival = records.column("arrival")  # a view: written in place
         stamped = arrival[rows] != origin
         arrival[rows[stamped]] = origin[stamped]
@@ -541,19 +570,29 @@ class ClusterSimulator:
         trace = as_trace(requests)
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.
-        rids = sorted_rids(trace)
+        # The rids are searched on every failover and snapshot, which
+        # would copy a strided column each time: they are held
+        # contiguous.
+        self._rids = rids = np.ascontiguousarray(sorted_rids(trace))
         order, (first, last_arrival) = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
-        columns = trace.columns()
-        by_rid = np.argsort(columns["rid"], kind="stable")
-        self._rids = rids
-        self._origin = columns["arrival"][by_rid]
+        # The position in ``rids`` of each arrival, in arrival order, and
+        # each rid's original arrival.  In a trace in (arrival, rid)
+        # order with ascending rids both orders are the rows': the
+        # positions are the identity and the arrivals the trace's own
+        # column.
+        self._trace, self._origin = trace, None
+        if isinstance(order, range):
+            positions = order
+        else:
+            columns = trace.columns()
+            by_rid = np.argsort(columns["rid"], kind="stable")
+            self._origin = columns["arrival"][by_rid]
+            rank = np.empty_like(by_rid)
+            rank[by_rid] = np.arange(len(by_rid))
+            positions = rank[order]
+            del columns, rank, by_rid
         self._owner = owner = np.full(len(rids), -1, dtype=np.int32)
-        # The position in ``rids`` of each arrival, in arrival order.
-        rank = np.empty_like(by_rid)
-        rank[by_rid] = np.arange(len(by_rid))
-        positions = rank[order]
-        del rank, by_rid
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
@@ -590,7 +629,7 @@ class ClusterSimulator:
                 shard.finish()
         # What each shard saw as an arrival: the original one, or the
         # re-dispatch time of a failed-over request.
-        seen = self._origin
+        seen = self._original_arrivals()
         if self._redispatched:
             seen = seen.copy()
             moved = np.fromiter(self._redispatched, dtype=np.int64,

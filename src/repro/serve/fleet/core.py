@@ -104,7 +104,11 @@ from repro.serve.fleet.records import (
     sort_exactly_once,
     sorted_rids,
 )
-from repro.serve.metrics import percentile_sorted
+from repro.serve.metrics import (
+    latency_column,
+    percentile_sorted,
+    served_latencies,
+)
 from repro.serve.policy import PolicyEngine
 from repro.serve.queueing import ADMITTED, AdmissionQueue
 from repro.serve.resilience import DEFAULT_RESILIENCE, HealthMonitor
@@ -279,10 +283,10 @@ class FleetSimulator(DispatchMixin):
         """
         records = self._records
         mask = records.matches("outcome", "served")
-        latencies = (records.column("finish", mask)
-                     - records.column("arrival", mask))
+        served = int(mask.sum())
+        latencies = latency_column(served_latencies(records, mask), served)
+        del mask
         latencies.sort(kind="stable")
-        served = len(latencies)
         shed = int(records.matches("outcome", "shed").sum())
         expired = len(records) - served - shed
         elapsed_s = now / (self.config.clock_ghz * 1e9)
@@ -429,7 +433,10 @@ class FleetSimulator(DispatchMixin):
 
         The order, the rid checks and the arrival span read the trace's
         columns; rows are decoded one chunk at a time as they are
-        stepped, so the trace never exists as a list of objects.
+        stepped, so the trace never exists as a list of objects.  A
+        trace already in (arrival, rid) order with ascending rids, as a
+        generated one is, is stepped in place: no permutation, no copy
+        of its rids.
         """
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.

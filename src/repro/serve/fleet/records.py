@@ -14,7 +14,6 @@ live here, so the fleet and the cluster router share them.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -265,18 +264,6 @@ class FleetResult:
     autoscale: dict | None = None
 
 
-def _holds_tile(tile) -> bool:
-    """Whether a request row reads ``tile`` back as written: None, or an
-    int above the int64 minimum (which stores None) and within int64."""
-    if tile is None:
-        return True
-    try:
-        tile = operator.index(tile)
-    except TypeError:
-        return False
-    return INT64_MIN < tile <= INT64_MAX
-
-
 def as_trace(requests) -> RecordTable:
     """``requests`` as a table of :class:`Request` rows: such a table as
     it is, any other iterable of requests packed into a new one.
@@ -284,7 +271,8 @@ def as_trace(requests) -> RecordTable:
     A request row stores its rid and its tile as int64s, and None as the
     int64 minimum, so a rid outside int64, or a tile that is not None
     nor an int above that minimum within int64, is a
-    :class:`ConfigError` naming every such rid.
+    :class:`ConfigError` naming every such rid (a table's own writer
+    refuses such a row as it is written).
     """
     if isinstance(requests, RecordTable):
         if requests.row is not Request:
@@ -296,34 +284,47 @@ def as_trace(requests) -> RecordTable:
     for req in requests:
         if not INT64_MIN <= req.rid <= INT64_MAX:
             wide.append(req.rid)
-        elif not _holds_tile(req.tile):
+        elif not rows.holds_tile(req.tile):
             tiles.append(req.rid)
         else:
             add(*req)
-    if wide:
-        raise ConfigError(f"request ids outside int64: {sorted(wide)}")
-    if tiles:
-        raise ConfigError(f"request ids with a tile a row cannot hold "
-                          f"(None or an int64 above {INT64_MIN}): "
-                          f"{sorted(tiles)}")
+    error = rows.unheld_requests(wide, tiles)
+    if error is not None:
+        raise error
     return trace
 
 
-def arrival_order(trace: RecordTable) -> tuple[np.ndarray, tuple]:
+def _ascending(column: np.ndarray) -> bool:
+    """Whether every value of ``column`` is greater than the one
+    before."""
+    return bool((column[1:] > column[:-1]).all())
+
+
+def arrival_order(trace: RecordTable) -> tuple[np.ndarray | range, tuple]:
     """The row positions of ``trace`` in (arrival, rid) order, and the
     first and last arrival in that order (``(0.0, 0.0)`` when empty).
+
+    A trace whose rows already are in that order with ascending rids, as
+    every :func:`~repro.serve.workload.generate_requests` trace is,
+    needs no permutation: its order is ``range(len(trace))``, which
+    holds no memory and which :meth:`RecordTable.take` reads a slice at
+    a time.  Any other trace's order is its ``lexsort`` permutation.
 
     An arrival must be a finite number of cycles: a NaN one would be
     served at a NaN time and an infinite one never reached, so either
     is a :class:`ConfigError` naming every such rid.
     """
     columns = trace.columns()
-    arrival = columns["arrival"]
+    arrival, rid = columns["arrival"], columns["rid"]
     bad = ~np.isfinite(arrival)
     if bad.any():
         raise ConfigError(f"request ids with a non-finite arrival: "
-                          f"{sorted(columns['rid'][bad].tolist())}")
-    order = np.lexsort((columns["rid"], arrival))
+                          f"{sorted(rid[bad].tolist())}")
+    # Ascending rids put tied arrivals in rid order too.
+    if _ascending(rid) and (arrival[1:] >= arrival[:-1]).all():
+        order = range(len(arrival))
+    else:
+        order = np.lexsort((rid, arrival))
     if not len(order):
         return order, (0.0, 0.0)
     return order, (arrival[order[0]].item(), arrival[order[-1]].item())
@@ -346,13 +347,18 @@ def check_kinds(trace: RecordTable, priced) -> None:
 
 def sorted_rids(table: RecordTable) -> np.ndarray:
     """The rids of ``table`` (a trace or a record table) in ascending
-    order, as an int64 array.
+    order, as an int64 array: a view of the table's rid column when its
+    rids already ascend, as a generated trace's do, else a sorted copy.
+    The view pins the table (it cannot grow while the view is alive).
 
     Records are accounted per rid, so two requests sharing one would
     leave one unaccounted and the other counted twice: a duplicate is a
     :class:`ConfigError` naming every repeated rid.
     """
-    rids = np.sort(table.column("rid"))
+    rids = table.column("rid")
+    if _ascending(rids):
+        return rids
+    rids = np.sort(rids)
     repeated = rids[1:][rids[1:] == rids[:-1]]
     if len(repeated):
         raise ConfigError(f"duplicate request ids: "

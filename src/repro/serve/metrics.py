@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.serve.fleet.records import BatchRecord, RecordTable, RequestRecord
+from repro.serve.rows import CHUNK_ROWS
 
 #: Percentiles every report carries.
 REPORT_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
@@ -68,17 +69,54 @@ def percentile_sorted(data, p: float) -> float:
     return float(data[lo]) * (1.0 - frac) + float(data[hi]) * frac
 
 
-#: Values :func:`_ordered_sum` turns into builtin floats at a time.
-_SUM_CHUNK = 4096
-
-
 def _ordered_sum(values: np.ndarray):
     """``sum`` over ``values`` as builtin floats, in order: the sequence
     a list of them would give, so Python 3.12's compensated ``sum``
     rounds the same way; converted a chunk at a time."""
     return sum(chain.from_iterable(
-        values[i:i + _SUM_CHUNK].tolist()
-        for i in range(0, len(values), _SUM_CHUNK)))
+        values[i:i + CHUNK_ROWS].tolist()
+        for i in range(0, len(values), CHUNK_ROWS)))
+
+
+def served_chunks(served: np.ndarray):
+    """The positions of the records ``served`` (a mask over a record
+    table) marks, one chunk of :data:`~repro.serve.rows.CHUNK_ROWS`
+    records at a time."""
+    for start in range(0, len(served), CHUNK_ROWS):
+        yield start + np.flatnonzero(served[start:start + CHUNK_ROWS])
+
+
+def _mean_gap(records: RecordTable, served: np.ndarray, n: int,
+              later: str, earlier: str) -> float:
+    """The mean of ``later - earlier`` over the ``n`` served records:
+    ``sum`` over the differences as builtin floats in record order,
+    gathered a chunk at a time."""
+    if not n:
+        return 0.0
+    return sum(chain.from_iterable(
+        (records.column(later, rows) - records.column(earlier, rows))
+        .tolist() for rows in served_chunks(served))) / n
+
+
+def served_latencies(records: RecordTable, served: np.ndarray):
+    """``finish - arrival`` of the records ``served`` marks, one array
+    per chunk of records."""
+    for rows in served_chunks(served):
+        yield records.column("finish", rows) - records.column("arrival", rows)
+
+
+def latency_column(chunks, n: int) -> np.ndarray:
+    """The ``n`` latencies ``chunks`` yields a chunk at a time (arrays,
+    in record order), in one array: a rollup holds this column and one
+    chunk, not the columns it is gathered from.  Callers sort it in
+    place (a stable sort, as ``list.sort`` is) once they have dropped
+    what they gathered it with."""
+    latencies = np.empty(n)
+    at = 0
+    for chunk in chunks:
+        latencies[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return latencies
 
 
 @dataclass(frozen=True)
@@ -169,8 +207,9 @@ def compute_metrics(records, batches, makespan_cycles: float,
     ``records`` and ``batches`` are record tables (a list or any iterable
     of records is packed into one first) and the rollup reads their
     fields one at a time, a served record's launch fields through its
-    launch row: it never copies a table, and holds at most a few columns
-    of the served records at once.  A request's outcome is ``shed`` when
+    launch row: it never copies a table.  It gathers the served records'
+    fields a chunk at a time, so besides a few masks it holds one
+    latency column and one chunk.  A request's outcome is ``shed`` when
     its shed flag is set, else its outcome field.  Each mean and waste
     total is Python's ``sum`` over builtin floats in record order, the
     values a per-record loop would add, so every float is unchanged;
@@ -188,20 +227,26 @@ def compute_metrics(records, batches, makespan_cycles: float,
     shed = int((records.matches("outcome", "shed") | shed_flag).sum())
     expired = int((records.matches("outcome", "expired") & ~shed_flag).sum())
     del shed_flag
-    # Each served column is dropped once its last use is past, so the
-    # rollup holds at most four at a time.
-    arrival = records.column("arrival", served)
-    dispatch = records.column("dispatch", served)
-    n = len(arrival)
-    mean_batch_wait = _ordered_sum(dispatch - arrival) / n if n else 0.0
-    start = records.column("start", served)
-    mean_queue_wait = _ordered_sum(start - dispatch) / n if n else 0.0
-    del dispatch
-    finish = records.column("finish", served)
-    mean_service = _ordered_sum(finish - start) / n if n else 0.0
-    del start
-    latencies = finish - arrival
-    del finish, arrival
+    n = int(served.sum())
+    mean_batch_wait = _mean_gap(records, served, n, "dispatch", "arrival")
+    mean_queue_wait = _mean_gap(records, served, n, "start", "dispatch")
+    mean_service = _mean_gap(records, served, n, "finish", "start")
+    # The launch rollup's masks go before the latency column is filled,
+    # so the column and its sort's buffer are the rollup's peak.
+    hedge = batches.column("hedge")
+    launched = batches.matches("outcome", "served")
+    killed = batches.matches("outcome", "killed")
+    retry_kills = killed & ~hedge
+    hedge_losses = batches.matches("outcome", "hedge-loser") | (killed & hedge)
+    n_launched = int(launched.sum())
+    # Batch sizes are ints, so their sum is exact in any order.
+    size_total = int(batches.column("size", launched).sum())
+    retries, hedges = int(retry_kills.sum()), int(hedge.sum())
+    retry_wasted = _ordered_sum(batches.column("waste", retry_kills))
+    hedge_wasted = _ordered_sum(batches.column("waste", hedge_losses))
+    del hedge, launched, killed, retry_kills, hedge_losses
+    latencies = latency_column(served_latencies(records, served), n)
+    del served
     latencies.sort(kind="stable")
     if n:
         p50, p95, p99, p999 = (percentile_sorted(latencies, p)
@@ -214,14 +259,6 @@ def compute_metrics(records, batches, makespan_cycles: float,
     seconds = makespan_cycles / (clock_ghz * 1e9)
     throughput = n / seconds if seconds > 0 else 0.0
     goodput = in_slo / seconds if seconds > 0 else 0.0
-    hedge = batches.column("hedge")
-    launched = batches.matches("outcome", "served")
-    killed = batches.matches("outcome", "killed")
-    retry_kills = killed & ~hedge
-    hedge_losses = batches.matches("outcome", "hedge-loser") | (killed & hedge)
-    n_launched = int(launched.sum())
-    # Batch sizes are ints, so their sum is exact in any order.
-    size_total = int(batches.column("size", launched).sum())
     return ServeMetrics(
         total=total,
         served=n,
@@ -243,12 +280,10 @@ def compute_metrics(records, batches, makespan_cycles: float,
         slo_cycles=slo_cycles,
         slo_violations=violations,
         slo_violation_rate=violations / n if n else 0.0,
-        retries=int(retry_kills.sum()),
-        hedges=int(hedge.sum()),
-        retry_wasted_cycles=_ordered_sum(batches.column("waste",
-                                                        retry_kills)),
-        hedge_wasted_cycles=_ordered_sum(batches.column("waste",
-                                                        hedge_losses)),
+        retries=retries,
+        hedges=hedges,
+        retry_wasted_cycles=retry_wasted,
+        hedge_wasted_cycles=hedge_wasted,
         clock_ghz=clock_ghz,
     )
 

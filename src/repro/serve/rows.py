@@ -56,13 +56,60 @@ _NUMPY_CODES = {"q": "<i8", "i": "<i4", "d": "<f8", "?": "?", "B": "u1"}
 # launch's or an expiry's rows at once.
 
 
+def _in_int64(value) -> bool:
+    """Whether ``value`` is an int (any type with ``__index__``) within
+    int64."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        return False
+    return INT64_MIN <= value <= INT64_MAX
+
+
+def holds_tile(tile) -> bool:
+    """Whether a row reads ``tile`` back as written: None, or an int
+    above the int64 minimum (which stores None) and within int64."""
+    return tile is None or (_in_int64(tile) and tile != NO_TILE)
+
+
+def unheld_requests(wide, tiles) -> ConfigError | None:
+    """The error naming the rids of requests a row cannot hold: ``wide``
+    those whose rid is outside int64, ``tiles`` those whose tile fails
+    :func:`holds_tile` (None when both are empty)."""
+    if wide:
+        return ConfigError(f"request ids outside int64: {sorted(wide)}")
+    if tiles:
+        return ConfigError(f"request ids with a tile a row cannot hold "
+                           f"(None or an int64 above {INT64_MIN}): "
+                           f"{sorted(tiles)}")
+    return None
+
+
 def trace_writer(pack, rows: bytearray, codes: "_Codes"):
     """``add`` for a table of :class:`~repro.serve.workload.Request`
-    rows."""
+    rows.  A rid or a tile the row cannot hold is the
+    :func:`unheld_requests` error, and the table is left as it was: no
+    row is appended and no string registered."""
     def add(rid, kind, tile, arrival):
         nonlocal rows
-        rows += pack(rid, codes[kind], NO_TILE if tile is None else tile,
-                     arrival)
+        if tile is None:
+            tile = NO_TILE
+        elif tile == NO_TILE:  # would read back as None
+            raise unheld_requests((), (rid,))
+        code = codes.get(kind)
+        try:
+            if code is None:
+                # A kind's first row registers its string only once the
+                # row packs.
+                pack(rid, 0, tile, arrival)
+                code = codes[kind]
+            rows += pack(rid, code, tile, arrival)
+        except struct.error:
+            error = unheld_requests(() if _in_int64(rid) else (rid,),
+                                    () if holds_tile(tile) else (rid,))
+            if error is None:
+                raise
+            raise error from None
     return add
 
 
@@ -350,13 +397,19 @@ class RecordTable:
         ``name`` is ``text``."""
         return _equal(self.columns()[name][index], self._codes.get(text))
 
-    def take(self, order: np.ndarray):
+    def take(self, order):
         """An iterator over the rows at the positions ``order`` (an
-        integer array), in that order, decoded a chunk at a time as it
-        is read."""
-        return chain.from_iterable(
-            self._decoded(order[start:start + CHUNK_ROWS])
-            for start in range(0, len(order), CHUNK_ROWS))
+        integer array or a range), in that order, decoded a chunk at a
+        time as it is read.  A range of step 1 is read a slice at a
+        time, with no index array."""
+        if isinstance(order, range) and order.step == 1:
+            chunks = (slice(start, min(start + CHUNK_ROWS, order.stop))
+                      for start in range(order.start, order.stop,
+                                         CHUNK_ROWS))
+        else:
+            chunks = (order[start:start + CHUNK_ROWS]
+                      for start in range(0, len(order), CHUNK_ROWS))
+        return chain.from_iterable(map(self._decoded, chunks))
 
     def _decoded(self, index):
         """An iterator over the rows at ``index`` (a slice or an integer

@@ -121,6 +121,23 @@ class _ChipPort:
         star = self.star
         vaults = hmc.vaults
         request_time = t0  # one request per cycle address generation
+        run = hmc.mapper.run_of(addr, nbytes)
+        if run is not None and run[1] == home:
+            # The whole range lies in one (bank, row) of the home vault:
+            # the controller serves its bursts in one call, with the
+            # same one-request-per-cycle pacing (see
+            # LocalVaultMemory.access).
+            count, _, bank, row = run
+            if count > 1:
+                served = self._home_ctl.access_run(request_time, bank, row,
+                                                   count, nbytes, is_write)
+            else:
+                served = self._home_ctl.access(request_time, bank, row,
+                                               nbytes, is_write)
+            served += star
+            if served > done:
+                done = served
+            return self._finish(pe_id, time, addr, nbytes, is_write, done)
         for _, piece_len, vault_id, bank, row in hmc.mapper.split_decoded(addr, nbytes):
             if vault_id != home:
                 payload_out = piece_len if is_write else 0
@@ -141,9 +158,12 @@ class _ChipPort:
             if served > done:
                 done = served
             request_time += 1
+        return self._finish(pe_id, time, addr, nbytes, is_write, done)
+
+    def _finish(self, pe_id, time, addr, nbytes, is_write, done):
         out = None
         if not is_write:
-            out = hmc.store.read(addr, nbytes)
+            out = self.hmc.store.read(addr, nbytes)
             if self._fl is not None:
                 done = self._fl.dram_read(pe_id, addr, out, done)
         if self._tr is not None:

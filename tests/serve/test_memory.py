@@ -5,8 +5,8 @@ record per request, which references its launch's row, so their bytes
 set how long a trace fits in memory.
 These tests pin the named-tuple ``Request``, a traced bytes-per-request
 budget of a generated trace and of a fleet run plus its rollup, and the
-peaks of the rollup and of the exactly-once sort, which read record
-tables a few columns at a time.
+peaks of the rollup, which gathers one latency column a chunk at a
+time, and of the exactly-once sort, which moves one column at a time.
 """
 
 import copy
@@ -38,20 +38,26 @@ TRACE_BYTES_PER_REQUEST = 32
 #: on the 20k-request trace below.  The run keeps one packed 30 B row
 #: per request, which references its launch's row, and one 63 B row per
 #: launch (about 43 B a request at this trace's mean batch of 1.47, so
-#: about 73 B together); the arrival order, the sorted rids, the sort and
-#: the rollup each add a few columns, and the peak reads about
-#: 118 B/request on Python 3.11.  A named tuple per record (about 150 B
-#: each), a list of the decoded trace (about 100 B a request), the 72 B
-#: rows that copied every launch field into each record, or a copy of
+#: about 73 B together).  The generated trace is stepped in place, with
+#: no arrival order and no copy of its rids, so beside the rows only the
+#: exactly-once sort (an order and one 8-byte lane) and the rollup (one
+#: latency column) add to the peak, which reads about 95 B/request on
+#: Python 3.11.  A named tuple per record (about 150 B each), a list of
+#: the decoded trace (about 100 B a request), the 72 B rows that copied
+#: every launch field into each record, an arrival order and a sorted
+#: copy of the rids held through the run (16 B a request), or a copy of
 #: the whole request table in the sort or the rollup (30 B a request),
 #: pushes it past the bound.
-RUN_BYTES_PER_REQUEST = 130
+RUN_BYTES_PER_REQUEST = 104
 
-#: Traced peak of compute_metrics alone per request: a few 8-byte
-#: columns of the served records at once (about 40 B/request on Python
-#: 3.11).  A list of latencies beside them, or a copy of the table,
-#: pushes it past the bound.
-ROLLUP_BYTES_PER_REQUEST = 48
+#: Traced peak of compute_metrics alone per request: one latency column
+#: (8 B/request), which the stable sort's buffer later joins (4 B), the
+#: served mask, and one chunk of the served records' fields and their
+#: builtin floats, which at this size adds about 7 B a request (about
+#: 16 B/request on Python 3.11).  Two whole columns of the served
+#: records at once, a list of latencies, or a copy of the table, pushes
+#: it past the bound.
+ROLLUP_BYTES_PER_REQUEST = 18
 
 #: Traced peak of sort_exactly_once per record: the sort order and one
 #: 8-byte column of the rows in flight (about 16 B/record).  A copy of

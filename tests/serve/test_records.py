@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.serve import rows as packed
@@ -36,7 +36,12 @@ from repro.serve.fleet.records import (
     sorted_rids,
 )
 from repro.serve.rows import CHUNK_ROWS, NO_TILE
-from repro.serve.workload import KINDS, Request
+from repro.serve.workload import (
+    KINDS,
+    Request,
+    WorkloadConfig,
+    generate_requests,
+)
 
 _INT64 = st.integers(-2**63, 2**63 - 1)
 _INT32 = st.integers(-2**31, 2**31 - 1)
@@ -266,7 +271,12 @@ class TestJoinedRecords:
     referencing its launch's row, and reads as the 72 B rows every
     field used to be packed into."""
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    # No shrink or explain phase: shrinking a failure of these step
+    # lists ran past five minutes at about 690 MB, so a failure reports
+    # the first failing example found instead.
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.target))
     @given(parts=st.lists(_PART, min_size=1, max_size=3),
            router=st.lists(_REQUEST_ROWS, max_size=3),
            cut=st.tuples(st.integers(-20, 20), st.integers(-20, 20),
@@ -431,6 +441,65 @@ class TestArrivalOrder:
         order, span = arrival_order(RecordTable(Request))
         assert len(order) == 0 and span == (0.0, 0.0)
 
+    @pytest.mark.parametrize("rows, in_order", [
+        ([(0, 1.0), (1, 1.0), (2, 2.5), (5, 2.5), (9, 7.0)], True),
+        ([(-3, -0.0), (0, 0.0), (4, 0.0)], True),
+        ([(7, 3.0)], True),
+        # Tied arrivals with descending rids.
+        ([(0, 1.0), (2, 2.5), (1, 2.5), (5, 7.0)], False),
+        # Ascending arrivals with rids out of order.
+        ([(0, 1.0), (2, 2.0), (1, 3.0)], False),
+        # Ascending rids with an arrival out of order.
+        ([(0, 1.0), (1, 3.0), (2, 2.0)], False),
+    ])
+    def test_rows_in_order_need_no_permutation(self, rows, in_order):
+        trace = RecordTable(Request, [Request(rid, "bp", None, arrival)
+                                      for rid, arrival in rows])
+        order, span = arrival_order(trace)
+        want = sorted(range(len(rows)),
+                      key=lambda i: (rows[i][1], rows[i][0]))
+        assert list(order) == want
+        assert span == (rows[want[0]][1], rows[want[-1]][1])
+        # In order with ascending rids exactly: the identity, no array.
+        assert isinstance(order, range) is in_order
+        rids = sorted_rids(trace)
+        assert rids.tolist() == sorted(rid for rid, _ in rows)
+        ascending = [rid for rid, _ in rows] == rids.tolist()
+        assert np.shares_memory(rids, trace.columns()) is ascending
+        if in_order:
+            assert ascending
+
+    def test_a_generated_trace_is_stepped_in_place(self):
+        trace = generate_requests(WorkloadConfig(mix="bp+vgg",
+                                                 requests=3 * CHUNK_ROWS))
+        order, span = arrival_order(trace)
+        assert order == range(len(trace))
+        assert span == (trace[0].arrival, trace[-1].arrival)
+        assert list(trace.take(order)) == list(trace)
+        assert list(trace.take(range(5, CHUNK_ROWS + 7))) == \
+            list(trace[5:CHUNK_ROWS + 7])
+        rids = sorted_rids(trace)
+        assert np.shares_memory(rids, trace.columns())
+        assert rids.tolist() == list(range(len(trace)))
+
+    @pytest.mark.parametrize("shuffle", [False, True],
+                             ids=["in-order", "shuffled"])
+    def test_checks_hold_on_either_path(self, shuffle):
+        rows = [Request(rid, "bp", 0, float(rid)) for rid in range(8)]
+        if shuffle:
+            rows = rows[::-1]
+        bad = [r._replace(arrival=math.nan) if r.rid == 5 else
+               r._replace(arrival=math.inf) if r.rid == 2 else r
+               for r in rows]
+        with pytest.raises(ConfigError,
+                           match=r"^request ids with a non-finite arrival: "
+                                 r"\[2, 5\]$"):
+            arrival_order(RecordTable(Request, bad))
+        twice = [r._replace(rid=3) if r.rid == 4 else r for r in rows]
+        with pytest.raises(ConfigError,
+                           match=r"^duplicate request ids: \[3\]$"):
+            sorted_rids(RecordTable(Request, twice))
+
     def test_as_trace_keeps_a_trace_and_packs_a_list(self):
         rows = [Request(rid=1, kind="fc", tile=None, arrival=3.0)]
         trace = RecordTable(Request, rows)
@@ -479,6 +548,37 @@ class TestTraceChecks:
         kept = as_trace([Request(rid=rid, kind="bp", tile=tiles[rid],
                                  arrival=0.0) for rid in (1, 4, 5, 6)])
         assert [r.tile for r in kept] == [None, -2**63 + 1, 2**63 - 1, 7]
+
+    @pytest.mark.parametrize("write", ["add", "append", "extend"])
+    def test_a_trace_row_refuses_a_tile_it_would_misread(self, write):
+        trace = RecordTable(Request, [Request(0, "bp", 3, 0.0)])
+        before = list(trace), trace.strings
+
+        def put(*row):
+            if write == "add":
+                trace.add(*row)
+            elif write == "append":
+                trace.append(Request(*row))
+            else:
+                trace.extend([Request(*row)])
+
+        tile = r"^request ids with a tile a row cannot hold .*: "
+        for rid, value in ((1, -2**63), (2, 2**63), (3, -2**64), (4, 1.5),
+                           (5, "3")):
+            with pytest.raises(ConfigError, match=tile + rf"\[{rid}\]$"):
+                put(rid, "warp", value, 0.0)
+        with pytest.raises(ConfigError,
+                           match=r"^request ids outside int64: "
+                                 r"\[9223372036854775808\]$"):
+            put(2**63, "warp", 0, 0.0)
+        # Nothing was written, not even the new kind's string.
+        assert (list(trace), trace.strings) == before
+        for rid, value in ((6, -2**63 + 1), (7, 2**63 - 1), (8, None),
+                           (9, np.int64(-4))):
+            put(rid, "warp", value, 0.0)
+        assert [r.tile for r in trace] == [3, -2**63 + 1, 2**63 - 1, None,
+                                           -4]
+        assert trace.strings == ("bp", "warp")
 
     def test_a_non_finite_arrival_is_named(self):
         trace = as_trace([
