@@ -494,7 +494,7 @@ class ClusterSimulator:
             self._latencies(shard._records, mask)
             for shard, mask in zip(self.shards, masks)), served)
         del masks
-        latencies.sort(kind="stable")
+        latencies.sort()  # in place: see latency_column
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         alive = sum(1 for b in self._beliefs if b.capacity > 0)
         return {

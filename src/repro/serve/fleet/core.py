@@ -49,7 +49,8 @@ Failure handling (``config.failures`` enabled) — see
 * Every admitted request is **exactly-once accounted** with an
   ``outcome``: ``served``, ``shed`` (admission control), or ``expired``
   (deadline passed while retrying, or the retry budget ran out) —
-  checked at the end of every run (a lost request, or one recorded
+  checked as each record is written at its request's row, or at the end
+  of a run whose records are sorted (a lost request, or one recorded
   twice, raises :class:`~repro.errors.SimulationError` naming it, even
   under ``python -O``), so nothing is silently lost or double-counted.
   Request ids must be distinct int64s, tiles None or int64s above the
@@ -100,6 +101,7 @@ from repro.serve.fleet.records import (
     arrival_order,
     as_trace,
     check_kinds,
+    run_records,
     served_finish,
     sort_exactly_once,
     sorted_rids,
@@ -112,6 +114,7 @@ from repro.serve.metrics import (
 from repro.serve.policy import PolicyEngine
 from repro.serve.queueing import ADMITTED, AdmissionQueue
 from repro.serve.resilience import DEFAULT_RESILIENCE, HealthMonitor
+from repro.serve.rows import PositionedTable
 from repro.serve.workload import Request
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -214,9 +217,10 @@ class FleetSimulator(DispatchMixin):
         self._batches = RecordTable(BatchRecord)
         #: Rows of ``_batches``: the next launch's batch id.
         self._launches = 0
-        #: One terminal record per request, in resolution order, a
-        #: served one referencing its launch's row of ``_batches``;
-        #: collect() sorts it by rid in place.
+        #: One terminal record per request, a served one referencing its
+        #: launch's row of ``_batches``: in resolution order, which
+        #: collect() sorts by rid in place, unless run() writes them at
+        #: their requests' rows (see run_records).
         self._records = RecordTable(RequestRecord, launches=self._batches)
         self.retry_count = 0
         self.hedge_count = 0
@@ -286,9 +290,9 @@ class FleetSimulator(DispatchMixin):
         served = int(mask.sum())
         latencies = latency_column(served_latencies(records, mask), served)
         del mask
-        latencies.sort(kind="stable")
+        latencies.sort()  # in place: see latency_column
         shed = int(records.matches("outcome", "shed").sum())
-        expired = len(records) - served - shed
+        expired = records.written() - served - shed
         elapsed_s = now / (self.config.clock_ghz * 1e9)
         snap = {
             "sim_time_cycles": now,
@@ -407,14 +411,19 @@ class FleetSimulator(DispatchMixin):
         :func:`~repro.serve.fleet.records.sorted_rids` are ``rids`` and
         whose ``(first, last)`` arrival is ``span``.
 
-        The record table is sorted by rid in place and returned without
-        a copy; a rid of ``rids`` with no record or with two, or a
-        record of no rid in ``rids``, raises
-        :class:`~repro.errors.SimulationError` naming the rid.
+        The record table is returned without a copy, sorted by rid in
+        place unless its records were written at their requests' rows; a
+        rid of ``rids`` with no record or with two, or a record of no rid
+        in ``rids``, raises :class:`~repro.errors.SimulationError` naming
+        the rid (a positioned table raised at a second record or an
+        unknown rid as it was written).
         """
         records = self._records
         first, last_arrival = span
-        sort_exactly_once(records, rids)
+        if isinstance(records, PositionedTable):
+            records.check_complete()
+        else:
+            sort_exactly_once(records, rids)
         last = served_finish((self._batches,), default=last_arrival)
         autoscale = None
         if self.autoscaler is not None:
@@ -436,7 +445,11 @@ class FleetSimulator(DispatchMixin):
         stepped, so the trace never exists as a list of objects.  A
         trace already in (arrival, rid) order with ascending rids, as a
         generated one is, is stepped in place: no permutation, no copy
-        of its rids.
+        of its rids.  When its rids are also consecutive, each record is
+        written at its request's row of a
+        :class:`~repro.serve.rows.PositionedTable`, which reads the
+        request's own fields from the trace (see
+        :func:`~repro.serve.fleet.records.run_records`).
         """
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.
@@ -444,6 +457,7 @@ class FleetSimulator(DispatchMixin):
         rids = sorted_rids(trace)
         order, span = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
+        self._records = run_records(trace, rids, order, self._batches)
         self.begin()
         total = len(order)
         if on_progress is not None and progress_every is None:

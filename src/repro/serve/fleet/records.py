@@ -7,8 +7,9 @@ module pulls in no simulation machinery.  A run keeps its records in
 per launch and one per request, which points at the row of the launch
 that served it, and reads its arrival trace from one too.  The trace
 and exactly-once checks (:func:`as_trace`, :func:`arrival_order`,
-:func:`check_kinds`, :func:`sorted_rids`, :func:`sort_exactly_once`)
-live here, so the fleet and the cluster router share them.
+:func:`check_kinds`, :func:`sorted_rids`, :func:`run_records`,
+:func:`sort_exactly_once`) live here, so the fleet and the cluster
+router share them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from repro.serve.failures import FailureConfig
 from repro.serve.policy import SCHEDULE_PRIMITIVES, PolicySet
 from repro.serve.queueing import SHED_POLICIES
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.rows import INT64_MAX, INT64_MIN, RecordTable
+from repro.serve.rows import (
+    INT64_MAX,
+    INT64_MIN,
+    PositionedTable,
+    RecordTable,
+)
 from repro.serve.workload import Request
 
 #: The built-in scheduling policies (leaves of the ``schedule`` slot).
@@ -91,6 +97,11 @@ class ServeConfig:
                     f"config.{name}: must be a finite number, got {value!r}")
         if self.chips <= 0:
             raise ConfigError("chips must be positive")
+        # A zero clock divides every rollup by zero seconds; a negative
+        # one reports no throughput.
+        if self.clock_ghz <= 0:
+            raise ConfigError(f"config.clock_ghz: must be positive, got "
+                              f"{self.clock_ghz!r}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; "
                               f"choose from {POLICIES}")
@@ -222,7 +233,10 @@ class BatchRecord(NamedTuple):
 #: field).  A served record reads shed as False and the rest from the
 #: launch row, ``batch_size``, ``dispatch`` and ``retries`` from its
 #: ``size``, ``close`` and ``attempt``.  Chip ids, batch sizes and
-#: attempt counts are int32; rids, tiles and batch ids int64.
+#: attempt counts are int32; rids, tiles and batch ids int64.  A record
+#: of a :class:`~repro.serve.rows.PositionedTable` stores 5 B, the
+#: reference and a hedged flag, and reads the other own fields from its
+#: request's trace row.
 rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writers,
               optional="tile", own=("rid", "kind", "tile", "arrival",
                                     "hedged"),
@@ -254,7 +268,9 @@ class FleetResult:
     """Everything the serving simulation observed."""
 
     #: RequestRecord rows, rid order; a served one references its
-    #: launch's row of ``batches``.
+    #: launch's row of ``batches``.  A run of a generated trace reads
+    #: each record's rid, kind, tile and arrival from its trace row (a
+    #: :class:`~repro.serve.rows.PositionedTable`).
     records: RecordTable
     batches: RecordTable  # BatchRecord rows, resolution order
     chips: list    # final ChipState per chip
@@ -364,6 +380,27 @@ def sorted_rids(table: RecordTable) -> np.ndarray:
         raise ConfigError(f"duplicate request ids: "
                           f"{sorted(set(repeated.tolist()))}")
     return rids
+
+
+def run_records(trace: RecordTable, rids: np.ndarray, order,
+                launches: RecordTable) -> RecordTable:
+    """The table a fleet run of ``trace`` writes its request records to,
+    given the trace's :func:`sorted_rids` and :func:`arrival_order`,
+    each served record referencing its launch's row of ``launches``.
+
+    When the trace's rows are in (arrival, rid) order with consecutive
+    rids, as a generated trace's are, row ``i`` is request ``rids[0] +
+    i``, and the records are a :class:`~repro.serve.rows.PositionedTable`
+    beside the trace: 5 B a request, each written at its request's row,
+    so exactly-once is checked as they are written and they need no
+    sort.  Any other trace's records are 30 B heads, which
+    :func:`sort_exactly_once` sorts and checks.
+    """
+    if (isinstance(order, range) and len(rids)
+            and int(rids[-1]) - int(rids[0]) == len(rids) - 1):
+        return PositionedTable(RequestRecord, trace, launches,
+                               int(rids[0]), len(rids))
+    return RecordTable(RequestRecord, launches=launches)
 
 
 def sort_exactly_once(records: RecordTable, rids: np.ndarray) -> None:

@@ -109,8 +109,12 @@ def latency_column(chunks, n: int) -> np.ndarray:
     """The ``n`` latencies ``chunks`` yields a chunk at a time (arrays,
     in record order), in one array: a rollup holds this column and one
     chunk, not the columns it is gathered from.  Callers sort it in
-    place (a stable sort, as ``list.sort`` is) once they have dropped
-    what they gathered it with."""
+    place once they have dropped what they gathered it with.
+
+    The default (unstable) sort gives the array a stable one would, and
+    needs no merge buffer: a latency is ``finish - arrival`` with finish
+    at or after arrival, so it is never NaN nor -0.0, and equal float64
+    values are then the same bits."""
     latencies = np.empty(n)
     at = 0
     for chunk in chunks:
@@ -232,7 +236,7 @@ def compute_metrics(records, batches, makespan_cycles: float,
     mean_queue_wait = _mean_gap(records, served, n, "start", "dispatch")
     mean_service = _mean_gap(records, served, n, "finish", "start")
     # The launch rollup's masks go before the latency column is filled,
-    # so the column and its sort's buffer are the rollup's peak.
+    # so the column is the rollup's peak.
     hedge = batches.column("hedge")
     launched = batches.matches("outcome", "served")
     killed = batches.matches("outcome", "killed")
@@ -247,7 +251,7 @@ def compute_metrics(records, batches, makespan_cycles: float,
     del hedge, launched, killed, retry_kills, hedge_losses
     latencies = latency_column(served_latencies(records, served), n)
     del served
-    latencies.sort(kind="stable")
+    latencies.sort()  # in place: see latency_column
     if n:
         p50, p95, p99, p999 = (percentile_sorted(latencies, p)
                                for p in REPORT_PERCENTILES)

@@ -18,6 +18,12 @@ negative (``~k`` names rest row ``k``).  A run's request records are
 joined: the requests a kernel launch served share the launch's row of
 the fleet's launch table, so each launch fact is held once.
 
+A *positioned* table (:class:`PositionedTable`) holds the records of a
+trace whose row ``i`` is request ``rid0 + i``: it stores no head, only
+a 5 B entry per trace row (the int32 reference and a hedged flag),
+written at the request's row, and reads rid, kind, tile and arrival
+from the trace row itself.
+
 This module is a leaf: it imports nothing else of :mod:`repro.serve`,
 so the modules that define row types (:mod:`repro.serve.workload` for
 :class:`~repro.serve.workload.Request`, :mod:`repro.serve.fleet.records`
@@ -29,12 +35,13 @@ from __future__ import annotations
 
 import operator
 import struct
+from array import array
 from itertools import chain, repeat
 from operator import eq
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 #: The range of an int64 field (rids, tiles, batch ids).
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -167,6 +174,64 @@ def record_writers(join: "_Join", heads: bytearray, rests: bytearray,
     return add, add_each, add_rest
 
 
+#: A positioned entry's flag: no record yet, a record, a hedged record.
+UNWRITTEN, WRITTEN, HEDGED = 0, 1, 2
+
+
+def _misplaced(rid, rid0: int, marks: bytearray) -> SimulationError:
+    """The error of a record of request ``rid`` that a positioned table
+    cannot take: its row has one already, or it has no row."""
+    if 0 <= rid - rid0 < len(marks):
+        return SimulationError(f"requests recorded more than once: [{rid}]")
+    return SimulationError(f"records of unknown requests: [{rid}]")
+
+
+def placed_writers(join: "_Join", rid0: int, refs: array, marks: bytearray,
+                   rests: bytearray, codes: "_Codes"):
+    """``add``, ``add_each`` and ``add_rest`` for a
+    :class:`PositionedTable`, taking the arguments
+    :func:`record_writers`' take.  Each writes a request's entry (its
+    reference, and its flag) at row ``rid - rid0`` and stores none of
+    the request's own fields, which the trace row there holds.  A rid
+    with no row, or whose row has a record already, is a
+    :class:`~repro.errors.SimulationError` naming it, raised before its
+    entry is written; a launch's or an expiry's requests before it keep
+    theirs.
+    """
+    rest = join.rest.struct.pack
+    rest_size = join.rest.struct.size
+    n = len(marks)
+
+    def add_each(requests, ref, hedged):
+        mark = HEDGED if hedged else WRITTEN
+        for rid, _, _, _ in requests:
+            at = rid - rid0
+            # A negative row would index from the end without error.
+            if not 0 <= at < n or marks[at]:
+                raise _misplaced(rid, rid0, marks)
+            refs[at] = ref
+            marks[at] = mark
+
+    def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
+            dispatch, start, finish, outcome, retries, hedged):
+        nonlocal rests
+        row = rest(shed, batch_id, chip, batch_size, dispatch, start,
+                   finish, codes[outcome], retries)
+        add_each(((rid, kind, tile, arrival),),
+                 ~(len(rests) // rest_size), hedged)
+        rests += row
+
+    def add_rest(requests, shed, batch_id, chip, batch_size, dispatch,
+                 start, finish, outcome, retries, hedged):
+        nonlocal rests
+        ref = ~(len(rests) // rest_size)
+        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
+                      finish, codes[outcome], retries)
+        add_each(requests, ref, hedged)
+
+    return add, add_each, add_rest
+
+
 def launch_writer(pack, rows: bytearray, codes: "_Codes"):
     """``add`` for a table of
     :class:`~repro.serve.fleet.records.BatchRecord` rows."""
@@ -279,6 +344,13 @@ def _equal(column, code):
     return column == code
 
 
+def _recoded(column, strings, codes: _Codes) -> np.ndarray:
+    """``column``, codes into ``strings``, as the codes ``codes`` gives
+    those strings."""
+    recode = np.array([codes[text] for text in strings], dtype=np.uint8)
+    return recode[column]
+
+
 class RecordTable:
     """An append-only table of rows of one registered named tuple type
     (a :class:`~repro.serve.workload.Request`,
@@ -300,7 +372,9 @@ class RecordTable:
     the next append.
 
     A table of a joined row type (request records) is a
-    :class:`JoinedTable`, which ``RecordTable(row, ...)`` builds.
+    :class:`JoinedTable`, which ``RecordTable(row, ...)`` builds; a
+    fleet run writes the records of a trace in rid order into a
+    :class:`PositionedTable` instead.
     """
 
     __slots__ = ("row", "add", "_layout", "_rows", "_codes")
@@ -438,6 +512,10 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self._rows) // self._layout.struct.size
 
+    def written(self) -> int:
+        """The rows written: every row of an append-only table."""
+        return len(self)
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             # A new table of the sliced rows, as a list slice is a list.
@@ -526,6 +604,8 @@ class JoinedTable(RecordTable):
             self._add_all(records)
             return
         self._check_row(records)
+        if isinstance(records, PositionedTable):
+            records = records[:]  # as heads
         if (records._launches is not self._launches and launches_at is None
                 and (records.column("ref") >= 0).any()):
             self._add_all(records)
@@ -545,11 +625,15 @@ class JoinedTable(RecordTable):
     def _rests(self) -> np.ndarray:
         return np.frombuffer(self._rest, dtype=self._join.rest.dtype)
 
+    def _ref(self, index) -> np.ndarray:
+        """The references of the records at ``index``."""
+        return self.columns()["ref"][index]
+
     def _through(self, name: str, index, read) -> np.ndarray:
         """Rest field ``name`` of the records at ``index``: ``read(column,
         codes)`` of the launch rows the records reference and of their
         own rest rows, merged in record order."""
-        ref = self.columns()["ref"][index]
+        ref = self._ref(index)
         launched = ref >= 0
         own = read(self._rests()[name][~ref[~launched]], self._codes)
         if not launched.any():
@@ -610,6 +694,210 @@ class JoinedTable(RecordTable):
     def __reduce__(self):
         return _packed_table, (self.row, bytes(self._rows), self.strings,
                                bytes(self._rest), self._launches)
+
+
+class PositionedTable(JoinedTable):
+    """A :class:`JoinedTable` of the records of the requests ``rid0`` to
+    ``rid0 + size - 1``, read from the first ``size`` rows of ``trace``
+    (a table of :class:`~repro.serve.workload.Request` rows), whose row
+    ``i`` must be request ``rid0 + i``: record ``i`` is that request's.
+
+    Instead of a head it stores a 5 B entry per row: an int32 reference,
+    as a head's, and a flag (:data:`UNWRITTEN`, :data:`WRITTEN` or
+    :data:`HEDGED`).  rid, kind, tile and arrival are read from the
+    trace row, a launch field through the reference and a rest field
+    from the table's own rest rows.  The writers
+    (:func:`placed_writers`) write each record at its request's row, so
+    a record written twice, or of a request with no row, raises as it
+    is written, and :meth:`check_complete` names the requests with
+    none.  Until every row has its record, a row without one reads its
+    launch and rest fields as zeros and matches no text, and
+    :meth:`written` counts the rows that have one.
+
+    The table keeps the trace, not a view of it, so the trace may still
+    grow; a trace row rewritten after the run changes the record that
+    reads it (an own field is read as a read-only view).  It reads as
+    any request-record table (``len``, indexing, iteration, ``==``,
+    :meth:`column`, :meth:`matches`, pickle and deepcopy, which carry
+    the trace and the launch table), and a slice of it (once every row
+    has its record) is a :class:`JoinedTable` of heads referencing the
+    same launch table.  It stores no heads to view with :meth:`columns`,
+    and its rows are in its trace's order, which :meth:`sort_by` cannot
+    change.
+    """
+
+    __slots__ = ("trace", "_rid0", "_refs", "_marks", "_full")
+
+    def __new__(cls, *args):
+        return object.__new__(cls)
+
+    def __init__(self, row, trace: RecordTable, launches: RecordTable,
+                 rid0: int, size: int):
+        join = self._join = _LAYOUTS[row]
+        self.row = row
+        self._layout = join.head
+        self.trace = trace
+        self._launches = launches
+        self._rid0 = rid0
+        self._refs = array("i", [0]) * size
+        self._marks = bytearray(size)
+        #: Whether every row has its record (once so, always so).
+        self._full = not size
+        self._rest = bytearray()
+        self._codes = _Codes()
+        self.add, self.add_each, self.add_rest = placed_writers(
+            join, rid0, self._refs, self._marks, self._rest, self._codes)
+
+    def extend(self, records) -> None:
+        """Write every record of ``records`` at its request's row."""
+        self._add_all(records)
+
+    def columns(self) -> np.ndarray:
+        raise ConfigError("a positioned record table stores no head rows: "
+                          "read its fields with column() and matches(), or "
+                          "slice it into a table of heads")
+
+    def sort_by(self, name: str) -> None:
+        raise ConfigError("a positioned record table is in its trace's "
+                          "order: sort a slice of it")
+
+    # -- exactly once ----------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._marks)
+
+    def written(self) -> int:
+        """The rows that have their record."""
+        return len(self._marks) - self._marks.count(UNWRITTEN)
+
+    def _complete(self) -> bool:
+        if not self._full:
+            self._full = UNWRITTEN not in self._marks
+        return self._full
+
+    def check_complete(self) -> None:
+        """Raise a :class:`~repro.errors.SimulationError` naming every
+        request no record was written for."""
+        if not self._complete():
+            lost = self._rid0 + np.flatnonzero(self._flags() == UNWRITTEN)
+            raise SimulationError(f"requests lost without accounting: "
+                                  f"{lost.tolist()}")
+
+    # -- reading ---------------------------------------------------------
+
+    def _flags(self) -> np.ndarray:
+        return np.frombuffer(self._marks, dtype=np.uint8)
+
+    def _ref(self, index) -> np.ndarray:
+        return np.frombuffer(self._refs, dtype=np.intc)[index]
+
+    def _own(self, name: str) -> np.ndarray:
+        """The trace's field ``name`` of this table's rows, read-only."""
+        column = self.trace.columns()[:len(self)][name]
+        column.flags.writeable = False
+        return column
+
+    def _through(self, name: str, index, read) -> np.ndarray:
+        if self._complete():
+            return super()._through(name, index, read)
+        # Gather the rows at ``index`` that have their record; the rest
+        # read zeros.  A slice or mask becomes the positions it selects,
+        # an integer array (a snapshot's chunk) is used as it is.
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(len(self)))
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        written = self._flags()[index] != UNWRITTEN
+        theirs = super()._through(name, index[written], read)
+        out = np.zeros(len(index), dtype=theirs.dtype)
+        out[written] = theirs
+        return out
+
+    def column(self, name: str, index=slice(None)) -> np.ndarray:
+        """As :meth:`JoinedTable.column`; rid, tile and arrival are views
+        of the trace's columns for a slice."""
+        if name in self.trace._layout.strings + self._join.rest.strings:
+            raise ConfigError(f"read the string field {name!r} with "
+                              f"matches()")
+        if name in self.trace.row._fields:
+            return self._own(name)[index]
+        if name == "hedged":
+            return self._flags()[index] == HEDGED
+        return self._through(name, index, _as_is)
+
+    def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
+        if name in self.trace.row._fields:
+            return _equal(self._own(name)[index],
+                          self.trace._codes.get(text))
+        return self._through(name, index,
+                             lambda column, codes: _equal(column,
+                                                          codes.get(text)))
+
+    def _decoded(self, index):
+        trace, rest = self.trace, self._join.rest
+        values = []
+        for name in self.row._fields:
+            if name in trace.row._fields:
+                values.append(trace._stored(name, self._own(name)[index]))
+            elif name == "hedged":
+                values.append(self.column(name, index).tolist())
+            else:
+                values.append(self._through(
+                    name, index,
+                    _texts if name in rest.strings else _as_is).tolist())
+        return self._tuples(values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._heads(index)
+        return super().__getitem__(index)
+
+    def _heads(self, index: slice) -> JoinedTable:
+        """The records at ``index`` as a :class:`JoinedTable` of heads
+        referencing this table's launch table, with the rest rows they
+        reference renumbered in order.  A head cannot stand for a row
+        without its record, so every row must have one."""
+        self.check_complete()
+        join, trace = self._join, self.trace
+        codes = _Codes()
+        heads = np.empty(len(range(len(self))[index]), dtype=join.head.dtype)
+        for name in trace.row._fields:
+            column = self._own(name)[index]
+            if name in trace._layout.strings:
+                column = _recoded(column, trace.strings, codes)
+            heads[name] = column
+        heads["hedged"] = self.column("hedged", index)
+        heads["ref"] = self._ref(index)
+        ref = heads["ref"]
+        mine = ref < 0
+        used, renumbered = np.unique(~ref[mine], return_inverse=True)
+        ref[mine] = ~renumbered
+        rests = self._rests()[used]
+        for name in join.rest.strings:
+            rests[name] = _recoded(rests[name], self.strings, codes)
+        return _packed_table(self.row, heads.tobytes(),
+                             tuple(codes.strings), rests.tobytes(),
+                             self._launches)
+
+    def __reduce__(self):
+        return _positioned_table, (self.row, self.trace, self._launches,
+                                   self._rid0, self._refs.tobytes(),
+                                   bytes(self._marks), bytes(self._rest),
+                                   self.strings)
+
+
+def _positioned_table(row, trace: RecordTable, launches: RecordTable,
+                      rid0: int, refs: bytes, marks: bytes, rest: bytes,
+                      strings: tuple) -> PositionedTable:
+    """Rebuild a pickled or copied :class:`PositionedTable`."""
+    table = PositionedTable(row, trace, launches, rid0, len(marks))
+    table._refs[:] = array("i", refs)
+    table._marks[:] = marks
+    table._rest += rest
+    for text in strings:
+        table._codes[text]  # registers it at its code
+    return table
 
 
 def _packed_table(row, rows: bytes, strings: tuple, rest: bytes = b"",

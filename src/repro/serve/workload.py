@@ -144,6 +144,11 @@ class WorkloadConfig:
                     f"workload.{name}: must be a finite number, got {value!r}")
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
+        # A zero clock draws every arrival at cycle 0; a negative one
+        # fails deep in the draw.
+        if self.clock_ghz <= 0:
+            raise ConfigError(f"workload.clock_ghz: must be positive, got "
+                              f"{self.clock_ghz!r}")
         if self.requests <= 0:
             raise ConfigError("requests must be positive")
         # numpy's default_rng rejects a negative seed, but only once the

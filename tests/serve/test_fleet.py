@@ -191,6 +191,15 @@ def test_non_finite_knobs_are_rejected_naming_the_field(field, value):
         _config(**{field: value})
 
 
+@pytest.mark.parametrize("value", (0.0, -1.0))
+def test_a_clock_that_is_not_positive_is_rejected(value):
+    # A zero clock would simulate a whole run and then divide its rollup
+    # by zero seconds; a negative one would report no throughput.
+    with pytest.raises(ConfigError, match=(
+            rf"^config\.clock_ghz: must be positive, got {value!r}$")):
+        _config(clock_ghz=value)
+
+
 def test_degraded_chip_id_out_of_range_raises():
     with pytest.raises(ConfigError):
         _config(degraded_chips=(7,))

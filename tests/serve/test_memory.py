@@ -6,7 +6,8 @@ set how long a trace fits in memory.
 These tests pin the named-tuple ``Request``, a traced bytes-per-request
 budget of a generated trace and of a fleet run plus its rollup, and the
 peaks of the rollup, which gathers one latency column a chunk at a
-time, and of the exactly-once sort, which moves one column at a time.
+time, and of the exactly-once sort that records of a shuffled trace or
+a cluster shard take, which moves one column at a time.
 """
 
 import copy
@@ -35,33 +36,35 @@ from repro.serve.workload import Request, WorkloadConfig, generate_requests
 TRACE_BYTES_PER_REQUEST = 32
 
 #: Traced peak of FleetSimulator.run plus compute_metrics per request,
-#: on the 20k-request trace below.  The run keeps one packed 30 B row
-#: per request, which references its launch's row, and one 63 B row per
-#: launch (about 43 B a request at this trace's mean batch of 1.47, so
-#: about 73 B together).  The generated trace is stepped in place, with
-#: no arrival order and no copy of its rids, so beside the rows only the
-#: exactly-once sort (an order and one 8-byte lane) and the rollup (one
-#: latency column) add to the peak, which reads about 95 B/request on
-#: Python 3.11.  A named tuple per record (about 150 B each), a list of
-#: the decoded trace (about 100 B a request), the 72 B rows that copied
-#: every launch field into each record, an arrival order and a sorted
-#: copy of the rids held through the run (16 B a request), or a copy of
-#: the whole request table in the sort or the rollup (30 B a request),
-#: pushes it past the bound.
-RUN_BYTES_PER_REQUEST = 104
+#: on the 20k-request trace below.  The generated trace is stepped in
+#: place, with no arrival order and no copy of its rids, and the run
+#: keeps a 5 B entry per request beside it (an int32 reference and a
+#: hedged flag, written at its request's row, so nothing is sorted),
+#: referencing one 63 B row per launch (about 43 B a request at this
+#: trace's mean batch of 1.47, so about 48 B together).  Beside the rows
+#: only the rollup (one latency column and a chunk) adds to the peak,
+#: which reads about 67 B/request on Python 3.11.  A 30 B head per
+#: request and the exactly-once sort it needs (about 96 B/request), a
+#: named tuple per record (about 150 B each), a list of the decoded
+#: trace (about 100 B a request), an arrival order and a sorted copy of
+#: the rids held through the run (16 B a request), or a copy of the
+#: whole record table in the rollup, pushes it past the bound.
+RUN_BYTES_PER_REQUEST = 74
 
 #: Traced peak of compute_metrics alone per request: one latency column
-#: (8 B/request), which the stable sort's buffer later joins (4 B), the
-#: served mask, and one chunk of the served records' fields and their
-#: builtin floats, which at this size adds about 7 B a request (about
-#: 16 B/request on Python 3.11).  Two whole columns of the served
+#: (8 B/request), the served mask, and one chunk of the served records'
+#: fields and their builtin floats, which at this size adds about 7 B a
+#: request (about 17 B/request on Python 3.11).  The column is sorted in
+#: place (a stable sort's merge buffer, half the column, would not show
+#: here: NumPy allocates it untraced).  Two whole columns of the served
 #: records at once, a list of latencies, or a copy of the table, pushes
 #: it past the bound.
 ROLLUP_BYTES_PER_REQUEST = 18
 
-#: Traced peak of sort_exactly_once per record: the sort order and one
-#: 8-byte column of the rows in flight (about 16 B/record).  A copy of
-#: the table pushes it past the bound.
+#: Traced peak of sort_exactly_once per record, which sorts the 30 B
+#: heads of a run whose records are not positioned: the sort order and
+#: one 8-byte column of the rows in flight (about 16 B/record).  A copy
+#: of the table pushes it past the bound.
 SORT_BYTES_PER_RECORD = 24
 
 

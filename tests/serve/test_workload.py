@@ -176,6 +176,10 @@ def test_config_validation():
      "workload.clock_ghz: must be a finite number, got nan"),
     ("clock_ghz", float("-inf"),
      "workload.clock_ghz: must be a finite number, got -inf"),
+    # A zero clock would draw every arrival at cycle 0, and a negative
+    # one escape as NumPy's "scale < 0".
+    ("clock_ghz", 0.0, "^workload.clock_ghz: must be positive, got 0.0$"),
+    ("clock_ghz", -1.0, "^workload.clock_ghz: must be positive, got -1.0$"),
 ])
 def test_config_rejects_out_of_range_and_non_finite(field, value, message):
     with pytest.raises(ConfigError, match=message):
