@@ -43,6 +43,7 @@ from repro.serve.fleet import (
     POLICIES,
     BatchRecord,
     ChipState,
+    EntryTable,
     FleetResult,
     FleetSimulator,
     RecordTable,
@@ -102,6 +103,7 @@ __all__ = [
     "DEFAULT_RESILIENCE",
     "DynamicBatcher",
     "FAILURE_KINDS",
+    "EntryTable",
     "FailureConfig",
     "FailureWindow",
     "FleetResult",

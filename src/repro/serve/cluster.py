@@ -28,8 +28,9 @@ exhausted or deadline passed, i.e. both in-flight and queued requests)
 is handed back to the router instead, and re-dispatched to a surviving
 shard at the next gossip tick, under a cluster-level
 ``failover_retries`` budget.  The re-dispatched request keeps its rid;
-the merged record restores its *original* arrival so end-to-end latency
-honestly includes the failed attempts and the failover delay.
+the merged record reads its *original* arrival from the trace, so
+end-to-end latency honestly includes the failed attempts and the
+failover delay.
 
 *Brown-out* — when believed cluster capacity (alive fraction × chips,
 summed over shards) drops below ``brownout_headroom``, arrivals of the
@@ -62,18 +63,18 @@ from itertools import chain
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.faults.injector import stream_seed
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
 from repro.serve.fleet.records import (
     BatchRecord,
+    EntryTable,
     RecordTable,
     arrival_order,
     as_trace,
     check_kinds,
     served_finish,
-    sort_exactly_once,
     sorted_rids,
 )
 from repro.serve.metrics import (
@@ -113,6 +114,8 @@ class ClusterConfig:
     def __post_init__(self):
         if self.shards <= 0:
             raise ConfigError("cluster.shards must be positive")
+        object.__setattr__(self, "shards",
+                           check_count("cluster.shards", self.shards, 1))
         if self.router not in ROUTERS:
             raise ConfigError(f"cluster.router: unknown router "
                               f"{self.router!r}; choose from {ROUTERS}")
@@ -130,6 +133,9 @@ class ClusterConfig:
         if self.failover_retries < 0:
             raise ConfigError("cluster.failover_retries must be "
                               "nonnegative")
+        object.__setattr__(self, "failover_retries",
+                           check_count("cluster.failover_retries",
+                                       self.failover_retries, 0))
         if self.brownout_headroom is not None \
                 and not 0.0 < self.brownout_headroom <= 1.0:
             raise ConfigError("cluster.brownout_headroom must be in "
@@ -179,9 +185,10 @@ class ClusterResult:
     """Everything the cluster run observed (FleetResult-compatible
     where it matters: ``records``, ``batches``, ``makespan``)."""
 
-    #: Merged terminal records, rid order, original arrivals restored;
-    #: a served one references its launch's row of ``batches``.
-    records: RecordTable
+    #: Merged terminal records, rid order, one entry beside each trace
+    #: row (original arrivals read from the trace); a served one
+    #: references its launch's row of ``batches``.
+    records: EntryTable
     #: All shards' launch records, merged once (shard order; ids
     #: shard-local).
     batches: RecordTable
@@ -267,14 +274,12 @@ class ClusterSimulator:
             for i, s in enumerate(self.shards)
         ]
         #: Cluster-level terminal records (brown-out sheds).
-        self._records = RecordTable(RequestRecord)
-        #: The trace's sorted rids, set by run().
-        self._rids = np.empty(0, dtype=np.int64)
-        #: The trace run() serves, and the original arrival of each rid
-        #: of ``_rids``: None when the trace is in rid order, whose own
-        #: arrival column then is that (see :meth:`_original_arrivals`).
+        self._records = EntryTable(RequestRecord)
+        #: The trace run() serves, in rid order, and its rids held
+        #: contiguous (searched on every failover and snapshot), set by
+        #: run(); a rid's original arrival is its trace row's.
         self._trace: RecordTable | None = None
-        self._origin: np.ndarray | None = None
+        self._rids = np.empty(0, dtype=np.int64)
         #: The shard that owns each rid of ``_rids`` (-1: none, as for a
         #: brown-out shed or a request handed back for failover), set by
         #: run().
@@ -520,41 +525,17 @@ class ClusterSimulator:
             },
         }
 
-    def _latencies(self, records: RecordTable, served: np.ndarray):
+    def _latencies(self, records: EntryTable, served: np.ndarray):
         """``finish`` less the original arrival of the records of a
         shard's ``records`` that ``served`` marks, one array per chunk.
         A failed-over record carries its re-dispatch time as the
-        arrival; latency runs from the original."""
+        arrival; latency runs from the original, its trace row's (read
+        on each call, so that no view of the trace outlives it: a table
+        cannot grow while one is alive)."""
         for rows in served_chunks(served):
-            origin = self._original_arrivals(np.searchsorted(
+            origin = self._trace.column("arrival", np.searchsorted(
                 self._rids, records.column("rid", rows)))
             yield records.column("finish", rows) - origin
-
-    def _original_arrivals(self, positions=slice(None)) -> np.ndarray:
-        """The original arrivals of the rids at ``positions`` of
-        ``_rids``.  A trace in rid order gives them from its own arrival
-        column, read on each call so that no view of the trace outlives
-        it (a table cannot grow while one is alive)."""
-        if self._origin is None:
-            return self._trace.column("arrival", positions)
-        return self._origin[positions]
-
-    def _restore_arrivals(self, records: RecordTable) -> int:
-        """Give each failed-over request's record (``records`` is in rid
-        order) its original arrival, so latency covers the lost attempts
-        end to end; returns how many of them still expired.  Only a
-        failover re-stamps an arrival, so only those rows are read."""
-        failed = sorted(self._failover_count)
-        if not failed:
-            return 0
-        rows = np.searchsorted(records.column("rid"), failed)
-        # The table holds one row per trace rid, so its rows line up
-        # with the trace's sorted rids and their original arrivals.
-        origin = self._original_arrivals(rows)
-        arrival = records.column("arrival")  # a view: written in place
-        stamped = arrival[rows] != origin
-        arrival[rows[stamped]] = origin[stamped]
-        return int(records.matches("outcome", "expired", rows).sum())
 
     # -- the router loop -----------------------------------------------
 
@@ -567,31 +548,18 @@ class ClusterSimulator:
         the order, rid checks and original arrivals read the trace's
         columns and rows are decoded a chunk at a time."""
         cluster = self.cluster
-        trace = as_trace(requests)
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
-        # arrival or an unpriced kind fails before simulating.
+        # arrival or an unpriced kind fails before simulating.  The
+        # trace is in rid order, so trace row ``i`` holds rid
+        # ``rids[i]``: the arrival order is also each arrival's position
+        # in ``rids``.
+        self._trace = trace = as_trace(requests)
         # The rids are searched on every failover and snapshot, which
         # would copy a strided column each time: they are held
         # contiguous.
         self._rids = rids = np.ascontiguousarray(sorted_rids(trace))
         order, (first, last_arrival) = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
-        # The position in ``rids`` of each arrival, in arrival order, and
-        # each rid's original arrival.  In a trace in (arrival, rid)
-        # order with ascending rids both orders are the rows': the
-        # positions are the identity and the arrivals the trace's own
-        # column.
-        self._trace, self._origin = trace, None
-        if isinstance(order, range):
-            positions = order
-        else:
-            columns = trace.columns()
-            by_rid = np.argsort(columns["rid"], kind="stable")
-            self._origin = columns["arrival"][by_rid]
-            rank = np.empty_like(by_rid)
-            rank[by_rid] = np.arange(len(by_rid))
-            positions = rank[order]
-            del columns, rank, by_rid
         self._owner = owner = np.full(len(rids), -1, dtype=np.int32)
         for shard in self.shards:
             shard.begin()
@@ -602,8 +570,8 @@ class ClusterSimulator:
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
         next_tick = cluster.gossip_interval_cycles
-        for arrived, (req, at) in enumerate(zip(trace.take(order),
-                                                positions), 1):
+        for arrived, (req, at) in enumerate(zip(trace.take(order), order),
+                                            1):
             if self._active:
                 next_tick = self._gossip_until(req.arrival, next_tick)
                 if self._brownout and req.kind in cluster.brownout_kinds:
@@ -629,7 +597,7 @@ class ClusterSimulator:
                 shard.finish()
         # What each shard saw as an arrival: the original one, or the
         # re-dispatch time of a failed-over request.
-        seen = self._original_arrivals()
+        seen = trace.column("arrival")
         if self._redispatched:
             seen = seen.copy()
             moved = np.fromiter(self._redispatched, dtype=np.int64,
@@ -638,22 +606,26 @@ class ClusterSimulator:
                 self._redispatched.values())
         shard_results = []
         for i, shard in enumerate(self.shards):
-            mine = owner == i
-            arrivals = seen[mine]
+            arrivals = seen[owner == i]
             span = ((arrivals.min().item(), arrivals.max().item())
                     if len(arrivals) else (0.0, 0.0))
-            shard_results.append(shard.collect(rids[mine], span))
+            shard_results.append(shard.collect(None, span))
+        del seen
         # Every request ends in exactly one record, in a shard or at the
-        # router door: a rid in two places raises, as does one in none.
-        # A shard's served records reference its launches' rows in the
-        # merged launch table, which start where the shard's rows begin.
+        # router door, placed at its trace row: a rid in two places
+        # raises, as does one in none.  A shard's served records
+        # reference its launches' rows in the merged launch table, which
+        # start where the shard's rows begin.
         batches = RecordTable(BatchRecord)
-        records = RecordTable(RequestRecord, self._records, launches=batches)
+        records = EntryTable(RequestRecord, launches=batches, trace=trace)
+        records.place(self._records, rids=rids)
         for res in shard_results:
-            records.extend(res.records, launches_at=len(batches))
+            records.place(res.records, launches_at=len(batches), rids=rids)
             batches.extend(res.batches)
-        sort_exactly_once(records, rids)
-        failover_expired = self._restore_arrivals(records)
+        records.check_complete()
+        failed = np.searchsorted(rids, sorted(self._failover_count))
+        failover_expired = int(records.matches("outcome", "expired",
+                                               failed).sum())
         last = served_finish((res.batches for res in shard_results),
                              default=last_arrival)
         if on_progress is not None:

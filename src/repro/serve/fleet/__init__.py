@@ -3,9 +3,9 @@ halves:
 
 * :mod:`repro.serve.fleet.records` — config and run records
   (:class:`ServeConfig`, :class:`ChipState`, :class:`RequestRecord`,
-  :class:`BatchRecord`, :class:`FleetResult`) and the checks on a trace
-  and its records; the :class:`RecordTable` a run packs them into is
-  :mod:`repro.serve.rows`'.
+  :class:`BatchRecord`, :class:`FleetResult`) and the checks on a trace;
+  the :class:`RecordTable` and :class:`EntryTable` a run packs them
+  into are :mod:`repro.serve.rows`'.
 * :mod:`repro.serve.fleet.dispatch` — scheduling primitives,
   decision-tree contexts, launch math, and kill/retry/hedge resolution.
 * :mod:`repro.serve.fleet.core` — :class:`FleetSimulator`, the
@@ -20,6 +20,7 @@ from repro.serve.fleet.core import (
     POLICIES,
     BatchRecord,
     ChipState,
+    EntryTable,
     FleetResult,
     FleetSimulator,
     RecordTable,
@@ -28,6 +29,7 @@ from repro.serve.fleet.core import (
 )
 
 __all__ = [
-    "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "FleetResult",
-    "FleetSimulator", "RecordTable", "RequestRecord", "ServeConfig",
+    "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "EntryTable",
+    "FleetResult", "FleetSimulator", "RecordTable", "RequestRecord",
+    "ServeConfig",
 ]

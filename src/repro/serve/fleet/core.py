@@ -49,10 +49,11 @@ Failure handling (``config.failures`` enabled) — see
 * Every admitted request is **exactly-once accounted** with an
   ``outcome``: ``served``, ``shed`` (admission control), or ``expired``
   (deadline passed while retrying, or the retry budget ran out) —
-  checked as each record is written at its request's row, or at the end
-  of a run whose records are sorted (a lost request, or one recorded
-  twice, raises :class:`~repro.errors.SimulationError` naming it, even
-  under ``python -O``), so nothing is silently lost or double-counted.
+  checked as each record is written at its request's row, or as a run's
+  appended records are placed at theirs when it is collected (a lost
+  request, or one recorded twice, raises
+  :class:`~repro.errors.SimulationError` naming it, even under ``python
+  -O``), so nothing is silently lost or double-counted.
   Request ids must be distinct int64s, tiles None or int64s above the
   int64 minimum, arrivals finite, and kinds priced by the cost table;
   any other request is a :class:`~repro.errors.ConfigError` naming it
@@ -81,8 +82,6 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
@@ -94,6 +93,7 @@ from repro.serve.fleet.records import (
     POLICIES,
     BatchRecord,
     ChipState,
+    EntryTable,
     FleetResult,
     RecordTable,
     RequestRecord,
@@ -103,8 +103,6 @@ from repro.serve.fleet.records import (
     check_kinds,
     run_records,
     served_finish,
-    sort_exactly_once,
-    sorted_rids,
 )
 from repro.serve.metrics import (
     latency_column,
@@ -114,13 +112,13 @@ from repro.serve.metrics import (
 from repro.serve.policy import PolicyEngine
 from repro.serve.queueing import ADMITTED, AdmissionQueue
 from repro.serve.resilience import DEFAULT_RESILIENCE, HealthMonitor
-from repro.serve.rows import PositionedTable
 from repro.serve.workload import Request
 from repro.trace.collector import NULL_TRACE, TraceSink
 
 __all__ = [
-    "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "FleetResult",
-    "FleetSimulator", "RecordTable", "RequestRecord", "ServeConfig",
+    "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "EntryTable",
+    "FleetResult", "FleetSimulator", "RecordTable", "RequestRecord",
+    "ServeConfig",
 ]
 
 
@@ -218,10 +216,10 @@ class FleetSimulator(DispatchMixin):
         #: Rows of ``_batches``: the next launch's batch id.
         self._launches = 0
         #: One terminal record per request, a served one referencing its
-        #: launch's row of ``_batches``: in resolution order, which
-        #: collect() sorts by rid in place, unless run() writes them at
-        #: their requests' rows (see run_records).
-        self._records = RecordTable(RequestRecord, launches=self._batches)
+        #: launch's row of ``_batches``: appended in resolution order (a
+        #: cluster shard's), unless run() writes them at their requests'
+        #: rows (see run_records).
+        self._records = EntryTable(RequestRecord, launches=self._batches)
         self.retry_count = 0
         self.hedge_count = 0
 
@@ -406,24 +404,30 @@ class FleetSimulator(DispatchMixin):
             self._push(batch.close, "dispatch", batch)
         self._drain(math.inf)
 
-    def collect(self, rids: np.ndarray, span: tuple) -> FleetResult:
-        """Assemble the result after finish() for the requests whose
-        :func:`~repro.serve.fleet.records.sorted_rids` are ``rids`` and
-        whose ``(first, last)`` arrival is ``span``.
+    def collect(self, trace: RecordTable | None,
+                span: tuple) -> FleetResult:
+        """Assemble the result after finish() for the requests of
+        ``trace`` (a table :func:`~repro.serve.fleet.records.as_trace`
+        gave) whose ``(first, last)`` arrival is ``span``.
 
-        The record table is returned without a copy, sorted by rid in
-        place unless its records were written at their requests' rows; a
-        rid of ``rids`` with no record or with two, or a record of no rid
-        in ``rids``, raises :class:`~repro.errors.SimulationError` naming
-        the rid (a positioned table raised at a second record or an
-        unknown rid as it was written).
+        Records written at their requests' rows of ``trace`` are
+        returned without a copy once every row has one.  Appended ones
+        are placed at their requests' rows of a new table over
+        ``trace``, which becomes the fleet's.  Either way a rid of
+        ``trace`` with no record or with two, or a record of no rid in
+        it, raises :class:`~repro.errors.SimulationError` naming the rid.
+        A cluster shard passes no trace and keeps its appended records:
+        the router checks them as it merges every shard's.
         """
         records = self._records
         first, last_arrival = span
-        if isinstance(records, PositionedTable):
+        if trace is not None:
+            if records.requests is not trace:
+                placed = EntryTable(RequestRecord, launches=self._batches,
+                                    trace=trace)
+                placed.place(records)
+                self._records = records = placed
             records.check_complete()
-        else:
-            sort_exactly_once(records, rids)
         last = served_finish((self._batches,), default=last_arrival)
         autoscale = None
         if self.autoscaler is not None:
@@ -443,21 +447,20 @@ class FleetSimulator(DispatchMixin):
         The order, the rid checks and the arrival span read the trace's
         columns; rows are decoded one chunk at a time as they are
         stepped, so the trace never exists as a list of objects.  A
-        trace already in (arrival, rid) order with ascending rids, as a
-        generated one is, is stepped in place: no permutation, no copy
-        of its rids.  When its rids are also consecutive, each record is
-        written at its request's row of a
-        :class:`~repro.serve.rows.PositionedTable`, which reads the
-        request's own fields from the trace (see
+        trace out of rid order is packed into one sorted by rid first.
+        A trace in (arrival, rid) order, as a generated one is, is
+        stepped in place, with no permutation.  When its rids are
+        consecutive, each record is written at its request's row of an
+        :class:`~repro.serve.rows.EntryTable` over the trace, which reads
+        the request's own fields from the trace row (see
         :func:`~repro.serve.fleet.records.run_records`).
         """
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.
         trace = as_trace(requests)
-        rids = sorted_rids(trace)
         order, span = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
-        self._records = run_records(trace, rids, order, self._batches)
+        self._records = run_records(trace, self._batches)
         self.begin()
         total = len(order)
         if on_progress is not None and progress_every is None:
@@ -471,4 +474,4 @@ class FleetSimulator(DispatchMixin):
         if on_progress is not None:
             end = served_finish((self._batches,), default=span[1])
             on_progress(self.snapshot(end, total, total))
-        return self.collect(rids, span)
+        return self.collect(trace, span)

@@ -2,26 +2,26 @@
 
 Shared by the event-loop core (:mod:`repro.serve.fleet.core`) and the
 dispatch/policy half (:mod:`repro.serve.fleet.dispatch`); importing this
-module pulls in no simulation machinery.  A run keeps its records in
-:class:`~repro.serve.rows.RecordTable`\\ s, one packed fixed-width row
-per launch and one per request, which points at the row of the launch
-that served it, and reads its arrival trace from one too.  The trace
-and exactly-once checks (:func:`as_trace`, :func:`arrival_order`,
-:func:`check_kinds`, :func:`sorted_rids`, :func:`run_records`,
-:func:`sort_exactly_once`) live here, so the fleet and the cluster
+module pulls in no simulation machinery.  A run keeps its launches in
+a :class:`~repro.serve.rows.RecordTable`, one packed fixed-width row
+each, and its request records in an
+:class:`~repro.serve.rows.EntryTable`, one entry each beside the
+request's trace row, which points at the row of the launch that served
+it.  The trace checks (:func:`as_trace`, :func:`arrival_order`,
+:func:`check_kinds`, :func:`sorted_rids`) and the record table a run
+writes (:func:`run_records`) live here, so the fleet and the cluster
 router share them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, check_count
 from repro.serve import rows
 from repro.serve.failures import FailureConfig
 from repro.serve.policy import SCHEDULE_PRIMITIVES, PolicySet
@@ -30,7 +30,7 @@ from repro.serve.resilience import ResilienceConfig
 from repro.serve.rows import (
     INT64_MAX,
     INT64_MIN,
-    PositionedTable,
+    EntryTable,
     RecordTable,
 )
 from repro.serve.workload import Request
@@ -95,8 +95,14 @@ class ServeConfig:
             if not math.isfinite(value):
                 raise ConfigError(
                     f"config.{name}: must be a finite number, got {value!r}")
-        if self.chips <= 0:
-            raise ConfigError("chips must be positive")
+        # Counts are ints, a NumPy integer kept as the int it holds.
+        for name in ("chips", "max_batch", "queue_capacity"):
+            object.__setattr__(self, name,
+                               check_count(f"config.{name}",
+                                           getattr(self, name), 1))
+        if self.max_wait_cycles < 0:
+            raise ConfigError(f"config.max_wait_cycles: must be "
+                              f"nonnegative, got {self.max_wait_cycles!r}")
         # A zero clock divides every rollup by zero seconds; a negative
         # one reports no throughput.
         if self.clock_ghz <= 0:
@@ -226,20 +232,21 @@ class BatchRecord(NamedTuple):
     hedge: bool = False
 
 
-#: 30 B per request, 63 B per launch.  A request record stores its own
-#: fields (rid, kind, tile, arrival, hedged) and an int32 reference: the
-#: launch-table row of the launch that served it, or a 46 B rest row of
-#: its table's own (a shed, an expiry, or a record appended field by
-#: field).  A served record reads shed as False and the rest from the
-#: launch row, ``batch_size``, ``dispatch`` and ``retries`` from its
-#: ``size``, ``close`` and ``attempt``.  Chip ids, batch sizes and
-#: attempt counts are int32; rids, tiles and batch ids int64.  A record
-#: of a :class:`~repro.serve.rows.PositionedTable` stores 5 B, the
-#: reference and a hedged flag, and reads the other own fields from its
-#: request's trace row.
+#: 5 B per request beside its trace row, 63 B per launch.  A request
+#: record is an entry of an :class:`~repro.serve.rows.EntryTable`: an
+#: int32 reference and a flag (its ``hedged`` field), beside the
+#: request's row, which gives its rid, kind, tile and arrival; a table
+#: that appends its records (a cluster shard's, or a run of a trace
+#: whose rids are not consecutive) appends that 25 B row with the entry.
+#: The reference names the launch-table row of the launch that served
+#: it, or a 46 B rest row of its table's own (a shed, an expiry, or a
+#: record written field by field).  A served record reads shed as False
+#: and the rest from the launch row, ``batch_size``, ``dispatch`` and
+#: ``retries`` from its ``size``, ``close`` and ``attempt``.  Chip ids,
+#: batch sizes and attempt counts are int32; rids, tiles and batch ids
+#: int64.
 rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writers,
-              optional="tile", own=("rid", "kind", "tile", "arrival",
-                                    "hedged"),
+              requests=Request,
               through={"shed": None, "batch_id": "batch_id",
                        "chip": "chip", "batch_size": "size",
                        "dispatch": "close", "start": "start",
@@ -267,11 +274,11 @@ def served_finish(tables, default: float) -> float:
 class FleetResult:
     """Everything the serving simulation observed."""
 
-    #: RequestRecord rows, rid order; a served one references its
-    #: launch's row of ``batches``.  A run of a generated trace reads
-    #: each record's rid, kind, tile and arrival from its trace row (a
-    #: :class:`~repro.serve.rows.PositionedTable`).
-    records: RecordTable
+    #: RequestRecord rows, rid order, each an entry beside its request's
+    #: trace row (an :class:`~repro.serve.rows.EntryTable`); a served
+    #: one references its launch's row of ``batches``.  A cluster
+    #: shard's are appended, in the order they resolved.
+    records: EntryTable
     batches: RecordTable  # BatchRecord rows, resolution order
     chips: list    # final ChipState per chip
     makespan: float  # first arrival -> last finish (or last arrival)
@@ -281,32 +288,48 @@ class FleetResult:
 
 
 def as_trace(requests) -> RecordTable:
-    """``requests`` as a table of :class:`Request` rows: such a table as
-    it is, any other iterable of requests packed into a new one.
+    """``requests`` as a table of :class:`Request` rows in ascending rid
+    order: such a table whose rids ascend as it is, any other (a table
+    of requests out of rid order, or any iterable of requests) packed
+    into a new one and sorted by rid.
 
     A request row stores its rid and its tile as int64s, and None as the
     int64 minimum, so a rid outside int64, or a tile that is not None
     nor an int above that minimum within int64, is a
     :class:`ConfigError` naming every such rid (a table's own writer
-    refuses such a row as it is written).
+    refuses such a row as it is written).  Records are accounted per
+    rid, so two requests sharing one would leave one unaccounted and the
+    other counted twice: a duplicate is a :class:`ConfigError` naming
+    every repeated rid.
     """
     if isinstance(requests, RecordTable):
         if requests.row is not Request:
             raise ConfigError(f"expected a table of Request rows, got "
                               f"{requests.row.__name__} rows")
-        return requests
-    trace = RecordTable(Request)
-    add, wide, tiles = trace.add, [], []
-    for req in requests:
-        if not INT64_MIN <= req.rid <= INT64_MAX:
-            wide.append(req.rid)
-        elif not rows.holds_tile(req.tile):
-            tiles.append(req.rid)
-        else:
-            add(*req)
-    error = rows.unheld_requests(wide, tiles)
-    if error is not None:
-        raise error
+        trace = requests
+    else:
+        trace = RecordTable(Request)
+        add, wide, tiles = trace.add, [], []
+        for req in requests:
+            if not INT64_MIN <= req.rid <= INT64_MAX:
+                wide.append(req.rid)
+            elif not rows.holds_tile(req.tile):
+                tiles.append(req.rid)
+            else:
+                add(*req)
+        error = rows.unheld_requests(wide, tiles)
+        if error is not None:
+            raise error
+    if _ascending(trace.column("rid")):
+        return trace
+    if trace is requests:
+        trace = RecordTable(Request, requests)
+    trace.sort_by("rid")
+    rids = trace.column("rid")
+    repeated = rids[1:][rids[1:] == rids[:-1]]
+    if len(repeated):
+        raise ConfigError(f"duplicate request ids: "
+                          f"{sorted(set(repeated.tolist()))}")
     return trace
 
 
@@ -361,72 +384,27 @@ def check_kinds(trace: RecordTable, priced) -> None:
                           f"for: {missing} (it prices {sorted(priced)})")
 
 
-def sorted_rids(table: RecordTable) -> np.ndarray:
-    """The rids of ``table`` (a trace or a record table) in ascending
-    order, as an int64 array: a view of the table's rid column when its
-    rids already ascend, as a generated trace's do, else a sorted copy.
-    The view pins the table (it cannot grow while the view is alive).
+def sorted_rids(trace: RecordTable) -> np.ndarray:
+    """The rids of ``trace``, a table :func:`as_trace` gave, in
+    ascending order: a view of its rid column, which pins the table (it
+    cannot grow while the view is alive)."""
+    return trace.column("rid")
 
-    Records are accounted per rid, so two requests sharing one would
-    leave one unaccounted and the other counted twice: a duplicate is a
-    :class:`ConfigError` naming every repeated rid.
+
+def run_records(trace: RecordTable, launches: RecordTable) -> EntryTable:
+    """The table a fleet run of ``trace`` (a table :func:`as_trace`
+    gave) writes its request records to, each served record referencing
+    its launch's row of ``launches``.
+
+    When the trace's rids are consecutive, as a generated trace's are,
+    row ``i`` is request ``rid0 + i``, and the records are entries over
+    the trace: 5 B a request, each written at its request's row, so
+    exactly-once is checked as they are written.  Any other trace's
+    records are appended, 30 B a request, and placed at their requests'
+    rows of a table over the trace when the run is collected.
     """
-    rids = table.column("rid")
-    if _ascending(rids):
-        return rids
-    rids = np.sort(rids)
-    repeated = rids[1:][rids[1:] == rids[:-1]]
-    if len(repeated):
-        raise ConfigError(f"duplicate request ids: "
-                          f"{sorted(set(repeated.tolist()))}")
-    return rids
-
-
-def run_records(trace: RecordTable, rids: np.ndarray, order,
-                launches: RecordTable) -> RecordTable:
-    """The table a fleet run of ``trace`` writes its request records to,
-    given the trace's :func:`sorted_rids` and :func:`arrival_order`,
-    each served record referencing its launch's row of ``launches``.
-
-    When the trace's rows are in (arrival, rid) order with consecutive
-    rids, as a generated trace's are, row ``i`` is request ``rids[0] +
-    i``, and the records are a :class:`~repro.serve.rows.PositionedTable`
-    beside the trace: 5 B a request, each written at its request's row,
-    so exactly-once is checked as they are written and they need no
-    sort.  Any other trace's records are 30 B heads, which
-    :func:`sort_exactly_once` sorts and checks.
-    """
-    if (isinstance(order, range) and len(rids)
-            and int(rids[-1]) - int(rids[0]) == len(rids) - 1):
-        return PositionedTable(RequestRecord, trace, launches,
-                               int(rids[0]), len(rids))
-    return RecordTable(RequestRecord, launches=launches)
-
-
-def sort_exactly_once(records: RecordTable, rids: np.ndarray) -> None:
-    """Sort ``records`` in place by rid and check that they account for
-    every rid of ``rids`` (ascending, distinct) exactly once.
-
-    The sorted rid column is compared with ``rids``; on a mismatch a
-    :class:`SimulationError` names each rid with no record, each rid
-    recorded more than once and each record of a rid not in ``rids``.
-    The check raises under ``python -O`` too.
-    """
-    records.sort_by("rid")
-    got = records.column("rid")
-    if np.array_equal(got, rids):
-        return
-    counts = Counter(got.tolist())
-    rids = rids.tolist()
-    wanted = set(rids)
-    problems = []
-    lost = [rid for rid in rids if rid not in counts]
-    if lost:
-        problems.append(f"requests lost without accounting: {lost}")
-    twice = sorted(rid for rid, n in counts.items() if n > 1)
-    if twice:
-        problems.append(f"requests recorded more than once: {twice}")
-    unknown = sorted(rid for rid in counts if rid not in wanted)
-    if unknown:
-        problems.append(f"records of unknown requests: {unknown}")
-    raise SimulationError("; ".join(problems))
+    rids = trace.column("rid")
+    if len(rids) and int(rids[-1]) - int(rids[0]) == len(rids) - 1:
+        return EntryTable(RequestRecord, launches=launches, trace=trace,
+                          rid0=int(rids[0]))
+    return EntryTable(RequestRecord, launches=launches)

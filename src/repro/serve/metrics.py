@@ -37,7 +37,12 @@ from itertools import chain
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.serve.fleet.records import BatchRecord, RecordTable, RequestRecord
+from repro.serve.fleet.records import (
+    BatchRecord,
+    EntryTable,
+    RecordTable,
+    RequestRecord,
+)
 from repro.serve.rows import CHUNK_ROWS
 
 #: Percentiles every report carries.
@@ -221,8 +226,8 @@ def compute_metrics(records, batches, makespan_cycles: float,
     """
     if slo_cycles <= 0:
         raise ConfigError("slo_cycles must be positive")
-    if not isinstance(records, RecordTable):
-        records = RecordTable(RequestRecord, records)
+    if not isinstance(records, EntryTable):
+        records = EntryTable(RequestRecord, records)
     if not isinstance(batches, RecordTable):
         batches = RecordTable(BatchRecord, batches)
     total = len(records)

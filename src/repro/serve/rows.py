@@ -10,19 +10,18 @@ for bools, and ``B`` for strings, which a table stores as a one-byte
 code into its own string list.  An optional int field (a ``tile``)
 stores None as the int64 minimum.
 
-A *joined* row type stores only its own fields per row, beside an
-int32 reference, and reads the rest through that reference: from a row
-of another table, its *launch table*, when the reference is
-nonnegative, and from a *rest row* of the table's own when it is
-negative (``~k`` names rest row ``k``).  A run's request records are
-joined: the requests a kernel launch served share the launch's row of
-the fleet's launch table, so each launch fact is held once.
-
-A *positioned* table (:class:`PositionedTable`) holds the records of a
-trace whose row ``i`` is request ``rid0 + i``: it stores no head, only
-a 5 B entry per trace row (the int32 reference and a hedged flag),
-written at the request's row, and reads rid, kind, tile and arrival
-from the trace row itself.
+A *joined* row type, a run's request record, is kept in an
+:class:`EntryTable`: each record is a 5 B entry (an int32 reference and
+a flag byte) beside the row of its request in a table of
+:class:`~repro.serve.workload.Request` rows, which holds the record's
+rid, kind, tile and arrival.  That row is a trace's own, the record of
+request ``rid`` written at the trace row of that rid, or one the table
+appends with the entry.  The rest of the record is read through the
+reference: from a row of another table, its *launch table*, when the
+reference is nonnegative, and from a *rest row* of the table's own when
+it is negative (``~k`` names rest row ``k``).  The requests a kernel
+launch served share the launch's row of the fleet's launch table, so
+each launch fact is held once.
 
 This module is a leaf: it imports nothing else of :mod:`repro.serve`,
 so the modules that define row types (:mod:`repro.serve.workload` for
@@ -59,8 +58,8 @@ _NUMPY_CODES = {"q": "<i8", "i": "<i4", "d": "<f8", "?": "?", "B": "u1"}
 #
 # One per row type: ``add`` takes the row's fields positionally, in
 # field order, and appends them with one ``struct`` call.  A request
-# record table also has ``add_each`` and ``add_rest``, which append a
-# launch's or an expiry's rows at once.
+# record table also has ``add_each`` and ``add_rest``, which write a
+# launch's or an expiry's records at once.
 
 
 def _in_int64(value) -> bool:
@@ -120,114 +119,89 @@ def trace_writer(pack, rows: bytearray, codes: "_Codes"):
     return add
 
 
-def record_writers(join: "_Join", heads: bytearray, rests: bytearray,
-                   codes: "_Codes"):
-    """``add``, ``add_each`` and ``add_rest`` for a table of
-    :class:`~repro.serve.fleet.records.RequestRecord` rows.
-
-    Each request gets a head row: its own fields (rid, kind, tile,
-    arrival, hedged) and a reference.  ``add`` takes a record's fields
-    in order and writes the fields after the request's own into a rest
-    row of the table's own, which the head references.
-    ``add_each(requests, launch, hedged)`` writes one head per request
-    of a launch, each referencing row ``launch`` of the table's launch
-    table, which holds the rest.  ``add_rest(requests, shed, batch_id,
-    ..., retries, hedged)`` writes one rest row that every request's
-    head references.  Strings get their codes in the order a
-    row-at-a-time write of every field would give them: kind, then
-    outcome.
-    """
-    head = join.head.struct.pack
-    rest = join.rest.struct.pack
-    rest_size = join.rest.struct.size
-
-    def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
-            dispatch, start, finish, outcome, retries, hedged):
-        nonlocal heads, rests
-        # Both rows pack before either is appended, so a field a row
-        # cannot hold leaves the table as it was.
-        row = head(rid, codes[kind], NO_TILE if tile is None else tile,
-                   arrival, hedged, ~(len(rests) // rest_size))
-        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
-                      finish, codes[outcome], retries)
-        heads += row
-
-    def add_each(requests, launch, hedged):
-        nonlocal heads
-        for rid, kind, tile, arrival in requests:
-            heads += head(rid, codes[kind],
-                          NO_TILE if tile is None else tile, arrival, hedged,
-                          launch)
-
-    def add_rest(requests, shed, batch_id, chip, batch_size, dispatch,
-                 start, finish, outcome, retries, hedged):
-        nonlocal heads, rests
-        ref = ~(len(rests) // rest_size)
-        rows = b"".join([
-            head(rid, codes[kind], NO_TILE if tile is None else tile,
-                 arrival, hedged, ref)
-            for rid, kind, tile, arrival in requests])
-        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
-                      finish, codes[outcome], retries)
-        heads += rows
-
-    return add, add_each, add_rest
-
-
-#: A positioned entry's flag: no record yet, a record, a hedged record.
+#: An entry's flag: no record yet, a record, a hedged record.
 UNWRITTEN, WRITTEN, HEDGED = 0, 1, 2
 
 
-def _misplaced(rid, rid0: int, marks: bytearray) -> SimulationError:
-    """The error of a record of request ``rid`` that a positioned table
-    cannot take: its row has one already, or it has no row."""
-    if 0 <= rid - rid0 < len(marks):
+def _misplaced(rid, rid0: int, n: int) -> SimulationError:
+    """The error of a record of request ``rid`` that a table over the
+    ``n`` trace rows of requests ``rid0`` on cannot take: its row has
+    one already, or it has no row."""
+    if 0 <= rid - rid0 < n:
         return SimulationError(f"requests recorded more than once: [{rid}]")
     return SimulationError(f"records of unknown requests: [{rid}]")
 
 
-def placed_writers(join: "_Join", rid0: int, refs: array, marks: bytearray,
-                   rests: bytearray, codes: "_Codes"):
-    """``add``, ``add_each`` and ``add_rest`` for a
-    :class:`PositionedTable`, taking the arguments
-    :func:`record_writers`' take.  Each writes a request's entry (its
-    reference, and its flag) at row ``rid - rid0`` and stores none of
-    the request's own fields, which the trace row there holds.  A rid
-    with no row, or whose row has a record already, is a
+def record_writers(table: "EntryTable"):
+    """``add``, ``add_each`` and ``add_rest`` for an :class:`EntryTable`
+    of :class:`~repro.serve.fleet.records.RequestRecord` rows.
+
+    ``add_each(requests, launch, hedged)`` writes one entry per request
+    of a launch, each referencing row ``launch`` of the table's launch
+    table, which holds the rest of the record.  ``add_rest(requests,
+    shed, batch_id, ..., retries, hedged)`` writes one rest row of the
+    table's own, which every request's entry references, and ``add``
+    one record from its fields in order, its rest fields into a rest
+    row.  A rest row is appended before the entries that reference it.
+
+    An appended table appends each request's row to its own
+    :class:`~repro.serve.workload.Request` table with its entry.  A
+    table over a trace whose row ``i`` is request ``rid0 + i`` writes
+    the entry of request ``rid`` at row ``rid - rid0``: a rid with no
+    row, or whose row has a record already, is a
     :class:`~repro.errors.SimulationError` naming it, raised before its
-    entry is written; a launch's or an expiry's requests before it keep
-    theirs.
+    entry is written (a launch's or an expiry's requests before it keep
+    theirs).  A table over a trace whose rids are not consecutive takes
+    its records by :meth:`EntryTable.place` only.
     """
-    rest = join.rest.struct.pack
-    rest_size = join.rest.struct.size
-    n = len(marks)
+    rest = table._join.rest.struct.pack
+    rest_size = table._join.rest.struct.size
+    refs, marks, rests, codes = (table._refs, table._marks, table._rest,
+                                 table._codes)
+    rid0 = table._rid0
+    if table._appended:
+        requests = table.requests
+        pack, rows, kinds = (requests._layout.struct.pack, requests._rows,
+                             requests._codes)
 
-    def add_each(requests, ref, hedged):
-        mark = HEDGED if hedged else WRITTEN
-        for rid, _, _, _ in requests:
-            at = rid - rid0
-            # A negative row would index from the end without error.
-            if not 0 <= at < n or marks[at]:
-                raise _misplaced(rid, rid0, marks)
-            refs[at] = ref
-            marks[at] = mark
+        def add_each(batch, ref, hedged):
+            nonlocal rows
+            mark = HEDGED if hedged else WRITTEN
+            for rid, kind, tile, arrival in batch:
+                rows += pack(rid, kinds[kind],
+                             NO_TILE if tile is None else tile, arrival)
+                refs.append(ref)
+                marks.append(mark)
+    elif rid0 is not None:
+        def add_each(batch, ref, hedged):
+            mark = HEDGED if hedged else WRITTEN
+            n = len(marks)
+            for rid, _, _, _ in batch:
+                at = rid - rid0
+                # A negative row would index from the end without error.
+                if not 0 <= at < n or marks[at]:
+                    raise _misplaced(rid, rid0, n)
+                refs[at] = ref
+                marks[at] = mark
+    else:
+        def add_each(batch, ref, hedged):
+            raise ConfigError("a record table over a trace whose rids are "
+                              "not consecutive takes its records by "
+                              "place()")
 
-    def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
-            dispatch, start, finish, outcome, retries, hedged):
-        nonlocal rests
-        row = rest(shed, batch_id, chip, batch_size, dispatch, start,
-                   finish, codes[outcome], retries)
-        add_each(((rid, kind, tile, arrival),),
-                 ~(len(rests) // rest_size), hedged)
-        rests += row
-
-    def add_rest(requests, shed, batch_id, chip, batch_size, dispatch,
-                 start, finish, outcome, retries, hedged):
+    def add_rest(batch, shed, batch_id, chip, batch_size, dispatch, start,
+                 finish, outcome, retries, hedged):
         nonlocal rests
         ref = ~(len(rests) // rest_size)
         rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
                       finish, codes[outcome], retries)
-        add_each(requests, ref, hedged)
+        add_each(batch, ref, hedged)
+
+    def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
+            dispatch, start, finish, outcome, retries, hedged):
+        add_rest(((rid, kind, tile, arrival),), shed, batch_id, chip,
+                 batch_size, dispatch, start, finish, outcome, retries,
+                 hedged)
 
     return add, add_each, add_rest
 
@@ -270,21 +244,26 @@ class _Layout:
 
 
 class _Join:
-    """How a joined row type stores a row: a head of its ``own`` fields
-    plus an int32 ``ref``, and the rest either in the launch table row
-    ``ref`` or in rest row ``~ref`` of the table's own.  ``through``
-    maps each rest field to the launch-table field a launch row gives it
-    (None: a launch row gives it zero, or False)."""
+    """How a joined row type stores a row: its fields of a ``requests``
+    row (a registered row type) in a row of that type; the rest, the
+    fields ``through`` names, in the launch table row that the int32
+    ``ref`` of an entry beside that row names, or in rest row ``~ref``
+    of the table's own; and its one field of neither kind, a bool
+    (``flag``), in the entry's flag byte.  ``through`` maps each rest
+    field to the launch-table field a launch row gives it (None: a
+    launch row gives it zero, or False)."""
 
-    def __init__(self, row, codes: str, writer, optional, own, through):
+    def __init__(self, row, codes: str, writer, requests, through):
         code = dict(zip(row._fields, codes))
-        rest = tuple(f for f in row._fields if f not in own)
-        if len(codes) != len(row._fields) or set(rest) != set(through):
+        rest = tuple(f for f in row._fields if f in through)
+        flag = set(row._fields) - set(requests._fields) - set(through)
+        if len(codes) != len(row._fields) or len(flag) != 1 \
+                or len(rest) != len(through):
             raise ValueError(f"{row.__name__}: {codes!r} must pack every "
-                             f"field, and the fields not in {own} must be "
-                             f"those {through} reads")
-        self.head = _Layout(own + ("ref",),
-                            "".join(code[f] for f in own) + "i", optional)
+                             f"field, each a {requests.__name__} field, "
+                             f"one {through} reads, or the one flag")
+        (self.flag,) = flag
+        self.requests = requests
         self.rest = _Layout(rest, "".join(code[f] for f in rest))
         self.through = through
         self.writer = writer
@@ -294,17 +273,19 @@ _LAYOUTS: dict = {}
 
 
 def register(row, codes: str, writer, optional: str | None = None,
-             own: tuple | None = None, through: dict | None = None) -> None:
+             requests=None, through: dict | None = None) -> None:
     """Pack rows of the named tuple ``row`` with one ``struct`` code per
     field (``codes``) through ``writer``, one of this module's writers;
     ``optional`` names the int field whose None is stored as
-    :data:`NO_TILE`.  With ``own``, the row type is joined: a row stores
-    the ``own`` fields and reads the others through its reference, each
-    from the launch-table field ``through`` maps it to."""
-    if own is None:
+    :data:`NO_TILE`.  With ``requests`` (a registered row type), the row
+    type is joined: an :class:`EntryTable` reads a row's fields of a
+    ``requests`` row's names from one, one more from its entry's flag,
+    and the others through its reference, each from the launch-table
+    field ``through`` maps it to."""
+    if requests is None:
         _LAYOUTS[row] = _Layout(row._fields, codes, optional, writer)
     else:
-        _LAYOUTS[row] = _Join(row, codes, writer, optional, own, through)
+        _LAYOUTS[row] = _Join(row, codes, writer, requests, through)
 
 
 class _Codes(dict):
@@ -344,17 +325,9 @@ def _equal(column, code):
     return column == code
 
 
-def _recoded(column, strings, codes: _Codes) -> np.ndarray:
-    """``column``, codes into ``strings``, as the codes ``codes`` gives
-    those strings."""
-    recode = np.array([codes[text] for text in strings], dtype=np.uint8)
-    return recode[column]
-
-
 class RecordTable:
     """An append-only table of rows of one registered named tuple type
-    (a :class:`~repro.serve.workload.Request`,
-    :class:`~repro.serve.fleet.records.RequestRecord` or
+    (a :class:`~repro.serve.workload.Request` or
     :class:`~repro.serve.fleet.records.BatchRecord`), each packed into
     one fixed-width slice of a ``bytearray``.
 
@@ -371,25 +344,18 @@ class RecordTable:
     view is alive the table cannot grow, so readers drop theirs before
     the next append.
 
-    A table of a joined row type (request records) is a
-    :class:`JoinedTable`, which ``RecordTable(row, ...)`` builds; a
-    fleet run writes the records of a trace in rid order into a
-    :class:`PositionedTable` instead.
+    Request records, a joined row type, are kept in an
+    :class:`EntryTable`, which reads the same way.
     """
 
     __slots__ = ("row", "add", "_layout", "_rows", "_codes")
 
-    def __new__(cls, row, rows=(), launches=None):
-        if cls is RecordTable and isinstance(_LAYOUTS[row], _Join):
-            cls = JoinedTable
-        return object.__new__(cls)
-
-    def __init__(self, row, rows=(), launches=None):
-        if launches is not None:
-            raise ConfigError(f"{row.__name__} rows reference no launch "
-                              f"table")
-        self.row = row
+    def __init__(self, row, rows=()):
         layout = self._layout = _LAYOUTS[row]
+        if isinstance(layout, _Join):
+            raise ConfigError(f"{row.__name__} rows are kept in an "
+                              f"EntryTable")
+        self.row = row
         self._rows = bytearray()
         self._codes = _Codes()
         #: Append one row from its fields, in the row's field order.
@@ -439,7 +405,7 @@ class RecordTable:
         ``name``.  The row bytes move one column of up to 8 bytes at a
         time, so the sort holds the order and one such column, never a
         copy of the table."""
-        order = np.argsort(self.column(name), kind="stable")
+        order = np.argsort(self.columns()[name], kind="stable")
         size, offset = self._layout.struct.size, 0
         while offset < size and len(order):
             width = next(w for w in (8, 4, 2, 1) if w <= size - offset)
@@ -512,10 +478,6 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self._rows) // self._layout.struct.size
 
-    def written(self) -> int:
-        """The rows written: every row of an append-only table."""
-        return len(self)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             # A new table of the sliced rows, as a list slice is a list.
@@ -552,87 +514,203 @@ class RecordTable:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"RecordTable({self.row.__name__}, {len(self)} rows)"
+        return f"{type(self).__name__}({self.row.__name__}, {len(self)} rows)"
 
     def __reduce__(self):
         return _packed_table, (self.row, bytes(self._rows), self.strings)
 
 
-class JoinedTable(RecordTable):
-    """A :class:`RecordTable` of a joined row type: one head row per
-    record (its own fields and a reference, :meth:`columns`' fields),
-    rest rows of its own, and the launch table ``launches`` that
-    nonnegative references index (None: no record may reference one).
-    A table built from another joined table references that table's
-    launch table unless given one.
+class EntryTable(RecordTable):
+    """A table of rows of a joined row type (a run's
+    :class:`~repro.serve.fleet.records.RequestRecord`\\ s): one 5 B
+    entry per record, an int32 reference and a flag (:data:`UNWRITTEN`,
+    :data:`WRITTEN` or :data:`HEDGED`, the record's ``hedged`` field),
+    beside the record's row in ``requests``, a table of
+    :class:`~repro.serve.workload.Request` rows, which gives its rid,
+    kind, tile and arrival.  A launch field is read through the
+    reference from a row of the launch table ``launches`` (None: no
+    record may reference one), and a rest field from a rest row of the
+    table's own.
+
+    Without a ``trace`` the table appends: each record written appends
+    its request's row to a ``requests`` table of its own (25 B, so 30 B
+    a record).  Over a ``trace`` (a table of Request rows in ascending
+    rid order, as :func:`~repro.serve.fleet.records.as_trace` gives) it
+    holds one entry per trace row, unwritten until the record of that
+    row's request is written there, and reads the request's fields from
+    the trace row: 5 B a record.  Records are written one at a time (see
+    :func:`record_writers`) when row ``i`` is request ``rid0 + i``, and
+    a whole table's at once by :meth:`place`, which searches the
+    trace's rids.  Either way a second record of a request, or one of a
+    request with no row, raises as it is written, and
+    :meth:`check_complete` names the requests with none.  Until every
+    row has its record, a row without one reads its launch and rest
+    fields as zeros and matches no text, and :meth:`written` counts the
+    rows that have one.
 
     ``add`` and ``append`` write a record's rest fields into a rest row;
-    ``add_each`` and ``add_rest`` (see :func:`record_writers`) write a
-    launch's or an expiry's records.  The launch table is read, never
-    written: a launch row must not move while records reference it.
-    :meth:`column` and :meth:`matches` read a rest field through the
-    references, one field at a time, and :meth:`extend` merges another
-    table's records, its launch references offset by ``launches_at``.
+    ``add_each`` and ``add_rest`` a launch's or an expiry's records.
+    The launch table is read, never written: a launch row must not move
+    while records reference it.  The table keeps its trace, not a view
+    of it, so the trace may still grow; a trace row rewritten after the
+    run changes the record that reads it (a request field is read as a
+    read-only view).  It reads as a :class:`RecordTable` does (``len``,
+    indexing, iteration, :meth:`take`, ``==``, :meth:`column`,
+    :meth:`matches`, pickle and deepcopy, which carry the trace and the
+    launch table), and a slice of it, once every row has its record, is
+    an appended table referencing the same launch table.  It stores no
+    rows to view with :meth:`columns` or sort.
     """
 
-    __slots__ = ("add_each", "add_rest", "_join", "_rest", "_launches")
+    __slots__ = ("requests", "add_each", "add_rest", "_join", "_appended",
+                 "_rid0", "_refs", "_marks", "_rest", "_launches", "_full")
 
-    def __init__(self, row, rows=(), launches=None):
+    def __init__(self, row, rows=(), launches=None, trace=None, rid0=None):
         join = self._join = _LAYOUTS[row]
-        if launches is None and isinstance(rows, JoinedTable):
-            launches = rows._launches
         self.row = row
-        self._layout = join.head
-        self._rows, self._rest = bytearray(), bytearray()
-        self._codes = _Codes()
         self._launches = launches
-        self.add, add_each, self.add_rest = join.writer(
-            join, self._rows, self._rest, self._codes)
-        #: Append a launch's records, each referencing the launch's row
+        self._appended = trace is None
+        self._rid0 = rid0
+        if trace is None:
+            self.requests = RecordTable(join.requests)
+            self._refs, self._marks = array("i"), bytearray()
+        else:
+            self.requests = trace
+            self._refs = array("i", [0]) * len(trace)
+            self._marks = bytearray(len(trace))
+        #: Whether every row has its record (once so, always so).
+        self._full = not self._marks
+        self._rest = bytearray()
+        self._codes = _Codes()
+        self.add, add_each, self.add_rest = join.writer(self)
+        #: Write a launch's records, each referencing the launch's row
         #: of the launch table; None without a launch table.
         self.add_each = add_each if launches is not None else None
         self.extend(rows)
 
-    def extend(self, records, launches_at: int | None = None) -> None:
-        """Append every record of ``records``, as
-        :meth:`RecordTable.extend`.  A joined table's launch references
-        keep pointing at its launch table's rows when that is this
-        table's launch table too, or point ``launches_at`` rows further
-        on when given (where its launch rows begin in this table's);
-        otherwise its records are appended field by field."""
-        if not isinstance(records, RecordTable):
-            self._add_all(records)
-            return
+    def extend(self, records) -> None:
+        """Write every record of ``records`` (a table of this row type or
+        any iterable of records) field by field."""
+        if isinstance(records, RecordTable):
+            self._check_row(records)
+        self._add_all(records)
+
+    def place(self, records, launches_at: int = 0, rids=None) -> None:
+        """Write every record of ``records`` (a table of this row type, or
+        any iterable of records, appended into one first) at its
+        request's row of this table's trace, found by searching ``rids``:
+        the trace's rids (its rid column unless given; a caller holding
+        them contiguous spares the search a copy).  The records' launch
+        references point ``launches_at`` rows further on in this table's
+        launch table, where their launch rows begin; their rest rows are
+        appended to this table's own.
+
+        A record of a request with no row, or whose row has a record
+        already (written before, or another of ``records``), is a
+        :class:`~repro.errors.SimulationError` naming every such rid.
+        """
+        if self._appended:
+            raise ConfigError("records are placed in a table over a trace")
+        if not isinstance(records, EntryTable):
+            records = EntryTable(self.row, records)
         self._check_row(records)
-        if isinstance(records, PositionedTable):
-            records = records[:]  # as heads
-        if (records._launches is not self._launches and launches_at is None
-                and (records.column("ref") >= 0).any()):
-            self._add_all(records)
-            return
-        start = len(self)
+        records.check_complete()
+        theirs = records.column("rid")
+        if rids is None:
+            rids = self.column("rid")
+        rows = np.searchsorted(rids, theirs)
+        known = rows < len(rids)
+        known[known] = rids[rows[known]] == theirs[known]
+        if not known.all():
+            raise SimulationError(f"records of unknown requests: "
+                                  f"{sorted(set(theirs[~known].tolist()))}")
+        flags, free = self._flags(), self._marks.count(UNWRITTEN)
+        twice = theirs[flags[rows] != UNWRITTEN]
+        if not len(twice):
+            flags[rows] = records._flags()
+            if self._marks.count(UNWRITTEN) != free - len(rows):
+                # Two of ``records`` share a row.
+                mine = np.sort(theirs)
+                twice = mine[1:][mine[1:] == mine[:-1]]
+        if len(twice):
+            raise SimulationError(f"requests recorded more than once: "
+                                  f"{sorted(set(twice.tolist()))}")
+        del flags
+        ref = records._ref(slice(None)).copy()
         rest_start = len(self._rest) // self._join.rest.struct.size
-        self._rows += records._rows
+        mine = ref < 0
+        ref[mine] -= rest_start
+        ref[~mine] += launches_at
+        np.frombuffer(self._refs, dtype=np.intc)[rows] = ref
         self._rest += records._rest
-        heads = self.columns()[start:]
-        self._translate(heads, self._layout, records)
         self._translate(self._rests()[rest_start:], self._join.rest, records)
-        ref = heads["ref"]
-        ref[ref < 0] -= rest_start
-        if launches_at:
-            ref[ref >= 0] += launches_at
+
+    def columns(self) -> np.ndarray:
+        raise ConfigError("a request-record table stores no rows to view: "
+                          "read its fields with column() and matches()")
+
+    # -- exactly once ----------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._marks)
+
+    def written(self) -> int:
+        """The rows that have their record."""
+        return len(self._marks) - self._marks.count(UNWRITTEN)
+
+    def _complete(self) -> bool:
+        if not self._full:
+            self._full = UNWRITTEN not in self._marks
+        return self._full
+
+    def check_complete(self) -> None:
+        """Raise a :class:`~repro.errors.SimulationError` naming every
+        request no record was written for."""
+        if not self._complete():
+            lost = self.column("rid", self._flags() == UNWRITTEN)
+            raise SimulationError(f"requests lost without accounting: "
+                                  f"{lost.tolist()}")
+
+    # -- reading ---------------------------------------------------------
+
+    def _flags(self) -> np.ndarray:
+        return np.frombuffer(self._marks, dtype=np.uint8)
+
+    def _ref(self, index) -> np.ndarray:
+        """The references of the records at ``index``."""
+        return np.frombuffer(self._refs, dtype=np.intc)[index]
 
     def _rests(self) -> np.ndarray:
         return np.frombuffer(self._rest, dtype=self._join.rest.dtype)
 
-    def _ref(self, index) -> np.ndarray:
-        """The references of the records at ``index``."""
-        return self.columns()["ref"][index]
+    def _own(self, name: str) -> np.ndarray:
+        """The request field ``name`` of this table's rows, read-only."""
+        column = self.requests.columns()[:len(self)][name]
+        column.flags.writeable = False
+        return column
 
     def _through(self, name: str, index, read) -> np.ndarray:
         """Rest field ``name`` of the records at ``index``: ``read(column,
         codes)`` of the launch rows the records reference and of their
-        own rest rows, merged in record order."""
+        own rest rows, merged in record order; a row without its record
+        reads zeros."""
+        if self._complete():
+            return self._gathered(name, index, read)
+        # Gather the rows at ``index`` that have their record.  A slice
+        # or mask becomes the positions it selects, an integer array (a
+        # snapshot's chunk) is used as it is.
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(len(self)))
+        index = np.asarray(index)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        written = self._flags()[index] != UNWRITTEN
+        theirs = self._gathered(name, index[written], read)
+        out = np.zeros(len(index), dtype=theirs.dtype)
+        out[written] = theirs
+        return out
+
+    def _gathered(self, name: str, index, read) -> np.ndarray:
         ref = self._ref(index)
         launched = ref >= 0
         own = read(self._rests()[name][~ref[~launched]], self._codes)
@@ -653,194 +731,33 @@ class JoinedTable(RecordTable):
         return out
 
     def column(self, name: str, index=slice(None)) -> np.ndarray:
-        """As :meth:`RecordTable.column`; a field read through the
+        """As :meth:`RecordTable.column`: a request field is a read-only
+        view of its column for a slice, a field read through the
         references is gathered into a new array."""
-        if name in self._layout.fields:
-            return super().column(name, index)
-        if name in self._join.rest.strings:
+        if name in self.requests._layout.strings + self._join.rest.strings:
             raise ConfigError(f"read the string field {name!r} with "
                               f"matches()")
-        return self._through(name, index, _as_is)
-
-    def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
-        if name in self._layout.fields:
-            return super().matches(name, text, index)
-        return self._through(name, index,
-                             lambda column, codes: _equal(column,
-                                                          codes.get(text)))
-
-    def _decoded(self, index):
-        heads, rest = self.columns(), self._join.rest
-        return self._tuples([
-            self._stored(name, heads[name][index])
-            if name in self._layout.fields
-            else self._through(name, index, _texts if name in rest.strings
-                               else _as_is).tolist()
-            for name in self.row._fields])
-
-    def __getitem__(self, index):
-        if not isinstance(index, slice):
-            return super().__getitem__(index)
-        # The sliced heads, and the rest rows they reference renumbered
-        # in order; launch references are kept.
-        heads = self.columns()[index].copy()
-        ref = heads["ref"]
-        mine = ref < 0
-        used, renumbered = np.unique(~ref[mine], return_inverse=True)
-        ref[mine] = ~renumbered
-        return _packed_table(self.row, heads.tobytes(), self.strings,
-                             self._rests()[used].tobytes(), self._launches)
-
-    def __reduce__(self):
-        return _packed_table, (self.row, bytes(self._rows), self.strings,
-                               bytes(self._rest), self._launches)
-
-
-class PositionedTable(JoinedTable):
-    """A :class:`JoinedTable` of the records of the requests ``rid0`` to
-    ``rid0 + size - 1``, read from the first ``size`` rows of ``trace``
-    (a table of :class:`~repro.serve.workload.Request` rows), whose row
-    ``i`` must be request ``rid0 + i``: record ``i`` is that request's.
-
-    Instead of a head it stores a 5 B entry per row: an int32 reference,
-    as a head's, and a flag (:data:`UNWRITTEN`, :data:`WRITTEN` or
-    :data:`HEDGED`).  rid, kind, tile and arrival are read from the
-    trace row, a launch field through the reference and a rest field
-    from the table's own rest rows.  The writers
-    (:func:`placed_writers`) write each record at its request's row, so
-    a record written twice, or of a request with no row, raises as it
-    is written, and :meth:`check_complete` names the requests with
-    none.  Until every row has its record, a row without one reads its
-    launch and rest fields as zeros and matches no text, and
-    :meth:`written` counts the rows that have one.
-
-    The table keeps the trace, not a view of it, so the trace may still
-    grow; a trace row rewritten after the run changes the record that
-    reads it (an own field is read as a read-only view).  It reads as
-    any request-record table (``len``, indexing, iteration, ``==``,
-    :meth:`column`, :meth:`matches`, pickle and deepcopy, which carry
-    the trace and the launch table), and a slice of it (once every row
-    has its record) is a :class:`JoinedTable` of heads referencing the
-    same launch table.  It stores no heads to view with :meth:`columns`,
-    and its rows are in its trace's order, which :meth:`sort_by` cannot
-    change.
-    """
-
-    __slots__ = ("trace", "_rid0", "_refs", "_marks", "_full")
-
-    def __new__(cls, *args):
-        return object.__new__(cls)
-
-    def __init__(self, row, trace: RecordTable, launches: RecordTable,
-                 rid0: int, size: int):
-        join = self._join = _LAYOUTS[row]
-        self.row = row
-        self._layout = join.head
-        self.trace = trace
-        self._launches = launches
-        self._rid0 = rid0
-        self._refs = array("i", [0]) * size
-        self._marks = bytearray(size)
-        #: Whether every row has its record (once so, always so).
-        self._full = not size
-        self._rest = bytearray()
-        self._codes = _Codes()
-        self.add, self.add_each, self.add_rest = placed_writers(
-            join, rid0, self._refs, self._marks, self._rest, self._codes)
-
-    def extend(self, records) -> None:
-        """Write every record of ``records`` at its request's row."""
-        self._add_all(records)
-
-    def columns(self) -> np.ndarray:
-        raise ConfigError("a positioned record table stores no head rows: "
-                          "read its fields with column() and matches(), or "
-                          "slice it into a table of heads")
-
-    def sort_by(self, name: str) -> None:
-        raise ConfigError("a positioned record table is in its trace's "
-                          "order: sort a slice of it")
-
-    # -- exactly once ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._marks)
-
-    def written(self) -> int:
-        """The rows that have their record."""
-        return len(self._marks) - self._marks.count(UNWRITTEN)
-
-    def _complete(self) -> bool:
-        if not self._full:
-            self._full = UNWRITTEN not in self._marks
-        return self._full
-
-    def check_complete(self) -> None:
-        """Raise a :class:`~repro.errors.SimulationError` naming every
-        request no record was written for."""
-        if not self._complete():
-            lost = self._rid0 + np.flatnonzero(self._flags() == UNWRITTEN)
-            raise SimulationError(f"requests lost without accounting: "
-                                  f"{lost.tolist()}")
-
-    # -- reading ---------------------------------------------------------
-
-    def _flags(self) -> np.ndarray:
-        return np.frombuffer(self._marks, dtype=np.uint8)
-
-    def _ref(self, index) -> np.ndarray:
-        return np.frombuffer(self._refs, dtype=np.intc)[index]
-
-    def _own(self, name: str) -> np.ndarray:
-        """The trace's field ``name`` of this table's rows, read-only."""
-        column = self.trace.columns()[:len(self)][name]
-        column.flags.writeable = False
-        return column
-
-    def _through(self, name: str, index, read) -> np.ndarray:
-        if self._complete():
-            return super()._through(name, index, read)
-        # Gather the rows at ``index`` that have their record; the rest
-        # read zeros.  A slice or mask becomes the positions it selects,
-        # an integer array (a snapshot's chunk) is used as it is.
-        if isinstance(index, slice):
-            index = np.arange(*index.indices(len(self)))
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        written = self._flags()[index] != UNWRITTEN
-        theirs = super()._through(name, index[written], read)
-        out = np.zeros(len(index), dtype=theirs.dtype)
-        out[written] = theirs
-        return out
-
-    def column(self, name: str, index=slice(None)) -> np.ndarray:
-        """As :meth:`JoinedTable.column`; rid, tile and arrival are views
-        of the trace's columns for a slice."""
-        if name in self.trace._layout.strings + self._join.rest.strings:
-            raise ConfigError(f"read the string field {name!r} with "
-                              f"matches()")
-        if name in self.trace.row._fields:
+        if name in self.requests.row._fields:
             return self._own(name)[index]
-        if name == "hedged":
+        if name == self._join.flag:
             return self._flags()[index] == HEDGED
         return self._through(name, index, _as_is)
 
     def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
-        if name in self.trace.row._fields:
+        if name in self.requests.row._fields:
             return _equal(self._own(name)[index],
-                          self.trace._codes.get(text))
+                          self.requests._codes.get(text))
         return self._through(name, index,
                              lambda column, codes: _equal(column,
                                                           codes.get(text)))
 
     def _decoded(self, index):
-        trace, rest = self.trace, self._join.rest
+        requests, rest = self.requests, self._join.rest
         values = []
         for name in self.row._fields:
-            if name in trace.row._fields:
-                values.append(trace._stored(name, self._own(name)[index]))
-            elif name == "hedged":
+            if name in requests.row._fields:
+                values.append(requests._stored(name, self._own(name)[index]))
+            elif name == self._join.flag:
                 values.append(self.column(name, index).tolist())
             else:
                 values.append(self._through(
@@ -849,49 +766,43 @@ class PositionedTable(JoinedTable):
         return self._tuples(values)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._heads(index)
-        return super().__getitem__(index)
-
-    def _heads(self, index: slice) -> JoinedTable:
-        """The records at ``index`` as a :class:`JoinedTable` of heads
-        referencing this table's launch table, with the rest rows they
-        reference renumbered in order.  A head cannot stand for a row
-        without its record, so every row must have one."""
+        if not isinstance(index, slice):
+            return super().__getitem__(index)
+        # The sliced records as an appended table: their request rows,
+        # their entries, and the rest rows they reference renumbered in
+        # order; launch references are kept.  An entry cannot be
+        # appended without its record.
         self.check_complete()
-        join, trace = self._join, self.trace
-        codes = _Codes()
-        heads = np.empty(len(range(len(self))[index]), dtype=join.head.dtype)
-        for name in trace.row._fields:
-            column = self._own(name)[index]
-            if name in trace._layout.strings:
-                column = _recoded(column, trace.strings, codes)
-            heads[name] = column
-        heads["hedged"] = self.column("hedged", index)
-        heads["ref"] = self._ref(index)
-        ref = heads["ref"]
+        requests = self.requests
+        ref = self._ref(index).copy()
         mine = ref < 0
         used, renumbered = np.unique(~ref[mine], return_inverse=True)
         ref[mine] = ~renumbered
-        rests = self._rests()[used]
-        for name in join.rest.strings:
-            rests[name] = _recoded(rests[name], self.strings, codes)
-        return _packed_table(self.row, heads.tobytes(),
-                             tuple(codes.strings), rests.tobytes(),
-                             self._launches)
+        return _entry_table(
+            self.row,
+            _packed_table(requests.row,
+                          requests.columns()[:len(self)][index].tobytes(),
+                          requests.strings),
+            True, None, ref.tobytes(), bytes(self._marks[index]),
+            self._rests()[used].tobytes(), self.strings, self._launches)
 
     def __reduce__(self):
-        return _positioned_table, (self.row, self.trace, self._launches,
-                                   self._rid0, self._refs.tobytes(),
-                                   bytes(self._marks), bytes(self._rest),
-                                   self.strings)
+        return _entry_table, (self.row, self.requests, self._appended,
+                              self._rid0, self._refs.tobytes(),
+                              bytes(self._marks), bytes(self._rest),
+                              self.strings, self._launches)
 
 
-def _positioned_table(row, trace: RecordTable, launches: RecordTable,
-                      rid0: int, refs: bytes, marks: bytes, rest: bytes,
-                      strings: tuple) -> PositionedTable:
-    """Rebuild a pickled or copied :class:`PositionedTable`."""
-    table = PositionedTable(row, trace, launches, rid0, len(marks))
+def _entry_table(row, requests: RecordTable, appended: bool, rid0,
+                 refs: bytes, marks: bytes, rest: bytes, strings: tuple,
+                 launches: RecordTable | None) -> EntryTable:
+    """Rebuild a pickled, copied or sliced :class:`EntryTable`: appended,
+    with the request rows of ``requests``, or over the trace
+    ``requests``."""
+    table = EntryTable(row, launches=launches,
+                       trace=None if appended else requests, rid0=rid0)
+    if appended:
+        table.requests.extend(requests)
     table._refs[:] = array("i", refs)
     table._marks[:] = marks
     table._rest += rest
@@ -900,14 +811,11 @@ def _positioned_table(row, trace: RecordTable, launches: RecordTable,
     return table
 
 
-def _packed_table(row, rows: bytes, strings: tuple, rest: bytes = b"",
-                  launches: RecordTable | None = None) -> RecordTable:
+def _packed_table(row, rows: bytes, strings: tuple) -> RecordTable:
     """Rebuild a pickled, copied or sliced table from its rows and
-    strings (and a joined table's rest rows and launch table)."""
-    table = RecordTable(row, launches=launches)
+    strings."""
+    table = RecordTable(row)
     for text in strings:
         table._codes[text]  # registers it at its code
     table._rows += rows
-    if rest:
-        table._rest += rest
     return table

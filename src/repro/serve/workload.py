@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.serve import rows
 from repro.serve.rows import RecordTable
 
@@ -149,14 +149,15 @@ class WorkloadConfig:
         if self.clock_ghz <= 0:
             raise ConfigError(f"workload.clock_ghz: must be positive, got "
                               f"{self.clock_ghz!r}")
-        if self.requests <= 0:
-            raise ConfigError("requests must be positive")
         # numpy's default_rng rejects a negative seed, but only once the
         # trace is drawn, after the cost table has been built.
         if self.seed < 0:
             raise ConfigError(f"workload.seed: must be >= 0, got {self.seed}")
-        if self.num_tiles <= 0:
-            raise ConfigError("num_tiles must be positive")
+        # Counts are ints, a NumPy integer kept as the int it holds.
+        for name, low in (("requests", 1), ("seed", 0), ("num_tiles", 1)):
+            object.__setattr__(self, name,
+                               check_count(f"workload.{name}",
+                                           getattr(self, name), low))
         if self.num_tiles > MAX_TILES:
             raise ConfigError(f"workload.num_tiles: must be <= {MAX_TILES}, "
                               f"got {self.num_tiles}")

@@ -115,6 +115,22 @@ class TestClusterConfig:
         with pytest.raises(ConfigError, match=msg):
             ClusterConfig(**kw)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # 2.5 shards used to raise a raw TypeError from range() once
+        # ClusterSimulator built them.
+        ("shards", 2.5, "shards: must be a positive integer, got 2.5"),
+        # 0.5 retries used to construct.
+        ("failover_retries", 0.5,
+         "failover_retries: must be a nonnegative integer, got 0.5"),
+    ])
+    def test_counts_must_be_integers(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            ClusterConfig(**{field: value})
+        assert str(info.value) == f"cluster.{message}"
+        kept = ClusterConfig(**{field: np.int64(2)})
+        assert getattr(kept, field) == 2
+        assert type(getattr(kept, field)) is int
+
     def test_as_dict_is_json_friendly(self):
         d = ClusterConfig(shards=2, brownout_headroom=0.5,
                           brownout_kinds=("fc", "conv")).as_dict()
@@ -360,8 +376,10 @@ class TestTrace:
         owner = sim._owner
         assert owner.dtype == np.int32 and len(owner) == len(trace)
         rids = sorted_rids(trace)
+        # A shard appends its records in the order they resolved.
         for i, res in enumerate(result.shard_results):
-            assert [r.rid for r in res.records] == rids[owner == i].tolist()
+            assert sorted(r.rid for r in res.records) == \
+                rids[owner == i].tolist()
         # A failed-over request belongs to the shard it was re-dispatched
         # to, which saw the re-dispatch time as its arrival.
         assert sim._redispatched.keys() == sim._failover_count.keys()
@@ -370,8 +388,9 @@ class TestTrace:
         assert all(seen[rid] == at for rid, at in sim._redispatched.items())
 
     def test_the_router_keeps_a_few_bytes_per_request(self):
-        """What the router allocates and keeps after a run: the original
-        arrivals (8 B a request) and the owner column (4 B).  A dict
+        """What the router allocates and keeps after a run: the trace's
+        rids held contiguous (8 B a request) and the owner column (4 B);
+        original arrivals are read from the trace.  A dict
         entry per routed request (about 32 B, beside the int and float
         it keeps alive) pushes it past the bound."""
         trace = self._tied_trace()

@@ -3,18 +3,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.serve.costmodel import ServiceCostTable
 from repro.serve.fleet import (
     BatchRecord,
+    EntryTable,
     FleetSimulator,
     RecordTable,
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.fleet.records import arrival_order, as_trace, sorted_rids
+from repro.serve.fleet.records import arrival_order, as_trace
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 from repro.trace.collector import TraceCollector
 
@@ -200,6 +202,35 @@ def test_a_clock_that_is_not_positive_is_rejected(value):
         _config(clock_ghz=value)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # 2.5 used to launch 3-request batches.
+    ("max_batch", 2.5, "max_batch: must be a positive integer, got 2.5"),
+    # 2.5 used to run.
+    ("queue_capacity", 2.5,
+     "queue_capacity: must be a positive integer, got 2.5"),
+    # 2.5 used to raise a raw TypeError from range().
+    ("chips", 2.5, "chips: must be a positive integer, got 2.5"),
+    # 0 and -1.0 used to fail only at begin(), with undotted messages.
+    ("queue_capacity", 0,
+     "queue_capacity: must be a positive integer, got 0"),
+    ("max_wait_cycles", -1.0,
+     "max_wait_cycles: must be nonnegative, got -1.0"),
+])
+def test_counts_are_refused_at_construction_naming_the_field(field, value,
+                                                             message):
+    with pytest.raises(ConfigError) as info:
+        _config(**{field: value})
+    assert str(info.value) == f"config.{message}"
+
+
+def test_numpy_integer_counts_are_kept_as_ints():
+    config = _config(chips=np.int64(3), max_batch=np.int32(4),
+                     queue_capacity=np.uint8(5))
+    counts = (config.chips, config.max_batch, config.queue_capacity)
+    assert counts == (3, 4, 5)
+    assert [type(c) for c in counts] == [int, int, int]
+
+
 def test_degraded_chip_id_out_of_range_raises():
     with pytest.raises(ConfigError):
         _config(degraded_chips=(7,))
@@ -218,7 +249,7 @@ def _finished(reqs):
 def _collect(sim, reqs):
     """collect() for the requests ``reqs``, as run() calls it."""
     trace = as_trace(reqs)
-    return sim.collect(sorted_rids(trace), arrival_order(trace)[1])
+    return sim.collect(trace, arrival_order(trace)[1])
 
 
 def _six_requests():
@@ -228,8 +259,8 @@ def _six_requests():
 def test_lost_request_raises_naming_it():
     reqs = _six_requests()
     sim = _finished(reqs)
-    sim._records = RecordTable(RequestRecord,
-                               (r for r in sim._records if r.rid != 3))
+    sim._records = EntryTable(RequestRecord,
+                              (r for r in sim._records if r.rid != 3))
     with pytest.raises(SimulationError,
                        match=r"lost without accounting: \[3\]"):
         _collect(sim, reqs)

@@ -4,18 +4,21 @@ same rows in any other order do.
 ``arrival_order`` gives a trace whose rows already are in (arrival, rid)
 order with ascending rids the identity, which the fleet and the cluster
 router step without a permutation or a copy of the trace's rids and
-arrivals; every other trace takes the ``lexsort`` path.  Here generated
-traces (and the same traces with arrivals floored onto a grid, so that
-many tie) are run both ways, through a fleet and through a 2-shard
-cluster whose first shard fails, and must give equal records, launches,
-metrics and progress snapshots.
+arrivals; every other trace takes the ``lexsort`` path, after
+``as_trace`` has packed one out of rid order into a table sorted by rid.
+Here generated traces (and the same traces with arrivals floored onto a
+grid, so that many tie) are run both ways, through a fleet and through a
+2-shard cluster whose first shard fails, and must give equal records,
+launches, metrics and progress snapshots.
 
-A fleet run of such a trace whose rids are also consecutive writes each
-record at its request's row of a ``PositionedTable``, which reads the
-request's own fields from the trace; any other trace's records are 30 B
-heads, sorted by rid at the end.  The two layouts must read alike
-through every reader, and the positioned one must refuse a second
-record, or one of a request it has no row for, as it is written.
+A fleet run of a trace whose rids are consecutive writes each record at
+its request's row of an ``EntryTable`` over the trace, which reads the
+request's own fields from the trace; a trace with gaps between its rids
+appends its records with their request rows, and places them at their
+requests' rows when the run is collected, as the cluster places every
+shard's.  Both fill modes must read alike through every reader and give
+the same records, and a table over a trace must refuse a second record,
+or one of a request it has no row for, as it is written.
 """
 
 import copy
@@ -35,15 +38,15 @@ from repro.serve.failures import (
 )
 from repro.serve.fleet import (
     BatchRecord,
+    EntryTable,
     FleetSimulator,
     RecordTable,
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.fleet.records import arrival_order, run_records, sorted_rids
+from repro.serve.fleet.records import arrival_order, as_trace, run_records
 from repro.serve.metrics import compute_metrics
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.rows import PositionedTable
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 from tests.serve import test_memory
 from tests.serve.test_cluster import _config, _resilience, _table
@@ -144,7 +147,7 @@ def _run(config, costs, requests):
 
 def _assert_read_alike(placed, heads, seed):
     """Every reader of the request-record tables ``placed`` and
-    ``heads`` gives the same rows and fields."""
+    ``heads`` (either fill mode) gives the same rows and fields."""
     assert placed == heads and heads == placed
     assert placed == list(heads) and list(placed) == heads
     n = len(heads)
@@ -196,11 +199,18 @@ def test_positioned_records_read_as_sorted_heads(seed, requests, failing):
         shuffled.reverse()
     _, placed, placed_snapshots = _run(config, costs, trace)
     _, heads, heads_snapshots = _run(config, costs, shuffled)
-    assert isinstance(placed.records, PositionedTable)
-    assert not isinstance(heads.records, PositionedTable)
+    # Both are written at their rows: of the generated trace, and of the
+    # rid-sorted table the shuffled rows are packed into.
+    assert placed.records.requests is trace
+    assert heads.records.requests == trace
     _assert_read_alike(placed.records, heads.records, seed)
     assert list(placed.batches) == list(heads.batches)
     assert placed_snapshots == heads_snapshots
+    # A slice is an appended table, its own request rows beside its
+    # entries: the other fill mode.
+    appended = placed.records[:]
+    assert appended.requests is not trace
+    _assert_read_alike(placed.records, appended, seed)
 
 
 def test_the_failing_fleet_writes_every_kind_of_record():
@@ -217,20 +227,48 @@ def test_the_failing_fleet_writes_every_kind_of_record():
 def test_a_trace_picks_the_layout():
     launches = RecordTable(BatchRecord)
 
-    def layout(rows):
-        trace = RecordTable(Request, [Request(rid, "bp", None, arrival)
-                                      for rid, arrival in rows])
-        order, _ = arrival_order(trace)
-        table = run_records(trace, sorted_rids(trace), order, launches)
-        return type(table).__name__
+    def over_the_trace(rows):
+        trace = as_trace([Request(rid, "bp", None, arrival)
+                          for rid, arrival in rows])
+        return run_records(trace, launches).requests is trace
 
-    assert layout([(4, 0.0), (5, 0.0), (6, 2.0)]) == "PositionedTable"
-    assert layout([(-2**63, 0.0)]) == "PositionedTable"
-    # A rid gap, rids out of arrival order, and no rows at all.
-    assert layout([(4, 0.0), (6, 1.0)]) == "JoinedTable"
-    assert layout([(5, 0.0), (4, 1.0)]) == "JoinedTable"
-    assert layout([]) == "JoinedTable"
-    assert layout([(-2**63, 0.0), (2**63 - 1, 1.0)]) == "JoinedTable"
+    assert over_the_trace([(4, 0.0), (5, 0.0), (6, 2.0)])
+    assert over_the_trace([(-2**63, 0.0)])
+    # Rids out of arrival order are sorted into consecutive rows.
+    assert over_the_trace([(5, 0.0), (4, 1.0)])
+    # A rid gap, and no rows at all, append.
+    assert not over_the_trace([(4, 0.0), (6, 1.0)])
+    assert not over_the_trace([])
+    assert not over_the_trace([(-2**63, 0.0), (2**63 - 1, 1.0)])
+
+
+def _failing_fleet(trace):
+    _, result, snapshots = _run(_failing(), _table(), trace)
+    return result, snapshots, _failing()
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), requests=st.integers(1, 300),
+       mix=st.sampled_from(["bp", "bp+vgg"]))
+@example(seed=1, requests=300, mix="bp+vgg")
+def test_gapped_rids_serve_as_consecutive_ones(seed, requests, mix):
+    # Doubled rids leave a gap between every two, so a fleet appends
+    # its records and places them when collected, and the cluster's
+    # merge finds each row by searching the rids; rids in the input's
+    # order are sorted first.  Neither router reads a rid's value, so
+    # every decision, and every record but its rid, is the same.
+    trace = generate_requests(WorkloadConfig(mix=mix, rate=400_000.0,
+                                             requests=requests, seed=seed))
+    doubled = RecordTable(Request, (r._replace(rid=2 * r.rid)
+                                    for r in trace))
+    shuffled = list(doubled)
+    random.Random(seed).shuffle(shuffled)
+    for run in (_failing_fleet, _cluster):
+        records, *rest = _served(run, trace)
+        for other in (doubled, shuffled):
+            got, *got_rest = _served(run, other)
+            assert [r._replace(rid=r.rid // 2) for r in got] == records
+            assert got_rest == rest
 
 
 def test_the_trace_can_grow_after_the_run():
@@ -251,7 +289,8 @@ class TestExactlyOnceAtTheRow:
                                       for i in range(4)])
         launches = RecordTable(BatchRecord, [
             BatchRecord(0, "bp", 1, 0, 0.0, 1.0, 2.0, 0.0)])
-        return trace, PositionedTable(RequestRecord, trace, launches, 10, 4)
+        return trace, EntryTable(RequestRecord, launches=launches,
+                                 trace=trace, rid0=10)
 
     def test_a_second_record_raises_naming_the_rid(self):
         trace, table = self._table()

@@ -4,10 +4,10 @@ A trace holds one packed :class:`Request` row per arrival and a run one
 record per request, which references its launch's row, so their bytes
 set how long a trace fits in memory.
 These tests pin the named-tuple ``Request``, a traced bytes-per-request
-budget of a generated trace and of a fleet run plus its rollup, and the
-peaks of the rollup, which gathers one latency column a chunk at a
-time, and of the exactly-once sort that records of a shuffled trace or
-a cluster shard take, which moves one column at a time.
+budget of a generated trace, of a fleet run plus its rollup and of a
+2-shard cluster run plus its rollup, and the peaks of the rollup, which
+gathers one latency column a chunk at a time, and of the sort that packs
+a trace out of rid order, which moves one column at a time.
 """
 
 import copy
@@ -17,14 +17,9 @@ import tracemalloc
 
 import pytest
 
+from repro.serve.cluster import ClusterConfig, ClusterSimulator
 from repro.serve.costmodel import ServiceCostTable
-from repro.serve.fleet import (
-    FleetSimulator,
-    RecordTable,
-    RequestRecord,
-    ServeConfig,
-)
-from repro.serve.fleet.records import sort_exactly_once, sorted_rids
+from repro.serve.fleet import FleetSimulator, RecordTable, ServeConfig
 from repro.serve.metrics import compute_metrics
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 
@@ -61,11 +56,26 @@ RUN_BYTES_PER_REQUEST = 74
 #: it past the bound.
 ROLLUP_BYTES_PER_REQUEST = 18
 
-#: Traced peak of sort_exactly_once per record, which sorts the 30 B
-#: heads of a run whose records are not positioned: the sort order and
-#: one 8-byte column of the rows in flight (about 16 B/record).  A copy
-#: of the table pushes it past the bound.
+#: Traced peak of RecordTable.sort_by per row, which sorts the 25 B
+#: request rows of a trace out of rid order (see ``as_trace``): the sort
+#: order and one 8-byte column of the rows in flight (about 16 B/row).
+#: A copy of the table pushes it past the bound.
 SORT_BYTES_PER_RECORD = 24
+
+#: Traced peak of a 2-shard ClusterSimulator.run plus compute_metrics per
+#: request, on the 20k-request trace below, with the simulator held
+#: through the rollup.  Each shard appends its records, 30 B each (a
+#: 25 B request row beside a 5 B entry), and the merged result is a 5 B
+#: entry per request beside its trace row, each placed at its row.  The
+#: launch rows, 63 B each, are held twice, in the shards' tables and the
+#: merged one (about 46 B a request each at this trace's mean batch of
+#: 1.38), and the router keeps the trace's rids contiguous (8 B) and an
+#: owner column (4 B): about 139 B a request, to which the bytearrays'
+#: growth slack and the rollup's latency column and masks add, for about
+#: 164 B/request on Python 3.11 (192 B before the merged records became
+#: entries).  Merged 30 B heads, a second copy of every record, push it
+#: past the bound.
+CLUSTER_BYTES_PER_REQUEST = 180
 
 
 def _table():
@@ -169,6 +179,25 @@ def test_run_and_rollup_bytes_per_request(steady_trace):
         f"{RUN_BYTES_PER_REQUEST}")
 
 
+def test_cluster_run_and_rollup_bytes_per_request(steady_trace):
+    config = ServeConfig(chips=2, cluster=ClusterConfig(shards=2))
+    costs = _table()
+
+    def run():
+        sim = ClusterSimulator(config, costs)
+        result = sim.run(steady_trace)
+        return compute_metrics(result.records, result.batches,
+                               result.makespan, config.slo_cycles,
+                               config.clock_ghz)
+
+    metrics, peak = _traced_peak(run)
+    assert metrics.served == len(steady_trace)
+    per_request = peak / len(steady_trace)
+    assert per_request <= CLUSTER_BYTES_PER_REQUEST, (
+        f"{per_request:.1f} B/request traced, budget "
+        f"{CLUSTER_BYTES_PER_REQUEST}")
+
+
 def test_rollup_holds_a_few_columns(steady_trace):
     config = ServeConfig()
     result = FleetSimulator(config, _table()).run(steady_trace)
@@ -183,15 +212,12 @@ def test_rollup_holds_a_few_columns(steady_trace):
 
 
 def test_sort_holds_a_few_columns(steady_trace):
-    result = FleetSimulator(ServeConfig(), _table()).run(steady_trace)
-    rows = list(result.records)
+    rows = list(steady_trace)
     random.Random(0).shuffle(rows)
-    records = RecordTable(RequestRecord, rows)
+    trace = RecordTable(Request, rows)
     del rows
-    rids = sorted_rids(steady_trace)
-    _, peak = _traced_peak(lambda: sort_exactly_once(records, rids))
-    assert records == result.records
-    per_record = peak / len(records)
-    assert per_record <= SORT_BYTES_PER_RECORD, (
-        f"sort peak {per_record:.1f} B/record, budget "
-        f"{SORT_BYTES_PER_RECORD}")
+    _, peak = _traced_peak(lambda: trace.sort_by("rid"))
+    assert trace == steady_trace
+    per_row = peak / len(trace)
+    assert per_row <= SORT_BYTES_PER_RECORD, (
+        f"sort peak {per_row:.1f} B/row, budget {SORT_BYTES_PER_RECORD}")

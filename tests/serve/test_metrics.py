@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.serve.fleet import BatchRecord, RecordTable, RequestRecord
+from repro.serve.fleet import (
+    BatchRecord,
+    EntryTable,
+    RecordTable,
+    RequestRecord,
+)
 from repro.serve.metrics import (
     REPORT_PERCENTILES,
     ServeMetrics,
@@ -380,7 +385,7 @@ def _assert_same_rollup(records, batches, makespan, slo, clock_ghz=1.25):
     rowwise = _rowwise_metrics(records, batches, makespan, slo, clock_ghz)
     # A table, a list, or a generator that cannot be rewound, counted or
     # indexed (packed first) must give the same floats.
-    for rows, launches in ((RecordTable(RequestRecord, records),
+    for rows, launches in ((EntryTable(RequestRecord, records),
                             RecordTable(BatchRecord, batches)),
                            (records, batches),
                            ((r for r in records), (b for b in batches))):

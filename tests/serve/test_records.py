@@ -1,14 +1,17 @@
 """Record tables: packed rows that read back as the rows appended.
 
 A trace keeps one packed row per request, and a run one per launch and
-one per request, which references the row of the launch that served it.
-These tests generate rows over each field's whole range (int64 rids,
-tiles past 2**32 and None, signed zeros, infinities and subnormals,
-every kind and outcome string) and require every way of reading them
-back -- indexing, slicing, iteration, ``take``, ``==``, pickle, deepcopy
-and the field readers -- to give the rows appended, with builtin field
-types.  Request-record tables are also held against the 72 B row every
-field of a record used to be packed into, kept here as the oracle.
+one entry per request beside its request's row, which references the
+row of the launch that served it.  These tests generate rows over each
+field's whole range (int64 rids, tiles past 2**32 and None, signed
+zeros, infinities and subnormals, every kind and outcome string) and
+require every way of reading them back -- indexing, slicing, iteration,
+``take``, ``==``, pickle, deepcopy and the field readers -- to give the
+rows appended, with builtin field types.  Request-record tables, written
+either way (appended, or at their requests' rows of a trace) and placed
+into one table over a gapped trace as a cluster merges its shards', are
+also held against the 72 B row every field of a record used to be
+packed into, kept here as the oracle.
 """
 
 import copy
@@ -25,6 +28,7 @@ from repro.serve import rows as packed
 from repro.serve.fleet import (
     OUTCOMES,
     BatchRecord,
+    EntryTable,
     RecordTable,
     RequestRecord,
 )
@@ -32,7 +36,6 @@ from repro.serve.fleet.records import (
     arrival_order,
     as_trace,
     check_kinds,
-    sort_exactly_once,
     sorted_rids,
 )
 from repro.serve.rows import CHUNK_ROWS, NO_TILE
@@ -117,12 +120,49 @@ _PART = st.one_of(st.lists(_STEPS, max_size=12),
                   st.lists(_SERVED, max_size=6))
 
 
-def _write(steps):
-    """A launch table, a request-record table referencing it, and the
-    72 B oracle of that table, written by ``steps``."""
+def _written(steps):
+    """The requests whose records ``steps`` write, in write order."""
+    out = []
+    for op, *args in steps:
+        if op == "launch":
+            launch, requests, _ = args
+            if launch.outcome == "served":
+                out.extend(requests)
+        elif op in ("expire", "rest"):
+            out.extend(args[0])
+        else:
+            out.append(Request(*args[0][:4]))
+    return out
+
+
+def _renumbered(steps, rids):
+    """``steps`` with the requests whose records they write given the
+    rids ``rids`` in turn."""
+    rids = iter(rids)
+    out = []
+    for op, *args in steps:
+        if op == "launch":
+            launch, requests, hedged = args
+            if launch.outcome == "served":
+                requests = [r._replace(rid=next(rids)) for r in requests]
+            out.append((op, launch, requests, hedged))
+        elif op in ("expire", "rest"):
+            out.append((op, [r._replace(rid=next(rids)) for r in args[0]],
+                        *args[1:]))
+        else:
+            out.append((op, args[0]._replace(rid=next(rids))))
+    return out
+
+
+def _write(steps, trace=None, rid0=None):
+    """A launch table, a request-record table referencing it (appended,
+    or over ``trace``, whose row ``i`` is request ``rid0 + i``), and the
+    72 B oracle of that table (in rid order over a trace), written by
+    ``steps``."""
     launches = RecordTable(BatchRecord)
-    table = RecordTable(RequestRecord, launches=launches)
-    oracle = RecordTable(_OldRecord)
+    table = EntryTable(RequestRecord, launches=launches, trace=trace,
+                       rid0=rid0)
+    rows = []
     for op, *args in steps:
         if op == "launch":
             launch, requests, hedged = args
@@ -131,10 +171,10 @@ def _write(steps):
             if launch.outcome == "served":
                 table.add_each(requests, row, hedged)
                 for req in requests:
-                    oracle.add(*req, False, launch.batch_id, launch.chip,
-                               launch.size, launch.close, launch.start,
-                               launch.finish, "served", launch.attempt,
-                               hedged)
+                    rows.append(_OldRecord(
+                        *req, False, launch.batch_id, launch.chip,
+                        launch.size, launch.close, launch.start,
+                        launch.finish, "served", launch.attempt, hedged))
             continue
         if op == "expire":
             requests, close, attempt = args
@@ -146,12 +186,13 @@ def _write(steps):
         else:
             (record,) = args
             table.add(*record) if op == "add" else table.append(record)
-            oracle.add(*record)
+            rows.append(_OldRecord(*record))
             continue
         table.add_rest(requests, *rest)
-        for req in requests:
-            oracle.add(*req, *rest)
-    return launches, table, oracle
+        rows.extend(_OldRecord(*req, *rest) for req in requests)
+    if trace is not None:
+        rows.sort(key=lambda r: r.rid)
+    return launches, table, RecordTable(_OldRecord, rows)
 
 
 def _assert_like_oracle(table, oracle, seed):
@@ -192,8 +233,14 @@ def _same(got, want):
     assert [type(v) for v in got] == [type(v) for v in want]
 
 
+def _table(row, rows=()):
+    """A table of ``row`` rows: request records are kept in an
+    :class:`EntryTable`."""
+    return (EntryTable if row is RequestRecord else RecordTable)(row, rows)
+
+
 def _assert_round_trip(row, rows):
-    table = RecordTable(row)
+    table = _table(row)
     for i, record in enumerate(rows):
         if i % 2:
             table.add(*record)
@@ -207,8 +254,8 @@ def _assert_round_trip(row, rows):
         _same(got, want)
     assert table == rows and rows == table
     assert table == tuple(rows)
-    assert table == RecordTable(row, rows)
-    assert table != RecordTable(row, rows[:-1])
+    assert table == _table(row, rows)
+    assert table != _table(row, rows[:-1])
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         for got, want in zip(pickle.loads(pickle.dumps(table, protocol)),
                              rows):
@@ -261,15 +308,16 @@ class TestRoundTrip:
     def test_extend_translates_string_codes(self, first, second):
         # Each table numbers its strings in the order it first saw
         # them, so a merged table must translate the other's codes.
-        table = RecordTable(RequestRecord, first)
-        table.extend(RecordTable(RequestRecord, second))
+        table = EntryTable(RequestRecord, first)
+        table.extend(EntryTable(RequestRecord, second))
         assert table == first + second
 
 
 class TestJoinedRecords:
-    """A request-record table holds each served record as a 30 B head
-    referencing its launch's row, and reads as the 72 B rows every
-    field used to be packed into."""
+    """A request-record table holds each record as a 5 B entry beside its
+    request's row (appended with it, or a trace's), a served one
+    referencing its launch's row, and reads as the 72 B rows every field
+    used to be packed into."""
 
     # No shrink or explain phase: shrinking a failure of these step
     # lists ran past five minutes at about 690 MB, so a failure reports
@@ -277,15 +325,33 @@ class TestJoinedRecords:
     @settings(derandomize=True, max_examples=100, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate,
                       Phase.target))
-    @given(parts=st.lists(_PART, min_size=1, max_size=3),
+    @given(parts=st.lists(st.tuples(_PART, st.booleans()), min_size=1,
+                          max_size=3),
            router=st.lists(_REQUEST_ROWS, max_size=3),
            cut=st.tuples(st.integers(-20, 20), st.integers(-20, 20),
                          st.sampled_from([None, 1, 2, -1, -3])),
-           seed=st.integers(0, 2**32 - 1))
-    def test_reads_as_the_72_byte_oracle(self, parts, router, cut, seed):
-        written = [_write(steps) for steps in parts]
-        for launches, table, oracle in written:
-            assert table.columns().dtype.itemsize == 30
+           seed=st.integers(0, 2**32 - 1),
+           rid0=st.integers(-2**63, 2**63 - 2**10))
+    def test_reads_as_the_72_byte_oracle(self, parts, router, cut, seed,
+                                         rid0):
+        # Every record gets a rid of its own: a part's records the
+        # consecutive rids of its slot in a shuffled order, one rid
+        # apart from the next part's, so the merged trace has gaps.  A
+        # part over a trace (``over``) writes each record at its
+        # request's row, out of row order; the others append.
+        rng = np.random.default_rng(seed)
+        written, requests, start = [], [], rid0
+        for steps, over in parts:
+            n = len(_written(steps))
+            steps = _renumbered(steps,
+                                (start + rng.permutation(n)).tolist())
+            mine = sorted(_written(steps))
+            requests += mine
+            trace = RecordTable(Request, mine) if over else None
+            written.append((trace, *_write(steps, trace, start)))
+            start += n + 1
+        router = [r._replace(rid=start + i) for i, r in enumerate(router)]
+        for trace, launches, table, oracle in written:
             _assert_like_oracle(table, oracle, seed)
             _assert_like_oracle(table[slice(*cut)], oracle[slice(*cut)],
                                 seed)
@@ -294,50 +360,49 @@ class TestJoinedRecords:
                     pickle.loads(pickle.dumps(table, protocol)), oracle,
                     seed)
             _assert_like_oracle(copy.deepcopy(table), oracle, seed)
-        # The cluster's merge: the router's records field by field, then
-        # each shard's, its launch references offset to where its launch
-        # rows begin in the merged launch table.
+            assert not table.column("arrival").flags.writeable
+        # The cluster's merge: the router's records, then each part's,
+        # its launch references offset to where its launch rows begin in
+        # the merged launch table, each placed at its request's row of
+        # the whole (gapped) trace.
         merged_launches = RecordTable(BatchRecord)
-        merged = RecordTable(RequestRecord, router, launches=merged_launches)
-        want = RecordTable(_OldRecord, router)
-        for launches, table, oracle in written:
-            merged.extend(table, launches_at=len(merged_launches))
+        merged = EntryTable(
+            RequestRecord, launches=merged_launches,
+            trace=RecordTable(Request, sorted(requests + [
+                Request(*r[:4]) for r in router])))
+        merged.place(router)
+        want = list(map(_OldRecord._make, router))
+        for _, launches, table, oracle in written:
+            merged.place(table, launches_at=len(merged_launches))
             merged_launches.extend(launches)
-            want.extend(oracle)
+            want += oracle
+        merged.check_complete()
+        want = RecordTable(_OldRecord, sorted(want, key=lambda r: r.rid))
         _assert_like_oracle(merged, want, seed)
-        merged.sort_by("rid")
-        want.sort_by("rid")
-        _assert_like_oracle(merged, want, seed)
-        if len(want):
-            # The arrival column is the table's own: written in place.
-            for column in (merged.column("arrival"),
-                           want.columns()["arrival"]):
-                column[0] = -1.5
-            _assert_like_oracle(merged, want, seed)
+        _assert_like_oracle(merged[slice(*cut)], want[slice(*cut)], seed)
         copied, launches = pickle.loads(pickle.dumps((merged,
                                                       merged_launches)))
         assert copied._launches is launches
         _assert_like_oracle(copied, want, seed)
-        # Without an offset, a table sharing the launch table keeps its
-        # references, and one of another launch table is written field
-        # by field.
-        launches, table, oracle = written[-1]
-        twice, doubled = (RecordTable(RequestRecord, table),
+        # A table built from another, or extended with one, writes its
+        # records field by field; a trace may grow after its records
+        # are written.
+        trace, launches, table, oracle = written[-1]
+        twice, doubled = (EntryTable(RequestRecord, table),
                           RecordTable(_OldRecord, oracle))
         twice.extend(table)
         doubled.extend(oracle)
         _assert_like_oracle(twice, doubled, seed)
-        other = RecordTable(RequestRecord,
-                            launches=RecordTable(BatchRecord))
-        other.extend(table)
-        _assert_like_oracle(other, oracle, seed)
+        if trace is not None:
+            trace.append(Request(start, "fc", None, 0.0))
+            _assert_like_oracle(table, oracle, seed)
 
     def test_a_served_record_reads_its_launch_row(self):
         launches = RecordTable(BatchRecord, [
             BatchRecord(7, "fc", 2, 1, 10.0, 12.0, 20.0, 1.0, attempt=1,
                         outcome="killed", waste=8.0),
             BatchRecord(9, "fc", 2, 3, 10.0, 30.0, 40.0, 0.0, attempt=2)])
-        table = RecordTable(RequestRecord, launches=launches)
+        table = EntryTable(RequestRecord, launches=launches)
         table.add_each([Request(5, "fc", None, 4.0),
                         Request(6, "fc", 2, 8.0)], 1, True)
         assert list(table) == [
@@ -346,28 +411,31 @@ class TestJoinedRecords:
                           finish=40.0, outcome="served", retries=2,
                           hedged=True)
             for rid, tile, arrival in ((5, None, 4.0), (6, 2, 8.0))]
-        assert table.columns()["ref"].tolist() == [1, 1]
-        assert RecordTable(RequestRecord).add_each is None
+        # Both entries reference the launch's row: nothing is copied.
+        assert table._refs.tolist() == [1, 1]
+        assert EntryTable(RequestRecord).add_each is None
         with pytest.raises(ConfigError, match="matches"):
             table.column("outcome")
-        with pytest.raises(ConfigError, match="no launch table"):
-            RecordTable(BatchRecord, launches=launches)
+        with pytest.raises(ConfigError, match="kept in an EntryTable"):
+            RecordTable(RequestRecord)
 
 class TestTable:
     def test_reads_an_empty_table(self):
-        table = RecordTable(RequestRecord)
+        table = EntryTable(RequestRecord)
         assert len(table) == 0 and not table
         assert list(table) == [] and table == []
-        assert len(table.columns()) == 0
+        assert len(table.column("rid")) == 0
         assert not table.matches("outcome", "served").any()
         with pytest.raises(IndexError):
             table[0]
 
     def test_matches_a_string_the_table_never_stored(self):
-        table = RecordTable(RequestRecord, [RequestRecord(
+        table = EntryTable(RequestRecord, [RequestRecord(
             rid=1, kind="bp", tile=0, arrival=0.0, shed=False)])
         assert table.matches("kind", "fc").tolist() == [False]
-        assert table.strings == ("bp", "served")
+        # The request row numbers the kind; the rest row the outcome.
+        assert table.requests.strings == ("bp",)
+        assert table.strings == ("served",)
 
     def test_a_257th_distinct_string_is_rejected(self):
         table = RecordTable(BatchRecord)
@@ -381,13 +449,13 @@ class TestTable:
 
     def test_extend_rejects_the_other_layout(self):
         with pytest.raises(ConfigError, match="BatchRecord rows"):
-            RecordTable(RequestRecord).extend(RecordTable(BatchRecord))
+            EntryTable(RequestRecord).extend(RecordTable(BatchRecord))
 
     def test_a_view_pins_the_rows(self):
         # A live column view and an append cannot both hold: the append
         # fails instead of moving the rows under the view.
-        table = RecordTable(RequestRecord, [RequestRecord(
-            rid=1, kind="bp", tile=0, arrival=0.0, shed=False)])
+        table = RecordTable(Request, [Request(rid=1, kind="bp", tile=0,
+                                              arrival=0.0)])
         view = table.columns()
         with pytest.raises(BufferError):
             table.append(table[0])
@@ -396,7 +464,7 @@ class TestTable:
         assert len(table) == 2
 
     def test_iteration_sees_rows_appended_meanwhile(self):
-        table = RecordTable(RequestRecord, [RequestRecord(
+        table = EntryTable(RequestRecord, [RequestRecord(
             rid=1, kind="bp", tile=0, arrival=0.0, shed=False)])
         seen = []
         for record in table:
@@ -416,11 +484,11 @@ class TestTable:
         assert list(table.take(order[:0])) == []
 
     def test_sort_by_is_stable_and_exact(self):
-        rows = [RequestRecord(rid=rid, kind=kind, tile=None, arrival=-0.0,
-                              shed=False, finish=float(i))
+        rows = [Request(rid=rid, kind=kind, tile=None if i % 2 else -i,
+                        arrival=-0.0 if i else float(i))
                 for i, (rid, kind) in enumerate(
                     [(5, "fc"), (2, "bp"), (5, "conv"), (-1, "gibbs")])]
-        table = RecordTable(RequestRecord, rows)
+        table = RecordTable(Request, rows)
         table.sort_by("rid")
         assert table == sorted(rows, key=lambda r: r.rid)
         assert repr(list(table)) == repr(sorted(rows, key=lambda r: r.rid))
@@ -462,10 +530,15 @@ class TestArrivalOrder:
         assert span == (rows[want[0]][1], rows[want[-1]][1])
         # In order with ascending rids exactly: the identity, no array.
         assert isinstance(order, range) is in_order
-        rids = sorted_rids(trace)
+        # as_trace keeps a trace whose rids ascend and sorts any other
+        # by rid; the sorted rids are a view of the one it gives.
+        packed = as_trace(trace)
+        ascending = [rid for rid, _ in rows] == sorted(r for r, _ in rows)
+        assert (packed is trace) is ascending
+        assert packed == sorted(trace, key=lambda r: r.rid)
+        rids = sorted_rids(packed)
         assert rids.tolist() == sorted(rid for rid, _ in rows)
-        ascending = [rid for rid, _ in rows] == rids.tolist()
-        assert np.shares_memory(rids, trace.columns()) is ascending
+        assert np.shares_memory(rids, packed.columns())
         if in_order:
             assert ascending
 
@@ -498,7 +571,7 @@ class TestArrivalOrder:
         twice = [r._replace(rid=3) if r.rid == 4 else r for r in rows]
         with pytest.raises(ConfigError,
                            match=r"^duplicate request ids: \[3\]$"):
-            sorted_rids(RecordTable(Request, twice))
+            as_trace(RecordTable(Request, twice))
 
     def test_as_trace_keeps_a_trace_and_packs_a_list(self):
         rows = [Request(rid=1, kind="fc", tile=None, arrival=3.0)]
@@ -506,7 +579,7 @@ class TestArrivalOrder:
         assert as_trace(trace) is trace
         assert as_trace(iter(rows)) == rows
         with pytest.raises(ConfigError, match="RequestRecord rows"):
-            as_trace(RecordTable(RequestRecord))
+            as_trace(EntryTable(RequestRecord))
 
 
 class TestRidRange:
@@ -525,14 +598,23 @@ class TestRidRange:
                       for r in (2**63, 3, -2**63 - 1)])
 
     def test_exactly_once_check_names_rids_as_ints(self):
-        table = RecordTable(RequestRecord, [
-            RequestRecord(rid=r, kind="bp", tile=0, arrival=0.0,
-                          shed=False) for r in (4, 1, 1)])
+        def placed(rids):
+            table = EntryTable(RequestRecord, trace=as_trace([
+                Request(rid=r, kind="bp", tile=0, arrival=0.0)
+                for r in (1, 2, 4)]))
+            table.place(RequestRecord(rid=r, kind="bp", tile=0, arrival=0.0,
+                                      shed=False) for r in rids)
+            return table
+
         with pytest.raises(SimulationError) as info:
-            sort_exactly_once(table, np.array([1, 2, 4]))
-        assert str(info.value) == (
-            "requests lost without accounting: [2]; "
-            "requests recorded more than once: [1]")
+            placed((4, 1, 1))
+        assert str(info.value) == "requests recorded more than once: [1]"
+        with pytest.raises(SimulationError) as info:
+            placed((4, 3, 5))
+        assert str(info.value) == "records of unknown requests: [3, 5]"
+        with pytest.raises(SimulationError) as info:
+            placed((4, 1)).check_complete()
+        assert str(info.value) == "requests lost without accounting: [2]"
 
 
 class TestTraceChecks:

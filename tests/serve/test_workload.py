@@ -196,6 +196,20 @@ def test_tile_count_is_bounded_by_the_32_bit_draw():
         WorkloadConfig(num_tiles=MAX_TILES + 1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # Each used to raise a raw TypeError while the trace was drawn.
+    ("requests", 2.5, "requests: must be a positive integer, got 2.5"),
+    ("num_tiles", 2.5, "num_tiles: must be a positive integer, got 2.5"),
+    ("seed", 1.5, "seed: must be a nonnegative integer, got 1.5"),
+])
+def test_counts_must_be_integers(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        WorkloadConfig(**{field: value})
+    assert str(info.value) == f"workload.{message}"
+    kept = WorkloadConfig(**{field: np.int64(3)})
+    assert getattr(kept, field) == 3 and type(getattr(kept, field)) is int
+
+
 def test_negative_seed_is_a_config_error():
     # numpy's default_rng would reject it only after the cost table.
     with pytest.raises(ConfigError,
