@@ -8,8 +8,8 @@ full-system co-simulator, the three workload families the paper evaluates
 (min-sum belief propagation on grid MRFs, VGG-16/19 CNNs, and MLP
 fully-connected layers), kernel generators that emit VIP assembly for those
 workloads, analytic baseline models (Titan X, Eyeriss, Tile-BP, ...), and a
-benchmark harness that regenerates every table and figure in the paper's
-evaluation.
+paper suite (``python -m repro.experiments``) that regenerates every table
+and figure in the paper's evaluation.
 
 Quickstart::
 

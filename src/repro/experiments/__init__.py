@@ -1,15 +1,14 @@
-"""Experiment registry: one entry per table/figure of the paper."""
+"""The paper's tables and figures, and the suite that checks them."""
 
 from repro.experiments.figures import (
     RooflineFigure,
     figure3a,
     figure3b,
     figure3c,
-    figure4,
-    figure5,
     render_figure4,
     render_figure5,
 )
+from repro.experiments.suite import REGISTRY, main
 from repro.experiments.tables import (
     Table4Row,
     render_table4,
@@ -20,20 +19,6 @@ from repro.experiments.tables import (
     table4_mrf,
 )
 
-#: Experiment id -> short description + regenerating bench target.
-REGISTRY = {
-    "table1": ("qualitative platform overview", "benchmarks/bench_tables.py"),
-    "table2": ("VIP ISA summary", "benchmarks/bench_tables.py"),
-    "table3": ("memory simulation parameters", "benchmarks/bench_tables.py"),
-    "table4-mrf": ("BP-M performance summary", "benchmarks/bench_table4_mrf.py"),
-    "table4-cnn": ("VGG performance summary", "benchmarks/bench_table4_cnn.py"),
-    "figure3a": ("BP roofline", "benchmarks/bench_figure3_roofline.py"),
-    "figure3b": ("VGG-16 batch-1 roofline", "benchmarks/bench_figure3_roofline.py"),
-    "figure3c": ("VGG-16 batch-16 roofline", "benchmarks/bench_figure3_roofline.py"),
-    "figure4": ("scratchpad/reduction ablation", "benchmarks/bench_figure4_arch.py"),
-    "figure5": ("memory parameter sensitivity", "benchmarks/bench_figure5_memsweep.py"),
-}
-
 __all__ = [
     "REGISTRY",
     "RooflineFigure",
@@ -41,8 +26,7 @@ __all__ = [
     "figure3a",
     "figure3b",
     "figure3c",
-    "figure4",
-    "figure5",
+    "main",
     "render_figure4",
     "render_figure5",
     "render_table4",

@@ -1,25 +1,25 @@
 """Figures 3-5 of the paper, as data series.
 
-Each function returns the series the figure plots; the benchmark harness
-prints them and EXPERIMENTS.md records paper-vs-measured.
+Each function returns the series the figure plots (Figures 4 and 5 are
+``run_figure4`` and ``run_figure5``); the paper suite prints them and
+EXPERIMENTS.md records paper-vs-measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.vector_machine import VariantResult, run_figure4
+from repro.baselines.vector_machine import VariantResult
 from repro.perf.extrapolate import (
     BPPerformanceModel,
     CNNPerformanceModel,
     HierarchicalBPModel,
 )
 from repro.pe.counters import PECounters
-from repro.perf.memsweep import SweepPoint, run_figure5
+from repro.perf.memsweep import SweepPoint
 from repro.perf.roofline import Roofline, RooflinePoint, point_from_counters
 from repro.reporting import render_series
 from repro.workloads.bp.mrf import DIRECTIONS
-from repro.workloads.cnn.vgg import vgg16
 
 CLOCK_GHZ = 1.25
 
@@ -52,11 +52,9 @@ class RooflineFigure:
         return body + detail + "\n"
 
 
-def figure3a(bp: BPPerformanceModel | None = None,
-             hier: HierarchicalBPModel | None = None) -> RooflineFigure:
+def figure3a(bp: BPPerformanceModel,
+             hier: HierarchicalBPModel) -> RooflineFigure:
     """BP roofline: full-HD and quarter-HD iterations, construct, copy."""
-    bp = bp or BPPerformanceModel()
-    hier = hier or HierarchicalBPModel(bp)
     fhd = bp.measure()
     qhd = hier.coarse.measure()
     h = hier.measure()
@@ -78,8 +76,7 @@ def figure3a(bp: BPPerformanceModel | None = None,
                           Roofline.for_vip(), scaled)
 
 
-def _cnn_roofline(batch: int, model: CNNPerformanceModel | None = None) -> RooflineFigure:
-    model = model or CNNPerformanceModel(vgg16(), batch=batch)
+def _cnn_roofline(batch: int, model: CNNPerformanceModel) -> RooflineFigure:
     points = [
         RooflinePoint(t.name, t.arithmetic_intensity, t.gops)
         for t in model.layer_timings()
@@ -90,19 +87,14 @@ def _cnn_roofline(batch: int, model: CNNPerformanceModel | None = None) -> Roofl
     )
 
 
-def figure3b(model: CNNPerformanceModel | None = None) -> RooflineFigure:
+def figure3b(model: CNNPerformanceModel) -> RooflineFigure:
     """VGG-16 batch-1 roofline (paper Figure 3b)."""
     return _cnn_roofline(1, model)
 
 
-def figure3c(model: CNNPerformanceModel | None = None) -> RooflineFigure:
+def figure3c(model: CNNPerformanceModel) -> RooflineFigure:
     """VGG-16 batch-16 roofline (paper Figure 3c)."""
     return _cnn_roofline(16, model)
-
-
-def figure4() -> list[VariantResult]:
-    """The architectural-choice ablation (Section VI-B)."""
-    return run_figure4()
 
 
 def render_figure4(results: list[VariantResult]) -> str:
@@ -112,11 +104,6 @@ def render_figure4(results: list[VariantResult]) -> str:
         [(r.variant, r.time_ms) for r in results],
         unit="ms",
     )
-
-
-def figure5(workloads: tuple[str, ...] = ("bp", "cnn")) -> list[SweepPoint]:
-    """The memory-parameter sensitivity sweep (Section VI-C)."""
-    return run_figure5(workloads=workloads)
 
 
 def render_figure5(points: list[SweepPoint]) -> str:

@@ -109,11 +109,9 @@ class Table4Row:
     source: str  # "simulated" | "published" | "model"
 
 
-def table4_mrf(bp: BPPerformanceModel | None = None,
-               hier: HierarchicalBPModel | None = None) -> list[Table4Row]:
+def table4_mrf(bp: BPPerformanceModel,
+               hier: HierarchicalBPModel) -> list[Table4Row]:
     """The Markov-random-field block of Table IV."""
-    bp = bp or BPPerformanceModel()
-    hier = hier or HierarchicalBPModel(bp)
     rows = [
         Table4Row(b.system, b.workload, b.note, b.time_ms, b.power_w, b.tech_nm,
                   b.area_mm2, "published")
@@ -138,11 +136,13 @@ def table4_cnn(models: dict | None = None,
     """The CNN blocks of Table IV.
 
     ``models`` may supply pre-built CNNPerformanceModel instances keyed by
-    (network-name, batch) to avoid re-simulation.  Models that still need
-    simulating are warmed through one flat parallel fan-out over all their
-    layers before the rows are assembled.
+    (network-name, batch) to avoid re-simulation, and receives the models
+    built here.  Models that still need simulating are warmed through one
+    flat parallel fan-out over all their layers before the rows are
+    assembled.
     """
-    models = models or {}
+    if models is None:
+        models = {}
 
     def model(net_factory, batch):
         key = (net_factory().name, batch)

@@ -547,15 +547,7 @@ class CNNPerformanceModel:
         """Per-layer timings, simulated in parallel (each layer's vault
         simulation is independent); results are in network layer order."""
         if self._timings is None:
-            layers = list(self.network)
-            tasks = [
-                Task(key=f"cnn-layer:{self.network.name}:{i}:{layer.name}",
-                     fn=_cnn_layer_worker,
-                     args=(self.network, self.batch, self.config.memory,
-                           self.seed, self.sim_rows, self.fc_sim_rows, i))
-                for i, layer in enumerate(layers)
-            ]
-            self._timings = run_tasks(tasks, max_workers=max_workers)
+            prewarm_cnn_models([self], max_workers=max_workers)
         return self._timings
 
     def total_ms(self, kinds: tuple[str, ...] = ("conv", "pool", "fc")) -> float:
@@ -589,15 +581,17 @@ def prewarm_cnn_models(models: list[CNNPerformanceModel],
     Warming each model in turn leaves cores idle at every model's tail;
     pooling every (model, layer) pair into a single task list keeps the
     pool saturated.  Results land in each model's ``_timings`` in network
-    layer order, exactly as :meth:`CNNPerformanceModel.layer_timings`
-    would compute them.
+    layer order; :meth:`CNNPerformanceModel.layer_timings` warms one
+    model through here, so every layer task is built in one place.
     """
     pending = [m for m in models if m._timings is None]
     tasks: list[Task] = []
     slices = []
     for m in pending:
         start = len(tasks)
-        for i, layer in enumerate(list(m.network)):
+        # The key names the batch: two batches of one network are two
+        # task sets under a checkpoint.
+        for i, layer in enumerate(m.network):
             tasks.append(
                 Task(key=f"cnn-layer:{m.network.name}:b{m.batch}:{i}:{layer.name}",
                      fn=_cnn_layer_worker,

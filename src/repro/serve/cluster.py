@@ -595,6 +595,10 @@ class ClusterSimulator:
             next_tick += cluster.gossip_interval_cycles
             for shard in self.shards:
                 shard.finish()
+        # The hooks hold the router, and the router its shards: dropped,
+        # a finished simulator is freed without the cyclic collector.
+        for shard in self.shards:
+            shard.on_expire = None
         # What each shard saw as an arrival: the original one, or the
         # re-dispatch time of a failed-over request.
         seen = trace.column("arrival")

@@ -67,8 +67,8 @@ def test_scratchpad_variants_run_the_vip_kernel(variant):
 def test_figure4_ordering_small_tile():
     """The reduction-unit claim on a fast, reduced-size run; at this tiny
     scale SP and RF are within startup noise of each other, so the
-    scratchpad-vs-RF ordering is asserted only at the paper's full tile
-    size (benchmarks/bench_figure4_arch.py)."""
+    scratchpad-vs-RF ordering is checked only at the paper's full tile
+    size (``python -m repro.experiments figure4``)."""
     results = {r.variant: r.time_ms for r in run_figure4(rows=8, cols=32, labels=8)}
     assert results["SP+R"] < results["SP-R"]
     assert results["RF+R"] < results["RF-R"]

@@ -1,4 +1,5 @@
-"""Figure-module tests at reduced scale (full scale runs in benchmarks/)."""
+"""Figure-module tests at reduced scale (full scale runs in the paper
+suite, ``python -m repro.experiments``)."""
 
 import pytest
 

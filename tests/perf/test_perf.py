@@ -12,8 +12,10 @@ from repro.perf import (
     Roofline,
     RooflinePoint,
     point_from_counters,
+    prewarm_cnn_models,
     vgg16_conv_gops,
 )
+from repro.perf import extrapolate
 from repro.workloads.cnn import vgg16
 
 
@@ -144,3 +146,22 @@ class TestCNNModel:
         for t in tiny_cnn_model.layer_timings():
             if t.kind == "conv":
                 assert 5 < t.arithmetic_intensity < 60
+
+    def test_layer_tasks_are_keyed_by_batch(self, monkeypatch):
+        """``layer_timings`` and ``prewarm_cnn_models`` build one task
+        set, whose keys name the batch, so two batches of one network
+        never share a checkpoint entry (the runner is stubbed: nothing
+        is simulated)."""
+        keys = []
+
+        def run_tasks(tasks, max_workers=None):
+            keys.append([task.key for task in tasks])
+            return [None] * len(tasks)
+
+        monkeypatch.setattr(extrapolate, "run_tasks", run_tasks)
+        CNNPerformanceModel(vgg16(), batch=1).layer_timings()
+        prewarm_cnn_models([CNNPerformanceModel(vgg16(), batch=3)])
+        names = [layer.name for layer in vgg16()]
+        for batch, got in zip((1, 3), keys):
+            assert got == [f"cnn-layer:VGG-16:b{batch}:{i}:{name}"
+                           for i, name in enumerate(names)]

@@ -14,6 +14,7 @@ import math
 import random
 import signal
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.serve.report import run_report
 from repro.serve.resilience import OPEN, ResilienceConfig
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
 from repro.trace.collector import TraceCollector
+from tests.serve import test_memory
 
 
 def _table(max_batch=4):
@@ -418,6 +420,40 @@ class TestTrace:
             merged.extend(res.batches)
         assert result.batches == merged
         assert len(merged) > len(result.shard_results[0].batches) > 0
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_finished_simulator_is_freed_without_the_cycle_collector(shards):
+    """With two or more shards each shard's failover hook holds the
+    router, which holds its shards; run() drops the hooks, so a finished
+    simulator goes with its last reference, as a 1-shard one does, even
+    with the cyclic collector off.  The run is serve-cluster-outage's
+    failure, resilience and cluster settings on 2,000 bursty requests."""
+    config = ServeConfig(
+        chips=2, max_batch=4, queue_capacity=16,
+        failures=FailureConfig(seed=0, domains=((0, 1),),
+                               domain_mtbf_cycles=3_000_000.0,
+                               domain_repair_mean_cycles=400_000.0),
+        resilience=ResilienceConfig(max_retries=1,
+                                    retry_deadline_cycles=600_000.0),
+        cluster=ClusterConfig(shards=shards, router="least-loaded",
+                              gossip_interval_cycles=20_000.0,
+                              failover_retries=1))
+    trace = generate_requests(WorkloadConfig(
+        mix="bp+vgg", arrival="bursty", rate=20_000.0, requests=2_000,
+        seed=0))
+    gc.disable()
+    try:
+        sim = ClusterSimulator(config, test_memory._table())
+        result = sim.run(trace)
+        if shards > 1:
+            assert all(s.on_expire is None for s in sim.shards)
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert len(result.records) == len(trace)
 
 
 def _round_robin_pair():
