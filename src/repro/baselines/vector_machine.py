@@ -338,9 +338,21 @@ def run_figure4(
     seed: int = 0,
     variants: tuple[str, ...] = VARIANTS,
 ) -> list[VariantResult]:
-    """Run the four configurations on the paper's 64x32 tile; returns
-    runtimes in the paper's presentation order (slowest configuration
-    first)."""
+    """Run the four configurations on the paper's 64x32 tile, one
+    :func:`~repro.perf.runner.run_tasks` task each; returns runtimes in
+    the paper's presentation order (slowest configuration first)."""
+    from repro.perf.runner import Task, run_tasks
+
+    return run_tasks(Task(key=f"figure4:{variant}", fn=_run_variant,
+                          args=(rows, cols, labels, seed, variant))
+                     for variant in variants)
+
+
+def _run_variant(rows: int, cols: int, labels: int, seed: int,
+                 variant: str) -> VariantResult:
+    """One Figure 4 configuration on one vault's PEs (a pool worker:
+    the tile is drawn again from ``seed``)."""
+    from repro.kernels.bp_kernel import BPTileLayout, build_sweep_program
     from repro.workloads.bp.mrf import truncated_linear_smoothness
 
     rng = np.random.default_rng(seed)
@@ -352,38 +364,31 @@ def run_figure4(
         d: rng.integers(0, 16, (rows, cols, labels)).astype(np.int16)
         for d in DIRECTIONS
     }
-    from repro.kernels.bp_kernel import BPTileLayout, build_sweep_program
-
-    results = []
     config = VIPConfig()
-    for variant in variants:
-        chip = Chip(config, num_pes=config.pes_per_vault)
-        if variant.startswith("SP"):
-            # The scratchpad machine runs the real VIP kernel (with its
-            # interleaved per-vertex layout — arbitrary data arrangement is
-            # exactly what the scratchpad buys), with or without the
-            # horizontal reduction unit.
-            sp_layout = BPTileLayout(base=4096, rows=rows, cols=cols, labels=labels)
-            sp_layout.stage(chip.hmc.store, mrf, messages)
-            programs = [
-                build_sweep_program(sp_layout, "down", start, count,
-                                    use_reduction_unit=variant == "SP+R")
-                for start, count in split_evenly(cols, config.pes_per_vault)
-            ]
-        else:
-            rf_layout = SeparateArrayLayout(base=4096, rows=rows, cols=cols,
-                                            labels=labels)
-            rf_layout.stage(chip.hmc.store, mrf, messages)
-            programs = [
-                build_variant_program(rf_layout, variant, start, count)
-                for start, count in split_evenly(cols, config.pes_per_vault)
-            ]
-        outcome: ChipResult = chip.run(programs)
-        results.append(
-            VariantResult(
-                variant=variant,
-                cycles=outcome.cycles,
-                time_ms=outcome.cycles / 1.25e9 * 1e3,
-            )
-        )
-    return results
+    chip = Chip(config, num_pes=config.pes_per_vault)
+    if variant.startswith("SP"):
+        # The scratchpad machine runs the real VIP kernel (with its
+        # interleaved per-vertex layout — arbitrary data arrangement is
+        # exactly what the scratchpad buys), with or without the
+        # horizontal reduction unit.
+        sp_layout = BPTileLayout(base=4096, rows=rows, cols=cols, labels=labels)
+        sp_layout.stage(chip.hmc.store, mrf, messages)
+        programs = [
+            build_sweep_program(sp_layout, "down", start, count,
+                                use_reduction_unit=variant == "SP+R")
+            for start, count in split_evenly(cols, config.pes_per_vault)
+        ]
+    else:
+        rf_layout = SeparateArrayLayout(base=4096, rows=rows, cols=cols,
+                                        labels=labels)
+        rf_layout.stage(chip.hmc.store, mrf, messages)
+        programs = [
+            build_variant_program(rf_layout, variant, start, count)
+            for start, count in split_evenly(cols, config.pes_per_vault)
+        ]
+    outcome: ChipResult = chip.run(programs)
+    return VariantResult(
+        variant=variant,
+        cycles=outcome.cycles,
+        time_ms=outcome.cycles / 1.25e9 * 1e3,
+    )

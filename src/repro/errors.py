@@ -24,8 +24,6 @@ blocking cause (full-empty address, ARC region, LSU occupancy, ...)::
     # -> 0 1 'ld.fe r3, r2' 'full-empty'
 """
 
-import operator
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -90,19 +88,3 @@ class UncorrectableEccError(SimulationError):
 class ConfigError(ReproError):
     """Raised for invalid configuration values."""
 
-
-def check_count(path: str, value, low: int) -> int:
-    """``value`` as a builtin int when it is an integer (any type with
-    ``__index__``, such as a NumPy integer) of at least ``low``, 0 or 1;
-    else a :class:`ConfigError` naming the dotted field ``path``, such
-    as ``config.max_batch: must be a positive integer, got 2.5``.  A
-    count that is not an integer would reach ``range`` or a batch size
-    deep in a run."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < low:
-        kind = "positive" if low else "nonnegative"
-        raise ConfigError(f"{path}: must be a {kind} integer, got {value!r}")
-    return count

@@ -15,6 +15,7 @@ one ``error: config:`` line naming its flag, and exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.cli import check_output_paths
@@ -58,6 +59,11 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
+    # An infinite timeout overflows the per-point alarm, and a NaN one
+    # never fires.
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {value}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import ConfigError
+from repro.knobs import check_knobs, choice, count, number
 
 
 @dataclass(frozen=True)
@@ -38,44 +38,45 @@ class FaultConfig:
 
     #: Base seed; every category stream and every per-PE/per-page stream
     #: is derived from it.
-    seed: int = 0
+    seed: int = count(0)
 
     # -- DRAM (memory/store.py + memory/bank.py refresh timing) --------
     #: Probability per bit per read that a returned bit is flipped
     #: (transient read disturb; the backing store is not modified).
-    dram_read_flip_rate: float = 0.0
+    dram_read_flip_rate: float = number(0.0, min=0, max=1)
     #: Probability per bit per refresh interval that a stored bit decays
     #: (retention failure; persisted to the backing store, page-lazily).
-    dram_retention_flip_rate: float = 0.0
+    dram_retention_flip_rate: float = number(0.0, min=0, max=1)
     #: Refresh interval in cycles for the retention model.  ``None`` uses
     #: the bound memory system's tREFI; memories without refresh (e.g.
     #: :class:`~repro.pe.memoryif.FlatMemory`) then disable retention.
-    retention_interval_cycles: float | None = None
+    retention_interval_cycles: float | None = number(None, above=0,
+                                                     nullable=True)
 
     # -- PE scratchpad (pe/pe.py writes) -------------------------------
     #: Probability per bit per scratchpad write that the written bit
     #: flips (write noise; applies to DRAM loads and vector results).
-    sp_write_flip_rate: float = 0.0
+    sp_write_flip_rate: float = number(0.0, min=0, max=1)
     #: Probability per bit that a scratchpad cell is stuck at a fixed
     #: value from power-on (manufacturing defects; fixed per PE per seed).
-    sp_stuck_cell_rate: float = 0.0
+    sp_stuck_cell_rate: float = number(0.0, min=0, max=1)
 
     # -- NoC (noc/torus.py) --------------------------------------------
     #: Probability per message traversal that a flit is dropped in
     #: flight; detected and re-injected (the message re-traverses its
     #: whole path, re-occupying every link).
-    noc_drop_rate: float = 0.0
+    noc_drop_rate: float = number(0.0, min=0, max=1)
     #: Probability per message traversal that a flit is corrupted;
     #: caught by the link-level CRC and re-injected like a drop (counted
     #: separately).
-    noc_corrupt_rate: float = 0.0
+    noc_corrupt_rate: float = number(0.0, min=0, max=1)
     #: Cap on consecutive re-injections of one message.
-    noc_max_retries: int = 8
+    noc_max_retries: int = count(8, min=0)
 
     # -- PE compute (pe/vector_unit.py results) ------------------------
     #: Probability per vector result element that one random bit of the
     #: written element is flipped (transient datapath fault).
-    compute_flip_rate: float = 0.0
+    compute_flip_rate: float = number(0.0, min=0, max=1)
 
     # -- SECDED ECC on DRAM reads --------------------------------------
     #: Model SECDED over 64-bit words: single-bit faults are corrected
@@ -83,27 +84,13 @@ class FaultConfig:
     #: ``ecc_double_bit``.
     ecc: bool = False
     #: Extra read latency per corrected word.
-    ecc_correction_cycles: float = 1.0
+    ecc_correction_cycles: float = number(1.0, min=0)
     #: ``"raise"`` aborts the run with UncorrectableEccError;
     #: ``"count"`` delivers the corrupted word and counts it.
-    ecc_double_bit: str = "raise"
+    ecc_double_bit: str = choice("raise", ("raise", "count"))
 
     def __post_init__(self):
-        for f in ("dram_read_flip_rate", "dram_retention_flip_rate",
-                  "sp_write_flip_rate", "sp_stuck_cell_rate",
-                  "noc_drop_rate", "noc_corrupt_rate", "compute_flip_rate"):
-            rate = getattr(self, f)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{f} must be in [0, 1], got {rate}")
-        if self.noc_max_retries < 0:
-            raise ConfigError("noc_max_retries must be nonnegative")
-        if self.ecc_correction_cycles < 0:
-            raise ConfigError("ecc_correction_cycles must be nonnegative")
-        if self.ecc_double_bit not in ("raise", "count"):
-            raise ConfigError("ecc_double_bit must be 'raise' or 'count'")
-        if (self.retention_interval_cycles is not None
-                and self.retention_interval_cycles <= 0):
-            raise ConfigError("retention_interval_cycles must be positive")
+        check_knobs(self, "faults")
 
     @property
     def any_rate_set(self) -> bool:

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
+from repro.knobs import check_knobs, count, number
 
 
 class RowPolicy(enum.Enum):
@@ -37,15 +38,19 @@ class AddressMapping(enum.Enum):
 class DramTiming:
     """Timing parameters, in nanoseconds (Table III)."""
 
-    tCK: float = 0.8
-    tCL: float = 13.75
-    tRCD: float = 13.75
-    tRP: float = 13.75
-    tRAS: float = 27.5
-    tWR: float = 15.0
-    tCCD: float = 5.0
-    tRFC: float = 81.5
-    tREFI: float = 1950.0  # 1.95 us — DDR4 "refresh 4x" mode
+    #: Every time is converted to cycles by dividing by tCK.
+    tCK: float = number(0.8, above=0)
+    tCL: float = number(13.75, min=0)
+    tRCD: float = number(13.75, min=0)
+    tRP: float = number(13.75, min=0)
+    tRAS: float = number(27.5, min=0)
+    tWR: float = number(15.0, min=0)
+    tCCD: float = number(5.0, min=0)
+    tRFC: float = number(81.5, min=0)
+    tREFI: float = number(1950.0, min=0)  # 1.95 us — DDR4 "refresh 4x" mode
+
+    def __post_init__(self):
+        check_knobs(self, "memory.timing")
 
     def scaled_refresh(self, factor: int) -> "DramTiming":
         """Return timing with tREFI and tRFC scaled by ``factor``.
@@ -65,15 +70,15 @@ class MemoryConfig:
     queue depths of 32, 10 GB/s per vault (320 GB/s aggregate).
     """
 
-    vaults: int = 32
-    banks_per_vault: int = 16
-    rows_per_bank: int = 65536
-    row_bytes: int = 256
-    column_bytes: int = 32
-    vault_data_width_bits: int = 32
-    burst_length: int = 8
-    command_queue_depth: int = 32
-    transaction_queue_depth: int = 32
+    vaults: int = count(32, min=1)
+    banks_per_vault: int = count(16, min=1)
+    rows_per_bank: int = count(65536, min=1)
+    row_bytes: int = count(256, min=1)
+    column_bytes: int = count(32, min=1)
+    vault_data_width_bits: int = count(32, min=1)
+    burst_length: int = count(8, min=1)
+    command_queue_depth: int = count(32, min=1)
+    transaction_queue_depth: int = count(32, min=1)
     row_policy: RowPolicy = RowPolicy.OPEN_PAGE
     address_mapping: AddressMapping = AddressMapping.VAULT_HIGH
     #: Model a controller-side write queue (writes acknowledged at CAS
@@ -82,12 +87,14 @@ class MemoryConfig:
     timing: DramTiming = DramTiming()
 
     def __post_init__(self):
+        check_knobs(self, "memory")
         for name in ("vaults", "banks_per_vault", "rows_per_bank", "row_bytes", "column_bytes"):
             value = getattr(self, name)
-            if value <= 0 or value & (value - 1):
-                raise ConfigError(f"{name} must be a positive power of two, got {value}")
+            if value & (value - 1):
+                raise ConfigError(f"memory.{name}: must be a power of two, got {value}")
         if self.column_bytes > self.row_bytes:
-            raise ConfigError("column cannot be wider than a row")
+            raise ConfigError(f"memory.column_bytes: must be <= row_bytes "
+                              f"({self.row_bytes}), got {self.column_bytes}")
 
     @property
     def columns_per_row(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.knobs import check_knobs, count
 from repro.faults.config import NO_FAULTS
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -23,16 +23,15 @@ from repro.trace.collector import NULL_TRACE, TraceSink
 class NoCConfig:
     """Topology and timing of the on-chip network."""
 
-    cols: int = 8
-    rows: int = 4
-    hop_cycles: int = 3
-    link_bytes_per_cycle: int = 8
+    cols: int = count(8, min=1)
+    rows: int = count(4, min=1)
+    hop_cycles: int = count(3, min=0)
+    link_bytes_per_cycle: int = count(8, min=1)
     #: PE <-> vault-router star hop (one cycle each way).
-    star_cycles: int = 1
+    star_cycles: int = count(1, min=0)
 
     def __post_init__(self):
-        if self.cols <= 0 or self.rows <= 0:
-            raise ConfigError("torus dimensions must be positive")
+        check_knobs(self, "noc")
 
     @property
     def num_nodes(self) -> int:

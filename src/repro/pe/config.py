@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.faults.config import NO_FAULTS
+from repro.knobs import check_knobs, count, number
 from repro.isa.instructions import NUM_REGISTERS, SCRATCHPAD_BYTES
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -26,7 +27,6 @@ class HazardMode(enum.Enum):
 
     STALL = "stall"
     ERROR = "error"
-    IGNORE = "ignore"
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,19 @@ class PEConfig:
     and a 64-entry scalar register file.
     """
 
-    clock_ghz: float = 1.25
-    datapath_bits: int = 64
-    scratchpad_bytes: int = SCRATCHPAD_BYTES
-    scratchpad_banks: int = 8
-    num_registers: int = NUM_REGISTERS
-    vertical_add_latency: int = 1
-    vertical_mul_latency: int = 4
+    clock_ghz: float = number(1.25, above=0)
+    datapath_bits: int = count(64, min=1)
+    scratchpad_bytes: int = count(SCRATCHPAD_BYTES, min=1)
+    scratchpad_banks: int = count(8, min=1)
+    num_registers: int = count(NUM_REGISTERS, min=1)
+    vertical_add_latency: int = count(1, min=0)
+    vertical_mul_latency: int = count(4, min=0)
     #: Extra pipeline depth of the horizontal (reduction) unit.
-    horizontal_latency: int = 4
-    arc_entries: int = 20
-    max_outstanding_mem: int = 64
-    instruction_buffer_entries: int = 1024
-    branch_taken_penalty: int = 1
+    horizontal_latency: int = count(4, min=0)
+    arc_entries: int = count(20, min=1)
+    max_outstanding_mem: int = count(64, min=1)
+    instruction_buffer_entries: int = count(1024, min=1)
+    branch_taken_penalty: int = count(1, min=0)
     hazard_mode: HazardMode = HazardMode.STALL
     #: Event sink for the tracing subsystem (``repro.trace``); the default
     #: null sink records nothing and adds no per-event work.
@@ -62,12 +62,10 @@ class PEConfig:
     faults: object = field(default=NO_FAULTS, compare=False)
 
     def __post_init__(self):
-        if self.clock_ghz <= 0:
-            raise ConfigError("clock must be positive")
+        check_knobs(self, "pe")
         if self.datapath_bits % 8:
-            raise ConfigError("datapath width must be a whole number of bytes")
-        if self.arc_entries <= 0 or self.max_outstanding_mem <= 0:
-            raise ConfigError("resource capacities must be positive")
+            raise ConfigError(f"pe.datapath_bits: must be a whole number of "
+                              f"bytes, got {self.datapath_bits}")
 
     @property
     def datapath_bytes(self) -> int:

@@ -177,7 +177,6 @@ class PE:
         self._fl = cfg.faults if cfg.faults.enabled else None
         if self._fl is not None:
             self._fl.sp_power_on(self)
-        self._hazard_on = cfg.hazard_mode is not HazardMode.IGNORE
         self._dpb = cfg.datapath_bytes
         # Applies long and 64-bit vector instructions (repro.pe.batch).
         self._vq = VectorOpQueue()
@@ -394,15 +393,14 @@ class PE:
         arc = self.arc
         arc_overlap = (arc.overlap_clear_time if arc.latest_clear > clock
                        else None)
-        max_over = self._sp_wtime.max_over if self._hazard_on else None
+        max_over = self._sp_wtime.max_over
         scan = []
         for start, nbytes in ranges:
             cleared = ready = clock
             if 0 < nbytes and 0 <= start and start + nbytes <= size:
                 if arc_overlap is not None:
                     cleared = arc_overlap(start, nbytes, clock)
-                if max_over is not None:
-                    ready = max_over(start, start + nbytes, clock)
+                ready = max_over(start, start + nbytes, clock)
             scan += (cleared, ready)
         return scan
 
@@ -495,16 +493,14 @@ class PE:
             t = self._arc_wait(t, a2, src2, n2)
         if a3 > t:
             t = self._arc_wait(t, a3, dst, nd)
-        if self._hazard_on:
-            ready = w1 if w1 > t else t
-            if w2 > ready:
-                ready = w2
-            if ready > t:
-                t = self._hazard_wait(t, ready)
-            ready = self._sp_rtime.max_over(dst, dst + nd,
-                                            w3 if w3 > t else t)
-            if ready > t:
-                t = self._hazard_wait(t, ready)
+        ready = w1 if w1 > t else t
+        if w2 > ready:
+            ready = w2
+        if ready > t:
+            t = self._hazard_wait(t, ready)
+        ready = self._sp_rtime.max_over(dst, dst + nd, w3 if w3 > t else t)
+        if ready > t:
+            t = self._hazard_wait(t, ready)
         if self._vec_pipe_free > t:
             counters.stall_vector_pipe += self._vec_pipe_free - t
             t = self._vec_pipe_free
@@ -660,7 +656,7 @@ class PE:
             cleared, ready = self._operand_scan(((sp_dst, nbytes),))
         if cleared > t:
             t = self._arc_wait(t, cleared, sp_dst, nbytes)
-        if self._hazard_on and nbytes:
+        if nbytes:
             ready = self._sp_rtime.max_over(sp_dst, end,
                                             ready if ready > t else t)
             if ready > t:
@@ -714,7 +710,7 @@ class PE:
             cleared, ready = self._operand_scan(((sp_src, nbytes),))
         if cleared > t:
             t = self._arc_wait(t, cleared, sp_src, nbytes)
-        if self._hazard_on and ready > t:
+        if ready > t:
             t = self._hazard_wait(t, ready)
         t = self._lsu_slot(t)
 

@@ -138,13 +138,11 @@ class ReferencePE(PE):
                 ranges = [(self._read_reg(instr.rd), count * esz)]
         if ranges:
             size = self.scratchpad.size
-            hazard = self._hazard_on
             for start, nbytes in ranges:
                 if nbytes <= 0 or start < 0 or start + nbytes > size:
                     continue
                 t = max(t, self.arc.overlap_clear_time(start, nbytes, t))
-                if hazard:
-                    t = self._sp_wtime.max_over(start, start + nbytes, t)
+                t = self._sp_wtime.max_over(start, start + nbytes, t)
         if op in (Opcode.MV, Opcode.VV, Opcode.VS):
             t = max(t, self._vec_pipe_free)
         elif op is Opcode.V_DRAIN:

@@ -252,13 +252,18 @@ class HierarchicalBPModel:
             memory=fine.config.memory,
             seed=fine.seed,
         )
+        self._result: HierarchicalBPResult | None = None
 
     def measure(self) -> HierarchicalBPResult:
+        """Simulate construct and copy once and combine them with the
+        fine and coarse iterations; later calls return the result."""
+        if self._result is not None:
+            return self._result
         fine_result = self.fine.measure()
         coarse_result = self.coarse.measure()
         construct_cycles, construct_counters = self._measure_construct()
         copy_cycles, copy_counters = self._measure_copy()
-        return HierarchicalBPResult(
+        self._result = HierarchicalBPResult(
             construct_cycles=construct_cycles,
             copy_cycles=copy_cycles,
             coarse_iteration_cycles=coarse_result.iteration_cycles,
@@ -266,6 +271,7 @@ class HierarchicalBPModel:
             construct_counters=construct_counters,
             copy_counters=copy_counters,
         )
+        return self._result
 
     def _phase_layouts(self) -> tuple[BPTileLayout, BPTileLayout]:
         fine_rows = self.fine.tile_rows - self.fine.tile_rows % 2

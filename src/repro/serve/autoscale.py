@@ -33,12 +33,12 @@ triggers a replacement add outright.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.knobs import check_knobs, count, number
 
 #: Scale-event actions, in lifecycle order.
 SCALE_ACTIONS = ("add", "drain", "remove")
@@ -48,70 +48,40 @@ SCALE_ACTIONS = ("add", "drain", "remove")
 class AutoscaleConfig:
     """Autoscaler knobs (all times in PE clock cycles).
 
-    Validation messages carry the dotted ``autoscale.<field>`` path, the
-    same convention the scenario DSL uses, so a bad knob surfaces as
-    ``error: config: autoscale.max_step: must be >= 1`` from every
-    front end.
+    Validation messages carry the dotted ``autoscale.<field>`` path
+    (see :mod:`repro.knobs`).
     """
 
     #: The active fleet never shrinks below / grows above these.
-    min_chips: int = 1
-    max_chips: int = 8
+    min_chips: int = count(1, min=1)
+    max_chips: int = count(8, min=1)
     #: Decision tick period (see the determinism note above).
-    evaluate_interval_cycles: float = 50_000.0
+    evaluate_interval_cycles: float = number(50_000.0, above=0)
     #: Scale up when queued requests per believed-alive active chip
     #: reach this.
-    up_queue_per_chip: float = 8.0
+    up_queue_per_chip: float = number(8.0, above=0)
     #: ... or when the mean committed-work backlog per believed-alive
     #: chip reaches this many cycles.  Chips take batches the moment
     #: they are dispatched, so sustained overload shows up as
     #: ``free_at`` running ahead of the clock, not as queued requests.
-    up_backlog_cycles: float = 100_000.0
+    up_backlog_cycles: float = number(100_000.0, above=0)
     #: Scale down only while total queue depth is at or below this.
-    down_queue_max: float = 1.0
+    down_queue_max: float = number(1.0, min=0)
     #: A chip must have been idle this long before it may drain.
-    idle_cycles: float = 100_000.0
+    idle_cycles: float = number(100_000.0, min=0)
     #: Provisioned chips serve nothing for this long after the decision.
-    warmup_cycles: float = 50_000.0
+    warmup_cycles: float = number(50_000.0, min=0)
     #: Hold-off between consecutive scale decisions (hysteresis).
-    cooldown_cycles: float = 200_000.0
+    cooldown_cycles: float = number(200_000.0, min=0)
     #: Chips added per scale-up decision.
-    max_step: int = 1
+    max_step: int = count(1, min=1)
 
     def __post_init__(self):
-        # NaN compares false against every bound below, so it would slip
-        # through them.
-        for name in ("evaluate_interval_cycles", "up_queue_per_chip",
-                     "up_backlog_cycles", "down_queue_max", "idle_cycles",
-                     "warmup_cycles", "cooldown_cycles"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"autoscale.{name}: must be a finite "
-                                  f"number, got {value!r}")
-        if self.min_chips < 1:
-            raise ConfigError("autoscale.min_chips: must be >= 1")
+        check_knobs(self, "autoscale")
         if self.max_chips < self.min_chips:
             raise ConfigError(
                 f"autoscale.max_chips: must be >= min_chips "
                 f"({self.min_chips}), got {self.max_chips}")
-        if self.evaluate_interval_cycles <= 0:
-            raise ConfigError(
-                "autoscale.evaluate_interval_cycles: must be positive")
-        if self.up_queue_per_chip <= 0:
-            raise ConfigError("autoscale.up_queue_per_chip: must be positive")
-        if self.up_backlog_cycles <= 0:
-            raise ConfigError(
-                "autoscale.up_backlog_cycles: must be positive")
-        if self.down_queue_max < 0:
-            raise ConfigError("autoscale.down_queue_max: must be nonnegative")
-        if self.idle_cycles < 0:
-            raise ConfigError("autoscale.idle_cycles: must be nonnegative")
-        if self.warmup_cycles < 0:
-            raise ConfigError("autoscale.warmup_cycles: must be nonnegative")
-        if self.cooldown_cycles < 0:
-            raise ConfigError("autoscale.cooldown_cycles: must be nonnegative")
-        if self.max_step < 1:
-            raise ConfigError("autoscale.max_step: must be >= 1")
 
     def validate_fleet(self, chips: int) -> None:
         """Cross-check against the boot-time fleet size."""

@@ -11,8 +11,8 @@ Every simulation flag writes one key of a scenario document
 ``--help`` shows each flag's key as its metavar.  The flags given go on
 top of the ``--scenario`` file key by key, or into an empty document,
 which compiles once through
-:func:`~repro.serve.scenario.scenario_from_document`, the only source
-of defaults, bounds and units.
+:func:`~repro.serve.scenario.scenario_from_document`: a flag has no
+default, bound or unit of its own.
 
 Resilience: ``--fail-chips N`` subjects the first N chips to a seeded
 fail-stop lifecycle (``--fail-slow-chips`` / ``--transient-chips``

@@ -63,8 +63,9 @@ from itertools import chain
 
 import numpy as np
 
-from repro.errors import ConfigError, check_count
+from repro.errors import ConfigError
 from repro.faults.injector import stream_seed
+from repro.knobs import check_knobs, choice, count, number
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
 from repro.serve.fleet.records import (
@@ -97,49 +98,23 @@ class ClusterConfig:
     """
 
     #: Number of fleet shards; each serves ``ServeConfig.chips`` chips.
-    shards: int = 1
+    shards: int = count(1, min=1)
     #: Cluster routing policy over believed-alive shards.
-    router: str = "least-loaded"
+    router: str = choice("least-loaded", ROUTERS)
     #: Belief-refresh tick grid: shard health is sampled (read-only)
     #: every this many cycles; beliefs are up to one interval stale.
-    gossip_interval_cycles: float = 50_000.0
+    gossip_interval_cycles: float = number(50_000.0, above=0)
     #: Cluster-level re-dispatch budget per request for cross-shard
     #: failover (0 disables failover; shards expire their own work).
-    failover_retries: int = 1
+    failover_retries: int = count(1, min=0)
     #: Brown-out threshold on believed capacity fraction (None = off).
-    brownout_headroom: float | None = None
+    brownout_headroom: float | None = number(None, above=0, max=1,
+                                             nullable=True)
     #: Low-priority request kinds shed cluster-wide during a brown-out.
     brownout_kinds: tuple = ("fc",)
 
     def __post_init__(self):
-        if self.shards <= 0:
-            raise ConfigError("cluster.shards must be positive")
-        object.__setattr__(self, "shards",
-                           check_count("cluster.shards", self.shards, 1))
-        if self.router not in ROUTERS:
-            raise ConfigError(f"cluster.router: unknown router "
-                              f"{self.router!r}; choose from {ROUTERS}")
-        # NaN compares false against every bound below; a NaN gossip
-        # interval would leave the late-failover drain waiting forever
-        # for a tick at or after NaN.
-        for f in ("gossip_interval_cycles", "brownout_headroom"):
-            value = getattr(self, f)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(
-                    f"cluster.{f}: must be a finite number, got {value!r}")
-        if self.gossip_interval_cycles <= 0:
-            raise ConfigError("cluster.gossip_interval_cycles must be "
-                              "positive")
-        if self.failover_retries < 0:
-            raise ConfigError("cluster.failover_retries must be "
-                              "nonnegative")
-        object.__setattr__(self, "failover_retries",
-                           check_count("cluster.failover_retries",
-                                       self.failover_retries, 0))
-        if self.brownout_headroom is not None \
-                and not 0.0 < self.brownout_headroom <= 1.0:
-            raise ConfigError("cluster.brownout_headroom must be in "
-                              "(0, 1]")
+        check_knobs(self, "cluster")
         for k in self.brownout_kinds:
             if k not in KINDS:
                 raise ConfigError(f"cluster.brownout_kinds: unknown "
@@ -227,6 +202,15 @@ class ClusterResult:
         }
 
 
+def _arrival_span(records: EntryTable) -> tuple:
+    """The first and last arrival among a shard's ``records``: what the
+    shard saw, the re-dispatch time for a request failed over to it."""
+    arrivals = records.column("arrival")
+    if not len(arrivals):
+        return 0.0, 0.0
+    return arrivals.min().item(), arrivals.max().item()
+
+
 def _shard_failures(config, shard: int):
     """Shard ``shard``'s failure config: independent seed per shard,
     except shard 0 which keeps the base seed (1-shard byte-identity)."""
@@ -280,13 +264,6 @@ class ClusterSimulator:
         #: run(); a rid's original arrival is its trace row's.
         self._trace: RecordTable | None = None
         self._rids = np.empty(0, dtype=np.int64)
-        #: The shard that owns each rid of ``_rids`` (-1: none, as for a
-        #: brown-out shed or a request handed back for failover), set by
-        #: run().
-        self._owner = np.empty(0, dtype=np.int32)
-        #: rid -> re-dispatch time of each failed-over request: the
-        #: arrival its owning shard saw.
-        self._redispatched: dict[int, float] = {}
         self._failover_count: dict[int, int] = {}
         self._handbacks: list[_Handback] = []
         self._rr = 0
@@ -441,7 +418,6 @@ class ClusterSimulator:
                     self._handbacks.append(
                         _Handback(expiry=now, rid=req.rid, request=req,
                                   from_shard=shard_idx))
-                    self._own(req.rid, -1)
                 else:
                     keep.append(req)
             return keep
@@ -460,13 +436,7 @@ class ClusterSimulator:
                              {"rid": rid, "from": h.from_shard,
                               "to": target,
                               "failover": self._failover_count[rid]})
-        self._own(rid, target)
-        self._redispatched[rid] = now
         self.shards[target].step(h.request._replace(arrival=now))
-
-    def _own(self, rid: int, shard: int) -> None:
-        """Give ``rid`` to ``shard`` (-1: to none) in the owner column."""
-        self._owner[np.searchsorted(self._rids, rid)] = shard
 
     # -- brown-out -----------------------------------------------------
 
@@ -549,10 +519,7 @@ class ClusterSimulator:
         columns and rows are decoded a chunk at a time."""
         cluster = self.cluster
         # A rid or tile a row cannot hold, a repeated rid, a non-finite
-        # arrival or an unpriced kind fails before simulating.  The
-        # trace is in rid order, so trace row ``i`` holds rid
-        # ``rids[i]``: the arrival order is also each arrival's position
-        # in ``rids``.
+        # arrival or an unpriced kind fails before simulating.
         self._trace = trace = as_trace(requests)
         # The rids are searched on every failover and snapshot, which
         # would copy a strided column each time: they are held
@@ -560,7 +527,6 @@ class ClusterSimulator:
         self._rids = rids = np.ascontiguousarray(sorted_rids(trace))
         order, (first, last_arrival) = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
-        self._owner = owner = np.full(len(rids), -1, dtype=np.int32)
         for shard in self.shards:
             shard.begin()
         if len(self.shards) > 1 and cluster.failover_retries > 0:
@@ -570,16 +536,13 @@ class ClusterSimulator:
         if on_progress is not None and progress_every is None:
             progress_every = max(1, total // 20)
         next_tick = cluster.gossip_interval_cycles
-        for arrived, (req, at) in enumerate(zip(trace.take(order), order),
-                                            1):
+        for arrived, req in enumerate(trace.take(order), 1):
             if self._active:
                 next_tick = self._gossip_until(req.arrival, next_tick)
                 if self._brownout and req.kind in cluster.brownout_kinds:
                     self._shed_brownout(req)
                     continue
-            shard = self._route(req)
-            owner[at] = shard
-            self.shards[shard].step(req)
+            self.shards[self._route(req)].step(req)
             if on_progress is not None and arrived % progress_every == 0:
                 on_progress(self.snapshot(req.arrival, arrived, total))
         for shard in self.shards:
@@ -599,22 +562,8 @@ class ClusterSimulator:
         # a finished simulator is freed without the cyclic collector.
         for shard in self.shards:
             shard.on_expire = None
-        # What each shard saw as an arrival: the original one, or the
-        # re-dispatch time of a failed-over request.
-        seen = trace.column("arrival")
-        if self._redispatched:
-            seen = seen.copy()
-            moved = np.fromiter(self._redispatched, dtype=np.int64,
-                                count=len(self._redispatched))
-            seen[np.searchsorted(rids, moved)] = list(
-                self._redispatched.values())
-        shard_results = []
-        for i, shard in enumerate(self.shards):
-            arrivals = seen[owner == i]
-            span = ((arrivals.min().item(), arrivals.max().item())
-                    if len(arrivals) else (0.0, 0.0))
-            shard_results.append(shard.collect(None, span))
-        del seen
+        shard_results = [shard.collect(None, _arrival_span(shard._records))
+                         for shard in self.shards]
         # Every request ends in exactly one record, in a shard or at the
         # router door, placed at its trace row: a rid in two places
         # raises, as does one in none.  A shard's served records

@@ -55,6 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
+from repro.knobs import check_knobs, choice, count, number
 from repro.faults.injector import stream_seed
 
 FAILURE_KINDS = ("fail-stop", "fail-slow", "transient")
@@ -71,77 +72,55 @@ class FailureConfig:
     """
 
     #: Base seed; every per-chip per-mode stream derives from it.
-    seed: int = 0
+    seed: int = count(0)
 
     #: Chips subject to fail-stop events.
     fail_stop_chips: tuple = ()
     #: Mean cycles between fail-stop events (exponential gaps).
-    fail_stop_mtbf_cycles: float = 3_000_000.0
+    fail_stop_mtbf_cycles: float = number(3_000_000.0, above=0)
     #: Mean repair (downtime) duration per fail-stop event.
-    repair_mean_cycles: float = 800_000.0
+    repair_mean_cycles: float = number(800_000.0, above=0)
 
     #: Chips subject to fail-slow (straggler) windows.
     fail_slow_chips: tuple = ()
-    fail_slow_mtbf_cycles: float = 2_000_000.0
-    fail_slow_duration_cycles: float = 500_000.0
+    fail_slow_mtbf_cycles: float = number(2_000_000.0, above=0)
+    fail_slow_duration_cycles: float = number(500_000.0, above=0)
     #: Service-time multiplier inside a fail-slow window.
-    fail_slow_factor: float = 4.0
+    fail_slow_factor: float = number(4.0, min=1.0)
 
     #: Chips subject to transient-degradation windows (degraded cost
     #: column — the repro.faults ECC-correcting service times).
     transient_chips: tuple = ()
-    transient_mtbf_cycles: float = 2_000_000.0
-    transient_duration_cycles: float = 400_000.0
+    transient_mtbf_cycles: float = number(2_000_000.0, above=0)
+    transient_duration_cycles: float = number(400_000.0, above=0)
 
     #: Correlated failure domains: each entry is a tuple of member chip
     #: ids (a zone/rack).  One seeded outage window per domain applies
     #: to every member chip at once.
     domains: tuple = ()
     #: Mean cycles between outages of one domain (exponential gaps).
-    domain_mtbf_cycles: float = 5_000_000.0
+    domain_mtbf_cycles: float = number(5_000_000.0, above=0)
     #: Mean outage duration per domain event.
-    domain_repair_mean_cycles: float = 600_000.0
+    domain_repair_mean_cycles: float = number(600_000.0, above=0)
     #: What a domain outage does to member chips: ``"fail-stop"`` (the
     #: zone goes dark) or ``"fail-slow"`` (the zone browns out).
-    domain_mode: str = "fail-stop"
+    domain_mode: str = choice("fail-stop", ("fail-stop", "fail-slow"))
     #: Service multiplier inside a fail-slow domain outage.
-    domain_slow_factor: float = 4.0
+    domain_slow_factor: float = number(4.0, min=1.0)
 
     def __post_init__(self):
-        # NaN compares false against every bound below, so it would slip
-        # through them and no window would ever fire.
-        for f in ("fail_stop_mtbf_cycles", "repair_mean_cycles",
-                  "fail_slow_mtbf_cycles", "fail_slow_duration_cycles",
-                  "fail_slow_factor", "transient_mtbf_cycles",
-                  "transient_duration_cycles", "domain_mtbf_cycles",
-                  "domain_repair_mean_cycles", "domain_slow_factor"):
-            value = getattr(self, f)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"failures.{f}: must be a finite number, got {value!r}")
-        for f in ("fail_stop_mtbf_cycles", "repair_mean_cycles",
-                  "fail_slow_mtbf_cycles", "fail_slow_duration_cycles",
-                  "transient_mtbf_cycles", "transient_duration_cycles",
-                  "domain_mtbf_cycles", "domain_repair_mean_cycles"):
-            if getattr(self, f) <= 0:
-                raise ConfigError(f"{f} must be positive")
-        if self.fail_slow_factor < 1.0:
-            raise ConfigError("fail_slow_factor must be >= 1")
-        if self.domain_slow_factor < 1.0:
-            raise ConfigError("domain_slow_factor must be >= 1")
-        if self.domain_mode not in ("fail-stop", "fail-slow"):
-            raise ConfigError(
-                f"domain_mode must be fail-stop or fail-slow, "
-                f"got {self.domain_mode!r}")
+        check_knobs(self, "failures")
         for f in ("fail_stop_chips", "fail_slow_chips", "transient_chips"):
             if any(c < 0 for c in getattr(self, f)):
-                raise ConfigError(f"{f} contains a negative chip id")
+                raise ConfigError(f"failures.{f}: contains a negative "
+                                  f"chip id")
         for i, members in enumerate(self.domains):
             if not isinstance(members, tuple) or not members:
-                raise ConfigError(f"domains[{i}] must be a non-empty "
-                                  f"tuple of chip ids")
+                raise ConfigError(f"failures.domains[{i}]: must be a "
+                                  f"non-empty tuple of chip ids")
             if any(not isinstance(c, int) or c < 0 for c in members):
-                raise ConfigError(f"domains[{i}] contains an invalid chip id")
+                raise ConfigError(f"failures.domains[{i}]: contains an "
+                                  f"invalid chip id")
 
     @property
     def enabled(self) -> bool:
@@ -153,12 +132,14 @@ class FailureConfig:
         for f in ("fail_stop_chips", "fail_slow_chips", "transient_chips"):
             bad = [c for c in getattr(self, f) if not 0 <= c < chips]
             if bad:
-                raise ConfigError(f"{f} out of range for {chips} chips: {bad}")
+                raise ConfigError(f"failures.{f}: out of range for "
+                                  f"{chips} chips: {bad}")
         for i, members in enumerate(self.domains):
             bad = [c for c in members if not 0 <= c < chips]
             if bad:
                 raise ConfigError(
-                    f"domains[{i}] out of range for {chips} chips: {bad}")
+                    f"failures.domains[{i}]: out of range for {chips} "
+                    f"chips: {bad}")
 
     def as_dict(self) -> dict:
         out = {}

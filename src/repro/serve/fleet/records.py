@@ -15,13 +15,13 @@ router share them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigError, check_count
+from repro.errors import ConfigError
+from repro.knobs import check_knobs, choice, count, number
 from repro.serve import rows
 from repro.serve.failures import FailureConfig
 from repro.serve.policy import SCHEDULE_PRIMITIVES, PolicySet
@@ -46,25 +46,27 @@ OUTCOMES = ("served", "shed", "expired")
 class ServeConfig:
     """The serving-layer knobs (all times in PE clock cycles)."""
 
-    chips: int = 4
-    policy: str = "least-loaded"
-    max_batch: int = 8
-    max_wait_cycles: float = 20_000.0
-    queue_capacity: int = 64
-    shed_policy: str = "drop-newest"
+    chips: int = count(4, min=1)
+    policy: str = choice("least-loaded", POLICIES)
+    max_batch: int = count(8, min=1)
+    max_wait_cycles: float = number(20_000.0, above=0)
+    queue_capacity: int = count(64, min=1)
+    shed_policy: str = choice("drop-newest", SHED_POLICIES)
     #: Per-launch fixed cost: program staging + launch handshake.
-    dispatch_overhead_cycles: float = 2_000.0
+    dispatch_overhead_cycles: float = number(2_000.0, min=0)
     #: External-link staging bandwidth for model/tile reloads
     #: (8 B/cycle = 10 GB/s at 1.25 GHz, one vault's share of the
     #: chip-level 320 GB/s).
-    reload_bytes_per_cycle: float = 8.0
+    reload_bytes_per_cycle: float = number(8.0, above=0)
     #: Chips running the degraded (fault-injected, ECC-correcting)
     #: service-time column of the cost table.
     degraded_chips: tuple = ()
     #: Latency SLO; a served request violates it when latency exceeds
     #: this.  Default 0.25 ms at 1.25 GHz.
-    slo_cycles: float = 312_500.0
-    clock_ghz: float = 1.25
+    slo_cycles: float = number(312_500.0, above=0)
+    #: A zero clock divides every rollup by zero seconds; a negative
+    #: one reports no throughput.
+    clock_ghz: float = number(1.25, above=0)
     #: The chip failure lifecycle (None or disabled = no chip ever
     #: fails; see repro.serve.failures).
     failures: FailureConfig | None = None
@@ -85,54 +87,22 @@ class ServeConfig:
     cluster: "ClusterConfig | None" = None
 
     def __post_init__(self):
-        # NaN compares false against every bound below, so it would slip
-        # through them: a NaN overhead serves every request at a NaN
-        # time, a NaN SLO is never violated and a NaN max wait never
-        # closes a batch.
-        for name in ("max_wait_cycles", "dispatch_overhead_cycles",
-                     "reload_bytes_per_cycle", "slo_cycles", "clock_ghz"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"config.{name}: must be a finite number, got {value!r}")
-        # Counts are ints, a NumPy integer kept as the int it holds.
-        for name in ("chips", "max_batch", "queue_capacity"):
-            object.__setattr__(self, name,
-                               check_count(f"config.{name}",
-                                           getattr(self, name), 1))
-        if self.max_wait_cycles < 0:
-            raise ConfigError(f"config.max_wait_cycles: must be "
-                              f"nonnegative, got {self.max_wait_cycles!r}")
-        # A zero clock divides every rollup by zero seconds; a negative
-        # one reports no throughput.
-        if self.clock_ghz <= 0:
-            raise ConfigError(f"config.clock_ghz: must be positive, got "
-                              f"{self.clock_ghz!r}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}; "
-                              f"choose from {POLICIES}")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ConfigError(f"unknown shed policy {self.shed_policy!r}")
-        if self.dispatch_overhead_cycles < 0:
-            raise ConfigError("dispatch_overhead_cycles must be nonnegative")
-        if self.reload_bytes_per_cycle <= 0:
-            raise ConfigError("reload_bytes_per_cycle must be positive")
-        if self.slo_cycles <= 0:
-            raise ConfigError("slo_cycles must be positive")
+        check_knobs(self, "config")
         bad = [c for c in self.degraded_chips
                if not 0 <= c < self.chips]
         if bad:
-            raise ConfigError(f"degraded chip ids out of range: {bad}")
+            raise ConfigError(f"config.degraded_chips: out of range for "
+                              f"{self.chips} chips: {bad}")
         if self.failures is not None:
             self.failures.validate_chips(self.chips)
         if self.policy_set is not None \
                 and not isinstance(self.policy_set, PolicySet):
-            raise ConfigError("policy_set must be a PolicySet "
+            raise ConfigError("config.policy_set: must be a PolicySet "
                               "(see repro.serve.policy.load_policy)")
         if self.autoscale is not None:
             self.autoscale.validate_fleet(self.chips)
         if self.cluster is not None and not hasattr(self.cluster, "shards"):
-            raise ConfigError("cluster must be a ClusterConfig "
+            raise ConfigError("config.cluster: must be a ClusterConfig "
                               "(see repro.serve.cluster)")
 
     @property

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.knobs import check_knobs, count, number
 from repro.faults.injector import stream_seed
 from repro.trace.collector import NULL_TRACE, TraceSink
 
@@ -53,73 +54,35 @@ class ResilienceConfig:
 
     #: Health-check tick period; failure detection latency is the time
     #: to the next tick plus ``detection_latency_cycles``.
-    health_check_interval_cycles: float = 25_000.0
+    health_check_interval_cycles: float = number(25_000.0, above=0)
     #: Extra latency between a health-check tick observing a failure and
     #: the scheduler acting on it.
-    detection_latency_cycles: float = 0.0
+    detection_latency_cycles: float = number(0.0, min=0)
     #: Probability a health check reports a *healthy* chip as failed
     #: (seeded per (chip, tick); opens the breaker like a real failure).
-    health_false_positive_rate: float = 0.0
+    health_false_positive_rate: float = number(0.0, min=0, max=1)
     #: Consecutive bad observations that open a chip's breaker.
-    breaker_failure_threshold: int = 1
+    breaker_failure_threshold: int = count(1, min=1)
     #: How long an open breaker blocks traffic before going half-open.
-    breaker_open_cycles: float = 200_000.0
+    breaker_open_cycles: float = number(200_000.0, above=0)
     #: Re-dispatch budget per batch after fail-stop kills.
-    max_retries: int = 3
+    max_retries: int = count(3, min=0)
     #: Backoff before re-dispatch attempt ``n``:
     #: ``retry_backoff_cycles * 2**(n-1)`` after detection.
-    retry_backoff_cycles: float = 5_000.0
+    retry_backoff_cycles: float = number(5_000.0, min=0)
     #: A request older than this at re-dispatch time is dropped as
     #: deadline-expired instead of retried (1 ms at 1.25 GHz).
-    retry_deadline_cycles: float = 1_250_000.0
+    retry_deadline_cycles: float = number(1_250_000.0, above=0)
     #: Hedging: launch a duplicate when a batch overruns its healthy
     #: service estimate by this much.  ``None`` disables hedging.
-    hedge_delay_cycles: float | None = None
+    hedge_delay_cycles: float | None = number(None, min=0, nullable=True)
     #: Load-shedding tiers: (alive_fraction_threshold, capacity_multiplier),
     #: highest threshold first; the first row whose threshold the
     #: believed-alive fraction meets sets the admission-queue capacity.
     shed_tiers: tuple = ((0.75, 1.0), (0.5, 0.5), (0.25, 0.25), (0.0, 0.125))
 
     def __post_init__(self):
-        # Dotted resilience.<field> paths, matching the scenario DSL's
-        # error convention, so every front end reports
-        # ``error: config: resilience.max_retries: ...``.  NaN compares
-        # false against every bound below, so it is rejected first.
-        for f in ("health_check_interval_cycles", "detection_latency_cycles",
-                  "health_false_positive_rate", "breaker_open_cycles",
-                  "retry_backoff_cycles", "retry_deadline_cycles",
-                  "hedge_delay_cycles"):
-            value = getattr(self, f)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(
-                    f"resilience.{f}: must be a finite number, got {value!r}")
-        if self.health_check_interval_cycles <= 0:
-            raise ConfigError(
-                "resilience.health_check_interval_cycles: must be positive")
-        if self.detection_latency_cycles < 0:
-            raise ConfigError(
-                "resilience.detection_latency_cycles: must be nonnegative")
-        if not 0.0 <= self.health_false_positive_rate <= 1.0:
-            raise ConfigError(
-                "resilience.health_false_positive_rate: must be in [0, 1]")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigError(
-                "resilience.breaker_failure_threshold: must be >= 1")
-        if self.breaker_open_cycles <= 0:
-            raise ConfigError(
-                "resilience.breaker_open_cycles: must be positive")
-        if self.max_retries < 0:
-            raise ConfigError("resilience.max_retries: must be nonnegative")
-        if self.retry_backoff_cycles < 0:
-            raise ConfigError(
-                "resilience.retry_backoff_cycles: must be nonnegative")
-        if self.retry_deadline_cycles <= 0:
-            raise ConfigError(
-                "resilience.retry_deadline_cycles: must be positive")
-        if (self.hedge_delay_cycles is not None
-                and self.hedge_delay_cycles < 0):
-            raise ConfigError(
-                "resilience.hedge_delay_cycles: must be nonnegative")
+        check_knobs(self, "resilience")
         # Cross-field coherence: a retry budget nobody can spend, or a
         # hedge timer that can never fire before the deadline, is a
         # configuration mistake, not a degenerate-but-valid setting.

@@ -43,26 +43,19 @@ working directory, then under the repo checkout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.knobs import Knob, knob_of
 from repro.serve.autoscale import AutoscaleConfig
-from repro.serve.cluster import ROUTERS, ClusterConfig
+from repro.serve.cluster import ClusterConfig
 # parse_simple_yaml is re-exported: callers import it from here.
 from repro.serve.documents import DocumentLibrary, parse_simple_yaml
 from repro.serve.failures import FailureConfig
-from repro.serve.fleet import POLICIES, ServeConfig
+from repro.serve.fleet import ServeConfig
 from repro.serve.policy import load_policy, policy_from_document
-from repro.serve.queueing import SHED_POLICIES
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.workload import (
-    ARRIVALS,
-    KINDS,
-    MAX_TILES,
-    MIXES,
-    WorkloadConfig,
-)
+from repro.serve.workload import KINDS, MIXES, WorkloadConfig
 
 #: The simulated PE clock every ``*_ms`` field is converted at.
 CLOCK_GHZ = 1.25
@@ -73,123 +66,131 @@ def ms_to_cycles(ms: float) -> float:
     return ms * CLOCK_GHZ * 1e6
 
 
+def _cycles_to_ms(cycles: float) -> float:
+    return cycles / (CLOCK_GHZ * 1e6)
+
+
 # ---------------------------------------------------------------------------
 # Schema
 
 
 @dataclass(frozen=True)
-class _Field:
-    """One scenario field: type, default, and bounds."""
+class _Key(Knob):
+    """One scenario key.  A key that sets a config field names it
+    (``config`` and ``field``); a ``*_ms`` key sets a field in cycles."""
 
-    kind: str  # int | float | bool | str | chips | int_list | mixes
-    default: object = None
-    min: float | None = None
-    max: float | None = None
-    min_exclusive: bool = False
-    choices: tuple = ()
-    nullable: bool = False
+    config: type | None = None
+    field: str | None = None
+    ms: bool = False
 
 
-#: section -> field -> spec.  The only source of defaults, bounds and
-#: units: every ``python -m repro.serve`` flag writes one of these keys,
-#: so an empty document is the flag-less run.
+def _sets(config: type, name: str, ms: bool = False, **override) -> _Key:
+    """The key that sets field ``name`` of ``config``: the field's
+    default, bound and choices, in simulated ms when ``ms``."""
+    spec = dict(vars(knob_of(config, name)))
+    if ms:
+        for attr in ("default", "min", "max"):
+            if spec[attr] is not None:
+                spec[attr] = _cycles_to_ms(spec[attr])
+    return _Key(**{**spec, **override}, config=config, field=name, ms=ms)
+
+
+#: section -> key -> spec.  Every ``python -m repro.serve`` flag writes
+#: one of these keys, so an empty document is the flag-less run.  A key
+#: that sets a config field takes its default, bound and choices from
+#: the field's declaration; the rest are the scenario's own.
 SCENARIO_SCHEMA = {
     "workload": {
-        "mix": _Field("mixes", default=("bp", "bp+vgg")),
-        "arrival": _Field("str", default="poisson", choices=ARRIVALS),
-        "rate": _Field("float", default=50_000.0, min=0,
-                       min_exclusive=True),
-        "requests": _Field("int", default=200, min=1),
-        "seed": _Field("int", default=0, min=0),
-        "num_tiles": _Field("int", default=8, min=1, max=MAX_TILES),
-        "burst_factor": _Field("float", default=8.0, min=1.0),
-        "burst_len": _Field("float", default=20.0, min=1.0),
+        "mix": _Key("mixes", default=("bp", "bp+vgg")),
+        "arrival": _sets(WorkloadConfig, "arrival"),
+        "rate": _sets(WorkloadConfig, "rate"),
+        "requests": _sets(WorkloadConfig, "requests"),
+        "seed": _sets(WorkloadConfig, "seed"),
+        "num_tiles": _sets(WorkloadConfig, "num_tiles"),
+        "burst_factor": _sets(WorkloadConfig, "burst_factor"),
+        "burst_len": _sets(WorkloadConfig, "burst_len"),
     },
     "fleet": {
-        "chips": _Field("int", default=4, min=1),
-        "policy": _Field("str", default="least-loaded", choices=POLICIES),
-        "degraded_chips": _Field("int_list", default=()),
+        "chips": _sets(ServeConfig, "chips"),
+        "policy": _sets(ServeConfig, "policy"),
+        "degraded_chips": _Key("int_list", default=()),
     },
     "batching": {
-        "max_batch": _Field("int", default=8, min=1),
-        "max_wait_cycles": _Field("float", default=20_000.0, min=0,
-                                  min_exclusive=True),
-        "queue_capacity": _Field("int", default=64, min=1),
-        "shed_policy": _Field("str", default="drop-newest",
-                              choices=SHED_POLICIES),
+        "max_batch": _sets(ServeConfig, "max_batch"),
+        "max_wait_cycles": _sets(ServeConfig, "max_wait_cycles"),
+        "queue_capacity": _sets(ServeConfig, "queue_capacity"),
+        "shed_policy": _sets(ServeConfig, "shed_policy"),
     },
     "failures": {
-        "seed": _Field("int", default=0),
-        "fail_stop_chips": _Field("chips", default=()),
-        "mtbf_ms": _Field("float", default=2.4, min=0, min_exclusive=True),
-        "repair_ms": _Field("float", default=0.64, min=0,
-                            min_exclusive=True),
-        "fail_slow_chips": _Field("chips", default=()),
-        "fail_slow_mtbf_ms": _Field("float", default=1.6, min=0,
-                                    min_exclusive=True),
-        "fail_slow_duration_ms": _Field("float", default=0.4, min=0,
-                                        min_exclusive=True),
-        "fail_slow_factor": _Field("float", default=4.0, min=1.0),
-        "transient_chips": _Field("chips", default=()),
-        "transient_mtbf_ms": _Field("float", default=1.6, min=0,
-                                    min_exclusive=True),
-        "transient_duration_ms": _Field("float", default=0.32, min=0,
-                                        min_exclusive=True),
+        "seed": _sets(FailureConfig, "seed"),
+        "fail_stop_chips": _Key("chips", default=()),
+        "mtbf_ms": _sets(FailureConfig, "fail_stop_mtbf_cycles", ms=True),
+        "repair_ms": _sets(FailureConfig, "repair_mean_cycles", ms=True),
+        "fail_slow_chips": _Key("chips", default=()),
+        "fail_slow_mtbf_ms": _sets(FailureConfig,
+                                   "fail_slow_mtbf_cycles", ms=True),
+        "fail_slow_duration_ms": _sets(FailureConfig,
+                                       "fail_slow_duration_cycles", ms=True),
+        "fail_slow_factor": _sets(FailureConfig, "fail_slow_factor"),
+        "transient_chips": _Key("chips", default=()),
+        "transient_mtbf_ms": _sets(FailureConfig,
+                                   "transient_mtbf_cycles", ms=True),
+        "transient_duration_ms": _sets(FailureConfig,
+                                       "transient_duration_cycles", ms=True),
         # Correlated failure domains: zone/rack chip groupings that
         # fail in one event (repro.serve.failures).
-        "domains": _Field("domains", default=()),
-        "domain_mtbf_ms": _Field("float", default=4.0, min=0,
-                                 min_exclusive=True),
-        "domain_repair_ms": _Field("float", default=0.48, min=0,
-                                   min_exclusive=True),
-        "domain_mode": _Field("str", default="fail-stop",
-                              choices=("fail-stop", "fail-slow")),
-        "domain_slow_factor": _Field("float", default=4.0, min=1.0),
+        "domains": _Key("domains", default=()),
+        "domain_mtbf_ms": _sets(FailureConfig, "domain_mtbf_cycles", ms=True),
+        "domain_repair_ms": _sets(FailureConfig,
+                                  "domain_repair_mean_cycles", ms=True),
+        "domain_mode": _sets(FailureConfig, "domain_mode"),
+        "domain_slow_factor": _sets(FailureConfig, "domain_slow_factor"),
     },
     "resilience": {
-        "health_interval_ms": _Field("float", default=0.02, min=0,
-                                     min_exclusive=True),
-        "detect_latency_ms": _Field("float", default=0.0, min=0),
-        "health_fp_rate": _Field("float", default=0.0, min=0, max=1),
-        "breaker_failure_threshold": _Field("int", default=1, min=1),
-        "breaker_open_ms": _Field("float", default=0.16, min=0,
-                                  min_exclusive=True),
-        "max_retries": _Field("int", default=3, min=0),
-        "retry_backoff_ms": _Field("float", default=0.004, min=0),
-        "retry_deadline_ms": _Field("float", default=1.0, min=0,
-                                    min_exclusive=True),
-        "hedge_delay_ms": _Field("float", default=None, min=0,
-                                 nullable=True),
+        "health_interval_ms": _sets(ResilienceConfig,
+                                    "health_check_interval_cycles", ms=True),
+        "detect_latency_ms": _sets(ResilienceConfig,
+                                   "detection_latency_cycles", ms=True),
+        "health_fp_rate": _sets(ResilienceConfig,
+                                "health_false_positive_rate"),
+        "breaker_failure_threshold": _sets(ResilienceConfig,
+                                           "breaker_failure_threshold"),
+        "breaker_open_ms": _sets(ResilienceConfig,
+                                 "breaker_open_cycles", ms=True),
+        "max_retries": _sets(ResilienceConfig, "max_retries"),
+        "retry_backoff_ms": _sets(ResilienceConfig,
+                                  "retry_backoff_cycles", ms=True),
+        "retry_deadline_ms": _sets(ResilienceConfig,
+                                   "retry_deadline_cycles", ms=True),
+        "hedge_delay_ms": _sets(ResilienceConfig,
+                                "hedge_delay_cycles", ms=True),
     },
     "autoscale": {
-        "min_chips": _Field("int", default=1, min=1),
-        "max_chips": _Field("int", default=8, min=1),
-        "evaluate_interval_ms": _Field("float", default=0.04, min=0,
-                                       min_exclusive=True),
-        "up_queue_per_chip": _Field("float", default=8.0, min=0,
-                                    min_exclusive=True),
-        "up_backlog_ms": _Field("float", default=0.08, min=0,
-                                min_exclusive=True),
-        "down_queue_max": _Field("float", default=1.0, min=0),
-        "idle_ms": _Field("float", default=0.08, min=0),
-        "warmup_ms": _Field("float", default=0.04, min=0),
-        "cooldown_ms": _Field("float", default=0.16, min=0),
-        "max_step": _Field("int", default=1, min=1),
+        "min_chips": _sets(AutoscaleConfig, "min_chips"),
+        "max_chips": _sets(AutoscaleConfig, "max_chips"),
+        "evaluate_interval_ms": _sets(AutoscaleConfig,
+                                      "evaluate_interval_cycles", ms=True),
+        "up_queue_per_chip": _sets(AutoscaleConfig, "up_queue_per_chip"),
+        "up_backlog_ms": _sets(AutoscaleConfig, "up_backlog_cycles", ms=True),
+        "down_queue_max": _sets(AutoscaleConfig, "down_queue_max"),
+        "idle_ms": _sets(AutoscaleConfig, "idle_cycles", ms=True),
+        "warmup_ms": _sets(AutoscaleConfig, "warmup_cycles", ms=True),
+        "cooldown_ms": _sets(AutoscaleConfig, "cooldown_cycles", ms=True),
+        "max_step": _sets(AutoscaleConfig, "max_step"),
     },
     "cluster": {
-        "shards": _Field("int", default=2, min=1),
-        "router": _Field("str", default="least-loaded", choices=ROUTERS),
-        "gossip_interval_ms": _Field("float", default=0.04, min=0,
-                                     min_exclusive=True),
-        "failover_retries": _Field("int", default=1, min=0),
-        "brownout_headroom": _Field("float", default=None, min=0,
-                                    min_exclusive=True, max=1,
-                                    nullable=True),
-        "brownout_kinds": _Field("kinds", default=("fc",)),
+        # A cluster section shards the fleet, into two unless it says.
+        "shards": _sets(ClusterConfig, "shards", default=2),
+        "router": _sets(ClusterConfig, "router"),
+        "gossip_interval_ms": _sets(ClusterConfig,
+                                    "gossip_interval_cycles", ms=True),
+        "failover_retries": _sets(ClusterConfig, "failover_retries"),
+        "brownout_headroom": _sets(ClusterConfig, "brownout_headroom"),
+        "brownout_kinds": _Key("kinds", default=("fc",)),
     },
     "run": {
-        "slo_ms": _Field("float", default=0.25, min=0, min_exclusive=True),
-        "quick": _Field("bool", default=True),
+        "slo_ms": _sets(ServeConfig, "slo_cycles", ms=True),
+        "quick": _Key("bool", default=True),
     },
 }
 
@@ -201,53 +202,12 @@ REMOVED_KEYS = dict.fromkeys(
 
 #: Top-level scalar keys outside the config sections.
 _TOP_FIELDS = {
-    "name": _Field("str", default=None, nullable=True),
-    "description": _Field("str", default=""),
+    "name": _Key("str", nullable=True),
+    "description": _Key("str", default=""),
 }
 
 
-def _check_scalar(value, spec: _Field, path: str):
-    if value is None:
-        if spec.nullable:
-            return None
-        raise ConfigError(f"{path}: must not be null")
-    if spec.kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, "
-                              f"got {value!r}")
-        return value
-    if spec.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    elif spec.kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
-        # JSON documents can carry NaN/Infinity, and NaN would slip past
-        # every bound check below.
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: must be a finite number, "
-                              f"got {value!r}")
-    elif spec.kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if spec.choices and value not in spec.choices:
-        raise ConfigError(f"{path}: unknown value {value!r}; choose from "
-                          f"{tuple(spec.choices)}")
-    if spec.min is not None and isinstance(value, (int, float)):
-        if spec.min_exclusive and value <= spec.min:
-            raise ConfigError(f"{path}: must be > {spec.min:g}, "
-                              f"got {value!r}")
-        if not spec.min_exclusive and value < spec.min:
-            raise ConfigError(f"{path}: must be >= {spec.min:g}, "
-                              f"got {value!r}")
-    if spec.max is not None and isinstance(value, (int, float)) \
-            and value > spec.max:
-        raise ConfigError(f"{path}: must be <= {spec.max!r}, got {value!r}")
-    return value
-
-
-def _check_field(value, spec: _Field, path: str):
+def _check_field(value, spec: _Key, path: str):
     if spec.kind == "domains":
         if not isinstance(value, list) or any(
                 not isinstance(d, list) for d in value):
@@ -305,7 +265,7 @@ def _check_field(value, spec: _Field, path: str):
         if len(set(value)) != len(value):
             raise ConfigError(f"{path}: duplicate mix names in {value!r}")
         return tuple(value)
-    return _check_scalar(value, spec, path)
+    return spec.check(value, path, document=True)
 
 
 def validate_document(doc: dict) -> dict:
@@ -325,8 +285,8 @@ def validate_document(doc: dict) -> dict:
                               f"{', '.join(sorted(known))}")
     out: dict = {}
     for key, spec in _TOP_FIELDS.items():
-        out[key] = _check_scalar(doc.get(key, spec.default), spec,
-                                 f"scenario.{key}")
+        out[key] = spec.check(doc.get(key, spec.default),
+                              f"scenario.{key}", document=True)
     for section, fields_ in SCENARIO_SCHEMA.items():
         given = doc.get(section, {})
         if given is None:
@@ -410,44 +370,33 @@ class Scenario:
     source: str | None = None
 
 
+def _config_fields(v: dict, config: type) -> dict:
+    """The fields of ``config`` the validated document ``v`` sets, each
+    ``*_ms`` key's in cycles."""
+    return {spec.field: (ms_to_cycles(value)
+                         if spec.ms and value is not None else value)
+            for section, keys in SCENARIO_SCHEMA.items()
+            for key, spec in keys.items() if spec.config is config
+            for value in (v[section][key],)}
+
+
 def scenario_from_document(doc: dict, name: str | None = None,
                            source: str | None = None) -> Scenario:
     """Validate and compile a raw scenario document."""
     v = validate_document(doc)
-    fleet, batching = v["fleet"], v["batching"]
-    fail, res, run = v["failures"], v["resilience"], v["run"]
-    chips = fleet["chips"]
+    fail, chips = v["failures"], v["fleet"]["chips"]
 
     failures = None
     if v["_failures_given"]:
         failures = FailureConfig(
-            seed=fail["seed"],
-            fail_stop_chips=_chip_tuple(
-                fail["fail_stop_chips"], chips,
-                "scenario.failures.fail_stop_chips"),
-            fail_stop_mtbf_cycles=ms_to_cycles(fail["mtbf_ms"]),
-            repair_mean_cycles=ms_to_cycles(fail["repair_ms"]),
-            fail_slow_chips=_chip_tuple(
-                fail["fail_slow_chips"], chips,
-                "scenario.failures.fail_slow_chips"),
-            fail_slow_mtbf_cycles=ms_to_cycles(fail["fail_slow_mtbf_ms"]),
-            fail_slow_duration_cycles=ms_to_cycles(
-                fail["fail_slow_duration_ms"]),
-            fail_slow_factor=fail["fail_slow_factor"],
-            transient_chips=_chip_tuple(
-                fail["transient_chips"], chips,
-                "scenario.failures.transient_chips"),
-            transient_mtbf_cycles=ms_to_cycles(fail["transient_mtbf_ms"]),
-            transient_duration_cycles=ms_to_cycles(
-                fail["transient_duration_ms"]),
+            **_config_fields(v, FailureConfig),
+            **{key: _chip_tuple(fail[key], chips, f"scenario.failures.{key}")
+               for key in ("fail_stop_chips", "fail_slow_chips",
+                           "transient_chips")},
             domains=tuple(
                 _chip_tuple(members, chips,
                             f"scenario.failures.domains[{i}]")
                 for i, members in enumerate(fail["domains"])),
-            domain_mtbf_cycles=ms_to_cycles(fail["domain_mtbf_ms"]),
-            domain_repair_mean_cycles=ms_to_cycles(fail["domain_repair_ms"]),
-            domain_mode=fail["domain_mode"],
-            domain_slow_factor=fail["domain_slow_factor"],
         )
         if not failures.enabled:
             raise ConfigError(
@@ -476,62 +425,19 @@ def scenario_from_document(doc: dict, name: str | None = None,
                 pol, name=v["name"] or name, source=source,
                 path="scenario.policy")
 
-    autoscale = None
-    if v["_autoscale_given"]:
-        a = v["autoscale"]
-        autoscale = AutoscaleConfig(
-            min_chips=a["min_chips"],
-            max_chips=a["max_chips"],
-            evaluate_interval_cycles=ms_to_cycles(
-                a["evaluate_interval_ms"]),
-            up_queue_per_chip=a["up_queue_per_chip"],
-            up_backlog_cycles=ms_to_cycles(a["up_backlog_ms"]),
-            down_queue_max=a["down_queue_max"],
-            idle_cycles=ms_to_cycles(a["idle_ms"]),
-            warmup_cycles=ms_to_cycles(a["warmup_ms"]),
-            cooldown_cycles=ms_to_cycles(a["cooldown_ms"]),
-            max_step=a["max_step"],
-        )
-
+    autoscale = (AutoscaleConfig(**_config_fields(v, AutoscaleConfig))
+                 if v["_autoscale_given"] else None)
     cluster = None
     if v["_cluster_given"]:
-        c = v["cluster"]
-        cluster = ClusterConfig(
-            shards=c["shards"],
-            router=c["router"],
-            gossip_interval_cycles=ms_to_cycles(c["gossip_interval_ms"]),
-            failover_retries=c["failover_retries"],
-            brownout_headroom=c["brownout_headroom"],
-            brownout_kinds=c["brownout_kinds"],
-        )
-
-    resilience = None
-    if failures is not None:
-        resilience = ResilienceConfig(
-            health_check_interval_cycles=ms_to_cycles(
-                res["health_interval_ms"]),
-            detection_latency_cycles=ms_to_cycles(res["detect_latency_ms"]),
-            health_false_positive_rate=res["health_fp_rate"],
-            breaker_failure_threshold=res["breaker_failure_threshold"],
-            breaker_open_cycles=ms_to_cycles(res["breaker_open_ms"]),
-            max_retries=res["max_retries"],
-            retry_backoff_cycles=ms_to_cycles(res["retry_backoff_ms"]),
-            retry_deadline_cycles=ms_to_cycles(res["retry_deadline_ms"]),
-            hedge_delay_cycles=(
-                ms_to_cycles(res["hedge_delay_ms"])
-                if res["hedge_delay_ms"] is not None else None),
-        )
+        cluster = ClusterConfig(**_config_fields(v, ClusterConfig),
+                                brownout_kinds=v["cluster"]["brownout_kinds"])
+    resilience = (ResilienceConfig(**_config_fields(v, ResilienceConfig))
+                  if failures is not None else None)
 
     serve = ServeConfig(
-        chips=chips,
-        policy=fleet["policy"],
-        max_batch=batching["max_batch"],
-        max_wait_cycles=batching["max_wait_cycles"],
-        queue_capacity=batching["queue_capacity"],
-        shed_policy=batching["shed_policy"],
-        degraded_chips=_chip_tuple(fleet["degraded_chips"], chips,
+        **_config_fields(v, ServeConfig),
+        degraded_chips=_chip_tuple(v["fleet"]["degraded_chips"], chips,
                                    "scenario.fleet.degraded_chips"),
-        slo_cycles=ms_to_cycles(run["slo_ms"]),
         failures=failures,
         resilience=resilience,
         policy_set=policy_set,
@@ -539,23 +445,15 @@ def scenario_from_document(doc: dict, name: str | None = None,
         cluster=cluster,
     )
     mixes = v["workload"]["mix"]
-    workload = WorkloadConfig(
-        mix=mixes[0],
-        arrival=v["workload"]["arrival"],
-        rate=v["workload"]["rate"],
-        requests=v["workload"]["requests"],
-        seed=v["workload"]["seed"],
-        num_tiles=v["workload"]["num_tiles"],
-        burst_factor=v["workload"]["burst_factor"],
-        burst_len=v["workload"]["burst_len"],
-    )
+    workload = WorkloadConfig(**_config_fields(v, WorkloadConfig),
+                              mix=mixes[0])
     return Scenario(
         name=v["name"] or name or "scenario",
         description=v["description"],
         workload=workload,
         serve=serve,
         mixes=mixes,
-        quick=run["quick"],
+        quick=v["run"]["quick"],
         document=doc,
         source=source,
     )

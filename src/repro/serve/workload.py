@@ -32,14 +32,14 @@ seed, in a fixed order (gap, kind, tile per request), so a
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigError, check_count
+from repro.errors import ConfigError
+from repro.knobs import check_knobs, choice, count, number
 from repro.serve import rows
 from repro.serve.rows import RecordTable
 
@@ -98,25 +98,28 @@ rows.register(Request, "qBqd", rows.trace_writer, optional="tile")
 class WorkloadConfig:
     """Seeded specification of one open-loop workload."""
 
-    mix: str = "bp"
-    arrival: str = "poisson"
-    #: Offered load in requests per simulated second.
-    rate: float = 50_000.0
-    requests: int = 200
-    seed: int = 0
+    mix: str = choice("bp", MIXES)
+    arrival: str = choice("poisson", ARRIVALS)
+    #: Offered load in requests per simulated second.  An infinite
+    #: rate would put every arrival at cycle 0.
+    rate: float = number(50_000.0, above=0)
+    requests: int = count(200, min=1)
+    #: numpy's default_rng rejects a negative seed, but only once the
+    #: trace is drawn, after the cost table has been built.
+    seed: int = count(0, min=0)
     #: Number of distinct locality keys (model tiles) in rotation.
-    num_tiles: int = 8
+    num_tiles: int = count(8, min=1, max=MAX_TILES)
     #: Bursty-mode rate multiplier inside a hot phase.
-    burst_factor: float = 8.0
+    burst_factor: float = number(8.0, min=1.0)
     #: Bursty-mode mean requests per phase (a geometric phase length
     #: has mean >= 1).
-    burst_len: float = 20.0
-    clock_ghz: float = 1.25
+    burst_len: float = number(20.0, min=1.0)
+    #: A zero clock draws every arrival at cycle 0; a negative one
+    #: fails deep in the draw.
+    clock_ghz: float = number(1.25, above=0)
 
     def __post_init__(self):
-        if self.mix not in MIXES:
-            raise ConfigError(f"unknown mix {self.mix!r}; choose from "
-                              f"{sorted(MIXES)}")
+        check_knobs(self, "workload")
         # Validate the mix *mapping* here rather than letting an unknown
         # kind surface later as a raw KeyError (or a probability-sum
         # mismatch) deep inside request generation; the dotted path keeps
@@ -132,40 +135,6 @@ class WorkloadConfig:
                 raise ConfigError(
                     f"workload.mix.{kind}: weight must be positive, got {weight}"
                 )
-        if self.arrival not in ARRIVALS:
-            raise ConfigError(f"unknown arrival process {self.arrival!r}; "
-                              f"choose from {ARRIVALS}")
-        # NaN compares false against every bound below, so it would slip
-        # through them, and an infinite rate puts every arrival at cycle 0.
-        for name in ("rate", "burst_factor", "burst_len", "clock_ghz"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"workload.{name}: must be a finite number, got {value!r}")
-        if self.rate <= 0:
-            raise ConfigError("rate must be positive")
-        # A zero clock draws every arrival at cycle 0; a negative one
-        # fails deep in the draw.
-        if self.clock_ghz <= 0:
-            raise ConfigError(f"workload.clock_ghz: must be positive, got "
-                              f"{self.clock_ghz!r}")
-        # numpy's default_rng rejects a negative seed, but only once the
-        # trace is drawn, after the cost table has been built.
-        if self.seed < 0:
-            raise ConfigError(f"workload.seed: must be >= 0, got {self.seed}")
-        # Counts are ints, a NumPy integer kept as the int it holds.
-        for name, low in (("requests", 1), ("seed", 0), ("num_tiles", 1)):
-            object.__setattr__(self, name,
-                               check_count(f"workload.{name}",
-                                           getattr(self, name), low))
-        if self.num_tiles > MAX_TILES:
-            raise ConfigError(f"workload.num_tiles: must be <= {MAX_TILES}, "
-                              f"got {self.num_tiles}")
-        if self.burst_factor < 1.0:
-            raise ConfigError("burst_factor must be >= 1")
-        if self.burst_len < 1.0:
-            raise ConfigError(
-                f"workload.burst_len: must be >= 1, got {self.burst_len!r}")
 
     @property
     def clock_hz(self) -> float:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.faults.config import NO_FAULTS
+from repro.knobs import check_knobs, count
 from repro.memory.timing import MemoryConfig
 from repro.noc.torus import NoCConfig
 from repro.pe.config import PEConfig
@@ -23,7 +24,7 @@ class VIPConfig:
     pe: PEConfig = field(default_factory=PEConfig)
     noc: NoCConfig = field(default_factory=NoCConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
-    pes_per_vault: int = 4
+    pes_per_vault: int = count(4, min=1)
     #: Event sink shared by every layer of the system (``repro.trace``).
     #: Propagated into ``pe.trace`` so the PEs see the same collector.
     trace: TraceSink = field(default=NULL_TRACE, compare=False)
@@ -33,8 +34,7 @@ class VIPConfig:
     faults: object = field(default=NO_FAULTS, compare=False)
 
     def __post_init__(self):
-        if self.pes_per_vault <= 0:
-            raise ConfigError("pes_per_vault must be positive")
+        check_knobs(self, "system")
         if self.trace.enabled and not self.pe.trace.enabled:
             object.__setattr__(self, "pe", replace(self.pe, trace=self.trace))
         if self.faults.enabled and not self.pe.faults.enabled:

@@ -259,6 +259,23 @@ class TestSweep:
         assert captured.out == ""
         assert not ck.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be > 0, got 0.0"),
+        # inf used to fail every point with an OverflowError and exit 0;
+        # nan silently ran with no timeout.
+        ("inf", "must be a finite number, got inf"),
+        ("nan", "must be a finite number, got nan"),
+    ])
+    def test_a_timeout_must_be_finite_and_positive(self, capsys, value,
+                                                   message):
+        from repro.faults import cli
+
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--timeout", value])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --timeout: {message}\n")
+
     def test_run_sweep_refuses_bad_grid(self, monkeypatch):
         from repro.faults import sweep
 

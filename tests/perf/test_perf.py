@@ -109,6 +109,27 @@ class TestBPModel:
         assert h.copy_cycles > h.construct_cycles * 0.5  # copy moves 4x data
         assert h.coarse_iteration_cycles < h.fine_iteration_cycles
 
+    def test_hierarchical_measure_cached(self, small_bp_model, monkeypatch):
+        # Table IV and Figure 3a each ask for it; construct and copy are
+        # simulated once.
+        calls = []
+
+        def phase(name):
+            def run(self):
+                calls.append(name)
+                return 1.0, PECounters()
+            return run
+
+        monkeypatch.setattr(HierarchicalBPModel, "_measure_construct",
+                            phase("construct"))
+        monkeypatch.setattr(HierarchicalBPModel, "_measure_copy",
+                            phase("copy"))
+        hier = HierarchicalBPModel(small_bp_model)
+        monkeypatch.setattr(hier.coarse, "measure", small_bp_model.measure)
+        first = hier.measure()
+        assert hier.measure() is first and hier.measure() is first
+        assert calls == ["construct", "copy"]
+
 
 @pytest.fixture(scope="module")
 def tiny_cnn_model():

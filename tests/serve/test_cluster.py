@@ -95,15 +95,29 @@ def _healthy(shards, chips=2):
 
 
 class TestClusterConfig:
+    # The first six ids keep the messages the cases matched before the
+    # fields declared their bounds.
     @pytest.mark.parametrize("kw, msg", [
-        (dict(shards=0), "cluster.shards must be positive"),
-        (dict(router="warp"), "unknown router"),
-        (dict(gossip_interval_cycles=0.0),
-         "cluster.gossip_interval_cycles must be positive"),
-        (dict(failover_retries=-1),
-         "cluster.failover_retries must be nonnegative"),
-        (dict(brownout_headroom=1.5), r"must be in \(0, 1\]"),
-        (dict(brownout_headroom=0.0), r"must be in \(0, 1\]"),
+        pytest.param(dict(shards=0),
+                     "cluster.shards: must be a positive integer",
+                     id="kw0-cluster.shards must be positive"),
+        pytest.param(dict(router="warp"),
+                     "cluster.router: unknown value 'warp'",
+                     id="kw1-unknown router"),
+        pytest.param(dict(gossip_interval_cycles=0.0),
+                     "cluster.gossip_interval_cycles: must be > 0, got 0.0",
+                     id="kw2-cluster.gossip_interval_cycles must be "
+                        "positive"),
+        pytest.param(dict(failover_retries=-1),
+                     "cluster.failover_retries: must be a nonnegative "
+                     "integer",
+                     id="kw3-cluster.failover_retries must be nonnegative"),
+        pytest.param(dict(brownout_headroom=1.5),
+                     "cluster.brownout_headroom: must be <= 1, got 1.5",
+                     id=r"kw4-must be in \(0, 1\]"),
+        pytest.param(dict(brownout_headroom=0.0),
+                     "cluster.brownout_headroom: must be > 0, got 0.0",
+                     id=r"kw5-must be in \(0, 1\]"),
         (dict(brownout_kinds=("warp",)), "unknown kind"),
         # A NaN interval would hang run()'s late-failover drain.
         (dict(gossip_interval_cycles=float("nan")),
@@ -370,29 +384,39 @@ class TestTrace:
         assert [(s["requests_total"], s["served"]) for s in snapshots] \
             == [(0, 0)]
 
-    def test_each_rid_is_owned_by_one_shard_in_a_column(self):
+    def test_each_rid_is_owned_by_one_shard_in_a_column(self, monkeypatch):
         trace = self._tied_trace()
         sim = self._sim()
+        redispatched = {}
+        redispatch = sim._redispatch
+
+        def record(h, now):
+            redispatched[h.rid] = now
+            redispatch(h, now)
+
+        monkeypatch.setattr(sim, "_redispatch", record)
         result = sim.run(trace)
         assert result.failovers > 0
-        owner = sim._owner
-        assert owner.dtype == np.int32 and len(owner) == len(trace)
-        rids = sorted_rids(trace)
-        # A shard appends its records in the order they resolved.
-        for i, res in enumerate(result.shard_results):
-            assert sorted(r.rid for r in res.records) == \
-                rids[owner == i].tolist()
+        assert redispatched.keys() == sim._failover_count.keys()
+        # Each rid is in exactly one shard's rid column; a shard appends
+        # its records in the order they resolved.
+        columns = [res.records.column("rid") for res in result.shard_results]
+        assert sorted(np.concatenate(columns).tolist()) == \
+            sorted_rids(trace).tolist()
         # A failed-over request belongs to the shard it was re-dispatched
         # to, which saw the re-dispatch time as its arrival.
-        assert sim._redispatched.keys() == sim._failover_count.keys()
-        seen = {r.rid: r.arrival for res in result.shard_results
-                for r in res.records}
-        assert all(seen[rid] == at for rid, at in sim._redispatched.items())
+        original = dict(zip(sorted_rids(trace).tolist(),
+                            trace.column("arrival").tolist()))
+        for res in result.shard_results:
+            seen = dict(zip(res.records.column("rid").tolist(),
+                            res.records.column("arrival").tolist()))
+            assert seen == {rid: redispatched.get(rid, original[rid])
+                            for rid in seen}
 
     def test_the_router_keeps_a_few_bytes_per_request(self):
         """What the router allocates and keeps after a run: the trace's
-        rids held contiguous (8 B a request) and the owner column (4 B);
-        original arrivals are read from the trace.  A dict
+        rids held contiguous (8 B a request); original arrivals are read
+        from the trace and each shard's span from its records.  A dict
         entry per routed request (about 32 B, beside the int and float
         it keeps alive) pushes it past the bound."""
         trace = self._tied_trace()
@@ -410,7 +434,7 @@ class TestTrace:
             True, cluster.__file__, all_frames=True)])
         per_request = sum(s.size for s in held.statistics("filename")) \
             / len(trace)
-        assert per_request <= 16, per_request
+        assert per_request <= 12, per_request
 
     def test_the_launch_table_is_merged_once(self):
         result = TestFailover()._run()

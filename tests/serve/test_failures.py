@@ -277,7 +277,8 @@ class TestCorrelatedDomains:
             FailureConfig(domains=((0,),), domain_slow_factor=0.5)
         with pytest.raises(ConfigError, match="domain_mode"):
             FailureConfig(domains=((0,),), domain_mode="explode")
-        with pytest.raises(ConfigError, match=r"domains\[0\] out of range"):
+        with pytest.raises(ConfigError,
+                           match=r"failures\.domains\[0\]: out of range"):
             FailureConfig(domains=((0, 5),)).validate_chips(2)
 
     def test_scripted_domain_window_covers_every_member(self):

@@ -198,7 +198,7 @@ def test_a_clock_that_is_not_positive_is_rejected(value):
     # A zero clock would simulate a whole run and then divide its rollup
     # by zero seconds; a negative one would report no throughput.
     with pytest.raises(ConfigError, match=(
-            rf"^config\.clock_ghz: must be positive, got {value!r}$")):
+            rf"^config\.clock_ghz: must be > 0, got {value!r}$")):
         _config(clock_ghz=value)
 
 
@@ -213,8 +213,12 @@ def test_a_clock_that_is_not_positive_is_rejected(value):
     # 0 and -1.0 used to fail only at begin(), with undotted messages.
     ("queue_capacity", 0,
      "queue_capacity: must be a positive integer, got 0"),
-    ("max_wait_cycles", -1.0,
-     "max_wait_cycles: must be nonnegative, got -1.0"),
+    # The id keeps the message the case matched before the field
+    # declared its bound.
+    pytest.param("max_wait_cycles", -1.0,
+                 "max_wait_cycles: must be > 0, got -1.0",
+                 id="max_wait_cycles--1.0-max_wait_cycles: must be "
+                    "nonnegative, got -1.0"),
 ])
 def test_counts_are_refused_at_construction_naming_the_field(field, value,
                                                              message):

@@ -69,13 +69,12 @@ SORT_BYTES_PER_RECORD = 24
 #: entry per request beside its trace row, each placed at its row.  The
 #: launch rows, 63 B each, are held twice, in the shards' tables and the
 #: merged one (about 46 B a request each at this trace's mean batch of
-#: 1.38), and the router keeps the trace's rids contiguous (8 B) and an
-#: owner column (4 B): about 139 B a request, to which the bytearrays'
-#: growth slack and the rollup's latency column and masks add, for about
-#: 164 B/request on Python 3.11 (192 B before the merged records became
-#: entries).  Merged 30 B heads, a second copy of every record, push it
-#: past the bound.
-CLUSTER_BYTES_PER_REQUEST = 180
+#: 1.38), and the router keeps the trace's rids contiguous (8 B): about
+#: 135 B a request, to which the bytearrays' growth slack and the
+#: rollup's latency column and masks add, for about 160 B/request on
+#: Python 3.11 (192 B before the merged records became entries).  Merged
+#: 30 B heads, a second copy of every record, push it past the bound.
+CLUSTER_BYTES_PER_REQUEST = 176
 
 
 def _table():

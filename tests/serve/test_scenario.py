@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from repro.errors import ConfigError
+from repro.knobs import knob_of
 from repro.serve.cli import main
 from repro.serve.fleet import ServeConfig
 from repro.serve.scenario import (
+    SCENARIO_SCHEMA,
     list_scenarios,
     load_scenario,
     ms_to_cycles,
@@ -79,6 +81,125 @@ def test_empty_document_compiles_to_the_flagless_cli_run():
     assert scenario.workload == WorkloadConfig(mix="bp")
     assert scenario.mixes == ("bp", "bp+vgg")
     assert scenario.quick is True
+
+
+#: Every scenario key as the schema stated it before config fields
+#: declared their own bounds: (key, kind, default, min, min exclusive,
+#: max, choices, nullable), in schema order.  Kinds were named ``int``
+#: and ``float`` then.
+KEYS = [
+    ("workload.mix", "mixes", ("bp", "bp+vgg"), None, False, None, (), False),
+    ("workload.arrival", "str", "poisson", None, False, None,
+     ("poisson", "bursty"), False),
+    ("workload.rate", "float", 50000.0, 0, True, None, (), False),
+    ("workload.requests", "int", 200, 1, False, None, (), False),
+    ("workload.seed", "int", 0, 0, False, None, (), False),
+    ("workload.num_tiles", "int", 8, 1, False, 4294967296, (), False),
+    ("workload.burst_factor", "float", 8.0, 1.0, False, None, (), False),
+    ("workload.burst_len", "float", 20.0, 1.0, False, None, (), False),
+    ("fleet.chips", "int", 4, 1, False, None, (), False),
+    ("fleet.policy", "str", "least-loaded", None, False, None,
+     ("round-robin", "least-loaded", "locality"), False),
+    ("fleet.degraded_chips", "int_list", (), None, False, None, (), False),
+    ("batching.max_batch", "int", 8, 1, False, None, (), False),
+    ("batching.max_wait_cycles", "float", 20000.0, 0, True, None, (), False),
+    ("batching.queue_capacity", "int", 64, 1, False, None, (), False),
+    ("batching.shed_policy", "str", "drop-newest", None, False, None,
+     ("drop-newest", "drop-oldest"), False),
+    ("failures.seed", "int", 0, None, False, None, (), False),
+    ("failures.fail_stop_chips", "chips", (), None, False, None, (), False),
+    ("failures.mtbf_ms", "float", 2.4, 0, True, None, (), False),
+    ("failures.repair_ms", "float", 0.64, 0, True, None, (), False),
+    ("failures.fail_slow_chips", "chips", (), None, False, None, (), False),
+    ("failures.fail_slow_mtbf_ms", "float", 1.6, 0, True, None, (), False),
+    ("failures.fail_slow_duration_ms", "float", 0.4, 0, True, None, (),
+     False),
+    ("failures.fail_slow_factor", "float", 4.0, 1.0, False, None, (), False),
+    ("failures.transient_chips", "chips", (), None, False, None, (), False),
+    ("failures.transient_mtbf_ms", "float", 1.6, 0, True, None, (), False),
+    ("failures.transient_duration_ms", "float", 0.32, 0, True, None, (),
+     False),
+    ("failures.domains", "domains", (), None, False, None, (), False),
+    ("failures.domain_mtbf_ms", "float", 4.0, 0, True, None, (), False),
+    ("failures.domain_repair_ms", "float", 0.48, 0, True, None, (), False),
+    ("failures.domain_mode", "str", "fail-stop", None, False, None,
+     ("fail-stop", "fail-slow"), False),
+    ("failures.domain_slow_factor", "float", 4.0, 1.0, False, None, (),
+     False),
+    ("resilience.health_interval_ms", "float", 0.02, 0, True, None, (),
+     False),
+    ("resilience.detect_latency_ms", "float", 0.0, 0, False, None, (), False),
+    ("resilience.health_fp_rate", "float", 0.0, 0, False, 1, (), False),
+    ("resilience.breaker_failure_threshold", "int", 1, 1, False, None, (),
+     False),
+    ("resilience.breaker_open_ms", "float", 0.16, 0, True, None, (), False),
+    ("resilience.max_retries", "int", 3, 0, False, None, (), False),
+    ("resilience.retry_backoff_ms", "float", 0.004, 0, False, None, (),
+     False),
+    ("resilience.retry_deadline_ms", "float", 1.0, 0, True, None, (), False),
+    ("resilience.hedge_delay_ms", "float", None, 0, False, None, (), True),
+    ("autoscale.min_chips", "int", 1, 1, False, None, (), False),
+    ("autoscale.max_chips", "int", 8, 1, False, None, (), False),
+    ("autoscale.evaluate_interval_ms", "float", 0.04, 0, True, None, (),
+     False),
+    ("autoscale.up_queue_per_chip", "float", 8.0, 0, True, None, (), False),
+    ("autoscale.up_backlog_ms", "float", 0.08, 0, True, None, (), False),
+    ("autoscale.down_queue_max", "float", 1.0, 0, False, None, (), False),
+    ("autoscale.idle_ms", "float", 0.08, 0, False, None, (), False),
+    ("autoscale.warmup_ms", "float", 0.04, 0, False, None, (), False),
+    ("autoscale.cooldown_ms", "float", 0.16, 0, False, None, (), False),
+    ("autoscale.max_step", "int", 1, 1, False, None, (), False),
+    ("cluster.shards", "int", 2, 1, False, None, (), False),
+    ("cluster.router", "str", "least-loaded", None, False, None,
+     ("round-robin", "least-loaded", "hash"), False),
+    ("cluster.gossip_interval_ms", "float", 0.04, 0, True, None, (), False),
+    ("cluster.failover_retries", "int", 1, 0, False, None, (), False),
+    ("cluster.brownout_headroom", "float", None, 0, True, 1, (), True),
+    ("cluster.brownout_kinds", "kinds", ("fc",), None, False, None, (),
+     False),
+    ("run.slo_ms", "float", 0.25, 0, True, None, (), False),
+    ("run.quick", "bool", True, None, False, None, (), False),
+]
+
+#: The keys with specs of their own; every other key sets a config field.
+SCENARIO_ONLY = {"workload.mix", "fleet.degraded_chips",
+                 "failures.fail_stop_chips", "failures.fail_slow_chips",
+                 "failures.transient_chips", "failures.domains",
+                 "cluster.brownout_kinds", "run.quick"}
+
+
+def test_every_key_keeps_its_default_bound_and_choices():
+    specs = {f"{section}.{key}": spec
+             for section, keys in SCENARIO_SCHEMA.items()
+             for key, spec in keys.items()}
+    assert list(specs) == [row[0] for row in KEYS] and len(KEYS) == 58
+    renamed = {"count": "int", "number": "float"}
+    for key, *pinned in KEYS:
+        spec = specs[key]
+        got = [renamed.get(spec.kind, spec.kind), spec.default, spec.min,
+               spec.min_exclusive, spec.max, tuple(spec.choices),
+               spec.nullable]
+        assert got == pinned, key
+        assert type(spec.default) is type(pinned[1]), key
+        if key in SCENARIO_ONLY:
+            assert spec.config is None, key
+            continue
+        # The other 50 read their field's declaration: its default is
+        # the key's, in cycles for a *_ms key (cluster.shards alone
+        # states its own), and so are its bound and choices.
+        knob = knob_of(spec.config, spec.field)
+        to_config = ms_to_cycles if spec.ms else (lambda value: value)
+        if key != "cluster.shards":
+            assert knob.default == (None if spec.default is None
+                                    else to_config(spec.default)), key
+        for bound in ("min", "max"):
+            value = getattr(spec, bound)
+            assert getattr(knob, bound) == (
+                None if value is None else to_config(value)), key
+        assert (knob.kind, knob.min_exclusive, knob.nullable) == \
+            (spec.kind, spec.min_exclusive, spec.nullable), key
+        assert knob.choices is spec.choices, key
+    assert sum(spec.config is not None for spec in specs.values()) == 50
 
 
 def test_defaults_fill_every_section():

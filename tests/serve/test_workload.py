@@ -178,8 +178,14 @@ def test_config_validation():
      "workload.clock_ghz: must be a finite number, got -inf"),
     # A zero clock would draw every arrival at cycle 0, and a negative
     # one escape as NumPy's "scale < 0".
-    ("clock_ghz", 0.0, "^workload.clock_ghz: must be positive, got 0.0$"),
-    ("clock_ghz", -1.0, "^workload.clock_ghz: must be positive, got -1.0$"),
+    # The ids keep the messages the cases matched before the field
+    # declared its bound.
+    pytest.param("clock_ghz", 0.0, "^workload.clock_ghz: must be > 0, "
+                 "got 0.0$", id="clock_ghz-0.0-^workload.clock_ghz: must "
+                 "be positive, got 0.0$"),
+    pytest.param("clock_ghz", -1.0, "^workload.clock_ghz: must be > 0, "
+                 "got -1.0$", id="clock_ghz--1.0-^workload.clock_ghz: must "
+                 "be positive, got -1.0$"),
 ])
 def test_config_rejects_out_of_range_and_non_finite(field, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -213,7 +219,8 @@ def test_counts_must_be_integers(field, value, message):
 def test_negative_seed_is_a_config_error():
     # numpy's default_rng would reject it only after the cost table.
     with pytest.raises(ConfigError,
-                       match=r"^workload\.seed: must be >= 0, got -1$"):
+                       match=(r"^workload\.seed: must be a nonnegative "
+                              r"integer, got -1$")):
         WorkloadConfig(seed=-1)
 
 
