@@ -90,9 +90,6 @@ class BPTileLayout:
     def field_offset(self, field: str) -> int:
         return BLOCK_FIELDS.index(field) * self.vec_bytes
 
-    def block_addr(self, y: int, x: int) -> int:
-        return self.base + (y * self.cols + x) * self.block_bytes
-
     def smoothness_base(self) -> int:
         return self.base + self.grid_bytes
 

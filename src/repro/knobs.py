@@ -117,6 +117,18 @@ def _count(value, path: str, low) -> int:
     return count
 
 
+def chip_ids(values, path: str) -> tuple:
+    """``values`` as a tuple of builtin ints, or a :class:`ConfigError`
+    naming ``path``: a chip id is an integer (any type with
+    ``__index__``, such as a NumPy integer, but not a bool), stored as
+    the int it holds, as a count is.  A float id matches no chip."""
+    if any(isinstance(c, bool) or not hasattr(type(c), "__index__")
+           for c in values):
+        raise ConfigError(f"{path}: expected integer chip ids, "
+                          f"got {values!r}")
+    return tuple(map(operator.index, values))
+
+
 def _declare(knob: Knob):
     return field(default=knob.default, metadata={"knob": knob})
 

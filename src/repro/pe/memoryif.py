@@ -121,15 +121,13 @@ class LocalVaultMemory:
     """
 
     def __init__(self, hmc: HMC | None = None, vault: int = 0, star_cycles: int = 1,
-                 allow_remote: bool = False, trace: TraceSink = NULL_TRACE,
-                 faults=NO_FAULTS):
+                 trace: TraceSink = NULL_TRACE, faults=NO_FAULTS):
         self.hmc = hmc if hmc is not None else HMC(trace=trace, faults=faults)
         self.vault = vault
         # Bind the home controller once: every legal access lands on it,
         # so the per-burst loop never pays a vault lookup.
         self._home_ctl = self.hmc.vaults[vault]
         self.star_cycles = star_cycles
-        self.allow_remote = allow_remote
         self.fe = FullEmptyState()
         self.trace = trace
         self.faults = faults if faults.enabled else self.hmc.faults
@@ -146,7 +144,6 @@ class LocalVaultMemory:
             self.hmc.store.write(addr, data)
         done = time
         star = self.star_cycles
-        vaults = self.hmc.vaults
         home = self.vault
         home_ctl = self._home_ctl
         request_time = time + star  # 1 request/cycle pacing
@@ -167,15 +164,12 @@ class LocalVaultMemory:
                                 served + star)
         for _, piece_len, vault_id, bank, row in self.hmc.mapper.split_decoded(addr, nbytes):
             if vault_id != home:
-                if not self.allow_remote:
-                    raise SimulationError(
-                        f"PE {pe_id} accessed vault {vault_id} but is wired "
-                        f"to vault {self.vault} only"
-                    )
-                ctl = vaults[vault_id]
-            else:
-                ctl = home_ctl
-            served = ctl.access(request_time, bank, row, piece_len, is_write)
+                raise SimulationError(
+                    f"PE {pe_id} accessed vault {vault_id} but is wired "
+                    f"to vault {self.vault} only"
+                )
+            served = home_ctl.access(request_time, bank, row, piece_len,
+                                     is_write)
             served += star
             if served > done:
                 done = served

@@ -518,7 +518,7 @@ class ClusterSimulator:
         the order, rid checks and original arrivals read the trace's
         columns and rows are decoded a chunk at a time."""
         cluster = self.cluster
-        # A rid or tile a row cannot hold, a repeated rid, a non-finite
+        # A rid, kind or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.
         self._trace = trace = as_trace(requests)
         # The rids are searched on every failover and snapshot, which

@@ -55,7 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
-from repro.knobs import check_knobs, choice, count, number
+from repro.knobs import check_knobs, chip_ids, choice, count, number
 from repro.faults.injector import stream_seed
 
 FAILURE_KINDS = ("fail-stop", "fail-slow", "transient")
@@ -111,16 +111,22 @@ class FailureConfig:
     def __post_init__(self):
         check_knobs(self, "failures")
         for f in ("fail_stop_chips", "fail_slow_chips", "transient_chips"):
-            if any(c < 0 for c in getattr(self, f)):
+            chips = chip_ids(getattr(self, f), f"failures.{f}")
+            if any(c < 0 for c in chips):
                 raise ConfigError(f"failures.{f}: contains a negative "
                                   f"chip id")
+            object.__setattr__(self, f, chips)
+        domains = []
         for i, members in enumerate(self.domains):
             if not isinstance(members, tuple) or not members:
                 raise ConfigError(f"failures.domains[{i}]: must be a "
                                   f"non-empty tuple of chip ids")
-            if any(not isinstance(c, int) or c < 0 for c in members):
+            members = chip_ids(members, f"failures.domains[{i}]")
+            if any(c < 0 for c in members):
                 raise ConfigError(f"failures.domains[{i}]: contains an "
                                   f"invalid chip id")
+            domains.append(members)
+        object.__setattr__(self, "domains", tuple(domains))
 
     @property
     def enabled(self) -> bool:

@@ -101,7 +101,6 @@ from repro.serve.fleet.records import (
     arrival_order,
     as_trace,
     check_kinds,
-    run_records,
     served_finish,
 )
 from repro.serve.metrics import (
@@ -218,7 +217,7 @@ class FleetSimulator(DispatchMixin):
         #: One terminal record per request, a served one referencing its
         #: launch's row of ``_batches``: appended in resolution order (a
         #: cluster shard's), unless run() writes them at their requests'
-        #: rows (see run_records).
+        #: rows of its trace.
         self._records = EntryTable(RequestRecord, launches=self._batches)
         self.retry_count = 0
         self.hedge_count = 0
@@ -410,10 +409,11 @@ class FleetSimulator(DispatchMixin):
         ``trace`` (a table :func:`~repro.serve.fleet.records.as_trace`
         gave) whose ``(first, last)`` arrival is ``span``.
 
-        Records written at their requests' rows of ``trace`` are
-        returned without a copy once every row has one.  Appended ones
-        are placed at their requests' rows of a new table over
-        ``trace``, which becomes the fleet's.  Either way a rid of
+        Records written at their requests' rows of ``trace``, as run()
+        writes them, are returned without a copy once every row has one.
+        Appended ones (a simulator stepped by hand) are placed at their
+        requests' rows of a new table over ``trace``, which becomes the
+        fleet's.  Either way a rid of
         ``trace`` with no record or with two, or a record of no rid in
         it, raises :class:`~repro.errors.SimulationError` naming the rid.
         A cluster shard passes no trace and keeps its appended records:
@@ -449,18 +449,18 @@ class FleetSimulator(DispatchMixin):
         stepped, so the trace never exists as a list of objects.  A
         trace out of rid order is packed into one sorted by rid first.
         A trace in (arrival, rid) order, as a generated one is, is
-        stepped in place, with no permutation.  When its rids are
-        consecutive, each record is written at its request's row of an
-        :class:`~repro.serve.rows.EntryTable` over the trace, which reads
-        the request's own fields from the trace row (see
-        :func:`~repro.serve.fleet.records.run_records`).
+        stepped in place, with no permutation.  Each record is written
+        at its request's row of an :class:`~repro.serve.rows.EntryTable`
+        over the trace, which reads the request's own fields from the
+        trace row.
         """
-        # A rid or tile a row cannot hold, a repeated rid, a non-finite
+        # A rid, kind or tile a row cannot hold, a repeated rid, a non-finite
         # arrival or an unpriced kind fails before simulating.
         trace = as_trace(requests)
         order, span = arrival_order(trace)
         check_kinds(trace, self.costs.model_bytes)
-        self._records = run_records(trace, self._batches)
+        self._records = EntryTable(RequestRecord, launches=self._batches,
+                                   trace=trace)
         self.begin()
         total = len(order)
         if on_progress is not None and progress_every is None:

@@ -8,9 +8,8 @@ each, and its request records in an
 :class:`~repro.serve.rows.EntryTable`, one entry each beside the
 request's trace row, which points at the row of the launch that served
 it.  The trace checks (:func:`as_trace`, :func:`arrival_order`,
-:func:`check_kinds`, :func:`sorted_rids`) and the record table a run
-writes (:func:`run_records`) live here, so the fleet and the cluster
-router share them.
+:func:`check_kinds`, :func:`sorted_rids`) live here, so the fleet and
+the cluster router share them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.knobs import check_knobs, choice, count, number
+from repro.knobs import check_knobs, chip_ids, choice, count, number
 from repro.serve import rows
 from repro.serve.failures import FailureConfig
 from repro.serve.policy import SCHEDULE_PRIMITIVES, PolicySet
@@ -33,13 +32,17 @@ from repro.serve.rows import (
     EntryTable,
     RecordTable,
 )
-from repro.serve.workload import Request
+from repro.serve.workload import KINDS, Request
 
 #: The built-in scheduling policies (leaves of the ``schedule`` slot).
 POLICIES = SCHEDULE_PRIMITIVES
 
 #: Request outcomes (the conservation invariant's exhaustive set).
 OUTCOMES = ("served", "shed", "expired")
+
+#: The texts of a record's and a launch's outcome field: one list, so
+#: that a served record reads its launch row's outcome as it is.
+_OUTCOME_TEXTS = OUTCOMES + ("killed", "hedge-loser")
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,9 @@ class ServeConfig:
 
     def __post_init__(self):
         check_knobs(self, "config")
-        bad = [c for c in self.degraded_chips
-               if not 0 <= c < self.chips]
+        degraded = chip_ids(self.degraded_chips, "config.degraded_chips")
+        object.__setattr__(self, "degraded_chips", degraded)
+        bad = [c for c in degraded if not 0 <= c < self.chips]
         if bad:
             raise ConfigError(f"config.degraded_chips: out of range for "
                               f"{self.chips} chips: {bad}")
@@ -206,23 +210,24 @@ class BatchRecord(NamedTuple):
 #: record is an entry of an :class:`~repro.serve.rows.EntryTable`: an
 #: int32 reference and a flag (its ``hedged`` field), beside the
 #: request's row, which gives its rid, kind, tile and arrival; a table
-#: that appends its records (a cluster shard's, or a run of a trace
-#: whose rids are not consecutive) appends that 25 B row with the entry.
+#: that appends its records (a cluster shard's) appends that 25 B row
+#: with the entry.
 #: The reference names the launch-table row of the launch that served
 #: it, or a 46 B rest row of its table's own (a shed, an expiry, or a
 #: record written field by field).  A served record reads shed as False
 #: and the rest from the launch row, ``batch_size``, ``dispatch`` and
 #: ``retries`` from its ``size``, ``close`` and ``attempt``.  Chip ids,
 #: batch sizes and attempt counts are int32; rids, tiles and batch ids
-#: int64.
+#: int64; a kind is its index in KINDS and an outcome in _OUTCOME_TEXTS.
 rows.register(RequestRecord, "qBqd?qiidddBi?", rows.record_writers,
-              requests=Request,
+              texts={"outcome": _OUTCOME_TEXTS}, requests=Request,
               through={"shed": None, "batch_id": "batch_id",
                        "chip": "chip", "batch_size": "size",
                        "dispatch": "close", "start": "start",
                        "finish": "finish", "outcome": "outcome",
                        "retries": "attempt"})
-rows.register(BatchRecord, "qBiiddddiBd?", rows.launch_writer)
+rows.register(BatchRecord, "qBiiddddiBd?", rows.launch_writer,
+              texts={"kind": KINDS, "outcome": _OUTCOME_TEXTS})
 
 
 def served_finish(tables, default: float) -> float:
@@ -263,14 +268,15 @@ def as_trace(requests) -> RecordTable:
     of requests out of rid order, or any iterable of requests) packed
     into a new one and sorted by rid.
 
-    A request row stores its rid and its tile as int64s, and None as the
-    int64 minimum, so a rid outside int64, or a tile that is not None
-    nor an int above that minimum within int64, is a
-    :class:`ConfigError` naming every such rid (a table's own writer
-    refuses such a row as it is written).  Records are accounted per
-    rid, so two requests sharing one would leave one unaccounted and the
-    other counted twice: a duplicate is a :class:`ConfigError` naming
-    every repeated rid.
+    A request row stores its rid and its tile as int64s, None as the
+    int64 minimum and its kind as its index in :data:`KINDS`, so a rid
+    outside int64, a tile that is not None nor an int above that
+    minimum within int64, or a kind outside :data:`KINDS`, is a
+    :class:`ConfigError` naming every such rid, and nothing is packed (a
+    table's own writer refuses such a row as it is written).  Records
+    are accounted per rid, so two requests sharing one would leave one
+    unaccounted and the other counted twice: a duplicate is a
+    :class:`ConfigError` naming every repeated rid.
     """
     if isinstance(requests, RecordTable):
         if requests.row is not Request:
@@ -279,15 +285,17 @@ def as_trace(requests) -> RecordTable:
         trace = requests
     else:
         trace = RecordTable(Request)
-        add, wide, tiles = trace.add, [], []
+        add, wide, tiles, kinds = trace.add, [], [], []
         for req in requests:
             if not INT64_MIN <= req.rid <= INT64_MAX:
                 wide.append(req.rid)
             elif not rows.holds_tile(req.tile):
                 tiles.append(req.rid)
+            elif req.kind not in KINDS:
+                kinds.append(req.rid)
             else:
                 add(*req)
-        error = rows.unheld_requests(wide, tiles)
+        error = rows.unheld_requests(wide, tiles, kinds, KINDS)
         if error is not None:
             raise error
     if _ascending(trace.column("rid")):
@@ -344,11 +352,9 @@ def check_kinds(trace: RecordTable, priced) -> None:
     ``trace`` that ``priced`` (a cost table's ``model_bytes``) has no
     column for, before anything is simulated: such a request could
     never launch."""
-    strings = trace.strings
-    present = np.flatnonzero(np.bincount(trace.column("kind"),
-                                         minlength=len(strings)))
-    missing = sorted(strings[code] for code in present.tolist()
-                     if strings[code] not in priced)
+    counts = np.bincount(trace.column("kind"), minlength=len(KINDS))
+    missing = sorted(kind for kind, n in zip(KINDS, counts.tolist())
+                     if n and kind not in priced)
     if missing:
         raise ConfigError(f"request kinds the cost table has no column "
                           f"for: {missing} (it prices {sorted(priced)})")
@@ -360,21 +366,3 @@ def sorted_rids(trace: RecordTable) -> np.ndarray:
     cannot grow while the view is alive)."""
     return trace.column("rid")
 
-
-def run_records(trace: RecordTable, launches: RecordTable) -> EntryTable:
-    """The table a fleet run of ``trace`` (a table :func:`as_trace`
-    gave) writes its request records to, each served record referencing
-    its launch's row of ``launches``.
-
-    When the trace's rids are consecutive, as a generated trace's are,
-    row ``i`` is request ``rid0 + i``, and the records are entries over
-    the trace: 5 B a request, each written at its request's row, so
-    exactly-once is checked as they are written.  Any other trace's
-    records are appended, 30 B a request, and placed at their requests'
-    rows of a table over the trace when the run is collected.
-    """
-    rids = trace.column("rid")
-    if len(rids) and int(rids[-1]) - int(rids[0]) == len(rids) - 1:
-        return EntryTable(RequestRecord, launches=launches, trace=trace,
-                          rid0=int(rids[0]))
-    return EntryTable(RequestRecord, launches=launches)

@@ -6,9 +6,11 @@ in memory.  A :class:`RecordTable` packs each row into one fixed-width
 slice of a ``bytearray`` and rebuilds the named tuple only when it is
 read.  Each row type packs with one little-endian, unaligned ``struct``
 code per field: ``q``/``i`` for 64/32-bit ints, ``d`` for floats, ``?``
-for bools, and ``B`` for strings, which a table stores as a one-byte
-code into its own string list.  An optional int field (a ``tile``)
-stores None as the int64 minimum.
+for bools, and ``B`` for strings.  A row type declares the texts of
+each string field when it registers its layout, and a row stores a
+string as its index in that list, so every table of the type reads the
+same codes.  An optional int field (a ``tile``) stores None as the
+int64 minimum.
 
 A *joined* row type, a run's request record, is kept in an
 :class:`EntryTable`: each record is a 5 B entry (an int32 reference and
@@ -35,6 +37,7 @@ from __future__ import annotations
 import operator
 import struct
 from array import array
+from bisect import bisect_left
 from itertools import chain, repeat
 from operator import eq
 
@@ -78,41 +81,41 @@ def holds_tile(tile) -> bool:
     return tile is None or (_in_int64(tile) and tile != NO_TILE)
 
 
-def unheld_requests(wide, tiles) -> ConfigError | None:
+def unheld_requests(wide, tiles, kinds=(), known=()) -> ConfigError | None:
     """The error naming the rids of requests a row cannot hold: ``wide``
     those whose rid is outside int64, ``tiles`` those whose tile fails
-    :func:`holds_tile` (None when both are empty)."""
+    :func:`holds_tile`, ``kinds`` those whose kind is none of the texts
+    ``known`` (None when all three are empty)."""
     if wide:
         return ConfigError(f"request ids outside int64: {sorted(wide)}")
     if tiles:
         return ConfigError(f"request ids with a tile a row cannot hold "
                            f"(None or an int64 above {INT64_MIN}): "
                            f"{sorted(tiles)}")
+    if kinds:
+        return ConfigError(f"request ids with a kind outside "
+                           f"{list(known)}: {sorted(kinds)}")
     return None
 
 
-def trace_writer(pack, rows: bytearray, codes: "_Codes"):
+def trace_writer(layout: "_Layout", rows: bytearray):
     """``add`` for a table of :class:`~repro.serve.workload.Request`
-    rows.  A rid or a tile the row cannot hold is the
-    :func:`unheld_requests` error, and the table is left as it was: no
-    row is appended and no string registered."""
+    rows.  A rid, a kind or a tile the row cannot hold is the
+    :func:`unheld_requests` error, and no row is appended."""
+    pack, kinds = layout.struct.pack, layout.codes["kind"]
+
     def add(rid, kind, tile, arrival):
         nonlocal rows
-        if tile is None:
-            tile = NO_TILE
-        elif tile == NO_TILE:  # would read back as None
+        if tile == NO_TILE:  # would read back as None
             raise unheld_requests((), (rid,))
-        code = codes.get(kind)
         try:
-            if code is None:
-                # A kind's first row registers its string only once the
-                # row packs.
-                pack(rid, 0, tile, arrival)
-                code = codes[kind]
-            rows += pack(rid, code, tile, arrival)
-        except struct.error:
+            rows += pack(rid, kinds[kind], NO_TILE if tile is None else tile,
+                         arrival)
+        except (KeyError, struct.error):
             error = unheld_requests(() if _in_int64(rid) else (rid,),
-                                    () if holds_tile(tile) else (rid,))
+                                    () if holds_tile(tile) else (rid,),
+                                    () if kind in kinds else (rid,),
+                                    tuple(kinds))
             if error is None:
                 raise
             raise error from None
@@ -122,12 +125,15 @@ def trace_writer(pack, rows: bytearray, codes: "_Codes"):
 #: An entry's flag: no record yet, a record, a hedged record.
 UNWRITTEN, WRITTEN, HEDGED = 0, 1, 2
 
+#: Reads the int64 rid that opens a trace row.
+_RID = struct.Struct("<q")
 
-def _misplaced(rid, rid0: int, n: int) -> SimulationError:
-    """The error of a record of request ``rid`` that a table over the
-    ``n`` trace rows of requests ``rid0`` on cannot take: its row has
-    one already, or it has no row."""
-    if 0 <= rid - rid0 < n:
+
+def _misplaced(rid, has_row: bool) -> SimulationError:
+    """The error of a record of request ``rid`` that a table over a trace
+    cannot take: its row (``has_row``) has one already, or it has no
+    row."""
+    if has_row:
         return SimulationError(f"requests recorded more than once: [{rid}]")
     return SimulationError(f"records of unknown requests: [{rid}]")
 
@@ -145,56 +151,72 @@ def record_writers(table: "EntryTable"):
     row.  A rest row is appended before the entries that reference it.
 
     An appended table appends each request's row to its own
-    :class:`~repro.serve.workload.Request` table with its entry.  A
-    table over a trace whose row ``i`` is request ``rid0 + i`` writes
-    the entry of request ``rid`` at row ``rid - rid0``: a rid with no
-    row, or whose row has a record already, is a
-    :class:`~repro.errors.SimulationError` naming it, raised before its
-    entry is written (a launch's or an expiry's requests before it keep
-    theirs).  A table over a trace whose rids are not consecutive takes
-    its records by :meth:`EntryTable.place` only.
+    :class:`~repro.serve.workload.Request` table with its entry, through
+    that table's writer, which refuses a row it cannot hold.  A
+    table over a trace (rids ascending) writes the entry of request
+    ``rid`` at that rid's row: row ``rid - rid0`` when the trace's rids
+    run consecutively from ``rid0`` (as they ascend, exactly when the
+    last of ``n`` rows is ``rid0 + n - 1``), and otherwise the row that
+    a bisection of the trace's rids finds, one rid unpacked from the row
+    bytes per step (a NumPy search would copy the strided rid column on
+    every write).  A rid with no row, or whose row has a record already,
+    is a :class:`~repro.errors.SimulationError` naming it, raised before
+    its entry is written (a launch's or an expiry's requests before it
+    keep theirs).
     """
-    rest = table._join.rest.struct.pack
-    rest_size = table._join.rest.struct.size
-    refs, marks, rests, codes = (table._refs, table._marks, table._rest,
-                                 table._codes)
-    rid0 = table._rid0
+    rest = table._join.rest
+    pack_rest, rest_size = rest.struct.pack, rest.struct.size
+    outcomes = rest.codes["outcome"]
+    refs, marks, rests = table._refs, table._marks, table._rest
+    requests = table.requests
     if table._appended:
-        requests = table.requests
-        pack, rows, kinds = (requests._layout.struct.pack, requests._rows,
-                             requests._codes)
+        add_request = requests.add
 
         def add_each(batch, ref, hedged):
-            nonlocal rows
             mark = HEDGED if hedged else WRITTEN
-            for rid, kind, tile, arrival in batch:
-                rows += pack(rid, kinds[kind],
-                             NO_TILE if tile is None else tile, arrival)
+            for request in batch:
+                add_request(*request)
                 refs.append(ref)
                 marks.append(mark)
-    elif rid0 is not None:
-        def add_each(batch, ref, hedged):
-            mark = HEDGED if hedged else WRITTEN
-            n = len(marks)
-            for rid, _, _, _ in batch:
-                at = rid - rid0
-                # A negative row would index from the end without error.
-                if not 0 <= at < n or marks[at]:
-                    raise _misplaced(rid, rid0, n)
-                refs[at] = ref
-                marks[at] = mark
     else:
-        def add_each(batch, ref, hedged):
-            raise ConfigError("a record table over a trace whose rids are "
-                              "not consecutive takes its records by "
-                              "place()")
+        rows, size = requests._rows, requests._layout.struct.size
+
+        def row_rid(row):
+            return _RID.unpack_from(rows, row * size)[0]
+
+        last = len(marks) - 1
+        if last >= 0 and row_rid(last) - row_rid(0) == last:
+            rid0 = row_rid(0)
+
+            def add_each(batch, ref, hedged):
+                mark = HEDGED if hedged else WRITTEN
+                n = len(marks)
+                for rid, _, _, _ in batch:
+                    at = rid - rid0
+                    # A negative row would index from the end without
+                    # error.
+                    if not 0 <= at < n or marks[at]:
+                        raise _misplaced(rid, 0 <= at < n)
+                    refs[at] = ref
+                    marks[at] = mark
+        else:
+            def add_each(batch, ref, hedged):
+                mark = HEDGED if hedged else WRITTEN
+                n = len(marks)
+                for rid, _, _, _ in batch:
+                    at = bisect_left(range(n), rid, key=row_rid)
+                    has_row = at < n and row_rid(at) == rid
+                    if not has_row or marks[at]:
+                        raise _misplaced(rid, has_row)
+                    refs[at] = ref
+                    marks[at] = mark
 
     def add_rest(batch, shed, batch_id, chip, batch_size, dispatch, start,
                  finish, outcome, retries, hedged):
         nonlocal rests
         ref = ~(len(rests) // rest_size)
-        rests += rest(shed, batch_id, chip, batch_size, dispatch, start,
-                      finish, codes[outcome], retries)
+        rests += pack_rest(shed, batch_id, chip, batch_size, dispatch, start,
+                           finish, outcomes[outcome], retries)
         add_each(batch, ref, hedged)
 
     def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
@@ -206,28 +228,37 @@ def record_writers(table: "EntryTable"):
     return add, add_each, add_rest
 
 
-def launch_writer(pack, rows: bytearray, codes: "_Codes"):
+def launch_writer(layout: "_Layout", rows: bytearray):
     """``add`` for a table of
     :class:`~repro.serve.fleet.records.BatchRecord` rows."""
+    pack = layout.struct.pack
+    kinds, outcomes = layout.codes["kind"], layout.codes["outcome"]
+
     def add(batch_id, kind, size, chip, close, start, finish, reload,
             attempt, outcome, waste, hedge):
         nonlocal rows
-        rows += pack(batch_id, codes[kind], size, chip, close, start,
-                     finish, reload, attempt, codes[outcome], waste, hedge)
+        rows += pack(batch_id, kinds[kind], size, chip, close, start,
+                     finish, reload, attempt, outcomes[outcome], waste, hedge)
     return add
 
 
 class _Layout:
     """How rows of the named ``fields`` pack: their struct, their NumPy
-    row dtype, the fields that hold string codes and the one that may
-    hold None; ``writer`` makes a table's ``add``."""
+    row dtype, each string field's texts (``texts``, a string stored as
+    its index in them, and ``codes``, text -> index) and the int field
+    that may hold None; ``writer`` makes a table's ``add``."""
 
-    def __init__(self, fields, codes: str, optional: str | None = None,
-                 writer=None):
+    def __init__(self, fields, codes: str, texts: dict,
+                 optional: str | None = None, writer=None):
         self.fields = tuple(fields)
         if len(codes) != len(self.fields):
             raise ValueError(f"{len(self.fields)} fields, layout {codes!r} "
                              f"packs {len(codes)}")
+        strings = {f for f, c in zip(self.fields, codes) if c == "B"}
+        if set(texts) != strings:
+            raise ValueError(f"layout {codes!r} declares the texts of "
+                             f"{sorted(texts)}, not of its string fields "
+                             f"{sorted(strings)}")
         self.struct = struct.Struct("<" + codes)
         self.writer = writer
         offsets, offset = [], 0
@@ -238,9 +269,20 @@ class _Layout:
             "names": list(self.fields),
             "formats": [_NUMPY_CODES[c] for c in codes],
             "offsets": offsets, "itemsize": self.struct.size})
-        self.strings = tuple(f for f, c in zip(self.fields, codes)
-                             if c == "B")
+        self.texts = {f: tuple(t) for f, t in texts.items()}
+        self.codes = {f: {text: code for code, text in enumerate(t)}
+                      for f, t in self.texts.items()}
         self.optional = optional if optional in self.fields else None
+
+    def values(self, name: str, column: np.ndarray) -> list:
+        """The values of the stored field ``name`` read as ``column``:
+        a string field's texts, and None where an optional field holds
+        :data:`NO_TILE`."""
+        if name in self.texts:
+            return np.array(self.texts[name], dtype=object)[column].tolist()
+        if name == self.optional and (column == NO_TILE).any():
+            return [None if v == NO_TILE else v for v in column.tolist()]
+        return column.tolist()
 
 
 class _Join:
@@ -251,9 +293,12 @@ class _Join:
     of the table's own; and its one field of neither kind, a bool
     (``flag``), in the entry's flag byte.  ``through`` maps each rest
     field to the launch-table field a launch row gives it (None: a
-    launch row gives it zero, or False)."""
+    launch row gives it zero, or False); a rest string field and its
+    launch field declare the same texts, so a code reads alike from
+    either row."""
 
-    def __init__(self, row, codes: str, writer, requests, through):
+    def __init__(self, row, codes: str, texts: dict, writer, requests,
+                 through):
         code = dict(zip(row._fields, codes))
         rest = tuple(f for f in row._fields if f in through)
         flag = set(row._fields) - set(requests._fields) - set(through)
@@ -264,7 +309,7 @@ class _Join:
                              f"one {through} reads, or the one flag")
         (self.flag,) = flag
         self.requests = requests
-        self.rest = _Layout(rest, "".join(code[f] for f in rest))
+        self.rest = _Layout(rest, "".join(code[f] for f in rest), texts)
         self.through = through
         self.writer = writer
 
@@ -272,54 +317,29 @@ class _Join:
 _LAYOUTS: dict = {}
 
 
-def register(row, codes: str, writer, optional: str | None = None,
-             requests=None, through: dict | None = None) -> None:
+def register(row, codes: str, writer, texts: dict | None = None,
+             optional: str | None = None, requests=None,
+             through: dict | None = None) -> None:
     """Pack rows of the named tuple ``row`` with one ``struct`` code per
-    field (``codes``) through ``writer``, one of this module's writers;
-    ``optional`` names the int field whose None is stored as
-    :data:`NO_TILE`.  With ``requests`` (a registered row type), the row
-    type is joined: an :class:`EntryTable` reads a row's fields of a
-    ``requests`` row's names from one, one more from its entry's flag,
-    and the others through its reference, each from the launch-table
-    field ``through`` maps it to."""
+    field (``codes``) through ``writer``, one of this module's writers.
+    ``texts`` maps each string field (code ``B``) to the texts it may
+    hold, each stored as its one-byte index; ``optional`` names the
+    int field whose None is stored as :data:`NO_TILE`.  With
+    ``requests`` (a registered row type), the row type is joined: an
+    :class:`EntryTable` reads a row's fields of a ``requests`` row's
+    names from one, one more from its entry's flag, and the others
+    through its reference, each from the launch-table field ``through``
+    maps it to; ``texts`` then names the string fields among those."""
+    texts = texts or {}
     if requests is None:
-        _LAYOUTS[row] = _Layout(row._fields, codes, optional, writer)
+        _LAYOUTS[row] = _Layout(row._fields, codes, texts, optional, writer)
     else:
-        _LAYOUTS[row] = _Join(row, codes, writer, requests, through)
-
-
-class _Codes(dict):
-    """A table's string codes: text -> code, each new text registered in
-    ``strings`` at the next code."""
-
-    __slots__ = ("strings",)
-
-    def __init__(self):
-        super().__init__()
-        self.strings = []
-
-    def __missing__(self, text):
-        code = len(self.strings)
-        if code > 0xFF:
-            raise ConfigError(f"a record table holds at most 256 distinct "
-                              f"strings; {text!r} would be one more")
-        self.strings.append(text)
-        self[text] = code
-        return code
-
-
-def _as_is(column, codes):
-    return column
-
-
-def _texts(column, codes):
-    """String codes as the texts they stand for."""
-    return np.array(codes.strings, dtype=object)[column]
+        _LAYOUTS[row] = _Join(row, codes, texts, writer, requests, through)
 
 
 def _equal(column, code):
-    """Mask of ``column`` equal to ``code`` (a code the table never gave,
-    None, matches nothing)."""
+    """Mask of ``column`` equal to ``code`` (None, the code of a text
+    the field does not declare, matches nothing)."""
     if code is None:
         return np.zeros(len(column), dtype=bool)
     return column == code
@@ -340,15 +360,15 @@ class RecordTable:
     :meth:`take` decodes the rows in a given order.  :meth:`column`
     reads one field, :meth:`matches` compares a string field with a
     text, and :meth:`columns` gives the stored rows as a zero-copy NumPy
-    structured array, string fields as this table's codes; while such a
-    view is alive the table cannot grow, so readers drop theirs before
-    the next append.
+    structured array, string fields as their codes; while such a view is
+    alive the table cannot grow, so readers drop theirs before the next
+    append.
 
     Request records, a joined row type, are kept in an
     :class:`EntryTable`, which reads the same way.
     """
 
-    __slots__ = ("row", "add", "_layout", "_rows", "_codes")
+    __slots__ = ("row", "add", "_layout", "_rows")
 
     def __init__(self, row, rows=()):
         layout = self._layout = _LAYOUTS[row]
@@ -357,9 +377,8 @@ class RecordTable:
                               f"EntryTable")
         self.row = row
         self._rows = bytearray()
-        self._codes = _Codes()
         #: Append one row from its fields, in the row's field order.
-        self.add = layout.writer(layout.struct.pack, self._rows, self._codes)
+        self.add = layout.writer(layout, self._rows)
         self.extend(rows)
 
     # -- writing -------------------------------------------------------
@@ -370,15 +389,12 @@ class RecordTable:
 
     def extend(self, records) -> None:
         """Append every row of ``records``: a table of the same row type
-        (copied row for row, string codes translated) or any iterable of
-        rows."""
+        (its rows copied as they are) or any iterable of rows."""
         if not isinstance(records, RecordTable):
             self._add_all(records)
             return
         self._check_row(records)
-        start = len(self)
         self._rows += records._rows
-        self._translate(self.columns()[start:], self._layout, records)
 
     def _add_all(self, records) -> None:
         add = self.add
@@ -389,16 +405,6 @@ class RecordTable:
         if records.row is not self.row:
             raise ConfigError(f"cannot extend a {self.row.__name__} table "
                               f"with {records.row.__name__} rows")
-
-    def _translate(self, view, layout: _Layout, records) -> None:
-        """Rewrite the string codes of ``view`` (rows of ``layout`` copied
-        from ``records``) as this table's codes."""
-        codes = self._codes
-        translate = np.array([codes[text] for text in records.strings],
-                             dtype=np.uint8)
-        for name in layout.strings:
-            column = view[name]
-            column[:] = translate[column]
 
     def sort_by(self, name: str) -> None:
         """Stable in-place sort of the rows by the numeric field
@@ -416,11 +422,6 @@ class RecordTable:
 
     # -- reading -------------------------------------------------------
 
-    @property
-    def strings(self) -> tuple:
-        """This table's strings, indexed by code."""
-        return tuple(self._codes.strings)
-
     def columns(self) -> np.ndarray:
         """A zero-copy structured view of the stored rows, one field per
         stored field (string fields as codes, a None tile as
@@ -435,7 +436,8 @@ class RecordTable:
     def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
         """Boolean mask of the rows at ``index`` whose string field
         ``name`` is ``text``."""
-        return _equal(self.columns()[name][index], self._codes.get(text))
+        return _equal(self.columns()[name][index],
+                      self._layout.codes[name].get(text))
 
     def take(self, order):
         """An iterator over the rows at the positions ``order`` (an
@@ -457,8 +459,8 @@ class RecordTable:
         and turned into a list with one ``tolist``, string codes and
         None mapped on the column, then one tuple per row.  It holds
         the lists, not a view of the rows."""
-        columns = self.columns()
-        return self._tuples([self._stored(name, columns[name][index])
+        columns, layout = self.columns(), self._layout
+        return self._tuples([layout.values(name, columns[name][index])
                              for name in self.row._fields])
 
     def _tuples(self, values):
@@ -466,23 +468,13 @@ class RecordTable:
         # check: ``zip`` hands each row all of its fields.
         return map(tuple.__new__, repeat(self.row), zip(*values))
 
-    def _stored(self, name: str, column: np.ndarray) -> list:
-        """The values of the stored field ``name`` read as ``column``."""
-        layout = self._layout
-        if name in layout.strings:
-            return _texts(column, self._codes).tolist()
-        if name == layout.optional and (column == NO_TILE).any():
-            return [None if v == NO_TILE else v for v in column.tolist()]
-        return column.tolist()
-
     def __len__(self) -> int:
         return len(self._rows) // self._layout.struct.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             # A new table of the sliced rows, as a list slice is a list.
-            return _packed_table(self.row, self.columns()[index].tobytes(),
-                                 self.strings)
+            return _packed_table(self.row, self.columns()[index].tobytes())
         index, n = operator.index(index), len(self)
         if index < 0:
             index += n
@@ -517,7 +509,7 @@ class RecordTable:
         return f"{type(self).__name__}({self.row.__name__}, {len(self)} rows)"
 
     def __reduce__(self):
-        return _packed_table, (self.row, bytes(self._rows), self.strings)
+        return _packed_table, (self.row, bytes(self._rows))
 
 
 class EntryTable(RecordTable):
@@ -538,15 +530,15 @@ class EntryTable(RecordTable):
     rid order, as :func:`~repro.serve.fleet.records.as_trace` gives) it
     holds one entry per trace row, unwritten until the record of that
     row's request is written there, and reads the request's fields from
-    the trace row: 5 B a record.  Records are written one at a time (see
-    :func:`record_writers`) when row ``i`` is request ``rid0 + i``, and
-    a whole table's at once by :meth:`place`, which searches the
-    trace's rids.  Either way a second record of a request, or one of a
-    request with no row, raises as it is written, and
-    :meth:`check_complete` names the requests with none.  Until every
-    row has its record, a row without one reads its launch and rest
-    fields as zeros and matches no text, and :meth:`written` counts the
-    rows that have one.
+    the trace row: 5 B a record.  Records are written one at a time,
+    each at the row of its rid that the table finds (see
+    :func:`record_writers`), and a whole table's at once by
+    :meth:`place`, which searches the trace's rids.  Either way a second
+    record of a request, or one of a request with no row, raises as it
+    is written, and :meth:`check_complete` names the requests with none.
+    Until every row has its record, a row without one reads its launch
+    and rest fields as zeros and matches no text, and :meth:`written`
+    counts the rows that have one.
 
     ``add`` and ``append`` write a record's rest fields into a rest row;
     ``add_each`` and ``add_rest`` a launch's or an expiry's records.
@@ -563,14 +555,13 @@ class EntryTable(RecordTable):
     """
 
     __slots__ = ("requests", "add_each", "add_rest", "_join", "_appended",
-                 "_rid0", "_refs", "_marks", "_rest", "_launches", "_full")
+                 "_refs", "_marks", "_rest", "_launches", "_full")
 
-    def __init__(self, row, rows=(), launches=None, trace=None, rid0=None):
+    def __init__(self, row, rows=(), launches=None, trace=None):
         join = self._join = _LAYOUTS[row]
         self.row = row
         self._launches = launches
         self._appended = trace is None
-        self._rid0 = rid0
         if trace is None:
             self.requests = RecordTable(join.requests)
             self._refs, self._marks = array("i"), bytearray()
@@ -581,7 +572,6 @@ class EntryTable(RecordTable):
         #: Whether every row has its record (once so, always so).
         self._full = not self._marks
         self._rest = bytearray()
-        self._codes = _Codes()
         self.add, add_each, self.add_rest = join.writer(self)
         #: Write a launch's records, each referencing the launch's row
         #: of the launch table; None without a launch table.
@@ -603,7 +593,7 @@ class EntryTable(RecordTable):
         them contiguous spares the search a copy).  The records' launch
         references point ``launches_at`` rows further on in this table's
         launch table, where their launch rows begin; their rest rows are
-        appended to this table's own.
+        appended to this table's own as they are.
 
         A record of a request with no row, or whose row has a record
         already (written before, or another of ``records``), is a
@@ -637,13 +627,11 @@ class EntryTable(RecordTable):
                                   f"{sorted(set(twice.tolist()))}")
         del flags
         ref = records._ref(slice(None)).copy()
-        rest_start = len(self._rest) // self._join.rest.struct.size
         mine = ref < 0
-        ref[mine] -= rest_start
+        ref[mine] -= len(self._rest) // self._join.rest.struct.size
         ref[~mine] += launches_at
         np.frombuffer(self._refs, dtype=np.intc)[rows] = ref
         self._rest += records._rest
-        self._translate(self._rests()[rest_start:], self._join.rest, records)
 
     def columns(self) -> np.ndarray:
         raise ConfigError("a request-record table stores no rows to view: "
@@ -689,13 +677,12 @@ class EntryTable(RecordTable):
         column.flags.writeable = False
         return column
 
-    def _through(self, name: str, index, read) -> np.ndarray:
-        """Rest field ``name`` of the records at ``index``: ``read(column,
-        codes)`` of the launch rows the records reference and of their
-        own rest rows, merged in record order; a row without its record
-        reads zeros."""
+    def _through(self, name: str, index) -> np.ndarray:
+        """Rest field ``name`` of the records at ``index``, read from the
+        launch rows the records reference and from their own rest rows,
+        merged in record order; a row without its record reads zero."""
         if self._complete():
-            return self._gathered(name, index, read)
+            return self._gathered(name, index)
         # Gather the rows at ``index`` that have their record.  A slice
         # or mask becomes the positions it selects, an integer array (a
         # snapshot's chunk) is used as it is.
@@ -705,15 +692,15 @@ class EntryTable(RecordTable):
         if index.dtype == bool:
             index = np.flatnonzero(index)
         written = self._flags()[index] != UNWRITTEN
-        theirs = self._gathered(name, index[written], read)
+        theirs = self._gathered(name, index[written])
         out = np.zeros(len(index), dtype=theirs.dtype)
         out[written] = theirs
         return out
 
-    def _gathered(self, name: str, index, read) -> np.ndarray:
+    def _gathered(self, name: str, index) -> np.ndarray:
         ref = self._ref(index)
         launched = ref >= 0
-        own = read(self._rests()[name][~ref[~launched]], self._codes)
+        own = self._rests()[name][~ref[~launched]]
         if not launched.any():
             return own
         rows = ref if not len(own) else ref[launched]
@@ -721,8 +708,7 @@ class EntryTable(RecordTable):
         if source is None:
             theirs = np.zeros(len(rows), dtype=own.dtype)
         else:
-            launches = self._launches
-            theirs = read(launches.columns()[source][rows], launches._codes)
+            theirs = self._launches.columns()[source][rows]
         if not len(own):
             return theirs
         out = np.empty(len(ref), dtype=own.dtype)
@@ -734,35 +720,37 @@ class EntryTable(RecordTable):
         """As :meth:`RecordTable.column`: a request field is a read-only
         view of its column for a slice, a field read through the
         references is gathered into a new array."""
-        if name in self.requests._layout.strings + self._join.rest.strings:
+        if name in self.requests._layout.texts \
+                or name in self._join.rest.texts:
             raise ConfigError(f"read the string field {name!r} with "
                               f"matches()")
         if name in self.requests.row._fields:
             return self._own(name)[index]
         if name == self._join.flag:
             return self._flags()[index] == HEDGED
-        return self._through(name, index, _as_is)
+        return self._through(name, index)
 
     def matches(self, name: str, text: str, index=slice(None)) -> np.ndarray:
         if name in self.requests.row._fields:
             return _equal(self._own(name)[index],
-                          self.requests._codes.get(text))
-        return self._through(name, index,
-                             lambda column, codes: _equal(column,
-                                                          codes.get(text)))
+                          self.requests._layout.codes[name].get(text))
+        hit = _equal(self._through(name, index),
+                     self._join.rest.codes[name].get(text))
+        if not self._complete():
+            # A row without its record reads code 0, a text's.
+            hit &= self._flags()[index] != UNWRITTEN
+        return hit
 
     def _decoded(self, index):
-        requests, rest = self.requests, self._join.rest
+        requests, rest = self.requests._layout, self._join.rest
         values = []
         for name in self.row._fields:
-            if name in requests.row._fields:
-                values.append(requests._stored(name, self._own(name)[index]))
+            if name in requests.fields:
+                values.append(requests.values(name, self._own(name)[index]))
             elif name == self._join.flag:
                 values.append(self.column(name, index).tolist())
             else:
-                values.append(self._through(
-                    name, index,
-                    _texts if name in rest.strings else _as_is).tolist())
+                values.append(rest.values(name, self._through(name, index)))
         return self._tuples(values)
 
     def __getitem__(self, index):
@@ -781,41 +769,34 @@ class EntryTable(RecordTable):
         return _entry_table(
             self.row,
             _packed_table(requests.row,
-                          requests.columns()[:len(self)][index].tobytes(),
-                          requests.strings),
-            True, None, ref.tobytes(), bytes(self._marks[index]),
-            self._rests()[used].tobytes(), self.strings, self._launches)
+                          requests.columns()[:len(self)][index].tobytes()),
+            True, ref.tobytes(), bytes(self._marks[index]),
+            self._rests()[used].tobytes(), self._launches)
 
     def __reduce__(self):
         return _entry_table, (self.row, self.requests, self._appended,
-                              self._rid0, self._refs.tobytes(),
-                              bytes(self._marks), bytes(self._rest),
-                              self.strings, self._launches)
+                              self._refs.tobytes(), bytes(self._marks),
+                              bytes(self._rest), self._launches)
 
 
-def _entry_table(row, requests: RecordTable, appended: bool, rid0,
-                 refs: bytes, marks: bytes, rest: bytes, strings: tuple,
+def _entry_table(row, requests: RecordTable, appended: bool, refs: bytes,
+                 marks: bytes, rest: bytes,
                  launches: RecordTable | None) -> EntryTable:
     """Rebuild a pickled, copied or sliced :class:`EntryTable`: appended,
     with the request rows of ``requests``, or over the trace
     ``requests``."""
     table = EntryTable(row, launches=launches,
-                       trace=None if appended else requests, rid0=rid0)
+                       trace=None if appended else requests)
     if appended:
         table.requests.extend(requests)
     table._refs[:] = array("i", refs)
     table._marks[:] = marks
     table._rest += rest
-    for text in strings:
-        table._codes[text]  # registers it at its code
     return table
 
 
-def _packed_table(row, rows: bytes, strings: tuple) -> RecordTable:
-    """Rebuild a pickled, copied or sliced table from its rows and
-    strings."""
+def _packed_table(row, rows: bytes) -> RecordTable:
+    """Rebuild a pickled, copied or sliced table from its rows."""
     table = RecordTable(row)
-    for text in strings:
-        table._codes[text]  # registers it at its code
     table._rows += rows
     return table

@@ -90,8 +90,10 @@ class Request(NamedTuple):
     arrival: float
 
 
-#: 25 B per request: rid ``q``, kind ``B``, tile ``q``, arrival ``d``.
-rows.register(Request, "qBqd", rows.trace_writer, optional="tile")
+#: 25 B per request: rid ``q``, kind ``B`` (its index in KINDS), tile
+#: ``q``, arrival ``d``.
+rows.register(Request, "qBqd", rows.trace_writer, texts={"kind": KINDS},
+              optional="tile")
 
 
 @dataclass(frozen=True)

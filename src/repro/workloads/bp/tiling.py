@@ -110,13 +110,6 @@ class TileGrid:
                 counts[v] = counts.get(v, 0) + 1
         return max(counts.values())
 
-    def boundary_bytes_per_tile(self, labels: int, element_bytes: int = 2) -> int:
-        """Bytes of boundary messages copied to the neighboring vault after
-        a tile finishes one directional sweep: one row (or column) of
-        message vectors."""
-        rows, cols = self.max_tile_shape()
-        return max(rows, cols) * labels * element_bytes
-
 
 def fullhd_tile_grid() -> TileGrid:
     """The paper's operating point: full-HD over 32x32 tiles (~60x34)."""

@@ -78,13 +78,6 @@ class TestLocalVaultMemory:
         with pytest.raises(SimulationError):
             mem.access(0, 0.0, remote, 8, False)
 
-    def test_remote_allowed_when_configured(self):
-        hmc = HMC()
-        mem = LocalVaultMemory(hmc, vault=0, allow_remote=True)
-        remote = hmc.mapper.vault_base(5)
-        done, _ = mem.access(0, 0.0, remote, 8, False)
-        assert done > 0
-
     def test_column_pacing(self):
         """A multi-column load takes longer than a single column."""
         mem = LocalVaultMemory(HMC(), vault=0)

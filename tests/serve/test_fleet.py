@@ -333,9 +333,13 @@ def test_request_ids_outside_int64_are_rejected_before_simulating():
       _req(2, 2.0, tile=1.5), _req(3, 3.0, tile=None)],
      r"tile a row cannot hold .*: \[0, 1, 2\]$"),
     # A raw KeyError at the first launch, before.
-    ([_req(0, 0.0, kind="gibbs"), _req(1, 1.0), _req(2, 2.0, kind="warp")],
-     r"^request kinds the cost table has no column for: "
-     r"\['gibbs', 'warp'\]"),
+    ([_req(0, 0.0, kind="gibbs"), _req(1, 1.0), _req(2, 2.0, kind="gibbs")],
+     r"^request kinds the cost table has no column for: \['gibbs'\]"),
+    # A kind a row cannot hold is refused as the trace is packed.
+    ([_req(0, 0.0, kind="gibbs"), _req(1, 1.0), _req(2, 2.0, kind="warp"),
+      _req(3, 3.0, kind="BP")],
+     r"^request ids with a kind outside \['bp', 'conv', 'fc', 'gibbs'\]: "
+     r"\[2, 3\]$"),
 ])
 def test_requests_a_run_cannot_serve_are_rejected_before_simulating(
         requests, message):

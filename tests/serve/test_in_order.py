@@ -11,14 +11,15 @@ grid, so that many tie) are run both ways, through a fleet and through a
 2-shard cluster whose first shard fails, and must give equal records,
 launches, metrics and progress snapshots.
 
-A fleet run of a trace whose rids are consecutive writes each record at
-its request's row of an ``EntryTable`` over the trace, which reads the
-request's own fields from the trace; a trace with gaps between its rids
-appends its records with their request rows, and places them at their
-requests' rows when the run is collected, as the cluster places every
-shard's.  Both fill modes must read alike through every reader and give
-the same records, and a table over a trace must refuse a second record,
-or one of a request it has no row for, as it is written.
+A fleet run writes each record at its request's row of an
+``EntryTable`` over the trace, which reads the request's own fields from
+the trace: row ``rid - rid0`` when the trace's rids are consecutive, and
+the row a bisection of its rids finds when they have gaps.  An appended
+table keeps its records with their request rows, as a cluster shard
+does until the merge places them at their rows.  Both fill modes must
+read alike through every reader and give the same records, and a table
+over a trace must refuse a second record, or one of a request it has no
+row for, as it is written.
 """
 
 import copy
@@ -44,7 +45,7 @@ from repro.serve.fleet import (
     RequestRecord,
     ServeConfig,
 )
-from repro.serve.fleet.records import arrival_order, as_trace, run_records
+from repro.serve.fleet.records import arrival_order, as_trace
 from repro.serve.metrics import compute_metrics
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.workload import Request, WorkloadConfig, generate_requests
@@ -225,21 +226,20 @@ def test_the_failing_fleet_writes_every_kind_of_record():
 
 
 def test_a_trace_picks_the_layout():
-    launches = RecordTable(BatchRecord)
-
-    def over_the_trace(rows):
+    # Every run's records sit over its trace, rid gaps or not.
+    for rows in ([(4, 0.0), (5, 0.0), (6, 2.0)], [(-2**63, 0.0)],
+                 # Rids out of arrival order are sorted into rows.
+                 [(5, 0.0), (4, 1.0)],
+                 # A rid gap, and no rows at all.
+                 [(4, 0.0), (6, 1.0)], [],
+                 [(-2**63, 0.0), (9, 0.5), (2**63 - 1, 1.0)]):
         trace = as_trace([Request(rid, "bp", None, arrival)
                           for rid, arrival in rows])
-        return run_records(trace, launches).requests is trace
-
-    assert over_the_trace([(4, 0.0), (5, 0.0), (6, 2.0)])
-    assert over_the_trace([(-2**63, 0.0)])
-    # Rids out of arrival order are sorted into consecutive rows.
-    assert over_the_trace([(5, 0.0), (4, 1.0)])
-    # A rid gap, and no rows at all, append.
-    assert not over_the_trace([(4, 0.0), (6, 1.0)])
-    assert not over_the_trace([])
-    assert not over_the_trace([(-2**63, 0.0), (2**63 - 1, 1.0)])
+        records = FleetSimulator(ServeConfig(), test_memory._table()).run(
+            trace).records
+        assert records.requests is trace, rows
+        assert [r.rid for r in records] == sorted(rid for rid, _ in rows)
+        assert records.matches("outcome", "served").all()
 
 
 def _failing_fleet(trace):
@@ -252,10 +252,10 @@ def _failing_fleet(trace):
        mix=st.sampled_from(["bp", "bp+vgg"]))
 @example(seed=1, requests=300, mix="bp+vgg")
 def test_gapped_rids_serve_as_consecutive_ones(seed, requests, mix):
-    # Doubled rids leave a gap between every two, so a fleet appends
-    # its records and places them when collected, and the cluster's
-    # merge finds each row by searching the rids; rids in the input's
-    # order are sorted first.  Neither router reads a rid's value, so
+    # Doubled rids leave a gap between every two, so a fleet's table
+    # over the trace finds each record's row by bisecting the rids, and
+    # the cluster's merge by searching them; rids in the input's order
+    # are sorted first.  Neither router reads a rid's value, so
     # every decision, and every record but its rid, is the same.
     trace = generate_requests(WorkloadConfig(mix=mix, rate=400_000.0,
                                              requests=requests, seed=seed))
@@ -290,7 +290,7 @@ class TestExactlyOnceAtTheRow:
         launches = RecordTable(BatchRecord, [
             BatchRecord(0, "bp", 1, 0, 0.0, 1.0, 2.0, 0.0)])
         return trace, EntryTable(RequestRecord, launches=launches,
-                                 trace=trace, rid0=10)
+                                 trace=trace)
 
     def test_a_second_record_raises_naming_the_rid(self):
         trace, table = self._table()
@@ -336,6 +336,31 @@ class TestExactlyOnceAtTheRow:
         table.check_complete()
         assert [r.outcome for r in table] == ["served", "shed", "served",
                                               "shed"]
+
+    def test_a_gapped_trace_finds_each_row(self):
+        trace = RecordTable(Request, [Request(rid, "bp", i, float(i))
+                                      for i, rid in enumerate((-5, 10, 12,
+                                                               40))])
+        launches = RecordTable(BatchRecord, [
+            BatchRecord(0, "bp", 1, 0, 0.0, 1.0, 2.0, 0.0)])
+        table = EntryTable(RequestRecord, launches=launches, trace=trace)
+        table.add_each([trace[2], trace[0]], 0, False)
+        for rid in (11, 41, -6, 13, 9, -2**63, 2**63 - 1):
+            with pytest.raises(SimulationError,
+                               match=rf"^records of unknown requests: "
+                                     rf"\[{rid}\]$"):
+                table.add_each([Request(rid, "bp", 0, 0.0)], 0, False)
+        with pytest.raises(SimulationError,
+                           match=r"^requests recorded more than once: "
+                                 r"\[12\]$"):
+            table.add_rest([trace[2]], True, -1, -1, 0, 5.0, 0.0, 0.0,
+                           "shed", 0, False)
+        assert table.written() == 2
+        table.add_rest([trace[3], trace[1]], True, -1, -1, 0, 5.0, 0.0,
+                       0.0, "shed", 0, False)
+        table.check_complete()
+        assert [(r.rid, r.outcome) for r in table] == [
+            (-5, "served"), (10, "shed"), (12, "served"), (40, "shed")]
 
     def test_the_fleet_raises_at_the_second_write(self):
         written = []

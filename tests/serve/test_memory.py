@@ -38,12 +38,16 @@ TRACE_BYTES_PER_REQUEST = 32
 #: referencing one 63 B row per launch (about 43 B a request at this
 #: trace's mean batch of 1.47, so about 48 B together).  Beside the rows
 #: only the rollup (one latency column and a chunk) adds to the peak,
-#: which reads about 67 B/request on Python 3.11.  A 30 B head per
+#: which reads about 67 B/request on Python 3.11, on the trace and on
+#: the same trace with every rid doubled (a gap between every two),
+#: whose records are written at their rows too.  A 30 B head per
 #: request and the exactly-once sort it needs (about 96 B/request), a
 #: named tuple per record (about 150 B each), a list of the decoded
 #: trace (about 100 B a request), an arrival order and a sorted copy of
-#: the rids held through the run (16 B a request), or a copy of the
-#: whole record table in the rollup, pushes it past the bound.
+#: the rids held through the run (16 B a request), a copy of the whole
+#: record table in the rollup, or appending a gapped trace's records to
+#: place them afterwards (about 109 B/request), pushes it past the
+#: bound.
 RUN_BYTES_PER_REQUEST = 74
 
 #: Traced peak of compute_metrics alone per request: one latency column
@@ -163,19 +167,22 @@ def test_trace_bytes_per_request(steady_trace):
 def test_run_and_rollup_bytes_per_request(steady_trace):
     config = ServeConfig()
     costs = _table()
+    gapped = RecordTable(Request, (r._replace(rid=2 * r.rid)
+                                   for r in steady_trace))
+    for trace in (steady_trace, gapped):
+        def run():
+            result = FleetSimulator(config, costs).run(trace)
+            return compute_metrics(result.records, result.batches,
+                                   result.makespan, config.slo_cycles,
+                                   config.clock_ghz)
 
-    def run():
-        result = FleetSimulator(config, costs).run(steady_trace)
-        return compute_metrics(result.records, result.batches,
-                               result.makespan, config.slo_cycles,
-                               config.clock_ghz)
-
-    metrics, peak = _traced_peak(run)
-    assert metrics.served == len(steady_trace)  # below saturation
-    per_request = peak / len(steady_trace)
-    assert per_request <= RUN_BYTES_PER_REQUEST, (
-        f"{per_request:.1f} B/request traced, budget "
-        f"{RUN_BYTES_PER_REQUEST}")
+        metrics, peak = _traced_peak(run)
+        assert metrics.served == len(trace)  # below saturation
+        per_request = peak / len(trace)
+        assert per_request <= RUN_BYTES_PER_REQUEST, (
+            f"{per_request:.1f} B/request traced on the "
+            f"{'gapped' if trace is gapped else 'generated'} trace, "
+            f"budget {RUN_BYTES_PER_REQUEST}")
 
 
 def test_cluster_run_and_rollup_bytes_per_request(steady_trace):

@@ -11,7 +11,10 @@ rows appended, with builtin field types.  Request-record tables, written
 either way (appended, or at their requests' rows of a trace) and placed
 into one table over a gapped trace as a cluster merges its shards', are
 also held against the 72 B row every field of a record used to be
-packed into, kept here as the oracle.
+packed into, kept here as the oracle.  A string field stores its text's
+index in the texts its row type declares, so a table copies another's
+rows as they are, and a kind outside those texts is refused as a trace
+is packed.
 """
 
 import copy
@@ -86,18 +89,25 @@ _BATCH_ROWS = st.builds(
 _OldRecord = namedtuple("_OldRecord", RequestRecord._fields)
 
 
-def _old_record_writer(pack, rows, codes):
+_TEXTS = {"kind": KINDS,
+          "outcome": OUTCOMES + ("killed", "hedge-loser")}
+
+
+def _old_record_writer(layout, rows):
+    pack, codes = layout.struct.pack, layout.codes
+
     def add(rid, kind, tile, arrival, shed, batch_id, chip, batch_size,
             dispatch, start, finish, outcome, retries, hedged):
         nonlocal rows
-        rows += pack(rid, codes[kind], NO_TILE if tile is None else tile,
-                     arrival, shed, batch_id, chip, batch_size, dispatch,
-                     start, finish, codes[outcome], retries, hedged)
+        rows += pack(rid, codes["kind"][kind],
+                     NO_TILE if tile is None else tile, arrival, shed,
+                     batch_id, chip, batch_size, dispatch, start, finish,
+                     codes["outcome"][outcome], retries, hedged)
     return add
 
 
 packed.register(_OldRecord, "qBqd?qiidddBi?", _old_record_writer,
-                optional="tile")
+                texts=_TEXTS, optional="tile")
 
 _REQUESTS = st.lists(_TRACE_ROWS, min_size=1, max_size=4)
 #: A launch: served ones write their requests' records, killed and
@@ -154,14 +164,13 @@ def _renumbered(steps, rids):
     return out
 
 
-def _write(steps, trace=None, rid0=None):
+def _write(steps, trace=None):
     """A launch table, a request-record table referencing it (appended,
-    or over ``trace``, whose row ``i`` is request ``rid0 + i``), and the
-    72 B oracle of that table (in rid order over a trace), written by
-    ``steps``."""
+    or over ``trace``, which has a row for each request ``steps``
+    write), and the 72 B oracle of that table (in rid order over a
+    trace), written by ``steps``."""
     launches = RecordTable(BatchRecord)
-    table = EntryTable(RequestRecord, launches=launches, trace=trace,
-                       rid0=rid0)
+    table = EntryTable(RequestRecord, launches=launches, trace=trace)
     rows = []
     for op, *args in steps:
         if op == "launch":
@@ -210,7 +219,7 @@ def _assert_like_oracle(table, oracle, seed):
     for got, i in zip(table.take(order), order.tolist()):
         _same(got, want[i])
     mask = rng.random(len(want)) < 0.5
-    texts = set(oracle.strings) | {"killed", "hedge-loser", "never"}
+    texts = {*KINDS, *_TEXTS["outcome"], "never"}
     columns = oracle.columns()
     for name in RequestRecord._fields:
         for index in (slice(None), mask, order, slice(None, None, -2)):
@@ -305,9 +314,7 @@ class TestRoundTrip:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(first=st.lists(_REQUEST_ROWS, max_size=20),
            second=st.lists(_REQUEST_ROWS, max_size=20))
-    def test_extend_translates_string_codes(self, first, second):
-        # Each table numbers its strings in the order it first saw
-        # them, so a merged table must translate the other's codes.
+    def test_extend_appends_another_table(self, first, second):
         table = EntryTable(RequestRecord, first)
         table.extend(EntryTable(RequestRecord, second))
         assert table == first + second
@@ -331,25 +338,29 @@ class TestJoinedRecords:
            cut=st.tuples(st.integers(-20, 20), st.integers(-20, 20),
                          st.sampled_from([None, 1, 2, -1, -3])),
            seed=st.integers(0, 2**32 - 1),
-           rid0=st.integers(-2**63, 2**63 - 2**10))
+           rid0=st.integers(-2**63, 2**63 - 2**10),
+           gapped=_PART)
     def test_reads_as_the_72_byte_oracle(self, parts, router, cut, seed,
-                                         rid0):
+                                         rid0, gapped):
         # Every record gets a rid of its own: a part's records the
         # consecutive rids of its slot in a shuffled order, one rid
         # apart from the next part's, so the merged trace has gaps.  A
         # part over a trace (``over``) writes each record at its
-        # request's row, out of row order; the others append.
+        # request's row, out of row order; the others append.  The
+        # ``gapped`` part's records are written over a trace of every
+        # other rid of its slot, whose rows are found by bisection.
         rng = np.random.default_rng(seed)
         written, requests, start = [], [], rid0
-        for steps, over in parts:
+        for steps, over, spacing in [(*part, 1) for part in parts] + [
+                (gapped, True, 2)]:
             n = len(_written(steps))
-            steps = _renumbered(steps,
-                                (start + rng.permutation(n)).tolist())
+            steps = _renumbered(
+                steps, (start + spacing * rng.permutation(n)).tolist())
             mine = sorted(_written(steps))
             requests += mine
             trace = RecordTable(Request, mine) if over else None
-            written.append((trace, *_write(steps, trace, start)))
-            start += n + 1
+            written.append((trace, *_write(steps, trace)))
+            start += spacing * n + 1
         router = [r._replace(rid=start + i) for i, r in enumerate(router)]
         for trace, launches, table, oracle in written:
             _assert_like_oracle(table, oracle, seed)
@@ -433,19 +444,8 @@ class TestTable:
         table = EntryTable(RequestRecord, [RequestRecord(
             rid=1, kind="bp", tile=0, arrival=0.0, shed=False)])
         assert table.matches("kind", "fc").tolist() == [False]
-        # The request row numbers the kind; the rest row the outcome.
-        assert table.requests.strings == ("bp",)
-        assert table.strings == ("served",)
-
-    def test_a_257th_distinct_string_is_rejected(self):
-        table = RecordTable(BatchRecord)
-        for i in range(128):
-            table.add(i, f"k{i}", 1, 0, 0.0, 0.0, 0.0, 0.0, 0, f"o{i}",
-                      0.0, False)
-        with pytest.raises(ConfigError, match=r"at most 256 distinct "
-                                              r"strings; 'k128'"):
-            table.add(128, "k128", 1, 0, 0.0, 0.0, 0.0, 0.0, 0, "o0", 0.0,
-                      False)
+        assert table.matches("kind", "warp").tolist() == [False]
+        assert table.matches("outcome", "never").tolist() == [False]
 
     def test_extend_rejects_the_other_layout(self):
         with pytest.raises(ConfigError, match="BatchRecord rows"):
@@ -634,7 +634,7 @@ class TestTraceChecks:
     @pytest.mark.parametrize("write", ["add", "append", "extend"])
     def test_a_trace_row_refuses_a_tile_it_would_misread(self, write):
         trace = RecordTable(Request, [Request(0, "bp", 3, 0.0)])
-        before = list(trace), trace.strings
+        before = list(trace)
 
         def put(*row):
             if write == "add":
@@ -648,19 +648,18 @@ class TestTraceChecks:
         for rid, value in ((1, -2**63), (2, 2**63), (3, -2**64), (4, 1.5),
                            (5, "3")):
             with pytest.raises(ConfigError, match=tile + rf"\[{rid}\]$"):
-                put(rid, "warp", value, 0.0)
+                put(rid, "gibbs", value, 0.0)
         with pytest.raises(ConfigError,
                            match=r"^request ids outside int64: "
                                  r"\[9223372036854775808\]$"):
-            put(2**63, "warp", 0, 0.0)
-        # Nothing was written, not even the new kind's string.
-        assert (list(trace), trace.strings) == before
+            put(2**63, "gibbs", 0, 0.0)
+        # Nothing was written.
+        assert list(trace) == before
         for rid, value in ((6, -2**63 + 1), (7, 2**63 - 1), (8, None),
                            (9, np.int64(-4))):
-            put(rid, "warp", value, 0.0)
+            put(rid, "gibbs", value, 0.0)
         assert [r.tile for r in trace] == [3, -2**63 + 1, 2**63 - 1, None,
                                            -4]
-        assert trace.strings == ("bp", "warp")
 
     def test_a_non_finite_arrival_is_named(self):
         trace = as_trace([
@@ -674,15 +673,46 @@ class TestTraceChecks:
 
     def test_an_unpriced_kind_is_named(self):
         rows = [Request(rid=i, kind=kind, tile=0, arrival=float(i))
-                for i, kind in enumerate(["bp", "gibbs", "warp", "bp"])]
-        priced = {"bp": 1, "conv": 1, "fc": 1}
+                for i, kind in enumerate(["bp", "gibbs", "fc", "bp"])]
+        priced = {"bp": 1, "conv": 1}
         with pytest.raises(ConfigError,
                            match=r"^request kinds the cost table has no "
-                                 r"column for: \['gibbs', 'warp'\]"):
+                                 r"column for: \['fc', 'gibbs'\]"):
             check_kinds(as_trace(rows), priced)
-        # Only kinds a row holds count, not every string the table knows.
+        # Only kinds a row holds count, not every kind there is.
         trace = as_trace(rows)
-        assert "gibbs" in trace[:1].strings
         check_kinds(trace[:1], priced)
         check_kinds(RecordTable(Request), priced)
+
+    @pytest.mark.parametrize("write", ["as_trace", "table", "add", "append",
+                                       "extend"])
+    def test_a_kind_outside_the_kinds_is_named(self, write):
+        # A kind is stored as its index in KINDS, so a row cannot hold
+        # any other, and its rid is named before anything is packed.
+        rows = [Request(1, "fc", None, 1.0), Request(2, "warp", 0, 2.0),
+                Request(3, "BP", None, 3.0)]
+        kind = (r"^request ids with a kind outside \['bp', 'conv', 'fc', "
+                r"'gibbs'\]: ")
+        if write == "as_trace":
+            with pytest.raises(ConfigError, match=kind + r"\[2, 3\]$"):
+                as_trace(rows)
+            return
+        if write == "table":
+            with pytest.raises(ConfigError, match=kind + r"\[2\]$"):
+                RecordTable(Request, rows)
+            with pytest.raises(ConfigError, match=kind + r"\[2\]$"):
+                EntryTable(RequestRecord,
+                           [RequestRecord(*rows[1], shed=True)])
+            return
+        trace = RecordTable(Request, [Request(0, "bp", 3, 0.0)])
+        for row in rows[1:]:
+            with pytest.raises(ConfigError, match=kind + rf"\[{row.rid}\]$"):
+                if write == "add":
+                    trace.add(*row)
+                elif write == "append":
+                    trace.append(row)
+                else:
+                    trace.extend([row])
+        # Nothing was written.
+        assert list(trace) == [Request(0, "bp", 3, 0.0)]
 

@@ -1,6 +1,7 @@
 """Config knobs: each field declares its kind and bound, and one checker
 refuses a value outside it with a dotted message."""
 
+import json
 import math
 
 import numpy as np
@@ -107,3 +108,40 @@ def test_a_count_is_kept_as_the_int_it_holds():
     assert type(config.arc_entries) is int and type(config.datapath_bits) \
         is int
     assert type(FailureConfig(seed=np.int32(-3)).seed) is int
+
+
+@pytest.mark.parametrize("config, kwargs, message", [
+    # Each was accepted before: a float chip id matched no chip, so a
+    # fail-stop config read as enabled and never failed one.
+    (FailureConfig, dict(fail_stop_chips=(0.5,)),
+     "failures.fail_stop_chips: expected integer chip ids, got (0.5,)"),
+    (FailureConfig, dict(fail_slow_chips=(0, 1.0)),
+     "failures.fail_slow_chips: expected integer chip ids, got (0, 1.0)"),
+    (FailureConfig, dict(transient_chips=(True,)),
+     "failures.transient_chips: expected integer chip ids, got (True,)"),
+    (ServeConfig, dict(chips=2, degraded_chips=(0.5,)),
+     "config.degraded_chips: expected integer chip ids, got (0.5,)"),
+    (ServeConfig, dict(chips=2, degraded_chips=(True,)),
+     "config.degraded_chips: expected integer chip ids, got (True,)"),
+    (FailureConfig, dict(domains=((True,),)),
+     "failures.domains[0]: expected integer chip ids, got (True,)"),
+    (FailureConfig, dict(domains=((0, 1), (2, 3.0))),
+     "failures.domains[1]: expected integer chip ids, got (2, 3.0)"),
+])
+def test_a_chip_id_that_is_not_an_integer_is_refused(config, kwargs,
+                                                     message):
+    with pytest.raises(ConfigError) as info:
+        config(**kwargs)
+    assert str(info.value) == message
+
+
+def test_a_chip_id_is_kept_as_the_int_it_holds():
+    failures = FailureConfig(fail_stop_chips=(np.int64(1),),
+                             domains=((np.int32(0), 1),))
+    config = ServeConfig(chips=2, degraded_chips=[np.uint8(1)],
+                         failures=failures)
+    assert config.degraded_chips == (1,) and failures.domains == ((0, 1),)
+    assert type(config.degraded_chips[0]) is int
+    assert type(failures.fail_stop_chips[0]) is int
+    assert type(failures.domains[0][0]) is int
+    json.dumps(failures.as_dict())
